@@ -27,7 +27,7 @@
 //! `eval.tick`) are also invariant across `Parallelism` worker counts and
 //! particle layouts; `pool.job` spans are *schedule* spans — their count
 //! equals the shard count, so they are excluded from cross-worker
-//! comparisons (`tests/layout_equiv.rs` pins both properties).
+//! comparisons (`tests/worker_equiv.rs` pins both properties).
 //!
 //! **Flight recorder.** [`FlightRecorder`] keeps the most recent spans in
 //! a fixed-capacity ring — cheap enough to leave on permanently — and

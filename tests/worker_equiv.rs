@@ -138,6 +138,75 @@ fn layouts_agree_bitwise_on_every_good_example() {
     }
 }
 
+/// Checked-in posterior digests: one line per method × probabilistic
+/// example × golden seed, recorded from the per-particle store.
+const DIGESTS: &str = include_str!("fixtures/posterior_digests.txt");
+
+/// FNV-1a over little-endian words: a fixed, std-independent hash, so
+/// the fixture does not move with the toolchain.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// One fixture line: the run's coordinates, a hash of every tick's
+/// `(mean, variance)` bits and the final resampling counters, and the
+/// counters themselves in the clear.
+fn digest_line(file: &str, node: &str, method: Method, seed: u64, inputs: &[Value]) -> String {
+    let (trace, s) = dsl_trace(
+        file,
+        node,
+        method,
+        seed,
+        ParticleLayout::PerParticle,
+        inputs,
+    );
+    let words = trace.iter().flat_map(|&(m, v)| [m, v]).chain([
+        s.passes,
+        s.clones,
+        s.clones_avoided,
+        s.dropped,
+    ]);
+    format!(
+        "{file} {node} {method} {seed:#x} {:016x} passes={} clones={} avoided={} dropped={}",
+        fnv1a(words),
+        s.passes,
+        s.clones,
+        s.clones_avoided,
+        s.dropped
+    )
+}
+
+/// Every method × probabilistic example × golden seed reproduces its
+/// checked-in digest: the posterior stream has not moved by a bit.
+#[test]
+fn posteriors_match_checked_in_digests() {
+    let mut actual = String::new();
+    for (file, node, inputs) in prob_examples() {
+        for method in Method::ALL {
+            for seed in SEEDS {
+                actual.push_str(&digest_line(file, node, method, seed, &inputs));
+                actual.push('\n');
+            }
+        }
+    }
+    let expected: Vec<&str> = DIGESTS
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
+    let got: Vec<&str> = actual.lines().collect();
+    assert!(
+        expected == got,
+        "posterior digests moved; recomputed lines:\n{actual}"
+    );
+}
+
 fn native_trace<M, I>(
     method: Method,
     seed: u64,
