@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! perfbench [--quick] [--label NAME] [--out PATH] [--fresh]
-//!           [--strategy clone-minimal|clone-all] [--layout aos|soa]
+//!           [--strategy clone-minimal|clone-all]
 //! perfbench --dsl [--backend interp|tape|both]
 //!                            # DSL hmm.zl + robot.zl: unopt vs opt µF
 //!                            # interpreter vs compiled instruction tape
@@ -27,7 +27,7 @@
 //! tape backend and not from a semantic drift.
 //!
 //! `--compare A B` reads the trajectory file back, matches label-A rows
-//! against label-B rows by (bench, method, layout), prints the per-row
+//! against label-B rows by (bench, method), prints the per-row
 //! speedup, and exits nonzero when a posterior differs by a single bit or
 //! B regresses by more than 5% — the CI gate for backend claims.
 //!
@@ -38,7 +38,7 @@
 use probzelus::models::{generate_kalman, Kalman};
 use probzelus::robot::{GpsAccTracker, TrackerInput};
 use probzelus_bench::DATA_SEED;
-use probzelus_core::infer::{Infer, Method, ParticleLayout, ResampleStrategy};
+use probzelus_core::infer::{Infer, Method, ResampleStrategy};
 use probzelus_core::model::Model;
 use probzelus_core::LogHistogram;
 use std::time::Instant;
@@ -49,9 +49,10 @@ const ENGINE_SEED: u64 = 0xbe_a5;
 /// Keys a trajectory entry may carry, in emission order. `--check`
 /// enforces this exact set: the schema is closed, so a new field is a
 /// deliberate schema bump, not drift. Fields in [`OPTIONAL`] may be
-/// absent — rows written before the `layout` field existed (the
-/// seed-pr4/pr5 history) omit it, and only deadline-harness rows carry
-/// the `deadline_*` pair — so the trajectory file stays append-only.
+/// absent — `layout` appears only on the history rows written while the
+/// engine had a particle-layout knob, and only deadline-harness rows
+/// carry the `deadline_*` pair — so the trajectory file stays
+/// append-only.
 const SCHEMA: [(&str, Kind); 17] = [
     ("label", Kind::Str),
     ("bench", Kind::Str),
@@ -87,7 +88,6 @@ struct Entry {
     bench: &'static str,
     method: Method,
     strategy: ResampleStrategy,
-    layout: ParticleLayout,
     particles: usize,
     ticks: usize,
     ticks_per_sec: f64,
@@ -111,7 +111,7 @@ impl Entry {
         };
         let mut out = format!(
             "{{\"label\":{label},\"bench\":\"{bench}\",\"method\":\"{method}\",\
-             \"strategy\":\"{strategy}\",\"layout\":\"{layout}\",\
+             \"strategy\":\"{strategy}\",\
              \"particles\":{particles},\"ticks\":{ticks},\
              \"data_seed\":{data_seed},\"engine_seed\":{engine_seed},\
              \"ticks_per_sec\":{tps:?},\"p50_ms\":{p50:?},\"p99_ms\":{p99:?},\
@@ -120,7 +120,6 @@ impl Entry {
             label = json_string(&self.label),
             bench = self.bench,
             method = self.method,
-            layout = self.layout,
             particles = self.particles,
             ticks = self.ticks,
             data_seed = DATA_SEED,
@@ -166,13 +165,11 @@ fn drive<M: Model>(
     bench: &'static str,
     method: Method,
     strategy: ResampleStrategy,
-    layout: ParticleLayout,
     particles: usize,
     label: &str,
 ) -> Entry {
-    let mut engine = Infer::with_seed(method, particles, template, ENGINE_SEED)
-        .with_resample_strategy(strategy)
-        .with_particle_layout(layout);
+    let mut engine =
+        Infer::with_seed(method, particles, template, ENGINE_SEED).with_resample_strategy(strategy);
     // The shared log-bucketed histogram (`LogHistogram`) is the one
     // quantile implementation workspace-wide; reported quantiles are
     // bucket lower bounds.
@@ -194,7 +191,6 @@ fn drive<M: Model>(
         bench,
         method,
         strategy,
-        layout,
         particles,
         ticks: inputs.len(),
         ticks_per_sec: inputs.len() as f64 / wall,
@@ -221,12 +217,7 @@ fn robot_inputs(steps: usize) -> Vec<TrackerInput> {
         .collect()
 }
 
-fn run_suite(
-    quick: bool,
-    strategy: ResampleStrategy,
-    layout: ParticleLayout,
-    label: &str,
-) -> Vec<Entry> {
+fn run_suite(quick: bool, strategy: ResampleStrategy, label: &str) -> Vec<Entry> {
     let (ticks, particles) = if quick { (200, 32) } else { (1_000, 100) };
     let methods = [
         Method::ParticleFilter,
@@ -243,7 +234,6 @@ fn run_suite(
             "hmm",
             method,
             strategy,
-            layout,
             particles,
             label,
         ));
@@ -253,7 +243,6 @@ fn run_suite(
             "robot",
             method,
             strategy,
-            layout,
             particles,
             label,
         ));
@@ -292,7 +281,6 @@ fn drive_dsl(
     bench: &'static str,
     inputs: &[probzelus_core::Value],
     method: Method,
-    layout: ParticleLayout,
     particles: usize,
     backend: probzelus::lang::ExecBackend,
     label: String,
@@ -308,8 +296,7 @@ fn drive_dsl(
                 backend,
             },
         )
-        .unwrap_or_else(|e| panic!("{bench}: {e}"))
-        .with_particle_layout(layout);
+        .unwrap_or_else(|e| panic!("{bench}: {e}"));
     let mut latencies = LogHistogram::new();
     let mut bits = Vec::with_capacity(inputs.len());
     let mut peak_live_bytes = 0usize;
@@ -337,7 +324,6 @@ fn drive_dsl(
         bench,
         method,
         strategy: ResampleStrategy::CloneMinimal,
-        layout,
         particles,
         ticks: inputs.len(),
         ticks_per_sec: inputs.len() as f64 / wall,
@@ -377,7 +363,6 @@ fn dsl_bench(
     node: &str,
     bench: &'static str,
     inputs: &[probzelus_core::Value],
-    layout: ParticleLayout,
     particles: usize,
     sel: BackendSel,
     label: &str,
@@ -408,7 +393,6 @@ fn dsl_bench(
                 bench,
                 inputs,
                 method,
-                layout,
                 particles,
                 ExecBackend::Interp,
                 format!("{label}-unopt"),
@@ -420,7 +404,6 @@ fn dsl_bench(
                 bench,
                 inputs,
                 method,
-                layout,
                 particles,
                 ExecBackend::Interp,
                 format!("{label}-opt"),
@@ -434,7 +417,6 @@ fn dsl_bench(
                 bench,
                 inputs,
                 method,
-                layout,
                 particles,
                 ExecBackend::Tape,
                 format!("{label}-tape"),
@@ -447,7 +429,7 @@ fn dsl_bench(
         for pair in runs.windows(2) {
             assert_eq!(
                 pair[0].1, pair[1].1,
-                "{bench} {method:?}/{layout}: {} vs {} posterior drifted",
+                "{bench} {method:?}: {} vs {} posterior drifted",
                 pair[0].2, pair[1].2
             );
         }
@@ -456,7 +438,7 @@ fn dsl_bench(
             .map(|(row, _, kind)| format!("{kind} {tps:.0} ticks/s", tps = row.ticks_per_sec))
             .collect();
         println!(
-            "{bench} {method:>3} {layout}: {}, posteriors bit-identical",
+            "{bench} {method:>3}: {}, posteriors bit-identical",
             report.join(" vs ")
         );
         out.extend(runs.into_iter().map(|(row, _, _)| row));
@@ -464,7 +446,7 @@ fn dsl_bench(
     out
 }
 
-fn run_dsl_suite(quick: bool, layout: ParticleLayout, label: &str, sel: BackendSel) -> Vec<Entry> {
+fn run_dsl_suite(quick: bool, label: &str, sel: BackendSel) -> Vec<Entry> {
     let (ticks, particles) = if quick { (150, 32) } else { (500, 64) };
     let hmm_inputs: Vec<probzelus_core::Value> = generate_kalman(DATA_SEED, ticks)
         .obs
@@ -476,7 +458,6 @@ fn run_dsl_suite(quick: bool, layout: ParticleLayout, label: &str, sel: BackendS
         "hmm",
         "hmm-dsl",
         &hmm_inputs,
-        layout,
         particles,
         sel,
         label,
@@ -486,7 +467,6 @@ fn run_dsl_suite(quick: bool, layout: ParticleLayout, label: &str, sel: BackendS
         "gps_acc_tracker",
         "robot-dsl",
         &robot_dsl_inputs(ticks),
-        layout,
         particles,
         sel,
         label,
@@ -496,7 +476,7 @@ fn run_dsl_suite(quick: bool, layout: ParticleLayout, label: &str, sel: BackendS
 
 // ---------------------------------------------------------------------
 // `--compare A B`: the trajectory-diff gate. Matches rows of two labels
-// by (bench, method, layout), reports per-row speedups, and fails on a
+// by (bench, method), reports per-row speedups, and fails on a
 // posterior-bit mismatch or a >5% throughput regression of B against A.
 // ---------------------------------------------------------------------
 
@@ -530,10 +510,9 @@ fn cmp_rows(entries: &[String], label: &str) -> Result<Vec<(String, CmpRow)>, St
             continue;
         }
         let key = format!(
-            "{}/{}/{}",
+            "{}/{}",
             get_str("bench").ok_or("row without bench")?,
             get_str("method").ok_or("row without method")?,
-            get_str("layout").unwrap_or_default(),
         );
         let row = CmpRow {
             tps: get_num("ticks_per_sec").ok_or("row without ticks_per_sec")?,
@@ -588,7 +567,7 @@ fn compare_labels(path: &str, label_a: &str, label_b: &str) -> Result<(), String
     }
     if matched == 0 {
         return Err(format!(
-            "labels '{label_a}' and '{label_b}' share no (bench, method, layout) rows"
+            "labels '{label_a}' and '{label_b}' share no (bench, method) rows"
         ));
     }
     if !failures.is_empty() {
@@ -818,7 +797,7 @@ fn parse_json(s: &str) -> Result<Json, String> {
 }
 
 /// Validates one entry against the closed schema. Fields in [`OPTIONAL`]
-/// may be absent (legacy pre-`layout` rows, plain rows without the
+/// may be absent (rows without `layout`, plain rows without the
 /// `deadline_*` pair); every field the entry does carry must appear in
 /// schema order with the schema type, and nothing outside the schema is
 /// admitted — the trajectory file is append-only, so history keeps its
@@ -885,8 +864,8 @@ fn check_file(path: &str) -> Result<usize, String> {
 /// For each benchmark it runs the same chaos-spiked input stream at a
 /// fixed tick rate three times: uncontrolled (no adaptation), controlled
 /// (the [`AdaptiveController`] degradation ladder), and a clock-free
-/// replay of the controlled run's decision trace on the other particle
-/// layout, asserting the replayed posterior is bit-identical. The
+/// replay of the controlled run's decision trace, asserting the replayed
+/// posterior is bit-identical. The
 /// uncontrolled and controlled rows land in the trajectory file with the
 /// `deadline_ms`/`deadline_misses` pair filled in.
 ///
@@ -899,7 +878,7 @@ mod deadline {
     use probzelus_bench::DATA_SEED;
     use probzelus_core::adaptive::{DeadlineConfig, DecisionTrace};
     use probzelus_core::chaos::{busy_spin, ChaosFault, ChaosModel};
-    use probzelus_core::infer::{Infer, Method, ParticleLayout, ResampleStrategy};
+    use probzelus_core::infer::{Infer, Method, ResampleStrategy};
     use probzelus_core::model::Model;
     use std::time::Instant;
 
@@ -1038,7 +1017,6 @@ mod deadline {
                 bench,
                 method: Method::StreamingDs,
                 strategy: ResampleStrategy::CloneMinimal,
-                layout: ParticleLayout::PerParticle,
                 particles,
                 ticks: inputs.len(),
                 ticks_per_sec: inputs.len() as f64 / wall,
@@ -1114,15 +1092,14 @@ mod deadline {
         if let Some(path) = cli.trace_out.as_deref().filter(|_| bench == "hmm") {
             std::fs::write(path, trace.to_jsonl()).expect("trace path is writable");
         }
-        // Replay witness: same seed and spikes, opposite layout, no
-        // clock — the trace alone must reproduce the posterior bits.
+        // Replay witness: same seed and spikes, no clock — the trace
+        // alone must reproduce the posterior bits.
         let mut replay = Infer::with_seed(
             Method::StreamingDs,
             particles,
             ChaosModel::new(template, schedule.clone()),
             ENGINE_SEED,
         )
-        .with_particle_layout(ParticleLayout::StructOfArrays)
         .with_decision_replay(trace);
         for (y, (mean_bits, var_bits)) in inputs.iter().zip(&controlled.posterior_bits) {
             let p = replay.step(y).expect("benchmark models do not fail");
@@ -1142,7 +1119,7 @@ mod deadline {
             controlled.entry.deadline_misses.expect("set above"),
         );
         println!(
-            "{bench}: replay bit-identical across layouts; misses {u_misses} uncontrolled \
+            "{bench}: replay bit-identical; misses {u_misses} uncontrolled \
              -> {c_misses} controlled (budget {budget_ms:.3}ms)"
         );
         if cli.assert_improves && c_misses >= u_misses {
@@ -1187,7 +1164,7 @@ mod deadline {
 }
 
 const USAGE: &str = "usage: perfbench [--quick] [--label NAME] [--out PATH] [--fresh]
-                 [--strategy clone-minimal|clone-all] [--layout aos|soa]
+                 [--strategy clone-minimal|clone-all]
        perfbench --dsl [--backend interp|tape|both]
                                   # hmm.zl + robot.zl via the DSL pipeline:
                                   # unoptimized vs optimized interpreter vs
@@ -1218,7 +1195,6 @@ struct Cli {
     label: String,
     out: String,
     strategy: ResampleStrategy,
-    layout: ParticleLayout,
     backend: BackendSel,
     check: Option<String>,
     compare: Option<(String, String)>,
@@ -1237,7 +1213,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         label: String::from("run"),
         out: String::from("BENCH_step_latency.json"),
         strategy: ResampleStrategy::CloneMinimal,
-        layout: ParticleLayout::PerParticle,
         backend: BackendSel::Both,
         check: None,
         compare: None,
@@ -1308,13 +1283,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     "clone-minimal" => ResampleStrategy::CloneMinimal,
                     "clone-all" => ResampleStrategy::CloneAll,
                     other => return Err(format!("unknown strategy '{other}'")),
-                }
-            }
-            "--layout" => {
-                cli.layout = match take()?.as_str() {
-                    "aos" => ParticleLayout::PerParticle,
-                    "soa" => ParticleLayout::StructOfArrays,
-                    other => return Err(format!("unknown layout '{other}'")),
                 }
             }
             other => return Err(format!("unknown argument '{other}'")),
@@ -1397,9 +1365,9 @@ fn main() {
     }
 
     let rows = if cli.dsl {
-        run_dsl_suite(cli.quick, cli.layout, &cli.label, cli.backend)
+        run_dsl_suite(cli.quick, &cli.label, cli.backend)
     } else {
-        run_suite(cli.quick, cli.strategy, cli.layout, &cli.label)
+        run_suite(cli.quick, cli.strategy, &cli.label)
     };
     for entry in rows {
         println!(
@@ -1429,10 +1397,8 @@ mod tests {
 
     #[test]
     fn emitted_entries_satisfy_the_closed_schema() {
-        for layout in [ParticleLayout::PerParticle, ParticleLayout::StructOfArrays] {
-            for entry in run_suite(true, ResampleStrategy::CloneMinimal, layout, "test") {
-                check_entry(&entry.to_json()).expect("schema-valid");
-            }
+        for entry in run_suite(true, ResampleStrategy::CloneMinimal, "test") {
+            check_entry(&entry.to_json()).expect("schema-valid");
         }
     }
 
@@ -1440,7 +1406,7 @@ mod tests {
     fn dsl_rows_satisfy_the_schema() {
         // `run_dsl_suite` asserts unopt-vs-opt-vs-tape bit-identity
         // internally; this also guards the rows against schema drift.
-        for entry in run_dsl_suite(true, ParticleLayout::PerParticle, "test", BackendSel::Both) {
+        for entry in run_dsl_suite(true, "test", BackendSel::Both) {
             check_entry(&entry.to_json()).expect("schema-valid");
         }
     }
@@ -1450,7 +1416,7 @@ mod tests {
         fn row(label: &str, tps: f64, mean: f64) -> String {
             format!(
                 "{{\"label\":\"{label}\",\"bench\":\"hmm\",\"method\":\"SDS\",\
-                 \"layout\":\"aos\",\"ticks_per_sec\":{tps:?},\
+                 \"ticks_per_sec\":{tps:?},\
                  \"posterior_mean_final\":{mean:?}}}"
             )
         }
@@ -1485,13 +1451,7 @@ mod tests {
 
     #[test]
     fn schema_rejects_missing_and_extra_fields() {
-        let good = run_suite(
-            true,
-            ResampleStrategy::CloneAll,
-            ParticleLayout::PerParticle,
-            "t",
-        )[0]
-        .to_json();
+        let good = run_suite(true, ResampleStrategy::CloneAll, "t")[0].to_json();
         check_entry(&good).unwrap();
         let missing = good.replacen("\"bench\":\"hmm\",", "", 1);
         assert!(check_entry(&missing).is_err());
@@ -1502,20 +1462,21 @@ mod tests {
     }
 
     #[test]
-    fn schema_accepts_legacy_rows_without_layout() {
-        // Pre-layout history (seed-pr4/pr5 rows) must keep validating.
-        let good = run_suite(
-            true,
-            ResampleStrategy::CloneMinimal,
-            ParticleLayout::PerParticle,
-            "t",
-        )[0]
-        .to_json();
-        let legacy = good.replacen("\"layout\":\"aos\",", "", 1);
-        assert_ne!(legacy, good, "layout field was not present to strip");
-        check_entry(&legacy).expect("legacy 14-field row validates");
-        // But a legacy row with a field missing is still rejected.
-        let broken = legacy.replacen("\"bench\":\"hmm\",", "", 1);
+    fn schema_accepts_rows_with_and_without_layout() {
+        // New rows carry no layout; history rows written while the engine
+        // had a particle-layout knob carry one, and must keep validating.
+        let good = run_suite(true, ResampleStrategy::CloneMinimal, "t")[0].to_json();
+        assert!(!good.contains("\"layout\""), "new rows carry no layout");
+        check_entry(&good).expect("row without layout validates");
+        let historic = good.replacen(
+            "\"strategy\":\"clone-minimal\",",
+            "\"strategy\":\"clone-minimal\",\"layout\":\"aos\",",
+            1,
+        );
+        assert_ne!(historic, good, "strategy field was not present to extend");
+        check_entry(&historic).expect("historic row with layout validates");
+        // But a row with a field missing is still rejected.
+        let broken = good.replacen("\"bench\":\"hmm\",", "", 1);
         assert!(check_entry(&broken).is_err());
     }
 
@@ -1531,7 +1492,6 @@ mod tests {
             "--compare",
             "--backend",
             "--strategy",
-            "--layout",
             "--deadline",
             "--floor",
             "--trace-out",
@@ -1564,8 +1524,6 @@ mod tests {
             "o.json",
             "--strategy",
             "clone-all",
-            "--layout",
-            "soa",
             "--backend",
             "tape",
             "--compare",
@@ -1588,7 +1546,6 @@ mod tests {
         assert!(cli.quick && cli.fresh && cli.assert_improves);
         assert_eq!(cli.label, "l");
         assert_eq!(cli.strategy, ResampleStrategy::CloneAll);
-        assert_eq!(cli.layout, ParticleLayout::StructOfArrays);
         assert_eq!(cli.backend, BackendSel::Tape);
         assert_eq!(cli.compare, Some(("x".into(), "y".into())));
         assert_eq!(cli.deadline, Some(DeadlineSpec::Auto));
@@ -1601,13 +1558,7 @@ mod tests {
 
     #[test]
     fn schema_accepts_deadline_rows_and_rejects_a_lone_half_of_the_pair() {
-        let mut entry = run_suite(
-            true,
-            ResampleStrategy::CloneMinimal,
-            ParticleLayout::PerParticle,
-            "d",
-        )
-        .remove(0);
+        let mut entry = run_suite(true, ResampleStrategy::CloneMinimal, "d").remove(0);
         entry.deadline_ms = Some(1.5);
         entry.deadline_misses = Some(7);
         let row = entry.to_json();
@@ -1655,18 +1606,8 @@ mod tests {
     fn clone_minimal_and_clone_all_agree_on_the_posterior() {
         // The determinism witness the JSON rows rely on: strategies differ
         // only in cost, never in the posterior.
-        let minimal = run_suite(
-            true,
-            ResampleStrategy::CloneMinimal,
-            ParticleLayout::PerParticle,
-            "a",
-        );
-        let all = run_suite(
-            true,
-            ResampleStrategy::CloneAll,
-            ParticleLayout::PerParticle,
-            "b",
-        );
+        let minimal = run_suite(true, ResampleStrategy::CloneMinimal, "a");
+        let all = run_suite(true, ResampleStrategy::CloneAll, "b");
         for (m, a) in minimal.iter().zip(&all) {
             assert_eq!(
                 m.posterior_mean_final.to_bits(),
@@ -1677,34 +1618,6 @@ mod tests {
             );
             assert!(m.clones_avoided > 0);
             assert_eq!(a.clones_avoided, 0);
-        }
-    }
-
-    #[test]
-    fn layouts_agree_on_the_posterior() {
-        // Same witness for the layout knob: identical posterior bits,
-        // identical resampling work, different storage only.
-        let aos = run_suite(
-            true,
-            ResampleStrategy::CloneMinimal,
-            ParticleLayout::PerParticle,
-            "a",
-        );
-        let soa = run_suite(
-            true,
-            ResampleStrategy::CloneMinimal,
-            ParticleLayout::StructOfArrays,
-            "s",
-        );
-        for (a, s) in aos.iter().zip(&soa) {
-            assert_eq!(
-                a.posterior_mean_final.to_bits(),
-                s.posterior_mean_final.to_bits(),
-                "{}/{} diverged across layouts",
-                a.bench,
-                a.method
-            );
-            assert_eq!(a.clones_avoided, s.clones_avoided);
         }
     }
 }

@@ -147,43 +147,6 @@ impl GraphStats {
     }
 }
 
-/// One observation's contribution to a particle's log-weight, as produced
-/// by [`Graph::observe_scored`].
-///
-/// The batchable scalar families defer the density evaluation: the term
-/// carries the already-validated marginal (a `Copy` struct) and the float
-/// observation, so many terms can be evaluated together by the slice
-/// kernels in `probzelus_distributions::batch`. Everything else arrives
-/// pre-evaluated as [`ScoreTerm::Ready`]. Evaluation is pure — no graph
-/// access, no randomness — which is what makes cross-particle deferral
-/// safe.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ScoreTerm {
-    /// An already-evaluated log-density (non-batchable family, Dirac
-    /// observation, or an explicit `factor`).
-    Ready(f64),
-    /// A Gaussian density evaluation pending at the given point.
-    Gaussian(probzelus_distributions::Gaussian, f64),
-    /// A Beta density evaluation pending at the given point.
-    Beta(probzelus_distributions::Beta, f64),
-    /// A Gamma density evaluation pending at the given point.
-    Gamma(probzelus_distributions::Gamma, f64),
-}
-
-impl ScoreTerm {
-    /// Evaluates the term now, through the same scalar kernels the batch
-    /// evaluators use element-wise (bit-identical by construction).
-    pub fn eval_scalar(&self) -> f64 {
-        use probzelus_distributions::Distribution as _;
-        match self {
-            ScoreTerm::Ready(lp) => *lp,
-            ScoreTerm::Gaussian(d, x) => d.log_pdf(x),
-            ScoreTerm::Beta(d, x) => d.log_pdf(x),
-            ScoreTerm::Gamma(d, x) => d.log_pdf(x),
-        }
-    }
-}
-
 /// A per-particle delayed-sampling graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
@@ -671,48 +634,15 @@ impl Graph {
         v: &Value,
         rng: &mut R,
     ) -> Result<f64, RuntimeError> {
-        Ok(self.observe_scored(d, v, rng)?.eval_scalar())
-    }
-
-    /// [`Graph::observe`], but with the final density evaluation split
-    /// out: all graph mutation (graft, conditioning, realization) happens
-    /// here exactly as in `observe`, while for the batchable scalar
-    /// families (Gaussian/Beta/Gamma) the returned [`ScoreTerm`] carries
-    /// the fully validated marginal and observation point instead of the
-    /// evaluated log-density. Scoring consumes no randomness, so a caller
-    /// may accumulate terms across particles and evaluate them with the
-    /// batch kernels of `probzelus_distributions::batch` — or call
-    /// [`ScoreTerm::eval_scalar`] immediately, which is what `observe`
-    /// does. Both routes go through the same scalar kernel per element and
-    /// are therefore bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`Graph::observe`]: typing errors (including a
-    /// non-float observation for a float family) surface here, never at
-    /// batch-evaluation time.
-    pub fn observe_scored<R: Rng + ?Sized>(
-        &mut self,
-        d: &DistExpr,
-        v: &Value,
-        rng: &mut R,
-    ) -> Result<ScoreTerm, RuntimeError> {
         let v = self.force_value(v, rng)?;
         let sym = self.assume(d, rng)?;
         let Some(x) = Self::sym_var(&sym) else {
             // Dirac observation (or a fully concrete point).
-            return Ok(ScoreTerm::Ready(
-                Marginal::Dirac(Box::new(sym)).log_pdf(&v)?,
-            ));
+            return Marginal::Dirac(Box::new(sym)).log_pdf(&v);
         };
         self.graft(x, rng)?;
-        let term = match &self.node(x)?.state {
-            NodeState::Marginalized { marginal, .. } => match marginal {
-                Marginal::Gaussian(g) => ScoreTerm::Gaussian(*g, v.as_float()?),
-                Marginal::Beta(b) => ScoreTerm::Beta(*b, v.as_float()?),
-                Marginal::Gamma(g) => ScoreTerm::Gamma(*g, v.as_float()?),
-                m => ScoreTerm::Ready(m.log_pdf(&v)?),
-            },
+        let lp = match &self.node(x)?.state {
+            NodeState::Marginalized { marginal, .. } => marginal.log_pdf(&v)?,
             other => {
                 return Err(RuntimeError::GraphCorrupt(format!(
                     "graft must marginalize, got {other:?}"
@@ -720,7 +650,7 @@ impl Graph {
             }
         };
         self.node_mut(x)?.state = NodeState::Realized(v);
-        Ok(term)
+        Ok(lp)
     }
 
     /// Extracts the single variable of a symbolic reference produced by

@@ -42,7 +42,7 @@ use crate::model::Model;
 use crate::obs::{self, FieldValue, Obs};
 use crate::pool::WorkerPool;
 use crate::posterior::{Posterior, ValueDist};
-use crate::prob::{DsCtx, ProbCtx, SampleCtx, ScoreSink};
+use crate::prob::{DsCtx, ProbCtx, SampleCtx};
 use crate::rngstream;
 use crate::supervisor::{
     self, FaultKind, Health, ParticleFault, RecoveryAction, RecoveryPolicy, StepOutcome,
@@ -159,42 +159,6 @@ pub enum ResampleStrategy {
     CloneAll,
 }
 
-/// How particle state is laid out in memory.
-///
-/// Like [`ResampleStrategy`], this is purely a cost knob: for any fixed
-/// seed both layouts produce bit-for-bit identical posterior streams (the
-/// layout-differential test suite asserts this across methods, programs,
-/// and worker counts). The per-particle layout is the semantic reference;
-/// the structure-of-arrays layout exists so the step loop, the
-/// clone-minimal resampler, and the weight pipeline walk flat contiguous
-/// memory — and so the sequential delayed-sampling step can defer its
-/// density evaluations into batched slice kernels (see
-/// [`crate::prob::ScoreSink`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ParticleLayout {
-    /// One `Particle` struct per particle (model + graph + weight
-    /// together), stepped and scored one at a time — the original layout,
-    /// preserved verbatim as the semantic reference. The default.
-    #[default]
-    PerParticle,
-    /// Parallel arrays: all models contiguous, all graphs contiguous, all
-    /// log-weights in one flat `Vec<f64>`. Sequential delayed-sampling
-    /// steps additionally batch their Gaussian/Beta/Gamma observation
-    /// densities across particles through a [`crate::prob::ScoreSink`] —
-    /// bit-identical to the scalar path because both evaluate the same
-    /// scalar kernel per element in the same order.
-    StructOfArrays,
-}
-
-impl std::fmt::Display for ParticleLayout {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ParticleLayout::PerParticle => "aos",
-            ParticleLayout::StructOfArrays => "soa",
-        })
-    }
-}
-
 /// Cumulative resampling-work counters, queryable via
 /// [`Infer::resample_stats`]. These are plain `u64` increments on the
 /// coordinator, cheap enough to track unconditionally (no `obs` feature
@@ -274,309 +238,63 @@ struct Particle<M> {
     log_w: f64,
 }
 
-/// Structure-of-arrays particle storage: the `i`-th particle is the
-/// triple `(models[i], graphs[i], log_ws[i])`. The three primary arrays
-/// always have equal length; the spare arrays are the clone-minimal
-/// resampler's ping-pong buffers (always empty between steps, capacity
-/// retained).
-struct SoaStore<M> {
-    models: Vec<M>,
-    graphs: Vec<Option<Graph>>,
-    log_ws: Vec<f64>,
-    spare_models: Vec<M>,
-    spare_graphs: Vec<Option<Graph>>,
+/// The clone-everything resampling pass: the new cloud is one deep clone
+/// of each selected ancestor, so it has `ancestors.len()` particles —
+/// equal to the old count on an ordinary pass, different on a
+/// deadline-driven resize.
+fn resample_clone_all<M: Clone>(
+    particles: &mut Vec<Particle<M>>,
+    ancestors: &[usize],
+    stats: &mut ResampleStats,
+) {
+    let mut next = Vec::with_capacity(ancestors.len());
+    for &a in ancestors {
+        let mut p = particles[a].clone();
+        p.log_w = 0.0;
+        next.push(p);
+    }
+    *particles = next;
+    stats.clones += ancestors.len() as u64;
 }
 
-/// Particle storage behind the [`ParticleLayout`] knob. Every engine
-/// access to particle state goes through this enum, so the two layouts
-/// share one driver (`step_outcome`) and one per-particle stepping core
-/// (`step_particle_parts`) — the layout decides only where the bytes
-/// live and whether sequential delayed-sampling scoring is batched.
-enum Store<M> {
-    /// Array-of-structs: the original layout, preserved verbatim
-    /// (including the clone-minimal resampler's exact loop) as the
-    /// semantic reference.
-    Aos {
-        particles: Vec<Particle<M>>,
-        /// Retired particle buffer, ping-ponged with `particles` by the
-        /// clone-minimal resampler. Always empty between steps.
-        spare: Vec<Particle<M>>,
-    },
-    /// Structure-of-arrays.
-    Soa(SoaStore<M>),
-}
-
-impl<M: Model> Store<M> {
-    fn build(layout: ParticleLayout, n: usize, mut blank: impl FnMut() -> Particle<M>) -> Self {
-        match layout {
-            ParticleLayout::PerParticle => Store::Aos {
-                particles: (0..n).map(|_| blank()).collect(),
-                spare: Vec::new(),
-            },
-            ParticleLayout::StructOfArrays => {
-                let mut models = Vec::with_capacity(n);
-                let mut graphs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let p = blank();
-                    models.push(p.model);
-                    graphs.push(p.graph);
-                }
-                Store::Soa(SoaStore {
-                    models,
-                    graphs,
-                    log_ws: vec![0.0; n],
-                    spare_models: Vec::new(),
-                    spare_graphs: Vec::new(),
-                })
-            }
+/// The clone-minimal resampling pass. `offspring[i]` holds particle `i`'s
+/// offspring count from a nondecreasing ancestor sweep, so laying out the
+/// copies in ascending `i` reproduces exactly the slot order of
+/// [`resample_clone_all`]. `target` is the offspring sum — the new cloud
+/// size. `spare` is the retired-particle buffer ping-ponged with
+/// `particles`; it is empty again (capacity kept) when the pass returns.
+fn resample_clone_minimal<M: Clone>(
+    particles: &mut Vec<Particle<M>>,
+    spare: &mut Vec<Particle<M>>,
+    offspring: &[u32],
+    target: usize,
+    stats: &mut ResampleStats,
+) {
+    debug_assert_eq!(offspring.iter().map(|&k| k as usize).sum::<usize>(), target);
+    let mut old = std::mem::replace(particles, std::mem::take(spare));
+    particles.clear();
+    particles.reserve(target);
+    for (i, mut p) in old.drain(..).enumerate() {
+        let k = offspring[i];
+        if k == 0 {
+            // Dead ancestor: dropped in place, its heap immediately
+            // reusable by the clones below.
+            stats.dropped += 1;
+            continue;
         }
-    }
-
-    /// Clones the live particle state; spare buffers come back empty with
-    /// the original's capacity hints.
-    fn snapshot(&self) -> Store<M> {
-        match self {
-            Store::Aos { particles, spare } => Store::Aos {
-                particles: particles.clone(),
-                spare: Vec::with_capacity(spare.capacity()),
-            },
-            Store::Soa(s) => Store::Soa(SoaStore {
-                models: s.models.clone(),
-                graphs: s.graphs.clone(),
-                log_ws: s.log_ws.clone(),
-                spare_models: Vec::with_capacity(s.spare_models.capacity()),
-                spare_graphs: Vec::with_capacity(s.spare_graphs.capacity()),
-            }),
+        p.log_w = 0.0;
+        for _ in 1..k {
+            particles.push(p.clone());
+            stats.clones += 1;
         }
+        // The surviving ancestor itself is moved into its last slot, not
+        // cloned.
+        particles.push(p);
+        stats.clones_avoided += 1;
     }
-
-    fn log_w(&self, i: usize) -> f64 {
-        match self {
-            Store::Aos { particles, .. } => particles[i].log_w,
-            Store::Soa(s) => s.log_ws[i],
-        }
-    }
-
-    fn set_log_w(&mut self, i: usize, v: f64) {
-        match self {
-            Store::Aos { particles, .. } => particles[i].log_w = v,
-            Store::Soa(s) => s.log_ws[i] = v,
-        }
-    }
-
-    fn zero_log_ws(&mut self) {
-        match self {
-            Store::Aos { particles, .. } => {
-                for p in particles {
-                    p.log_w = 0.0;
-                }
-            }
-            Store::Soa(s) => {
-                for w in &mut s.log_ws {
-                    *w = 0.0;
-                }
-            }
-        }
-    }
-
-    /// Appends every particle's accumulated log-weight to `out` (which
-    /// the caller has cleared). The SoA arm is a straight slice copy.
-    fn extend_log_ws(&self, out: &mut Vec<f64>) {
-        match self {
-            Store::Aos { particles, .. } => out.extend(particles.iter().map(|p| p.log_w)),
-            Store::Soa(s) => out.extend_from_slice(&s.log_ws),
-        }
-    }
-
-    /// Replaces particle `i` wholesale.
-    fn install(&mut self, i: usize, p: Particle<M>) {
-        match self {
-            Store::Aos { particles, .. } => particles[i] = p,
-            Store::Soa(s) => {
-                s.models[i] = p.model;
-                s.graphs[i] = p.graph;
-                s.log_ws[i] = p.log_w;
-            }
-        }
-    }
-
-    /// Copies particle `i` out of a snapshot taken from the same engine
-    /// (the `SkipObservation` rollback).
-    fn restore_one_from(&mut self, i: usize, snap: &Store<M>) {
-        match (self, snap) {
-            (Store::Aos { particles, .. }, Store::Aos { particles: o, .. }) => {
-                particles[i] = o[i].clone();
-            }
-            (Store::Soa(s), Store::Soa(o)) => {
-                s.models[i] = o.models[i].clone();
-                s.graphs[i] = o.graphs[i].clone();
-                s.log_ws[i] = o.log_ws[i];
-            }
-            _ => unreachable!("snapshot layout always matches the store layout"),
-        }
-    }
-
-    /// Clones particle `src` over particle `dst` (the `Rejuvenate`
-    /// donor copy), including the donor's accumulated weight.
-    fn clone_within(&mut self, dst: usize, src: usize) {
-        match self {
-            Store::Aos { particles, .. } => particles[dst] = particles[src].clone(),
-            Store::Soa(s) => {
-                s.models[dst] = s.models[src].clone();
-                s.graphs[dst] = s.graphs[src].clone();
-                s.log_ws[dst] = s.log_ws[src];
-            }
-        }
-    }
-
-    /// Whether any particle carries a delayed-sampling graph (gates the
-    /// per-tick graph telemetry).
-    #[cfg(feature = "obs")]
-    fn has_graphs(&self) -> bool {
-        match self {
-            Store::Aos { particles, .. } => particles.iter().any(|p| p.graph.is_some()),
-            Store::Soa(s) => s.graphs.iter().any(Option::is_some),
-        }
-    }
-
-    fn for_each_graph(&self, f: &mut dyn FnMut(&Graph)) {
-        match self {
-            Store::Aos { particles, .. } => {
-                for p in particles {
-                    if let Some(g) = &p.graph {
-                        f(g);
-                    }
-                }
-            }
-            Store::Soa(s) => {
-                for g in s.graphs.iter().flatten() {
-                    f(g);
-                }
-            }
-        }
-    }
-
-    /// Heap bytes reserved by the retired-particle ping-pong buffers.
-    fn spare_bytes(&self) -> usize {
-        match self {
-            Store::Aos { spare, .. } => spare.capacity() * std::mem::size_of::<Particle<M>>(),
-            Store::Soa(s) => {
-                s.spare_models.capacity() * std::mem::size_of::<M>()
-                    + s.spare_graphs.capacity() * std::mem::size_of::<Option<Graph>>()
-            }
-        }
-    }
-
-    /// The clone-everything resampling pass. The new cloud has
-    /// `ancestors.len()` particles — equal to the old count on an
-    /// ordinary pass, different on a deadline-driven resize.
-    fn resample_clone_all(&mut self, ancestors: &[usize], stats: &mut ResampleStats) {
-        let n = ancestors.len();
-        match self {
-            Store::Aos { particles, .. } => {
-                // The original clone-everything pass, preserved verbatim
-                // as the reference for A/B determinism tests and as the
-                // perf baseline.
-                let mut next = Vec::with_capacity(n);
-                for &a in ancestors {
-                    let mut p = particles[a].clone();
-                    p.log_w = 0.0;
-                    next.push(p);
-                }
-                *particles = next;
-            }
-            Store::Soa(s) => {
-                let mut next_models = Vec::with_capacity(n);
-                let mut next_graphs = Vec::with_capacity(n);
-                for &a in ancestors {
-                    next_models.push(s.models[a].clone());
-                    next_graphs.push(s.graphs[a].clone());
-                }
-                s.models = next_models;
-                s.graphs = next_graphs;
-                // Capacity-preserving equivalent of zeroing in place,
-                // correct even when the pass changes the cloud size.
-                s.log_ws.clear();
-                s.log_ws.resize(n, 0.0);
-            }
-        }
-        stats.clones += n as u64;
-    }
-
-    /// The clone-minimal resampling pass. `offspring[i]` holds particle
-    /// `i`'s offspring count from a nondecreasing ancestor sweep, so
-    /// laying out the copies in ascending `i` reproduces exactly the slot
-    /// order of [`Store::resample_clone_all`]. `target` is the offspring
-    /// sum — the new cloud size, equal to `offspring.len()` on an
-    /// ordinary pass and different on a deadline-driven resize.
-    fn resample_clone_minimal(
-        &mut self,
-        offspring: &[u32],
-        target: usize,
-        stats: &mut ResampleStats,
-    ) {
-        debug_assert_eq!(offspring.iter().map(|&k| k as usize).sum::<usize>(), target);
-        match self {
-            Store::Aos { particles, spare } => {
-                let mut old = std::mem::replace(particles, std::mem::take(spare));
-                particles.clear();
-                particles.reserve(target);
-                for (i, mut p) in old.drain(..).enumerate() {
-                    let k = offspring[i];
-                    if k == 0 {
-                        // Dead ancestor: dropped in place, its heap
-                        // immediately reusable by the clones below.
-                        stats.dropped += 1;
-                        continue;
-                    }
-                    p.log_w = 0.0;
-                    for _ in 1..k {
-                        particles.push(p.clone());
-                        stats.clones += 1;
-                    }
-                    // The surviving ancestor itself is moved into its
-                    // last slot, not cloned.
-                    particles.push(p);
-                    stats.clones_avoided += 1;
-                }
-                // `old` is drained empty; keep its capacity for the next
-                // tick's ping-pong.
-                *spare = old;
-            }
-            Store::Soa(s) => {
-                let mut old_models =
-                    std::mem::replace(&mut s.models, std::mem::take(&mut s.spare_models));
-                let mut old_graphs =
-                    std::mem::replace(&mut s.graphs, std::mem::take(&mut s.spare_graphs));
-                s.models.clear();
-                s.models.reserve(target);
-                s.graphs.clear();
-                s.graphs.reserve(target);
-                for (i, (m, g)) in old_models.drain(..).zip(old_graphs.drain(..)).enumerate() {
-                    let k = offspring[i];
-                    if k == 0 {
-                        stats.dropped += 1;
-                        continue;
-                    }
-                    for _ in 1..k {
-                        s.models.push(m.clone());
-                        s.graphs.push(g.clone());
-                        stats.clones += 1;
-                    }
-                    s.models.push(m);
-                    s.graphs.push(g);
-                    stats.clones_avoided += 1;
-                }
-                s.spare_models = old_models;
-                s.spare_graphs = old_graphs;
-                // All survivors restart unweighted, exactly like the AoS
-                // arm's per-particle `log_w = 0.0` — sized to the new
-                // cloud, capacity-preserving.
-                s.log_ws.clear();
-                s.log_ws.resize(target, 0.0);
-            }
-        }
-    }
+    // `old` is drained empty; keep its capacity for the next tick's
+    // ping-pong.
+    *spare = old;
 }
 
 /// Deadline state attached to an engine: either a live measuring
@@ -643,10 +361,12 @@ pub struct Infer<M: Model> {
     initial_particles: usize,
     /// Deadline controller / trace replay, when attached.
     deadline: Option<DeadlineState>,
-    /// Particle state, laid out per [`ParticleLayout`].
-    store: Store<M>,
-    /// The layout [`Infer::reset`] (re)builds the store with.
-    layout: ParticleLayout,
+    /// The particle cloud: each particle's model state, delayed-sampling
+    /// graph and log-weight stepped as one unit.
+    particles: Vec<Particle<M>>,
+    /// Retired particle buffer, ping-ponged with `particles` by the
+    /// clone-minimal resampler. Always empty between steps.
+    spare: Vec<Particle<M>>,
     template: M,
     seed: u64,
     steps: u64,
@@ -657,19 +377,14 @@ pub struct Infer<M: Model> {
     resample_stats: ResampleStats,
     /// Per-tick numeric scratch, reused across steps.
     scratch: StepScratch,
-    /// Deferred-scoring buffer for the sequential structure-of-arrays
-    /// step (always empty between steps; only capacity persists).
-    score_sink: ScoreSink,
     parallelism: Parallelism,
     /// Lazily created on the first parallel step; never cloned.
     pool: Option<WorkerPool>,
-    /// The monomorphized parallel stepper over the per-particle layout.
+    /// The monomorphized parallel stepper.
     /// Storing it as a plain `fn` pointer keeps the `M: Send` obligation
     /// confined to [`Infer::with_parallelism`], where the pointer is
     /// instantiated — `step` itself needs no thread-safety bounds.
     par_step: Option<ParStepFn<M>>,
-    /// The parallel stepper over the structure-of-arrays layout.
-    par_step_soa: Option<ParSoaStepFn<M>>,
     /// What to do with a particle that faults mid-step.
     recovery: RecoveryPolicy,
     /// How many consecutive weight collapses the supervisor absorbs
@@ -704,17 +419,6 @@ type ParStepFn<M> = fn(
     u64,
 ) -> Vec<Result<ValueDist, FaultKind>>;
 
-type ParSoaStepFn<M> = fn(
-    &WorkerPool,
-    &mut [M],
-    &mut [Option<Graph>],
-    &mut [f64],
-    &<M as Model>::Input,
-    Method,
-    u64,
-    u64,
-) -> Vec<Result<ValueDist, FaultKind>>;
-
 impl<M: Model> Clone for Infer<M> {
     fn clone(&self) -> Self {
         Infer {
@@ -722,8 +426,8 @@ impl<M: Model> Clone for Infer<M> {
             num_particles: self.num_particles,
             initial_particles: self.initial_particles,
             deadline: self.deadline.clone(),
-            store: self.store.snapshot(),
-            layout: self.layout,
+            particles: self.particles.clone(),
+            spare: Vec::with_capacity(self.spare.capacity()),
             template: self.template.clone(),
             seed: self.seed,
             steps: self.steps,
@@ -733,15 +437,12 @@ impl<M: Model> Clone for Infer<M> {
             resample_stats: self.resample_stats,
             // Scratch contents are strictly per-tick, so the clone copies
             // only the capacity hints: its first step allocates nothing,
-            // same as the original's. The sink is likewise empty between
-            // steps.
+            // same as the original's.
             scratch: StepScratch::with_capacity_of(&self.scratch),
-            score_sink: ScoreSink::with_capacity_of(&self.score_sink),
             parallelism: self.parallelism,
             // The clone re-creates its own pool on first use.
             pool: None,
             par_step: self.par_step,
-            par_step_soa: self.par_step_soa,
             recovery: self.recovery,
             collapse_retry_budget: self.collapse_retry_budget,
             consecutive_collapses: self.consecutive_collapses,
@@ -782,11 +483,8 @@ impl<M: Model> Infer<M> {
             num_particles,
             initial_particles: num_particles,
             deadline: None,
-            store: Store::Aos {
-                particles: Vec::new(),
-                spare: Vec::new(),
-            },
-            layout: ParticleLayout::default(),
+            particles: Vec::new(),
+            spare: Vec::new(),
             template: model,
             seed,
             steps: 0,
@@ -799,11 +497,9 @@ impl<M: Model> Infer<M> {
             strategy: ResampleStrategy::default(),
             resample_stats: ResampleStats::default(),
             scratch: StepScratch::default(),
-            score_sink: ScoreSink::new(),
             parallelism: Parallelism::Sequential,
             pool: None,
             par_step: None,
-            par_step_soa: None,
             recovery: RecoveryPolicy::FailFast,
             collapse_retry_budget: 8,
             consecutive_collapses: 0,
@@ -863,25 +559,6 @@ impl<M: Model> Infer<M> {
         self.strategy
     }
 
-    /// The active particle-storage layout.
-    pub fn particle_layout(&self) -> ParticleLayout {
-        self.layout
-    }
-
-    /// Selects the particle-storage layout (builder style). Both layouts
-    /// produce bit-for-bit identical posterior streams for any seed (see
-    /// [`ParticleLayout`]); this knob trades memory locality against the
-    /// reference representation. Switching layouts rebuilds the particle
-    /// store, so call this before stepping: if inference has already
-    /// started, changing the layout restarts it via [`Infer::reset`].
-    pub fn with_particle_layout(mut self, layout: ParticleLayout) -> Self {
-        if layout != self.layout {
-            self.layout = layout;
-            self.reset();
-        }
-        self
-    }
-
     /// Cumulative resampling-work counters since construction or the
     /// last [`Infer::reset`]. Available without the `obs` feature.
     pub fn resample_stats(&self) -> ResampleStats {
@@ -893,7 +570,7 @@ impl<M: Model> Infer<M> {
     /// buffer. On bounded models this plateaus after the first few ticks
     /// — the allocation-free-steady-state witness.
     pub fn scratch_bytes(&self) -> usize {
-        self.scratch.bytes() + self.store.spare_bytes() + self.score_sink.scratch_bytes()
+        self.scratch.bytes() + self.spare.capacity() * std::mem::size_of::<Particle<M>>()
     }
 
     /// The active execution mode.
@@ -1014,10 +691,6 @@ impl<M: Model> Infer<M> {
             Parallelism::Sequential => None,
             Parallelism::Threads(_) => Some(par_step_impl::<M>),
         };
-        self.par_step_soa = match parallelism {
-            Parallelism::Sequential => None,
-            Parallelism::Threads(_) => Some(par_soa_step_impl::<M>),
-        };
         self
     }
 
@@ -1049,9 +722,9 @@ impl<M: Model> Infer<M> {
     /// recorded [`DecisionTrace`] a faithful replay artifact: see
     /// [`Infer::with_decision_replay`].
     ///
-    /// Attach the deadline after the other builder knobs (particle
-    /// layout, resample policy); it captures the current policy as the
-    /// one to restore. Replaces any previously attached deadline state.
+    /// Attach the deadline after the other builder knobs (resample
+    /// policy, strategy); it captures the current policy as the one to
+    /// restore. Replaces any previously attached deadline state.
     ///
     /// # Panics
     ///
@@ -1069,8 +742,8 @@ impl<M: Model> Infer<M> {
     /// its original tick, clock-free. Given the same seed, method,
     /// initial particle count, and inputs as the adaptive run that
     /// recorded the trace, the replayed posteriors are bit-for-bit
-    /// identical to the adaptive run's — across particle layouts and
-    /// worker counts, like every other determinism guarantee.
+    /// identical to the adaptive run's — across worker counts, like every
+    /// other determinism guarantee.
     ///
     /// Replay engines report `Health::deadline == None` (there is no
     /// controller measuring anything).
@@ -1162,12 +835,13 @@ impl<M: Model> Infer<M> {
                 DeadlineMode::Replay { cursor, .. } => *cursor = 0,
             }
         }
-        let store = Store::build(self.layout, self.num_particles, || self.blank_particle());
-        self.store = store;
+        self.particles = (0..self.num_particles)
+            .map(|_| self.blank_particle())
+            .collect();
+        self.spare.clear();
         self.steps = 0;
         self.last_ess = self.num_particles as f64;
         self.resample_stats = ResampleStats::default();
-        self.score_sink.clear();
         self.consecutive_collapses = 0;
         self.last_good = None;
         self.last_health = None;
@@ -1195,10 +869,9 @@ impl<M: Model> Infer<M> {
     /// step leaves the model in an undefined state).
     fn quarantine(&mut self, i: usize, poisoned: bool) {
         if poisoned {
-            let fresh = self.blank_particle();
-            self.store.install(i, fresh);
+            self.particles[i] = self.blank_particle();
         }
-        self.store.set_log_w(i, f64::NEG_INFINITY);
+        self.particles[i].log_w = f64::NEG_INFINITY;
     }
 
     /// Kills worker thread `index` of the parallel pool, if one exists —
@@ -1215,6 +888,12 @@ impl<M: Model> Infer<M> {
         }
     }
 
+    /// The particles' delayed-sampling graphs (none for graph-free
+    /// methods).
+    fn graphs(&self) -> impl Iterator<Item = &Graph> {
+        self.particles.iter().filter_map(|p| p.graph.as_ref())
+    }
+
     /// Aggregate structural snapshot of the delayed-sampling graphs
     /// across particles (all zeros for graph-free methods). Sums node,
     /// edge, and state counts; takes the per-particle max of the chain
@@ -1222,20 +901,20 @@ impl<M: Model> Infer<M> {
     pub fn graph_stats(&self) -> GraphStats {
         let mut agg = GraphStats::default();
         let (mut depth, mut path) = (Vec::new(), Vec::new());
-        self.store.for_each_graph(&mut |g| {
+        for g in self.graphs() {
             agg.merge(&g.stats_with_scratch(&mut depth, &mut path));
-        });
+        }
         agg
     }
 
     /// Aggregate graph memory statistics across particles.
     pub fn memory(&self) -> MemoryStats {
         let mut stats = MemoryStats::default();
-        self.store.for_each_graph(&mut |g| {
+        for g in self.graphs() {
             stats.live_nodes += g.live_nodes();
             stats.live_bytes += g.live_bytes();
             stats.total_created += g.total_created();
-        });
+        }
         stats
     }
 
@@ -1326,7 +1005,7 @@ impl<M: Model> Infer<M> {
         // Only SkipObservation needs the rollback snapshot; the other
         // policies do not pay for the clone.
         let snapshot =
-            (self.recovery == RecoveryPolicy::SkipObservation).then(|| self.store.snapshot());
+            (self.recovery == RecoveryPolicy::SkipObservation).then(|| self.particles.clone());
 
         // Phase timing is checkpoint-based: one clock read per phase
         // *boundary*, taken as an offset from `t0`, instead of a
@@ -1334,110 +1013,48 @@ impl<M: Model> Infer<M> {
         // dominant cost of the span layer and its overhead budget is
         // nanoseconds (the figures `obs` witness holds the traced noop
         // configuration within 2% of fully-off).
-        let mut slots: Vec<Result<ValueDist, FaultKind>> =
-            match (self.parallelism, self.par_step, self.par_step_soa) {
-                (Parallelism::Threads(workers), Some(par_step), Some(par_step_soa)) if n > 1 => {
-                    let pool = self.pool.get_or_insert_with(|| WorkerPool::new(workers));
-                    #[cfg(feature = "obs")]
-                    {
-                        if self.obs.enabled() {
-                            pool.set_obs(self.obs.clone());
-                        }
-                        // Hand the pool this tick's span identity so each
-                        // job can emit a deterministic `pool.job` span
-                        // parented under this tick's propose span.
-                        let seed = self.seed;
-                        pool.set_span_ctx(tracing_on.then(|| crate::pool::SpanCtx {
-                            seed,
-                            tick: generation,
-                            parent: trace::span_id(seed, generation, trace::phases::PROPOSE, 0),
-                        }));
-                        pool.set_recorder(self.recorder.clone());
+        let mut slots: Vec<Result<ValueDist, FaultKind>> = match (self.parallelism, self.par_step) {
+            (Parallelism::Threads(workers), Some(par_step)) if n > 1 => {
+                let pool = self.pool.get_or_insert_with(|| WorkerPool::new(workers));
+                #[cfg(feature = "obs")]
+                {
+                    if self.obs.enabled() {
+                        pool.set_obs(self.obs.clone());
                     }
-                    pool.ensure_alive();
-                    match &mut self.store {
-                        Store::Aos { particles, .. } => {
-                            par_step(pool, particles, input, self.method, self.seed, generation)
-                        }
-                        Store::Soa(s) => par_step_soa(
-                            pool,
-                            &mut s.models,
-                            &mut s.graphs,
-                            &mut s.log_ws,
-                            input,
-                            self.method,
-                            self.seed,
-                            generation,
-                        ),
-                    }
+                    // Hand the pool this tick's span identity so each
+                    // job can emit a deterministic `pool.job` span
+                    // parented under this tick's propose span.
+                    let seed = self.seed;
+                    pool.set_span_ctx(tracing_on.then(|| crate::pool::SpanCtx {
+                        seed,
+                        tick: generation,
+                        parent: trace::span_id(seed, generation, trace::phases::PROPOSE, 0),
+                    }));
+                    pool.set_recorder(self.recorder.clone());
                 }
-                _ => {
-                    let (method, seed) = (self.method, self.seed);
-                    let roots = &mut self.scratch.roots;
-                    match &mut self.store {
-                        Store::Aos { particles, .. } => particles
-                            .iter_mut()
-                            .enumerate()
-                            .map(|(i, p)| {
-                                let mut rng = rngstream::particle_rng(seed, i as u64, generation);
-                                step_particle_caught(
-                                    method,
-                                    &mut p.model,
-                                    &mut p.graph,
-                                    &mut p.log_w,
-                                    input,
-                                    &mut rng,
-                                    None,
-                                    roots,
-                                )
-                            })
-                            .collect(),
-                        Store::Soa(s) => {
-                            // Sequential SoA defers every delayed-sampling
-                            // observation density into the sink and scores
-                            // the whole cloud with batched slice kernels —
-                            // bit-identical to the eager path (see
-                            // [`ScoreSink::flush_into`]). Eager-sampling
-                            // methods score inline exactly like AoS.
-                            let defer = matches!(
-                                method,
-                                Method::BoundedDs | Method::StreamingDs | Method::ClassicDs
-                            );
-                            let sink = &mut self.score_sink;
-                            sink.clear();
-                            let mut slots = Vec::with_capacity(n);
-                            for i in 0..n {
-                                let mut rng = rngstream::particle_rng(seed, i as u64, generation);
-                                let slot = step_particle_caught(
-                                    method,
-                                    &mut s.models[i],
-                                    &mut s.graphs[i],
-                                    &mut s.log_ws[i],
-                                    input,
-                                    &mut rng,
-                                    defer.then_some(&mut *sink),
-                                    roots,
-                                );
-                                if defer {
-                                    // The boundary is recorded even for a
-                                    // faulted particle so later particles'
-                                    // ops stay aligned; recovery overwrites
-                                    // a faulted particle's weight anyway.
-                                    sink.end_particle();
-                                }
-                                slots.push(slot);
-                            }
-                            if defer {
-                                // Must run before the non-finite-weight
-                                // scan below: the deferred scores are part
-                                // of this tick's weights.
-                                sink.flush_into(&mut s.log_ws);
-                            }
-                            slots
-                        }
-                    }
-                }
-            };
+                pool.ensure_alive();
+                par_step(
+                    pool,
+                    &mut self.particles,
+                    input,
+                    self.method,
+                    self.seed,
+                    generation,
+                )
+            }
+            _ => {
+                let (method, seed) = (self.method, self.seed);
+                let roots = &mut self.scratch.roots;
+                self.particles
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, p)| {
+                        let mut rng = rngstream::particle_rng(seed, i as u64, generation);
+                        step_particle_caught(method, p, input, &mut rng, roots)
+                    })
+                    .collect()
+            }
+        };
         #[cfg(feature = "obs")]
         let propose_ms = if tracing_on {
             t0.map(|t| t.elapsed().as_secs_f64() * 1e3)
@@ -1448,7 +1065,7 @@ impl<M: Model> Infer<M> {
         // A NaN or +inf accumulated log-weight is a per-particle fault;
         // a plain -inf is a legitimately impossible observation.
         for (i, slot) in slots.iter_mut().enumerate() {
-            let w = self.store.log_w(i);
+            let w = self.particles[i].log_w;
             if slot.is_ok() && !(w.is_finite() || w == f64::NEG_INFINITY) {
                 *slot = Err(FaultKind::NonFiniteWeight(w));
             }
@@ -1502,7 +1119,7 @@ impl<M: Model> Infer<M> {
                 let recovery = match self.recovery {
                     RecoveryPolicy::SkipObservation => {
                         if let Some(snap) = snapshot.as_ref() {
-                            self.store.restore_one_from(i, snap);
+                            self.particles[i] = snap[i].clone();
                         }
                         outs[i] = None;
                         RecoveryAction::Skipped
@@ -1514,7 +1131,7 @@ impl<M: Model> Infer<M> {
                             RecoveryAction::Quarantined
                         } else {
                             let donor = survivors[recovery_rng.gen_range(0..survivors.len())];
-                            self.store.clone_within(i, donor);
+                            self.particles[i] = self.particles[donor].clone();
                             outs[i] = outs[donor].clone();
                             RecoveryAction::Rejuvenated { donor }
                         }
@@ -1524,18 +1141,15 @@ impl<M: Model> Infer<M> {
                         let mut rng = rngstream::retry_rng(self.seed, i as u64, generation);
                         match step_particle_caught(
                             self.method,
-                            &mut fresh.model,
-                            &mut fresh.graph,
-                            &mut fresh.log_w,
+                            &mut fresh,
                             input,
                             &mut rng,
-                            None,
                             &mut self.scratch.roots,
                         ) {
                             Ok(out)
                                 if fresh.log_w.is_finite() || fresh.log_w == f64::NEG_INFINITY =>
                             {
-                                self.store.install(i, fresh);
+                                self.particles[i] = fresh;
                                 outs[i] = Some(out);
                                 RecoveryAction::Reseeded
                             }
@@ -1568,7 +1182,9 @@ impl<M: Model> Infer<M> {
         // checkpoint doubles as this phase's start — the non-finite scan
         // and slot split in between are part of weight materialization).
         self.scratch.log_ws.clear();
-        self.store.extend_log_ws(&mut self.scratch.log_ws);
+        self.scratch
+            .log_ws
+            .extend(self.particles.iter().map(|p| p.log_w));
         // The log-normalizer doubles as this tick's log-evidence
         // increment (z - ln n) in the telemetry block below; degenerate
         // weights surface as `collapse` with no normalizer.
@@ -1626,7 +1242,9 @@ impl<M: Model> Infer<M> {
             // Rejuvenate the cloud to uniform weights so the stream can
             // keep running; the posterior below falls back to the last
             // healthy one.
-            self.store.zero_log_ws();
+            for p in &mut self.particles {
+                p.log_w = 0.0;
+            }
         } else {
             self.consecutive_collapses = 0;
         }
@@ -1691,36 +1309,7 @@ impl<M: Model> Infer<M> {
         let clones_avoided_before = self.resample_stats.clones_avoided;
         if should_resample {
             let mut rng = rngstream::resample_rng(self.seed, generation);
-            let StepScratch {
-                weights,
-                ancestors,
-                offspring,
-                ..
-            } = &mut self.scratch;
-            stats::systematic_resample_into(&mut rng, weights, n, ancestors);
-            self.resample_stats.passes += 1;
-            match self.strategy {
-                ResampleStrategy::CloneAll => {
-                    self.store
-                        .resample_clone_all(ancestors, &mut self.resample_stats);
-                }
-                ResampleStrategy::CloneMinimal => {
-                    offspring.clear();
-                    offspring.resize(n, 0);
-                    for &a in ancestors.iter() {
-                        offspring[a] += 1;
-                    }
-                    // The systematic sweep emits nondecreasing ancestor
-                    // indices, so laying out `offspring[i]` copies of
-                    // particle `i` for ascending `i` reproduces exactly
-                    // the slot order the clone-everything pass builds —
-                    // which is what keeps the posterior stream
-                    // bit-identical across strategies.
-                    debug_assert!(ancestors.windows(2).all(|w| w[0] <= w[1]));
-                    self.store
-                        .resample_clone_minimal(offspring, n, &mut self.resample_stats);
-                }
-            }
+            self.resample_pass(&mut rng, n);
         }
         let mut health = Health {
             ess: self.last_ess,
@@ -1814,7 +1403,7 @@ impl<M: Model> Infer<M> {
             }
             // Graph gauges — the bounded-memory witnesses — only for
             // methods that retain a graph across ticks.
-            if self.store.has_graphs() {
+            if self.graphs().next().is_some() {
                 let gs = self.graph_stats();
                 self.obs
                     .gauge(tick, names::DS_LIVE_NODES, gs.live_nodes as f64);
@@ -2077,8 +1666,7 @@ impl<M: Model> Infer<M> {
     /// accumulated weights (uniform if the cloud just resampled or has
     /// collapsed), and survivors restart unweighted exactly like an
     /// ordinary resample — so the pass composes with both
-    /// [`ResampleStrategy`] variants, both [`ParticleLayout`]s, and every
-    /// [`RecoveryPolicy`]. Under `Method::Importance` a resize is the one
+    /// [`ResampleStrategy`] variants and every [`RecoveryPolicy`]. Under `Method::Importance` a resize is the one
     /// event that discards accumulated weights (it *is* a resample).
     fn resize_cloud(&mut self, target: usize, generation: u64) {
         let n = self.num_particles;
@@ -2086,7 +1674,9 @@ impl<M: Model> Infer<M> {
             return;
         }
         self.scratch.log_ws.clear();
-        self.store.extend_log_ws(&mut self.scratch.log_ws);
+        self.scratch
+            .log_ws
+            .extend(self.particles.iter().map(|p| p.log_w));
         if stats::try_normalize_log_weights_into(&self.scratch.log_ws, &mut self.scratch.weights)
             .is_err()
         {
@@ -2096,31 +1686,49 @@ impl<M: Model> Infer<M> {
             self.scratch.weights.resize(n, 1.0 / n as f64);
         }
         let mut rng = rngstream::resize_rng(self.seed, generation);
+        self.resample_pass(&mut rng, target);
+        self.num_particles = target;
+    }
+
+    /// One systematic resampling pass over `scratch.weights`: draws
+    /// `target` ancestors from `rng` and rebuilds the cloud from them per
+    /// the [`ResampleStrategy`], survivors restarting unweighted. `target`
+    /// is the current cloud size on an ordinary pass and the new size on
+    /// a deadline-driven resize.
+    fn resample_pass(&mut self, rng: &mut SmallRng, target: usize) {
         let StepScratch {
             weights,
             ancestors,
             offspring,
             ..
         } = &mut self.scratch;
-        stats::systematic_resample_into(&mut rng, weights, target, ancestors);
+        stats::systematic_resample_into(rng, weights, target, ancestors);
         self.resample_stats.passes += 1;
         match self.strategy {
             ResampleStrategy::CloneAll => {
-                self.store
-                    .resample_clone_all(ancestors, &mut self.resample_stats);
+                resample_clone_all(&mut self.particles, ancestors, &mut self.resample_stats);
             }
             ResampleStrategy::CloneMinimal => {
                 offspring.clear();
-                offspring.resize(n, 0);
+                offspring.resize(self.particles.len(), 0);
                 for &a in ancestors.iter() {
                     offspring[a] += 1;
                 }
+                // The systematic sweep emits nondecreasing ancestor
+                // indices, so laying out `offspring[i]` copies of particle
+                // `i` for ascending `i` reproduces exactly the slot order
+                // the clone-everything pass builds — which is what keeps
+                // the posterior stream bit-identical across strategies.
                 debug_assert!(ancestors.windows(2).all(|w| w[0] <= w[1]));
-                self.store
-                    .resample_clone_minimal(offspring, target, &mut self.resample_stats);
+                resample_clone_minimal(
+                    &mut self.particles,
+                    &mut self.spare,
+                    offspring,
+                    target,
+                    &mut self.resample_stats,
+                );
             }
         }
-        self.num_particles = target;
     }
 
     /// Runs the engine over a whole input sequence, collecting the
@@ -2134,31 +1742,24 @@ impl<M: Model> Infer<M> {
     }
 }
 
-/// Steps one particle with its own derived generator. This is the single
-/// code path behind both execution modes and both storage layouts, which
-/// is what makes their equivalence structural rather than coincidental:
-/// the particle arrives as disjoint borrows of its model, its graph slot,
-/// and its accumulated log-weight, regardless of how those are stored.
-///
-/// With `sink: Some(..)` (the sequential SoA path, delayed-sampling
-/// methods only) the step's observation/factor scores are recorded into
-/// the sink in program order instead of accumulating in `log_w`; the
-/// caller batch-evaluates and applies them after the whole cloud has
-/// stepped. With `sink: None` scores accumulate eagerly, exactly as the
-/// original per-particle path did.
+/// Steps one particle with its own derived generator: the single code
+/// path behind both execution modes, which is what makes their
+/// equivalence structural rather than coincidental. The step's scores
+/// accumulate into the particle's log-weight as they are produced.
 ///
 /// `roots` is caller-owned GC-root scratch (cleared here before use).
-#[allow(clippy::too_many_arguments)]
 fn step_particle_parts<M: Model>(
     method: Method,
-    model: &mut M,
-    graph_slot: &mut Option<Graph>,
-    log_w: &mut f64,
+    particle: &mut Particle<M>,
     input: &M::Input,
     rng: &mut SmallRng,
-    sink: Option<&mut ScoreSink>,
     roots: &mut Vec<RvId>,
 ) -> Result<ValueDist, RuntimeError> {
+    let Particle {
+        model,
+        graph: graph_slot,
+        log_w,
+    } = particle;
     match method {
         Method::Importance | Method::ParticleFilter => {
             let mut ctx = SampleCtx::new(rng);
@@ -2173,16 +1774,10 @@ fn step_particle_parts<M: Model>(
             let mut graph = Graph::new(Retention::PointerMinimal);
             let out;
             {
-                let deferred = sink.is_some();
-                let mut ctx = match sink {
-                    Some(s) => DsCtx::with_sink(&mut graph, rng, s),
-                    None => DsCtx::new(&mut graph, rng),
-                };
+                let mut ctx = DsCtx::new(&mut graph, rng);
                 let sym = model.step(&mut ctx, input)?;
                 out = ctx.force(&sym)?;
-                if !deferred {
-                    *log_w += ctx.log_weight();
-                }
+                *log_w += ctx.log_weight();
             }
             force_state(model, &mut graph, rng)?;
             Ok(ValueDist::Dirac(out))
@@ -2191,15 +1786,9 @@ fn step_particle_parts<M: Model>(
             let graph = graph_slot.as_mut().expect("graph-backed method");
             let out;
             {
-                let deferred = sink.is_some();
-                let mut ctx = match sink {
-                    Some(s) => DsCtx::with_sink(graph, rng, s),
-                    None => DsCtx::new(graph, rng),
-                };
+                let mut ctx = DsCtx::new(graph, rng);
                 let sym = model.step(&mut ctx, input)?;
-                if !deferred {
-                    *log_w += ctx.log_weight();
-                }
+                *log_w += ctx.log_weight();
                 out = ctx.dist_of(&sym)?;
             }
             // Compact the model's symbolic state: realized
@@ -2221,19 +1810,15 @@ fn step_particle_parts<M: Model>(
 /// Steps one particle under the supervisor's fault barrier: panics are
 /// caught and rendered, typed errors are captured, and either becomes a
 /// [`FaultKind`] for the coordinator to repair.
-#[allow(clippy::too_many_arguments)]
 fn step_particle_caught<M: Model>(
     method: Method,
-    model: &mut M,
-    graph_slot: &mut Option<Graph>,
-    log_w: &mut f64,
+    particle: &mut Particle<M>,
     input: &M::Input,
     rng: &mut SmallRng,
-    sink: Option<&mut ScoreSink>,
     roots: &mut Vec<RvId>,
 ) -> Result<ValueDist, FaultKind> {
     match catch_unwind(AssertUnwindSafe(|| {
-        step_particle_parts(method, model, graph_slot, log_w, input, rng, sink, roots)
+        step_particle_parts(method, particle, input, rng, roots)
     })) {
         Ok(Ok(out)) => Ok(out),
         Ok(Err(e)) => Err(FaultKind::Error(e)),
@@ -2276,71 +1861,7 @@ where
                 let mut roots: Vec<RvId> = Vec::new();
                 for (j, p) in parts.iter_mut().enumerate() {
                     let mut rng = rngstream::particle_rng(seed, (base + j) as u64, generation);
-                    outcomes.push(step_particle_caught(
-                        method,
-                        &mut p.model,
-                        &mut p.graph,
-                        &mut p.log_w,
-                        input,
-                        &mut rng,
-                        None,
-                        &mut roots,
-                    ));
-                }
-                *slot = Some(outcomes);
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    pool.run_scoped(jobs);
-    reassemble_shards(slots, shard, n)
-}
-
-/// The parallel stepper over the structure-of-arrays layout: identical
-/// sharding, generator derivation, and reassembly to [`par_step_impl`],
-/// but each shard is a triple of parallel slices. Scoring is always
-/// eager here (each worker's particles score independently), which is
-/// bit-identical to the deferred sequential path by construction — both
-/// evaluate the same scalar kernel per observation in the same per-
-/// particle order.
-#[allow(clippy::too_many_arguments)]
-fn par_soa_step_impl<M: Model + Send>(
-    pool: &WorkerPool,
-    models: &mut [M],
-    graphs: &mut [Option<Graph>],
-    log_ws: &mut [f64],
-    input: &M::Input,
-    method: Method,
-    seed: u64,
-    generation: u64,
-) -> Vec<Result<ValueDist, FaultKind>>
-where
-    M::Input: Sync,
-{
-    let n = models.len();
-    let shard = n.div_ceil(pool.workers());
-    type Shard<'a, M> = ((&'a mut [M], &'a mut [Option<Graph>]), &'a mut [f64]);
-    let shards: Vec<Shard<'_, M>> = models
-        .chunks_mut(shard)
-        .zip(graphs.chunks_mut(shard))
-        .zip(log_ws.chunks_mut(shard))
-        .collect();
-    let mut slots: Vec<Option<Vec<Result<ValueDist, FaultKind>>>> =
-        (0..shards.len()).map(|_| None).collect();
-    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = shards
-        .into_iter()
-        .zip(slots.iter_mut())
-        .enumerate()
-        .map(|(si, (((ms, gs), ws), slot))| {
-            let base = si * shard;
-            Box::new(move || {
-                let mut outcomes = Vec::with_capacity(ms.len());
-                let mut roots: Vec<RvId> = Vec::new();
-                for j in 0..ms.len() {
-                    let mut rng = rngstream::particle_rng(seed, (base + j) as u64, generation);
-                    outcomes.push(step_particle_caught(
-                        method, &mut ms[j], &mut gs[j], &mut ws[j], input, &mut rng, None,
-                        &mut roots,
-                    ));
+                    outcomes.push(step_particle_caught(method, p, input, &mut rng, &mut roots));
                 }
                 *slot = Some(outcomes);
             }) as Box<dyn FnOnce() + Send + '_>
@@ -2678,90 +2199,6 @@ mod tests {
     }
 
     #[test]
-    fn soa_layout_matches_aos_bitwise() {
-        // The tentpole invariant: for every method, the structure-of-
-        // arrays layout (including its deferred batch scoring) replays
-        // the per-particle layout bit-for-bit, posterior and resampling
-        // work alike.
-        let obs: Vec<f64> = (0..30).map(|i| (i as f64 * 0.4).sin()).collect();
-        for method in Method::ALL {
-            let mut aos = Infer::with_seed(method, 37, Kalman::default(), 123);
-            let mut soa = Infer::with_seed(method, 37, Kalman::default(), 123)
-                .with_particle_layout(ParticleLayout::StructOfArrays);
-            assert_eq!(soa.particle_layout(), ParticleLayout::StructOfArrays);
-            for y in &obs {
-                let a = aos.step(y).unwrap();
-                let b = soa.step(y).unwrap();
-                assert_eq!(
-                    a.mean_float().to_bits(),
-                    b.mean_float().to_bits(),
-                    "{method} diverged"
-                );
-                assert_eq!(
-                    a.variance_float().to_bits(),
-                    b.variance_float().to_bits(),
-                    "{method} variance diverged"
-                );
-            }
-            assert_eq!(aos.resample_stats(), soa.resample_stats(), "{method}");
-        }
-    }
-
-    #[test]
-    fn soa_layout_matches_aos_on_beta_bernoulli() {
-        // Exercises the Beta batch kernel and the Ready (non-batched
-        // marginal) path through the sink.
-        let flips: Vec<bool> = (0..40).map(|i| i % 3 != 0).collect();
-        for method in [Method::StreamingDs, Method::BoundedDs] {
-            let mut aos = Infer::with_seed(method, 29, Coin::default(), 7);
-            let mut soa = Infer::with_seed(method, 29, Coin::default(), 7)
-                .with_particle_layout(ParticleLayout::StructOfArrays);
-            for b in &flips {
-                let a = aos.step(b).unwrap();
-                let s = soa.step(b).unwrap();
-                assert_eq!(
-                    a.mean_float().to_bits(),
-                    s.mean_float().to_bits(),
-                    "{method} diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn soa_parallel_matches_soa_sequential() {
-        let obs: Vec<f64> = (0..20).map(|i| (i as f64 * 0.3).cos()).collect();
-        for method in Method::ALL {
-            let mut seq = Infer::with_seed(method, 23, Kalman::default(), 77)
-                .with_particle_layout(ParticleLayout::StructOfArrays);
-            let mut par = Infer::with_seed(method, 23, Kalman::default(), 77)
-                .with_particle_layout(ParticleLayout::StructOfArrays)
-                .with_parallelism(Parallelism::Threads(3));
-            for y in &obs {
-                let a = seq.step(y).unwrap();
-                let b = par.step(y).unwrap();
-                assert_eq!(
-                    a.mean_float().to_bits(),
-                    b.mean_float().to_bits(),
-                    "{method} diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn clone_of_soa_engine_replays_identically() {
-        let mut a = Infer::with_seed(Method::StreamingDs, 8, Kalman::default(), 5)
-            .with_particle_layout(ParticleLayout::StructOfArrays);
-        a.step(&1.0).unwrap();
-        let mut b = a.clone();
-        assert_eq!(b.particle_layout(), ParticleLayout::StructOfArrays);
-        let pa = a.step(&0.5).unwrap();
-        let pb = b.step(&0.5).unwrap();
-        assert_eq!(pa.mean_float().to_bits(), pb.mean_float().to_bits());
-    }
-
-    #[test]
     fn clone_of_engine_replays_identically() {
         let mut a = Infer::with_seed(Method::StreamingDs, 8, Kalman::default(), 5)
             .with_parallelism(Parallelism::Threads(2));
@@ -2891,20 +2328,17 @@ mod tests {
         let trace = live.decision_trace().expect("live trace").clone();
         assert!(!trace.entries().is_empty(), "the run should have degraded");
         // Replay is clock-free: a fresh engine fed the same trace replays
-        // the same posteriors bit-for-bit, in either particle layout.
-        for layout in [ParticleLayout::PerParticle, ParticleLayout::StructOfArrays] {
-            let mut replay = Infer::with_seed(Method::StreamingDs, 40, Kalman::default(), 21)
-                .with_particle_layout(layout)
-                .with_decision_replay(trace.clone());
-            for (y, (mean_bits, var_bits)) in obs.iter().zip(&live_bits) {
-                let p = replay.step(y).unwrap();
-                assert_eq!(p.mean_float().to_bits(), *mean_bits, "{layout:?} mean");
-                assert_eq!(p.variance_float().to_bits(), *var_bits, "{layout:?} var");
-            }
-            assert_eq!(replay.num_particles(), live.num_particles(), "{layout:?}");
-            let h = replay.last_health().expect("replay health");
-            assert!(h.deadline.is_none(), "replay engines report no deadline");
+        // the same posteriors bit-for-bit.
+        let mut replay = Infer::with_seed(Method::StreamingDs, 40, Kalman::default(), 21)
+            .with_decision_replay(trace);
+        for (y, (mean_bits, var_bits)) in obs.iter().zip(&live_bits) {
+            let p = replay.step(y).unwrap();
+            assert_eq!(p.mean_float().to_bits(), *mean_bits, "mean");
+            assert_eq!(p.variance_float().to_bits(), *var_bits, "var");
         }
+        assert_eq!(replay.num_particles(), live.num_particles());
+        let h = replay.last_health().expect("replay health");
+        assert!(h.deadline.is_none(), "replay engines report no deadline");
     }
 
     #[test]

@@ -11,232 +11,11 @@
 //!   introduces a symbolic random variable, `observe` conditions the graph
 //!   analytically; values are realized only when forced.
 
-use crate::ds::graph::{Graph, ScoreTerm};
+use crate::ds::graph::Graph;
 use crate::error::RuntimeError;
 use crate::posterior::ValueDist;
 use crate::value::{DistExpr, Value};
 use rand::rngs::SmallRng;
-
-/// Which batch family a deferred score op draws its result from. The sink
-/// replays ops strictly in push order, so within each family the results
-/// are consumed by a monotone cursor — no per-op index needed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum SinkOp {
-    /// An immediately known contribution (`factor`, Dirac, non-batchable
-    /// family).
-    Const(f64),
-    /// Next pending Gaussian evaluation.
-    Gaussian,
-    /// Next pending Beta evaluation.
-    Beta,
-    /// Next pending Gamma evaluation.
-    Gamma,
-}
-
-/// Deferred cross-particle score accumulator for the structure-of-arrays
-/// step loop.
-///
-/// The sequential SoA driver hands each particle's [`DsCtx`] a shared sink
-/// (see [`DsCtx::with_sink`]); `observe` and `factor` then *record* their
-/// weight contributions — in program order — instead of folding them into
-/// `log_w` one by one. After every particle has stepped,
-/// [`ScoreSink::flush_into`] evaluates all pending Gaussian/Beta/Gamma
-/// densities with the slice kernels of `probzelus_distributions::batch`
-/// and replays each particle's ops sequentially in their original order,
-/// reproducing the scalar path's left-associated `0.0 + a + b + …` sum
-/// bit-for-bit (the batch kernels and the scalar `log_pdf` share one
-/// scalar kernel per family, and float addition order is preserved).
-///
-/// Scoring consumes no randomness and the graph mutations of `observe`
-/// still happen eagerly inside the step, so deferral changes *when* the
-/// densities are computed, never *what* is computed.
-#[derive(Debug, Default)]
-pub struct ScoreSink {
-    ops: Vec<SinkOp>,
-    /// `ops.len()` at each particle boundary, pushed by
-    /// [`ScoreSink::end_particle`].
-    bounds: Vec<usize>,
-    g_mean: Vec<f64>,
-    g_var: Vec<f64>,
-    g_x: Vec<f64>,
-    g_out: Vec<f64>,
-    b_alpha: Vec<f64>,
-    b_beta: Vec<f64>,
-    b_x: Vec<f64>,
-    b_out: Vec<f64>,
-    c_shape: Vec<f64>,
-    c_rate: Vec<f64>,
-    c_x: Vec<f64>,
-    c_out: Vec<f64>,
-}
-
-impl ScoreSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one observation's score term (program order).
-    pub fn push(&mut self, term: ScoreTerm) {
-        match term {
-            ScoreTerm::Ready(lp) => self.ops.push(SinkOp::Const(lp)),
-            ScoreTerm::Gaussian(d, x) => {
-                self.g_mean.push(d.mean_param());
-                self.g_var.push(d.var_param());
-                self.g_x.push(x);
-                self.ops.push(SinkOp::Gaussian);
-            }
-            ScoreTerm::Beta(d, x) => {
-                self.b_alpha.push(d.alpha());
-                self.b_beta.push(d.beta());
-                self.b_x.push(x);
-                self.ops.push(SinkOp::Beta);
-            }
-            ScoreTerm::Gamma(d, x) => {
-                self.c_shape.push(d.shape());
-                self.c_rate.push(d.rate());
-                self.c_x.push(x);
-                self.ops.push(SinkOp::Gamma);
-            }
-        }
-    }
-
-    /// Records an immediately known contribution (`factor`).
-    pub fn push_const(&mut self, log_w: f64) {
-        self.ops.push(SinkOp::Const(log_w));
-    }
-
-    /// Marks the end of the current particle's ops. Must be called once
-    /// per particle, in particle order.
-    pub fn end_particle(&mut self) {
-        self.bounds.push(self.ops.len());
-    }
-
-    /// Number of particle spans closed so far.
-    pub fn particles(&self) -> usize {
-        self.bounds.len()
-    }
-
-    /// Evaluates all pending densities with the batch kernels and adds
-    /// each particle's step weight (its ops, summed in original program
-    /// order starting from `0.0`) into `log_ws`. Clears the sink, keeping
-    /// buffer capacity for the next tick.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of closed particle spans differs from
-    /// `log_ws.len()`.
-    pub fn flush_into(&mut self, log_ws: &mut [f64]) {
-        assert_eq!(
-            self.bounds.len(),
-            log_ws.len(),
-            "score sink particle spans must match the particle count"
-        );
-        probzelus_distributions::batch::gaussian_log_pdf_into(
-            &self.g_mean,
-            &self.g_var,
-            &self.g_x,
-            &mut self.g_out,
-        );
-        probzelus_distributions::batch::beta_log_pdf_into(
-            &self.b_alpha,
-            &self.b_beta,
-            &self.b_x,
-            &mut self.b_out,
-        );
-        probzelus_distributions::batch::gamma_log_pdf_into(
-            &self.c_shape,
-            &self.c_rate,
-            &self.c_x,
-            &mut self.c_out,
-        );
-        let (mut gi, mut bi, mut ci) = (0usize, 0usize, 0usize);
-        let mut start = 0usize;
-        for (i, &end) in self.bounds.iter().enumerate() {
-            let mut acc = 0.0f64;
-            for op in &self.ops[start..end] {
-                acc += match op {
-                    SinkOp::Const(lp) => *lp,
-                    SinkOp::Gaussian => {
-                        gi += 1;
-                        self.g_out[gi - 1]
-                    }
-                    SinkOp::Beta => {
-                        bi += 1;
-                        self.b_out[bi - 1]
-                    }
-                    SinkOp::Gamma => {
-                        ci += 1;
-                        self.c_out[ci - 1]
-                    }
-                };
-            }
-            log_ws[i] += acc;
-            start = end;
-        }
-        self.clear();
-    }
-
-    /// Discards all recorded ops and spans, keeping capacity.
-    pub fn clear(&mut self) {
-        self.ops.clear();
-        self.bounds.clear();
-        self.g_mean.clear();
-        self.g_var.clear();
-        self.g_x.clear();
-        self.g_out.clear();
-        self.b_alpha.clear();
-        self.b_beta.clear();
-        self.b_x.clear();
-        self.b_out.clear();
-        self.c_shape.clear();
-        self.c_rate.clear();
-        self.c_x.clear();
-        self.c_out.clear();
-    }
-
-    /// An empty sink that pre-reserves the same buffer capacities as
-    /// `other`, so a cloned engine's first flush allocates nothing —
-    /// mirroring `StepScratch::with_capacity_of`.
-    #[must_use]
-    pub fn with_capacity_of(other: &Self) -> Self {
-        Self {
-            ops: Vec::with_capacity(other.ops.capacity()),
-            bounds: Vec::with_capacity(other.bounds.capacity()),
-            g_mean: Vec::with_capacity(other.g_mean.capacity()),
-            g_var: Vec::with_capacity(other.g_var.capacity()),
-            g_x: Vec::with_capacity(other.g_x.capacity()),
-            g_out: Vec::with_capacity(other.g_out.capacity()),
-            b_alpha: Vec::with_capacity(other.b_alpha.capacity()),
-            b_beta: Vec::with_capacity(other.b_beta.capacity()),
-            b_x: Vec::with_capacity(other.b_x.capacity()),
-            b_out: Vec::with_capacity(other.b_out.capacity()),
-            c_shape: Vec::with_capacity(other.c_shape.capacity()),
-            c_rate: Vec::with_capacity(other.c_rate.capacity()),
-            c_x: Vec::with_capacity(other.c_x.capacity()),
-            c_out: Vec::with_capacity(other.c_out.capacity()),
-        }
-    }
-
-    /// Retained buffer capacity in bytes (for scratch accounting).
-    pub fn scratch_bytes(&self) -> usize {
-        self.ops.capacity() * std::mem::size_of::<SinkOp>()
-            + self.bounds.capacity() * std::mem::size_of::<usize>()
-            + (self.g_mean.capacity()
-                + self.g_var.capacity()
-                + self.g_x.capacity()
-                + self.g_out.capacity()
-                + self.b_alpha.capacity()
-                + self.b_beta.capacity()
-                + self.b_x.capacity()
-                + self.b_out.capacity()
-                + self.c_shape.capacity()
-                + self.c_rate.capacity()
-                + self.c_x.capacity()
-                + self.c_out.capacity())
-                * std::mem::size_of::<f64>()
-    }
-}
 
 /// The probabilistic operations available to a model during one step.
 pub trait ProbCtx {
@@ -341,32 +120,16 @@ pub struct DsCtx<'a> {
     graph: &'a mut Graph,
     rng: &'a mut SmallRng,
     log_w: f64,
-    sink: Option<&'a mut ScoreSink>,
 }
 
 impl<'a> DsCtx<'a> {
     /// Creates a context over the given particle graph. Weights accumulate
-    /// eagerly in [`ProbCtx::log_weight`].
+    /// in [`ProbCtx::log_weight`].
     pub fn new(graph: &'a mut Graph, rng: &'a mut SmallRng) -> Self {
         DsCtx {
             graph,
             rng,
             log_w: 0.0,
-            sink: None,
-        }
-    }
-
-    /// Creates a context whose weight contributions are recorded into the
-    /// shared `sink` (in program order) instead of accumulating in
-    /// `log_w`. [`ProbCtx::log_weight`] stays `0.0`; the particle's step
-    /// weight materializes at [`ScoreSink::flush_into`]. The caller must
-    /// call [`ScoreSink::end_particle`] after the step.
-    pub fn with_sink(graph: &'a mut Graph, rng: &'a mut SmallRng, sink: &'a mut ScoreSink) -> Self {
-        DsCtx {
-            graph,
-            rng,
-            log_w: 0.0,
-            sink: Some(sink),
         }
     }
 
@@ -382,21 +145,12 @@ impl ProbCtx for DsCtx<'_> {
     }
 
     fn observe(&mut self, d: &DistExpr, v: &Value) -> Result<(), RuntimeError> {
-        match &mut self.sink {
-            Some(sink) => {
-                let term = self.graph.observe_scored(d, v, self.rng)?;
-                sink.push(term);
-            }
-            None => self.log_w += self.graph.observe(d, v, self.rng)?,
-        }
+        self.log_w += self.graph.observe(d, v, self.rng)?;
         Ok(())
     }
 
     fn factor(&mut self, log_w: f64) {
-        match &mut self.sink {
-            Some(sink) => sink.push_const(log_w),
-            None => self.log_w += log_w,
-        }
+        self.log_w += log_w;
     }
 
     fn force(&mut self, v: &Value) -> Result<Value, RuntimeError> {
@@ -463,57 +217,5 @@ mod tests {
         use probzelus_distributions::{Distribution, Gaussian};
         let expected = Gaussian::new(0.0, 101.0).unwrap().log_pdf(&5.0);
         assert!((ctx.log_weight() - expected).abs() < 1e-10);
-    }
-
-    #[test]
-    fn deferred_sink_replays_eager_weights_bitwise() {
-        // The same observe/factor program, run eagerly and through a
-        // shared sink across two "particles": per-particle step weights
-        // must agree to the bit, including an interleaved factor.
-        let script = |ctx: &mut DsCtx<'_>, shift: f64| {
-            let x = ctx.sample(&DistExpr::gaussian(shift, 100.0)).unwrap();
-            ctx.observe(&DistExpr::gaussian(x.clone(), 1.0), &Value::Float(5.0))
-                .unwrap();
-            ctx.factor(-0.25);
-            ctx.observe(&DistExpr::gaussian(x, 1.0), &Value::Float(4.0))
-                .unwrap();
-            ctx.observe(&DistExpr::beta(2.0, 3.0), &Value::Float(0.4))
-                .unwrap();
-            ctx.observe(&DistExpr::gamma(2.0, 1.5), &Value::Float(0.9))
-                .unwrap();
-        };
-        let mut eager = Vec::new();
-        for (i, shift) in [0.0, 2.0].into_iter().enumerate() {
-            let mut rng = SmallRng::seed_from_u64(10 + i as u64);
-            let mut graph = Graph::new(Retention::PointerMinimal);
-            let mut ctx = DsCtx::new(&mut graph, &mut rng);
-            script(&mut ctx, shift);
-            eager.push(ctx.log_weight());
-        }
-        let mut sink = ScoreSink::new();
-        let mut graphs = [
-            Graph::new(Retention::PointerMinimal),
-            Graph::new(Retention::PointerMinimal),
-        ];
-        for (i, shift) in [0.0, 2.0].into_iter().enumerate() {
-            let mut rng = SmallRng::seed_from_u64(10 + i as u64);
-            let mut ctx = DsCtx::with_sink(&mut graphs[i], &mut rng, &mut sink);
-            script(&mut ctx, shift);
-            assert_eq!(ctx.log_weight(), 0.0);
-            sink.end_particle();
-        }
-        assert_eq!(sink.particles(), 2);
-        let mut log_ws = [0.0f64; 2];
-        sink.flush_into(&mut log_ws);
-        for i in 0..2 {
-            assert_eq!(log_ws[i].to_bits(), eager[i].to_bits(), "particle {i}");
-        }
-        // The sink is reusable after a flush.
-        assert_eq!(sink.particles(), 0);
-        sink.push_const(1.5);
-        sink.end_particle();
-        let mut one = [0.25f64];
-        sink.flush_into(&mut one);
-        assert_eq!(one[0], 1.75);
     }
 }

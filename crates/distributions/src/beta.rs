@@ -12,11 +12,10 @@ pub struct Beta {
     beta: f64,
 }
 
-/// The Beta log-density as a free scalar kernel, shared by the scalar
-/// [`Distribution::log_pdf`] and all batched evaluators so their
-/// bit-identity is structural.
+/// The Beta log-density as a free scalar kernel with the parameters
+/// unpacked, behind [`Distribution::log_pdf`].
 #[inline(always)]
-pub(crate) fn log_pdf_kernel(alpha: f64, beta: f64, x: f64) -> f64 {
+fn log_pdf_kernel(alpha: f64, beta: f64, x: f64) -> f64 {
     if x <= 0.0 || x >= 1.0 {
         return f64::NEG_INFINITY;
     }
@@ -52,23 +51,6 @@ impl Beta {
     /// Second shape parameter.
     pub fn beta(&self) -> f64 {
         self.beta
-    }
-
-    /// Evaluates the log-density over a slice of observations in one
-    /// tight loop. Element-wise bit-identical to the scalar
-    /// [`Distribution::log_pdf`] — both dispatch to the same kernel.
-    pub fn log_pdf_batch(&self, xs: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.log_pdf_batch_into(xs, &mut out);
-        out
-    }
-
-    /// [`Beta::log_pdf_batch`] into a caller-owned buffer (cleared first).
-    pub fn log_pdf_batch_into(&self, xs: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(xs.len());
-        let (alpha, beta) = (self.alpha, self.beta);
-        out.extend(xs.iter().map(|&x| log_pdf_kernel(alpha, beta, x)));
     }
 }
 

@@ -13,11 +13,10 @@ pub struct Gamma {
     rate: f64,
 }
 
-/// The Gamma log-density as a free scalar kernel, shared by the scalar
-/// [`Distribution::log_pdf`] and all batched evaluators so their
-/// bit-identity is structural.
+/// The Gamma log-density as a free scalar kernel with the parameters
+/// unpacked, behind [`Distribution::log_pdf`].
 #[inline(always)]
-pub(crate) fn log_pdf_kernel(shape: f64, rate: f64, x: f64) -> f64 {
+fn log_pdf_kernel(shape: f64, rate: f64, x: f64) -> f64 {
     if x <= 0.0 {
         return f64::NEG_INFINITY;
     }
@@ -53,23 +52,6 @@ impl Gamma {
     /// Rate parameter `r`.
     pub fn rate(&self) -> f64 {
         self.rate
-    }
-
-    /// Evaluates the log-density over a slice of observations in one
-    /// tight loop. Element-wise bit-identical to the scalar
-    /// [`Distribution::log_pdf`] — both dispatch to the same kernel.
-    pub fn log_pdf_batch(&self, xs: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.log_pdf_batch_into(xs, &mut out);
-        out
-    }
-
-    /// [`Gamma::log_pdf_batch`] into a caller-owned buffer (cleared first).
-    pub fn log_pdf_batch_into(&self, xs: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(xs.len());
-        let (shape, rate) = (self.shape, self.rate);
-        out.extend(xs.iter().map(|&x| log_pdf_kernel(shape, rate, x)));
     }
 
     /// Marsaglia–Tsang sampler for shape >= 1; boosted for shape < 1.

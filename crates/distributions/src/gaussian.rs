@@ -19,12 +19,10 @@ pub struct Gaussian {
 /// so hoisting it preserves the determinism contract.
 const LN_2PI: f64 = 1.837_877_066_409_345_3_f64;
 
-/// The Gaussian log-density as a free scalar kernel. Both the scalar
-/// [`Distribution::log_pdf`] and every batched evaluator go through this
-/// single expression, which is what makes batch-vs-scalar bit-identity a
-/// structural property instead of a numeric coincidence.
+/// The Gaussian log-density as a free scalar kernel with the parameters
+/// unpacked, behind [`Distribution::log_pdf`].
 #[inline(always)]
-pub(crate) fn log_pdf_kernel(mean: f64, var: f64, x: f64) -> f64 {
+fn log_pdf_kernel(mean: f64, var: f64, x: f64) -> f64 {
     let d = x - mean;
     -0.5 * (d * d / var + var.ln() + LN_2PI)
 }
@@ -81,25 +79,6 @@ impl Gaussian {
             return 0.0;
         }
         (self.cdf(hi) - self.cdf(lo)).max(0.0)
-    }
-
-    /// Evaluates the log-density over a slice of observations in one
-    /// tight loop (fixed parameters hoisted, auto-vectorizable).
-    /// Element-wise bit-identical to calling [`Distribution::log_pdf`]
-    /// per element — both dispatch to the same scalar kernel.
-    pub fn log_pdf_batch(&self, xs: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.log_pdf_batch_into(xs, &mut out);
-        out
-    }
-
-    /// [`Gaussian::log_pdf_batch`] into a caller-owned buffer (cleared
-    /// first), so per-tick hot loops reuse one allocation.
-    pub fn log_pdf_batch_into(&self, xs: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve(xs.len());
-        let (mean, var) = (self.mean, self.var);
-        out.extend(xs.iter().map(|&x| log_pdf_kernel(mean, var, x)));
     }
 
     /// Draws a standard-normal variate with the Marsaglia polar method.

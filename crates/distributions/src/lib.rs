@@ -29,7 +29,6 @@
 //!
 //! [ProbZelus]: https://arxiv.org/abs/1908.07563
 
-pub mod batch;
 pub mod bernoulli;
 pub mod beta;
 pub mod binomial;

@@ -17,7 +17,7 @@ use crate::ast::{Const, OpName};
 use crate::error::{LangError, Stage};
 use crate::muf::{Closure, EngineRef, Env, MufDef, MufExpr, MufPat, MufProgram, MufValue};
 use probzelus_core::adaptive::{DeadlineConfig, DeadlineStatus, DecisionTrace};
-use probzelus_core::infer::{Infer, MemoryStats, Method, ParticleLayout, ResampleStats};
+use probzelus_core::infer::{Infer, MemoryStats, Method, ResampleStats};
 use probzelus_core::model::Model;
 use probzelus_core::prob::ProbCtx;
 use probzelus_core::supervisor::Health;
@@ -1122,14 +1122,6 @@ impl MufEngine {
         if let Some(pre) = self.prelude.as_mut() {
             pre.reset();
         }
-    }
-
-    /// Selects the particle storage layout (resets particle state when it
-    /// changes, exactly like [`Infer::with_particle_layout`]).
-    #[must_use]
-    pub fn with_particle_layout(mut self, layout: ParticleLayout) -> Self {
-        self.inner = self.inner.with_particle_layout(layout);
-        self
     }
 
     /// Cumulative resampling statistics since the last reset.

@@ -1,10 +1,10 @@
 //! Differential oracle for the optimizing µF pass pipeline: every
 //! committed example program must produce **bit-identical** posteriors
 //! (and deterministic outputs) optimized vs. unoptimized, across every
-//! inference method and both particle layouts. The optimizer's claim is
+//! inference method. The optimizer's claim is
 //! semantic transparency — any drift here is a bug in a pass, not noise.
 
-use probzelus_core::infer::{Method, ParticleLayout};
+use probzelus_core::infer::Method;
 use probzelus_core::Value;
 use probzelus_lang::pipeline::{compile_source, compile_source_opt, Compiled};
 use probzelus_lang::{ExecBackend, Options};
@@ -15,7 +15,6 @@ const METHODS: [Method; 4] = [
     Method::StreamingDs,
     Method::ClassicDs,
 ];
-const LAYOUTS: [ParticleLayout; 2] = [ParticleLayout::PerParticle, ParticleLayout::StructOfArrays];
 
 fn example(file: &str) -> String {
     let path = format!("{}/../../examples/zelus/{file}", env!("CARGO_MANIFEST_DIR"));
@@ -44,52 +43,48 @@ fn float_inputs(n: usize) -> Vec<f64> {
 }
 
 /// Drives `node` through `infer_node` on both compilations and asserts
-/// bit-identical posteriors at every tick, for every method × layout.
+/// bit-identical posteriors at every tick, for every method.
 fn assert_infer_node_identical(file: &str, node: &str, particles: usize, inputs: &[Value]) {
     let (base, opt) = both(file);
     for method in METHODS {
-        for layout in LAYOUTS {
-            let options = Options {
-                method,
-                seed: 42,
-                backend: ExecBackend::Interp,
-            };
-            let mut eng_base = base
-                .infer_node(node, particles, options)
-                .unwrap_or_else(|e| panic!("{file}/{node} base: {e}"))
-                .with_particle_layout(layout);
-            let mut eng_opt = opt
-                .infer_node(node, particles, options)
-                .unwrap_or_else(|e| panic!("{file}/{node} opt: {e}"))
-                .with_particle_layout(layout);
-            let mut first_run = Vec::new();
-            for (t, input) in inputs.iter().enumerate() {
-                let p_base = eng_base.step(input).unwrap();
-                let p_opt = eng_opt.step(input).unwrap();
-                assert_eq!(
-                    p_base.mean_float().to_bits(),
-                    p_opt.mean_float().to_bits(),
-                    "{file}/{node} {method:?}/{layout} tick {t}: mean drifted \
-                     ({} vs {})",
-                    p_base.mean_float(),
-                    p_opt.mean_float()
-                );
-                assert_eq!(
-                    p_base, p_opt,
-                    "{file}/{node} {method:?}/{layout} tick {t}: posterior drifted"
-                );
-                first_run.push(p_opt);
-            }
-            // Reset must also restore the hoisted prelude's state: a
-            // second run replays the first bit-for-bit.
-            eng_opt.reset();
-            for (t, input) in inputs.iter().enumerate() {
-                let p = eng_opt.step(input).unwrap();
-                assert_eq!(
-                    p, first_run[t],
-                    "{file}/{node} {method:?}/{layout} tick {t}: reset diverged"
-                );
-            }
+        let options = Options {
+            method,
+            seed: 42,
+            backend: ExecBackend::Interp,
+        };
+        let mut eng_base = base
+            .infer_node(node, particles, options)
+            .unwrap_or_else(|e| panic!("{file}/{node} base: {e}"));
+        let mut eng_opt = opt
+            .infer_node(node, particles, options)
+            .unwrap_or_else(|e| panic!("{file}/{node} opt: {e}"));
+        let mut first_run = Vec::new();
+        for (t, input) in inputs.iter().enumerate() {
+            let p_base = eng_base.step(input).unwrap();
+            let p_opt = eng_opt.step(input).unwrap();
+            assert_eq!(
+                p_base.mean_float().to_bits(),
+                p_opt.mean_float().to_bits(),
+                "{file}/{node} {method:?} tick {t}: mean drifted \
+                 ({} vs {})",
+                p_base.mean_float(),
+                p_opt.mean_float()
+            );
+            assert_eq!(
+                p_base, p_opt,
+                "{file}/{node} {method:?} tick {t}: posterior drifted"
+            );
+            first_run.push(p_opt);
+        }
+        // Reset must also restore the hoisted prelude's state: a
+        // second run replays the first bit-for-bit.
+        eng_opt.reset();
+        for (t, input) in inputs.iter().enumerate() {
+            let p = eng_opt.step(input).unwrap();
+            assert_eq!(
+                p, first_run[t],
+                "{file}/{node} {method:?} tick {t}: reset diverged"
+            );
         }
     }
 }

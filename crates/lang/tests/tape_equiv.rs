@@ -1,8 +1,8 @@
 //! Differential oracle for the flat instruction tape: every committed
 //! example program must produce **bit-identical** posteriors (and
 //! deterministic outputs) under `ExecBackend::Tape` vs. the tree-walking
-//! interpreter, across every inference method, both particle layouts,
-//! and both the plain and the optimizing pipeline. The interpreter is
+//! interpreter, across every inference method and both the plain and
+//! the optimizing pipeline. The interpreter is
 //! the semantic oracle; the tape's claim is that lowering changes only
 //! the cost model, never a bit of the posterior.
 //!
@@ -10,7 +10,7 @@
 //! `Rc` state and is not `Send`, so DSL engines always step particles
 //! sequentially regardless of the configured parallelism.
 
-use probzelus_core::infer::{Method, ParticleLayout};
+use probzelus_core::infer::Method;
 use probzelus_core::Value;
 use probzelus_lang::pipeline::{compile_source, compile_source_opt, Compiled};
 use probzelus_lang::{ExecBackend, MufEngine, Options};
@@ -21,7 +21,6 @@ const METHODS: [Method; 4] = [
     Method::StreamingDs,
     Method::ClassicDs,
 ];
-const LAYOUTS: [ParticleLayout; 2] = [ParticleLayout::PerParticle, ParticleLayout::StructOfArrays];
 
 fn example(file: &str) -> String {
     let path = format!("{}/../../examples/zelus/{file}", env!("CARGO_MANIFEST_DIR"));
@@ -47,7 +46,6 @@ fn engine(
     node: &str,
     particles: usize,
     method: Method,
-    layout: ParticleLayout,
     backend: ExecBackend,
 ) -> MufEngine {
     let options = Options {
@@ -58,11 +56,10 @@ fn engine(
     compiled
         .infer_node(node, particles, options)
         .unwrap_or_else(|e| panic!("{node} ({backend:?}): {e}"))
-        .with_particle_layout(layout)
 }
 
 /// Drives `node` on the interpreter and on the tape and asserts
-/// bit-identical posteriors at every tick, for every method × layout,
+/// bit-identical posteriors at every tick, for every method,
 /// including after a reset. Also asserts the tape actually lowered —
 /// a silent fallback to the interpreter would make this test vacuous.
 fn assert_backends_identical(
@@ -73,54 +70,45 @@ fn assert_backends_identical(
     inputs: &[Value],
 ) {
     for method in METHODS {
-        for layout in LAYOUTS {
-            let mut interp = engine(
-                compiled,
-                node,
-                particles,
-                method,
-                layout,
-                ExecBackend::Interp,
-            );
-            let mut tape = engine(compiled, node, particles, method, layout, ExecBackend::Tape);
+        let mut interp = engine(compiled, node, particles, method, ExecBackend::Interp);
+        let mut tape = engine(compiled, node, particles, method, ExecBackend::Tape);
+        assert_eq!(
+            interp.tape_status(),
+            None,
+            "{file}/{node}: interpreter backend must not hold a tape"
+        );
+        let mut first_run = Vec::new();
+        for (t, input) in inputs.iter().enumerate() {
+            let p_interp = interp.step(input).expect("interp step");
+            let p_tape = tape.step(input).expect("tape step");
             assert_eq!(
-                interp.tape_status(),
-                None,
-                "{file}/{node}: interpreter backend must not hold a tape"
+                p_interp.mean_float().to_bits(),
+                p_tape.mean_float().to_bits(),
+                "{file}/{node} {method:?} tick {t}: mean drifted \
+                 ({} vs {})",
+                p_interp.mean_float(),
+                p_tape.mean_float()
             );
-            let mut first_run = Vec::new();
-            for (t, input) in inputs.iter().enumerate() {
-                let p_interp = interp.step(input).expect("interp step");
-                let p_tape = tape.step(input).expect("tape step");
-                assert_eq!(
-                    p_interp.mean_float().to_bits(),
-                    p_tape.mean_float().to_bits(),
-                    "{file}/{node} {method:?}/{layout} tick {t}: mean drifted \
-                     ({} vs {})",
-                    p_interp.mean_float(),
-                    p_tape.mean_float()
-                );
-                assert_eq!(
-                    p_interp, p_tape,
-                    "{file}/{node} {method:?}/{layout} tick {t}: posterior drifted"
-                );
-                first_run.push(p_tape);
-            }
             assert_eq!(
-                tape.tape_status(),
-                Some(Ok(())),
-                "{file}/{node} {method:?}/{layout}: tape did not lower"
+                p_interp, p_tape,
+                "{file}/{node} {method:?} tick {t}: posterior drifted"
             );
-            // Reset must rebuild the register-file state slots from the
-            // initial state: a second run replays the first bit-for-bit.
-            tape.reset();
-            for (t, input) in inputs.iter().enumerate() {
-                let p = tape.step(input).expect("tape replay step");
-                assert_eq!(
-                    p, first_run[t],
-                    "{file}/{node} {method:?}/{layout} tick {t}: reset diverged"
-                );
-            }
+            first_run.push(p_tape);
+        }
+        assert_eq!(
+            tape.tape_status(),
+            Some(Ok(())),
+            "{file}/{node} {method:?}: tape did not lower"
+        );
+        // Reset must rebuild the register-file state slots from the
+        // initial state: a second run replays the first bit-for-bit.
+        tape.reset();
+        for (t, input) in inputs.iter().enumerate() {
+            let p = tape.step(input).expect("tape replay step");
+            assert_eq!(
+                p, first_run[t],
+                "{file}/{node} {method:?} tick {t}: reset diverged"
+            );
         }
     }
 }
@@ -158,7 +146,7 @@ fn assert_instance_identical(file: &str, compiled: &Compiled, node: &str, inputs
 }
 
 /// Runs a file's probabilistic node through both pipelines (plain and
-/// optimizing), both backends, all methods and layouts.
+/// optimizing), both backends, all methods.
 fn check_infer(file: &str, node: &str, particles: usize, inputs: &[Value]) {
     let src = example(file);
     let base = compile_source(&src).unwrap_or_else(|e| panic!("{file}: {e}"));
@@ -250,14 +238,7 @@ fn tape_scratch_plateaus_after_warmup() {
     let src = example("hmm.zl");
     let compiled = compile_source_opt(&src).expect("hmm compiles");
     for method in [Method::ParticleFilter, Method::StreamingDs] {
-        let mut engine = engine(
-            &compiled,
-            "hmm",
-            64,
-            method,
-            ParticleLayout::PerParticle,
-            ExecBackend::Tape,
-        );
+        let mut engine = engine(&compiled, "hmm", 64, method, ExecBackend::Tape);
         let inputs = float_inputs(300);
         for x in &inputs[..5] {
             engine.step(&Value::Float(*x)).expect("warmup step");
@@ -290,7 +271,6 @@ fn interp_backend_reports_no_tape() {
         "hmm",
         8,
         Method::StreamingDs,
-        ParticleLayout::PerParticle,
         ExecBackend::Interp,
     );
     eng.step(&Value::Float(0.5)).expect("step");

@@ -232,15 +232,14 @@ fn clone_minimal_does_strictly_fewer_clones_than_particle_count() {
 
 /// The deadline controller's decision trace makes an adaptive run
 /// replayable: a fresh engine fed the recorded trace — no clock, any
-/// particle layout, any worker count — reproduces the live run's
+/// worker count — reproduces the live run's
 /// posterior stream bit-for-bit. The live run uses a negative budget so
 /// every tick misses and the full degradation ladder (shrink rungs,
 /// resample relaxation, floor degradation) unrolls deterministically,
 /// followed by a budget relief that drives the grow rungs too.
 #[test]
-fn decision_trace_replay_is_bitwise_identical_across_layouts_and_workers() {
+fn decision_trace_replay_is_bitwise_identical_across_workers() {
     use probzelus::core::adaptive::DeadlineConfig;
-    use probzelus::core::infer::ParticleLayout;
 
     let data = generate_kalman(17, 2 * STEPS);
     let mut cfg = DeadlineConfig::new(-1.0);
@@ -263,36 +262,28 @@ fn decision_trace_replay_is_bitwise_identical_across_layouts_and_workers() {
     let shrinks = trace.entries().iter().filter(|r| r.to < r.from).count();
     let grows = trace.entries().iter().filter(|r| r.to > r.from).count();
     assert!(shrinks > 0 && grows > 0, "ladder did not unroll both ways");
-    for layout in [ParticleLayout::PerParticle, ParticleLayout::StructOfArrays] {
-        for par in [
-            Parallelism::Sequential,
-            Parallelism::Threads(2),
-            Parallelism::Threads(5),
-        ] {
-            let mut replay =
-                Infer::with_seed(Method::StreamingDs, PARTICLES, Kalman::default(), SEED)
-                    .with_particle_layout(layout)
-                    .with_parallelism(par)
-                    .with_decision_replay(trace.clone());
-            for (y, (mean_bits, var_bits)) in data.obs.iter().zip(&live_bits) {
-                let p = replay.step(y).unwrap();
-                assert_eq!(
-                    p.mean_float().to_bits(),
-                    *mean_bits,
-                    "{layout:?}/{par:?}: mean diverged"
-                );
-                assert_eq!(
-                    p.variance_float().to_bits(),
-                    *var_bits,
-                    "{layout:?}/{par:?}: variance diverged"
-                );
-            }
+    for par in [
+        Parallelism::Sequential,
+        Parallelism::Threads(2),
+        Parallelism::Threads(5),
+    ] {
+        let mut replay = Infer::with_seed(Method::StreamingDs, PARTICLES, Kalman::default(), SEED)
+            .with_parallelism(par)
+            .with_decision_replay(trace.clone());
+        for (y, (mean_bits, var_bits)) in data.obs.iter().zip(&live_bits) {
+            let p = replay.step(y).unwrap();
             assert_eq!(
-                replay.num_particles(),
-                live.num_particles(),
-                "{layout:?}/{par:?}"
+                p.mean_float().to_bits(),
+                *mean_bits,
+                "{par:?}: mean diverged"
+            );
+            assert_eq!(
+                p.variance_float().to_bits(),
+                *var_bits,
+                "{par:?}: variance diverged"
             );
         }
+        assert_eq!(replay.num_particles(), live.num_particles(), "{par:?}");
     }
 }
 

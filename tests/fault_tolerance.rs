@@ -3,7 +3,7 @@
 //! recovery, retry-budget exhaustion, and — under the `chaos` feature —
 //! 500-tick runs of every engine through the fault-injection harness.
 
-use probzelus::core::infer::{Infer, Method, ParticleLayout};
+use probzelus::core::infer::{Infer, Method};
 use probzelus::core::model::Model;
 use probzelus::core::prob::ProbCtx;
 use probzelus::core::supervisor::{RecoveryAction, RecoveryPolicy};
@@ -473,16 +473,13 @@ impl Model for InputGlitchy {
     }
 }
 
-/// The chaos-compose satellite for the SoA layout: `Rejuvenate` and
-/// `SkipObservation` recovery, running on top of struct-of-arrays
-/// particle storage with the batched observe path, behave **exactly**
-/// like the per-particle reference — bit-for-bit, rerun-for-rerun — and
-/// still reconverge against the exact Kalman oracle after a fault burst.
-/// Recovery snapshots, rollback, and donor cloning all cross the layout
-/// boundary here, so this is where a layout that forgot to snapshot some
-/// column would surface.
+/// `Rejuvenate` and `SkipObservation` recovery replay bit-for-bit,
+/// rerun-for-rerun, and still reconverge against the exact Kalman oracle
+/// after a fault burst. Recovery snapshots, rollback, and donor cloning
+/// all run here, so a recovery path that forgot to restore some particle
+/// state would surface.
 #[test]
-fn recovery_under_soa_reconverges_and_matches_per_particle_bitwise() {
+fn recovery_is_deterministic_and_reconverges_to_the_kalman_oracle() {
     const TICKS: usize = 200;
     // Ramp observations keep the posterior mean large so the relative
     // reconvergence bound is meaningful (see the chaos acceptance run).
@@ -493,7 +490,7 @@ fn recovery_under_soa_reconverges_and_matches_per_particle_bitwise() {
         (120, Glitch::Error(0.6)),
     ];
     for policy in [RecoveryPolicy::Rejuvenate, RecoveryPolicy::SkipObservation] {
-        let trace = |layout: ParticleLayout| -> (Vec<u64>, usize) {
+        let trace = || -> (Vec<u64>, usize) {
             let mut engine = Infer::with_seed(
                 Method::StreamingDs,
                 PARTICLES,
@@ -503,8 +500,7 @@ fn recovery_under_soa_reconverges_and_matches_per_particle_bitwise() {
                 },
                 SEED,
             )
-            .with_recovery_policy(policy)
-            .with_particle_layout(layout);
+            .with_recovery_policy(policy);
             let mut faults = 0;
             let bits = obs
                 .iter()
@@ -512,7 +508,7 @@ fn recovery_under_soa_reconverges_and_matches_per_particle_bitwise() {
                 .map(|(t, y)| {
                     let outcome = engine
                         .step_outcome(y)
-                        .unwrap_or_else(|e| panic!("{policy:?} {layout} died at tick {t}: {e}"));
+                        .unwrap_or_else(|e| panic!("{policy:?} died at tick {t}: {e}"));
                     faults += outcome.health.faults.len();
                     outcome.posterior.mean_float().to_bits()
                 })
@@ -520,26 +516,18 @@ fn recovery_under_soa_reconverges_and_matches_per_particle_bitwise() {
             (bits, faults)
         };
 
-        let (reference, ref_faults) = trace(ParticleLayout::PerParticle);
+        let (bits, faults) = trace();
         assert!(
-            ref_faults > 0,
+            faults > 0,
             "{policy:?}: schedule never fired — the compose test is vacuous"
         );
         // Determinism: a fresh engine with the same seed replays the run
         // bit-for-bit, faults and recoveries included.
         assert_eq!(
-            trace(ParticleLayout::StructOfArrays),
-            trace(ParticleLayout::StructOfArrays),
-            "{policy:?}: SoA recovery run is not deterministic"
+            trace(),
+            (bits.clone(), faults),
+            "{policy:?}: recovery run is not deterministic"
         );
-        // Layout equivalence: recovery under SoA is the same stream of
-        // bits as recovery under the per-particle reference.
-        let (soa, soa_faults) = trace(ParticleLayout::StructOfArrays);
-        assert_eq!(
-            reference, soa,
-            "{policy:?}: SoA recovery diverged from the per-particle path"
-        );
-        assert_eq!(ref_faults, soa_faults, "{policy:?}: fault counts diverged");
 
         // Reconvergence: over the final quarter (≥30 ticks after the
         // last injection) the recovered posterior tracks the exact
@@ -549,12 +537,12 @@ fn recovery_under_soa_reconverges_and_matches_per_particle_bitwise() {
         let tail = TICKS - 50;
         let (mut err, mut scale) = (0.0, 0.0);
         for t in tail..TICKS {
-            err += (f64::from_bits(soa[t]) - exact[t]).abs();
+            err += (f64::from_bits(bits[t]) - exact[t]).abs();
             scale += exact[t].abs();
         }
         assert!(
             err <= 0.05 * scale,
-            "{policy:?}: SoA recovery did not reconverge: tail error {err}, scale {scale}"
+            "{policy:?}: recovery did not reconverge: tail error {err}, scale {scale}"
         );
     }
 }

@@ -2,7 +2,7 @@
 //! memory under streaming delayed sampling, which genuinely cannot, and
 //! how the paper's `value`-forcing idiom restores the bound.
 
-use probzelus::core::infer::{Infer, Method, ParticleLayout};
+use probzelus::core::infer::{Infer, Method};
 use probzelus::core::model::Model;
 use probzelus::core::prob::ProbCtx;
 use probzelus::core::{DistExpr, RuntimeError, Value};
@@ -325,97 +325,6 @@ fn step_scratch_plateaus_after_warmup() {
     }
     // A clone starts with the same reservations (capacity hints carry
     // over), so its first step allocates nothing either.
-    let clone = engine.clone();
-    assert_eq!(clone.scratch_bytes(), warm);
-}
-
-/// The struct-of-arrays layout keeps the pointer-minimal bound: the
-/// aggregate slab capacity across all particles goes flat after warm-up
-/// and stays flat for 10k ticks, exactly as the per-particle reference
-/// does. A layout that traded throughput for a leak would fail here.
-#[test]
-fn soa_slab_capacity_flat_over_10k_ticks_under_pointer_minimal() {
-    const TICKS: usize = 10_000;
-    const PARTICLES: usize = 8;
-    let mut engine = Infer::with_seed(
-        Method::StreamingDs,
-        PARTICLES,
-        probzelus::models::Kalman::default(),
-        0,
-    )
-    .with_particle_layout(ParticleLayout::StructOfArrays);
-    let mut warmed = None;
-    for t in 0..TICKS {
-        engine.step(&(t as f64 * 0.01).sin()).unwrap();
-        let gs = engine.graph_stats();
-        if t == 99 {
-            warmed = Some(gs.capacity);
-        }
-        if let Some(cap) = warmed {
-            assert!(
-                gs.capacity <= cap,
-                "SoA slab capacity grew after warm-up: {cap} -> {} at tick {t}",
-                gs.capacity
-            );
-        }
-    }
-    let gs = engine.graph_stats();
-    // Same per-particle ceiling as the reference layout, summed over the
-    // particle set (resampling may leave a particle an extra slot or two
-    // of recyclable headroom, never unbounded growth).
-    assert!(
-        gs.capacity <= 8 * PARTICLES,
-        "SoA aggregate slab capacity {} exceeds {} (8 per particle)",
-        gs.capacity,
-        8 * PARTICLES
-    );
-    assert!(
-        gs.slots_reused as usize >= PARTICLES * TICKS - gs.capacity,
-        "SoA slot reuse not happening: {} reuses for {} creations",
-        gs.slots_reused,
-        gs.total_created
-    );
-}
-
-/// The SoA scratch — which now includes the deferred-score sink and the
-/// batch parameter/output buffers on top of the resampling scratch —
-/// still reaches a fixed footprint within a few ticks and never grows
-/// again. This is the regression bound on `scratch_bytes` the batched
-/// observe path has to live under: deferred scoring must not turn the
-/// steady-state step loop back into an allocating one.
-#[test]
-fn soa_step_scratch_plateaus_after_warmup() {
-    const PARTICLES: usize = 64;
-    let mut engine = Infer::with_seed(
-        Method::StreamingDs,
-        PARTICLES,
-        probzelus::models::Kalman::default(),
-        0,
-    )
-    .with_particle_layout(ParticleLayout::StructOfArrays);
-    for t in 0..5 {
-        engine.step(&(t as f64 * 0.01).sin()).unwrap();
-    }
-    let warm = engine.scratch_bytes();
-    assert!(warm > 0, "SoA scratch never warmed up");
-    // Regression bound: the whole scratch (weights, ancestors, offspring,
-    // retired-particle buffer, score sink, batch buffers) is a small
-    // constant number of words per particle. 4 KiB per particle is an
-    // order of magnitude of headroom over the current footprint; hitting
-    // it means something started buffering per-tick data.
-    assert!(
-        warm <= PARTICLES * 4096,
-        "SoA scratch footprint {warm} B exceeds {} B bound",
-        PARTICLES * 4096
-    );
-    for t in 5..300 {
-        engine.step(&(t as f64 * 0.01).sin()).unwrap();
-        assert_eq!(
-            engine.scratch_bytes(),
-            warm,
-            "SoA scratch footprint changed at tick {t}"
-        );
-    }
     let clone = engine.clone();
     assert_eq!(clone.scratch_bytes(), warm);
 }

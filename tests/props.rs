@@ -641,11 +641,6 @@ mod stats_props {
     }
 }
 
-/// Batch density kernels: element-wise bit-identity with the scalar
-/// `log_pdf`, over the full `f64` observation range — NaN, ±infinity,
-/// subnormals, negative zero. This is the contract that makes the
-/// structure-of-arrays layout's deferred scoring safe: the batch path may
-/// replace the scalar path anywhere without perturbing a single bit.
 mod histogram_props {
     use super::*;
     use probzelus::core::LogHistogram;
@@ -747,127 +742,6 @@ mod histogram_props {
                 for w in qs.windows(2) {
                     prop_assert!(w[0] <= w[1], "quantiles not monotone: {:?}", qs);
                 }
-            }
-        }
-    }
-}
-
-mod batch_kernels {
-    use probzelus::distributions::{batch, Beta, Distribution, Gamma, Gaussian};
-    use proptest::prelude::*;
-
-    /// Any `f64` bit pattern, by sampling raw bits: covers NaN payloads,
-    /// ±inf, subnormals, and both zeros, which `any::<f64>()` alone
-    /// de-emphasizes.
-    fn any_bits_f64() -> impl Strategy<Value = f64> {
-        prop_oneof![
-            any::<u64>().prop_map(f64::from_bits),
-            any::<f64>(),
-            Just(f64::NAN),
-            Just(f64::INFINITY),
-            Just(f64::NEG_INFINITY),
-            Just(-0.0),
-            Just(0.0),
-        ]
-    }
-
-    fn xs() -> impl Strategy<Value = Vec<f64>> {
-        proptest::collection::vec(any_bits_f64(), 0..48)
-    }
-
-    /// Strictly positive, finite parameter values (what the validated
-    /// constructors accept).
-    fn pos() -> impl Strategy<Value = f64> {
-        prop_oneof![1e-6f64..1e6, 1e-3f64..1e3]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// `Gaussian::log_pdf_batch` == scalar `log_pdf`, bit for bit.
-        #[test]
-        fn gaussian_batch_matches_scalar_bitwise(
-            mean in -1e6f64..1e6,
-            var in pos(),
-            xs in xs(),
-        ) {
-            let d = Gaussian::new(mean, var).unwrap();
-            let batched = d.log_pdf_batch(&xs);
-            prop_assert_eq!(batched.len(), xs.len());
-            for (x, b) in xs.iter().zip(&batched) {
-                prop_assert_eq!(d.log_pdf(x).to_bits(), b.to_bits(),
-                    "x = {:?} ({:#x})", x, x.to_bits());
-            }
-        }
-
-        /// `Beta::log_pdf_batch` == scalar `log_pdf`, bit for bit.
-        #[test]
-        fn beta_batch_matches_scalar_bitwise(
-            alpha in pos(),
-            beta in pos(),
-            xs in xs(),
-        ) {
-            let d = Beta::new(alpha, beta).unwrap();
-            let batched = d.log_pdf_batch(&xs);
-            prop_assert_eq!(batched.len(), xs.len());
-            for (x, b) in xs.iter().zip(&batched) {
-                prop_assert_eq!(d.log_pdf(x).to_bits(), b.to_bits(),
-                    "x = {:?} ({:#x})", x, x.to_bits());
-            }
-        }
-
-        /// `Gamma::log_pdf_batch` == scalar `log_pdf`, bit for bit.
-        #[test]
-        fn gamma_batch_matches_scalar_bitwise(
-            shape in pos(),
-            rate in pos(),
-            xs in xs(),
-        ) {
-            let d = Gamma::new(shape, rate).unwrap();
-            let batched = d.log_pdf_batch(&xs);
-            prop_assert_eq!(batched.len(), xs.len());
-            for (x, b) in xs.iter().zip(&batched) {
-                prop_assert_eq!(d.log_pdf(x).to_bits(), b.to_bits(),
-                    "x = {:?} ({:#x})", x, x.to_bits());
-            }
-        }
-
-        /// The free-function kernels over per-element parameter slices
-        /// (the exact shape the SoA score sink evaluates) are bit-identical
-        /// to constructing each scalar distribution and scoring once.
-        #[test]
-        fn per_element_parameter_batches_match_scalar_bitwise(
-            rows in proptest::collection::vec(
-                (-1e6f64..1e6, pos(), any_bits_f64()), 0..32),
-        ) {
-            let means: Vec<f64> = rows.iter().map(|r| r.0).collect();
-            let vars: Vec<f64> = rows.iter().map(|r| r.1).collect();
-            let points: Vec<f64> = rows.iter().map(|r| r.2).collect();
-            let mut out = Vec::new();
-            batch::gaussian_log_pdf_into(&means, &vars, &points, &mut out);
-            prop_assert_eq!(out.len(), rows.len());
-            for ((&(m, v, x), b), i) in rows.iter().zip(&out).zip(0..) {
-                let scalar = Gaussian::new(m, v).unwrap().log_pdf(&x);
-                prop_assert_eq!(scalar.to_bits(), b.to_bits(),
-                    "row {}: mean {} var {} x {:?}", i, m, v, x);
-            }
-        }
-
-        /// `log_pdf_batch_into` reuses a dirty caller buffer without its
-        /// prior contents leaking into the results.
-        #[test]
-        fn batch_into_clears_the_buffer(
-            mean in -1e3f64..1e3,
-            var in pos(),
-            xs in xs(),
-            junk in proptest::collection::vec(any::<f64>(), 0..16),
-        ) {
-            let d = Gaussian::new(mean, var).unwrap();
-            let mut out = junk;
-            d.log_pdf_batch_into(&xs, &mut out);
-            prop_assert_eq!(out.len(), xs.len());
-            for (x, b) in xs.iter().zip(&out) {
-                prop_assert_eq!(d.log_pdf(x).to_bits(), b.to_bits());
             }
         }
     }

@@ -1,21 +1,16 @@
-//! Differential harness for the particle-storage layouts.
+//! Bit-identity harness for the particle store across worker counts and
+//! against checked-in posterior digests.
 //!
-//! The `StructOfArrays` layout (contiguous per-particle weight/model/graph
-//! arrays plus deferred batch scoring) is an *internal representation
-//! change only*: for every inference method, every good `examples/zelus/`
-//! program, every golden seed, and every execution mode, the posterior
-//! stream must be **bit-for-bit identical** to the default `PerParticle`
-//! layout, and the resampling work counters must match exactly. The
-//! per-particle path is the semantic reference; any drift here is a bug in
-//! the SoA path, never an acceptable approximation.
-//!
-//! The matrix has two halves because DSL engines hold `Rc`s and cannot
-//! cross threads: the `examples/zelus/` sweep runs each program through
-//! every method × layout × seed sequentially, while the worker-count axis
+//! Two halves, because DSL engines hold `Rc`s and cannot cross threads:
+//! every probabilistic `examples/zelus/` program runs through every
+//! method × golden seed sequentially and must reproduce its digest in
+//! `tests/fixtures/posterior_digests.txt` (per-tick posterior bits plus
+//! the final resampling counters), while the worker-count axis
 //! (sequential vs `Threads(3)`) is exercised on the native benchmark
-//! models, which are `Send`.
+//! models, which are `Send`. Any drift here is a bug, never an acceptable
+//! approximation.
 
-use probzelus::core::infer::{Infer, Parallelism, ParticleLayout, ResampleStats};
+use probzelus::core::infer::{Infer, Parallelism, ResampleStats};
 use probzelus::core::{Method, Value};
 use probzelus::lang::{compile_source, MufEngine, Options};
 use probzelus::models::{generate_coin, generate_kalman, Coin, Kalman};
@@ -38,7 +33,7 @@ fn read_example(name: &str) -> String {
 
 /// Every good example with a probabilistic node, with a deterministic
 /// input stream for it. (`counter.zl` is deterministic and covered by
-/// `counter_is_layout_oblivious` below.)
+/// `counter_counts_ticks` below.)
 fn prob_examples() -> Vec<(&'static str, &'static str, Vec<Value>)> {
     let hmm_inputs: Vec<Value> = (0..STEPS)
         .map(|t| Value::Float((t as f64 * 0.17).sin() * 3.0))
@@ -68,13 +63,12 @@ fn prob_examples() -> Vec<(&'static str, &'static str, Vec<Value>)> {
 }
 
 /// The full posterior trace as raw bit patterns plus the final resampling
-/// counters — the complete observable surface the layouts must agree on.
+/// counters — the complete observable surface a digest pins.
 fn dsl_trace(
     file: &str,
     node: &str,
     method: Method,
     seed: u64,
-    layout: ParticleLayout,
     inputs: &[Value],
 ) -> (Vec<(u64, u64)>, ResampleStats) {
     let compiled = compile_source(&read_example(file)).expect("example compiles");
@@ -88,8 +82,7 @@ fn dsl_trace(
                 ..Default::default()
             },
         )
-        .expect("probabilistic node instantiates")
-        .with_particle_layout(layout);
+        .expect("probabilistic node instantiates");
     let trace = inputs
         .iter()
         .map(|y| {
@@ -100,46 +93,8 @@ fn dsl_trace(
     (trace, engine.resample_stats())
 }
 
-/// The acceptance sweep: every method × every good program × both layouts
-/// × golden seeds produce bitwise-equal posterior traces and identical
-/// resampling counters.
-#[test]
-fn layouts_agree_bitwise_on_every_good_example() {
-    for (file, node, inputs) in prob_examples() {
-        for method in Method::ALL {
-            for seed in SEEDS {
-                let (reference, ref_stats) = dsl_trace(
-                    file,
-                    node,
-                    method,
-                    seed,
-                    ParticleLayout::PerParticle,
-                    &inputs,
-                );
-                let (trace, stats) = dsl_trace(
-                    file,
-                    node,
-                    method,
-                    seed,
-                    ParticleLayout::StructOfArrays,
-                    &inputs,
-                );
-                assert_eq!(
-                    reference, trace,
-                    "{file}/{node} {method} seed={seed:#x}: posterior trace diverged \
-                     from the per-particle reference"
-                );
-                assert_eq!(
-                    ref_stats, stats,
-                    "{file}/{node} {method} seed={seed:#x}: resampling counters diverged"
-                );
-            }
-        }
-    }
-}
-
 /// Checked-in posterior digests: one line per method × probabilistic
-/// example × golden seed, recorded from the per-particle store.
+/// example × golden seed.
 const DIGESTS: &str = include_str!("fixtures/posterior_digests.txt");
 
 /// FNV-1a over little-endian words: a fixed, std-independent hash, so
@@ -159,14 +114,7 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
 /// `(mean, variance)` bits and the final resampling counters, and the
 /// counters themselves in the clear.
 fn digest_line(file: &str, node: &str, method: Method, seed: u64, inputs: &[Value]) -> String {
-    let (trace, s) = dsl_trace(
-        file,
-        node,
-        method,
-        seed,
-        ParticleLayout::PerParticle,
-        inputs,
-    );
+    let (trace, s) = dsl_trace(file, node, method, seed, inputs);
     let words = trace.iter().flat_map(|&(m, v)| [m, v]).chain([
         s.passes,
         s.clones,
@@ -210,7 +158,6 @@ fn posteriors_match_checked_in_digests() {
 fn native_trace<M, I>(
     method: Method,
     seed: u64,
-    layout: ParticleLayout,
     workers: Parallelism,
     model: M,
     inputs: &[I],
@@ -219,9 +166,7 @@ where
     M: probzelus::core::model::Model<Input = I> + Send + Clone,
     I: Sync,
 {
-    let mut engine = Infer::with_seed(method, PARTICLES, model, seed)
-        .with_particle_layout(layout)
-        .with_parallelism(workers);
+    let mut engine = Infer::with_seed(method, PARTICLES, model, seed).with_parallelism(workers);
     let trace = inputs
         .iter()
         .map(|y| engine.step(y).expect("step").mean_float().to_bits())
@@ -229,66 +174,31 @@ where
     (trace, engine.resample_stats())
 }
 
-/// The worker-count axis (DSL engines are single-threaded, so this half of
-/// the matrix runs on the native `Send` models): layout × worker count is
-/// a single equivalence class per (model, method, seed).
+/// The worker-count axis (DSL engines are single-threaded, so this runs on
+/// the native `Send` models): sequential and ragged `Threads(3)` stepping
+/// are one equivalence class per (model, method, seed).
 #[test]
-fn layouts_agree_bitwise_across_worker_counts_on_native_models() {
+fn worker_counts_agree_bitwise_on_native_models() {
     let kalman = generate_kalman(13, STEPS);
     let coin = generate_coin(17, STEPS);
     for method in Method::ALL {
         for seed in SEEDS {
-            let (reference, ref_stats) = native_trace(
-                method,
-                seed,
-                ParticleLayout::PerParticle,
-                Parallelism::Sequential,
-                Kalman::default(),
-                &kalman.obs,
-            );
-            let (coin_ref, coin_ref_stats) = native_trace(
-                method,
-                seed,
-                ParticleLayout::PerParticle,
-                Parallelism::Sequential,
-                Coin::default(),
-                &coin.obs,
-            );
-            for layout in [ParticleLayout::PerParticle, ParticleLayout::StructOfArrays] {
-                for workers in WORKERS {
-                    let (trace, stats) = native_trace(
-                        method,
-                        seed,
-                        layout,
-                        workers,
-                        Kalman::default(),
-                        &kalman.obs,
-                    );
-                    assert_eq!(
-                        reference, trace,
-                        "kalman {method} seed={seed:#x} {layout} {workers:?}"
-                    );
-                    assert_eq!(
-                        ref_stats, stats,
-                        "kalman stats {method} seed={seed:#x} {layout} {workers:?}"
-                    );
-                    let (trace, stats) =
-                        native_trace(method, seed, layout, workers, Coin::default(), &coin.obs);
-                    assert_eq!(
-                        coin_ref, trace,
-                        "coin {method} seed={seed:#x} {layout} {workers:?}"
-                    );
-                    assert_eq!(
-                        coin_ref_stats, stats,
-                        "coin stats {method} seed={seed:#x} {layout} {workers:?}"
-                    );
-                }
-            }
+            let [seq, par] = WORKERS;
+            let (reference, ref_stats) =
+                native_trace(method, seed, seq, Kalman::default(), &kalman.obs);
+            let (trace, stats) = native_trace(method, seed, par, Kalman::default(), &kalman.obs);
+            assert_eq!(reference, trace, "kalman {method} seed={seed:#x}");
+            assert_eq!(ref_stats, stats, "kalman stats {method} seed={seed:#x}");
+            let (reference, ref_stats) =
+                native_trace(method, seed, seq, Coin::default(), &coin.obs);
+            let (trace, stats) = native_trace(method, seed, par, Coin::default(), &coin.obs);
+            assert_eq!(reference, trace, "coin {method} seed={seed:#x}");
+            assert_eq!(ref_stats, stats, "coin stats {method} seed={seed:#x}");
         }
     }
 }
 
-/// The tracing layer rides the same differential harness: spans are pure
+/// The tracing layer rides the same harness: spans are pure
 /// observation, so posteriors must be bit-identical with tracing on or
 /// off, and the *semantic* span tree (everything except the `pool.job`
 /// schedule spans) must be bit-identical across worker counts.
@@ -304,16 +214,14 @@ mod tracing_equiv {
     fn traced_native_trace(
         method: Method,
         seed: u64,
-        layout: ParticleLayout,
         workers: Parallelism,
         inputs: &[f64],
     ) -> (Vec<u64>, Vec<SpanKey>) {
         let sink = Arc::new(MemorySink::new());
         let black_box = std::env::temp_dir().join(format!(
-            "pz_layout_equiv_bb_{method}_{seed:x}_{layout}_{workers:?}.jsonl"
+            "pz_worker_equiv_bb_{method}_{seed:x}_{workers:?}.jsonl"
         ));
         let mut engine = Infer::with_seed(method, PARTICLES, Kalman::default(), seed)
-            .with_particle_layout(layout)
             .with_parallelism(workers)
             .with_obs(Obs::to(sink.clone()))
             .with_black_box(&black_box);
@@ -331,38 +239,30 @@ mod tracing_equiv {
     }
 
     /// Tracing on (sink + flight recorder attached) is a pure observer:
-    /// posterior bits match the untraced reference for every method,
-    /// layout, and golden seed.
+    /// posterior bits match the untraced reference for every method and
+    /// golden seed.
     #[test]
     fn tracing_does_not_perturb_the_posterior() {
         let kalman = generate_kalman(13, STEPS);
         for method in Method::ALL {
             for seed in SEEDS {
-                for layout in [ParticleLayout::PerParticle, ParticleLayout::StructOfArrays] {
-                    let (reference, _) = native_trace(
-                        method,
-                        seed,
-                        layout,
-                        Parallelism::Sequential,
-                        Kalman::default(),
-                        &kalman.obs,
-                    );
-                    let (traced, spans) = traced_native_trace(
-                        method,
-                        seed,
-                        layout,
-                        Parallelism::Sequential,
-                        &kalman.obs,
-                    );
-                    assert_eq!(
-                        reference, traced,
-                        "kalman {method} seed={seed:#x} {layout}: tracing changed the posterior"
-                    );
-                    assert!(
-                        spans.iter().filter(|s| s.1 == "tick").count() == STEPS,
-                        "{method} seed={seed:#x}: expected one tick span per step"
-                    );
-                }
+                let (reference, _) = native_trace(
+                    method,
+                    seed,
+                    Parallelism::Sequential,
+                    Kalman::default(),
+                    &kalman.obs,
+                );
+                let (traced, spans) =
+                    traced_native_trace(method, seed, Parallelism::Sequential, &kalman.obs);
+                assert_eq!(
+                    reference, traced,
+                    "kalman {method} seed={seed:#x}: tracing changed the posterior"
+                );
+                assert!(
+                    spans.iter().filter(|s| s.1 == "tick").count() == STEPS,
+                    "{method} seed={seed:#x}: expected one tick span per step"
+                );
             }
         }
     }
@@ -379,20 +279,10 @@ mod tracing_equiv {
                 let semantic = |spans: Vec<SpanKey>| -> Vec<SpanKey> {
                     spans.into_iter().filter(|s| s.1 != "pool.job").collect()
                 };
-                let (seq_posterior, seq_spans) = traced_native_trace(
-                    method,
-                    seed,
-                    ParticleLayout::PerParticle,
-                    Parallelism::Sequential,
-                    &kalman.obs,
-                );
-                let (par_posterior, par_spans) = traced_native_trace(
-                    method,
-                    seed,
-                    ParticleLayout::PerParticle,
-                    Parallelism::Threads(3),
-                    &kalman.obs,
-                );
+                let (seq_posterior, seq_spans) =
+                    traced_native_trace(method, seed, Parallelism::Sequential, &kalman.obs);
+                let (par_posterior, par_spans) =
+                    traced_native_trace(method, seed, Parallelism::Threads(3), &kalman.obs);
                 assert_eq!(
                     seq_posterior, par_posterior,
                     "{method} seed={seed:#x}: posterior diverged across worker counts"
@@ -407,11 +297,11 @@ mod tracing_equiv {
     }
 }
 
-/// `counter.zl` has no probabilistic node; its deterministic instance must
-/// be oblivious to everything this PR touches. Driving it at all keeps
-/// "every good example" honest in this suite.
+/// `counter.zl` has no probabilistic node; its deterministic instance
+/// counts ticks whatever the particle machinery does. Driving it at all
+/// keeps "every good example" honest in this suite.
 #[test]
-fn counter_is_layout_oblivious() {
+fn counter_counts_ticks() {
     let compiled = compile_source(&read_example("counter.zl")).expect("counter compiles");
     let mut inst = compiled
         .instantiate(
@@ -432,42 +322,4 @@ fn counter_is_layout_oblivious() {
             .expect("number");
         assert_eq!(n, f64::from(t), "counter output");
     }
-}
-
-/// Switching layouts mid-stream resets particle state (documented
-/// behaviour of `with_particle_layout`), after which the engine replays
-/// the reference sequence exactly.
-#[test]
-fn switching_layout_resets_and_replays_identically() {
-    let inputs: Vec<Value> = (0..30)
-        .map(|t| Value::Float((t as f64 * 0.17).sin() * 3.0))
-        .collect();
-    let compiled = compile_source(&read_example("hmm.zl")).expect("hmm compiles");
-    let opts = Options {
-        method: Method::StreamingDs,
-        seed: SEEDS[0],
-        ..Default::default()
-    };
-    let mut reference = compiled
-        .infer_node("hmm", PARTICLES, opts)
-        .expect("instantiate");
-    let expected: Vec<u64> = inputs
-        .iter()
-        .map(|y| reference.step(y).expect("step").mean_float().to_bits())
-        .collect();
-
-    let mut engine = compiled
-        .infer_node("hmm", PARTICLES, opts)
-        .expect("instantiate");
-    // Burn a few steps, then switch to SoA: the switch resets, so the
-    // engine must replay the expected sequence from the top.
-    for y in inputs.iter().take(5) {
-        engine.step(y).expect("step");
-    }
-    let mut engine = engine.with_particle_layout(ParticleLayout::StructOfArrays);
-    let replay: Vec<u64> = inputs
-        .iter()
-        .map(|y| engine.step(y).expect("step").mean_float().to_bits())
-        .collect();
-    assert_eq!(expected, replay, "post-switch replay diverged");
 }
