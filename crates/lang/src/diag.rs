@@ -25,6 +25,8 @@ impl Code {
     pub const LEX: Code = Code(1);
     /// Syntax error.
     pub const PARSE: Code = Code(2);
+    /// Expression nested deeper than the parser's budget.
+    pub const NESTING: Code = Code(3);
     /// Probabilistic expression in a deterministic position.
     pub const KIND_PROB_IN_DET: Code = Code(101);
     /// Unknown node in an application (kind pass).
@@ -338,6 +340,7 @@ fn stage_name(stage: Stage) -> &'static str {
 pub const ALL_CODES: &[Code] = &[
     Code::LEX,
     Code::PARSE,
+    Code::NESTING,
     Code::KIND_PROB_IN_DET,
     Code::KIND_UNKNOWN_NODE,
     Code::TYPE_MISMATCH,
@@ -382,6 +385,16 @@ pub fn explain(code: Code) -> Option<&'static str> {
         Code::PARSE => {
             "PZ0002: syntax error.\n\nThe token stream does not form a valid program. The message \
              names the token found and what was expected."
+        }
+        Code::NESTING => {
+            "PZ0003: expression nested too deeply.\n\nAn expression nests more levels deep than \
+             the parser accepts (`parser::MAX_NESTING`). Every compiler pass recurses over the \
+             expression tree, so the parser bounds its depth once instead of letting a later pass \
+             overflow the stack. A level is a parenthesis, an operand of an operator chain, a \
+             prefix operator, a tuple component, a `->`/`fby` link, or a keyword form (`if`, \
+             `present`, `reset`, `observe`, `automaton`); a `where` block and a function \
+             application each count one more. Name intermediate results with equations to \
+             flatten the expression."
         }
         Code::KIND_PROB_IN_DET => {
             "PZ0101: probabilistic expression in a deterministic position.\n\nThe kind system \

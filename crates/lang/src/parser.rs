@@ -3,10 +3,26 @@
 //! Operator precedence, loosest first: `where` < `->` / `fby` < `||` <
 //! `&&` < comparisons < additive < multiplicative < unary < application.
 //! `->` and `fby` are right-associative; tuples nest to the right.
+//!
+//! Expression nesting is bounded by [`MAX_NESTING`]: every later pass
+//! recurses over the tree built here, so this one budget keeps the whole
+//! pipeline inside an ordinary thread stack.
 
 use crate::ast::{AutoState, Const, Eq, Expr, NodeDecl, OpName, Pattern, Program};
+use crate::diag::Code;
 use crate::error::{LangError, Pos, Stage};
 use crate::lexer::{lex, Spanned, Tok};
+
+/// The deepest expression nesting the parser accepts. One level is one
+/// enclosing construct: a parenthesis, an operand of an operator chain, a
+/// prefix operator, a tuple component, a `->`/`fby` link, or a keyword
+/// form; a `where` block and a function application each count one more,
+/// because the later passes spend about twice the stack on them. A
+/// program nested exactly this deep checks, optimizes and lowers within a
+/// 2 MiB thread stack even in an unoptimized build (the bound is set by
+/// the debug-build frame sizes); deeper input fails with
+/// [`Code::NESTING`] instead of overflowing the stack.
+pub const MAX_NESTING: u32 = 48;
 
 /// Parses a whole program.
 ///
@@ -19,6 +35,7 @@ pub fn parse_program(src: &str) -> Result<Program, LangError> {
         toks,
         i: 0,
         fresh: 0,
+        depth: 0,
     };
     let mut nodes = Vec::new();
     while !p.at(&Tok::Eof) {
@@ -38,6 +55,7 @@ pub fn parse_expr(src: &str) -> Result<Expr, LangError> {
         toks,
         i: 0,
         fresh: 0,
+        depth: 0,
     };
     let e = p.expr_where()?;
     p.expect(Tok::Eof)?;
@@ -48,6 +66,8 @@ struct Parser {
     toks: Vec<Spanned>,
     i: usize,
     fresh: u32,
+    /// Nesting levels currently open (see [`MAX_NESTING`]).
+    depth: u32,
 }
 
 impl Parser {
@@ -106,6 +126,28 @@ impl Parser {
         }
     }
 
+    /// Opens one nesting level, failing once more than [`MAX_NESTING`]
+    /// are open. The caller closes it with [`Parser::unnest`]; a failed
+    /// parse is abandoned, so error paths need not. Levels are opened
+    /// inline rather than through a wrapper so each level costs no extra
+    /// stack frame.
+    fn nest(&mut self) -> Result<(), LangError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(LangError::at(
+                Stage::Parse,
+                self.pos(),
+                format!("expression nests more than {MAX_NESTING} levels deep"),
+            )
+            .with_code(Code::NESTING));
+        }
+        Ok(())
+    }
+
+    fn unnest(&mut self, levels: u32) {
+        self.depth -= levels;
+    }
+
     fn fresh_var(&mut self, hint: &str) -> String {
         self.fresh += 1;
         format!("_{hint}{}", self.fresh)
@@ -154,21 +196,28 @@ impl Parser {
     // ---- expressions ---------------------------------------------------
 
     fn expr_where(&mut self) -> Result<Expr, LangError> {
+        self.nest()?;
         let body = self.expr_arrow()?;
-        if self.eat(&Tok::Where) {
+        let e = if self.eat(&Tok::Where) {
+            // A `where` block costs the later passes (scheduling,
+            // desugaring, compilation) about a second level.
+            self.nest()?;
             self.expect(Tok::Rec)?;
             let mut eqs = Vec::new();
             self.equation(&mut eqs)?;
             while self.eat(&Tok::And) {
                 self.equation(&mut eqs)?;
             }
-            Ok(Expr::Where {
+            self.unnest(1);
+            Expr::Where {
                 body: Box::new(body),
                 eqs,
-            })
+            }
         } else {
-            Ok(body)
-        }
+            body
+        };
+        self.unnest(1);
+        Ok(e)
     }
 
     fn equation(&mut self, out: &mut Vec<Eq>) -> Result<(), LangError> {
@@ -259,6 +308,7 @@ impl Parser {
     /// one `until` transition (which disambiguates the automaton's `and`
     /// separators from the enclosing `where rec`'s).
     fn automaton(&mut self, out: &mut Vec<Eq>) -> Result<(), LangError> {
+        self.nest()?;
         self.expect(Tok::Automaton)?;
         let mut states = Vec::new();
         while self.eat(&Tok::Bar) {
@@ -305,6 +355,7 @@ impl Parser {
             ));
         }
         out.push(Eq::Automaton { states });
+        self.unnest(1);
         Ok(())
     }
 
@@ -362,31 +413,47 @@ impl Parser {
     fn expr_arrow(&mut self) -> Result<Expr, LangError> {
         let lhs = self.expr_or()?;
         if self.eat(&Tok::Arrow) {
+            self.nest()?;
             let rhs = self.expr_arrow()?;
+            self.unnest(1);
             Ok(Expr::Arrow(Box::new(lhs), Box::new(rhs)))
         } else if self.eat(&Tok::Fby) {
+            self.nest()?;
             let rhs = self.expr_arrow()?;
+            self.unnest(1);
             Ok(Expr::Fby(Box::new(lhs), Box::new(rhs)))
         } else {
             Ok(lhs)
         }
     }
 
+    // Each link of a left-associative chain nests the tree built so far
+    // one level deeper, so the chain's links count as nesting levels
+    // until the chain ends.
+
     fn expr_or(&mut self) -> Result<Expr, LangError> {
         let mut lhs = self.expr_and()?;
+        let mut links = 0;
         while self.eat(&Tok::BarBar) {
+            self.nest()?;
+            links += 1;
             let rhs = self.expr_and()?;
             lhs = Expr::Op(OpName::Or, vec![lhs, rhs]);
         }
+        self.unnest(links);
         Ok(lhs)
     }
 
     fn expr_and(&mut self) -> Result<Expr, LangError> {
         let mut lhs = self.expr_cmp()?;
+        let mut links = 0;
         while self.eat(&Tok::AmpAmp) {
+            self.nest()?;
+            links += 1;
             let rhs = self.expr_cmp()?;
             lhs = Expr::Op(OpName::And, vec![lhs, rhs]);
         }
+        self.unnest(links);
         Ok(lhs)
     }
 
@@ -402,12 +469,15 @@ impl Parser {
             _ => return Ok(lhs),
         };
         self.bump();
+        self.nest()?;
         let rhs = self.expr_add()?;
+        self.unnest(1);
         Ok(Expr::Op(op, vec![lhs, rhs]))
     }
 
     fn expr_add(&mut self) -> Result<Expr, LangError> {
         let mut lhs = self.expr_mul()?;
+        let mut links = 0;
         loop {
             let op = match self.peek() {
                 Tok::Plus => OpName::Add,
@@ -415,14 +485,18 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.nest()?;
+            links += 1;
             let rhs = self.expr_mul()?;
             lhs = Expr::Op(op, vec![lhs, rhs]);
         }
+        self.unnest(links);
         Ok(lhs)
     }
 
     fn expr_mul(&mut self) -> Result<Expr, LangError> {
         let mut lhs = self.expr_unary()?;
+        let mut links = 0;
         loop {
             let op = match self.peek() {
                 Tok::Star => OpName::Mul,
@@ -430,9 +504,12 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.nest()?;
+            links += 1;
             let rhs = self.expr_unary()?;
             lhs = Expr::Op(op, vec![lhs, rhs]);
         }
+        self.unnest(links);
         Ok(lhs)
     }
 
@@ -440,17 +517,23 @@ impl Parser {
         match self.peek().clone() {
             Tok::Minus => {
                 self.bump();
+                self.nest()?;
                 let e = self.expr_unary()?;
+                self.unnest(1);
                 Ok(Expr::Op(OpName::Neg, vec![e]))
             }
             Tok::Not => {
                 self.bump();
+                self.nest()?;
                 let e = self.expr_unary()?;
+                self.unnest(1);
                 Ok(Expr::Op(OpName::Not, vec![e]))
             }
             Tok::Pre => {
                 self.bump();
+                self.nest()?;
                 let e = self.expr_unary()?;
+                self.unnest(1);
                 Ok(Expr::Pre(Box::new(e)))
             }
             Tok::Last => {
@@ -469,7 +552,11 @@ impl Parser {
             if self.toks[self.i + 1].tok == Tok::LParen {
                 let pos = self.pos();
                 self.bump(); // ident
+                             // An application costs the later passes about a second
+                             // level on top of its parenthesis.
+                self.nest()?;
                 let arg = self.parenthesized()?;
+                self.unnest(1);
                 return Ok(Expr::at(self.make_app(&name, arg)?, pos));
             }
         }
@@ -503,16 +590,21 @@ impl Parser {
         if self.eat(&Tok::RParen) {
             return Ok(Expr::Const(Const::Unit));
         }
+        // Tuples nest to the right: each further component is one level.
         let mut parts = vec![self.expr_where()?];
         while self.eat(&Tok::Comma) {
+            self.nest()?;
             parts.push(self.expr_where()?);
         }
+        self.unnest(parts.len() as u32 - 1);
         self.expect(Tok::RParen)?;
         let mut it = parts.into_iter().rev();
         let last = it.next().expect("at least one expression");
         Ok(it.fold(last, |acc, e| Expr::pair(e, acc)))
     }
 
+    /// Keyword forms whose operands parse below `expr_where` (`observe`,
+    /// `present`, `reset`, `if`) open a nesting level of their own.
     fn primary(&mut self) -> Result<Expr, LangError> {
         match self.peek().clone() {
             Tok::Int(n) => {
@@ -536,6 +628,15 @@ impl Parser {
                 Ok(Expr::Var(s))
             }
             Tok::LParen => self.parenthesized(),
+            _ => self.keyword_form(),
+        }
+    }
+
+    /// The keyword forms of [`Parser::primary`], kept out of its frame:
+    /// parenthesized nesting recurses through `primary`, and every byte
+    /// of its frame is paid once per level.
+    fn keyword_form(&mut self) -> Result<Expr, LangError> {
+        match self.peek().clone() {
             Tok::Sample => {
                 let kw = self.pos();
                 self.bump();
@@ -557,11 +658,13 @@ impl Parser {
             Tok::Observe => {
                 let kw = self.pos();
                 self.bump();
+                self.nest()?;
                 self.expect(Tok::LParen)?;
                 let d = self.expr_arrow()?;
                 self.expect(Tok::Comma)?;
                 let v = self.expr_arrow()?;
                 self.expect(Tok::RParen)?;
+                self.unnest(1);
                 Ok(Expr::at(Expr::Observe(Box::new(d), Box::new(v)), kw))
             }
             Tok::Infer => {
@@ -596,11 +699,13 @@ impl Parser {
             }
             Tok::Present => {
                 self.bump();
+                self.nest()?;
                 let cond = self.expr_or()?;
                 self.expect(Tok::Arrow)?;
                 let then = self.expr_arrow()?;
                 self.expect(Tok::Else)?;
                 let els = self.expr_arrow()?;
+                self.unnest(1);
                 Ok(Expr::Present {
                     cond: Box::new(cond),
                     then: Box::new(then),
@@ -609,9 +714,11 @@ impl Parser {
             }
             Tok::Reset => {
                 self.bump();
+                self.nest()?;
                 let body = self.expr_arrow()?;
                 self.expect(Tok::Every)?;
                 let every = self.expr_arrow()?;
+                self.unnest(1);
                 Ok(Expr::Reset {
                     body: Box::new(body),
                     every: Box::new(every),
@@ -619,11 +726,13 @@ impl Parser {
             }
             Tok::If => {
                 self.bump();
+                self.nest()?;
                 let cond = self.expr_arrow()?;
                 self.expect(Tok::Then)?;
                 let then = self.expr_arrow()?;
                 self.expect(Tok::Else)?;
                 let els = self.expr_arrow()?;
+                self.unnest(1);
                 Ok(Expr::If {
                     cond: Box::new(cond),
                     then: Box::new(then),
