@@ -20,246 +20,14 @@
 //! as they land, so the live view costs O(engines × phases) memory no
 //! matter how long the stream runs.
 
+use probzelus_bench::json::{self, Json};
+use probzelus_core::json::json_escape;
 use probzelus_core::obs::{self, MetricKind};
 use probzelus_core::trace;
 use probzelus_core::LogHistogram;
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader};
 use std::process::ExitCode;
-
-// ---------------------------------------------------------------------------
-// Minimal JSON parser (std-only; the workspace vendors no serde).
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Array(Vec<Json>),
-    Object(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            // WriterSink exports non-finite values as strings to keep the
-            // line parseable; accept them back here.
-            Json::Str(s) => match s.as_str() {
-                "NaN" => Some(f64::NAN),
-                "inf" => Some(f64::INFINITY),
-                "-inf" => Some(f64::NEG_INFINITY),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as u64),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn parse(text: &'a str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at offset {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code).ok_or("surrogate \\u escape unsupported")?,
-                            );
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().ok_or("utf8 boundary")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number '{text}' at offset {start}"))
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Stream model
@@ -283,7 +51,7 @@ struct Line {
 }
 
 fn decode_line(no: usize, text: &str) -> Result<Line, String> {
-    let json = Parser::parse(text).map_err(|e| format!("line {no}: {e}"))?;
+    let json = json::parse(text).map_err(|e| format!("line {no}: {e}"))?;
     let typ = json
         .get("type")
         .and_then(Json::as_str)
@@ -582,7 +350,7 @@ fn schema() -> String {
             m.name,
             m.kind,
             m.unit,
-            obs::json_escape(m.help),
+            json_escape(m.help),
             if i + 1 < obs::METRICS.len() { "," } else { "" }
         ));
     }
@@ -593,7 +361,7 @@ fn schema() -> String {
             "    {{\"name\": \"{}\", \"fields\": [{}], \"help\": \"{}\"}}{}\n",
             e.name,
             fields.join(", "),
-            obs::json_escape(e.help),
+            json_escape(e.help),
             if i + 1 < obs::EVENTS.len() { "," } else { "" }
         ));
     }
@@ -602,7 +370,7 @@ fn schema() -> String {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"help\": \"{}\"}}{}\n",
             s.name,
-            obs::json_escape(s.doc),
+            json_escape(s.doc),
             if i + 1 < trace::SPANS.len() { "," } else { "" }
         ));
     }
@@ -1058,27 +826,5 @@ mod tests {
         for s in trace::SPANS {
             assert!(md.contains(s.name), "missing span {}", s.name);
         }
-    }
-
-    #[test]
-    fn parser_handles_nested_arrays_and_literals() {
-        let v =
-            Parser::parse("{\"a\":[1,2.5,true,null,\"x\"],\"b\":{\"c\":-3e2}}").expect("parses");
-        assert_eq!(
-            v.get("a"),
-            Some(&Json::Array(vec![
-                Json::Num(1.0),
-                Json::Num(2.5),
-                Json::Bool(true),
-                Json::Null,
-                Json::Str("x".into()),
-            ]))
-        );
-        assert_eq!(
-            v.get("b").and_then(|b| b.get("c")),
-            Some(&Json::Num(-300.0))
-        );
-        assert!(Parser::parse("{\"a\":}").is_err());
-        assert!(Parser::parse("{} trailing").is_err());
     }
 }

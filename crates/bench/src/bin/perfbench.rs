@@ -37,8 +37,10 @@
 
 use probzelus::models::{generate_kalman, Kalman};
 use probzelus::robot::{GpsAccTracker, TrackerInput};
+use probzelus_bench::json::{self, Json};
 use probzelus_bench::DATA_SEED;
 use probzelus_core::infer::{Infer, Method, ResampleStrategy};
+use probzelus_core::json::json_escape;
 use probzelus_core::model::Model;
 use probzelus_core::LogHistogram;
 use std::time::Instant;
@@ -110,14 +112,14 @@ impl Entry {
             ResampleStrategy::CloneAll => "clone-all",
         };
         let mut out = format!(
-            "{{\"label\":{label},\"bench\":\"{bench}\",\"method\":\"{method}\",\
+            "{{\"label\":\"{label}\",\"bench\":\"{bench}\",\"method\":\"{method}\",\
              \"strategy\":\"{strategy}\",\
              \"particles\":{particles},\"ticks\":{ticks},\
              \"data_seed\":{data_seed},\"engine_seed\":{engine_seed},\
              \"ticks_per_sec\":{tps:?},\"p50_ms\":{p50:?},\"p99_ms\":{p99:?},\
              \"peak_live_bytes\":{peak},\"clones_avoided\":{avoided},\
              \"posterior_mean_final\":{mean:?}",
-            label = json_string(&self.label),
+            label = json_escape(&self.label),
             bench = self.bench,
             method = self.method,
             particles = self.particles,
@@ -139,22 +141,6 @@ impl Entry {
         out.push('}');
         out
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Drives one engine over a fixed input stream and measures the step loop.
@@ -491,7 +477,7 @@ struct CmpRow {
 fn cmp_rows(entries: &[String], label: &str) -> Result<Vec<(String, CmpRow)>, String> {
     let mut out: Vec<(String, CmpRow)> = Vec::new();
     for raw in entries {
-        let Json::Obj(fields) = parse_json(raw)? else {
+        let Json::Object(fields) = json::parse(raw)? else {
             return Err("entry is not a JSON object".into());
         };
         let get_str = |k: &str| {
@@ -608,194 +594,6 @@ fn render(entries: &[String]) -> String {
     out
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON reader — enough to schema-check entries without deps.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b" \t\r\n".contains(b))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || b"+-.eE".contains(b))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or("bad \\u escape")?;
-                            out.push(hex);
-                            self.pos += 4;
-                        }
-                        Some(&c) => out.push(c as char),
-                        None => return Err("unterminated escape".into()),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar, not one byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
-fn parse_json(s: &str) -> Result<Json, String> {
-    let mut p = Parser::new(s);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
 /// Validates one entry against the closed schema. Fields in [`OPTIONAL`]
 /// may be absent (rows without `layout`, plain rows without the
 /// `deadline_*` pair); every field the entry does carry must appear in
@@ -803,7 +601,7 @@ fn parse_json(s: &str) -> Result<Json, String> {
 /// admitted — the trajectory file is append-only, so history keeps its
 /// original shape while new rows can say more.
 fn check_entry(raw: &str) -> Result<(), String> {
-    let Json::Obj(fields) = parse_json(raw)? else {
+    let Json::Object(fields) = json::parse(raw)? else {
         return Err("entry is not a JSON object".into());
     };
     let schema: Vec<(&str, Kind)> = SCHEMA
@@ -1582,24 +1380,6 @@ mod tests {
         let entries = vec!["{\"a\":1}".to_owned(), "{\"b\":2}".to_owned()];
         assert_eq!(read_entries(&render(&entries)).unwrap(), entries);
         assert_eq!(read_entries("[\n]\n").unwrap(), Vec::<String>::new());
-    }
-
-    #[test]
-    fn json_parser_handles_the_basics() {
-        assert_eq!(
-            parse_json("{\"k\":[1,true,null,\"s\\n\"]}").unwrap(),
-            Json::Obj(vec![(
-                "k".into(),
-                Json::Arr(vec![
-                    Json::Num(1.0),
-                    Json::Bool(true),
-                    Json::Null,
-                    Json::Str("s\n".into()),
-                ])
-            )])
-        );
-        assert!(parse_json("{\"k\":}").is_err());
-        assert!(parse_json("[1,2] trailing").is_err());
     }
 
     #[test]

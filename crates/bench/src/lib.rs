@@ -740,6 +740,289 @@ pub fn slope(values: &[f64]) -> f64 {
     num / den
 }
 
+/// The std-only JSON reader behind the bench tools (`perfbench`'s
+/// trajectory checks, `obsreport`'s telemetry checks); the workspace
+/// vendors no serde.
+pub mod json {
+    /// A parsed JSON value. Object fields keep their source order.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Json {
+        /// `null`.
+        Null,
+        /// `true` / `false`.
+        Bool(bool),
+        /// Any number.
+        Num(f64),
+        /// A string, escapes resolved.
+        Str(String),
+        /// An array.
+        Array(Vec<Json>),
+        /// An object, as `(key, value)` pairs in source order.
+        Object(Vec<(String, Json)>),
+    }
+
+    impl Json {
+        /// The first field named `key` of an object.
+        pub fn get(&self, key: &str) -> Option<&Json> {
+            match self {
+                Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+                _ => None,
+            }
+        }
+
+        /// The string, if this is one.
+        pub fn as_str(&self) -> Option<&str> {
+            match self {
+                Json::Str(s) => Some(s),
+                _ => None,
+            }
+        }
+
+        /// The number, if this is one. `WriterSink` exports non-finite
+        /// values as the strings `NaN`, `inf` and `-inf` to keep lines
+        /// parseable; they are accepted back here.
+        pub fn as_f64(&self) -> Option<f64> {
+            match self {
+                Json::Num(x) => Some(*x),
+                Json::Str(s) => match s.as_str() {
+                    "NaN" => Some(f64::NAN),
+                    "inf" => Some(f64::INFINITY),
+                    "-inf" => Some(f64::NEG_INFINITY),
+                    _ => None,
+                },
+                _ => None,
+            }
+        }
+
+        /// The number as an unsigned integer, if it is one exactly.
+        pub fn as_u64(&self) -> Option<u64> {
+            match self {
+                Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as u64),
+                _ => None,
+            }
+        }
+    }
+
+    /// Parses one complete JSON value; trailing non-whitespace is an
+    /// error.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first syntax error and its byte offset.
+    pub fn parse(text: &str) -> Result<Json, String> {
+        let mut p = Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        let value = p.value()?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(format!("trailing bytes at offset {}", p.pos));
+        }
+        Ok(value)
+    }
+
+    struct Parser<'a> {
+        text: &'a str,
+        bytes: &'a [u8],
+        pos: usize,
+    }
+
+    impl Parser<'_> {
+        fn skip_ws(&mut self) {
+            while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
+                self.pos += 1;
+            }
+        }
+
+        fn peek(&self) -> Option<u8> {
+            self.bytes.get(self.pos).copied()
+        }
+
+        fn expect(&mut self, b: u8) -> Result<(), String> {
+            if self.peek() == Some(b) {
+                self.pos += 1;
+                Ok(())
+            } else {
+                Err(format!("expected '{}' at offset {}", b as char, self.pos))
+            }
+        }
+
+        fn value(&mut self) -> Result<Json, String> {
+            self.skip_ws();
+            match self.peek() {
+                Some(b'{') => self.object(),
+                Some(b'[') => self.array(),
+                Some(b'"') => Ok(Json::Str(self.string()?)),
+                Some(b't') => self.literal("true", Json::Bool(true)),
+                Some(b'f') => self.literal("false", Json::Bool(false)),
+                Some(b'n') => self.literal("null", Json::Null),
+                Some(_) => self.number(),
+                None => Err("unexpected end of input".into()),
+            }
+        }
+
+        fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
+            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+                self.pos += word.len();
+                Ok(value)
+            } else {
+                Err(format!("invalid literal at offset {}", self.pos))
+            }
+        }
+
+        fn object(&mut self) -> Result<Json, String> {
+            self.expect(b'{')?;
+            let mut fields = Vec::new();
+            self.skip_ws();
+            if self.peek() == Some(b'}') {
+                self.pos += 1;
+                return Ok(Json::Object(fields));
+            }
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                self.skip_ws();
+                self.expect(b':')?;
+                let value = self.value()?;
+                fields.push((key, value));
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => {
+                        self.pos += 1;
+                        return Ok(Json::Object(fields));
+                    }
+                    _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
+                }
+            }
+        }
+
+        fn array(&mut self) -> Result<Json, String> {
+            self.expect(b'[')?;
+            let mut items = Vec::new();
+            self.skip_ws();
+            if self.peek() == Some(b']') {
+                self.pos += 1;
+                return Ok(Json::Array(items));
+            }
+            loop {
+                items.push(self.value()?);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => {
+                        self.pos += 1;
+                        return Ok(Json::Array(items));
+                    }
+                    _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
+                }
+            }
+        }
+
+        fn string(&mut self) -> Result<String, String> {
+            self.expect(b'"')?;
+            let mut out = String::new();
+            loop {
+                match self.peek() {
+                    None => return Err("unterminated string".into()),
+                    Some(b'"') => {
+                        self.pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        self.pos += 1;
+                        let esc = self.peek().ok_or("unterminated escape")?;
+                        self.pos += 1;
+                        match esc {
+                            b'"' => out.push('"'),
+                            b'\\' => out.push('\\'),
+                            b'/' => out.push('/'),
+                            b'n' => out.push('\n'),
+                            b'r' => out.push('\r'),
+                            b't' => out.push('\t'),
+                            b'b' => out.push('\u{8}'),
+                            b'f' => out.push('\u{c}'),
+                            b'u' => {
+                                let code = self
+                                    .text
+                                    .get(self.pos..self.pos + 4)
+                                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                    .ok_or("bad \\u escape")?;
+                                self.pos += 4;
+                                out.push(
+                                    char::from_u32(code)
+                                        .ok_or("surrogate \\u escape unsupported")?,
+                                );
+                            }
+                            other => return Err(format!("bad escape '\\{}'", other as char)),
+                        }
+                    }
+                    Some(_) => {
+                        // Copy one UTF-8 scalar, not one byte: `pos` only
+                        // ever advances by whole scalars, so it is a char
+                        // boundary here.
+                        let c = self.text[self.pos..]
+                            .chars()
+                            .next()
+                            .ok_or("unterminated string")?;
+                        out.push(c);
+                        self.pos += c.len_utf8();
+                    }
+                }
+            }
+        }
+
+        fn number(&mut self) -> Result<Json, String> {
+            let start = self.pos;
+            while let Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') = self.peek() {
+                self.pos += 1;
+            }
+            let text = &self.text[start..self.pos];
+            text.parse::<f64>()
+                .map(Json::Num)
+                .map_err(|_| format!("bad number '{text}' at offset {start}"))
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn parses_nested_arrays_and_literals() {
+            let v = parse("{\"a\":[1,2.5,true,null,\"x\"],\"b\":{\"c\":-3e2}}").expect("parses");
+            assert_eq!(
+                v.get("a"),
+                Some(&Json::Array(vec![
+                    Json::Num(1.0),
+                    Json::Num(2.5),
+                    Json::Bool(true),
+                    Json::Null,
+                    Json::Str("x".into()),
+                ]))
+            );
+            assert_eq!(
+                v.get("b").and_then(|b| b.get("c")),
+                Some(&Json::Num(-300.0))
+            );
+            assert!(parse("{\"a\":}").is_err());
+            assert!(parse("{} trailing").is_err());
+            assert!(parse("[1,2] trailing").is_err());
+        }
+
+        #[test]
+        fn resolves_string_escapes() {
+            assert_eq!(
+                parse("\"s\\n\\t\\\"\\u00e9é\"").unwrap(),
+                Json::Str("s\n\t\"éé".into())
+            );
+            assert!(parse("\"\\q\"").is_err());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

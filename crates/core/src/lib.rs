@@ -64,6 +64,7 @@ pub mod ds;
 pub mod error;
 pub mod histo;
 pub mod infer;
+pub mod json;
 pub mod marginal;
 pub mod model;
 #[cfg(feature = "obs")]

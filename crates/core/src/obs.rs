@@ -31,6 +31,7 @@
 //! Everything is `std`-only, in keeping with the workspace's
 //! vendored-shim constraint.
 
+use crate::json::json_escape;
 use crate::trace::SpanRecord;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
@@ -456,25 +457,6 @@ impl Sink for MemorySink {
                 span: span.clone(),
             });
     }
-}
-
-/// Escapes `s` for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders a float as JSON (JSON has no NaN/Infinity; they are exported
@@ -1143,11 +1125,6 @@ mod tests {
         // Sinks without a span override silently ignore spans.
         let noop: &dyn Sink = &NoopSink;
         noop.span(Some("PF"), &span);
-    }
-
-    #[test]
-    fn json_escape_handles_control_characters() {
-        assert_eq!(json_escape("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! test suite asserts the table stays total.
 
 use crate::error::{LangError, Pos, Stage};
+use probzelus_core::json::json_escape;
 use std::fmt;
 
 /// A diagnostic code, displayed as `PZ0xxx`.
@@ -518,23 +519,6 @@ pub fn explain(code: Code) -> Option<&'static str> {
         }
         _ => return None,
     })
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control characters).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
