@@ -838,7 +838,7 @@ impl<M: Model> Infer<M> {
         self.particles = (0..self.num_particles)
             .map(|_| self.blank_particle())
             .collect();
-        self.spare.clear();
+        self.spare = Vec::new();
         self.steps = 0;
         self.last_ess = self.num_particles as f64;
         self.resample_stats = ResampleStats::default();
@@ -1666,8 +1666,9 @@ impl<M: Model> Infer<M> {
     /// accumulated weights (uniform if the cloud just resampled or has
     /// collapsed), and survivors restart unweighted exactly like an
     /// ordinary resample — so the pass composes with both
-    /// [`ResampleStrategy`] variants and every [`RecoveryPolicy`]. Under `Method::Importance` a resize is the one
-    /// event that discards accumulated weights (it *is* a resample).
+    /// [`ResampleStrategy`] variants and every [`RecoveryPolicy`]. Under
+    /// `Method::Importance` a resize is the one event that discards
+    /// accumulated weights (it *is* a resample).
     fn resize_cloud(&mut self, target: usize, generation: u64) {
         let n = self.num_particles;
         if target == n || target == 0 {
