@@ -3,6 +3,9 @@
 //! recovery, retry-budget exhaustion, and — under the `chaos` feature —
 //! 500-tick runs of every engine through the fault-injection harness.
 
+mod common;
+
+use common::fnv1a;
 use probzelus::core::infer::{Infer, Method};
 use probzelus::core::model::Model;
 use probzelus::core::prob::ProbCtx;
@@ -240,6 +243,11 @@ fn skip_observation_rolls_back_and_reports_skipped() {
     }
 }
 
+/// FNV-1a hash of the posterior-mean bits and the total skip count of the
+/// run below, recorded before the clone-everything resampler was removed.
+const SKIP_STREAM_HASH: u64 = 0x783f_a1fe_0bb4_fd8b;
+const SKIP_COUNT: usize = 475;
+
 /// The `SkipObservation` rollback snapshot is taken before particles are
 /// stepped — and therefore before the resampler moves (rather than
 /// clones) survivors into the next cloud — so the chaos rollback path
@@ -278,6 +286,11 @@ fn skip_observation_composes_with_clone_minimal_resampling() {
     assert_eq!(minimal, all, "SkipObservation diverged across strategies");
     assert_eq!(skipped_minimal, skipped_all);
     assert!(skipped_minimal > 0, "schedule injected no skipped faults");
+    assert_eq!(
+        (fnv1a(minimal.iter().copied()), skipped_minimal),
+        (SKIP_STREAM_HASH, SKIP_COUNT),
+        "SkipObservation stream moved"
+    );
 }
 
 #[test]

@@ -2,20 +2,27 @@
 //! against checked-in posterior digests.
 //!
 //! Two halves, because DSL engines hold `Rc`s and cannot cross threads:
-//! every probabilistic `examples/zelus/` program runs through every
-//! method × golden seed sequentially and must reproduce its digest in
-//! `tests/fixtures/posterior_digests.txt` (per-tick posterior bits plus
-//! the final resampling counters), while the worker-count axis
+//! every probabilistic `examples/zelus/` program, and the native Kalman
+//! model, runs through every method × golden seed sequentially and must
+//! reproduce its digest in `tests/fixtures/posterior_digests.txt`
+//! (per-tick posterior bits plus the final resampling counters), while
+//! the worker-count axis
 //! (sequential vs `Threads(3)`) is exercised on the native benchmark
 //! models, which are `Send`. Any drift here is a bug, never an acceptable
 //! approximation.
 
+mod common;
+
+use common::fnv1a;
+use probzelus::core::adaptive::DeadlineConfig;
 use probzelus::core::infer::{Infer, Parallelism, ResampleStats};
 use probzelus::core::{Method, Value};
 use probzelus::lang::{compile_source, MufEngine, Options};
 use probzelus::models::{generate_coin, generate_kalman, Coin, Kalman};
 
 const SEEDS: [u64; 2] = [0xA11CE, 0xB0B5EED];
+/// The golden seeds of the native Kalman digest rows.
+const NATIVE_SEEDS: [u64; 4] = [0xD5_CAFE, 1, 0x5eed_0005, 0xfeed_beef];
 const PARTICLES: usize = 40;
 const STEPS: usize = 60;
 
@@ -97,24 +104,10 @@ fn dsl_trace(
 /// example × golden seed.
 const DIGESTS: &str = include_str!("fixtures/posterior_digests.txt");
 
-/// FNV-1a over little-endian words: a fixed, std-independent hash, so
-/// the fixture does not move with the toolchain.
-fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// One fixture line: the run's coordinates, a hash of every tick's
 /// `(mean, variance)` bits and the final resampling counters, and the
 /// counters themselves in the clear.
-fn digest_line(file: &str, node: &str, method: Method, seed: u64, inputs: &[Value]) -> String {
-    let (trace, s) = dsl_trace(file, node, method, seed, inputs);
+fn digest_line(coords: &str, (trace, s): (Vec<(u64, u64)>, ResampleStats)) -> String {
     let words = trace.iter().flat_map(|&(m, v)| [m, v]).chain([
         s.passes,
         s.clones,
@@ -122,7 +115,7 @@ fn digest_line(file: &str, node: &str, method: Method, seed: u64, inputs: &[Valu
         s.dropped,
     ]);
     format!(
-        "{file} {node} {method} {seed:#x} {:016x} passes={} clones={} avoided={} dropped={}",
+        "{coords} {:016x} passes={} clones={} avoided={} dropped={}",
         fnv1a(words),
         s.passes,
         s.clones,
@@ -131,19 +124,58 @@ fn digest_line(file: &str, node: &str, method: Method, seed: u64, inputs: &[Valu
     )
 }
 
-/// Every method × probabilistic example × golden seed reproduces its
-/// checked-in digest: the posterior stream has not moved by a bit.
+/// Every method × probabilistic example × golden seed, then every method
+/// × native golden seed on the Kalman model, plus one deadline-resized
+/// particle-filter run, reproduces its checked-in digest: the posterior
+/// stream has not moved by a bit.
 #[test]
 fn posteriors_match_checked_in_digests() {
-    let mut actual = String::new();
+    let mut lines = Vec::new();
     for (file, node, inputs) in prob_examples() {
         for method in Method::ALL {
             for seed in SEEDS {
-                actual.push_str(&digest_line(file, node, method, seed, &inputs));
-                actual.push('\n');
+                let trace = dsl_trace(file, node, method, seed, &inputs);
+                lines.push(digest_line(
+                    &format!("{file} {node} {method} {seed:#x}"),
+                    trace,
+                ));
             }
         }
     }
+    let kalman = generate_kalman(13, STEPS);
+    for method in Method::ALL {
+        for seed in NATIVE_SEEDS {
+            let trace = native_trace(
+                method,
+                seed,
+                Parallelism::Sequential,
+                Kalman::default(),
+                &kalman.obs,
+            );
+            lines.push(digest_line(
+                &format!("native Kalman {method} {seed:#x}"),
+                trace,
+            ));
+        }
+    }
+    // Every tick misses a negative budget, so the controller's shrink
+    // ladder — and with it the resize pass — unrolls the same way on any
+    // machine.
+    let mut cfg = DeadlineConfig::new(-1.0);
+    cfg.floor = 7;
+    cfg.window = 4;
+    cfg.cooldown = 2;
+    let seed = NATIVE_SEEDS[0];
+    let engine = Infer::with_seed(Method::ParticleFilter, PARTICLES, Kalman::default(), seed)
+        .with_deadline(cfg);
+    lines.push(digest_line(
+        &format!(
+            "native Kalman+deadline {} {seed:#x}",
+            Method::ParticleFilter
+        ),
+        engine_trace(engine, &kalman.obs),
+    ));
+    let actual = lines.join("\n") + "\n";
     let expected: Vec<&str> = DIGESTS
         .lines()
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
@@ -155,23 +187,37 @@ fn posteriors_match_checked_in_digests() {
     );
 }
 
+/// A native engine's posterior trace as raw `(mean, variance)` bit
+/// patterns plus its final resampling counters.
+fn engine_trace<M, I>(mut engine: Infer<M>, inputs: &[I]) -> (Vec<(u64, u64)>, ResampleStats)
+where
+    M: probzelus::core::model::Model<Input = I>,
+{
+    let trace = inputs
+        .iter()
+        .map(|y| {
+            let post = engine.step(y).expect("step");
+            (post.mean_float().to_bits(), post.variance_float().to_bits())
+        })
+        .collect();
+    (trace, engine.resample_stats())
+}
+
 fn native_trace<M, I>(
     method: Method,
     seed: u64,
     workers: Parallelism,
     model: M,
     inputs: &[I],
-) -> (Vec<u64>, ResampleStats)
+) -> (Vec<(u64, u64)>, ResampleStats)
 where
     M: probzelus::core::model::Model<Input = I> + Send + Clone,
     I: Sync,
 {
-    let mut engine = Infer::with_seed(method, PARTICLES, model, seed).with_parallelism(workers);
-    let trace = inputs
-        .iter()
-        .map(|y| engine.step(y).expect("step").mean_float().to_bits())
-        .collect();
-    (trace, engine.resample_stats())
+    engine_trace(
+        Infer::with_seed(method, PARTICLES, model, seed).with_parallelism(workers),
+        inputs,
+    )
 }
 
 /// The worker-count axis (DSL engines are single-threaded, so this runs on
@@ -216,19 +262,16 @@ mod tracing_equiv {
         seed: u64,
         workers: Parallelism,
         inputs: &[f64],
-    ) -> (Vec<u64>, Vec<SpanKey>) {
+    ) -> (Vec<(u64, u64)>, Vec<SpanKey>) {
         let sink = Arc::new(MemorySink::new());
         let black_box = std::env::temp_dir().join(format!(
             "pz_worker_equiv_bb_{method}_{seed:x}_{workers:?}.jsonl"
         ));
-        let mut engine = Infer::with_seed(method, PARTICLES, Kalman::default(), seed)
+        let engine = Infer::with_seed(method, PARTICLES, Kalman::default(), seed)
             .with_parallelism(workers)
             .with_obs(Obs::to(sink.clone()))
             .with_black_box(&black_box);
-        let trace = inputs
-            .iter()
-            .map(|y| engine.step(y).expect("step").mean_float().to_bits())
-            .collect();
+        let (trace, _) = engine_trace(engine, inputs);
         std::fs::remove_file(&black_box).ok();
         let spans = sink
             .spans()
