@@ -8,7 +8,6 @@
 //!
 //! ```text
 //! perfbench [--quick] [--label NAME] [--out PATH] [--fresh]
-//!           [--strategy clone-minimal|clone-all]
 //! perfbench --dsl [--backend interp|tape|both]
 //!                            # DSL hmm.zl + robot.zl: unopt vs opt µF
 //!                            # interpreter vs compiled instruction tape
@@ -39,7 +38,7 @@ use probzelus::models::{generate_kalman, Kalman};
 use probzelus::robot::{GpsAccTracker, TrackerInput};
 use probzelus_bench::json::{self, Json};
 use probzelus_bench::DATA_SEED;
-use probzelus_core::infer::{Infer, Method, ResampleStrategy};
+use probzelus_core::infer::{Infer, Method};
 use probzelus_core::json::json_escape;
 use probzelus_core::model::Model;
 use probzelus_core::LogHistogram;
@@ -51,10 +50,10 @@ const ENGINE_SEED: u64 = 0xbe_a5;
 /// Keys a trajectory entry may carry, in emission order. `--check`
 /// enforces this exact set: the schema is closed, so a new field is a
 /// deliberate schema bump, not drift. Fields in [`OPTIONAL`] may be
-/// absent — `layout` appears only on the history rows written while the
-/// engine had a particle-layout knob, and only deadline-harness rows
-/// carry the `deadline_*` pair — so the trajectory file stays
-/// append-only.
+/// absent — `strategy` and `layout` appear only on the history rows
+/// written while the engine had resampling-strategy and particle-layout
+/// knobs, and only deadline-harness rows carry the `deadline_*` pair — so
+/// the trajectory file stays append-only.
 const SCHEMA: [(&str, Kind); 17] = [
     ("label", Kind::Str),
     ("bench", Kind::Str),
@@ -77,7 +76,7 @@ const SCHEMA: [(&str, Kind); 17] = [
 
 /// Schema fields an entry may omit. Present fields must still appear in
 /// schema order with the schema type.
-const OPTIONAL: [&str; 3] = ["layout", "deadline_ms", "deadline_misses"];
+const OPTIONAL: [&str; 4] = ["strategy", "layout", "deadline_ms", "deadline_misses"];
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
@@ -89,7 +88,6 @@ struct Entry {
     label: String,
     bench: &'static str,
     method: Method,
-    strategy: ResampleStrategy,
     particles: usize,
     ticks: usize,
     ticks_per_sec: f64,
@@ -107,13 +105,8 @@ struct Entry {
 
 impl Entry {
     fn to_json(&self) -> String {
-        let strategy = match self.strategy {
-            ResampleStrategy::CloneMinimal => "clone-minimal",
-            ResampleStrategy::CloneAll => "clone-all",
-        };
         let mut out = format!(
             "{{\"label\":\"{label}\",\"bench\":\"{bench}\",\"method\":\"{method}\",\
-             \"strategy\":\"{strategy}\",\
              \"particles\":{particles},\"ticks\":{ticks},\
              \"data_seed\":{data_seed},\"engine_seed\":{engine_seed},\
              \"ticks_per_sec\":{tps:?},\"p50_ms\":{p50:?},\"p99_ms\":{p99:?},\
@@ -144,18 +137,15 @@ impl Entry {
 }
 
 /// Drives one engine over a fixed input stream and measures the step loop.
-#[allow(clippy::too_many_arguments)]
 fn drive<M: Model>(
     template: M,
     inputs: &[M::Input],
     bench: &'static str,
     method: Method,
-    strategy: ResampleStrategy,
     particles: usize,
     label: &str,
 ) -> Entry {
-    let mut engine =
-        Infer::with_seed(method, particles, template, ENGINE_SEED).with_resample_strategy(strategy);
+    let mut engine = Infer::with_seed(method, particles, template, ENGINE_SEED);
     // The shared log-bucketed histogram (`LogHistogram`) is the one
     // quantile implementation workspace-wide; reported quantiles are
     // bucket lower bounds.
@@ -176,7 +166,6 @@ fn drive<M: Model>(
         label: label.to_owned(),
         bench,
         method,
-        strategy,
         particles,
         ticks: inputs.len(),
         ticks_per_sec: inputs.len() as f64 / wall,
@@ -203,7 +192,7 @@ fn robot_inputs(steps: usize) -> Vec<TrackerInput> {
         .collect()
 }
 
-fn run_suite(quick: bool, strategy: ResampleStrategy, label: &str) -> Vec<Entry> {
+fn run_suite(quick: bool, label: &str) -> Vec<Entry> {
     let (ticks, particles) = if quick { (200, 32) } else { (1_000, 100) };
     let methods = [
         Method::ParticleFilter,
@@ -219,7 +208,6 @@ fn run_suite(quick: bool, strategy: ResampleStrategy, label: &str) -> Vec<Entry>
             &hmm.obs,
             "hmm",
             method,
-            strategy,
             particles,
             label,
         ));
@@ -228,7 +216,6 @@ fn run_suite(quick: bool, strategy: ResampleStrategy, label: &str) -> Vec<Entry>
             &robot,
             "robot",
             method,
-            strategy,
             particles,
             label,
         ));
@@ -309,7 +296,6 @@ fn drive_dsl(
         label,
         bench,
         method,
-        strategy: ResampleStrategy::CloneMinimal,
         particles,
         ticks: inputs.len(),
         ticks_per_sec: inputs.len() as f64 / wall,
@@ -676,7 +662,7 @@ mod deadline {
     use probzelus_bench::DATA_SEED;
     use probzelus_core::adaptive::{DeadlineConfig, DecisionTrace};
     use probzelus_core::chaos::{busy_spin, ChaosFault, ChaosModel};
-    use probzelus_core::infer::{Infer, Method, ResampleStrategy};
+    use probzelus_core::infer::{Infer, Method};
     use probzelus_core::model::Model;
     use std::time::Instant;
 
@@ -814,7 +800,6 @@ mod deadline {
                 label,
                 bench,
                 method: Method::StreamingDs,
-                strategy: ResampleStrategy::CloneMinimal,
                 particles,
                 ticks: inputs.len(),
                 ticks_per_sec: inputs.len() as f64 / wall,
@@ -962,7 +947,6 @@ mod deadline {
 }
 
 const USAGE: &str = "usage: perfbench [--quick] [--label NAME] [--out PATH] [--fresh]
-                 [--strategy clone-minimal|clone-all]
        perfbench --dsl [--backend interp|tape|both]
                                   # hmm.zl + robot.zl via the DSL pipeline:
                                   # unoptimized vs optimized interpreter vs
@@ -992,7 +976,6 @@ struct Cli {
     dsl: bool,
     label: String,
     out: String,
-    strategy: ResampleStrategy,
     backend: BackendSel,
     check: Option<String>,
     compare: Option<(String, String)>,
@@ -1010,7 +993,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         dsl: false,
         label: String::from("run"),
         out: String::from("BENCH_step_latency.json"),
-        strategy: ResampleStrategy::CloneMinimal,
         backend: BackendSel::Both,
         check: None,
         compare: None,
@@ -1075,13 +1057,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                             })?,
                     )
                 });
-            }
-            "--strategy" => {
-                cli.strategy = match take()?.as_str() {
-                    "clone-minimal" => ResampleStrategy::CloneMinimal,
-                    "clone-all" => ResampleStrategy::CloneAll,
-                    other => return Err(format!("unknown strategy '{other}'")),
-                }
             }
             other => return Err(format!("unknown argument '{other}'")),
         }
@@ -1165,7 +1140,7 @@ fn main() {
     let rows = if cli.dsl {
         run_dsl_suite(cli.quick, &cli.label, cli.backend)
     } else {
-        run_suite(cli.quick, cli.strategy, &cli.label)
+        run_suite(cli.quick, &cli.label)
     };
     for entry in rows {
         println!(
@@ -1195,7 +1170,7 @@ mod tests {
 
     #[test]
     fn emitted_entries_satisfy_the_closed_schema() {
-        for entry in run_suite(true, ResampleStrategy::CloneMinimal, "test") {
+        for entry in run_suite(true, "test") {
             check_entry(&entry.to_json()).expect("schema-valid");
         }
     }
@@ -1249,7 +1224,7 @@ mod tests {
 
     #[test]
     fn schema_rejects_missing_and_extra_fields() {
-        let good = run_suite(true, ResampleStrategy::CloneAll, "t")[0].to_json();
+        let good = run_suite(true, "t")[0].to_json();
         check_entry(&good).unwrap();
         let missing = good.replacen("\"bench\":\"hmm\",", "", 1);
         assert!(check_entry(&missing).is_err());
@@ -1260,19 +1235,25 @@ mod tests {
     }
 
     #[test]
-    fn schema_accepts_rows_with_and_without_layout() {
-        // New rows carry no layout; history rows written while the engine
-        // had a particle-layout knob carry one, and must keep validating.
-        let good = run_suite(true, ResampleStrategy::CloneMinimal, "t")[0].to_json();
+    fn schema_accepts_rows_with_and_without_strategy_and_layout() {
+        // New rows carry neither field; history rows written while the
+        // engine had those knobs carry them, and must keep validating.
+        let good = run_suite(true, "t")[0].to_json();
+        assert!(!good.contains("\"strategy\""), "new rows carry no strategy");
         assert!(!good.contains("\"layout\""), "new rows carry no layout");
-        check_entry(&good).expect("row without layout validates");
-        let historic = good.replacen(
+        check_entry(&good).expect("row without strategy or layout validates");
+        for knobs in [
             "\"strategy\":\"clone-minimal\",",
             "\"strategy\":\"clone-minimal\",\"layout\":\"aos\",",
-            1,
-        );
-        assert_ne!(historic, good, "strategy field was not present to extend");
-        check_entry(&historic).expect("historic row with layout validates");
+        ] {
+            let historic = good.replacen(
+                "\"method\":\"PF\",",
+                &format!("\"method\":\"PF\",{knobs}"),
+                1,
+            );
+            assert_ne!(historic, good, "method field was not present to extend");
+            check_entry(&historic).expect("historic row validates");
+        }
         // But a row with a field missing is still rejected.
         let broken = good.replacen("\"bench\":\"hmm\",", "", 1);
         assert!(check_entry(&broken).is_err());
@@ -1289,7 +1270,6 @@ mod tests {
             "--check",
             "--compare",
             "--backend",
-            "--strategy",
             "--deadline",
             "--floor",
             "--trace-out",
@@ -1301,8 +1281,6 @@ mod tests {
         // --compare wants two labels, not one.
         let err = parse_args(&args(&["--compare", "a"])).unwrap_err();
         assert!(err.contains("needs a value"), "{err}");
-        let err = parse_args(&args(&["--strategy", "psychic"])).unwrap_err();
-        assert!(err.contains("unknown strategy"), "{err}");
         let err = parse_args(&args(&["--backend", "jit"])).unwrap_err();
         assert!(err.contains("unknown backend"), "{err}");
         let err = parse_args(&args(&["--deadline", "-3"])).unwrap_err();
@@ -1320,8 +1298,6 @@ mod tests {
             "l",
             "--out",
             "o.json",
-            "--strategy",
-            "clone-all",
             "--backend",
             "tape",
             "--compare",
@@ -1343,7 +1319,6 @@ mod tests {
         let cli = parse_args(&args).unwrap();
         assert!(cli.quick && cli.fresh && cli.assert_improves);
         assert_eq!(cli.label, "l");
-        assert_eq!(cli.strategy, ResampleStrategy::CloneAll);
         assert_eq!(cli.backend, BackendSel::Tape);
         assert_eq!(cli.compare, Some(("x".into(), "y".into())));
         assert_eq!(cli.deadline, Some(DeadlineSpec::Auto));
@@ -1356,7 +1331,7 @@ mod tests {
 
     #[test]
     fn schema_accepts_deadline_rows_and_rejects_a_lone_half_of_the_pair() {
-        let mut entry = run_suite(true, ResampleStrategy::CloneMinimal, "d").remove(0);
+        let mut entry = run_suite(true, "d").remove(0);
         entry.deadline_ms = Some(1.5);
         entry.deadline_misses = Some(7);
         let row = entry.to_json();
@@ -1380,24 +1355,5 @@ mod tests {
         let entries = vec!["{\"a\":1}".to_owned(), "{\"b\":2}".to_owned()];
         assert_eq!(read_entries(&render(&entries)).unwrap(), entries);
         assert_eq!(read_entries("[\n]\n").unwrap(), Vec::<String>::new());
-    }
-
-    #[test]
-    fn clone_minimal_and_clone_all_agree_on_the_posterior() {
-        // The determinism witness the JSON rows rely on: strategies differ
-        // only in cost, never in the posterior.
-        let minimal = run_suite(true, ResampleStrategy::CloneMinimal, "a");
-        let all = run_suite(true, ResampleStrategy::CloneAll, "b");
-        for (m, a) in minimal.iter().zip(&all) {
-            assert_eq!(
-                m.posterior_mean_final.to_bits(),
-                a.posterior_mean_final.to_bits(),
-                "{}/{} diverged across strategies",
-                m.bench,
-                m.method
-            );
-            assert!(m.clones_avoided > 0);
-            assert_eq!(a.clones_avoided, 0);
-        }
     }
 }

@@ -135,30 +135,6 @@ pub enum ResamplePolicy {
     Never,
 }
 
-/// How the resampling pass materializes the next particle cloud.
-///
-/// Both strategies produce bit-for-bit identical posterior streams for a
-/// given seed: systematic resampling emits its ancestor indices in
-/// nondecreasing order, so laying out `offspring[i]` copies of particle
-/// `i` for ascending `i` (the clone-minimal pass) reproduces exactly the
-/// slot order of cloning every selected ancestor. The strategy is purely
-/// a cost knob, which is why the old behavior survives as an explicit
-/// variant for A/B regression tests and perf baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ResampleStrategy {
-    /// Move each surviving ancestor into one of its offspring slots and
-    /// deep-clone only the remaining `count - 1` duplicates; dead
-    /// particles are dropped in place so their heap becomes immediately
-    /// reusable by the clones. A typical tick pays ~`N - ESS`-ish clones
-    /// instead of `N`. The default.
-    #[default]
-    CloneMinimal,
-    /// Deep-clone every selected ancestor (model + delayed-sampling
-    /// graph), `N` clones per pass — the original behavior, kept as the
-    /// reference for determinism tests and as the perf baseline.
-    CloneAll,
-}
-
 /// Cumulative resampling-work counters, queryable via
 /// [`Infer::resample_stats`]. These are plain `u64` increments on the
 /// coordinator, cheap enough to track unconditionally (no `obs` feature
@@ -171,8 +147,9 @@ pub struct ResampleStats {
     /// Deep particle clones performed (model state plus delayed-sampling
     /// graph).
     pub clones: u64,
-    /// Clones avoided relative to the clone-everything baseline — one per
-    /// surviving ancestor that was moved into its slot instead of cloned.
+    /// Surviving ancestors moved into one of their slots instead of
+    /// cloned — one per ancestor with at least one offspring, so
+    /// `clones + clones_avoided` is the number of slots filled.
     pub clones_avoided: u64,
     /// Dead particles dropped in place (no offspring).
     pub dropped: u64,
@@ -238,31 +215,15 @@ struct Particle<M> {
     log_w: f64,
 }
 
-/// The clone-everything resampling pass: the new cloud is one deep clone
-/// of each selected ancestor, so it has `ancestors.len()` particles —
-/// equal to the old count on an ordinary pass, different on a
-/// deadline-driven resize.
-fn resample_clone_all<M: Clone>(
-    particles: &mut Vec<Particle<M>>,
-    ancestors: &[usize],
-    stats: &mut ResampleStats,
-) {
-    let mut next = Vec::with_capacity(ancestors.len());
-    for &a in ancestors {
-        let mut p = particles[a].clone();
-        p.log_w = 0.0;
-        next.push(p);
-    }
-    *particles = next;
-    stats.clones += ancestors.len() as u64;
-}
-
-/// The clone-minimal resampling pass. `offspring[i]` holds particle `i`'s
-/// offspring count from a nondecreasing ancestor sweep, so laying out the
-/// copies in ascending `i` reproduces exactly the slot order of
-/// [`resample_clone_all`]. `target` is the offspring sum — the new cloud
-/// size. `spare` is the retired-particle buffer ping-ponged with
-/// `particles`; it is empty again (capacity kept) when the pass returns.
+/// The resampling pass. `offspring[i]` holds particle `i`'s offspring
+/// count from a nondecreasing ancestor sweep `ancestors`, so laying out
+/// the copies in ascending `i` leaves slot `j` holding ancestor
+/// `ancestors[j]`. Each surviving ancestor is moved into its last slot
+/// and only its other `offspring[i] - 1` copies are deep clones; dead
+/// particles are dropped in place, so their heap is reusable by the
+/// clones. `target` is the offspring sum — the new cloud size. `spare`
+/// is the retired-particle buffer ping-ponged with `particles`; it is
+/// empty again (capacity kept) when the pass returns.
 fn resample_clone_minimal<M: Clone>(
     particles: &mut Vec<Particle<M>>,
     spare: &mut Vec<Particle<M>>,
@@ -372,7 +333,6 @@ pub struct Infer<M: Model> {
     steps: u64,
     last_ess: f64,
     resample: ResamplePolicy,
-    strategy: ResampleStrategy,
     /// Cumulative resampling-work counters (reset by [`Infer::reset`]).
     resample_stats: ResampleStats,
     /// Per-tick numeric scratch, reused across steps.
@@ -433,7 +393,6 @@ impl<M: Model> Clone for Infer<M> {
             steps: self.steps,
             last_ess: self.last_ess,
             resample: self.resample,
-            strategy: self.strategy,
             resample_stats: self.resample_stats,
             // Scratch contents are strictly per-tick, so the clone copies
             // only the capacity hints: its first step allocates nothing,
@@ -494,7 +453,6 @@ impl<M: Model> Infer<M> {
             } else {
                 ResamplePolicy::Never
             },
-            strategy: ResampleStrategy::default(),
             resample_stats: ResampleStats::default(),
             scratch: StepScratch::default(),
             parallelism: Parallelism::Sequential,
@@ -552,11 +510,6 @@ impl<M: Model> Infer<M> {
     /// The active resampling policy.
     pub fn resample_policy(&self) -> ResamplePolicy {
         self.resample
-    }
-
-    /// The active resampling strategy.
-    pub fn resample_strategy(&self) -> ResampleStrategy {
-        self.strategy
     }
 
     /// Cumulative resampling-work counters since construction or the
@@ -722,9 +675,9 @@ impl<M: Model> Infer<M> {
     /// recorded [`DecisionTrace`] a faithful replay artifact: see
     /// [`Infer::with_decision_replay`].
     ///
-    /// Attach the deadline after the other builder knobs (resample
-    /// policy, strategy); it captures the current policy as the one to
-    /// restore. Replaces any previously attached deadline state.
+    /// Attach the deadline after the resample-policy builder; it
+    /// captures the current policy as the one to restore. Replaces any
+    /// previously attached deadline state.
     ///
     /// # Panics
     ///
@@ -809,17 +762,6 @@ impl<M: Model> Infer<M> {
             }
             _ => false,
         }
-    }
-
-    /// Selects how the resampling pass materializes the next cloud
-    /// (builder style). The default, [`ResampleStrategy::CloneMinimal`],
-    /// is bit-for-bit equivalent to [`ResampleStrategy::CloneAll`] for
-    /// any seed — see [`ResampleStrategy`] for the argument — so this
-    /// knob exists for A/B regression tests and perf baselines, not for
-    /// semantics.
-    pub fn with_resample_strategy(mut self, strategy: ResampleStrategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Discards all inference state and restarts from the initial model.
@@ -1665,8 +1607,8 @@ impl<M: Model> Infer<M> {
     /// ([`rngstream::resize_rng`]). Selection respects the current
     /// accumulated weights (uniform if the cloud just resampled or has
     /// collapsed), and survivors restart unweighted exactly like an
-    /// ordinary resample — so the pass composes with both
-    /// [`ResampleStrategy`] variants and every [`RecoveryPolicy`]. Under
+    /// ordinary resample — so the pass composes with every
+    /// [`RecoveryPolicy`]. Under
     /// `Method::Importance` a resize is the one event that discards
     /// accumulated weights (it *is* a resample).
     fn resize_cloud(&mut self, target: usize, generation: u64) {
@@ -1692,10 +1634,10 @@ impl<M: Model> Infer<M> {
     }
 
     /// One systematic resampling pass over `scratch.weights`: draws
-    /// `target` ancestors from `rng` and rebuilds the cloud from them per
-    /// the [`ResampleStrategy`], survivors restarting unweighted. `target`
-    /// is the current cloud size on an ordinary pass and the new size on
-    /// a deadline-driven resize.
+    /// `target` ancestors from `rng` and rebuilds the cloud so that slot
+    /// `j` holds ancestor `ancestors[j]`, survivors restarting unweighted.
+    /// `target` is the current cloud size on an ordinary pass and the new
+    /// size on a deadline-driven resize.
     fn resample_pass(&mut self, rng: &mut SmallRng, target: usize) {
         let StepScratch {
             weights,
@@ -1705,31 +1647,22 @@ impl<M: Model> Infer<M> {
         } = &mut self.scratch;
         stats::systematic_resample_into(rng, weights, target, ancestors);
         self.resample_stats.passes += 1;
-        match self.strategy {
-            ResampleStrategy::CloneAll => {
-                resample_clone_all(&mut self.particles, ancestors, &mut self.resample_stats);
-            }
-            ResampleStrategy::CloneMinimal => {
-                offspring.clear();
-                offspring.resize(self.particles.len(), 0);
-                for &a in ancestors.iter() {
-                    offspring[a] += 1;
-                }
-                // The systematic sweep emits nondecreasing ancestor
-                // indices, so laying out `offspring[i]` copies of particle
-                // `i` for ascending `i` reproduces exactly the slot order
-                // the clone-everything pass builds — which is what keeps
-                // the posterior stream bit-identical across strategies.
-                debug_assert!(ancestors.windows(2).all(|w| w[0] <= w[1]));
-                resample_clone_minimal(
-                    &mut self.particles,
-                    &mut self.spare,
-                    offspring,
-                    target,
-                    &mut self.resample_stats,
-                );
-            }
+        offspring.clear();
+        offspring.resize(self.particles.len(), 0);
+        for &a in ancestors.iter() {
+            offspring[a] += 1;
         }
+        // The systematic sweep emits nondecreasing ancestor indices, so
+        // laying out `offspring[i]` copies of particle `i` for ascending
+        // `i` puts ancestor `ancestors[j]` in slot `j`.
+        debug_assert!(ancestors.windows(2).all(|w| w[0] <= w[1]));
+        resample_clone_minimal(
+            &mut self.particles,
+            &mut self.spare,
+            offspring,
+            target,
+            &mut self.resample_stats,
+        );
     }
 
     /// Runs the engine over a whole input sequence, collecting the
@@ -2363,17 +2296,43 @@ mod tests {
         assert!(e.num_particles() < 30);
     }
 
-    #[test]
-    fn deadline_resize_composes_with_clone_all_strategy() {
-        let obs: Vec<f64> = (0..50).map(|i| (i as f64 * 0.25).sin()).collect();
-        let mut e = Infer::with_seed(Method::ParticleFilter, 24, Kalman::default(), 9)
-            .with_resample_strategy(ResampleStrategy::CloneAll)
-            .with_deadline(impossible_deadline(4));
-        for y in &obs {
-            let p = e.step(y).unwrap();
-            assert!(p.mean_float().is_finite());
-            assert!(e.num_particles() >= 4);
+    proptest::proptest! {
+        /// Slot-layout oracle for the resampling pass, independent of the
+        /// engine: on particles tagged with their index, slot `j` holds
+        /// `tag[ancestors[j]]` for random weights and for targets below,
+        /// at and above the cloud size. Every slot is either a moved
+        /// survivor or a clone, and every ancestor is moved or dropped.
+        #[test]
+        fn resample_pass_puts_ancestor_j_in_slot_j(
+            weights in proptest::collection::vec(0.0f64..1.0, 1..48),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::SeedableRng;
+            let n = weights.len();
+            let tags: Vec<usize> = (0..n).collect();
+            for target in [n.div_ceil(2), n, 2 * n + 1] {
+                let mut ancestors = Vec::new();
+                let mut rng = SmallRng::seed_from_u64(seed);
+                stats::systematic_resample_into(&mut rng, &weights, target, &mut ancestors);
+                let mut offspring = vec![0u32; n];
+                for &a in &ancestors {
+                    offspring[a] += 1;
+                }
+                let mut particles: Vec<Particle<usize>> = tags
+                    .iter()
+                    .map(|&tag| Particle { model: tag, graph: None, log_w: -1.0 })
+                    .collect();
+                let mut spare = Vec::new();
+                let mut rs = ResampleStats::default();
+                resample_clone_minimal(&mut particles, &mut spare, &offspring, target, &mut rs);
+                let slots: Vec<usize> = particles.iter().map(|p| p.model).collect();
+                let expected: Vec<usize> = ancestors.iter().map(|&a| tags[a]).collect();
+                proptest::prop_assert_eq!(slots, expected);
+                proptest::prop_assert!(particles.iter().all(|p| p.log_w == 0.0));
+                proptest::prop_assert!(spare.is_empty());
+                proptest::prop_assert_eq!(rs.clones + rs.clones_avoided, target as u64);
+                proptest::prop_assert_eq!(rs.clones_avoided + rs.dropped, n as u64);
+            }
         }
-        assert_eq!(e.num_particles(), 4);
     }
 }

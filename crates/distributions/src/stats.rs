@@ -6,10 +6,10 @@ use rand::Rng;
 
 /// Why a weight vector carries no usable probability mass.
 ///
-/// Returned by [`try_normalize_log_weights`] and
-/// [`try_systematic_resample`] so callers (the inference supervisor in
-/// particular) can distinguish a *collapsed* particle cloud from a healthy
-/// one instead of silently receiving a uniformized fallback.
+/// Returned by [`try_normalize_log_weights_into`] so callers (the
+/// inference supervisor in particular) can distinguish a *collapsed*
+/// particle cloud from a healthy one instead of silently receiving a
+/// uniformized fallback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WeightDegeneracy {
     /// Every log-weight is `-inf` (all particles have zero likelihood) —
@@ -34,33 +34,16 @@ impl std::fmt::Display for WeightDegeneracy {
 
 impl std::error::Error for WeightDegeneracy {}
 
-/// Normalizes a slice of log-weights into linear-space probabilities,
-/// reporting degeneracy as a typed error instead of papering over it.
-///
-/// Numerically stable (subtracts the max before exponentiating).
-///
-/// # Errors
-///
-/// [`WeightDegeneracy`] if the slice is empty, contains `NaN`/`+inf`, or
-/// carries zero total mass (all `-inf`).
-pub fn try_normalize_log_weights(log_weights: &[f64]) -> Result<Vec<f64>, WeightDegeneracy> {
-    let mut out = Vec::with_capacity(log_weights.len());
-    try_normalize_log_weights_into(log_weights, &mut out)?;
-    Ok(out)
-}
-
-/// Buffer-reusing variant of [`try_normalize_log_weights`]: writes the
-/// normalized probabilities into `out` (cleared first) instead of
-/// allocating a fresh vector. The steady-state inference hot loop calls
-/// this every tick with a persistent scratch buffer so normalization is
+/// Normalizes a slice of log-weights into linear-space probabilities
+/// written to `out` (cleared first), reporting degeneracy as a typed
+/// error instead of papering over it. Numerically stable (subtracts the
+/// max before exponentiating). The steady-state inference hot loop calls
+/// this every tick with a persistent scratch buffer, so normalization is
 /// allocation-free once the buffer has warmed up.
 ///
 /// Returns the log-normalizer `logsumexp(log_weights)` — callers that
 /// need the log-evidence increment (`z - ln n`) get it for free instead
-/// of re-scanning the weights.
-///
-/// On error `out` is left empty. Produces bit-identical values to the
-/// allocating variant.
+/// of re-scanning the weights. On error `out` is left empty.
 ///
 /// # Errors
 ///
@@ -88,20 +71,6 @@ pub fn try_normalize_log_weights_into(
     Ok(z)
 }
 
-/// Normalizes a slice of log-weights into linear-space probabilities.
-///
-/// Numerically stable (subtracts the max before exponentiating). If the
-/// weights are degenerate (all `-inf`, or any `NaN`/`+inf`), returns the
-/// uniform distribution. Callers that need to *react* to degeneracy (the
-/// fault-tolerant supervisor does) should use
-/// [`try_normalize_log_weights`] instead.
-pub fn normalize_log_weights(log_weights: &[f64]) -> Vec<f64> {
-    try_normalize_log_weights(log_weights).unwrap_or_else(|_| {
-        let n = log_weights.len().max(1) as f64;
-        vec![1.0 / n; log_weights.len()]
-    })
-}
-
 /// Effective sample size `1 / Σ w_i²` of normalized weights.
 ///
 /// Equal weights give `n`; a single surviving particle gives `1`.
@@ -114,58 +83,12 @@ pub fn effective_sample_size(weights: &[f64]) -> f64 {
     }
 }
 
-/// Systematic resampling with typed degeneracy reporting: draws `n`
-/// ancestor indices from the normalized `weights` using a single uniform
-/// offset, the low-variance scheme standard in particle filtering.
-///
-/// # Errors
-///
-/// [`WeightDegeneracy`] if `weights` is empty, contains `NaN`/`±inf`, or
-/// sums to zero — resampling from such a cloud would fabricate ancestry
-/// out of nothing, which the supervisor must know about.
-pub fn try_systematic_resample<R: Rng + ?Sized>(
-    rng: &mut R,
-    weights: &[f64],
-    n: usize,
-) -> Result<Vec<usize>, WeightDegeneracy> {
-    if weights.is_empty() {
-        return Err(WeightDegeneracy::Empty);
-    }
-    if weights.iter().any(|w| !w.is_finite()) {
-        return Err(WeightDegeneracy::NonFinite);
-    }
-    // Every weight is finite here, so the sum cannot be NaN.
-    let total: f64 = weights.iter().sum();
-    if total <= 0.0 {
-        return Err(WeightDegeneracy::AllZero);
-    }
-    Ok(systematic_resample_normalized(
-        rng,
-        &weights.iter().map(|w| w / total).collect::<Vec<f64>>(),
-        n,
-    ))
-}
-
-/// Systematic resampling: draws `n` ancestor indices from the normalized
-/// `weights` using a single uniform offset, the low-variance scheme standard
-/// in particle filtering. Degenerate weights (zero total mass, `NaN`)
-/// fall back to uniform ancestry; use [`try_systematic_resample`] to
-/// detect that instead.
-///
-/// # Panics
-///
-/// Panics if `weights` is empty.
-pub fn systematic_resample<R: Rng + ?Sized>(rng: &mut R, weights: &[f64], n: usize) -> Vec<usize> {
-    let mut out = Vec::with_capacity(n);
-    systematic_resample_into(rng, weights, n, &mut out);
-    out
-}
-
-/// Buffer-reusing variant of [`systematic_resample`]: writes the `n`
-/// ancestor indices into `out` (cleared first) instead of allocating.
-/// Consumes exactly one RNG draw, like the allocating variant, and
-/// produces bit-identical ancestry — the inference engine relies on that
-/// equivalence for its determinism contract.
+/// Systematic resampling: draws `n` ancestor indices from `weights`
+/// (normalized here, so they need only be nonnegative) into `out`
+/// (cleared first), using a single uniform offset — the low-variance
+/// scheme standard in particle filtering. Consumes exactly one RNG draw
+/// and emits nondecreasing indices. Degenerate weights (zero total mass,
+/// `NaN`, `±inf`) fall back to uniform ancestry.
 ///
 /// # Panics
 ///
@@ -181,25 +104,11 @@ pub fn systematic_resample_into<R: Rng + ?Sized>(
     // Every weight is finite here, so the sum cannot be NaN.
     let total: f64 = if healthy { weights.iter().sum() } else { 0.0 };
     if healthy && total > 0.0 {
-        // Normalizing inside the accessor performs the same `w / total`
-        // divisions, in the same order, as materializing a normalized
-        // vector first — so the accumulated sweep is bit-identical.
         systematic_sweep_into(rng, |i| weights[i] / total, weights.len(), n, out);
     } else {
         let uniform = 1.0 / weights.len() as f64;
         systematic_sweep_into(rng, |_| uniform, weights.len(), n, out);
     }
-}
-
-/// The core systematic sweep over already-normalized weights.
-fn systematic_resample_normalized<R: Rng + ?Sized>(
-    rng: &mut R,
-    weights: &[f64],
-    n: usize,
-) -> Vec<usize> {
-    let mut out = Vec::with_capacity(n);
-    systematic_sweep_into(rng, |i| weights[i], weights.len(), n, &mut out);
-    out
 }
 
 /// Single-offset systematic sweep: one uniform draw, then `n` evenly
@@ -281,91 +190,47 @@ mod tests {
 
     #[test]
     fn normalize_log_weights_basic() {
-        let w = normalize_log_weights(&[0.0, 0.0]);
+        let mut w = vec![9.0; 7]; // stale contents must be cleared
+        let z = try_normalize_log_weights_into(&[0.0, 0.0], &mut w).unwrap();
+        assert_eq!(w.len(), 2);
         assert!((w[0] - 0.5).abs() < 1e-12);
-        let w = normalize_log_weights(&[1000.0, 1000.0 - (3.0f64).ln()]);
+        assert!((z - 2f64.ln()).abs() < 1e-12, "log-normalizer {z}");
+        try_normalize_log_weights_into(&[1000.0, 1000.0 - (3.0f64).ln()], &mut w).unwrap();
         assert!((w[0] - 0.75).abs() < 1e-12);
         assert!((w[1] - 0.25).abs() < 1e-12);
     }
 
     #[test]
-    fn normalize_all_neg_inf_gives_uniform() {
-        let w = normalize_log_weights(&[f64::NEG_INFINITY; 4]);
-        assert!(w.iter().all(|&x| (x - 0.25).abs() < 1e-12));
-    }
-
-    #[test]
     fn try_normalize_reports_degeneracy_kinds() {
+        let mut out = Vec::new();
+        let mut norm = |lw: &[f64]| try_normalize_log_weights_into(lw, &mut out);
         assert_eq!(
-            try_normalize_log_weights(&[f64::NEG_INFINITY; 3]),
+            norm(&[f64::NEG_INFINITY; 3]),
             Err(WeightDegeneracy::AllZero)
         );
+        assert_eq!(norm(&[0.0, f64::NAN]), Err(WeightDegeneracy::NonFinite));
         assert_eq!(
-            try_normalize_log_weights(&[0.0, f64::NAN]),
+            norm(&[0.0, f64::INFINITY]),
             Err(WeightDegeneracy::NonFinite)
         );
-        assert_eq!(
-            try_normalize_log_weights(&[0.0, f64::INFINITY]),
-            Err(WeightDegeneracy::NonFinite)
-        );
-        assert_eq!(try_normalize_log_weights(&[]), Err(WeightDegeneracy::Empty));
-        let ok = try_normalize_log_weights(&[0.0, 0.0]).unwrap();
-        assert!((ok[0] - 0.5).abs() < 1e-12);
+        assert_eq!(norm(&[]), Err(WeightDegeneracy::Empty));
+        try_normalize_log_weights_into(&[0.0, 0.0], &mut out).unwrap();
+        try_normalize_log_weights_into(&[f64::NAN], &mut out).unwrap_err();
+        assert!(out.is_empty(), "error path leaves the buffer empty");
         // A single -inf among finite weights is NOT degenerate: that
         // particle simply has zero weight.
-        let ok = try_normalize_log_weights(&[0.0, f64::NEG_INFINITY]).unwrap();
-        assert!((ok[0] - 1.0).abs() < 1e-12);
-        assert_eq!(ok[1], 0.0);
+        try_normalize_log_weights_into(&[0.0, f64::NEG_INFINITY], &mut out).unwrap();
+        assert!((out[0] - 1.0).abs() < 1e-12);
+        assert_eq!(out[1], 0.0);
     }
 
     #[test]
-    fn try_resample_reports_degeneracy_and_matches_untyped() {
-        let mut rng = SmallRng::seed_from_u64(4);
-        assert_eq!(
-            try_systematic_resample(&mut rng, &[0.0, 0.0], 10),
-            Err(WeightDegeneracy::AllZero)
-        );
-        assert_eq!(
-            try_systematic_resample(&mut rng, &[f64::NAN, 1.0], 10),
-            Err(WeightDegeneracy::NonFinite)
-        );
-        assert_eq!(
-            try_systematic_resample(&mut rng, &[], 10),
-            Err(WeightDegeneracy::Empty)
-        );
-        // The typed and untyped paths agree bit-for-bit on healthy input.
-        let w = [0.1, 0.2, 0.3, 0.4];
-        let mut a = SmallRng::seed_from_u64(9);
-        let mut b = SmallRng::seed_from_u64(9);
-        assert_eq!(
-            try_systematic_resample(&mut a, &w, 50).unwrap(),
-            systematic_resample(&mut b, &w, 50)
-        );
-    }
-
-    #[test]
-    fn into_variants_match_allocating_bitwise() {
-        let log_ws = [0.3, -1.7, 0.0, -0.4, 2.2];
-        let alloc = try_normalize_log_weights(&log_ws).unwrap();
-        let mut out = vec![9.0; 2]; // stale contents must be cleared
-        try_normalize_log_weights_into(&log_ws, &mut out).unwrap();
-        assert_eq!(
-            alloc.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
-            out.iter().map(|w| w.to_bits()).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            try_normalize_log_weights_into(&[f64::NAN], &mut out),
-            Err(WeightDegeneracy::NonFinite)
-        );
-        assert!(out.is_empty(), "error path leaves the buffer empty");
-
+    fn systematic_resample_clears_its_buffer_and_is_nondecreasing() {
         for weights in [vec![0.1, 0.2, 0.3, 0.4], vec![0.0, 0.0, 0.0]] {
-            let mut a = SmallRng::seed_from_u64(17);
-            let mut b = SmallRng::seed_from_u64(17);
-            let alloc = systematic_resample(&mut a, &weights, 64);
+            let mut rng = SmallRng::seed_from_u64(17);
             let mut out = vec![99usize; 3];
-            systematic_resample_into(&mut b, &weights, 64, &mut out);
-            assert_eq!(alloc, out);
+            systematic_resample_into(&mut rng, &weights, 64, &mut out);
+            assert_eq!(out.len(), 64);
             assert!(out.windows(2).all(|w| w[0] <= w[1]), "nondecreasing");
         }
     }
@@ -397,9 +262,11 @@ mod tests {
         let mut counts = [0usize; 4];
         let trials = 2_000;
         let n = 100;
+        let mut idx = Vec::new();
         for _ in 0..trials {
-            for idx in systematic_resample(&mut rng, &weights, n) {
-                counts[idx] += 1;
+            systematic_resample_into(&mut rng, &weights, n, &mut idx);
+            for &i in &idx {
+                counts[i] += 1;
             }
         }
         let total = (trials * n) as f64;
@@ -412,7 +279,8 @@ mod tests {
     #[test]
     fn systematic_resample_handles_degenerate_weights() {
         let mut rng = SmallRng::seed_from_u64(4);
-        let idx = systematic_resample(&mut rng, &[0.0, 0.0, 0.0], 30);
+        let mut idx = Vec::new();
+        systematic_resample_into(&mut rng, &[0.0, 0.0, 0.0], 30, &mut idx);
         assert_eq!(idx.len(), 30);
         // Uniform fallback touches every index with high probability.
         assert!(idx.contains(&0));

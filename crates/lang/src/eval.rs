@@ -435,39 +435,17 @@ impl Interp {
         }
     }
 
+    /// [`Interp::apply_op`] over owned arguments. Projections own their
+    /// tuple here, so the projected element moves out instead of cloning;
+    /// every other operator goes through the shared body.
     fn eval_op(
         self: &Rc<Self>,
         op: OpName,
         mut args: Vec<MufValue>,
         prob: &mut ProbSlot<'_>,
     ) -> Result<MufValue, LangError> {
-        // Nil poison propagates through strict operators.
-        if args.iter().any(MufValue::is_nil) {
-            return Ok(MufValue::Nil);
-        }
-        // Posterior-level operators.
-        match (op, args.first()) {
-            (OpName::MeanFloat, Some(MufValue::Posterior(p))) => {
-                return Ok(MufValue::V(Value::Float(p.mean_float())));
-            }
-            (OpName::VarianceFloat, Some(MufValue::Posterior(p))) => {
-                return Ok(MufValue::V(Value::Float(p.variance_float())));
-            }
-            (OpName::Prob, Some(MufValue::Posterior(p))) => {
-                let lo = args[1].as_core()?.as_float().map_err(host)?;
-                let hi = args[2].as_core()?.as_float().map_err(host)?;
-                return Ok(MufValue::V(Value::Float(p.prob_interval(lo, hi))));
-            }
-            (OpName::DrawDist, Some(MufValue::Posterior(p))) => {
-                let v = p.sample(&mut *self.rng.borrow_mut());
-                return Ok(MufValue::V(v));
-            }
-            _ => {}
-        }
-        // Projections work on interpreter tuples directly — and own their
-        // argument, so the projected element moves out instead of cloning.
         if matches!(op, OpName::Fst | OpName::Snd) {
-            if let MufValue::Tuple(xs) = &mut args[0] {
+            if let Some(MufValue::Tuple(xs)) = args.first_mut() {
                 let mut xs = std::mem::take(xs);
                 return match (op, xs.len()) {
                     (OpName::Fst, n) if n >= 1 => Ok(xs.swap_remove(0)),
@@ -480,46 +458,24 @@ impl Interp {
                 };
             }
         }
-        // Core value operators.
-        let vals: Vec<Value> = args.iter().map(|a| a.as_core()).collect::<Result<_, _>>()?;
-        match core_op(op, &vals, self) {
-            Ok(v) => Ok(MufValue::V(v)),
-            Err(RuntimeError::NeedsValue(_)) => {
-                // Symbolic operand where a concrete one is needed: realize
-                // (this is the semantics of Fig. 14 for partially evaluated
-                // constructs like conditions) and retry once.
-                if let ProbSlot::Prob(ctx) = prob {
-                    let forced: Vec<Value> = vals
-                        .iter()
-                        .map(|v| ctx.force(v))
-                        .collect::<Result<_, _>>()
-                        .map_err(host)?;
-                    core_op(op, &forced, self).map(MufValue::V).map_err(host)
-                } else {
-                    Err(LangError::new(
-                        Stage::Eval,
-                        "symbolic value reached a deterministic operator",
-                    ))
-                }
-            }
-            Err(e) => Err(host(e)),
-        }
+        self.apply_op(op, &args, prob)
     }
 
-    /// [`Interp::eval_op`] over borrowed arguments — the tape executor's
-    /// entry point (registers keep their values; results are computed
-    /// without consuming the operand slots). Semantics, including error
-    /// messages and RNG consumption, mirror `eval_op` exactly.
-    pub(crate) fn op_on_refs(
+    /// Applies a µF operator: the one body behind the interpreter's
+    /// [`Interp::eval_op`] (owned arguments) and the tape executor
+    /// (borrowed registers, which keep their values).
+    pub(crate) fn apply_op<A: std::borrow::Borrow<MufValue>>(
         self: &Rc<Self>,
         op: OpName,
-        args: &[&MufValue],
+        args: &[A],
         prob: &mut ProbSlot<'_>,
     ) -> Result<MufValue, LangError> {
-        if args.iter().any(|a| a.is_nil()) {
+        // Nil poison propagates through strict operators.
+        if args.iter().any(|a| a.borrow().is_nil()) {
             return Ok(MufValue::Nil);
         }
-        match (op, args.first()) {
+        // Posterior-level operators.
+        match (op, args.first().map(|a| a.borrow())) {
             (OpName::MeanFloat, Some(MufValue::Posterior(p))) => {
                 return Ok(MufValue::V(Value::Float(p.mean_float())));
             }
@@ -527,18 +483,16 @@ impl Interp {
                 return Ok(MufValue::V(Value::Float(p.variance_float())));
             }
             (OpName::Prob, Some(MufValue::Posterior(p))) => {
-                let lo = args[1].as_core()?.as_float().map_err(host)?;
-                let hi = args[2].as_core()?.as_float().map_err(host)?;
+                let lo = args[1].borrow().as_core()?.as_float().map_err(host)?;
+                let hi = args[2].borrow().as_core()?.as_float().map_err(host)?;
                 return Ok(MufValue::V(Value::Float(p.prob_interval(lo, hi))));
             }
             (OpName::DrawDist, Some(MufValue::Posterior(p))) => {
                 let v = p.sample(&mut *self.rng.borrow_mut());
                 return Ok(MufValue::V(v));
             }
-            _ => {}
-        }
-        if matches!(op, OpName::Fst | OpName::Snd) {
-            if let MufValue::Tuple(xs) = args[0] {
+            (OpName::Fst | OpName::Snd, Some(MufValue::Tuple(xs))) => {
+                // Projections work on interpreter tuples directly.
                 return match (op, xs.as_slice()) {
                     (OpName::Fst, [a, ..]) => Ok(a.clone()),
                     (OpName::Snd, [_, b]) => Ok(b.clone()),
@@ -548,11 +502,19 @@ impl Interp {
                     _ => Err(LangError::new(Stage::Eval, "projection from empty tuple")),
                 };
             }
+            _ => {}
         }
-        let vals: Vec<Value> = args.iter().map(|a| a.as_core()).collect::<Result<_, _>>()?;
+        // Core value operators.
+        let vals: Vec<Value> = args
+            .iter()
+            .map(|a| a.borrow().as_core())
+            .collect::<Result<_, _>>()?;
         match core_op(op, &vals, self) {
             Ok(v) => Ok(MufValue::V(v)),
             Err(RuntimeError::NeedsValue(_)) => {
+                // Symbolic operand where a concrete one is needed: realize
+                // (this is the semantics of Fig. 14 for partially evaluated
+                // constructs like conditions) and retry once.
                 if let ProbSlot::Prob(ctx) = prob {
                     let forced: Vec<Value> = vals
                         .iter()

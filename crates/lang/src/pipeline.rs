@@ -344,7 +344,7 @@ impl Compiled {
     ///
     /// # Errors
     ///
-    /// Unknown nodes or initialization failures.
+    /// Unknown nodes, a zero particle count, or initialization failures.
     pub fn infer_node(
         &self,
         node: &str,
@@ -355,6 +355,12 @@ impl Compiled {
             return Err(LangError::new(
                 Stage::Eval,
                 format!("unknown node `{node}`"),
+            ));
+        }
+        if particles == 0 {
+            return Err(LangError::new(
+                Stage::Eval,
+                format!("`{node}` needs at least one particle to run under inference"),
             ));
         }
         if let Some(msg) = self.method_advisory(node, options.method) {

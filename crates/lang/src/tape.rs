@@ -537,15 +537,12 @@ fn exec(
             Op::Const { dst, v } => regs[*dst as usize] = v.clone(),
             Op::Move { dst, src } => regs[*dst as usize] = regs[*src as usize].clone(),
             Op::UnOp { op, dst, a } => {
-                let v = interp.op_on_refs(
-                    *op,
-                    &[&regs[*a as usize]],
-                    &mut ProbSlot::Prob(&mut *ctx),
-                )?;
+                let v =
+                    interp.apply_op(*op, &[&regs[*a as usize]], &mut ProbSlot::Prob(&mut *ctx))?;
                 regs[*dst as usize] = v;
             }
             Op::BinOp { op, dst, a, b } => {
-                let v = interp.op_on_refs(
+                let v = interp.apply_op(
                     *op,
                     &[&regs[*a as usize], &regs[*b as usize]],
                     &mut ProbSlot::Prob(&mut *ctx),
@@ -553,7 +550,7 @@ fn exec(
                 regs[*dst as usize] = v;
             }
             Op::TernOp { op, dst, a, b, c } => {
-                let v = interp.op_on_refs(
+                let v = interp.apply_op(
                     *op,
                     &[&regs[*a as usize], &regs[*b as usize], &regs[*c as usize]],
                     &mut ProbSlot::Prob(&mut *ctx),

@@ -3,7 +3,7 @@
 //! `(seed, method, num_particles, inputs)` — byte-identical across
 //! execution modes, across thread counts, and across same-seed replays.
 
-use probzelus::core::infer::{Infer, Method, Parallelism, ResampleStrategy};
+use probzelus::core::infer::{Infer, Method, Parallelism};
 use probzelus::models::{generate_coin, generate_kalman, Coin, Kalman};
 
 /// Posterior means as raw bit patterns — equality here is bit-for-bit,
@@ -139,61 +139,6 @@ fn chaos_recovery_is_identical_across_thread_counts() {
     }
 }
 
-/// The clone-minimal resampler is a pure cost optimisation: across a set
-/// of golden seeds and every method, it produces the same posterior
-/// stream, bit for bit, as the clone-everything reference behavior it
-/// replaced. This is the old-vs-new regression the determinism contract
-/// demands — `CloneAll` is the pre-optimisation resampler, preserved
-/// verbatim behind the strategy flag.
-#[test]
-fn clone_minimal_matches_clone_all_bitwise_across_golden_seeds() {
-    for seed in [0xD5_CAFE_u64, 1, 0x5eed_0005, 0xfeed_beef] {
-        let data = generate_kalman(seed.wrapping_mul(31) ^ 7, STEPS);
-        for method in Method::ALL {
-            let run = |strategy| {
-                let mut e = Infer::with_seed(method, PARTICLES, Kalman::default(), seed)
-                    .with_resample_strategy(strategy);
-                mean_bits(&mut e, &data.obs)
-            };
-            assert_eq!(
-                run(ResampleStrategy::CloneMinimal),
-                run(ResampleStrategy::CloneAll),
-                "{method} seed {seed:#x}: clone-minimal diverged from the clone-all reference"
-            );
-        }
-    }
-}
-
-/// Strategy equivalence also holds under the parallel stepper: every
-/// (strategy, worker-count) combination yields one and the same stream.
-#[test]
-fn resample_strategies_agree_across_thread_counts() {
-    let data = generate_kalman(21, STEPS);
-    for method in [Method::ParticleFilter, Method::StreamingDs] {
-        let run = |strategy, par: Option<Parallelism>| {
-            let e = Infer::with_seed(method, PARTICLES, Kalman::default(), SEED)
-                .with_resample_strategy(strategy);
-            let mut e = match par {
-                Some(p) => e.with_parallelism(p),
-                None => e,
-            };
-            mean_bits(&mut e, &data.obs)
-        };
-        let reference = run(ResampleStrategy::CloneAll, None);
-        for par in [
-            None,
-            Some(Parallelism::Threads(2)),
-            Some(Parallelism::Threads(5)),
-        ] {
-            assert_eq!(
-                run(ResampleStrategy::CloneMinimal, par),
-                reference,
-                "{method}/{par:?}: clone-minimal diverged"
-            );
-        }
-    }
-}
-
 /// Clone-minimality itself, witnessed without any telemetry feature: on
 /// the hmm (Kalman) benchmark every resampling pass performs strictly
 /// fewer deep clones than the particle count, and the avoided clones are
@@ -221,13 +166,6 @@ fn clone_minimal_does_strictly_fewer_clones_than_particle_count() {
         assert_eq!(avoided + dropped, PARTICLES as u64);
         prev = s;
     }
-    // The clone-everything reference, by contrast, pays N clones a pass.
-    let mut all = Infer::with_seed(Method::ParticleFilter, PARTICLES, Kalman::default(), SEED)
-        .with_resample_strategy(ResampleStrategy::CloneAll);
-    all.run(&data.obs).unwrap();
-    let s = all.resample_stats();
-    assert_eq!(s.clones, s.passes * PARTICLES as u64);
-    assert_eq!(s.clones_avoided, 0);
 }
 
 /// The deadline controller's decision trace makes an adaptive run
@@ -285,31 +223,6 @@ fn decision_trace_replay_is_bitwise_identical_across_workers() {
         }
         assert_eq!(replay.num_particles(), live.num_particles(), "{par:?}");
     }
-}
-
-/// Cloud resizing composes with the resampling strategies: a deadline
-/// run under `CloneAll` matches the same run under `CloneMinimal`, so
-/// the resize path inherits the strategy-equivalence contract.
-#[test]
-fn deadline_resizes_agree_across_resample_strategies() {
-    use probzelus::core::adaptive::DeadlineConfig;
-
-    let data = generate_kalman(23, STEPS);
-    let mut cfg = DeadlineConfig::new(-1.0);
-    cfg.floor = 7;
-    cfg.window = 4;
-    cfg.cooldown = 2;
-    let run = |strategy| {
-        let mut e = Infer::with_seed(Method::ParticleFilter, PARTICLES, Kalman::default(), SEED)
-            .with_resample_strategy(strategy)
-            .with_deadline(cfg);
-        mean_bits(&mut e, &data.obs)
-    };
-    assert_eq!(
-        run(ResampleStrategy::CloneMinimal),
-        run(ResampleStrategy::CloneAll),
-        "deadline resizes diverged across strategies"
-    );
 }
 
 #[test]
