@@ -680,7 +680,7 @@ pub(crate) fn core_op(op: OpName, v: &[Value], interp: &Rc<Interp>) -> Result<Va
 
 /// The externalized particle state: held whole while the interpreter runs
 /// the transition, split into the tape's flat state slots (depth-first
-/// leaves of the state pattern) once an engine's tape is ready.
+/// leaves of the tape's state shape) once an engine's tape is ready.
 #[derive(Debug)]
 pub(crate) enum ModelState {
     Whole(MufValue),
@@ -702,7 +702,8 @@ pub struct MufModel {
     interp: Rc<Interp>,
     closure: Rc<RefCell<MufValue>>,
     state: ModelState,
-    init_state: MufValue,
+    /// Shared by every particle clone; nothing mutates it.
+    init_state: Rc<MufValue>,
     takes_input: bool,
     /// Lazily-lowered instruction tape shared by every particle of the
     /// engine (`None` under [`ExecBackend::Interp`]).
@@ -947,7 +948,7 @@ impl MufEngine {
             interp: interp.clone(),
             closure: slot.clone(),
             state: ModelState::Whole(init_state.deep_clone()),
-            init_state,
+            init_state: Rc::new(init_state),
             takes_input,
             tape: tape.clone(),
         };

@@ -20,7 +20,7 @@
 use crate::ast::OpName;
 use crate::error::{LangError, Stage};
 use crate::eval::{Interp, ModelState, ProbSlot};
-use crate::muf::{MufPat, MufValue};
+use crate::muf::MufValue;
 use probzelus_core::prob::ProbCtx;
 use probzelus_core::value::Value;
 use std::cell::{Cell, RefCell};
@@ -184,6 +184,32 @@ pub enum Op {
     Halt,
 }
 
+impl Op {
+    /// The register this op writes, if any.
+    pub(crate) fn dst(&self) -> Option<Reg> {
+        match self {
+            Op::Const { dst, .. }
+            | Op::Move { dst, .. }
+            | Op::UnOp { dst, .. }
+            | Op::BinOp { dst, .. }
+            | Op::TernOp { dst, .. }
+            | Op::MkTuple { dst, .. }
+            | Op::Proj { dst, .. }
+            | Op::Select { dst, .. }
+            | Op::Sample { dst, .. }
+            | Op::Value { dst, .. }
+            | Op::Freshen { dst, .. }
+            | Op::CallSummary { dst, .. }
+            | Op::Eval { dst, .. } => Some(*dst),
+            Op::Observe { .. }
+            | Op::Factor { .. }
+            | Op::Jmp { .. }
+            | Op::JmpIfNot { .. }
+            | Op::Halt => None,
+        }
+    }
+}
+
 /// Where the tick's output value lives: tuple outputs are kept unpacked
 /// in their element registers and folded to nested core pairs only at the
 /// very end (mirroring [`MufValue::as_core`]).
@@ -195,9 +221,10 @@ pub enum OutSpec {
     Tuple(Vec<OutSpec>),
 }
 
-/// The tuple structure of the externalized state, derived from the
-/// transition's state pattern. State is stored as one flat slot per leaf.
-#[derive(Debug, Clone)]
+/// The tuple structure of the externalized state. State is stored as one
+/// flat slot per leaf, so each leaf of the state tree lives in its own
+/// register while the tape runs.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StateShape {
     /// An opaque state slot.
     Leaf,
@@ -206,11 +233,15 @@ pub enum StateShape {
 }
 
 impl StateShape {
-    /// The shape a pattern destructures.
-    pub fn of_pat(p: &MufPat) -> StateShape {
-        match p {
-            MufPat::Tuple(ps) => StateShape::Node(ps.iter().map(StateShape::of_pat).collect()),
-            MufPat::Var(_) | MufPat::Wildcard | MufPat::Unit => StateShape::Leaf,
+    /// The shape of a state value: every tuple is a node, anything else
+    /// a leaf. Lowering derives it from the initial state (and then trims
+    /// it to what the successor state rebuilds), so compiled transitions,
+    /// which bind the whole state to one variable, still get one slot per
+    /// leaf.
+    pub fn of(v: &MufValue) -> StateShape {
+        match v {
+            MufValue::Tuple(xs) => StateShape::Node(xs.iter().map(StateShape::of).collect()),
+            _ => StateShape::Leaf,
         }
     }
 
@@ -240,11 +271,9 @@ pub struct TapeProgram {
     /// Registers the flat state slots are moved into before execution
     /// (depth-first leaves of `shape`).
     pub state_in: Vec<Reg>,
-    /// Registers holding the successor state after execution.
-    pub state_out: Vec<Reg>,
-    /// Whether `state_out` registers are pairwise distinct (move out
-    /// instead of clone).
-    pub state_out_unique: bool,
+    /// Where each successor-state slot comes from after execution, and
+    /// whether it is moved or cloned out.
+    pub state_out: Vec<StateOut>,
     /// Where the output value lives.
     pub out: OutSpec,
     /// Captured-environment registers, refreshed from the engine's
@@ -260,6 +289,18 @@ pub struct TapeProgram {
     pub body_ptr: usize,
     /// Debug names per register (empty string when unnamed).
     pub reg_names: Vec<String>,
+}
+
+/// How one successor-state slot leaves the register file after a step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StateOut {
+    /// Taken out, leaving `nil`: the register is written by the tape or
+    /// loaded by the step before it is next read, and no later slot
+    /// reads it.
+    Move(Reg),
+    /// Copied out: the register is a constant, a captured-environment
+    /// slot, or feeds a later slot too, so it must keep its value.
+    Clone(Reg),
 }
 
 /// The shared runtime state of one engine's tape: the program plus the
@@ -488,14 +529,11 @@ pub(crate) fn step_model(
     // Fold the output before moving state out: an output register may
     // alias a state register.
     let out = fold_out(&prog.out, &regs)?;
-    if prog.state_out_unique {
-        for (slot, &r) in slots.iter_mut().zip(&prog.state_out) {
-            *slot = std::mem::replace(&mut regs[r as usize], MufValue::Nil);
-        }
-    } else {
-        for (slot, &r) in slots.iter_mut().zip(&prog.state_out) {
-            *slot = regs[r as usize].clone();
-        }
+    for (slot, out) in slots.iter_mut().zip(&prog.state_out) {
+        *slot = match *out {
+            StateOut::Move(r) => std::mem::replace(&mut regs[r as usize], MufValue::Nil),
+            StateOut::Clone(r) => regs[r as usize].clone(),
+        };
     }
     Ok(TapeStep::Done(out))
 }
@@ -706,7 +744,14 @@ impl TapeProgram {
             let _ = writeln!(s, "env: {name} -> r{reg}");
         }
         let ins: Vec<String> = self.state_in.iter().map(|r| format!("r{r}")).collect();
-        let outs: Vec<String> = self.state_out.iter().map(|r| format!("r{r}")).collect();
+        let outs: Vec<String> = self
+            .state_out
+            .iter()
+            .map(|o| match o {
+                StateOut::Move(r) => format!("r{r}"),
+                StateOut::Clone(r) => format!("clone(r{r})"),
+            })
+            .collect();
         let _ = writeln!(s, "state_in: {}", ins.join(" "));
         let _ = writeln!(s, "state_out: {}", outs.join(" "));
         let _ = writeln!(s, "out: {}", render_out(&self.out));

@@ -23,7 +23,7 @@
 use crate::ast::OpName;
 use crate::eval::{const_value, Interp};
 use crate::muf::{Closure, Env, MufExpr, MufPat, MufValue};
-use crate::tape::{split_state, Op, OutSpec, Reg, StateShape, TapeProgram};
+use crate::tape::{split_state, Op, OutSpec, Reg, StateOut, StateShape, TapeProgram};
 use std::collections::HashSet;
 use std::rc::Rc;
 
@@ -61,6 +61,9 @@ struct Lower<'a> {
     /// re-read into env-slot registers at runtime).
     captured: &'a Env,
     ops: Vec<Op>,
+    /// Ops held in enclosing buffers while an `else` arm is lowered aside
+    /// (counted against [`MAX_OPS`]).
+    ops_aside: usize,
     consts: Vec<Op>,
     scope: Vec<ScopeEntry>,
     env_slots: Vec<(String, Reg)>,
@@ -160,12 +163,43 @@ impl Lower<'_> {
         }
     }
 
-    fn move_into(&mut self, dst: Reg, p: &Place) -> LowerResult<()> {
-        let src = self.materialize(p, "join")?;
-        if src != dst {
-            self.emit(Op::Move { dst, src });
+    /// The join point of two `if` arms: where both arms return tuples of
+    /// the same arity it stays a tuple, where both return the same
+    /// register (necessarily defined before the `if`: every register an
+    /// arm defines is fresh) it is that register, and every other
+    /// position gets one fresh register.
+    fn join_place(&mut self, a: &Place, b: &Place) -> Place {
+        match (a, b) {
+            (Place::Reg(x), Place::Reg(y)) if x == y => Place::Reg(*x),
+            (Place::Tuple(xs), Place::Tuple(ys)) if xs.len() == ys.len() => Place::Tuple(
+                xs.iter()
+                    .zip(ys)
+                    .map(|(x, y)| self.join_place(x, y))
+                    .collect(),
+            ),
+            _ => Place::Reg(self.fresh("if")),
         }
-        Ok(())
+    }
+
+    /// Moves an arm's result into the join place leaf by leaf,
+    /// materializing the subtrees that meet a single join register.
+    fn move_into(&mut self, dst: &Place, p: &Place) -> LowerResult<()> {
+        match (dst, p) {
+            (Place::Tuple(ds), Place::Tuple(ps)) if ds.len() == ps.len() => {
+                for (d, p) in ds.iter().zip(ps) {
+                    self.move_into(d, p)?;
+                }
+                Ok(())
+            }
+            (Place::Reg(dst), p) => {
+                let src = self.materialize(p, "join")?;
+                if src != *dst {
+                    self.emit(Op::Move { dst: *dst, src });
+                }
+                Ok(())
+            }
+            _ => Err("if arm does not fit its join point".into()),
+        }
     }
 
     /// Compile-time pattern binding. Tuple patterns against tuple places
@@ -211,7 +245,7 @@ impl Lower<'_> {
     }
 
     fn lower(&mut self, e: &MufExpr) -> LowerResult<Place> {
-        if self.ops.len() > MAX_OPS {
+        if self.ops.len() + self.ops_aside > MAX_OPS {
             return Err(format!("op budget exceeded ({MAX_OPS})"));
         }
         match e {
@@ -226,21 +260,35 @@ impl Lower<'_> {
                 let cond = self.materialize(&pc, "cond")?;
                 let jfalse = self.ops.len();
                 self.emit(Op::JmpIfNot { cond, target: 0 });
-                let dst = self.fresh("if");
                 let save = self.scope.len();
                 let pt = self.lower(t)?;
-                self.move_into(dst, &pt)?;
                 self.scope.truncate(save);
+                // The join's shape needs both arms' places before the then
+                // arm's moves are emitted, so the else arm is lowered into a
+                // buffer of its own and spliced in after the jump.
+                let outer = std::mem::take(&mut self.ops);
+                self.ops_aside += outer.len();
+                let pf = self.lower(f);
+                let else_ops = std::mem::replace(&mut self.ops, outer);
+                self.ops_aside -= self.ops.len();
+                let pf = pf?;
+                self.scope.truncate(save);
+                let dst = self.join_place(&pt, &pf);
+                self.move_into(&dst, &pt)?;
                 let jend = self.ops.len();
                 self.emit(Op::Jmp { target: 0 });
                 let else_at = self.ops.len() as u32;
                 self.patch(jfalse, else_at);
-                let pf = self.lower(f)?;
-                self.move_into(dst, &pf)?;
-                self.scope.truncate(save);
+                self.ops.extend(else_ops.into_iter().map(|mut op| {
+                    if let Op::Jmp { target } | Op::JmpIfNot { target, .. } = &mut op {
+                        *target += else_at;
+                    }
+                    op
+                }));
+                self.move_into(&dst, &pf)?;
                 let end_at = self.ops.len() as u32;
                 self.patch(jend, end_at);
-                Ok(Place::Reg(dst))
+                Ok(dst)
             }
             MufExpr::Select(c, t, f) => {
                 let pc = self.lower(c)?;
@@ -418,16 +466,23 @@ impl Lower<'_> {
         }
     }
 
-    /// Builds the state's register places, mirroring the pattern shape
-    /// (leaf registers double as the state-in registers).
-    fn place_of_shape(&mut self, shape: &StateShape, pat: Option<&MufPat>) -> (Place, Vec<Reg>) {
+    /// Builds the state's register places following the state shape:
+    /// one register per leaf, which doubles as that slot's state-in
+    /// register. Leaves take the pattern's variable name where it has one,
+    /// else a dotted path below the nearest named ancestor.
+    fn place_of_shape(
+        &mut self,
+        shape: &StateShape,
+        pat: Option<&MufPat>,
+        name: &str,
+    ) -> (Place, Vec<Reg>) {
+        let name = match pat {
+            Some(MufPat::Var(x)) => x.as_str(),
+            _ => name,
+        };
         match shape {
             StateShape::Leaf => {
-                let name = match pat {
-                    Some(MufPat::Var(x)) => x.clone(),
-                    _ => "s".into(),
-                };
-                let r = self.fresh(&name);
+                let r = self.fresh(name);
                 (Place::Reg(r), vec![r])
             }
             StateShape::Node(children) => {
@@ -438,7 +493,11 @@ impl Lower<'_> {
                 let mut places = Vec::with_capacity(children.len());
                 let mut regs = Vec::new();
                 for (i, ch) in children.iter().enumerate() {
-                    let (p, rs) = self.place_of_shape(ch, pats.and_then(|ps| ps.get(i)));
+                    let (p, rs) = self.place_of_shape(
+                        ch,
+                        pats.and_then(|ps| ps.get(i)),
+                        &format!("{name}.{i}"),
+                    );
                     places.push(p);
                     regs.extend(rs);
                 }
@@ -461,44 +520,73 @@ impl Lower<'_> {
     }
 
     /// Assigns the successor-state place to flat out-registers following
-    /// the state shape (runtime `Proj`s when a subtree is register-held).
+    /// the state shape (already trimmed to the place by [`trim_shape`]).
     fn bind_state_out(&mut self, p: &Place, shape: &StateShape) -> LowerResult<Vec<Reg>> {
         match (p, shape) {
             (_, StateShape::Leaf) => Ok(vec![self.materialize(p, "state")?]),
-            (Place::Tuple(items), StateShape::Node(children)) => {
-                if items.len() != children.len() {
-                    return Err(format!(
-                        "successor state arity {} vs shape {}",
-                        items.len(),
-                        children.len()
-                    ));
-                }
+            (Place::Tuple(items), StateShape::Node(children)) if items.len() == children.len() => {
                 let mut out = Vec::new();
                 for (i, ch) in items.iter().zip(children) {
                     out.extend(self.bind_state_out(i, ch)?);
                 }
                 Ok(out)
             }
-            (Place::Reg(src), StateShape::Node(children)) => {
-                let arity = children.len() as u32;
-                let mut out = Vec::new();
-                for (i, ch) in children.iter().enumerate() {
-                    let dst = self.fresh("state");
-                    self.emit(Op::Proj {
-                        dst,
-                        src: *src,
-                        idx: i as u32,
-                        arity,
-                    });
-                    out.extend(self.bind_state_out(&Place::Reg(dst), ch)?);
-                }
-                Ok(out)
-            }
-            (Place::Global(_), StateShape::Node(_)) => {
-                Err("a closure reaches a state tuple position".into())
-            }
+            _ => Err("successor state does not fit the state shape".into()),
         }
     }
+}
+
+/// The part of `shape` the successor state `next` rebuilds as tuples at
+/// lowering time. Every other subtree is kept whole in one slot, so the
+/// flat slots always join back to exactly the value the interpreter
+/// would hold, and no runtime projection ever touches the state.
+fn trim_shape(shape: &StateShape, next: &Place) -> StateShape {
+    match (shape, next) {
+        (StateShape::Node(children), Place::Tuple(items)) if children.len() == items.len() => {
+            StateShape::Node(
+                children
+                    .iter()
+                    .zip(items)
+                    .map(|(c, i)| trim_shape(c, i))
+                    .collect(),
+            )
+        }
+        _ => StateShape::Leaf,
+    }
+}
+
+/// Decides per successor-state slot whether stepping moves or clones it
+/// out. A register the tape writes, or the step loads (state-in and input
+/// registers), is rewritten before it is next read, so its last slot
+/// takes the value; constants, captured-environment slots and earlier
+/// duplicates are cloned. A register reaches the successor state from
+/// inside an `if` only as a join register, written on both paths, or as
+/// one defined before the `if`, so "written" means written every step.
+fn state_out_modes(
+    ops: &[Op],
+    state_in: &[Reg],
+    input: Option<Reg>,
+    regs: &[Reg],
+) -> Vec<StateOut> {
+    let mut loaded: HashSet<Reg> = ops
+        .iter()
+        .filter_map(Op::dst)
+        .chain(state_in.iter().copied())
+        .chain(input)
+        .collect();
+    let mut modes: Vec<StateOut> = regs
+        .iter()
+        .rev()
+        .map(|&r| {
+            if loaded.remove(&r) {
+                StateOut::Move(r)
+            } else {
+                StateOut::Clone(r)
+            }
+        })
+        .collect();
+    modes.reverse();
+    modes
 }
 
 fn pat_name(p: &MufPat) -> String {
@@ -524,19 +612,6 @@ pub fn lower_closure(
     init_state: &MufValue,
     takes_input: bool,
 ) -> Result<TapeProgram, String> {
-    let mut lw = Lower {
-        interp,
-        captured: &closure.env,
-        ops: Vec::new(),
-        consts: Vec::new(),
-        scope: Vec::new(),
-        env_slots: Vec::new(),
-        global_regs: Vec::new(),
-        reg_names: Vec::new(),
-        next_reg: 0,
-        depth: 0,
-        unit: None,
-    };
     let state_pat: Option<&MufPat> = if takes_input {
         match &closure.pat {
             MufPat::Tuple(ps) if ps.len() == 2 => Some(&ps[0]),
@@ -545,57 +620,79 @@ pub fn lower_closure(
     } else {
         Some(&closure.pat)
     };
-    let shape = state_pat.map_or(StateShape::Leaf, StateShape::of_pat);
-    let (state_place, state_in) = lw.place_of_shape(&shape, state_pat);
-    let input = takes_input.then(|| lw.fresh("input"));
-    let arg_place = match input {
-        Some(r) => Place::Tuple(vec![state_place, Place::Reg(r)]),
-        None => state_place,
-    };
-    lw.bind_pat(&closure.pat, arg_place)?;
-    let body_place = lw.lower(&closure.body)?;
-    let (out, state_out) = match body_place {
-        Place::Tuple(items) if items.len() == 2 => {
-            let out = lw.out_spec(&items[0])?;
-            let souts = lw.bind_state_out(&items[1], &shape)?;
-            (out, souts)
+    // Lower against the initial state's shape, then keep whole every
+    // subtree the successor state does not rebuild as a tuple, until the
+    // two agree (the shape only shrinks, so this terminates).
+    let mut shape = StateShape::of(init_state);
+    loop {
+        let mut lw = Lower {
+            interp,
+            captured: &closure.env,
+            ops: Vec::new(),
+            ops_aside: 0,
+            consts: Vec::new(),
+            scope: Vec::new(),
+            env_slots: Vec::new(),
+            global_regs: Vec::new(),
+            reg_names: Vec::new(),
+            next_reg: 0,
+            depth: 0,
+            unit: None,
+        };
+        let (state_place, state_in) = lw.place_of_shape(&shape, state_pat, "s");
+        let input = takes_input.then(|| lw.fresh("input"));
+        let arg_place = match input {
+            Some(r) => Place::Tuple(vec![state_place, Place::Reg(r)]),
+            None => state_place,
+        };
+        lw.bind_pat(&closure.pat, arg_place)?;
+        let body_place = lw.lower(&closure.body)?;
+        let (out, next) = match body_place {
+            Place::Tuple(mut items) if items.len() == 2 => {
+                let next = items.pop().expect("length checked");
+                (lw.out_spec(&items[0])?, next)
+            }
+            Place::Reg(r) => {
+                let o = lw.fresh("out");
+                lw.emit(Op::Proj {
+                    dst: o,
+                    src: r,
+                    idx: 0,
+                    arity: 2,
+                });
+                let s = lw.fresh("state");
+                lw.emit(Op::Proj {
+                    dst: s,
+                    src: r,
+                    idx: 1,
+                    arity: 2,
+                });
+                (OutSpec::Reg(o), Place::Reg(s))
+            }
+            _ => return Err("transition must return (value, state)".into()),
+        };
+        let trimmed = trim_shape(&shape, &next);
+        if trimmed != shape {
+            shape = trimmed;
+            continue;
         }
-        Place::Reg(r) => {
-            let o = lw.fresh("out");
-            lw.emit(Op::Proj {
-                dst: o,
-                src: r,
-                idx: 0,
-                arity: 2,
-            });
-            let s = lw.fresh("state");
-            lw.emit(Op::Proj {
-                dst: s,
-                src: r,
-                idx: 1,
-                arity: 2,
-            });
-            (OutSpec::Reg(o), lw.bind_state_out(&Place::Reg(s), &shape)?)
-        }
-        _ => return Err("transition must return (value, state)".into()),
-    };
-    lw.emit(Op::Halt);
-    let init_slots = split_state(init_state, &shape)?;
-    let mut seen = HashSet::new();
-    let state_out_unique = state_out.iter().all(|r| seen.insert(*r));
-    Ok(TapeProgram {
-        consts: lw.consts,
-        ops: lw.ops,
-        num_regs: lw.next_reg,
-        input,
-        state_in,
-        state_out,
-        state_out_unique,
-        out,
-        env_slots: lw.env_slots,
-        init_slots,
-        shape,
-        body_ptr: Rc::as_ptr(&closure.body) as usize,
-        reg_names: lw.reg_names,
-    })
+        let out_regs = lw.bind_state_out(&next, &shape)?;
+        lw.emit(Op::Halt);
+        let init_slots = split_state(init_state, &shape)?;
+        let state_out = state_out_modes(&lw.ops, &state_in, input, &out_regs);
+        return Ok(TapeProgram {
+            consts: lw.consts,
+            ops: lw.ops,
+            num_regs: lw.next_reg,
+            input,
+            state_in,
+            state_out,
+            out,
+            env_slots: lw.env_slots,
+            init_slots,
+            shape,
+            body_ptr: Rc::as_ptr(&closure.body) as usize,
+            reg_names: lw.reg_names,
+        });
+    }
 }

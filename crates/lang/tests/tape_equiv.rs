@@ -228,6 +228,32 @@ fn robot_drivers_are_identical() {
     check_instance("robot.zl", "task_bot", &inputs);
 }
 
+/// A kernel whose successor state holds a constant leaf (the `->` first
+/// flag, `false` after the first tick) and a captured variable (`pre y`
+/// inside the embedded `infer`, where `y` is the driver's stream captured
+/// by the transition closure). Neither register is written by the tape,
+/// so stepping must copy them out, not take them: a taken constant or
+/// environment register is `nil` for the next particle.
+const KEEP: &str = r#"
+    let node keep y = z where
+      rec z = sample (gaussian (0. -> pre y, 1.))
+      and () = observe (gaussian (z, 1.), y)
+
+    let node main y = infer 3 keep y
+"#;
+
+#[test]
+fn constant_and_captured_state_leaves_survive_every_particle() {
+    let inputs: Vec<Value> = float_inputs(6).into_iter().map(Value::Float).collect();
+    let base = compile_source(KEEP).expect("keep compiles");
+    let opt = compile_source_opt(KEEP).expect("keep compiles");
+    assert_instance_identical("keep", &base, "main", &inputs);
+    assert_instance_identical("keep", &opt, "main", &inputs);
+    for compiled in [&base, &opt] {
+        assert_backends_identical("keep", compiled, "keep", 3, &inputs);
+    }
+}
+
 /// The steady-state allocation claim, witnessed the same way the engine
 /// scratch is in `tests/memory_bounds.rs`: the tape's register file plus
 /// flattened state slots reach a fixed footprint by the first tick and

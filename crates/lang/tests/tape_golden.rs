@@ -7,9 +7,11 @@
 //! reviewing it.
 
 use probzelus_core::infer::Method;
-use probzelus_lang::eval::{ExecBackend, Options};
+use probzelus_lang::compile::init_name;
+use probzelus_lang::eval::{ExecBackend, Interp, Options, ProbSlot};
 use probzelus_lang::pipeline::{compile_source_opt, Compiled};
 use probzelus_lang::tape::Op;
+use probzelus_lang::MufValue;
 
 fn example(file: &str) -> String {
     let path = format!("{}/../../examples/zelus/{file}", env!("CARGO_MANIFEST_DIR"));
@@ -128,4 +130,59 @@ fn robot_tracker_tape_is_fully_flattened() {
             .any(|op| matches!(op, Op::Eval { .. } | Op::CallSummary { .. })),
         "tracker tape re-enters the interpreter"
     );
+}
+
+/// The initial state a node's particles start from, computed the way the
+/// engine does (a hoisted node starts from its residual `#main` node).
+fn init_state(compiled: &Compiled, node: &str) -> MufValue {
+    let interp = Interp::new(&compiled.muf, options()).expect("interp builds");
+    let owner = compiled
+        .plans
+        .get(node)
+        .map_or(node, |plan| plan.main_node.as_str());
+    let init = interp.global(&init_name(owner)).expect("init compiled");
+    interp
+        .apply(&init, MufValue::unit(), &mut ProbSlot::Det)
+        .expect("init runs")
+}
+
+fn leaves(v: &MufValue) -> usize {
+    match v {
+        MufValue::Tuple(xs) => xs.iter().map(leaves).sum(),
+        _ => 1,
+    }
+}
+
+/// Flat state, checked structurally: the lowered hmm and robot nodes keep
+/// one state register per leaf of their initial state, and their tapes
+/// neither rebuild the state tree nor build any other tuple (`MkTuple`)
+/// on the per-particle path.
+#[test]
+fn benched_tapes_keep_state_flat() {
+    for (file, nodes) in [
+        ("hmm.zl", &["hmm"][..]),
+        (
+            "robot.zl",
+            &["integr", "tracker", "acc_tracker", "gps_acc_tracker"][..],
+        ),
+    ] {
+        let compiled = compile_source_opt(&example(file)).expect("example compiles");
+        for node in nodes {
+            let prog = compiled
+                .lower_node(node, options())
+                .expect("lower_node runs")
+                .unwrap_or_else(|e| panic!("{node} does not lower: {e}"));
+            assert!(
+                !prog.ops.iter().any(|op| matches!(op, Op::MkTuple { .. })),
+                "{file}/{node}: the tape builds a tuple"
+            );
+            let init = init_state(&compiled, node);
+            assert!(leaves(&init) > 1, "{file}/{node}: trivial initial state");
+            assert_eq!(
+                prog.state_in.len(),
+                leaves(&init),
+                "{file}/{node}: state slots vs leaves of the initial state"
+            );
+        }
+    }
 }
