@@ -176,13 +176,10 @@ fn counter_is_identical() {
     assert_instance_identical("counter.zl", "counter", &inputs);
 }
 
-#[test]
-fn robot_outputs_are_identical() {
-    // (a_obs, has_gps, p_obs, prev_cmd) — a closed-loop tuple input; the
-    // inferred node has no invariant equations, so this checks that the
-    // *other* passes (fold/DSE/CSE) stay transparent on a big program.
-    let floats = float_inputs(12);
-    let inputs: Vec<Value> = floats
+/// `(a_obs, (has_gps, (p_obs, cmd)))` tuples: the sensor input of
+/// `robot.zl`'s `gps_acc_tracker` and the closed-loop input of `robot`.
+fn robot_inputs(n: usize) -> Vec<Value> {
+    float_inputs(n)
         .iter()
         .enumerate()
         .map(|(t, &x)| {
@@ -194,7 +191,21 @@ fn robot_outputs_are_identical() {
                 ),
             )
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn robot_outputs_are_identical() {
+    // The inferred node has no invariant equations, so this checks that
+    // the *other* passes (fold/DSE/CSE) stay transparent on a big program.
+    let inputs = robot_inputs(12);
     assert_instance_identical("robot.zl", "robot", &inputs);
     assert_instance_identical("robot.zl", "task_bot", &inputs);
+}
+
+#[test]
+fn gps_acc_tracker_posteriors_are_bit_identical() {
+    // The tracker driven directly through `infer_node`, with the GPS
+    // `present` branch taken every fifth tick.
+    assert_infer_node_identical("robot.zl", "gps_acc_tracker", 20, &robot_inputs(12));
 }
