@@ -424,10 +424,7 @@ impl Interp {
         let v = self.eval(env, e, prob)?;
         match v {
             MufValue::V(Value::Dist(d)) => Ok(*d),
-            MufValue::Nil => Err(LangError::new(
-                Stage::Eval,
-                "uninitialized distribution; guard delays with `->`",
-            )),
+            MufValue::Nil => Err(uninitialized_dist()),
             other => Err(LangError::new(
                 Stage::Eval,
                 format!("expected a distribution, found {}", other.kind()),
@@ -505,23 +502,22 @@ impl Interp {
             _ => {}
         }
         // Core value operators.
-        let vals: Vec<Value> = args
-            .iter()
-            .map(|a| a.borrow().as_core())
-            .collect::<Result<_, _>>()?;
-        match core_op(op, &vals, self) {
+        let (vals, n) = core_args(args.iter().map(|a| a.borrow()))?;
+        let vals = &vals[..n];
+        match core_op(op, vals, self) {
             Ok(v) => Ok(MufValue::V(v)),
             Err(RuntimeError::NeedsValue(_)) => {
                 // Symbolic operand where a concrete one is needed: realize
                 // (this is the semantics of Fig. 14 for partially evaluated
                 // constructs like conditions) and retry once.
                 if let ProbSlot::Prob(ctx) = prob {
-                    let forced: Vec<Value> = vals
-                        .iter()
-                        .map(|v| ctx.force(v))
-                        .collect::<Result<_, _>>()
-                        .map_err(host)?;
-                    core_op(op, &forced, self).map(MufValue::V).map_err(host)
+                    let mut forced = <[Value; 3]>::default();
+                    for (f, v) in forced.iter_mut().zip(vals) {
+                        *f = ctx.force(v).map_err(host)?;
+                    }
+                    core_op(op, &forced[..n], self)
+                        .map(MufValue::V)
+                        .map_err(host)
                 } else {
                     Err(LangError::new(
                         Stage::Eval,
@@ -532,6 +528,55 @@ impl Interp {
             Err(e) => Err(host(e)),
         }
     }
+}
+
+/// An operator's operands as core values, in a stack buffer sliced to
+/// the first `n` (every operator has arity at most 3): the tape applies
+/// an operator per op per particle, where a `Vec` would cost one
+/// allocation each time.
+pub(crate) fn core_args<'a>(
+    args: impl ExactSizeIterator<Item = &'a MufValue>,
+) -> Result<([Value; 3], usize), LangError> {
+    let n = args.len();
+    if n > 3 {
+        return Err(LangError::new(
+            Stage::Eval,
+            format!("operator with {n} arguments"),
+        ));
+    }
+    let mut vals = <[Value; 3]>::default();
+    for (slot, a) in vals.iter_mut().zip(args) {
+        *slot = a.as_core()?;
+    }
+    Ok((vals, n))
+}
+
+/// The error of `sample`/`observe` on a `nil` distribution.
+pub(crate) fn uninitialized_dist() -> LangError {
+    LangError::new(
+        Stage::Eval,
+        "uninitialized distribution; guard delays with `->`",
+    )
+}
+
+/// The distribution a constructor operator builds from its operands
+/// (unused trailing slots are ignored), `None` for every other operator.
+/// The one body behind [`core_op`]'s boxed distribution values and the
+/// tape's fused `sample`/`observe` ops, which build it on the stack.
+pub(crate) fn dist_expr(op: OpName, [a, b, _]: [Value; 3]) -> Option<DistExpr> {
+    use OpName::*;
+    Some(match op {
+        Gaussian => DistExpr::gaussian(a, b),
+        Beta => DistExpr::beta(a, b),
+        Bernoulli => DistExpr::bernoulli(a),
+        Uniform => DistExpr::uniform(a, b),
+        Gamma => DistExpr::gamma(a, b),
+        Poisson => DistExpr::poisson(a),
+        Exponential => DistExpr::exponential(a),
+        Binomial => DistExpr::binomial(a, b),
+        Dirac => DistExpr::dirac(a),
+        _ => return None,
+    })
 }
 
 pub(crate) fn outside_infer(what: &str) -> LangError {
@@ -666,15 +711,13 @@ pub(crate) fn core_op(op: OpName, v: &[Value], interp: &Rc<Interp>) -> Result<Va
                 _ => unreachable!(),
             }
         }
-        Gaussian => Ok(Value::dist(DistExpr::gaussian(v[0].clone(), v[1].clone()))),
-        Beta => Ok(Value::dist(DistExpr::beta(v[0].clone(), v[1].clone()))),
-        Bernoulli => Ok(Value::dist(DistExpr::bernoulli(v[0].clone()))),
-        Uniform => Ok(Value::dist(DistExpr::uniform(v[0].clone(), v[1].clone()))),
-        Gamma => Ok(Value::dist(DistExpr::gamma(v[0].clone(), v[1].clone()))),
-        Poisson => Ok(Value::dist(DistExpr::poisson(v[0].clone()))),
-        Exponential => Ok(Value::dist(DistExpr::exponential(v[0].clone()))),
-        Binomial => Ok(Value::dist(DistExpr::binomial(v[0].clone(), v[1].clone()))),
-        Dirac => Ok(Value::dist(DistExpr::dirac(v[0].clone()))),
+        Gaussian | Beta | Bernoulli | Uniform | Gamma | Poisson | Exponential | Binomial
+        | Dirac => {
+            let args = std::array::from_fn(|i| v.get(i).cloned().unwrap_or_default());
+            dist_expr(op, args)
+                .map(Value::dist)
+                .ok_or_else(|| RuntimeError::Host(format!("{op:?} builds no distribution")))
+        }
     }
 }
 
@@ -912,7 +955,8 @@ pub struct MufEngine {
     prelude: Option<MufPrelude>,
     /// Shared with every particle model under [`ExecBackend::Tape`]; the
     /// engine bumps its epoch whenever the closure slot is rewritten so
-    /// the tape refreshes its captured-environment registers.
+    /// the tape refreshes its captured-environment registers, and its
+    /// tick at every step so the tape reloads the input.
     tape: Option<Rc<crate::tape::TapeCell>>,
 }
 
@@ -1020,6 +1064,11 @@ impl MufEngine {
             prelude,
             tape,
         } = self;
+        // A new tick input: the tape reloads it (and reruns its
+        // prologue) at the first particle step of this tick.
+        if let Some(cell) = tape {
+            cell.next_tick();
+        }
         match prelude {
             None => inner.step(input).map_err(|e| e.into()),
             Some(pre) => {

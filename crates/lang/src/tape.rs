@@ -8,8 +8,17 @@
 //! preallocated `Vec<Op>` of register-indexed opcodes over a dense
 //! register file of [`MufValue`] slots. All names are interned to `u32`
 //! register indices during lowering, so the steady state performs zero
-//! `HashMap` lookups, zero `Env` clones, and no per-tick allocation
-//! beyond what the operators themselves produce.
+//! `HashMap` lookups and zero `Env` clones.
+//!
+//! A steady-state particle step allocates nothing: operator operands
+//! live on the stack, a distribution that only feeds a `sample` or
+//! `observe` is built on the stack by a fused op instead of boxed into a
+//! register, and the tick input is loaded and destructured by the
+//! tape's prologue once per tick, not once per particle. What a tick
+//! still allocates is per tick (the input, the prologue's values, the
+//! engine's own bookkeeping) or per resampling clone (the flat state).
+//! State slots the tape neither reads nor rewrites stay in the particle
+//! instead of passing through the register file.
 //!
 //! The interpreter remains the semantic oracle: lowering is
 //! total-or-nothing per engine, every opcode mirrors the corresponding
@@ -19,10 +28,10 @@
 
 use crate::ast::OpName;
 use crate::error::{LangError, Stage};
-use crate::eval::{Interp, ModelState, ProbSlot};
+use crate::eval::{core_args, dist_expr, uninitialized_dist, Interp, ModelState, ProbSlot};
 use crate::muf::MufValue;
 use probzelus_core::prob::ProbCtx;
-use probzelus_core::value::Value;
+use probzelus_core::value::{DistExpr, Value};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -127,6 +136,27 @@ pub enum Op {
         /// Observation register.
         obs: Reg,
     },
+    /// `dst <- sample(op(args))` for a distribution constructor `op`:
+    /// the fusion of a constructor with the `sample` that is the only
+    /// reader of its value, so the distribution is built on the stack
+    /// instead of boxed into a register.
+    SampleDist {
+        /// Distribution constructor.
+        op: OpName,
+        /// Destination register.
+        dst: Reg,
+        /// Constructor argument registers.
+        args: Vec<Reg>,
+    },
+    /// `observe(op(args), obs)`, fused like [`Op::SampleDist`].
+    ObserveDist {
+        /// Distribution constructor.
+        op: OpName,
+        /// Constructor argument registers.
+        args: Vec<Reg>,
+        /// Observation register.
+        obs: Reg,
+    },
     /// `factor(w)` through the engine's [`ProbCtx`].
     Factor {
         /// Log-weight register.
@@ -197,15 +227,41 @@ impl Op {
             | Op::Proj { dst, .. }
             | Op::Select { dst, .. }
             | Op::Sample { dst, .. }
+            | Op::SampleDist { dst, .. }
             | Op::Value { dst, .. }
             | Op::Freshen { dst, .. }
             | Op::CallSummary { dst, .. }
             | Op::Eval { dst, .. } => Some(*dst),
             Op::Observe { .. }
+            | Op::ObserveDist { .. }
             | Op::Factor { .. }
             | Op::Jmp { .. }
             | Op::JmpIfNot { .. }
             | Op::Halt => None,
+        }
+    }
+
+    /// The registers this op reads.
+    pub(crate) fn reads(&self) -> Vec<Reg> {
+        match self {
+            Op::Const { .. } | Op::Jmp { .. } | Op::Halt => vec![],
+            Op::Move { src, .. }
+            | Op::Proj { src, .. }
+            | Op::Value { src, .. }
+            | Op::Freshen { src, .. } => vec![*src],
+            Op::UnOp { a, .. } => vec![*a],
+            Op::BinOp { a, b, .. } => vec![*a, *b],
+            Op::TernOp { a, b, c, .. } => vec![*a, *b, *c],
+            Op::MkTuple { items, .. } => items.clone(),
+            Op::Select { cond, t, f, .. } => vec![*cond, *t, *f],
+            Op::Sample { dist, .. } => vec![*dist],
+            Op::Observe { dist, obs } => vec![*dist, *obs],
+            Op::SampleDist { args, .. } => args.clone(),
+            Op::ObserveDist { args, obs, .. } => args.iter().chain([obs]).copied().collect(),
+            Op::Factor { w } => vec![*w],
+            Op::JmpIfNot { cond, .. } => vec![*cond],
+            Op::CallSummary { arg, .. } => vec![*arg],
+            Op::Eval { f, arg, .. } => vec![*f, *arg],
         }
     }
 }
@@ -219,6 +275,16 @@ pub enum OutSpec {
     Reg(Reg),
     /// A tuple of sub-outputs.
     Tuple(Vec<OutSpec>),
+}
+
+impl OutSpec {
+    /// Every register the output reads.
+    pub(crate) fn regs(&self) -> Vec<Reg> {
+        match self {
+            OutSpec::Reg(r) => vec![*r],
+            OutSpec::Tuple(items) => items.iter().flat_map(OutSpec::regs).collect(),
+        }
+    }
 }
 
 /// The tuple structure of the externalized state. State is stored as one
@@ -264,6 +330,12 @@ pub struct TapeProgram {
     pub consts: Vec<Op>,
     /// The instruction stream, ending in [`Op::Halt`].
     pub ops: Vec<Op>,
+    /// Length of the prologue: the leading `Proj` ops of `ops` that
+    /// destructure the tick input and the captured environment. They
+    /// read nothing per-particle, so a step runs them only at the first
+    /// particle of a tick (or after the environment was refreshed), and
+    /// every particle then runs `ops[prologue..]`.
+    pub prologue: usize,
     /// Total number of registers.
     pub num_regs: u32,
     /// Register receiving the tick input (driver-facing transitions).
@@ -299,8 +371,13 @@ pub enum StateOut {
     /// reads it.
     Move(Reg),
     /// Copied out: the register is a constant, a captured-environment
-    /// slot, or feeds a later slot too, so it must keep its value.
+    /// slot, the tick input or a prologue register, or feeds a later
+    /// slot too, so it must keep its value for the next particle.
     Clone(Reg),
+    /// Left in the particle: the slot's successor is its own `state_in`
+    /// register and nothing else reads that register, so the step
+    /// neither loads the slot nor stores it back.
+    Keep,
 }
 
 /// The shared runtime state of one engine's tape: the program plus the
@@ -357,6 +434,12 @@ pub struct TapeCell {
     epoch: Cell<u64>,
     /// Last epoch whose environment was copied into the register file.
     synced: Cell<u64>,
+    /// Bumped by the engine at the start of every tick.
+    tick: Cell<u64>,
+    /// `(tick, epoch)` at the last successful input load and prologue
+    /// run: while it matches, the input and prologue registers hold this
+    /// tick's values.
+    loaded: Cell<Option<(u64, u64)>>,
 }
 
 impl TapeCell {
@@ -364,6 +447,12 @@ impl TapeCell {
     /// registers must be refreshed before the next execution).
     pub fn bump(&self) {
         self.epoch.set(self.epoch.get().wrapping_add(1));
+    }
+
+    /// Signals a new tick input (the input and prologue registers must
+    /// be reloaded before the next execution).
+    pub(crate) fn next_tick(&self) {
+        self.tick.set(self.tick.get().wrapping_add(1));
     }
 
     /// The installed tape, if lowering has succeeded.
@@ -468,9 +557,11 @@ pub(crate) enum TapeStep {
 }
 
 /// One particle step on the tape. Mirrors `MufModel::step`'s interpreter
-/// path: state slots move into their registers, the tape executes, the
-/// output is folded to a core value, and the successor state moves back
-/// out.
+/// path: state slots move into their registers (kept slots stay put),
+/// the tape executes, the output is folded to a core value, and the
+/// successor state moves back out. The input load and the prologue run
+/// at the first particle of a tick only; an error there is this
+/// particle's error, and the next particle retries the load.
 pub(crate) fn step_model(
     interp: &Rc<Interp>,
     cell: &TapeCell,
@@ -519,23 +610,53 @@ pub(crate) fn step_model(
         return Err(LangError::new(Stage::Eval, "tape state must be flat"));
     };
     let mut regs = shared.regs.borrow_mut();
-    if let Some(r) = prog.input {
-        regs[r as usize] = MufValue::V(input.clone());
+    for ((slot, &r), out) in slots.iter_mut().zip(&prog.state_in).zip(&prog.state_out) {
+        if *out != StateOut::Keep {
+            regs[r as usize] = std::mem::replace(slot, MufValue::Nil);
+        }
     }
-    for (slot, &r) in slots.iter_mut().zip(&prog.state_in) {
-        regs[r as usize] = std::mem::replace(slot, MufValue::Nil);
-    }
-    exec(interp, prog, &mut regs, ctx)?;
-    // Fold the output before moving state out: an output register may
-    // alias a state register.
-    let out = fold_out(&prog.out, &regs)?;
+    let out = match run(interp, cell, prog, &mut regs, ctx, input) {
+        Ok(out) => out,
+        Err(e) => {
+            // A failed step leaves the particle no state, kept slots
+            // included, as the interpreter's does.
+            slots.fill(MufValue::Nil);
+            return Err(e);
+        }
+    };
     for (slot, out) in slots.iter_mut().zip(&prog.state_out) {
         *slot = match *out {
             StateOut::Move(r) => std::mem::replace(&mut regs[r as usize], MufValue::Nil),
             StateOut::Clone(r) => regs[r as usize].clone(),
+            StateOut::Keep => continue,
         };
     }
     Ok(TapeStep::Done(out))
+}
+
+/// Runs the tape over a register file holding the particle's state:
+/// the input load and the prologue when this tick has not loaded them
+/// yet, then the body, and folds the output.
+fn run(
+    interp: &Rc<Interp>,
+    cell: &TapeCell,
+    prog: &TapeProgram,
+    regs: &mut [MufValue],
+    ctx: &mut dyn ProbCtx,
+    input: &Value,
+) -> Result<Value, LangError> {
+    let now = (cell.tick.get(), cell.epoch.get());
+    if cell.loaded.get() != Some(now) {
+        if let Some(r) = prog.input {
+            regs[r as usize] = MufValue::V(input.clone());
+        }
+        exec(interp, &prog.ops, 0, prog.prologue, regs, ctx)?;
+        cell.loaded.set(Some(now));
+    }
+    exec(interp, &prog.ops, prog.prologue, prog.ops.len(), regs, ctx)?;
+    // Fold the output before moving state out: an output register may
+    // alias a state register.
+    fold_out(&prog.out, regs)
 }
 
 /// Folds an [`OutSpec`] to a core value, mirroring [`MufValue::as_core`]
@@ -557,19 +678,19 @@ fn fold_out(spec: &OutSpec, regs: &[MufValue]) -> Result<Value, LangError> {
     }
 }
 
-/// Runs the instruction stream. Every opcode matches the corresponding
-/// `Interp::eval` branch exactly — same evaluation order, same error
-/// messages, same RNG draws — so posteriors agree bit-for-bit with the
-/// interpreter.
+/// Runs the instruction stream from op `pc` until `end` or a `Halt`.
+/// Every opcode matches the corresponding `Interp::eval` branch exactly —
+/// same evaluation order, same error messages, same RNG draws — so
+/// posteriors agree bit-for-bit with the interpreter.
 fn exec(
     interp: &Rc<Interp>,
-    prog: &TapeProgram,
+    ops: &[Op],
+    mut pc: usize,
+    end: usize,
     regs: &mut [MufValue],
     ctx: &mut dyn ProbCtx,
 ) -> Result<(), LangError> {
-    let ops = &prog.ops;
-    let mut pc = 0usize;
-    while pc < ops.len() {
+    while pc < end {
         match &ops[pc] {
             Op::Halt => break,
             Op::Const { dst, v } => regs[*dst as usize] = v.clone(),
@@ -626,6 +747,16 @@ fn exec(
                 let d = dist_of(&regs[*dist as usize])?;
                 let o = regs[*obs as usize].as_core()?;
                 ctx.observe(d, &o)?;
+            }
+            Op::SampleDist { op, dst, args } => {
+                let d = fused_dist(*op, args, regs)?;
+                let v = ctx.sample(&d)?;
+                regs[*dst as usize] = MufValue::V(v);
+            }
+            Op::ObserveDist { op, args, obs } => {
+                let d = fused_dist(*op, args, regs)?;
+                let o = regs[*obs as usize].as_core()?;
+                ctx.observe(&d, &o)?;
             }
             Op::Factor { w } => {
                 let v = regs[*w as usize].as_core()?;
@@ -708,18 +839,28 @@ fn project(v: &MufValue, idx: u32, arity: u32) -> Result<MufValue, LangError> {
 }
 
 /// Resolves a register to a distribution, mirroring `Interp::eval_dist`.
-fn dist_of(v: &MufValue) -> Result<&probzelus_core::value::DistExpr, LangError> {
+fn dist_of(v: &MufValue) -> Result<&DistExpr, LangError> {
     match v {
         MufValue::V(Value::Dist(d)) => Ok(d),
-        MufValue::Nil => Err(LangError::new(
-            Stage::Eval,
-            "uninitialized distribution; guard delays with `->`",
-        )),
+        MufValue::Nil => Err(uninitialized_dist()),
         other => Err(LangError::new(
             Stage::Eval,
             format!("expected a distribution, found {}", other.kind()),
         )),
     }
+}
+
+/// Builds a fused op's distribution on the stack with the semantics of
+/// the constructor op followed by `Interp::eval_dist`: a `nil` argument
+/// poisons the constructor to `nil`, which `sample`/`observe` reject.
+fn fused_dist(op: OpName, args: &[Reg], regs: &[MufValue]) -> Result<DistExpr, LangError> {
+    let args = args.iter().map(|&r| &regs[r as usize]);
+    if args.clone().any(MufValue::is_nil) {
+        return Err(uninitialized_dist());
+    }
+    let (vals, _) = core_args(args)?;
+    dist_expr(op, vals)
+        .ok_or_else(|| LangError::new(Stage::Eval, format!("{op:?} builds no distribution")))
 }
 
 impl TapeProgram {
@@ -737,6 +878,7 @@ impl TapeProgram {
             self.ops.len(),
             self.state_in.len()
         );
+        let _ = writeln!(s, "prologue: {} op(s)", self.prologue);
         if let Some(r) = self.input {
             let _ = writeln!(s, "input: r{r}");
         }
@@ -750,6 +892,7 @@ impl TapeProgram {
             .map(|o| match o {
                 StateOut::Move(r) => format!("r{r}"),
                 StateOut::Clone(r) => format!("clone(r{r})"),
+                StateOut::Keep => "keep".into(),
             })
             .collect();
         let _ = writeln!(s, "state_in: {}", ins.join(" "));
@@ -839,6 +982,24 @@ fn render_op(op: &Op, names: &[String]) -> String {
         ),
         Op::Sample { dst, dist } => format!("sample      {} <- {}", named(*dst), named(*dist)),
         Op::Observe { dist, obs } => format!("observe     {}, {}", named(*dist), named(*obs)),
+        Op::SampleDist { op, dst, args } => {
+            let args: Vec<String> = args.iter().map(|&r| named(r)).collect();
+            format!(
+                "sample.{:<5} {} <- ({})",
+                mnemonic(*op),
+                named(*dst),
+                args.join(", ")
+            )
+        }
+        Op::ObserveDist { op, args, obs } => {
+            let args: Vec<String> = args.iter().map(|&r| named(r)).collect();
+            format!(
+                "observe.{:<4} ({}), {}",
+                mnemonic(*op),
+                args.join(", "),
+                named(*obs)
+            )
+        }
         Op::Factor { w } => format!("factor      {}", named(*w)),
         Op::Value { dst, src } => format!("value       {} <- {}", named(*dst), named(*src)),
         Op::Freshen { dst, src } => format!("freshen     {} <- {}", named(*dst), named(*src)),

@@ -19,12 +19,18 @@
 //! interpreting. The evaluation order of emitted ops mirrors the
 //! interpreter's recursion exactly, so effects (sampling, observation,
 //! RNG consumption) happen in the same sequence bit-for-bit.
+//!
+//! Two passes then finish the tape: a peephole pass fuses each
+//! distribution constructor into the `sample`/`observe` that is the sole
+//! reader of its value ([`fuse_dists`]), and [`prologue_len`] marks the
+//! leading projections of the tick input and the captured environment,
+//! which the step runs once per tick instead of once per particle.
 
 use crate::ast::OpName;
-use crate::eval::{const_value, Interp};
+use crate::eval::{const_value, dist_expr, Interp};
 use crate::muf::{Closure, Env, MufExpr, MufPat, MufValue};
 use crate::tape::{split_state, Op, OutSpec, Reg, StateOut, StateShape, TapeProgram};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 /// Inlining recursion limit: deeper call chains go through
@@ -555,30 +561,49 @@ fn trim_shape(shape: &StateShape, next: &Place) -> StateShape {
     }
 }
 
-/// Decides per successor-state slot whether stepping moves or clones it
-/// out. A register the tape writes, or the step loads (state-in and input
-/// registers), is rewritten before it is next read, so its last slot
-/// takes the value; constants, captured-environment slots and earlier
-/// duplicates are cloned. A register reaches the successor state from
-/// inside an `if` only as a join register, written on both paths, or as
-/// one defined before the `if`, so "written" means written every step.
-fn state_out_modes(
-    ops: &[Op],
-    state_in: &[Reg],
-    input: Option<Reg>,
-    regs: &[Reg],
-) -> Vec<StateOut> {
-    let mut loaded: HashSet<Reg> = ops
+/// How many times each register is read: by an op, by the output, or as
+/// the source of a successor-state slot.
+fn read_counts(ops: &[Op], out: &OutSpec, state_out: &[Reg]) -> HashMap<Reg, usize> {
+    let mut reads = HashMap::new();
+    for r in ops
         .iter()
-        .filter_map(Op::dst)
-        .chain(state_in.iter().copied())
-        .chain(input)
-        .collect();
+        .flat_map(Op::reads)
+        .chain(out.regs())
+        .chain(state_out.iter().copied())
+    {
+        *reads.entry(r).or_default() += 1;
+    }
+    reads
+}
+
+/// Decides per successor-state slot whether stepping keeps, moves or
+/// clones it. `body` is the tape after its prologue and `regs` the
+/// successor-state source of each slot. A slot whose source is its own
+/// `state_in` register, which nothing else reads and nothing writes,
+/// stays in the particle. Otherwise a register the body writes, or a
+/// state-in register, is rewritten before it is next read, so its last
+/// slot takes the value; constants, captured-environment slots, the
+/// input and prologue registers (loaded once per tick, read by every
+/// particle) and earlier duplicates are cloned. A register reaches the
+/// successor state from inside an `if` only as a join register, written
+/// on both paths, or as one defined before the `if`, so "written" means
+/// written every step.
+fn state_out_modes(
+    body: &[Op],
+    state_in: &[Reg],
+    regs: &[Reg],
+    reads: &HashMap<Reg, usize>,
+) -> Vec<StateOut> {
+    let written: HashSet<Reg> = body.iter().filter_map(Op::dst).collect();
+    let mut loaded: HashSet<Reg> = written.iter().chain(state_in).copied().collect();
     let mut modes: Vec<StateOut> = regs
         .iter()
+        .zip(state_in)
         .rev()
-        .map(|&r| {
-            if loaded.remove(&r) {
+        .map(|(&r, &own)| {
+            if r == own && reads.get(&r) == Some(&1) && !written.contains(&r) {
+                StateOut::Keep
+            } else if loaded.remove(&r) {
                 StateOut::Move(r)
             } else {
                 StateOut::Clone(r)
@@ -587,6 +612,99 @@ fn state_out_modes(
         .collect();
     modes.reverse();
     modes
+}
+
+/// Fuses each distribution constructor (`UnOp`/`BinOp` of a distribution
+/// family) with the `Sample`/`Observe` right after it into one
+/// [`Op::SampleDist`]/[`Op::ObserveDist`], when that consumer is the only
+/// reader of the constructed value (no other op, no state-out slot and no
+/// output reads it) and no jump lands on the consumer. The pair is
+/// adjacent, so fusing moves no effect and no error across another op; a
+/// distribution that escapes to a value keeps its boxed form. Jump
+/// targets are remapped to the shortened tape.
+fn fuse_dists(ops: Vec<Op>, out: &OutSpec, state_out: &[Reg]) -> Vec<Op> {
+    let reads = read_counts(&ops, out, state_out);
+    let targets: HashSet<u32> = ops
+        .iter()
+        .filter_map(|op| match op {
+            Op::Jmp { target } | Op::JmpIfNot { target, .. } => Some(*target),
+            _ => None,
+        })
+        .collect();
+    let fuse = |ctor: &Op, consumer: &Op| -> Option<Op> {
+        let (op, d, args) = match *ctor {
+            Op::UnOp { op, dst, a } => (op, dst, vec![a]),
+            Op::BinOp { op, dst, a, b } => (op, dst, vec![a, b]),
+            _ => return None,
+        };
+        let builds_dist = dist_expr(op, Default::default()).is_some();
+        if !builds_dist || reads.get(&d) != Some(&1) {
+            return None;
+        }
+        match *consumer {
+            Op::Sample { dst, dist } if dist == d => Some(Op::SampleDist { op, dst, args }),
+            Op::Observe { dist, obs } if dist == d => Some(Op::ObserveDist { op, args, obs }),
+            _ => None,
+        }
+    };
+    // `new_at[i]`: the index of op `i` in the fused tape (for a fused
+    // consumer, the index of the fused op).
+    let mut new_at = Vec::with_capacity(ops.len() + 1);
+    let mut fused = Vec::with_capacity(ops.len());
+    let mut i = 0;
+    while i < ops.len() {
+        new_at.push(fused.len() as u32);
+        let pair = ops
+            .get(i + 1)
+            .filter(|_| !targets.contains(&(i as u32 + 1)))
+            .and_then(|next| fuse(&ops[i], next));
+        match pair {
+            Some(op) => {
+                new_at.push(fused.len() as u32);
+                fused.push(op);
+                i += 2;
+            }
+            None => {
+                fused.push(ops[i].clone());
+                i += 1;
+            }
+        }
+    }
+    new_at.push(fused.len() as u32);
+    for op in &mut fused {
+        if let Op::Jmp { target } | Op::JmpIfNot { target, .. } = op {
+            *target = new_at[*target as usize];
+        }
+    }
+    fused
+}
+
+/// The prologue: the longest run of leading `Proj` ops whose sources are
+/// the tick input, captured-environment registers or earlier prologue
+/// registers. None of it depends on the particle, so the step runs it
+/// once per tick. Should a later op write a register the prologue reads
+/// or defines, the prologue is empty: lowering never emits such an op,
+/// and the check keeps the once-per-tick load sound regardless.
+fn prologue_len(ops: &[Op], input: Option<Reg>, env_slots: &[(String, Reg)]) -> usize {
+    let mut shared: HashSet<Reg> = env_slots.iter().map(|(_, r)| *r).chain(input).collect();
+    let mut len = 0;
+    for op in ops {
+        match op {
+            Op::Proj { dst, src, .. } if shared.contains(src) => {
+                shared.insert(*dst);
+                len += 1;
+            }
+            _ => break,
+        }
+    }
+    if ops[len..]
+        .iter()
+        .filter_map(Op::dst)
+        .any(|r| shared.contains(&r))
+    {
+        return 0;
+    }
+    len
 }
 
 fn pat_name(p: &MufPat) -> String {
@@ -679,10 +797,14 @@ pub fn lower_closure(
         let out_regs = lw.bind_state_out(&next, &shape)?;
         lw.emit(Op::Halt);
         let init_slots = split_state(init_state, &shape)?;
-        let state_out = state_out_modes(&lw.ops, &state_in, input, &out_regs);
+        let ops = fuse_dists(lw.ops, &out, &out_regs);
+        let prologue = prologue_len(&ops, input, &lw.env_slots);
+        let reads = read_counts(&ops, &out, &out_regs);
+        let state_out = state_out_modes(&ops[prologue..], &state_in, &out_regs, &reads);
         return Ok(TapeProgram {
             consts: lw.consts,
-            ops: lw.ops,
+            ops,
+            prologue,
             num_regs: lw.next_reg,
             input,
             state_in,

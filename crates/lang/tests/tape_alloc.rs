@@ -6,11 +6,16 @@
 //! `robot.zl`'s `gps_acc_tracker`: PF, 100 particles, fixed seed and
 //! inputs, optimizing pipeline, tape backend.
 //!
-//! A PF tick allocates a fixed amount for stepping the cloud, plus a
-//! fixed amount per particle the resampler clones (the clone count is
-//! random, so the total per tick is not constant). Every tick of two
-//! later windows must split exactly that way with the same two pinned
-//! constants: the step cost does not drift and nothing grows.
+//! A PF tick allocates a fixed amount for stepping the cloud (its step
+//! cost), plus a fixed amount per particle the resampler clones (the
+//! clone count is random, so the total per tick is not constant). Every
+//! tick of two later windows must split exactly that way with the same
+//! two pinned constants: the step cost does not drift and nothing grows.
+//!
+//! The step cost is also the same at 10 and at 100 particles: a particle
+//! step on the tape allocates nothing, and what a tick allocates (the
+//! hoisted prelude, the tick input and its prologue, the engine's own
+//! bookkeeping) does not scale with the particle count.
 
 use probzelus_core::infer::Method;
 use probzelus_core::Value;
@@ -67,6 +72,8 @@ fn allocs() -> u64 {
 }
 
 const PARTICLES: usize = 100;
+/// The smaller cloud of the particle-count independence check.
+const FEW_PARTICLES: usize = 10;
 const WARMUP: usize = 20;
 const WINDOW: usize = 100;
 
@@ -88,7 +95,7 @@ fn float_inputs(n: usize) -> Vec<f64> {
         .collect()
 }
 
-fn engine(file: &str, node: &str) -> MufEngine {
+fn engine(file: &str, node: &str, particles: usize) -> MufEngine {
     let compiled = compile_source_opt(&example(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
     let options = Options {
         method: Method::ParticleFilter,
@@ -96,7 +103,7 @@ fn engine(file: &str, node: &str) -> MufEngine {
         backend: ExecBackend::Tape,
     };
     compiled
-        .infer_node(node, PARTICLES, options)
+        .infer_node(node, particles, options)
         .unwrap_or_else(|e| panic!("{node}: {e}"))
 }
 
@@ -117,16 +124,18 @@ fn measure(engine: &mut MufEngine, inputs: &[Value]) -> Vec<(u64, u64)> {
 }
 
 /// Allocation events per cloned particle: the clone's flat state-slot
-/// vector (every leaf of both models' states is a scalar, so cloning a
-/// leaf allocates nothing).
+/// vector. Every leaf of both models' states is a scalar, so cloning a
+/// leaf allocates nothing, and a clone is the only per-particle
+/// allocation of a tick.
 const PER_CLONE: u64 = 1;
 
-/// Runs warm-up plus two windows and checks that, at every window tick
-/// `t`, the tick allocated `step(t)` plus [`PER_CLONE`] per clone, and
-/// that both windows spend the same on stepping the cloud.
-fn assert_steady(file: &str, node: &str, inputs: &[Value], step: impl Fn(usize) -> u64) {
+/// Runs an engine of `particles` particles through warm-up plus two
+/// windows and returns the step cost (allocations minus [`PER_CLONE`]
+/// per clone) of every window tick, after checking that both windows
+/// spend the same on stepping the cloud.
+fn step_costs(file: &str, node: &str, particles: usize, inputs: &[Value]) -> Vec<u64> {
     assert_eq!(inputs.len(), WARMUP + 2 * WINDOW);
-    let mut eng = engine(file, node);
+    let mut eng = engine(file, node, particles);
     measure(&mut eng, &inputs[..WARMUP]);
     assert_eq!(eng.tape_status(), Some(Ok(())), "{node}: no tape");
     let residual = |window: Vec<(u64, u64)>| -> Vec<u64> {
@@ -142,48 +151,77 @@ fn assert_steady(file: &str, node: &str, inputs: &[Value], step: impl Fn(usize) 
         second.iter().sum::<u64>(),
         "{node}: the step's allocations changed between windows"
     );
-    for (t, r) in first.iter().chain(&second).enumerate() {
+    first.into_iter().chain(second).collect()
+}
+
+/// Checks that every window tick `t` of a [`PARTICLES`]-particle engine
+/// had step cost `step(t)`.
+fn assert_steady(file: &str, node: &str, inputs: &[Value], step: impl Fn(usize) -> u64) {
+    for (t, cost) in step_costs(file, node, PARTICLES, inputs)
+        .into_iter()
+        .enumerate()
+    {
         let t = WARMUP + t;
         assert_eq!(
-            *r,
+            cost,
             step(t),
             "{node} tick {t}: allocations other than clones"
         );
     }
 }
 
-#[test]
-fn hmm_pf_tick_allocations_are_pinned() {
-    let inputs: Vec<Value> = float_inputs(WARMUP + 2 * WINDOW)
+fn hmm_inputs() -> Vec<Value> {
+    float_inputs(WARMUP + 2 * WINDOW)
         .into_iter()
         .map(Value::Float)
-        .collect();
-    assert_steady("hmm.zl", "hmm", &inputs, |_| 533);
+        .collect()
 }
 
-#[test]
-fn robot_pf_tick_allocations_are_pinned() {
-    // (a_obs, (has_gps, (p_obs, cmd))) — the gps_acc_tracker input; every
-    // fifth tick carries a GPS fix, which costs one more observation.
-    let has_gps = |t: usize| t.is_multiple_of(5);
-    let inputs: Vec<Value> = float_inputs(WARMUP + 2 * WINDOW)
+/// `(a_obs, (has_gps, (p_obs, cmd)))`, the gps_acc_tracker input; every
+/// fifth tick carries a GPS fix.
+fn robot_inputs() -> Vec<Value> {
+    float_inputs(WARMUP + 2 * WINDOW)
         .iter()
         .enumerate()
         .map(|(t, &x)| {
             Value::pair(
                 Value::Float(x * 0.1),
                 Value::pair(
-                    Value::Bool(has_gps(t)),
+                    Value::Bool(t.is_multiple_of(5)),
                     Value::pair(Value::Float(x.abs()), Value::Float(0.5)),
                 ),
             )
         })
-        .collect();
-    assert_steady("robot.zl", "gps_acc_tracker", &inputs, |t| {
-        if has_gps(t) {
-            2204
-        } else {
-            2004
-        }
-    });
+        .collect()
+}
+
+#[test]
+fn hmm_pf_tick_allocations_are_pinned() {
+    // All of it is the hoisted prelude, which still runs on the
+    // interpreter once per tick.
+    assert_steady("hmm.zl", "hmm", &hmm_inputs(), |_| 133);
+}
+
+#[test]
+fn robot_pf_tick_allocations_are_pinned() {
+    // The tick input's six boxes and the six of the two tails the
+    // prologue projects out, once per tick, plus the engine's own four.
+    // A GPS tick's extra observation is fused, so it costs nothing more.
+    assert_steady("robot.zl", "gps_acc_tracker", &robot_inputs(), |_| 16);
+}
+
+/// Zero allocations per particle-step: the step cost of every window
+/// tick is the same at 10 particles as at 100.
+#[test]
+fn particle_steps_allocate_nothing() {
+    for (file, node, inputs) in [
+        ("hmm.zl", "hmm", hmm_inputs()),
+        ("robot.zl", "gps_acc_tracker", robot_inputs()),
+    ] {
+        assert_eq!(
+            step_costs(file, node, FEW_PARTICLES, &inputs),
+            step_costs(file, node, PARTICLES, &inputs),
+            "{node}: the step cost depends on the particle count"
+        );
+    }
 }

@@ -11,9 +11,14 @@
 //! sequentially regardless of the configured parallelism.
 
 use probzelus_core::infer::Method;
-use probzelus_core::Value;
+use probzelus_core::{Posterior, Value};
+use probzelus_lang::eval::Interp;
+use probzelus_lang::muf::{MufDef, MufExpr, MufPat, MufProgram};
 use probzelus_lang::pipeline::{compile_source, compile_source_opt, Compiled};
-use probzelus_lang::{ExecBackend, MufEngine, Options};
+use probzelus_lang::tape::{Op, StateOut, TapeProgram};
+use probzelus_lang::transform::lower::lower_closure;
+use probzelus_lang::{Const, ExecBackend, MufEngine, MufValue, OpName, Options};
+use std::rc::Rc;
 
 const METHODS: [Method; 4] = [
     Method::ParticleFilter,
@@ -302,4 +307,425 @@ fn interp_backend_reports_no_tape() {
     eng.step(&Value::Float(0.5)).expect("step");
     assert_eq!(eng.tape_status(), None);
     assert_eq!(eng.tape_scratch_bytes(), None);
+}
+
+/// One tick as `MufEngine::step` reports it: the posterior, or the
+/// error's text.
+type Outcome = Result<Posterior, String>;
+
+/// Steps an interpreter engine and a tape engine, both made by `mk`,
+/// through `inputs` under PF and SDS. At every tick both must give the
+/// same outcome: bit-identical posteriors or the same error text. The
+/// tape must have lowered, and after a reset it must replay its
+/// outcomes. Returns the outcomes per method.
+fn assert_outcomes_identical(
+    what: &str,
+    mk: impl Fn(Method, ExecBackend) -> MufEngine,
+    inputs: &[Value],
+) -> Vec<Vec<Outcome>> {
+    [Method::ParticleFilter, Method::StreamingDs]
+        .into_iter()
+        .map(|method| {
+            let mut interp = mk(method, ExecBackend::Interp);
+            let mut tape = mk(method, ExecBackend::Tape);
+            let run = |engine: &mut MufEngine| -> Vec<Outcome> {
+                inputs
+                    .iter()
+                    .map(|x| engine.step(x).map_err(|e| e.to_string()))
+                    .collect()
+            };
+            let expected = run(&mut interp);
+            let got = run(&mut tape);
+            for (t, (e, g)) in expected.iter().zip(&got).enumerate() {
+                assert_eq!(e, g, "{what} {method:?} tick {t}: backends differ");
+            }
+            assert_eq!(
+                tape.tape_status(),
+                Some(Ok(())),
+                "{what} {method:?}: tape did not lower"
+            );
+            tape.reset();
+            assert_eq!(run(&mut tape), got, "{what} {method:?}: reset diverged");
+            got
+        })
+        .collect()
+}
+
+/// Both pipelines' compilations of `src`.
+fn both_pipelines(src: &str) -> [Compiled; 2] {
+    [
+        compile_source(src).expect("compiles"),
+        compile_source_opt(src).expect("compiles (opt)"),
+    ]
+}
+
+fn lowered(compiled: &Compiled, node: &str) -> TapeProgram {
+    let options = Options {
+        method: Method::StreamingDs,
+        seed: 0,
+        backend: ExecBackend::Tape,
+    };
+    compiled
+        .lower_node(node, options)
+        .expect("lower_node runs")
+        .unwrap_or_else(|e| panic!("{node} does not lower: {e}"))
+}
+
+/// A distribution that escapes to a value: `d` is both sampled and
+/// observed in `escape`, and both sampled and returned in `returned`.
+const ESCAPE: &str = r#"
+    let node escape y = x where
+      rec d = gaussian (0. -> pre x, 1.)
+      and x = sample (d)
+      and () = observe (d, y)
+
+    let node returned y = d where
+      rec d = gaussian (y, 1.)
+      and x = sample (d)
+      and () = observe (gaussian (x, 1.), y)
+"#;
+
+/// An escaping distribution keeps its boxed constructor and boxed
+/// `sample`/`observe`, and the tape stays bit-identical to the
+/// interpreter.
+#[test]
+fn escaping_distribution_stays_boxed() {
+    let inputs: Vec<Value> = float_inputs(8).into_iter().map(Value::Float).collect();
+    for compiled in both_pipelines(ESCAPE) {
+        for node in ["escape", "returned"] {
+            assert_outcomes_identical(
+                node,
+                |method, backend| engine(&compiled, node, 7, method, backend),
+                &inputs,
+            )
+            .iter()
+            .flatten()
+            .for_each(|o| assert!(o.is_ok(), "{node}: {o:?}"));
+        }
+    }
+    // The optimizing pipeline hoists `returned`'s distribution into the
+    // prelude; the plain one keeps both in the particle.
+    let [plain, _] = both_pipelines(ESCAPE);
+    let ops = lowered(&plain, "escape").ops;
+    assert!(
+        ops.iter().any(|op| matches!(op, Op::Sample { .. }))
+            && ops.iter().any(|op| matches!(op, Op::Observe { .. })),
+        "escape: the shared distribution was fused: {ops:?}"
+    );
+    let ops = lowered(&plain, "returned").ops;
+    assert!(
+        ops.iter().any(|op| matches!(op, Op::Sample { .. })),
+        "returned: the returned distribution was fused: {ops:?}"
+    );
+}
+
+/// Hand-written µF transitions `name = fun pat -> body`, all over the
+/// same initial state.
+struct Muf {
+    program: MufProgram,
+    init: MufValue,
+}
+
+impl Muf {
+    fn new(init: MufValue, defs: Vec<(&str, MufPat, MufExpr)>) -> Muf {
+        let defs = defs
+            .into_iter()
+            .map(|(name, pat, body)| MufDef {
+                name: name.into(),
+                expr: MufExpr::Fun(pat, Rc::new(body)),
+            })
+            .collect();
+        Muf {
+            program: MufProgram { defs },
+            init,
+        }
+    }
+
+    /// The interpreter holding the transitions, and transition `name`.
+    fn closure(&self, name: &str, options: Options) -> (Rc<Interp>, MufValue) {
+        let interp = Interp::new(&self.program, options).expect("interp builds");
+        let step = interp.global(name).expect("transition defined");
+        (interp, step)
+    }
+
+    /// An engine of 4 particles over transition `name`.
+    fn engine(&self, name: &str, method: Method, backend: ExecBackend) -> MufEngine {
+        let options = Options {
+            method,
+            seed: 42,
+            backend,
+        };
+        let (interp, step) = self.closure(name, options);
+        MufEngine::new(interp, method, 4, self.init.clone(), step, true, 42)
+    }
+
+    /// Transition `name` lowered to the tape.
+    fn tape(&self, name: &str) -> TapeProgram {
+        let (interp, step) = self.closure(name, Options::default());
+        let MufValue::Closure(step) = step else {
+            panic!("{name} is not a closure");
+        };
+        lower_closure(&interp, &step, &self.init, true).expect("lowers")
+    }
+}
+
+fn var(x: &str) -> MufExpr {
+    MufExpr::Var(x.into())
+}
+
+fn float(x: f64) -> MufExpr {
+    MufExpr::Const(Const::Float(x))
+}
+
+fn gaussian(mean: MufExpr) -> MufExpr {
+    MufExpr::Op(OpName::Gaussian, vec![mean, float(1.0)])
+}
+
+/// A `nil` argument reaching a fused op fails the tick with the
+/// interpreter's error text, and ticks whose arguments are defined run
+/// bit-identically. The initialization analysis keeps compiled programs
+/// from getting there, so the transitions are written in µF directly:
+/// over a unit state, with `gaussian(y > 0. ? y : nil, 1.)` for input
+/// `y`, `sample` samples the distribution and `observe` observes it.
+#[test]
+fn nil_distribution_argument_errors_like_the_interpreter() {
+    let maybe_nil = || {
+        gaussian(MufExpr::Select(
+            Box::new(MufExpr::Op(OpName::Gt, vec![var("y"), float(0.0)])),
+            Box::new(var("y")),
+            Box::new(MufExpr::Const(Const::Nil)),
+        ))
+    };
+    let unit = || MufExpr::Const(Const::Unit);
+    let pat = || MufPat::pair(MufPat::Wildcard, MufPat::var("y"));
+    let muf = Muf::new(
+        MufValue::unit(),
+        vec![
+            (
+                "sample",
+                pat(),
+                MufExpr::Tuple(vec![MufExpr::Sample(Box::new(maybe_nil())), unit()]),
+            ),
+            (
+                "observe",
+                pat(),
+                MufExpr::Let(
+                    MufPat::Unit,
+                    Box::new(MufExpr::Observe(
+                        Box::new(maybe_nil()),
+                        Box::new(float(0.5)),
+                    )),
+                    Box::new(MufExpr::Tuple(vec![var("y"), unit()])),
+                ),
+            ),
+        ],
+    );
+    let inputs: Vec<Value> = float_inputs(10).into_iter().map(Value::Float).collect();
+    for what in ["sample", "observe"] {
+        let ops = muf.tape(what).ops;
+        assert!(
+            ops.iter()
+                .any(|op| matches!(op, Op::SampleDist { .. } | Op::ObserveDist { .. })),
+            "{what}: no fused op: {ops:?}"
+        );
+        let outcomes = assert_outcomes_identical(
+            what,
+            |method, backend| muf.engine(what, method, backend),
+            &inputs,
+        );
+        for run in outcomes {
+            for (x, o) in inputs.iter().zip(run) {
+                let positive = x.as_float().expect("float input") > 0.0;
+                match o {
+                    Ok(_) => assert!(positive, "{what}: nil mean did not fail at {x:?}"),
+                    Err(e) => {
+                        assert!(!positive, "{what}: failed at {x:?}: {e}");
+                        assert!(
+                            e.contains("uninitialized distribution; guard delays with `->`"),
+                            "{what}: unexpected error {e}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A node whose output and one state leaf (`pre b`) are components of
+/// its input: on the tape both are prologue registers, loaded once per
+/// tick and read by every particle, so stepping must clone them out,
+/// never take them.
+const PASS: &str = r#"
+    let node pass (a, b) = a where
+      rec x = sample (gaussian (0. -> pre b, 1.))
+      and () = observe (gaussian (x, 1.), a)
+"#;
+
+fn pair_inputs(n: usize) -> Vec<Value> {
+    float_inputs(2 * n)
+        .chunks(2)
+        .map(|ab| Value::pair(Value::Float(ab[0]), Value::Float(ab[1])))
+        .collect()
+}
+
+#[test]
+fn input_components_in_output_and_state_survive_every_particle() {
+    let inputs = pair_inputs(6);
+    for compiled in both_pipelines(PASS) {
+        assert_outcomes_identical(
+            "pass",
+            |method, backend| engine(&compiled, "pass", 4, method, backend),
+            &inputs,
+        )
+        .iter()
+        .flatten()
+        .for_each(|o| assert!(o.is_ok(), "pass: {o:?}"));
+    }
+    // In the plain pipeline the `pre b` leaf is the prologue register of
+    // `b` itself.
+    let [plain, _] = both_pipelines(PASS);
+    let prog = lowered(&plain, "pass");
+    let prologue: Vec<_> = prog.ops[..prog.prologue]
+        .iter()
+        .filter_map(|op| match op {
+            Op::Proj { dst, .. } => Some(*dst),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        prog.state_out
+            .iter()
+            .any(|o| matches!(o, StateOut::Clone(r) if prologue.contains(r))),
+        "pass: no state leaf is a prologue register: {:?}",
+        prog.state_out
+    );
+}
+
+/// A node that destructures its input and keeps no state of its own.
+const NOISY: &str = r#"
+    let node noisy (m, y) = x where
+      rec x = sample (gaussian (m, 1.))
+      and () = observe (gaussian (x, 1.), y)
+"#;
+
+/// A tick whose input is not the pair the node destructures fails with
+/// the same error on both backends (on the tape, in the prologue), and
+/// the next well-formed tick runs normally.
+#[test]
+fn misshaped_input_errors_like_the_interpreter_and_recovers() {
+    let mut inputs = pair_inputs(6);
+    inputs[2] = Value::Float(1.0);
+    for compiled in both_pipelines(NOISY) {
+        for run in assert_outcomes_identical(
+            "noisy",
+            |method, backend| engine(&compiled, "noisy", 4, method, backend),
+            &inputs,
+        ) {
+            for (t, o) in run.iter().enumerate() {
+                assert_eq!(o.is_err(), t == 2, "noisy tick {t}: {o:?}");
+            }
+        }
+    }
+}
+
+/// Two transitions over the state `(a, k)`, initially `(0., 5.)`, both
+/// carrying `k` through unchanged: `keep` samples around the input's
+/// `m`, observes its `obs` and never reads `k`; `read` outputs `k`.
+fn keep_and_read() -> Muf {
+    let state = || MufPat::pair(MufPat::var("a"), MufPat::var("k"));
+    let keep = MufExpr::Let(
+        MufPat::var("x"),
+        Box::new(MufExpr::Sample(Box::new(gaussian(var("m"))))),
+        Box::new(MufExpr::Let(
+            MufPat::Unit,
+            Box::new(MufExpr::Observe(
+                Box::new(gaussian(var("x"))),
+                Box::new(var("obs")),
+            )),
+            Box::new(MufExpr::Tuple(vec![
+                var("x"),
+                MufExpr::Tuple(vec![var("x"), var("k")]),
+            ])),
+        )),
+    );
+    let read = MufExpr::Tuple(vec![var("k"), MufExpr::Tuple(vec![var("a"), var("k")])]);
+    Muf::new(
+        MufValue::Tuple(vec![
+            MufValue::V(Value::Float(0.0)),
+            MufValue::V(Value::Float(5.0)),
+        ]),
+        vec![
+            (
+                "keep",
+                MufPat::pair(state(), MufPat::pair(MufPat::var("m"), MufPat::var("obs"))),
+                keep,
+            ),
+            ("read", MufPat::pair(state(), MufPat::Wildcard), read),
+        ],
+    )
+}
+
+/// Which successor-state slots of a transition stay in the particle.
+fn kept_slots(muf: &Muf, name: &str) -> Vec<bool> {
+    muf.tape(name)
+        .state_out
+        .iter()
+        .map(|o| *o == StateOut::Keep)
+        .collect()
+}
+
+/// A state leaf carried through unchanged stays in the particle only
+/// when nothing reads it: `read` keeps its `a` but outputs its `k`, so
+/// the step must load `k`.
+#[test]
+fn carried_state_leaf_is_kept_only_when_unread() {
+    let muf = keep_and_read();
+    assert_eq!(kept_slots(&muf, "keep"), [false, true]);
+    assert_eq!(kept_slots(&muf, "read"), [true, false]);
+    let good = Value::pair(Value::Float(0.3), Value::Float(0.1));
+    for run in assert_outcomes_identical(
+        "read",
+        |method, backend| muf.engine("read", method, backend),
+        &[good.clone(), good],
+    ) {
+        assert!(run.iter().all(Result::is_ok), "{run:?}");
+    }
+}
+
+/// A state leaf the tape never touches stays in the particle instead of
+/// passing through the register file, but a failed step still leaves
+/// the particle no state, as on the interpreter. The failure is only
+/// visible once the engine falls back to the interpreter, so the step
+/// after it switches to `read`, which outputs the kept leaf.
+#[test]
+fn failed_step_clears_kept_state_slots() {
+    let muf = keep_and_read();
+    let good = Value::pair(Value::Float(0.3), Value::Float(0.1));
+    for method in [Method::ParticleFilter, Method::StreamingDs] {
+        let run = |backend| -> Vec<Outcome> {
+            let mut engine = muf.engine("keep", method, backend);
+            let mut outcomes: Vec<Outcome> = [good.clone(), Value::Float(1.0)]
+                .iter()
+                .map(|x| engine.step(x).map_err(|e| e.to_string()))
+                .collect();
+            assert_eq!(
+                engine.tape_status().map(|s| s.is_ok()),
+                (backend == ExecBackend::Tape).then_some(true),
+                "{method:?} {backend:?}: tape status before the switch"
+            );
+            engine.set_closure(muf.closure("read", Options::default()).1);
+            outcomes.push(engine.step(&good).map_err(|e| e.to_string()));
+            outcomes
+        };
+        let expected = run(ExecBackend::Interp);
+        assert!(expected[0].is_ok() && expected[1].is_err(), "{expected:?}");
+        assert!(
+            expected[2]
+                .as_ref()
+                .is_err_and(|e| e.contains("uninitialized value")),
+            "{method:?}: the failed step kept state on the interpreter: {:?}",
+            expected[2]
+        );
+        assert_eq!(run(ExecBackend::Tape), expected, "{method:?}");
+    }
 }

@@ -10,8 +10,8 @@ use probzelus_core::infer::Method;
 use probzelus_lang::compile::init_name;
 use probzelus_lang::eval::{ExecBackend, Interp, Options, ProbSlot};
 use probzelus_lang::pipeline::{compile_source_opt, Compiled};
-use probzelus_lang::tape::Op;
-use probzelus_lang::MufValue;
+use probzelus_lang::tape::{Op, StateOut, TapeProgram};
+use probzelus_lang::{MufValue, OpName};
 
 fn example(file: &str) -> String {
     let path = format!("{}/../../examples/zelus/{file}", env!("CARGO_MANIFEST_DIR"));
@@ -69,11 +69,56 @@ fn robot_tape_matches_golden() {
     );
 }
 
+/// A distribution-constructor operator (`gaussian(..)` and friends): its
+/// value is a boxed distribution.
+fn builds_dist(op: &Op) -> bool {
+    use OpName::*;
+    matches!(
+        op,
+        Op::UnOp {
+            op: Bernoulli | Poisson | Exponential | Dirac,
+            ..
+        } | Op::BinOp {
+            op: Gaussian | Beta | Uniform | Gamma | Binomial,
+            ..
+        }
+    )
+}
+
+/// Counts a tape's fused `(sample, observe)` ops after checking that it
+/// is fully flattened (no residual closure application `Eval`, no
+/// interpreter re-entry `CallSummary`) and boxes no distribution (no
+/// boxed `Sample`/`Observe`, no constructor op).
+fn fused_counts(node: &str, ops: &[Op]) -> (usize, usize) {
+    let (mut samples, mut observes) = (0, 0);
+    for op in ops {
+        match op {
+            Op::SampleDist { .. } => samples += 1,
+            Op::ObserveDist { .. } => observes += 1,
+            Op::Sample { .. } | Op::Observe { .. } => {
+                panic!("{node}: boxed sample/observe in the tape: {op:?}")
+            }
+            Op::Eval { .. } => panic!("{node}: residual closure application in the tape"),
+            Op::CallSummary { .. } => panic!("{node}: interpreter re-entry in the tape"),
+            op if builds_dist(op) => panic!("{node}: the tape boxes a distribution: {op:?}"),
+            _ => {}
+        }
+    }
+    (samples, observes)
+}
+
+/// State slots a step leaves in the particle.
+fn kept(prog: &TapeProgram) -> usize {
+    prog.state_out
+        .iter()
+        .filter(|o| **o == StateOut::Keep)
+        .count()
+}
+
 /// Structural invariants of the hmm tape that the golden file implies but
 /// a reviewer should not have to read opcodes to trust: the hot loop has
-/// exactly the model's one sample and one observe, and it is fully
-/// flattened — no residual closure application (`Eval`) and no
-/// interpreter re-entry (`CallSummary`) survives lowering.
+/// exactly the model's one sample and one observe, both fused with their
+/// distribution constructors, and it is fully flattened.
 #[test]
 fn hmm_tape_is_fully_flattened() {
     let compiled = compile_source_opt(&example("hmm.zl")).expect("hmm compiles");
@@ -81,19 +126,17 @@ fn hmm_tape_is_fully_flattened() {
         .lower_node("hmm", options())
         .expect("lower_node runs")
         .expect("hmm lowers");
-    let mut samples = 0;
-    let mut observes = 0;
-    for op in &prog.ops {
-        match op {
-            Op::Sample { .. } => samples += 1,
-            Op::Observe { .. } => observes += 1,
-            Op::Eval { .. } => panic!("residual closure application in the hmm tape"),
-            Op::CallSummary { .. } => panic!("interpreter re-entry in the hmm tape"),
-            _ => {}
-        }
-    }
-    assert_eq!(samples, 1, "hmm samples once per tick");
-    assert_eq!(observes, 1, "hmm observes once per tick");
+    assert_eq!(
+        fused_counts("hmm", &prog.ops),
+        (1, 1),
+        "hmm samples and observes once per tick"
+    );
+    // The two projections of the prelude's broadcast flags run once per
+    // tick, not per particle.
+    assert_eq!(prog.prologue, 2, "hmm prologue");
+    // Only `pre x` is read; the other ten state leaves stay in the
+    // particle.
+    assert_eq!(kept(&prog), 10, "hmm kept state slots");
     // The driver node embeds `infer` and must stay on the interpreter.
     let main = compiled
         .lower_node("main", options())
@@ -107,7 +150,8 @@ fn hmm_tape_is_fully_flattened() {
 
 /// The robot tracker — the largest committed probabilistic node — also
 /// flattens completely, with its conditional GPS observation lowered to
-/// branches rather than closure calls.
+/// branches rather than closure calls, and fuses every distribution:
+/// one sample, the accelerometer observation and the GPS observation.
 #[test]
 fn robot_tracker_tape_is_fully_flattened() {
     let compiled = compile_source_opt(&example("robot.zl")).expect("robot compiles");
@@ -115,21 +159,11 @@ fn robot_tracker_tape_is_fully_flattened() {
         .lower_node("gps_acc_tracker", options())
         .expect("lower_node runs")
         .expect("gps_acc_tracker lowers");
-    assert!(
-        prog.ops.iter().any(|op| matches!(op, Op::Sample { .. })),
-        "tracker tape has no sample op"
-    );
-    assert!(
-        prog.ops.iter().any(|op| matches!(op, Op::Observe { .. })),
-        "tracker tape has no observe op"
-    );
-    assert!(
-        !prog
-            .ops
-            .iter()
-            .any(|op| matches!(op, Op::Eval { .. } | Op::CallSummary { .. })),
-        "tracker tape re-enters the interpreter"
-    );
+    assert_eq!(fused_counts("gps_acc_tracker", &prog.ops), (1, 2));
+    // The six projections destructuring `(a_obs, (has_gps, (p_obs,
+    // cmd)))` run once per tick.
+    assert_eq!(prog.prologue, 6, "gps_acc_tracker prologue");
+    assert_eq!(kept(&prog), 47, "gps_acc_tracker kept state slots");
 }
 
 /// The initial state a node's particles start from, computed the way the

@@ -17,7 +17,9 @@ use common::fnv1a;
 use probzelus::core::adaptive::DeadlineConfig;
 use probzelus::core::infer::{Infer, Parallelism, ResampleStats};
 use probzelus::core::{Method, Value};
-use probzelus::lang::{compile_source, MufEngine, Options};
+use probzelus::lang::{
+    compile_source, compile_source_opt, Compiled, ExecBackend, LangError, MufEngine, Options,
+};
 use probzelus::models::{generate_coin, generate_kalman, Coin, Kalman};
 
 const SEEDS: [u64; 2] = [0xA11CE, 0xB0B5EED];
@@ -69,16 +71,27 @@ fn prob_examples() -> Vec<(&'static str, &'static str, Vec<Value>)> {
     ]
 }
 
+/// One way to run a DSL example: the pipeline that compiles it and the
+/// backend that executes its particles.
+type Stack = (fn(&str) -> Result<Compiled, LangError>, ExecBackend);
+
+/// The plain pipeline on the interpreter: the stack the digests were
+/// recorded on.
+const INTERP: Stack = (compile_source, ExecBackend::Interp);
+/// The optimizing pipeline on the tape: the stack the benchmarks run.
+const OPT_TAPE: Stack = (compile_source_opt, ExecBackend::Tape);
+
 /// The full posterior trace as raw bit patterns plus the final resampling
 /// counters — the complete observable surface a digest pins.
 fn dsl_trace(
+    (compile, backend): Stack,
     file: &str,
     node: &str,
     method: Method,
     seed: u64,
     inputs: &[Value],
 ) -> (Vec<(u64, u64)>, ResampleStats) {
-    let compiled = compile_source(&read_example(file)).expect("example compiles");
+    let compiled = compile(&read_example(file)).expect("example compiles");
     let mut engine: MufEngine = compiled
         .infer_node(
             node,
@@ -86,7 +99,7 @@ fn dsl_trace(
             Options {
                 method,
                 seed,
-                ..Default::default()
+                backend,
             },
         )
         .expect("probabilistic node instantiates");
@@ -124,17 +137,14 @@ fn digest_line(coords: &str, (trace, s): (Vec<(u64, u64)>, ResampleStats)) -> St
     )
 }
 
-/// Every method × probabilistic example × golden seed, then every method
-/// × native golden seed on the Kalman model, plus one deadline-resized
-/// particle-filter run, reproduces its checked-in digest: the posterior
-/// stream has not moved by a bit.
-#[test]
-fn posteriors_match_checked_in_digests() {
+/// The digest lines of every method × probabilistic example × golden
+/// seed, run on `stack`.
+fn dsl_lines(stack: Stack) -> Vec<String> {
     let mut lines = Vec::new();
     for (file, node, inputs) in prob_examples() {
         for method in Method::ALL {
             for seed in SEEDS {
-                let trace = dsl_trace(file, node, method, seed, &inputs);
+                let trace = dsl_trace(stack, file, node, method, seed, &inputs);
                 lines.push(digest_line(
                     &format!("{file} {node} {method} {seed:#x}"),
                     trace,
@@ -142,6 +152,18 @@ fn posteriors_match_checked_in_digests() {
             }
         }
     }
+    lines
+}
+
+/// Every method × probabilistic example × golden seed, then every method
+/// × native golden seed on the Kalman model, plus one deadline-resized
+/// particle-filter run, reproduces its checked-in digest: the posterior
+/// stream has not moved by a bit. The DSL rows are checked a second time
+/// on the optimizing pipeline and the tape, which pins the tape's bits to
+/// the checked-in file, not only to the interpreter.
+#[test]
+fn posteriors_match_checked_in_digests() {
+    let mut lines = dsl_lines(INTERP);
     let kalman = generate_kalman(13, STEPS);
     for method in Method::ALL {
         for seed in NATIVE_SEEDS {
@@ -184,6 +206,12 @@ fn posteriors_match_checked_in_digests() {
     assert!(
         expected == got,
         "posterior digests moved; recomputed lines:\n{actual}"
+    );
+    let tape = dsl_lines(OPT_TAPE);
+    assert!(
+        expected[..tape.len()] == tape,
+        "optimized tape posteriors differ from the digests; recomputed lines:\n{}",
+        tape.join("\n")
     );
 }
 
