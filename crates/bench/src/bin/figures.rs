@@ -11,8 +11,7 @@
 //! figures all           # everything
 //! ```
 //!
-//! `chaos` requires building with `--features chaos`; `obs` with
-//! `--features obs`.
+//! `chaos` requires building with `--features chaos`.
 //!
 //! Each table is printed to stdout and also written to
 //! `figures_out/<experiment>.txt` (the directory is gitignored; tables
@@ -41,7 +40,6 @@ macro_rules! outw {
 struct Config {
     // Only the obs-overhead witness branches on the mode itself (its
     // acceptance bound is meaningless at --quick scale).
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
     quick: bool,
     particle_counts: Vec<usize>,
     accuracy_steps: usize,
@@ -126,7 +124,6 @@ fn main() {
             emit("parallel", &parallel(&cfg));
             #[cfg(feature = "chaos")]
             emit("chaos", &chaos(&cfg));
-            #[cfg(feature = "obs")]
             emit("obs", &obs_overhead(&cfg));
         }
         other => {
@@ -197,14 +194,6 @@ fn chaos(cfg: &Config) -> String {
     t
 }
 
-#[cfg(not(feature = "obs"))]
-fn obs_overhead(_cfg: &Config) -> String {
-    eprintln!("the instrumentation-overhead experiment needs the telemetry subsystem:");
-    eprintln!("    cargo run -p probzelus-bench --features obs --bin figures -- obs");
-    std::process::exit(2);
-}
-
-#[cfg(feature = "obs")]
 fn obs_overhead(cfg: &Config) -> String {
     let mut t = String::new();
     out!(

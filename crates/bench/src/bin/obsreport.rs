@@ -390,7 +390,7 @@ fn schema_md() -> String {
     );
     out!(
         out,
-        "<!-- Regenerate: cargo run -p probzelus-bench --features obs --bin obsreport -- --schema-md > docs/METRICS.md -->"
+        "<!-- Regenerate: cargo run -p probzelus-bench --bin obsreport -- --schema-md > docs/METRICS.md -->"
     );
     out!(out, "");
     out!(

@@ -352,7 +352,6 @@ mod deadline {
         if let Some(cfg) = cfg {
             engine = engine.with_deadline(cfg);
         }
-        #[cfg(feature = "obs")]
         let obs = match obs_out {
             Some(path) => {
                 use probzelus_core::obs::{Obs, WriterSink};
@@ -363,8 +362,6 @@ mod deadline {
             }
             None => None,
         };
-        #[cfg(not(feature = "obs"))]
-        let _ = obs_out;
         let mut latencies = LogHistogram::new();
         let mut posterior_bits = Vec::with_capacity(inputs.len());
         let mut misses = 0u64;
@@ -397,7 +394,6 @@ mod deadline {
             }
         }
         let wall = t_all.elapsed().as_secs_f64();
-        #[cfg(feature = "obs")]
         if let Some((path, obs)) = obs {
             obs.flush().map_err(|e| format!("{path}: {e}"))?;
         }
@@ -553,7 +549,7 @@ const USAGE: &str = "usage: perfbench --check PATH     # validate a trajectory f
        perfbench --deadline MS|auto [--quick] [--floor N] [--assert-improves]
                  [--label NAME] [--out PATH] [--fresh]
                  [--trace-out PATH] [--obs-out PATH]
-                 (requires the `chaos` feature; --obs-out also `obs`)";
+                 (requires the `chaos` feature)";
 
 /// How the deadline harness picks its per-tick budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -565,7 +561,7 @@ enum DeadlineSpec {
 }
 
 /// Parsed command line. Deadline flags parse everywhere so the errors
-/// are uniform; `main` rejects them when the needed features are absent.
+/// are uniform; `main` rejects them when the `chaos` feature is absent.
 #[derive(Debug)]
 struct Cli {
     quick: bool,
@@ -705,11 +701,6 @@ fn main() {
         return;
     }
 
-    #[cfg(not(feature = "obs"))]
-    if cli.obs_out.is_some() {
-        eprintln!("perfbench: --obs-out needs the `obs` feature");
-        std::process::exit(2);
-    }
     #[cfg(not(feature = "chaos"))]
     {
         eprintln!("perfbench: --deadline needs the `chaos` feature (load spikes are chaos faults)");

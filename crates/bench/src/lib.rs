@@ -166,7 +166,6 @@ trait RunDyn {
         parallelism: Parallelism,
     ) -> (f64, Vec<f64>);
     fn run_memory(&self, method: Method, particles: usize, seed: u64) -> Vec<usize>;
-    #[cfg(feature = "obs")]
     fn run_obs(
         &self,
         method: Method,
@@ -213,7 +212,6 @@ where
             .collect()
     }
 
-    #[cfg(feature = "obs")]
     fn run_obs(
         &self,
         method: Method,
@@ -523,7 +521,6 @@ pub fn experiment_resampling_ablation(
 }
 
 /// One row of the instrumentation-overhead experiment.
-#[cfg(feature = "obs")]
 #[derive(Debug, Clone)]
 pub struct ObsOverheadPoint {
     /// Benchmark.
@@ -545,7 +542,6 @@ pub struct ObsOverheadPoint {
 /// [`MemorySink`](probzelus_core::obs::MemorySink), and with JSONL export
 /// to a temp file. The `noop` row is the number the "<2% when disabled"
 /// acceptance bound refers to; `Obs::off` is cheaper still (one branch).
-#[cfg(feature = "obs")]
 pub fn experiment_obs_overhead(
     models: &[BenchModel],
     particles: usize,

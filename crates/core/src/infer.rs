@@ -38,7 +38,6 @@ use crate::adaptive::{
 use crate::ds::graph::{Graph, GraphStats, Retention};
 use crate::error::RuntimeError;
 use crate::model::Model;
-#[cfg(feature = "obs")]
 use crate::obs::{self, FieldValue, Obs};
 use crate::pool::WorkerPool;
 use crate::posterior::{Posterior, ValueDist};
@@ -48,14 +47,13 @@ use crate::supervisor::{
     self, FaultKind, Health, ParticleFault, RecoveryAction, RecoveryPolicy, StepOutcome,
 };
 use crate::symbolic::RvId;
-#[cfg(feature = "obs")]
 use crate::trace::{self, FlightRecorder, SpanRecord};
 use crate::value::Value;
 use probzelus_distributions::stats;
 use rand::rngs::SmallRng;
 use rand::Rng;
+use std::collections::TryReserveError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-#[cfg(feature = "obs")]
 use std::sync::Arc;
 
 /// Inference method selector.
@@ -137,9 +135,9 @@ pub enum ResamplePolicy {
 
 /// Cumulative resampling-work counters, queryable via
 /// [`Infer::resample_stats`]. These are plain `u64` increments on the
-/// coordinator, cheap enough to track unconditionally (no `obs` feature
-/// needed), which is what lets the perf harness and feature-independent
-/// tests witness clone-minimality directly.
+/// coordinator, cheap enough to track unconditionally (no sink needed),
+/// which is what lets the perf harness and sink-free tests witness
+/// clone-minimality directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResampleStats {
     /// Resampling passes executed.
@@ -358,15 +356,12 @@ pub struct Infer<M: Model> {
     /// Health report of the most recent completed step.
     last_health: Option<Health>,
     /// Telemetry handle; off (a no-op branch per emission) by default.
-    #[cfg(feature = "obs")]
     obs: Obs,
     /// Always-on span ring (see [`crate::trace::FlightRecorder`]);
     /// created by [`Infer::with_black_box`] and shared with the pool.
-    #[cfg(feature = "obs")]
     recorder: Option<Arc<FlightRecorder>>,
     /// Where incident dumps land (one JSONL black box, latest incident
     /// wins).
-    #[cfg(feature = "obs")]
     black_box_path: Option<std::path::PathBuf>,
 }
 
@@ -407,13 +402,10 @@ impl<M: Model> Clone for Infer<M> {
             consecutive_collapses: self.consecutive_collapses,
             last_good: self.last_good.clone(),
             last_health: self.last_health.clone(),
-            #[cfg(feature = "obs")]
             obs: self.obs.clone(),
             // Clones share the ring (like the sink): spans from both
             // engines land in one black box, tagged by tick.
-            #[cfg(feature = "obs")]
             recorder: self.recorder.clone(),
-            #[cfg(feature = "obs")]
             black_box_path: self.black_box_path.clone(),
         }
     }
@@ -434,15 +426,40 @@ impl<M: Model> Infer<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `num_particles` is zero.
+    /// Panics if `num_particles` is zero or the particle cloud cannot be
+    /// allocated (see [`Infer::try_with_seed`]).
     pub fn with_seed(method: Method, num_particles: usize, model: M, seed: u64) -> Self {
+        Self::try_with_seed(method, num_particles, model, seed)
+            .unwrap_or_else(|e| panic!("cannot allocate {num_particles} particles: {e}"))
+    }
+
+    /// Fallible form of [`Infer::with_seed`]: the particle cloud is
+    /// reserved with `try_reserve_exact`, so a count the allocator cannot
+    /// serve is an error rather than a process abort.
+    ///
+    /// # Errors
+    ///
+    /// The reservation overflowed `isize::MAX` bytes or the allocator
+    /// refused it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_particles` is zero.
+    pub fn try_with_seed(
+        method: Method,
+        num_particles: usize,
+        model: M,
+        seed: u64,
+    ) -> Result<Self, TryReserveError> {
         assert!(num_particles > 0, "inference needs at least one particle");
+        let mut particles = Vec::new();
+        particles.try_reserve_exact(num_particles)?;
         let mut engine = Infer {
             method,
             num_particles,
             initial_particles: num_particles,
             deadline: None,
-            particles: Vec::new(),
+            particles,
             spare: Vec::new(),
             template: model,
             seed,
@@ -463,15 +480,12 @@ impl<M: Model> Infer<M> {
             consecutive_collapses: 0,
             last_good: None,
             last_health: None,
-            #[cfg(feature = "obs")]
             obs: Obs::off(),
-            #[cfg(feature = "obs")]
             recorder: None,
-            #[cfg(feature = "obs")]
             black_box_path: None,
         };
         engine.reset();
-        engine
+        Ok(engine)
     }
 
     /// The inference method.
@@ -513,7 +527,7 @@ impl<M: Model> Infer<M> {
     }
 
     /// Cumulative resampling-work counters since construction or the
-    /// last [`Infer::reset`]. Available without the `obs` feature.
+    /// last [`Infer::reset`]. Counted whether or not a sink is attached.
     pub fn resample_stats(&self) -> ResampleStats {
         self.resample_stats
     }
@@ -553,14 +567,12 @@ impl<M: Model> Infer<M> {
     /// etc.), an `engine.attach` event is emitted, and every subsequent
     /// step exports its per-tick metrics — see [`crate::obs::METRICS`]
     /// for the registry. Passing [`Obs::off`] detaches.
-    #[cfg(feature = "obs")]
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.set_obs(obs);
         self
     }
 
     /// Non-consuming form of [`Infer::with_obs`].
-    #[cfg(feature = "obs")]
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs.scoped(self.method.label());
         if let Some(pool) = &mut self.pool {
@@ -578,7 +590,6 @@ impl<M: Model> Infer<M> {
     }
 
     /// The attached telemetry handle (off by default).
-    #[cfg(feature = "obs")]
     pub fn obs(&self) -> &Obs {
         &self.obs
     }
@@ -591,7 +602,6 @@ impl<M: Model> Infer<M> {
     /// incident wins; validate with `obsreport --check`). Works with or
     /// without an attached [`Obs`] sink; span timing turns on when either
     /// is present.
-    #[cfg(feature = "obs")]
     pub fn with_black_box(mut self, path: impl Into<std::path::PathBuf>) -> Self {
         self.black_box_path = Some(path.into());
         if self.recorder.is_none() {
@@ -604,7 +614,6 @@ impl<M: Model> Infer<M> {
 
     /// The armed flight recorder, if any (tests inspect the ring
     /// directly).
-    #[cfg(feature = "obs")]
     pub fn flight_recorder(&self) -> Option<&Arc<FlightRecorder>> {
         self.recorder.as_ref()
     }
@@ -777,9 +786,12 @@ impl<M: Model> Infer<M> {
                 DeadlineMode::Replay { cursor, .. } => *cursor = 0,
             }
         }
-        self.particles = (0..self.num_particles)
-            .map(|_| self.blank_particle())
-            .collect();
+        // Refilled in place, so the cloud reserved by `try_with_seed` is
+        // the one the particles land in.
+        let mut particles = std::mem::take(&mut self.particles);
+        particles.clear();
+        particles.extend((0..self.num_particles).map(|_| self.blank_particle()));
+        self.particles = particles;
         self.spare = Vec::new();
         self.steps = 0;
         self.last_ess = self.num_particles as f64;
@@ -931,12 +943,8 @@ impl<M: Model> Infer<M> {
         );
         // Span timing (phase anatomy) is live when either consumer — the
         // sink or the flight recorder — is attached.
-        #[cfg(feature = "obs")]
         let tracing_on = self.obs.enabled() || self.recorder.is_some();
-        #[cfg(feature = "obs")]
         let need_clock = deadline_measuring || tracing_on;
-        #[cfg(not(feature = "obs"))]
-        let need_clock = deadline_measuring;
         let t0 = need_clock.then(std::time::Instant::now);
         // The particle-invariant prelude runs once on the coordinator,
         // inside the timing window but before any particle state is
@@ -958,22 +966,19 @@ impl<M: Model> Infer<M> {
         let mut slots: Vec<Result<ValueDist, FaultKind>> = match (self.parallelism, self.par_step) {
             (Parallelism::Threads(workers), Some(par_step)) if n > 1 => {
                 let pool = self.pool.get_or_insert_with(|| WorkerPool::new(workers));
-                #[cfg(feature = "obs")]
-                {
-                    if self.obs.enabled() {
-                        pool.set_obs(self.obs.clone());
-                    }
-                    // Hand the pool this tick's span identity so each
-                    // job can emit a deterministic `pool.job` span
-                    // parented under this tick's propose span.
-                    let seed = self.seed;
-                    pool.set_span_ctx(tracing_on.then(|| crate::pool::SpanCtx {
-                        seed,
-                        tick: generation,
-                        parent: trace::span_id(seed, generation, trace::phases::PROPOSE, 0),
-                    }));
-                    pool.set_recorder(self.recorder.clone());
+                if self.obs.enabled() {
+                    pool.set_obs(self.obs.clone());
                 }
+                // Hand the pool this tick's span identity so each
+                // job can emit a deterministic `pool.job` span
+                // parented under this tick's propose span.
+                let seed = self.seed;
+                pool.set_span_ctx(tracing_on.then(|| crate::pool::SpanCtx {
+                    seed,
+                    tick: generation,
+                    parent: trace::span_id(seed, generation, trace::phases::PROPOSE, 0),
+                }));
+                pool.set_recorder(self.recorder.clone());
                 pool.ensure_alive();
                 par_step(
                     pool,
@@ -997,7 +1002,6 @@ impl<M: Model> Infer<M> {
                     .collect()
             }
         };
-        #[cfg(feature = "obs")]
         let propose_ms = if tracing_on {
             t0.map(|t| t.elapsed().as_secs_f64() * 1e3)
         } else {
@@ -1028,9 +1032,7 @@ impl<M: Model> Infer<M> {
             }
         }
         let mut faults: Vec<ParticleFault> = Vec::new();
-        #[cfg(feature = "obs")]
         let mut recover_ms: Option<f64> = None;
-        #[cfg(feature = "obs")]
         let mut recover_end_ms: Option<f64> = None;
 
         if self.recovery == RecoveryPolicy::FailFast {
@@ -1042,7 +1044,6 @@ impl<M: Model> Infer<M> {
                 return Err(kind.into_error(i));
             }
         } else if !faulted.is_empty() {
-            #[cfg(feature = "obs")]
             let recover_start_ms = if tracing_on {
                 t0.map(|t| t.elapsed().as_secs_f64() * 1e3)
             } else {
@@ -1112,12 +1113,9 @@ impl<M: Model> Infer<M> {
                     recovery,
                 });
             }
-            #[cfg(feature = "obs")]
-            {
-                let end = t0.map(|t| t.elapsed().as_secs_f64() * 1e3);
-                recover_ms = recover_start_ms.zip(end).map(|(s, e)| e - s);
-                recover_end_ms = end;
-            }
+            let end = t0.map(|t| t.elapsed().as_secs_f64() * 1e3);
+            recover_ms = recover_start_ms.zip(end).map(|(s, e)| e - s);
+            recover_end_ms = end;
         }
 
         // The score phase runs from the end of propose/recover (its
@@ -1146,7 +1144,6 @@ impl<M: Model> Infer<M> {
                 // This early return skips the per-tick export block below,
                 // so the exhaustion event is emitted here — dashboards can
                 // count exhaustions without parsing the error string.
-                #[cfg(feature = "obs")]
                 self.obs.event(
                     generation,
                     obs::events::COLLAPSE_EXHAUSTED,
@@ -1164,17 +1161,14 @@ impl<M: Model> Infer<M> {
                 // Close the tick's span tree before failing, then dump
                 // the black box: the exhaustion is one of the three
                 // incident triggers.
-                #[cfg(feature = "obs")]
-                {
-                    if tracing_on {
-                        let tick_ms = t0.map(|t| t.elapsed().as_secs_f64() * 1e3).unwrap_or(0.0);
-                        let score_ms = recover_end_ms.or(propose_ms).map(|base| tick_ms - base);
-                        self.emit_tick_spans(
-                            generation, tick_ms, propose_ms, score_ms, recover_ms, None, None,
-                        );
-                    }
-                    self.dump_black_box(trace::incidents::COLLAPSE_EXHAUSTED, generation);
+                if tracing_on {
+                    let tick_ms = t0.map(|t| t.elapsed().as_secs_f64() * 1e3).unwrap_or(0.0);
+                    let score_ms = recover_end_ms.or(propose_ms).map(|base| tick_ms - base);
+                    self.emit_tick_spans(
+                        generation, tick_ms, propose_ms, score_ms, recover_ms, None, None,
+                    );
                 }
+                self.dump_black_box(trace::incidents::COLLAPSE_EXHAUSTED, generation);
                 return Err(RuntimeError::CollapseBudgetExhausted {
                     tick: generation,
                     consecutive: self.consecutive_collapses,
@@ -1231,13 +1225,11 @@ impl<M: Model> Infer<M> {
         // assembly. This checkpoint doubles as the resample phase's
         // start, and the tick-level latency read below doubles as the
         // resample phase's end — two clock reads cover three phases.
-        #[cfg(feature = "obs")]
         let score_end_ms = if tracing_on {
             t0.map(|t| t.elapsed().as_secs_f64() * 1e3)
         } else {
             None
         };
-        #[cfg(feature = "obs")]
         let score_ms = score_end_ms.map(|end| end - recover_end_ms.or(propose_ms).unwrap_or(0.0));
 
         let should_resample = match self.resample {
@@ -1247,7 +1239,6 @@ impl<M: Model> Infer<M> {
             }
             ResamplePolicy::Never => false,
         };
-        #[cfg(feature = "obs")]
         let clones_avoided_before = self.resample_stats.clones_avoided;
         if should_resample {
             let mut rng = rngstream::resample_rng(self.seed, generation);
@@ -1266,17 +1257,14 @@ impl<M: Model> Infer<M> {
         // telemetry histogram, the deadline controller, the tick span,
         // and (as its end checkpoint) the resample span.
         let elapsed_ms = t0.map(|t| t.elapsed().as_secs_f64() * 1e3);
-        #[cfg(feature = "obs")]
         let resample_ms = if should_resample {
             score_end_ms.zip(elapsed_ms).map(|(start, end)| end - start)
         } else {
             None
         };
 
-        // Per-tick telemetry export. The whole block is skipped (and,
-        // without the `obs` feature, compiled out) when no sink is
-        // attached.
-        #[cfg(feature = "obs")]
+        // Per-tick telemetry export. The whole block is skipped when no
+        // sink is attached.
         if self.obs.enabled() {
             use crate::obs::names;
             let tick = generation;
@@ -1377,50 +1365,44 @@ impl<M: Model> Infer<M> {
         // measured latency and applies to the cloud *after* this tick's
         // posterior, so a recorded trace replays clock-free (tick t's
         // posterior never depends on tick t's own latency).
-        #[cfg(feature = "obs")]
         let adaptive_start_ms = if tracing_on && self.deadline.is_some() {
             t0.map(|t| t.elapsed().as_secs_f64() * 1e3)
         } else {
             None
         };
-        let deadline_report = self.deadline_control(generation, elapsed_ms, &mut health);
-        #[cfg(not(feature = "obs"))]
-        let _ = deadline_report;
-        #[cfg(feature = "obs")]
-        {
-            let (decisions_applied, floor_degraded) = deadline_report;
-            if tracing_on {
-                // The adaptive span exists only on ticks where a decision
-                // actually applied, so span trees match between measured
-                // and replayed runs of the same trace.
-                let adaptive_ms = if decisions_applied {
-                    adaptive_start_ms
-                        .zip(t0)
-                        .map(|(start, t)| t.elapsed().as_secs_f64() * 1e3 - start)
-                } else {
-                    None
-                };
-                // The tick span reuses the latency measurement the
-                // `step.latency_ms` metric already paid for — the span
-                // and the metric report the same number by construction.
-                let tick_ms = elapsed_ms.unwrap_or(0.0);
-                self.emit_tick_spans(
-                    generation,
-                    tick_ms,
-                    propose_ms,
-                    score_ms,
-                    recover_ms,
-                    resample_ms,
-                    adaptive_ms,
-                );
-            }
-            // Incident check, after this tick's spans are in the ring so
-            // a dump always contains the faulting tick's complete tree.
-            if !health.faults.is_empty() {
-                self.dump_black_box(trace::incidents::PARTICLE_FAULT, generation);
-            } else if floor_degraded {
-                self.dump_black_box(trace::incidents::FLOOR_DEGRADED, generation);
-            }
+        let (decisions_applied, floor_degraded) =
+            self.deadline_control(generation, elapsed_ms, &mut health);
+        if tracing_on {
+            // The adaptive span exists only on ticks where a decision
+            // actually applied, so span trees match between measured
+            // and replayed runs of the same trace.
+            let adaptive_ms = if decisions_applied {
+                adaptive_start_ms
+                    .zip(t0)
+                    .map(|(start, t)| t.elapsed().as_secs_f64() * 1e3 - start)
+            } else {
+                None
+            };
+            // The tick span reuses the latency measurement the
+            // `step.latency_ms` metric already paid for — the span
+            // and the metric report the same number by construction.
+            let tick_ms = elapsed_ms.unwrap_or(0.0);
+            self.emit_tick_spans(
+                generation,
+                tick_ms,
+                propose_ms,
+                score_ms,
+                recover_ms,
+                resample_ms,
+                adaptive_ms,
+            );
+        }
+        // Incident check, after this tick's spans are in the ring so
+        // a dump always contains the faulting tick's complete tree.
+        if !health.faults.is_empty() {
+            self.dump_black_box(trace::incidents::PARTICLE_FAULT, generation);
+        } else if floor_degraded {
+            self.dump_black_box(trace::incidents::FLOOR_DEGRADED, generation);
         }
 
         self.last_health = Some(health.clone());
@@ -1454,7 +1436,6 @@ impl<M: Model> Infer<M> {
                 }
                 let status = ctrl.status();
                 health.deadline = Some(status);
-                #[cfg(feature = "obs")]
                 if self.obs.enabled() {
                     use crate::obs::names;
                     if status.missed {
@@ -1485,7 +1466,6 @@ impl<M: Model> Infer<M> {
         }
         for rec in &to_apply {
             self.apply_decision(rec, base_policy);
-            #[cfg(feature = "obs")]
             if self.obs.enabled() {
                 self.obs.event(
                     generation,
@@ -1543,7 +1523,6 @@ impl<M: Model> Infer<M> {
     /// Every identity field (IDs, parents, names, presence) is a pure
     /// function of `(seed, tick)` plus which phases executed; only the
     /// durations carry wall clock.
-    #[cfg(feature = "obs")]
     #[allow(clippy::too_many_arguments)]
     fn emit_tick_spans(
         &self,
@@ -1595,7 +1574,6 @@ impl<M: Model> Infer<M> {
     /// Dumps the flight-recorder ring to the configured black-box file.
     /// Without a recorder or a path this is a no-op, and write errors are
     /// swallowed: the black box must never fail the inference step.
-    #[cfg(feature = "obs")]
     fn dump_black_box(&self, reason: &str, tick: u64) {
         if let (Some(recorder), Some(path)) = (&self.recorder, &self.black_box_path) {
             let _ = recorder.dump(path, Some(self.method.label()), reason, tick);

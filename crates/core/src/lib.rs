@@ -67,7 +67,6 @@ pub mod infer;
 pub mod json;
 pub mod marginal;
 pub mod model;
-#[cfg(feature = "obs")]
 pub mod obs;
 pub mod ops;
 pub mod pool;
@@ -77,7 +76,6 @@ pub mod rngstream;
 pub mod stream;
 pub mod supervisor;
 pub mod symbolic;
-#[cfg(feature = "obs")]
 pub mod trace;
 pub mod value;
 
@@ -96,6 +94,5 @@ pub use supervisor::{
     FaultKind, Health, ParticleFault, RecoveryAction, RecoveryPolicy, StepOutcome,
 };
 pub use symbolic::{AffExpr, RvId};
-#[cfg(feature = "obs")]
 pub use trace::{FlightRecorder, SpanRecord};
 pub use value::{DistExpr, Value};

@@ -16,8 +16,8 @@
 //!   method is an inlined `if None` branch, and the expensive collection
 //!   work (graph walks, `Instant::now`) is gated behind
 //!   [`Obs::enabled`], so a disabled engine does no telemetry work at
-//!   all. The whole module only exists under the `obs` cargo feature;
-//!   without it the hooks compile out entirely.
+//!   all. The module is always compiled: "off" is a run-time state, so
+//!   the build that is deployed is the build that can be measured.
 //! * A [`Sink`] receives numeric [`Sample`]s (counter / gauge / histogram)
 //!   and structured [events](Sink::event). Three implementations ship:
 //!   [`NoopSink`] (discards everything; used to *measure* the cost of the

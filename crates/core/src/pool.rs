@@ -10,14 +10,10 @@
 //! Built on `std` only (`mpsc` + `Mutex`/`Condvar`); no external
 //! dependencies.
 
-#[cfg(feature = "obs")]
 use crate::obs::{self, FieldValue, Obs};
-#[cfg(feature = "obs")]
 use crate::trace::{self, FlightRecorder, SpanRecord};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-#[cfg(feature = "obs")]
-use std::sync::atomic::AtomicU64;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -101,7 +97,6 @@ impl Drop for CountDownOnDrop {
 /// `pool.job` spans are *schedule* spans: their IDs are derived from the
 /// job index, and the job count varies with the worker count, so they are
 /// excluded from cross-worker span-tree comparisons.
-#[cfg(feature = "obs")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanCtx {
     /// Engine seed (span-ID derivation input).
@@ -114,7 +109,6 @@ pub struct SpanCtx {
 
 /// Per-job telemetry captured into the job closure so every emission
 /// happens on the worker thread without touching the pool's borrow.
-#[cfg(feature = "obs")]
 struct JobTelemetry {
     obs: Obs,
     recorder: Option<Arc<FlightRecorder>>,
@@ -131,15 +125,11 @@ pub struct WorkerPool {
     /// Telemetry handle; off by default. Pool metrics use the pool's own
     /// batch index as their tick (one batch per [`WorkerPool::run_scoped`]
     /// call, which for inference is one engine step).
-    #[cfg(feature = "obs")]
     obs: Obs,
-    #[cfg(feature = "obs")]
     batches: AtomicU64,
     /// Span identity for the next batch, if the engine is tracing.
-    #[cfg(feature = "obs")]
     span_ctx: Option<SpanCtx>,
     /// Flight-recorder ring shared by the owning engine, if any.
-    #[cfg(feature = "obs")]
     recorder: Option<Arc<FlightRecorder>>,
 }
 
@@ -153,20 +143,15 @@ impl WorkerPool {
         assert!(workers > 0, "worker pool needs at least one thread");
         WorkerPool {
             workers: (0..workers).map(spawn_worker).collect(),
-            #[cfg(feature = "obs")]
             obs: Obs::off(),
-            #[cfg(feature = "obs")]
             batches: AtomicU64::new(0),
-            #[cfg(feature = "obs")]
             span_ctx: None,
-            #[cfg(feature = "obs")]
             recorder: None,
         }
     }
 
     /// Attaches a telemetry handle; per-batch queue depth, per-worker job
     /// latency, and respawn events are exported through it.
-    #[cfg(feature = "obs")]
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -174,14 +159,12 @@ impl WorkerPool {
     /// Sets (or clears) the span identity for subsequent batches. The
     /// engine refreshes this before every parallel step so `pool.job`
     /// spans carry the right tick and parent ID.
-    #[cfg(feature = "obs")]
     pub fn set_span_ctx(&mut self, ctx: Option<SpanCtx>) {
         self.span_ctx = ctx;
     }
 
     /// Shares (or detaches) the engine's flight-recorder ring; job spans
     /// are recorded into it when a span context is set.
-    #[cfg(feature = "obs")]
     pub fn set_recorder(&mut self, recorder: Option<Arc<FlightRecorder>>) {
         self.recorder = recorder;
     }
@@ -206,7 +189,6 @@ impl WorkerPool {
     /// lost job.
     pub fn ensure_alive(&mut self) -> usize {
         let mut respawned = 0;
-        #[cfg(feature = "obs")]
         let tick = self.batches.load(Ordering::Relaxed);
         for (i, worker) in self.workers.iter_mut().enumerate() {
             if worker.handle.is_finished() {
@@ -214,7 +196,6 @@ impl WorkerPool {
                 let old = std::mem::replace(worker, fresh);
                 let _ = old.handle.join();
                 respawned += 1;
-                #[cfg(feature = "obs")]
                 if self.obs.enabled() {
                     self.obs.counter(tick, obs::names::POOL_RESPAWNS, 1);
                     self.obs.event(
@@ -252,7 +233,6 @@ impl WorkerPool {
     /// job panics, the panic is swallowed on the worker (which stays
     /// alive) and re-raised here after all jobs have completed.
     pub fn run_scoped<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
-        #[cfg(feature = "obs")]
         let batch = {
             let batch = self.batches.fetch_add(1, Ordering::Relaxed);
             if self.obs.enabled() {
@@ -274,7 +254,6 @@ impl WorkerPool {
                 unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(job) };
             let guard = CountDownOnDrop(Arc::clone(&latch));
             let panicked = Arc::clone(&panicked);
-            #[cfg(feature = "obs")]
             let telemetry = {
                 let metrics = self.obs.enabled();
                 // A span is emitted when there is somewhere for it to go:
@@ -292,12 +271,10 @@ impl WorkerPool {
             };
             let wrapped: Job = Box::new(move || {
                 let _guard = guard;
-                #[cfg(feature = "obs")]
                 let t0 = telemetry.as_ref().map(|_| std::time::Instant::now());
                 if catch_unwind(AssertUnwindSafe(job)).is_err() {
                     panicked.store(true, Ordering::SeqCst);
                 }
-                #[cfg(feature = "obs")]
                 if let (Some(t), Some(t0)) = (telemetry, t0) {
                     let dur_ms = t0.elapsed().as_secs_f64() * 1e3;
                     if t.metrics {

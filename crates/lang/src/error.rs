@@ -138,6 +138,19 @@ impl From<probzelus_core::RuntimeError> for LangError {
     }
 }
 
+/// Carries a language error into an engine step as
+/// [`RuntimeError::Host`](probzelus_core::RuntimeError::Host). The impl
+/// above puts the evaluation stage back on the way out, so an evaluation
+/// error crosses with its message alone and prints one stage prefix.
+impl From<LangError> for probzelus_core::RuntimeError {
+    fn from(e: LangError) -> Self {
+        probzelus_core::RuntimeError::Host(match (e.stage, e.pos) {
+            (Stage::Eval, None) => e.message,
+            _ => e.to_string(),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -80,11 +80,9 @@ pub struct Interp {
     rng: RefCell<SmallRng>,
     /// Telemetry handle inherited by every engine an `infer` site
     /// allocates; off unless built via [`Interp::new_with_obs`].
-    #[cfg(feature = "obs")]
     obs: probzelus_core::obs::Obs,
     /// The options seed, kept so driver-tick span IDs (`eval.tick`) are a
     /// pure function of `(seed, tick)` like the engine-side spans.
-    #[cfg(feature = "obs")]
     seed: u64,
 }
 
@@ -100,25 +98,13 @@ impl std::fmt::Debug for Interp {
 }
 
 impl Interp {
-    /// Builds an interpreter over a compiled program.
+    /// Builds an interpreter over a compiled program, with telemetry off.
     ///
     /// # Errors
     ///
     /// Propagates evaluation errors from top-level definitions.
     pub fn new(program: &MufProgram, options: Options) -> Result<Rc<Interp>, LangError> {
-        Interp::load(
-            Rc::new(Interp {
-                globals: RefCell::new(HashMap::new()),
-                method: options.method,
-                backend: options.backend,
-                rng: RefCell::new(SmallRng::seed_from_u64(options.seed)),
-                #[cfg(feature = "obs")]
-                obs: probzelus_core::obs::Obs::off(),
-                #[cfg(feature = "obs")]
-                seed: options.seed,
-            }),
-            program,
-        )
+        Interp::new_with_obs(program, options, probzelus_core::obs::Obs::off())
     }
 
     /// Like [`Interp::new`], but every engine allocated by the program's
@@ -128,26 +114,19 @@ impl Interp {
     /// # Errors
     ///
     /// Propagates evaluation errors from top-level definitions.
-    #[cfg(feature = "obs")]
     pub fn new_with_obs(
         program: &MufProgram,
         options: Options,
         obs: probzelus_core::obs::Obs,
     ) -> Result<Rc<Interp>, LangError> {
-        Interp::load(
-            Rc::new(Interp {
-                globals: RefCell::new(HashMap::new()),
-                method: options.method,
-                backend: options.backend,
-                rng: RefCell::new(SmallRng::seed_from_u64(options.seed)),
-                obs,
-                seed: options.seed,
-            }),
-            program,
-        )
-    }
-
-    fn load(interp: Rc<Interp>, program: &MufProgram) -> Result<Rc<Interp>, LangError> {
+        let interp = Rc::new(Interp {
+            globals: RefCell::new(HashMap::new()),
+            method: options.method,
+            backend: options.backend,
+            rng: RefCell::new(SmallRng::seed_from_u64(options.seed)),
+            obs,
+            seed: options.seed,
+        });
         for MufDef { name, expr } in &program.defs {
             let v = interp.eval(&Env::empty(), expr, &mut ProbSlot::Det)?;
             interp.globals.borrow_mut().insert(name.clone(), v);
@@ -156,7 +135,6 @@ impl Interp {
     }
 
     /// The telemetry handle engines inherit.
-    #[cfg(feature = "obs")]
     pub fn obs(&self) -> &probzelus_core::obs::Obs {
         &self.obs
     }
@@ -364,7 +342,7 @@ impl Interp {
                     closure.clone(),
                     false,
                     self.next_seed(),
-                );
+                )?;
                 if let Some(pre) = pre {
                     let MufValue::Tuple(mut vs) = pre else {
                         return Err(LangError::new(
@@ -400,9 +378,7 @@ impl Interp {
             MufValue::V(Value::Bool(b)) => Ok(Some(b)),
             MufValue::Nil => Ok(None),
             MufValue::V(sym @ (Value::Rv(_) | Value::Aff(_))) => match prob {
-                ProbSlot::Prob(ctx) => Ok(Some(
-                    ctx.force(&sym).map_err(host)?.as_bool().map_err(host)?,
-                )),
+                ProbSlot::Prob(ctx) => Ok(Some(ctx.force(&sym)?.as_bool()?)),
                 ProbSlot::Det => Err(LangError::new(
                     Stage::Eval,
                     "symbolic condition outside of `infer`",
@@ -480,8 +456,8 @@ impl Interp {
                 return Ok(MufValue::V(Value::Float(p.variance_float())));
             }
             (OpName::Prob, Some(MufValue::Posterior(p))) => {
-                let lo = args[1].borrow().as_core()?.as_float().map_err(host)?;
-                let hi = args[2].borrow().as_core()?.as_float().map_err(host)?;
+                let lo = args[1].borrow().as_core()?.as_float()?;
+                let hi = args[2].borrow().as_core()?.as_float()?;
                 return Ok(MufValue::V(Value::Float(p.prob_interval(lo, hi))));
             }
             (OpName::DrawDist, Some(MufValue::Posterior(p))) => {
@@ -513,11 +489,11 @@ impl Interp {
                 if let ProbSlot::Prob(ctx) = prob {
                     let mut forced = <[Value; 3]>::default();
                     for (f, v) in forced.iter_mut().zip(vals) {
-                        *f = ctx.force(v).map_err(host)?;
+                        *f = ctx.force(v)?;
                     }
                     core_op(op, &forced[..n], self)
                         .map(MufValue::V)
-                        .map_err(host)
+                        .map_err(LangError::from)
                 } else {
                     Err(LangError::new(
                         Stage::Eval,
@@ -525,7 +501,7 @@ impl Interp {
                     ))
                 }
             }
-            Err(e) => Err(host(e)),
+            Err(e) => Err(e.into()),
         }
     }
 }
@@ -584,10 +560,6 @@ pub(crate) fn outside_infer(what: &str) -> LangError {
         Stage::Eval,
         format!("`{what}` used outside of `infer` (probabilistic code needs an inference context)"),
     )
-}
-
-pub(crate) fn host(e: RuntimeError) -> LangError {
-    LangError::new(Stage::Eval, e.to_string())
 }
 
 pub(crate) fn const_value(c: &Const) -> MufValue {
@@ -791,9 +763,7 @@ impl Model for MufModel {
                     &mut self.state,
                     ctx,
                     input,
-                )
-                .map_err(|e| RuntimeError::Host(e.to_string()))?
-                {
+                )? {
                     crate::tape::TapeStep::Done(v) => return Ok(v),
                     // The cell was poisoned mid-run; rejoin the flat state
                     // and continue on the interpreter path below.
@@ -822,16 +792,13 @@ impl Model for MufModel {
             state
         };
         let mut prob = ProbSlot::Prob(ctx);
-        let result = self
-            .interp
-            .apply(&closure, arg, &mut prob)
-            .map_err(|e| RuntimeError::Host(e.to_string()))?;
+        let result = self.interp.apply(&closure, arg, &mut prob)?;
         match result {
             MufValue::Tuple(mut vs) if vs.len() == 2 => {
                 let next = vs.pop().expect("length checked");
                 let out = vs.pop().expect("length checked");
                 self.state = ModelState::Whole(next);
-                out.as_core().map_err(|e| RuntimeError::Host(e.to_string()))
+                Ok(out.as_core()?)
             }
             other => Err(RuntimeError::Host(format!(
                 "transition function must return (value, state), got {}",
@@ -912,24 +879,19 @@ impl MufPrelude {
         input: &Value,
         slot: &RefCell<MufValue>,
     ) -> Result<(), RuntimeError> {
-        let host = |e: LangError| RuntimeError::Host(e.to_string());
         let state = std::mem::replace(&mut self.state, MufValue::Nil);
         let arg = if self.takes_input {
             MufValue::Tuple(vec![state, MufValue::V(input.clone())])
         } else {
             state
         };
-        let result = interp
-            .apply(&self.transition, arg, &mut ProbSlot::Det)
-            .map_err(host)?;
+        let result = interp.apply(&self.transition, arg, &mut ProbSlot::Det)?;
         match result {
             MufValue::Tuple(mut vs) if vs.len() == 2 => {
                 let next = vs.pop().expect("length checked");
                 let out = vs.pop().expect("length checked");
                 self.state = next;
-                let closure = interp
-                    .apply(&self.wrap, out, &mut ProbSlot::Det)
-                    .map_err(host)?;
+                let closure = interp.apply(&self.wrap, out, &mut ProbSlot::Det)?;
                 *slot.borrow_mut() = closure;
                 Ok(())
             }
@@ -974,6 +936,11 @@ impl std::fmt::Debug for MufEngine {
 impl MufEngine {
     /// Allocates an engine whose particles start from (deep clones of)
     /// `init_state`, with `closure` as the transition function.
+    ///
+    /// # Errors
+    ///
+    /// The particle cloud cannot be allocated (the count overflows the
+    /// address space or the allocator refuses it).
     pub fn new(
         interp: Rc<Interp>,
         method: Method,
@@ -982,11 +949,10 @@ impl MufEngine {
         closure: MufValue,
         takes_input: bool,
         seed: u64,
-    ) -> MufEngine {
+    ) -> Result<MufEngine, LangError> {
         let slot = Rc::new(RefCell::new(closure));
         let tape = (interp.backend == ExecBackend::Tape)
             .then(|| Rc::new(crate::tape::TapeCell::default()));
-        #[cfg(feature = "obs")]
         let obs = interp.obs.clone();
         let model = MufModel {
             interp: interp.clone(),
@@ -996,16 +962,21 @@ impl MufEngine {
             takes_input,
             tape: tape.clone(),
         };
-        let inner = Infer::with_seed(method, particles, model, seed);
-        #[cfg(feature = "obs")]
-        let inner = inner.with_obs(obs);
-        MufEngine {
+        let inner = Infer::try_with_seed(method, particles, model, seed)
+            .map_err(|e| {
+                LangError::new(
+                    Stage::Eval,
+                    format!("cannot allocate {particles} particles: {e}"),
+                )
+            })?
+            .with_obs(obs);
+        Ok(MufEngine {
             inner,
             closure: slot,
             interp,
             prelude: None,
             tape,
-        }
+        })
     }
 
     /// Attaches a hoisted particle-invariant prelude (see [`MufPrelude`]).
@@ -1202,7 +1173,6 @@ pub struct Instance {
     init_state: MufValue,
     /// Monotonic driver-tick counter (not rewound by [`Instance::reset`],
     /// so every emitted span ID is unique within a run).
-    #[cfg(feature = "obs")]
     tick: u64,
 }
 
@@ -1225,7 +1195,6 @@ impl Instance {
             step,
             init_state: state.clone(),
             state,
-            #[cfg(feature = "obs")]
             tick: 0,
         })
     }
@@ -1236,7 +1205,6 @@ impl Instance {
     ///
     /// Evaluation errors (including errors from embedded `infer` engines).
     pub fn step(&mut self, input: Value) -> Result<MufValue, LangError> {
-        #[cfg(feature = "obs")]
         let t0 = self.interp.obs.enabled().then(std::time::Instant::now);
         let state = std::mem::replace(&mut self.state, MufValue::Nil);
         let arg = MufValue::Tuple(vec![state, MufValue::V(input)]);
@@ -1255,7 +1223,6 @@ impl Instance {
                 format!("node step must return (value, state), got {}", other.kind()),
             )),
         };
-        #[cfg(feature = "obs")]
         if let Some(t0) = t0 {
             use probzelus_core::trace::{self, SpanRecord};
             let tick = self.tick;

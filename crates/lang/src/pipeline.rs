@@ -238,9 +238,7 @@ impl Compiled {
     /// Unknown or probabilistic nodes (use [`Compiled::infer_node`] for
     /// the latter), or initialization failures.
     pub fn instantiate(&self, node: &str, options: Options) -> Result<Instance, LangError> {
-        self.check_deterministic(node)?;
-        let interp = Interp::new(&self.muf, options)?;
-        Instance::new(interp, node)
+        self.instantiate_with_obs(node, options, probzelus_core::obs::Obs::off())
     }
 
     /// Like [`Compiled::instantiate`], but every engine the instance's
@@ -255,7 +253,6 @@ impl Compiled {
     /// # Errors
     ///
     /// As for [`Compiled::instantiate`].
-    #[cfg(feature = "obs")]
     pub fn instantiate_with_obs(
         &self,
         node: &str,
@@ -270,9 +267,11 @@ impl Compiled {
 
     /// Emits a `check.advisory` obs event for every embedded `infer` site
     /// whose method choice contradicts the boundedness verdict.
-    #[cfg(feature = "obs")]
     fn emit_advisories(&self, node: &str, method: Method, obs: &probzelus_core::obs::Obs) {
         use probzelus_core::obs::{events, FieldValue};
+        if !obs.enabled() {
+            return;
+        }
         let Some(decl) = self.kernel.node(node) else {
             return;
         };
@@ -392,13 +391,13 @@ impl Compiled {
                 main_step,
                 true,
                 options.seed,
-            )
+            )?
             .with_prelude(prelude));
         }
         let step = global(&step_name(node))?;
         let init_thunk = global(&init_name(node))?;
         let init_state = interp.apply(&init_thunk, MufValue::unit(), &mut ProbSlot::Det)?;
-        Ok(MufEngine::new(
+        MufEngine::new(
             interp,
             options.method,
             particles,
@@ -406,7 +405,7 @@ impl Compiled {
             step,
             true,
             options.seed,
-        ))
+        )
     }
 
     /// Lowers a node's per-particle transition to the flat instruction

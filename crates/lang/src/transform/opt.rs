@@ -38,29 +38,14 @@ use probzelus_core::ops as vops;
 use probzelus_core::value::Value;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-/// Which passes run. The default enables everything.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OptConfig {
-    /// Constant propagation and folding (PZ0606).
-    pub const_fold: bool,
-    /// Dead-stream elimination (PZ0604).
-    pub dead_streams: bool,
-    /// Common-subexpression elimination (PZ0605).
-    pub cse: bool,
-    /// Particle-invariant prelude hoisting (PZ0503).
-    pub hoist: bool,
-}
-
-impl Default for OptConfig {
-    fn default() -> Self {
-        OptConfig {
-            const_fold: true,
-            dead_streams: true,
-            cse: true,
-            hoist: true,
-        }
-    }
-}
+/// Optimizer configuration. It has no settings: every pass (constant
+/// folding, dead-stream elimination, CSE, prelude hoisting) always runs.
+/// The type stays so the signatures of [`optimize_program`] and
+/// `optimize_source` do not change for their callers, who build it with
+/// `OptConfig::default()`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[non_exhaustive]
+pub struct OptConfig {}
 
 /// One output the generated prelude passes to the residual node, in
 /// plan order.
@@ -131,7 +116,7 @@ impl OptReport {
 /// their original) and the report. The input must already be in kernel
 /// form; nodes are never removed or renamed, so `infer` sites and node
 /// applications stay valid.
-pub fn optimize_program(p: &Program, cfg: &OptConfig) -> Result<(Program, OptReport), LangError> {
+pub fn optimize_program(p: &Program, _cfg: &OptConfig) -> Result<(Program, OptReport), LangError> {
     let mut report = OptReport::default();
     let base = effects::analyze_program(p);
     let mut fresh = FreshCse::scan(p);
@@ -141,15 +126,12 @@ pub fn optimize_program(p: &Program, cfg: &OptConfig) -> Result<(Program, OptRep
         .map(|n| NodeDecl {
             name: n.name.clone(),
             param: n.param.clone(),
-            body: rewrite(&n.body, base.summaries(), cfg, &mut report, &mut fresh),
+            body: rewrite(&n.body, base.summaries(), &mut report, &mut fresh),
         })
         .collect();
     let mut prog = schedule_program(&Program { nodes })?;
-    if cfg.hoist {
-        plan_hoists(&mut prog, &mut report);
-        prog = schedule_program(&prog)?;
-    }
-    Ok((prog, report))
+    plan_hoists(&mut prog, &mut report);
+    Ok((schedule_program(&prog)?, report))
 }
 
 // ---------------------------------------------------------------------
@@ -182,27 +164,16 @@ impl FreshCse {
 
 /// Bottom-up rewrite: children first, then expression-level folding,
 /// then the block-level passes on every equation set encountered.
-fn rewrite(
-    e: &Expr,
-    s: Summaries<'_>,
-    cfg: &OptConfig,
-    report: &mut OptReport,
-    fresh: &mut FreshCse,
-) -> Expr {
+fn rewrite(e: &Expr, s: Summaries<'_>, report: &mut OptReport, fresh: &mut FreshCse) -> Expr {
     let rewritten = match e {
-        Expr::At(inner, p) => Expr::at(rewrite(inner, s, cfg, report, fresh), *p),
+        Expr::At(inner, p) => Expr::at(rewrite(inner, s, report, fresh), *p),
         Expr::Const(_) | Expr::Var(_) | Expr::Last(_) => e.clone(),
-        Expr::Pair(a, b) => Expr::pair(
-            rewrite(a, s, cfg, report, fresh),
-            rewrite(b, s, cfg, report, fresh),
-        ),
+        Expr::Pair(a, b) => Expr::pair(rewrite(a, s, report, fresh), rewrite(b, s, report, fresh)),
         Expr::Op(op, args) => Expr::Op(
             *op,
-            args.iter()
-                .map(|a| rewrite(a, s, cfg, report, fresh))
-                .collect(),
+            args.iter().map(|a| rewrite(a, s, report, fresh)).collect(),
         ),
-        Expr::App(f, arg) => Expr::App(f.clone(), Box::new(rewrite(arg, s, cfg, report, fresh))),
+        Expr::App(f, arg) => Expr::App(f.clone(), Box::new(rewrite(arg, s, report, fresh))),
         Expr::Where { body, eqs } => {
             // Snapshot which right-hand sides were literals *before*
             // rewriting, so folding reports only real reductions.
@@ -218,35 +189,35 @@ fn rewrite(
                 .map(|eq| match eq {
                     Eq::Def { name, expr } => Eq::Def {
                         name: name.clone(),
-                        expr: rewrite(expr, s, cfg, report, fresh),
+                        expr: rewrite(expr, s, report, fresh),
                     },
                     other => other.clone(),
                 })
                 .collect();
-            let body = rewrite(body, s, cfg, report, fresh);
-            return optimize_block(body, eqs, was_const, s, cfg, report, fresh);
+            let body = rewrite(body, s, report, fresh);
+            return optimize_block(body, eqs, was_const, s, report, fresh);
         }
         Expr::Present { cond, then, els } => Expr::Present {
-            cond: Box::new(rewrite(cond, s, cfg, report, fresh)),
-            then: Box::new(rewrite(then, s, cfg, report, fresh)),
-            els: Box::new(rewrite(els, s, cfg, report, fresh)),
+            cond: Box::new(rewrite(cond, s, report, fresh)),
+            then: Box::new(rewrite(then, s, report, fresh)),
+            els: Box::new(rewrite(els, s, report, fresh)),
         },
         Expr::Reset { body, every } => Expr::Reset {
-            body: Box::new(rewrite(body, s, cfg, report, fresh)),
-            every: Box::new(rewrite(every, s, cfg, report, fresh)),
+            body: Box::new(rewrite(body, s, report, fresh)),
+            every: Box::new(rewrite(every, s, report, fresh)),
         },
         Expr::If { cond, then, els } => Expr::If {
-            cond: Box::new(rewrite(cond, s, cfg, report, fresh)),
-            then: Box::new(rewrite(then, s, cfg, report, fresh)),
-            els: Box::new(rewrite(els, s, cfg, report, fresh)),
+            cond: Box::new(rewrite(cond, s, report, fresh)),
+            then: Box::new(rewrite(then, s, report, fresh)),
+            els: Box::new(rewrite(els, s, report, fresh)),
         },
-        Expr::Sample(d) => Expr::Sample(Box::new(rewrite(d, s, cfg, report, fresh))),
+        Expr::Sample(d) => Expr::Sample(Box::new(rewrite(d, s, report, fresh))),
         Expr::Observe(d, v) => Expr::Observe(
-            Box::new(rewrite(d, s, cfg, report, fresh)),
-            Box::new(rewrite(v, s, cfg, report, fresh)),
+            Box::new(rewrite(d, s, report, fresh)),
+            Box::new(rewrite(v, s, report, fresh)),
         ),
-        Expr::Factor(w) => Expr::Factor(Box::new(rewrite(w, s, cfg, report, fresh))),
-        Expr::ValueOp(x) => Expr::ValueOp(Box::new(rewrite(x, s, cfg, report, fresh))),
+        Expr::Factor(w) => Expr::Factor(Box::new(rewrite(w, s, report, fresh))),
+        Expr::ValueOp(x) => Expr::ValueOp(Box::new(rewrite(x, s, report, fresh))),
         Expr::Infer {
             particles,
             node,
@@ -254,17 +225,13 @@ fn rewrite(
         } => Expr::Infer {
             particles: *particles,
             node: node.clone(),
-            arg: Box::new(rewrite(arg, s, cfg, report, fresh)),
+            arg: Box::new(rewrite(arg, s, report, fresh)),
         },
         // Derived forms never reach the optimizer (it runs on the
         // kernel); passed through untouched for safety.
         Expr::Arrow(..) | Expr::Pre(..) | Expr::Fby(..) => e.clone(),
     };
-    if cfg.const_fold {
-        fold_here(&rewritten, s)
-    } else {
-        rewritten
-    }
+    fold_here(&rewritten, s)
 }
 
 /// Tries to fold a single expression whose children are already
@@ -416,7 +383,6 @@ fn optimize_block(
     eqs: Vec<Eq>,
     was_const: HashSet<String>,
     s: Summaries<'_>,
-    cfg: &OptConfig,
     report: &mut OptReport,
     fresh: &mut FreshCse,
 ) -> Expr {
@@ -431,9 +397,7 @@ fn optimize_block(
     let mut body = body;
     let mut eqs = eqs;
 
-    if cfg.const_fold {
-        propagate_constants(&mut body, &mut eqs, s);
-    }
+    propagate_constants(&mut body, &mut eqs, s);
     // Report equations that the fold/prop rounds reduced to literals.
     for eq in &eqs {
         if let Eq::Def { name, expr } = eq {
@@ -449,12 +413,8 @@ fn optimize_block(
             }
         }
     }
-    if cfg.dead_streams {
-        eliminate_dead_streams(&body, &mut eqs, s, report);
-    }
-    if cfg.cse {
-        factor_common_subexpressions(&mut body, &mut eqs, fresh, report);
-    }
+    eliminate_dead_streams(&body, &mut eqs, s, report);
+    factor_common_subexpressions(&mut body, &mut eqs, fresh, report);
     if eqs.is_empty() {
         body
     } else {

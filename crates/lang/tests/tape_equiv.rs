@@ -351,6 +351,30 @@ fn assert_outcomes_identical(
         .collect()
 }
 
+/// A runtime error raised in a particle step, on either backend and
+/// through either pipeline (the optimizing one runs `hmm`'s invariant
+/// equations in the hoisted prelude), prints its stage once: the error
+/// crosses the engine as a `RuntimeError` and back into a `LangError`.
+#[test]
+fn runtime_errors_carry_one_stage_prefix() {
+    const WANT: &str = "evaluation error: type mismatch: expected float, got int";
+    for compiled in both_pipelines(&example("hmm.zl")) {
+        for backend in [ExecBackend::Interp, ExecBackend::Tape] {
+            let mut hmm = engine(&compiled, "hmm", 4, Method::StreamingDs, backend);
+            let err = hmm.step(&Value::Int(1)).unwrap_err();
+            assert_eq!(err.to_string(), WANT, "hmm ({backend:?})");
+            let options = Options {
+                method: Method::StreamingDs,
+                seed: 7,
+                backend,
+            };
+            let mut main = compiled.instantiate("main", options).expect("instantiate");
+            let err = main.step(Value::Int(1)).unwrap_err();
+            assert_eq!(err.to_string(), WANT, "main ({backend:?})");
+        }
+    }
+}
+
 /// Both pipelines' compilations of `src`.
 fn both_pipelines(src: &str) -> [Compiled; 2] {
     [
@@ -456,7 +480,7 @@ impl Muf {
             backend,
         };
         let (interp, step) = self.closure(name, options);
-        MufEngine::new(interp, method, 4, self.init.clone(), step, true, 42)
+        MufEngine::new(interp, method, 4, self.init.clone(), step, true, 42).unwrap()
     }
 
     /// Transition `name` lowered to the tape.

@@ -8,12 +8,11 @@
 //! cargo run --release --example dsl_hmm
 //! ```
 //!
-//! With `--metrics <path>` (requires `--features obs`) the embedded
-//! `infer` engine exports per-tick JSONL telemetry to `<path>`,
-//! readable by `obsreport`:
+//! With `--metrics <path>` the embedded `infer` engine exports per-tick
+//! JSONL telemetry to `<path>`, readable by `obsreport`:
 //!
 //! ```text
-//! cargo run --release --features obs --example dsl_hmm -- --metrics hmm.jsonl
+//! cargo run --release --example dsl_hmm -- --metrics hmm.jsonl
 //! ```
 
 use probzelus::core::{Method, Value};
@@ -42,18 +41,6 @@ fn metrics_path() -> Option<String> {
 /// flush explicitly rather than rely on drop order).
 type Flush = Box<dyn Fn()>;
 
-#[cfg(not(feature = "obs"))]
-fn instantiate_exporting(
-    _compiled: &Compiled,
-    _options: Options,
-    path: &str,
-) -> Result<(Instance, Flush), LangError> {
-    eprintln!("--metrics {path} needs the telemetry subsystem; rebuild with:");
-    eprintln!("    cargo run --release --features obs --example dsl_hmm -- --metrics {path}");
-    std::process::exit(2);
-}
-
-#[cfg(feature = "obs")]
 fn instantiate_exporting(
     compiled: &Compiled,
     options: Options,

@@ -7,11 +7,11 @@
 //! cargo run --release --example mv_tracker
 //! ```
 //!
-//! With `--metrics <path>` (requires `--features obs`) the engine exports
-//! per-tick JSONL telemetry to `<path>`, readable by `obsreport`:
+//! With `--metrics <path>` the engine exports per-tick JSONL telemetry
+//! to `<path>`, readable by `obsreport`:
 //!
 //! ```text
-//! cargo run --release --features obs --example mv_tracker -- --metrics mv.jsonl
+//! cargo run --release --example mv_tracker -- --metrics mv.jsonl
 //! ```
 
 use probzelus::core::infer::{Infer, Method};
@@ -36,14 +36,6 @@ fn metrics_path() -> Option<String> {
 
 fn main() -> Result<(), probzelus::core::RuntimeError> {
     let metrics = metrics_path();
-    #[cfg(not(feature = "obs"))]
-    if let Some(path) = &metrics {
-        eprintln!("--metrics {path} needs the telemetry subsystem; rebuild with:");
-        eprintln!(
-            "    cargo run --release --features obs --example mv_tracker -- --metrics {path}"
-        );
-        std::process::exit(2);
-    }
     let params = MvTrackerParams::default();
     // Accelerate, cruise, brake.
     let controls: Vec<f64> = (0..300)
@@ -56,7 +48,6 @@ fn main() -> Result<(), probzelus::core::RuntimeError> {
     let (truth, inputs) = generate_mv_trace(&params, &controls, 10, 42);
 
     let mut engine = Infer::with_seed(Method::StreamingDs, 1, MvTracker::new(params.clone()), 0);
-    #[cfg(feature = "obs")]
     let obs_export = metrics.as_deref().map(|path| {
         use probzelus::core::obs::{Obs, WriterSink};
         use std::sync::Arc;
@@ -73,8 +64,6 @@ fn main() -> Result<(), probzelus::core::RuntimeError> {
             }
         }
     });
-    #[cfg(not(feature = "obs"))]
-    let _ = metrics;
     let mut oracle = MvKalmanOracle::new(params);
 
     println!(
@@ -105,7 +94,6 @@ fn main() -> Result<(), probzelus::core::RuntimeError> {
         "\none particle, exact matrix Kalman posterior; live graph nodes: {}",
         engine.memory().live_nodes
     );
-    #[cfg(feature = "obs")]
     if let Some(obs) = &obs_export {
         if let Err(e) = obs.flush() {
             eprintln!("telemetry flush failed: {e}");

@@ -9,12 +9,12 @@
 //! cargo run --release --example outlier
 //! ```
 //!
-//! With `--metrics <path>` (requires `--features obs`) all three engines
-//! export per-tick JSONL telemetry to `<path>` — each scoped to its
-//! method label — readable by `obsreport`:
+//! With `--metrics <path>` all three engines export per-tick JSONL
+//! telemetry to `<path>` — each scoped to its method label — readable by
+//! `obsreport`:
 //!
 //! ```text
-//! cargo run --release --features obs --example outlier -- --metrics outlier.jsonl
+//! cargo run --release --example outlier -- --metrics outlier.jsonl
 //! ```
 
 use probzelus::core::infer::{Infer, Method};
@@ -39,13 +39,6 @@ fn metrics_path() -> Option<String> {
 
 fn main() -> Result<(), probzelus::core::RuntimeError> {
     let metrics = metrics_path();
-    #[cfg(not(feature = "obs"))]
-    if let Some(path) = &metrics {
-        eprintln!("--metrics {path} needs the telemetry subsystem; rebuild with:");
-        eprintln!("    cargo run --release --features obs --example outlier -- --metrics {path}");
-        std::process::exit(2);
-    }
-    #[cfg(feature = "obs")]
     let obs_export = metrics.as_deref().map(|path| {
         use probzelus::core::obs::{Obs, WriterSink};
         use std::sync::Arc;
@@ -60,8 +53,6 @@ fn main() -> Result<(), probzelus::core::RuntimeError> {
             }
         }
     });
-    #[cfg(not(feature = "obs"))]
-    let _ = metrics;
     let steps = 300;
     let data = generate_outlier(11, steps);
 
@@ -72,7 +63,6 @@ fn main() -> Result<(), probzelus::core::RuntimeError> {
         (Method::StreamingDs, 100),
     ] {
         let mut engine = Infer::with_seed(method, particles, Outlier::default(), 1);
-        #[cfg(feature = "obs")]
         if let Some(obs) = &obs_export {
             engine.set_obs(obs.clone());
         }
@@ -102,7 +92,6 @@ fn main() -> Result<(), probzelus::core::RuntimeError> {
         "\n(the observation noise floor is ~{:.1}; a non-robust filter is pulled far off by outliers)",
         probzelus::models::OBS_VAR
     );
-    #[cfg(feature = "obs")]
     if let Some(obs) = &obs_export {
         if let Err(e) = obs.flush() {
             eprintln!("telemetry flush failed: {e}");

@@ -10,12 +10,11 @@
 //! cargo run --release --example robot
 //! ```
 //!
-//! With `--metrics <path>` (requires `--features obs`) the tracking
-//! engine exports per-tick JSONL telemetry to `<path>`, readable by
-//! `obsreport`:
+//! With `--metrics <path>` the tracking engine exports per-tick JSONL
+//! telemetry to `<path>`, readable by `obsreport`:
 //!
 //! ```text
-//! cargo run --release --features obs --example robot -- --metrics robot.jsonl
+//! cargo run --release --example robot -- --metrics robot.jsonl
 //! ```
 
 use probzelus::core::infer::Method;
@@ -41,15 +40,6 @@ fn metrics_path() -> Option<String> {
 /// A flusher for the telemetry sink, called once before each exit path.
 type Flush = Box<dyn Fn()>;
 
-#[cfg(not(feature = "obs"))]
-fn attach_metrics(bot: TaskBot, path: &str) -> (TaskBot, Flush) {
-    let _ = bot;
-    eprintln!("--metrics {path} needs the telemetry subsystem; rebuild with:");
-    eprintln!("    cargo run --release --features obs --example robot -- --metrics {path}");
-    std::process::exit(2);
-}
-
-#[cfg(feature = "obs")]
 fn attach_metrics(bot: TaskBot, path: &str) -> (TaskBot, Flush) {
     use probzelus::core::obs::{Obs, WriterSink};
     use std::sync::Arc;

@@ -237,7 +237,6 @@ impl Robot {
 
     /// Attaches a telemetry handle to the tracking engine (per-tick ESS,
     /// latency, and delayed-sampling graph gauges).
-    #[cfg(feature = "obs")]
     pub fn with_obs(mut self, obs: probzelus_core::obs::Obs) -> Self {
         self.engine.set_obs(obs);
         self
@@ -295,7 +294,6 @@ impl TaskBot {
     }
 
     /// Attaches a telemetry handle to the underlying robot's engine.
-    #[cfg(feature = "obs")]
     pub fn with_obs(mut self, obs: probzelus_core::obs::Obs) -> Self {
         self.robot = self.robot.with_obs(obs);
         self

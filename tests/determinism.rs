@@ -139,7 +139,7 @@ fn chaos_recovery_is_identical_across_thread_counts() {
     }
 }
 
-/// Clone-minimality itself, witnessed without any telemetry feature: on
+/// Clone-minimality itself, witnessed without any telemetry sink: on
 /// the hmm (Kalman) benchmark every resampling pass performs strictly
 /// fewer deep clones than the particle count, and the avoided clones are
 /// exactly the moved survivors.

@@ -333,7 +333,6 @@ fn step_scratch_plateaus_after_warmup() {
 /// gauges an attached sink receives *are* the bounded-memory evidence,
 /// so the claim can be audited from an export alone, without access to
 /// the engine.
-#[cfg(feature = "obs")]
 mod obs_witness {
     use probzelus::core::infer::{Infer, Method};
     use probzelus::core::obs::{names, MemorySink, Obs, WriterSink};

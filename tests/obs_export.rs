@@ -1,7 +1,6 @@
 //! The telemetry export surface end to end: JSONL well-formedness from a
 //! real engine run, recovery events under injected faults, and worker-pool
-//! metrics under parallel stepping. Compiled only with `--features obs`.
-#![cfg(feature = "obs")]
+//! metrics under parallel stepping.
 
 use probzelus::core::infer::{Infer, Method, Parallelism};
 use probzelus::core::model::Model;

@@ -276,7 +276,6 @@ fn worker_counts_agree_bitwise_on_native_models() {
 /// observation, so posteriors must be bit-identical with tracing on or
 /// off, and the *semantic* span tree (everything except the `pool.job`
 /// schedule spans) must be bit-identical across worker counts.
-#[cfg(feature = "obs")]
 mod tracing_equiv {
     use super::*;
     use probzelus::core::obs::{MemorySink, Obs};
