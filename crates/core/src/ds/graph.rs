@@ -422,7 +422,10 @@ impl Graph {
         rng: &mut R,
     ) -> Result<f64, RuntimeError> {
         let mut e = e.clone();
-        while let Some(x) = e.vars().first().copied() {
+        loop {
+            let Some((x, _)) = e.terms().next() else {
+                break;
+            };
             let v = self.realize(x, rng)?;
             let xv = v.as_float()?;
             e = e.substitute(|y| (y == x).then_some(xv));
@@ -973,23 +976,41 @@ impl Graph {
     /// affine expressions (and hence GC root sets) bounded when a model
     /// forces variables with a sliding window (§5.3).
     pub fn simplify_value(&self, v: &Value) -> Value {
+        let mut v = v.clone();
+        self.simplify_in_place(&mut v);
+        v
+    }
+
+    /// [`Graph::simplify_value`] in place. An affine expression none of
+    /// whose variables is realized is already simplified and stays as it
+    /// is, so compacting a state that mentions no realized variable
+    /// allocates nothing.
+    pub fn simplify_in_place(&self, v: &mut Value) {
+        let realized = |x: RvId| match self.try_node(x).map(|n| &n.state) {
+            Some(NodeState::Realized(r)) => Some(r),
+            _ => None,
+        };
         match v {
-            Value::Unit | Value::Bool(_) | Value::Int(_) | Value::Float(_) => v.clone(),
-            Value::Pair(a, b) => Value::pair(self.simplify_value(a), self.simplify_value(b)),
-            Value::Array(xs) => Value::Array(xs.iter().map(|x| self.simplify_value(x)).collect()),
-            Value::Dist(d) => {
-                let mut d = (**d).clone();
-                for p in d.params_mut() {
-                    let s = self.simplify_value(p);
-                    *p = s;
-                }
-                Value::dist(d)
+            Value::Unit | Value::Bool(_) | Value::Int(_) | Value::Float(_) => {}
+            Value::Pair(a, b) => {
+                self.simplify_in_place(a);
+                self.simplify_in_place(b);
             }
-            Value::Aff(e) => Value::Aff(self.subst_realized(e)).simplify(),
-            Value::Rv(x) => match self.try_node(*x).map(|n| &n.state) {
-                Some(NodeState::Realized(v)) => v.clone(),
-                _ => Value::Rv(*x),
-            },
+            Value::Array(xs) => xs.iter_mut().for_each(|x| self.simplify_in_place(x)),
+            Value::Dist(d) => d
+                .params_mut()
+                .into_iter()
+                .for_each(|p| self.simplify_in_place(p)),
+            Value::Aff(e) => {
+                if e.is_constant() || e.terms().any(|(x, _)| realized(x).is_some()) {
+                    *v = Value::Aff(self.subst_realized(e)).simplify();
+                }
+            }
+            Value::Rv(x) => {
+                if let Some(r) = realized(*x) {
+                    *v = r.clone();
+                }
+            }
         }
     }
 

@@ -1709,8 +1709,7 @@ fn step_particle_parts<M: Model>(
             // realized nodes as GC roots).
             roots.clear();
             model.for_each_state_value(&mut |v| {
-                let s = graph.simplify_value(v);
-                *v = s;
+                graph.simplify_in_place(v);
                 v.for_each_rv(&mut |x| roots.push(x));
             });
             graph.collect(roots.drain(..))?;

@@ -228,14 +228,7 @@ impl Marginal {
             return Some(0.0);
         }
         match self {
-            Marginal::Dirac(v) => {
-                let x = match &**v {
-                    Value::Float(x) => *x,
-                    Value::Int(n) => *n as f64,
-                    _ => return None,
-                };
-                Some(if (lo..=hi).contains(&x) { 1.0 } else { 0.0 })
-            }
+            Marginal::Dirac(v) => point_prob_interval(v, lo, hi),
             Marginal::Gaussian(d) => Some(d.prob_interval(lo, hi)),
             Marginal::Exponential(d) => Some((d.cdf(hi) - d.cdf(lo)).max(0.0)),
             Marginal::Uniform(d) => {
@@ -292,6 +285,20 @@ impl std::fmt::Display for Marginal {
             Marginal::Lomax(d) => write!(f, "{d}"),
         }
     }
+}
+
+/// [`Marginal::prob_interval`] of a point mass at `v`, answered in place
+/// (no `Marginal::Dirac` box around a clone of `v`).
+pub(crate) fn point_prob_interval(v: &Value, lo: f64, hi: f64) -> Option<f64> {
+    if hi < lo {
+        return Some(0.0);
+    }
+    let x = match v {
+        Value::Float(x) => *x,
+        Value::Int(n) => *n as f64,
+        _ => return None,
+    };
+    Some(if (lo..=hi).contains(&x) { 1.0 } else { 0.0 })
 }
 
 #[cfg(test)]

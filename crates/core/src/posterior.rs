@@ -66,7 +66,7 @@ impl ValueDist {
     /// exists.
     pub fn prob_interval(&self, lo: f64, hi: f64) -> Option<f64> {
         match self {
-            ValueDist::Dirac(v) => Marginal::Dirac(Box::new(v.clone())).prob_interval(lo, hi),
+            ValueDist::Dirac(v) => crate::marginal::point_prob_interval(v, lo, hi),
             ValueDist::Marginal(m) => m.prob_interval(lo, hi),
             ValueDist::Pair(_, _) => None,
         }

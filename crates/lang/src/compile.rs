@@ -7,10 +7,22 @@
 //! A(body)` (a thunk, so each instantiation gets fresh state — in
 //! particular a fresh inference engine for each `infer` site).
 //!
-//! One deliberate deviation from the paper's Fig. 21: we allocate
-//! `A(f(e)) = (A(e), f_init)` — argument state first — to match the
-//! destructuring order of Fig. 20's `C(f(e))`, whose printed allocation
-//! `(f_init, A(e))` appears to be a typo.
+//! Two deliberate deviations from the paper's Figs. 20–21:
+//!
+//! * We allocate `A(f(e)) = (A(e), f_init)` — argument state first — to
+//!   match the destructuring order of Fig. 20's `C(f(e))`, whose printed
+//!   allocation `(f_init, A(e))` appears to be a typo.
+//! * Figs. 20–21 give every subexpression a state, so constants,
+//!   variables and `last x` reads get a `()` leaf passed through
+//!   unchanged. Here an expression whose A(·) would hold only such leaves
+//!   compiles to its plain µF value and has no state; a parent's state
+//!   holds only the parts that have one — memories, node applications,
+//!   `infer` engines and what contains them — as one part alone or a
+//!   tuple of several. A stateless node keeps the `(s, x) -> (v, s)`
+//!   interface over a `()` state. Stateless parts are evaluated exactly
+//!   where C(·) would have evaluated them, and A(·) allocates the
+//!   remaining parts in the same order, so effects and engine seeds are
+//!   unchanged.
 
 use crate::ast::{Const, Eq, Expr, NodeDecl, Pattern, Program};
 use crate::error::{LangError, Stage};
@@ -44,7 +56,11 @@ pub fn compile_program_with(
     p: &Program,
     plans: &HashMap<String, HoistPlan>,
 ) -> Result<MufProgram, LangError> {
-    let mut c = Compiler { fresh: 0, plans };
+    let mut c = Compiler {
+        fresh: 0,
+        plans,
+        stateless: HashSet::new(),
+    };
     let mut defs = Vec::new();
     for node in &p.nodes {
         if !is_kernel(&node.body) {
@@ -112,6 +128,9 @@ fn last_var(x: &str) -> String {
 struct Compiler<'p> {
     fresh: u32,
     plans: &'p HashMap<String, HoistPlan>,
+    /// Nodes compiled so far whose body is stateless: their state is
+    /// `()`, so an application passes `()` and allocates nothing.
+    stateless: HashSet<String>,
 }
 
 fn var(name: impl Into<String>) -> MufExpr {
@@ -182,6 +201,79 @@ fn normalize_where(eqs: &[Eq]) -> Result<NormalizedEqs, LangError> {
     Ok((inits, defs))
 }
 
+/// What C(·) makes of an expression.
+enum Code {
+    /// A stateless expression — one whose A(·) would hold only `()`
+    /// leaves — as a plain µF value expression. It gets no state.
+    Pure(MufExpr),
+    /// A transition function `fun s -> (v, s')` over the state A(·)
+    /// allocates.
+    Step(MufExpr),
+}
+
+/// A transition under construction: the state components its parts step
+/// (in evaluation order), their successors, and the bindings that
+/// compute them.
+#[derive(Default)]
+struct Seq {
+    ins: Vec<String>,
+    outs: Vec<MufExpr>,
+    lets: Vec<(MufPat, MufExpr)>,
+}
+
+impl Seq {
+    /// `value` under the bindings: pure when no part has state, else the
+    /// transition `fun ins -> lets in (value, outs)`.
+    fn finish(self, value: MufExpr) -> Code {
+        if self.ins.is_empty() {
+            Code::Pure(lets_in(self.lets, value))
+        } else {
+            Code::Step(self.finish_step(value))
+        }
+    }
+
+    /// The transition `fun ins -> lets in (value, outs)`.
+    fn finish_step(self, value: MufExpr) -> MufExpr {
+        let body = tuple(vec![value, state_expr(self.outs)]);
+        fun(state_pat(&self.ins), lets_in(self.lets, body))
+    }
+}
+
+/// `let p1 = e1 in .. let pn = en in body`.
+fn lets_in(lets: Vec<(MufPat, MufExpr)>, body: MufExpr) -> MufExpr {
+    lets.into_iter()
+        .rev()
+        .fold(body, |acc, (p, e)| let_(p, e, acc))
+}
+
+/// A state made of `parts`: a single part is the state itself, several
+/// form a tuple. Used only with at least one part.
+fn state_expr(mut parts: Vec<MufExpr>) -> MufExpr {
+    if parts.len() == 1 {
+        parts.swap_remove(0)
+    } else {
+        tuple(parts)
+    }
+}
+
+/// The pattern matching [`state_expr`] over state variables.
+fn state_pat(vars: &[String]) -> MufPat {
+    match vars {
+        [one] => MufPat::var(one),
+        _ => MufPat::Tuple(vars.iter().map(MufPat::var).collect()),
+    }
+}
+
+/// A state of `parts` allocated by A(·), or `None` without parts.
+fn state_alloc(parts: Vec<Option<MufExpr>>) -> Option<MufExpr> {
+    let parts: Vec<MufExpr> = parts.into_iter().flatten().collect();
+    (!parts.is_empty()).then(|| state_expr(parts))
+}
+
+fn unit() -> MufExpr {
+    MufExpr::Const(Const::Unit)
+}
+
 impl Compiler<'_> {
     fn fresh(&mut self, hint: &str) -> String {
         self.fresh += 1;
@@ -190,256 +282,130 @@ impl Compiler<'_> {
 
     fn compile_node(&mut self, node: &NodeDecl) -> Result<(MufExpr, MufExpr), LangError> {
         let s = self.fresh("s");
+        let result = match self.c(&node.body)? {
+            Code::Step(f) => app(f, var(&s)),
+            Code::Pure(v) => {
+                self.stateless.insert(node.name.clone());
+                tuple(vec![v, var(&s)])
+            }
+        };
         let step = fun(
             MufPat::pair(MufPat::var(&s), pattern_to_pat(&node.param)),
-            app(self.c(&node.body)?, var(&s)),
+            result,
         );
-        let init = fun(MufPat::Unit, self.a(&node.body)?);
+        let init = fun(MufPat::Unit, self.a(&node.body)?.unwrap_or_else(unit));
         Ok((step, init))
     }
 
-    /// C(·): the transition function of an expression (Fig. 20).
-    fn c(&mut self, e: &Expr) -> Result<MufExpr, LangError> {
-        match e {
-            Expr::At(inner, _) => self.c(inner),
-            Expr::Const(c) => {
+    /// C(·) as a transition function, for an `infer` body: a stateless
+    /// model steps a `()` state.
+    fn transition(&mut self, e: &Expr) -> Result<MufExpr, LangError> {
+        Ok(match self.c(e)? {
+            Code::Step(f) => f,
+            Code::Pure(v) => {
                 let s = self.fresh("s");
-                Ok(fun(
-                    MufPat::var(&s),
-                    tuple(vec![MufExpr::Const(c.clone()), var(&s)]),
-                ))
+                fun(MufPat::var(&s), tuple(vec![v, var(&s)]))
             }
-            Expr::Var(x) => {
-                let s = self.fresh("s");
-                Ok(fun(MufPat::var(&s), tuple(vec![var(x.clone()), var(&s)])))
+        })
+    }
+
+    /// Adds a part to `seq` and returns the expression of its value. A
+    /// stateful part steps a state component of its own; a stateless one
+    /// is its value expression, bound to a fresh variable when `bind`
+    /// asks for it (a later part steps state, so evaluating the value in
+    /// place would reorder its effects, or the value is read twice) and
+    /// it is more than a constant or a variable.
+    fn sequence(&mut self, seq: &mut Seq, code: Code, bind: bool) -> MufExpr {
+        match code {
+            Code::Step(f) => {
+                let v = self.fresh("v");
+                self.step_into(seq, MufPat::var(&v), |s| app(f, s));
+                var(v)
             }
-            Expr::Last(x) => {
-                let s = self.fresh("s");
-                Ok(fun(MufPat::var(&s), tuple(vec![var(last_var(x)), var(&s)])))
+            Code::Pure(x) if bind && !matches!(x, MufExpr::Const(_) | MufExpr::Var(_)) => {
+                let v = self.fresh("v");
+                seq.lets.push((MufPat::var(&v), x));
+                var(v)
             }
-            Expr::Pair(e1, e2) => {
-                let (s1, s2) = (self.fresh("s"), self.fresh("s"));
-                let (v1, v2) = (self.fresh("v"), self.fresh("v"));
-                let (n1, n2) = (self.fresh("s"), self.fresh("s"));
-                let c1 = self.c(e1)?;
-                let c2 = self.c(e2)?;
-                Ok(fun(
-                    MufPat::Tuple(vec![MufPat::var(&s1), MufPat::var(&s2)]),
-                    let_(
-                        MufPat::pair(MufPat::var(&v1), MufPat::var(&n1)),
-                        app(c1, var(&s1)),
-                        let_(
-                            MufPat::pair(MufPat::var(&v2), MufPat::var(&n2)),
-                            app(c2, var(&s2)),
-                            tuple(vec![
-                                tuple(vec![var(&v1), var(&v2)]),
-                                tuple(vec![var(&n1), var(&n2)]),
-                            ]),
-                        ),
-                    ),
-                ))
-            }
+            Code::Pure(x) => x,
+        }
+    }
+
+    /// Adds a fresh state component to `seq`: `call` steps it (given the
+    /// state, it returns `(v, s')`), binding `v` to `value`.
+    fn step_into(&mut self, seq: &mut Seq, value: MufPat, call: impl FnOnce(MufExpr) -> MufExpr) {
+        let (s, n) = (self.fresh("s"), self.fresh("s"));
+        seq.lets
+            .push((MufPat::pair(value, MufPat::var(&n)), call(var(&s))));
+        seq.ins.push(s);
+        seq.outs.push(var(n));
+    }
+
+    /// Compiles strictly evaluated parts, in order, into `seq`.
+    fn parts(&mut self, seq: &mut Seq, es: &[&Expr]) -> Result<Vec<MufExpr>, LangError> {
+        let codes: Vec<Code> = es.iter().map(|e| self.c(e)).collect::<Result<_, _>>()?;
+        let last_step = codes.iter().rposition(|c| matches!(c, Code::Step(_)));
+        Ok(codes
+            .into_iter()
+            .enumerate()
+            .map(|(i, code)| self.sequence(seq, code, last_step.is_some_and(|l| i < l)))
+            .collect())
+    }
+
+    /// C(·) (Fig. 20), except that stateless expressions compile to
+    /// their value and allocate no state (see the module docs).
+    fn c(&mut self, e: &Expr) -> Result<Code, LangError> {
+        let mut seq = Seq::default();
+        let value = match e {
+            Expr::At(inner, _) => return self.c(inner),
+            Expr::Const(c) => MufExpr::Const(c.clone()),
+            Expr::Var(x) => var(x.clone()),
+            Expr::Last(x) => var(last_var(x)),
+            Expr::Pair(e1, e2) => tuple(self.parts(&mut seq, &[e1, e2])?),
             Expr::Op(op, args) => {
-                let compiled: Vec<MufExpr> =
-                    args.iter().map(|a| self.c(a)).collect::<Result<_, _>>()?;
-                let ss: Vec<String> = args.iter().map(|_| self.fresh("s")).collect();
-                let vs: Vec<String> = args.iter().map(|_| self.fresh("v")).collect();
-                let ns: Vec<String> = args.iter().map(|_| self.fresh("s")).collect();
-                let state_pat = if ss.len() == 1 {
-                    MufPat::var(&ss[0])
-                } else {
-                    MufPat::Tuple(ss.iter().map(MufPat::var).collect())
-                };
-                let next_state = if ns.len() == 1 {
-                    var(&ns[0])
-                } else {
-                    tuple(ns.iter().map(var).collect())
-                };
-                let mut body = tuple(vec![
-                    MufExpr::Op(*op, vs.iter().map(var).collect()),
-                    next_state,
-                ]);
-                for i in (0..args.len()).rev() {
-                    body = let_(
-                        MufPat::pair(MufPat::var(&vs[i]), MufPat::var(&ns[i])),
-                        app(compiled[i].clone(), var(&ss[i])),
-                        body,
-                    );
-                }
-                Ok(fun(state_pat, body))
+                let args: Vec<&Expr> = args.iter().collect();
+                MufExpr::Op(*op, self.parts(&mut seq, &args)?)
             }
             Expr::App(f, arg) => {
-                let (s1, s2) = (self.fresh("s"), self.fresh("s"));
-                let (v1, v2) = (self.fresh("v"), self.fresh("v"));
-                let (n1, n2) = (self.fresh("s"), self.fresh("s"));
-                let carg = self.c(arg)?;
-                Ok(fun(
-                    MufPat::Tuple(vec![MufPat::var(&s1), MufPat::var(&s2)]),
+                let [v] = self.parts_array(&mut seq, [arg])?;
+                if self.stateless.contains(f) {
+                    // A stateless node steps a `()` state.
+                    let r = self.fresh("v");
                     let_(
-                        MufPat::pair(MufPat::var(&v1), MufPat::var(&n1)),
-                        app(carg, var(&s1)),
-                        let_(
-                            MufPat::pair(MufPat::var(&v2), MufPat::var(&n2)),
-                            app(var(step_name(f)), tuple(vec![var(&s2), var(&v1)])),
-                            tuple(vec![var(&v2), tuple(vec![var(&n1), var(&n2)])]),
-                        ),
-                    ),
-                ))
+                        MufPat::pair(MufPat::var(&r), MufPat::Wildcard),
+                        app(var(step_name(f)), tuple(vec![unit(), v])),
+                        var(r),
+                    )
+                } else {
+                    let r = self.fresh("v");
+                    self.step_into(&mut seq, MufPat::var(&r), |s| {
+                        app(var(step_name(f)), tuple(vec![s, v]))
+                    });
+                    var(r)
+                }
             }
-            Expr::Where { body, eqs } => self.c_where(body, eqs),
+            Expr::Where { body, eqs } => return self.c_where(body, eqs),
             Expr::If { cond, then, els } => {
-                let (s, s1, s2) = (self.fresh("s"), self.fresh("s"), self.fresh("s"));
-                let (v, v1, v2) = (self.fresh("v"), self.fresh("v"), self.fresh("v"));
-                let (n, n1, n2) = (self.fresh("s"), self.fresh("s"), self.fresh("s"));
-                let cc = self.c(cond)?;
-                let c1 = self.c(then)?;
-                let c2 = self.c(els)?;
-                Ok(fun(
-                    MufPat::Tuple(vec![MufPat::var(&s), MufPat::var(&s1), MufPat::var(&s2)]),
-                    let_(
-                        MufPat::pair(MufPat::var(&v), MufPat::var(&n)),
-                        app(cc, var(&s)),
-                        let_(
-                            MufPat::pair(MufPat::var(&v1), MufPat::var(&n1)),
-                            app(c1, var(&s1)),
-                            let_(
-                                MufPat::pair(MufPat::var(&v2), MufPat::var(&n2)),
-                                app(c2, var(&s2)),
-                                tuple(vec![
-                                    MufExpr::Select(
-                                        Box::new(var(&v)),
-                                        Box::new(var(&v1)),
-                                        Box::new(var(&v2)),
-                                    ),
-                                    tuple(vec![var(&n), var(&n1), var(&n2)]),
-                                ]),
-                            ),
-                        ),
-                    ),
-                ))
+                let [c, t, f] = self.parts_array(&mut seq, [cond, then, els])?;
+                MufExpr::Select(Box::new(c), Box::new(t), Box::new(f))
             }
-            Expr::Present { cond, then, els } => {
-                let (s, s1, s2) = (self.fresh("s"), self.fresh("s"), self.fresh("s"));
-                let (v, v1, v2) = (self.fresh("v"), self.fresh("v"), self.fresh("v"));
-                let (n, n1, n2) = (self.fresh("s"), self.fresh("s"), self.fresh("s"));
-                let cc = self.c(cond)?;
-                let c1 = self.c(then)?;
-                let c2 = self.c(els)?;
-                Ok(fun(
-                    MufPat::Tuple(vec![MufPat::var(&s), MufPat::var(&s1), MufPat::var(&s2)]),
-                    let_(
-                        MufPat::pair(MufPat::var(&v), MufPat::var(&n)),
-                        app(cc, var(&s)),
-                        MufExpr::If(
-                            Box::new(var(&v)),
-                            Box::new(let_(
-                                MufPat::pair(MufPat::var(&v1), MufPat::var(&n1)),
-                                app(c1, var(&s1)),
-                                tuple(vec![var(&v1), tuple(vec![var(&n), var(&n1), var(&s2)])]),
-                            )),
-                            Box::new(let_(
-                                MufPat::pair(MufPat::var(&v2), MufPat::var(&n2)),
-                                app(c2, var(&s2)),
-                                tuple(vec![var(&v2), tuple(vec![var(&n), var(&s1), var(&n2)])]),
-                            )),
-                        ),
-                    ),
-                ))
-            }
-            Expr::Reset { body, every } => {
-                let (s0, s1, s2) = (self.fresh("s"), self.fresh("s"), self.fresh("s"));
-                let (v1, v2) = (self.fresh("v"), self.fresh("v"));
-                let (n1, n2) = (self.fresh("s"), self.fresh("s"));
-                let cb = self.c(body)?;
-                let ce = self.c(every)?;
-                Ok(fun(
-                    MufPat::Tuple(vec![MufPat::var(&s0), MufPat::var(&s1), MufPat::var(&s2)]),
-                    let_(
-                        MufPat::pair(MufPat::var(&v2), MufPat::var(&n2)),
-                        app(ce, var(&s2)),
-                        let_(
-                            MufPat::pair(MufPat::var(&v1), MufPat::var(&n1)),
-                            app(
-                                cb,
-                                MufExpr::If(
-                                    Box::new(var(&v2)),
-                                    Box::new(MufExpr::Freshen(Box::new(var(&s0)))),
-                                    Box::new(var(&s1)),
-                                ),
-                            ),
-                            tuple(vec![var(&v1), tuple(vec![var(&s0), var(&n1), var(&n2)])]),
-                        ),
-                    ),
-                ))
-            }
+            Expr::Present { cond, then, els } => return self.c_present(cond, then, els),
+            Expr::Reset { body, every } => return self.c_reset(body, every),
             Expr::Sample(d) => {
-                let s = self.fresh("s");
-                let (mu, n) = (self.fresh("v"), self.fresh("s"));
-                let cd = self.c(d)?;
-                Ok(fun(
-                    MufPat::var(&s),
-                    let_(
-                        MufPat::pair(MufPat::var(&mu), MufPat::var(&n)),
-                        app(cd, var(&s)),
-                        tuple(vec![MufExpr::Sample(Box::new(var(&mu))), var(&n)]),
-                    ),
-                ))
+                let [d] = self.parts_array(&mut seq, [d])?;
+                MufExpr::Sample(Box::new(d))
             }
             Expr::Observe(d, o) => {
-                let (s1, s2) = (self.fresh("s"), self.fresh("s"));
-                let (v1, v2) = (self.fresh("v"), self.fresh("v"));
-                let (n1, n2) = (self.fresh("s"), self.fresh("s"));
-                let cd = self.c(d)?;
-                let co = self.c(o)?;
-                Ok(fun(
-                    MufPat::Tuple(vec![MufPat::var(&s1), MufPat::var(&s2)]),
-                    let_(
-                        MufPat::pair(MufPat::var(&v1), MufPat::var(&n1)),
-                        app(cd, var(&s1)),
-                        let_(
-                            MufPat::pair(MufPat::var(&v2), MufPat::var(&n2)),
-                            app(co, var(&s2)),
-                            let_(
-                                MufPat::Wildcard,
-                                MufExpr::Observe(Box::new(var(&v1)), Box::new(var(&v2))),
-                                tuple(vec![
-                                    MufExpr::Const(Const::Unit),
-                                    tuple(vec![var(&n1), var(&n2)]),
-                                ]),
-                            ),
-                        ),
-                    ),
-                ))
+                let [d, o] = self.parts_array(&mut seq, [d, o])?;
+                MufExpr::Observe(Box::new(d), Box::new(o))
             }
             Expr::Factor(w) => {
-                let s = self.fresh("s");
-                let (v, n) = (self.fresh("v"), self.fresh("s"));
-                let cw = self.c(w)?;
-                Ok(fun(
-                    MufPat::var(&s),
-                    let_(
-                        MufPat::pair(MufPat::var(&v), MufPat::var(&n)),
-                        app(cw, var(&s)),
-                        let_(
-                            MufPat::Wildcard,
-                            MufExpr::Factor(Box::new(var(&v))),
-                            tuple(vec![MufExpr::Const(Const::Unit), var(&n)]),
-                        ),
-                    ),
-                ))
+                let [w] = self.parts_array(&mut seq, [w])?;
+                MufExpr::Factor(Box::new(w))
             }
             Expr::ValueOp(x) => {
-                let s = self.fresh("s");
-                let (v, n) = (self.fresh("v"), self.fresh("s"));
-                let cx = self.c(x)?;
-                Ok(fun(
-                    MufPat::var(&s),
-                    let_(
-                        MufPat::pair(MufPat::var(&v), MufPat::var(&n)),
-                        app(cx, var(&s)),
-                        tuple(vec![MufExpr::ValueOp(Box::new(var(&v))), var(&n)]),
-                    ),
-                ))
+                let [x] = self.parts_array(&mut seq, [x])?;
+                MufExpr::ValueOp(Box::new(x))
             }
             Expr::Infer {
                 particles,
@@ -448,35 +414,103 @@ impl Compiler<'_> {
             } => {
                 let sigma = self.fresh("sigma");
                 let plans = self.plans;
-                if let Some(plan) = plans.get(node) {
-                    let wrap = self.wrap_embedded(plan);
-                    let pre = self.prelude_transition(plan, arg)?;
-                    Ok(fun(
-                        MufPat::var(&sigma),
-                        MufExpr::Infer {
-                            particles: *particles,
-                            body: Box::new(wrap),
-                            state: Box::new(var(&sigma)),
-                            prelude: Some(Box::new(pre)),
-                        },
-                    ))
-                } else {
-                    let inner = self.c(&Expr::App(node.clone(), arg.clone()))?;
-                    Ok(fun(
-                        MufPat::var(&sigma),
-                        MufExpr::Infer {
-                            particles: *particles,
-                            body: Box::new(inner),
-                            state: Box::new(var(&sigma)),
-                            prelude: None,
-                        },
-                    ))
-                }
+                let (body, prelude) = match plans.get(node) {
+                    Some(plan) => {
+                        let wrap = self.wrap_embedded(plan);
+                        (wrap, Some(Box::new(self.prelude_transition(plan, arg)?)))
+                    }
+                    None => (
+                        self.transition(&Expr::App(node.clone(), arg.clone()))?,
+                        None,
+                    ),
+                };
+                return Ok(Code::Step(fun(
+                    MufPat::var(&sigma),
+                    MufExpr::Infer {
+                        particles: *particles,
+                        body: Box::new(body),
+                        state: Box::new(var(&sigma)),
+                        prelude,
+                    },
+                )));
             }
-            Expr::Arrow(_, _) | Expr::Pre(_) | Expr::Fby(_, _) => Err(LangError::new(
-                Stage::Compile,
-                "derived form reached the compiler; desugar first",
-            )),
+            Expr::Arrow(_, _) | Expr::Pre(_) | Expr::Fby(_, _) => return Err(derived_form()),
+        };
+        Ok(seq.finish(value))
+    }
+
+    /// [`Compiler::parts`] over a fixed number of boxed parts.
+    fn parts_array<const N: usize>(
+        &mut self,
+        seq: &mut Seq,
+        es: [&Expr; N],
+    ) -> Result<[MufExpr; N], LangError> {
+        let vals = self.parts(seq, &es)?;
+        vals.try_into()
+            .map_err(|_| LangError::new(Stage::Compile, "part count mismatch"))
+    }
+
+    /// `present`: the condition, then only the selected branch steps its
+    /// state; the other branch's state passes through.
+    fn c_present(&mut self, cond: &Expr, then: &Expr, els: &Expr) -> Result<Code, LangError> {
+        let mut seq = Seq::default();
+        let code = self.c(cond)?;
+        let vc = self.sequence(&mut seq, code, false);
+        let (mut t, mut f) = (Seq::default(), Seq::default());
+        let code = self.c(then)?;
+        let vt = self.sequence(&mut t, code, false);
+        let code = self.c(els)?;
+        let vf = self.sequence(&mut f, code, false);
+        if seq.ins.is_empty() && t.ins.is_empty() && f.ins.is_empty() {
+            return Ok(Code::Pure(MufExpr::If(
+                Box::new(vc),
+                Box::new(vt),
+                Box::new(vf),
+            )));
+        }
+        let unchanged = |vars: &[String]| -> Vec<MufExpr> { vars.iter().map(var).collect() };
+        let then_next = [seq.outs.clone(), t.outs, unchanged(&f.ins)].concat();
+        let else_next = [seq.outs, unchanged(&t.ins), f.outs].concat();
+        let ins = [seq.ins, t.ins, f.ins].concat();
+        let body = MufExpr::If(
+            Box::new(vc),
+            Box::new(lets_in(t.lets, tuple(vec![vt, state_expr(then_next)]))),
+            Box::new(lets_in(f.lets, tuple(vec![vf, state_expr(else_next)]))),
+        );
+        Ok(Code::Step(fun(state_pat(&ins), lets_in(seq.lets, body))))
+    }
+
+    /// `reset body every c`: the condition first, then the body, from a
+    /// fresh copy of its initial state `s0` when `c` holds. A stateless
+    /// body has nothing to restart, but `c` is still tested as a
+    /// condition (forced when symbolic, an error when `nil`).
+    fn c_reset(&mut self, body: &Expr, every: &Expr) -> Result<Code, LangError> {
+        let mut seq = Seq::default();
+        let code = self.c(every)?;
+        let vc = self.sequence(&mut seq, code, false);
+        match self.c(body)? {
+            Code::Pure(v) => {
+                let test = MufExpr::If(Box::new(vc), Box::new(unit()), Box::new(unit()));
+                seq.lets.push((MufPat::Wildcard, test));
+                Ok(seq.finish(v))
+            }
+            Code::Step(f) => {
+                let (s0, s1) = (self.fresh("s"), self.fresh("s"));
+                let (v, n) = (self.fresh("v"), self.fresh("s"));
+                let restart = MufExpr::If(
+                    Box::new(vc),
+                    Box::new(MufExpr::Freshen(Box::new(var(&s0)))),
+                    Box::new(var(&s1)),
+                );
+                seq.lets.push((
+                    MufPat::pair(MufPat::var(&v), MufPat::var(&n)),
+                    app(f, restart),
+                ));
+                // The body's state comes first, as A(·) allocates it.
+                seq.outs.splice(0..0, [var(&s0), var(n)]);
+                seq.ins.splice(0..0, [s0, s1]);
+                Ok(seq.finish(var(v)))
+            }
         }
     }
 
@@ -485,30 +519,18 @@ impl Compiler<'_> {
     ///                  let (vp, np) = prelude_step (sp, va) in
     ///                  ((va, vp), (na, np))` —
     /// advances the site argument and the hoisted equations once on the
-    /// coordinator, yielding the broadcast value `(va, vp)`.
+    /// coordinator, yielding the broadcast value `(va, vp)`. A stateless
+    /// argument has no `sa`.
     fn prelude_transition(&mut self, plan: &HoistPlan, arg: &Expr) -> Result<MufExpr, LangError> {
-        let (sa, sp) = (self.fresh("s"), self.fresh("s"));
-        let (va, na) = (self.fresh("v"), self.fresh("s"));
-        let (vp, np) = (self.fresh("v"), self.fresh("s"));
-        let carg = self.c(arg)?;
-        Ok(fun(
-            MufPat::pair(MufPat::var(&sa), MufPat::var(&sp)),
-            let_(
-                MufPat::pair(MufPat::var(&va), MufPat::var(&na)),
-                app(carg, var(&sa)),
-                let_(
-                    MufPat::pair(MufPat::var(&vp), MufPat::var(&np)),
-                    app(
-                        var(step_name(&plan.prelude_node)),
-                        tuple(vec![var(&sp), var(&va)]),
-                    ),
-                    tuple(vec![
-                        tuple(vec![var(&va), var(&vp)]),
-                        tuple(vec![var(&na), var(&np)]),
-                    ]),
-                ),
-            ),
-        ))
+        let mut seq = Seq::default();
+        let code = self.c(arg)?;
+        let va = self.sequence(&mut seq, code, true);
+        let (vp, pre) = (self.fresh("v"), var(step_name(&plan.prelude_node)));
+        let arg = va.clone();
+        self.step_into(&mut seq, MufPat::var(&vp), |s| {
+            app(pre, tuple(vec![s, arg]))
+        });
+        Ok(seq.finish_step(tuple(vec![va, var(vp)])))
     }
 
     /// The wrap function of an embedded optimized site: maps this tick's
@@ -528,139 +550,101 @@ impl Compiler<'_> {
         )
     }
 
-    fn c_where(&mut self, body: &Expr, eqs: &[Eq]) -> Result<MufExpr, LangError> {
+    /// `body where rec eqs`: its state holds the memories of the
+    /// initialized variables, then the states of the equations and of the
+    /// body that have one.
+    fn c_where(&mut self, body: &Expr, eqs: &[Eq]) -> Result<Code, LangError> {
         let (inits, defs) = normalize_where(eqs)?;
-        let ms: Vec<String> = inits.iter().map(|_| self.fresh("m")).collect();
-        let ts: Vec<String> = defs.iter().map(|_| self.fresh("s")).collect();
-        let t0 = self.fresh("s");
-        let vs: Vec<String> = defs.iter().map(|_| self.fresh("v")).collect();
-        let ns: Vec<String> = defs.iter().map(|_| self.fresh("s")).collect();
-        let (v0, n0) = (self.fresh("v"), self.fresh("s"));
-
-        let state_pat = MufPat::Tuple(vec![
-            MufPat::Tuple(ms.iter().map(MufPat::var).collect()),
-            MufPat::Tuple(ts.iter().map(MufPat::var).collect()),
-            MufPat::var(&t0),
-        ]);
-
-        // Innermost: the result tuple.
-        let final_state = tuple(vec![
-            tuple(inits.iter().map(|(x, _)| var(x.clone())).collect()),
-            tuple(ns.iter().map(var).collect()),
-            var(&n0),
-        ]);
-        let mut inner = tuple(vec![var(&v0), final_state]);
-        inner = let_(
-            MufPat::pair(MufPat::var(&v0), MufPat::var(&n0)),
-            app(self.c(body)?, var(&t0)),
-            inner,
-        );
-        // Equations, innermost-last.
-        for i in (0..defs.len()).rev() {
-            let (name, expr) = &defs[i];
-            let compiled = self.c(expr)?;
-            inner = let_(
-                MufPat::pair(MufPat::var(&vs[i]), MufPat::var(&ns[i])),
-                app(compiled, var(&ts[i])),
-                let_(MufPat::var(name.clone()), var(&vs[i]), inner),
-            );
+        let mut seq = Seq::default();
+        for (x, _) in &inits {
+            let m = self.fresh("m");
+            seq.lets.push((MufPat::var(last_var(x)), var(&m)));
+            seq.ins.push(m);
+            seq.outs.push(var(x.clone()));
         }
-        // last-variable bindings.
-        for (i, (x, _)) in inits.iter().enumerate().rev() {
-            inner = let_(MufPat::var(last_var(x)), var(&ms[i]), inner);
+        for (name, expr) in &defs {
+            match self.c(expr)? {
+                Code::Pure(v) => seq.lets.push((MufPat::var(name.clone()), v)),
+                Code::Step(f) => self.step_into(&mut seq, MufPat::var(name.clone()), |s| app(f, s)),
+            }
         }
-        Ok(fun(state_pat, inner))
+        let code = self.c(body)?;
+        let value = self.sequence(&mut seq, code, false);
+        Ok(seq.finish(value))
     }
 
-    /// A(·): the initial state of an expression (Fig. 21).
-    fn a(&mut self, e: &Expr) -> Result<MufExpr, LangError> {
-        match e {
-            Expr::At(inner, _) => self.a(inner),
-            Expr::Const(_) | Expr::Var(_) | Expr::Last(_) => Ok(MufExpr::Const(Const::Unit)),
-            Expr::Pair(e1, e2) => Ok(tuple(vec![self.a(e1)?, self.a(e2)?])),
-            Expr::Op(_, args) => {
-                if args.len() == 1 {
-                    self.a(&args[0])
-                } else {
-                    Ok(tuple(
-                        args.iter().map(|a| self.a(a)).collect::<Result<_, _>>()?,
-                    ))
-                }
+    /// A(·) (Fig. 21): the initial state of an expression, `None` for a
+    /// stateless one. Parts allocate in evaluation order, so nested
+    /// engines draw their seeds in the same order as under Fig. 21.
+    fn a(&mut self, e: &Expr) -> Result<Option<MufExpr>, LangError> {
+        let parts = match e {
+            Expr::At(inner, _) => return self.a(inner),
+            Expr::Const(_) | Expr::Var(_) | Expr::Last(_) => vec![],
+            Expr::Pair(e1, e2) => vec![self.a(e1)?, self.a(e2)?],
+            Expr::Op(_, args) => args.iter().map(|a| self.a(a)).collect::<Result<_, _>>()?,
+            Expr::App(f, arg) => {
+                let node = (!self.stateless.contains(f)).then(|| app(var(init_name(f)), unit()));
+                vec![self.a(arg)?, node]
             }
-            Expr::App(f, arg) => Ok(tuple(vec![
-                self.a(arg)?,
-                app(var(init_name(f)), MufExpr::Const(Const::Unit)),
-            ])),
             Expr::Where { body, eqs } => {
                 let (inits, defs) = normalize_where(eqs)?;
-                Ok(tuple(vec![
-                    tuple(
-                        inits
-                            .iter()
-                            .map(|(_, c)| MufExpr::Const(c.clone()))
-                            .collect(),
-                    ),
-                    tuple(
-                        defs.iter()
-                            .map(|(_, e)| self.a(e))
-                            .collect::<Result<_, _>>()?,
-                    ),
-                    self.a(body)?,
-                ]))
+                let mut parts: Vec<Option<MufExpr>> = inits
+                    .iter()
+                    .map(|(_, c)| Some(MufExpr::Const(c.clone())))
+                    .collect();
+                for (_, e) in &defs {
+                    parts.push(self.a(e)?);
+                }
+                parts.push(self.a(body)?);
+                parts
             }
             Expr::If { cond, then, els } | Expr::Present { cond, then, els } => {
-                Ok(tuple(vec![self.a(cond)?, self.a(then)?, self.a(els)?]))
+                vec![self.a(cond)?, self.a(then)?, self.a(els)?]
             }
-            Expr::Reset { body, every } => {
-                Ok(tuple(vec![self.a(body)?, self.a(body)?, self.a(every)?]))
-            }
-            Expr::Sample(d) => self.a(d),
-            Expr::Observe(d, o) => Ok(tuple(vec![self.a(d)?, self.a(o)?])),
-            Expr::Factor(w) => self.a(w),
-            Expr::ValueOp(x) => self.a(x),
+            Expr::Reset { body, every } => vec![self.a(body)?, self.a(body)?, self.a(every)?],
+            Expr::Sample(x) | Expr::Factor(x) | Expr::ValueOp(x) => vec![self.a(x)?],
+            Expr::Observe(d, o) => vec![self.a(d)?, self.a(o)?],
             Expr::Infer {
                 particles,
                 node,
                 arg,
             } => {
                 let plans = self.plans;
-                if let Some(plan) = plans.get(node) {
+                let engine = if let Some(plan) = plans.get(node) {
                     // Prelude state first so nested engine allocations in
                     // `A(arg)` draw seeds in the same order as the
                     // unoptimized `(A(arg), f_init ())` form.
-                    let pre_state = tuple(vec![
-                        self.a(arg)?,
-                        app(
-                            var(init_name(&plan.prelude_node)),
-                            MufExpr::Const(Const::Unit),
-                        ),
-                    ]);
+                    let pre_init = app(var(init_name(&plan.prelude_node)), unit());
+                    let pre_state = state_alloc(vec![self.a(arg)?, Some(pre_init)]);
                     let pre = self.prelude_transition(plan, arg)?;
-                    Ok(MufExpr::EngineInit {
+                    MufExpr::EngineInit {
                         particles: *particles,
-                        init: Box::new(app(
-                            var(init_name(&plan.main_node)),
-                            MufExpr::Const(Const::Unit),
-                        )),
+                        init: Box::new(app(var(init_name(&plan.main_node)), unit())),
                         body: Box::new(self.wrap_embedded(plan)),
-                        prelude: Some(Box::new(tuple(vec![pre_state, pre]))),
-                    })
+                        prelude: Some(Box::new(tuple(vec![pre_state.unwrap_or_else(unit), pre]))),
+                    }
                 } else {
                     let inner_app = Expr::App(node.clone(), arg.clone());
-                    Ok(MufExpr::EngineInit {
+                    MufExpr::EngineInit {
                         particles: *particles,
-                        init: Box::new(self.a(&inner_app)?),
-                        body: Box::new(self.c(&inner_app)?),
+                        init: Box::new(self.a(&inner_app)?.unwrap_or_else(unit)),
+                        body: Box::new(self.transition(&inner_app)?),
                         prelude: None,
-                    })
-                }
+                    }
+                };
+                return Ok(Some(engine));
             }
-            Expr::Arrow(_, _) | Expr::Pre(_) | Expr::Fby(_, _) => Err(LangError::new(
-                Stage::Compile,
-                "derived form reached the compiler; desugar first",
-            )),
-        }
+            Expr::Arrow(_, _) | Expr::Pre(_) | Expr::Fby(_, _) => return Err(derived_form()),
+        };
+        Ok(state_alloc(parts))
     }
+}
+
+fn derived_form() -> LangError {
+    LangError::new(
+        Stage::Compile,
+        "derived form reached the compiler; desugar first",
+    )
 }
 
 fn pattern_to_pat(p: &Pattern) -> MufPat {
@@ -674,9 +658,12 @@ fn pattern_to_pat(p: &Pattern) -> MufPat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::{ExecBackend, Interp, Options, ProbSlot};
+    use crate::muf::MufValue;
     use crate::parser::parse_program;
     use crate::schedule::schedule_program;
     use crate::transform::desugar_program;
+    use probzelus_core::{Method, Value};
 
     fn compile(src: &str) -> Result<MufProgram, LangError> {
         let p = parse_program(src).unwrap();
@@ -716,6 +703,79 @@ mod tests {
     fn duplicate_definitions_rejected() {
         let err = compile("let node f x = y where rec y = x and y = x").unwrap_err();
         assert!(err.message.contains("duplicate"));
+    }
+
+    /// The leaves of a node's initial state, from its compiled `_init`.
+    fn init_leaves(m: &MufProgram, node: &str) -> Vec<MufValue> {
+        fn go(v: MufValue, out: &mut Vec<MufValue>) {
+            match v {
+                MufValue::Tuple(xs) => xs.into_iter().for_each(|x| go(x, out)),
+                leaf => out.push(leaf),
+            }
+        }
+        let options = Options {
+            method: Method::StreamingDs,
+            seed: 0,
+            backend: ExecBackend::Interp,
+        };
+        let interp = Interp::new(m, options).unwrap();
+        let init = interp.global(&init_name(node)).unwrap();
+        let state = interp
+            .apply(&init, MufValue::unit(), &mut ProbSlot::Det)
+            .unwrap();
+        let mut out = Vec::new();
+        go(state, &mut out);
+        out
+    }
+
+    fn is_unit(v: &MufValue) -> bool {
+        matches!(v, MufValue::V(Value::Unit))
+    }
+
+    /// Constants, variables and `last` reads get no state: a stateless
+    /// node's whole state is `()`, and a node applying it keeps only its
+    /// own memory.
+    #[test]
+    fn stateless_expressions_allocate_no_state() {
+        let m = compile(
+            r#"
+            let node g x = if x > 0. then x * 2. else fst (x, 1.)
+            let node f x = y where
+              rec init m = 0.
+              and y = g(x) + last m
+              and m = y
+            "#,
+        )
+        .unwrap();
+        assert!(matches!(&init_leaves(&m, "g")[..], [u] if is_unit(u)));
+        assert!(matches!(
+            &init_leaves(&m, "f")[..],
+            [MufValue::V(Value::Float(z))] if *z == 0.0
+        ));
+    }
+
+    /// The optimized particle states the benchmarks clone hold only live
+    /// state: hmm's residual node keeps the `nil` memory of `pre x`, and
+    /// the robot tracker its nine memories and `->` flags.
+    #[test]
+    fn optimized_particle_states_hold_only_live_leaves() {
+        for (src, node, n) in [
+            (
+                include_str!("../../../examples/zelus/hmm.zl"),
+                "hmm#main",
+                1,
+            ),
+            (
+                include_str!("../../../examples/zelus/robot.zl"),
+                "gps_acc_tracker",
+                9,
+            ),
+        ] {
+            let compiled = crate::pipeline::compile_source_opt(src).unwrap();
+            let leaves = init_leaves(&compiled.muf, node);
+            assert_eq!(leaves.len(), n, "{node}: state leaves");
+            assert!(!leaves.iter().any(is_unit), "{node}: a `()` leaf");
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@ use probzelus_core::value::{DistExpr, Value};
 use probzelus_core::{ops as vops, Posterior, RuntimeError};
 use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -479,6 +480,7 @@ impl Interp {
         }
         // Core value operators.
         let (vals, n) = core_args(args.iter().map(|a| a.borrow()))?;
+        let vals: [&Value; 3] = std::array::from_fn(|i| &*vals[i]);
         let vals = &vals[..n];
         match core_op(op, vals, self) {
             Ok(v) => Ok(MufValue::V(v)),
@@ -491,6 +493,7 @@ impl Interp {
                     for (f, v) in forced.iter_mut().zip(vals) {
                         *f = ctx.force(v)?;
                     }
+                    let forced: [&Value; 3] = std::array::from_fn(|i| &forced[i]);
                     core_op(op, &forced[..n], self)
                         .map(MufValue::V)
                         .map_err(LangError::from)
@@ -509,10 +512,13 @@ impl Interp {
 /// An operator's operands as core values, in a stack buffer sliced to
 /// the first `n` (every operator has arity at most 3): the tape applies
 /// an operator per op per particle, where a `Vec` would cost one
-/// allocation each time.
+/// allocation each time. A data operand is borrowed where it lies (a
+/// clone of a multi-term affine value would allocate); only a tuple is
+/// converted. Callers that must own the operands (a distribution owns
+/// its parameters) take them with [`Cow::into_owned`].
 pub(crate) fn core_args<'a>(
     args: impl ExactSizeIterator<Item = &'a MufValue>,
-) -> Result<([Value; 3], usize), LangError> {
+) -> Result<([Cow<'a, Value>; 3], usize), LangError> {
     let n = args.len();
     if n > 3 {
         return Err(LangError::new(
@@ -520,9 +526,12 @@ pub(crate) fn core_args<'a>(
             format!("operator with {n} arguments"),
         ));
     }
-    let mut vals = <[Value; 3]>::default();
+    let mut vals: [Cow<'a, Value>; 3] = Default::default();
     for (slot, a) in vals.iter_mut().zip(args) {
-        *slot = a.as_core()?;
+        *slot = match a {
+            MufValue::V(v) => Cow::Borrowed(v),
+            other => Cow::Owned(other.as_core()?),
+        };
     }
     Ok((vals, n))
 }
@@ -623,31 +632,35 @@ fn bind_pattern_owned(pat: &MufPat, value: MufValue, env: Env) -> Result<Env, La
     }
 }
 
-pub(crate) fn core_op(op: OpName, v: &[Value], interp: &Rc<Interp>) -> Result<Value, RuntimeError> {
+pub(crate) fn core_op(
+    op: OpName,
+    v: &[&Value],
+    interp: &Rc<Interp>,
+) -> Result<Value, RuntimeError> {
     use OpName::*;
     match op {
-        Add => vops::add(&v[0], &v[1]),
-        Sub => vops::sub(&v[0], &v[1]),
-        Mul => vops::mul(&v[0], &v[1]),
-        Div => vops::div(&v[0], &v[1]),
-        Neg => vops::neg(&v[0]),
-        Lt => vops::lt(&v[0], &v[1]),
-        Le => vops::le(&v[0], &v[1]),
-        Gt => vops::gt(&v[0], &v[1]),
-        Ge => vops::ge(&v[0], &v[1]),
-        Eq => vops::eq(&v[0], &v[1]),
-        Ne => vops::not(&vops::eq(&v[0], &v[1])?),
-        And => vops::and(&v[0], &v[1]),
-        Or => vops::or(&v[0], &v[1]),
-        Not => vops::not(&v[0]),
-        Fst => vops::fst(&v[0]),
-        Snd => vops::snd(&v[0]),
-        Exp => vops::float_fn(&v[0], f64::exp),
-        Log => vops::float_fn(&v[0], f64::ln),
-        Sqrt => vops::float_fn(&v[0], f64::sqrt),
-        Abs => vops::float_fn(&v[0], f64::abs),
-        Min => vops::float_fn2(&v[0], &v[1], f64::min),
-        Max => vops::float_fn2(&v[0], &v[1], f64::max),
+        Add => vops::add(v[0], v[1]),
+        Sub => vops::sub(v[0], v[1]),
+        Mul => vops::mul(v[0], v[1]),
+        Div => vops::div(v[0], v[1]),
+        Neg => vops::neg(v[0]),
+        Lt => vops::lt(v[0], v[1]),
+        Le => vops::le(v[0], v[1]),
+        Gt => vops::gt(v[0], v[1]),
+        Ge => vops::ge(v[0], v[1]),
+        Eq => vops::eq(v[0], v[1]),
+        Ne => vops::not(&vops::eq(v[0], v[1])?),
+        And => vops::and(v[0], v[1]),
+        Or => vops::or(v[0], v[1]),
+        Not => vops::not(v[0]),
+        Fst => vops::fst(v[0]),
+        Snd => vops::snd(v[0]),
+        Exp => vops::float_fn(v[0], f64::exp),
+        Log => vops::float_fn(v[0], f64::ln),
+        Sqrt => vops::float_fn(v[0], f64::sqrt),
+        Abs => vops::float_fn(v[0], f64::abs),
+        Min => vops::float_fn2(v[0], v[1], f64::min),
+        Max => vops::float_fn2(v[0], v[1], f64::max),
         FloatOfInt => Ok(Value::Float(v[0].as_int()? as f64)),
         MeanFloat | VarianceFloat | Prob | DrawDist => {
             // Distribution-valued (not posterior-valued) arguments.
@@ -685,7 +698,8 @@ pub(crate) fn core_op(op: OpName, v: &[Value], interp: &Rc<Interp>) -> Result<Va
         }
         Gaussian | Beta | Bernoulli | Uniform | Gamma | Poisson | Exponential | Binomial
         | Dirac => {
-            let args = std::array::from_fn(|i| v.get(i).cloned().unwrap_or_default());
+            let args =
+                std::array::from_fn(|i| v.get(i).map_or_else(Value::default, |x| (*x).clone()));
             dist_expr(op, args)
                 .map(Value::dist)
                 .ok_or_else(|| RuntimeError::Host(format!("{op:?} builds no distribution")))

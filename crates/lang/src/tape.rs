@@ -17,8 +17,9 @@
 //! tape's prologue once per tick, not once per particle. What a tick
 //! still allocates is per tick (the input, the prologue's values, the
 //! engine's own bookkeeping) or per resampling clone (the flat state).
-//! State slots the tape neither reads nor rewrites stay in the particle
-//! instead of passing through the register file.
+//! The state holds only live state: the compiler gives stateless
+//! expressions none (see [`crate::compile`]), so every slot is a memory,
+//! a flag or a node's state that the step loads and stores back.
 //!
 //! The interpreter remains the semantic oracle: lowering is
 //! total-or-nothing per engine, every opcode mirrors the corresponding
@@ -32,6 +33,7 @@ use crate::eval::{core_args, dist_expr, uninitialized_dist, Interp, ModelState, 
 use crate::muf::MufValue;
 use probzelus_core::prob::ProbCtx;
 use probzelus_core::value::{DistExpr, Value};
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -374,10 +376,6 @@ pub enum StateOut {
     /// slot, the tick input or a prologue register, or feeds a later
     /// slot too, so it must keep its value for the next particle.
     Clone(Reg),
-    /// Left in the particle: the slot's successor is its own `state_in`
-    /// register and nothing else reads that register, so the step
-    /// neither loads the slot nor stores it back.
-    Keep,
 }
 
 /// The shared runtime state of one engine's tape: the program plus the
@@ -557,9 +555,9 @@ pub(crate) enum TapeStep {
 }
 
 /// One particle step on the tape. Mirrors `MufModel::step`'s interpreter
-/// path: state slots move into their registers (kept slots stay put),
-/// the tape executes, the output is folded to a core value, and the
-/// successor state moves back out. The input load and the prologue run
+/// path: state slots move into their registers, the tape executes, the
+/// output is folded to a core value, and the successor state moves back
+/// out. The input load and the prologue run
 /// at the first particle of a tick only; an error there is this
 /// particle's error, and the next particle retries the load.
 pub(crate) fn step_model(
@@ -610,25 +608,16 @@ pub(crate) fn step_model(
         return Err(LangError::new(Stage::Eval, "tape state must be flat"));
     };
     let mut regs = shared.regs.borrow_mut();
-    for ((slot, &r), out) in slots.iter_mut().zip(&prog.state_in).zip(&prog.state_out) {
-        if *out != StateOut::Keep {
-            regs[r as usize] = std::mem::replace(slot, MufValue::Nil);
-        }
+    for (slot, &r) in slots.iter_mut().zip(&prog.state_in) {
+        regs[r as usize] = std::mem::replace(slot, MufValue::Nil);
     }
-    let out = match run(interp, cell, prog, &mut regs, ctx, input) {
-        Ok(out) => out,
-        Err(e) => {
-            // A failed step leaves the particle no state, kept slots
-            // included, as the interpreter's does.
-            slots.fill(MufValue::Nil);
-            return Err(e);
-        }
-    };
+    // A failed step leaves the particle no state (every slot was moved
+    // out above), as the interpreter's does.
+    let out = run(interp, cell, prog, &mut regs, ctx, input)?;
     for (slot, out) in slots.iter_mut().zip(&prog.state_out) {
         *slot = match *out {
             StateOut::Move(r) => std::mem::replace(&mut regs[r as usize], MufValue::Nil),
             StateOut::Clone(r) => regs[r as usize].clone(),
-            StateOut::Keep => continue,
         };
     }
     Ok(TapeStep::Done(out))
@@ -859,7 +848,7 @@ fn fused_dist(op: OpName, args: &[Reg], regs: &[MufValue]) -> Result<DistExpr, L
         return Err(uninitialized_dist());
     }
     let (vals, _) = core_args(args)?;
-    dist_expr(op, vals)
+    dist_expr(op, vals.map(Cow::into_owned))
         .ok_or_else(|| LangError::new(Stage::Eval, format!("{op:?} builds no distribution")))
 }
 
@@ -892,7 +881,6 @@ impl TapeProgram {
             .map(|o| match o {
                 StateOut::Move(r) => format!("r{r}"),
                 StateOut::Clone(r) => format!("clone(r{r})"),
-                StateOut::Keep => "keep".into(),
             })
             .collect();
         let _ = writeln!(s, "state_in: {}", ins.join(" "));

@@ -576,34 +576,27 @@ fn read_counts(ops: &[Op], out: &OutSpec, state_out: &[Reg]) -> HashMap<Reg, usi
     reads
 }
 
-/// Decides per successor-state slot whether stepping keeps, moves or
-/// clones it. `body` is the tape after its prologue and `regs` the
-/// successor-state source of each slot. A slot whose source is its own
-/// `state_in` register, which nothing else reads and nothing writes,
-/// stays in the particle. Otherwise a register the body writes, or a
-/// state-in register, is rewritten before it is next read, so its last
-/// slot takes the value; constants, captured-environment slots, the
-/// input and prologue registers (loaded once per tick, read by every
-/// particle) and earlier duplicates are cloned. A register reaches the
-/// successor state from inside an `if` only as a join register, written
-/// on both paths, or as one defined before the `if`, so "written" means
-/// written every step.
-fn state_out_modes(
-    body: &[Op],
-    state_in: &[Reg],
-    regs: &[Reg],
-    reads: &HashMap<Reg, usize>,
-) -> Vec<StateOut> {
-    let written: HashSet<Reg> = body.iter().filter_map(Op::dst).collect();
-    let mut loaded: HashSet<Reg> = written.iter().chain(state_in).copied().collect();
+/// Decides per successor-state slot whether stepping moves or clones it.
+/// `body` is the tape after its prologue and `regs` the successor-state
+/// source of each slot. A register the body writes, or a state-in
+/// register, is rewritten before it is next read, so its last slot takes
+/// the value; constants, captured-environment slots, the input and
+/// prologue registers (loaded once per tick, read by every particle) and
+/// earlier duplicates are cloned. A register reaches the successor state
+/// from inside an `if` only as a join register, written on both paths,
+/// or as one defined before the `if`, so "written" means written every
+/// step.
+fn state_out_modes(body: &[Op], state_in: &[Reg], regs: &[Reg]) -> Vec<StateOut> {
+    let mut loaded: HashSet<Reg> = body
+        .iter()
+        .filter_map(Op::dst)
+        .chain(state_in.iter().copied())
+        .collect();
     let mut modes: Vec<StateOut> = regs
         .iter()
-        .zip(state_in)
         .rev()
-        .map(|(&r, &own)| {
-            if r == own && reads.get(&r) == Some(&1) && !written.contains(&r) {
-                StateOut::Keep
-            } else if loaded.remove(&r) {
+        .map(|&r| {
+            if loaded.remove(&r) {
                 StateOut::Move(r)
             } else {
                 StateOut::Clone(r)
@@ -799,8 +792,7 @@ pub fn lower_closure(
         let init_slots = split_state(init_state, &shape)?;
         let ops = fuse_dists(lw.ops, &out, &out_regs);
         let prologue = prologue_len(&ops, input, &lw.env_slots);
-        let reads = read_counts(&ops, &out, &out_regs);
-        let state_out = state_out_modes(&ops[prologue..], &state_in, &out_regs, &reads);
+        let state_out = state_out_modes(&ops[prologue..], &state_in, &out_regs);
         return Ok(TapeProgram {
             consts: lw.consts,
             ops,

@@ -199,7 +199,7 @@ fn robot_inputs() -> Vec<Value> {
 fn hmm_pf_tick_allocations_are_pinned() {
     // All of it is the hoisted prelude, which still runs on the
     // interpreter once per tick.
-    assert_steady("hmm.zl", "hmm", &hmm_inputs(), |_| 133);
+    assert_steady("hmm.zl", "hmm", &hmm_inputs(), |_| 40);
 }
 
 #[test]

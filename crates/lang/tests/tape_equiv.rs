@@ -689,38 +689,11 @@ fn keep_and_read() -> Muf {
     )
 }
 
-/// Which successor-state slots of a transition stay in the particle.
-fn kept_slots(muf: &Muf, name: &str) -> Vec<bool> {
-    muf.tape(name)
-        .state_out
-        .iter()
-        .map(|o| *o == StateOut::Keep)
-        .collect()
-}
-
-/// A state leaf carried through unchanged stays in the particle only
-/// when nothing reads it: `read` keeps its `a` but outputs its `k`, so
-/// the step must load `k`.
-#[test]
-fn carried_state_leaf_is_kept_only_when_unread() {
-    let muf = keep_and_read();
-    assert_eq!(kept_slots(&muf, "keep"), [false, true]);
-    assert_eq!(kept_slots(&muf, "read"), [true, false]);
-    let good = Value::pair(Value::Float(0.3), Value::Float(0.1));
-    for run in assert_outcomes_identical(
-        "read",
-        |method, backend| muf.engine("read", method, backend),
-        &[good.clone(), good],
-    ) {
-        assert!(run.iter().all(Result::is_ok), "{run:?}");
-    }
-}
-
-/// A state leaf the tape never touches stays in the particle instead of
-/// passing through the register file, but a failed step still leaves
-/// the particle no state, as on the interpreter. The failure is only
-/// visible once the engine falls back to the interpreter, so the step
-/// after it switches to `read`, which outputs the kept leaf.
+/// A failed step leaves the particle no state, as on the interpreter,
+/// including a leaf the step only carries through (`keep`'s `k`). The
+/// failure is only visible once the engine falls back to the
+/// interpreter, so the step after it switches to `read`, which outputs
+/// that leaf.
 #[test]
 fn failed_step_clears_kept_state_slots() {
     let muf = keep_and_read();

@@ -7,10 +7,11 @@
 //! reviewing it.
 
 use probzelus_core::infer::Method;
+use probzelus_core::Value;
 use probzelus_lang::compile::init_name;
 use probzelus_lang::eval::{ExecBackend, Interp, Options, ProbSlot};
 use probzelus_lang::pipeline::{compile_source_opt, Compiled};
-use probzelus_lang::tape::{Op, StateOut, TapeProgram};
+use probzelus_lang::tape::Op;
 use probzelus_lang::{MufValue, OpName};
 
 fn example(file: &str) -> String {
@@ -107,14 +108,6 @@ fn fused_counts(node: &str, ops: &[Op]) -> (usize, usize) {
     (samples, observes)
 }
 
-/// State slots a step leaves in the particle.
-fn kept(prog: &TapeProgram) -> usize {
-    prog.state_out
-        .iter()
-        .filter(|o| **o == StateOut::Keep)
-        .count()
-}
-
 /// Structural invariants of the hmm tape that the golden file implies but
 /// a reviewer should not have to read opcodes to trust: the hot loop has
 /// exactly the model's one sample and one observe, both fused with their
@@ -134,9 +127,8 @@ fn hmm_tape_is_fully_flattened() {
     // The two projections of the prelude's broadcast flags run once per
     // tick, not per particle.
     assert_eq!(prog.prologue, 2, "hmm prologue");
-    // Only `pre x` is read; the other ten state leaves stay in the
-    // particle.
-    assert_eq!(kept(&prog), 10, "hmm kept state slots");
+    // The only state is the memory of `pre x`.
+    assert_eq!(prog.state_in.len(), 1, "hmm state slots");
     // The driver node embeds `infer` and must stay on the interpreter.
     let main = compiled
         .lower_node("main", options())
@@ -163,7 +155,9 @@ fn robot_tracker_tape_is_fully_flattened() {
     // The six projections destructuring `(a_obs, (has_gps, (p_obs,
     // cmd)))` run once per tick.
     assert_eq!(prog.prologue, 6, "gps_acc_tracker prologue");
-    assert_eq!(kept(&prog), 47, "gps_acc_tracker kept state slots");
+    // The state is the nine memories and `->` flags of the tracker and
+    // its integrators.
+    assert_eq!(prog.state_in.len(), 9, "gps_acc_tracker state slots");
 }
 
 /// The initial state a node's particles start from, computed the way the
@@ -180,17 +174,18 @@ fn init_state(compiled: &Compiled, node: &str) -> MufValue {
         .expect("init runs")
 }
 
-fn leaves(v: &MufValue) -> usize {
+fn leaves(v: &MufValue) -> Vec<&MufValue> {
     match v {
-        MufValue::Tuple(xs) => xs.iter().map(leaves).sum(),
-        _ => 1,
+        MufValue::Tuple(xs) => xs.iter().flat_map(leaves).collect(),
+        leaf => vec![leaf],
     }
 }
 
 /// Flat state, checked structurally: the lowered hmm and robot nodes keep
-/// one state register per leaf of their initial state, and their tapes
-/// neither rebuild the state tree nor build any other tuple (`MkTuple`)
-/// on the per-particle path.
+/// one state register per leaf of their initial state, every leaf is
+/// live state (no stateless `()` placeholder), and their tapes neither
+/// rebuild the state tree nor build any other tuple (`MkTuple`) on the
+/// per-particle path.
 #[test]
 fn benched_tapes_keep_state_flat() {
     for (file, nodes) in [
@@ -211,10 +206,14 @@ fn benched_tapes_keep_state_flat() {
                 "{file}/{node}: the tape builds a tuple"
             );
             let init = init_state(&compiled, node);
-            assert!(leaves(&init) > 1, "{file}/{node}: trivial initial state");
+            let leaves = leaves(&init);
+            assert!(
+                !leaves.iter().any(|l| matches!(l, MufValue::V(Value::Unit))),
+                "{file}/{node}: a `()` state leaf"
+            );
             assert_eq!(
                 prog.state_in.len(),
-                leaves(&init),
+                leaves.len(),
                 "{file}/{node}: state slots vs leaves of the initial state"
             );
         }

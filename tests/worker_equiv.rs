@@ -113,6 +113,76 @@ fn dsl_trace(
     (trace, engine.resample_stats())
 }
 
+/// The input stream of the robot.zl driver rows: GPS fixes walk towards
+/// the target at 4.0 and arrive on two ticks of three, so `present` takes
+/// both branches and `task_bot`'s automaton leaves `Go` mid-run (its
+/// `reset` then fires).
+fn driver_inputs() -> Vec<Value> {
+    (0..STEPS)
+        .map(|t| {
+            let tf = t as f64;
+            let has_gps = t % 3 != 1;
+            Value::pair(
+                Value::Float((tf * 0.23).sin() * 0.4),
+                Value::pair(
+                    Value::Bool(has_gps),
+                    Value::pair(
+                        Value::Float(if has_gps { (tf * 0.1).min(4.0) } else { 0.0 }),
+                        Value::Float((tf * 0.13).cos()),
+                    ),
+                ),
+            )
+        })
+        .collect()
+}
+
+/// Every float and boolean leaf of a driver output, in order, as raw bits.
+fn value_bits(v: &Value, out: &mut Vec<u64>) {
+    match v {
+        Value::Pair(a, b) => {
+            value_bits(a, out);
+            value_bits(b, out);
+        }
+        Value::Float(x) => out.push(x.to_bits()),
+        Value::Bool(b) => out.push(u64::from(*b)),
+        other => panic!("unexpected driver output {other:?}"),
+    }
+}
+
+/// The digest lines of robot.zl's driver instances — `robot` (an `infer`
+/// in the loop) and `task_bot` (an automaton around it: `present`,
+/// `reset`, nested inference) — under SDS and PF for every golden seed,
+/// run on `stack`. A driver hands out no engine, so a line pins the bits
+/// of every output tick.
+fn driver_lines((compile, backend): Stack) -> Vec<String> {
+    let compiled = compile(&read_example("robot.zl")).expect("robot.zl compiles");
+    let inputs = driver_inputs();
+    let mut lines = Vec::new();
+    for node in ["robot", "task_bot"] {
+        for method in [Method::StreamingDs, Method::ParticleFilter] {
+            for seed in SEEDS {
+                let options = Options {
+                    method,
+                    seed,
+                    backend,
+                };
+                let mut inst = compiled.instantiate(node, options).expect("instantiates");
+                let mut bits = Vec::new();
+                for x in &inputs {
+                    let out = inst.step(x.clone()).expect("driver step");
+                    value_bits(&out.as_core().expect("core output"), &mut bits);
+                }
+                lines.push(format!(
+                    "driver robot.zl {node} {method} {seed:#x} {:016x} ticks={}",
+                    fnv1a(bits),
+                    inputs.len()
+                ));
+            }
+        }
+    }
+    lines
+}
+
 /// Checked-in posterior digests: one line per method × probabilistic
 /// example × golden seed.
 const DIGESTS: &str = include_str!("fixtures/posterior_digests.txt");
@@ -197,6 +267,7 @@ fn posteriors_match_checked_in_digests() {
         ),
         engine_trace(engine, &kalman.obs),
     ));
+    lines.extend(driver_lines(INTERP));
     let actual = lines.join("\n") + "\n";
     let expected: Vec<&str> = DIGESTS
         .lines()
@@ -212,6 +283,12 @@ fn posteriors_match_checked_in_digests() {
         expected[..tape.len()] == tape,
         "optimized tape posteriors differ from the digests; recomputed lines:\n{}",
         tape.join("\n")
+    );
+    let drivers = driver_lines(OPT_TAPE);
+    assert!(
+        expected[expected.len() - drivers.len()..] == drivers,
+        "optimized driver outputs differ from the digests; recomputed lines:\n{}",
+        drivers.join("\n")
     );
 }
 
