@@ -3,10 +3,9 @@
 //! A reactive model serves a live stream at a fixed tick rate; the paper's
 //! engines instead fix the particle count and let each tick take as long as
 //! it takes. [`AdaptiveController`] closes that gap: given a per-tick budget
-//! in milliseconds it accumulates recent step latencies into a tumbling
-//! [`LogHistogram`](crate::histo::LogHistogram) window (the workspace's one
-//! quantile implementation — bounded memory, no raw-sample buffering) and
-//! walks a *degradation ladder* to keep the observed p99 under budget:
+//! in milliseconds it keeps recent step latencies as raw samples in a
+//! bounded tumbling window, takes their exact nearest-rank p99, and walks
+//! a *degradation ladder* to keep that p99 under budget:
 //!
 //! 1. **Shrink** the particle cloud geometrically toward a configured floor.
 //! 2. **Relax** the resample policy (`EveryStep` → `EssBelow(0.5)`), saving
@@ -41,10 +40,10 @@ pub struct DeadlineConfig {
     /// clamped to the engine's initial particle count.
     pub floor: usize,
     /// Minimum window length (in ticks) over which the p99 is computed.
-    /// The window *tumbles*: samples accumulate in a histogram until at
-    /// least `window` of them are present, the p99 is evaluated once, and
-    /// the histogram is cleared — so every evaluation (decision or not)
-    /// sees only fresh latencies.
+    /// The window *tumbles*: samples accumulate until at least `window`
+    /// of them are present, the p99 is evaluated once, and the window is
+    /// cleared — so every evaluation (decision or not) sees only fresh
+    /// latencies.
     pub window: usize,
     /// Multiplier applied to the cloud on each shrink rung (0 < f < 1).
     pub shrink_factor: f64,
@@ -267,14 +266,16 @@ pub struct DeadlineStatus {
 /// The graceful-degradation controller. Owns the latency window, the
 /// ladder state, and the decision trace; the engine owns applying the
 /// decisions to the particle cloud.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct AdaptiveController {
     cfg: DeadlineConfig,
     initial: usize,
     current: usize,
-    // Boxed: the 64-bucket histogram is half a KiB, and the controller
-    // lives inside an `Infer` enum variant that should stay small.
-    window: Box<crate::histo::LogHistogram>,
+    // Raw latencies (ms) of the current tumbling window. A window is
+    // evaluated once it holds `max(window, cooldown + 1)` samples, so the
+    // `window + cooldown` capacity reserved at construction is never
+    // outgrown and `observe` never allocates.
+    window: Vec<f64>,
     cooldown_left: u32,
     relaxed: bool,
     degraded: bool,
@@ -282,6 +283,20 @@ pub struct AdaptiveController {
     last_p99: Option<f64>,
     last_missed: bool,
     trace: DecisionTrace,
+}
+
+// By hand so that a clone keeps the window's reserved capacity (a derived
+// `Vec` clone would not), and its `observe` does not allocate either.
+impl Clone for AdaptiveController {
+    fn clone(&self) -> Self {
+        let mut window = Vec::with_capacity(self.window.capacity());
+        window.extend_from_slice(&self.window);
+        AdaptiveController {
+            window,
+            trace: self.trace.clone(),
+            ..*self
+        }
+    }
 }
 
 impl AdaptiveController {
@@ -295,7 +310,7 @@ impl AdaptiveController {
             cfg,
             initial,
             current: initial,
-            window: Box::new(crate::histo::LogHistogram::new()),
+            window: Vec::with_capacity(cfg.window + cfg.cooldown as usize),
             cooldown_left: 0,
             relaxed: false,
             degraded: false,
@@ -372,9 +387,9 @@ impl AdaptiveController {
     /// resample policy) and may export it as an `obs` event. The returned
     /// record has already been appended to the trace.
     ///
-    /// Samples land in a tumbling histogram window: once at least
-    /// `cfg.window` samples are present (cooldown ticks keep
-    /// accumulating), the p99 is evaluated and the histogram cleared —
+    /// Samples land in a tumbling window: once at least `cfg.window`
+    /// samples are present (cooldown ticks keep accumulating), their exact
+    /// nearest-rank p99 is evaluated and the window cleared —
     /// whether or not a rung fires — so each evaluation sees only fresh
     /// latencies and a past overload can never pin the controller.
     pub fn observe(&mut self, tick: u64, latency_ms: f64) -> Option<DecisionRecord> {
@@ -382,15 +397,15 @@ impl AdaptiveController {
         if self.last_missed {
             self.misses += 1;
         }
-        self.window.record(latency_ms);
+        self.window.push(latency_ms);
         if self.cooldown_left > 0 {
             self.cooldown_left -= 1;
             return None;
         }
-        if self.window.count() < self.cfg.window as u64 {
+        if self.window.len() < self.cfg.window {
             return None;
         }
-        let p99 = self.window.quantile(0.99).unwrap_or(0.0); // non-empty by the count check above
+        let p99 = nearest_rank(&mut self.window, 0.99);
         self.window.clear();
         self.last_p99 = Some(p99);
         let action = if p99 > self.cfg.budget_ms {
@@ -452,6 +467,13 @@ impl AdaptiveController {
         }
         None
     }
+}
+
+/// The exact nearest-rank `q`-quantile (`rank = ceil(q·n)`, clamped to
+/// `1..=n`) of a non-empty sample set, which it reorders.
+fn nearest_rank(samples: &mut [f64], q: f64) -> f64 {
+    let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
+    *samples.select_nth_unstable_by(rank - 1, f64::total_cmp).1
 }
 
 #[cfg(test)]
@@ -563,6 +585,46 @@ mod tests {
         let rec = c.observe(5, 0.01).expect("recovery decision");
         assert_eq!(rec.action, DeadlineAction::Grow);
         assert_eq!(rec.budget_ms, 100.0);
+    }
+
+    #[test]
+    fn window_p99_is_the_exact_sample() {
+        // 1.25 ms lies in the [1, 2) octave, whose lower bound equals the
+        // budget: only the exact sample shows the window is over budget.
+        let cfg = DeadlineConfig {
+            window: 4,
+            cooldown: 0,
+            ..DeadlineConfig::new(1.0)
+        };
+        let mut c = AdaptiveController::new(cfg, 10);
+        drive(&mut c, 0..3, 0.5);
+        let rec = c.observe(3, 1.25).expect("over-budget window");
+        assert_eq!(rec.action, DeadlineAction::Shrink);
+        assert_eq!(rec.observed_p99_ms, 1.25);
+        assert_eq!(nearest_rank(&mut [3.0, 1.0, 2.0], 0.5), 2.0);
+        assert_eq!(nearest_rank(&mut [3.0, 1.0, 2.0], 0.0), 1.0);
+    }
+
+    #[test]
+    fn window_never_outgrows_its_reserved_capacity() {
+        let cfg = DeadlineConfig {
+            window: 3,
+            cooldown: 5,
+            ..ladder_cfg()
+        };
+        let mut c = AdaptiveController::new(cfg, 100);
+        let mut twin = c.clone();
+        let (cap, twin_cap) = (c.window.capacity(), twin.window.capacity());
+        assert_eq!(cap, 8);
+        for t in 0..200 {
+            let ms = if t % 23 < 9 { 5.0 } else { 0.01 };
+            c.observe(t, ms);
+            twin.observe(t, ms);
+        }
+        assert!(c.trace().len() > 4, "the ladder moved both ways");
+        assert_eq!(c.window.capacity(), cap);
+        assert_eq!(twin.window.capacity(), twin_cap);
+        assert_eq!(twin.trace(), c.trace());
     }
 
     #[test]

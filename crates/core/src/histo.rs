@@ -1,10 +1,13 @@
 //! Fixed-layout log-bucketed histogram for streaming latency quantiles.
 //!
-//! Every consumer of latency quantiles in the workspace — the
-//! [`AdaptiveController`](crate::adaptive::AdaptiveController)'s p99
-//! window, `perfbench`'s p50/p99 columns, `obsreport`'s summary tables and
-//! `--follow` mode — shares this one implementation, so a "p99" always
-//! means the same thing and no consumer buffers raw samples unboundedly.
+//! Every reported latency quantile in the workspace — `perfbench`'s
+//! p50/p99 columns, `obsreport`'s summary tables and `--follow` mode —
+//! shares this one implementation, so a reported "p99" always means the
+//! same thing and no report buffers raw samples unboundedly. The
+//! [`AdaptiveController`](crate::adaptive::AdaptiveController) does not
+//! use it: a control decision must tell 1.0 ms from 1.9 ms, which an
+//! octave-wide bucket cannot, so the controller keeps its short window as
+//! raw samples and takes the exact nearest-rank p99.
 //!
 //! The layout is **fixed**: 64 buckets with power-of-two boundaries.
 //! Bucket 0 catches everything below 2⁻³² (including zero, negatives, and

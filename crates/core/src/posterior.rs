@@ -11,7 +11,6 @@
 use crate::error::RuntimeError;
 use crate::marginal::Marginal;
 use crate::value::Value;
-use probzelus_distributions::stats;
 use rand::Rng;
 
 /// The distribution of one particle's output value.
@@ -164,12 +163,19 @@ impl Posterior {
     /// Components without a defined float mean are skipped, with their
     /// weight excluded from normalization.
     pub fn mean_float(&self) -> f64 {
-        let pairs: Vec<(f64, f64)> = self
-            .components
-            .iter()
-            .filter_map(|(w, d)| d.mean_float().map(|m| (m, *w)))
-            .collect();
-        stats::weighted_mean(&pairs)
+        // `stats::weighted_mean` of the `(mean, weight)` pairs without a
+        // buffer: the same two `.sum()`s in the same order, so the same
+        // bits.
+        let pairs = || {
+            self.components
+                .iter()
+                .filter_map(|(w, d)| d.mean_float().map(|m| (m, *w)))
+        };
+        let total: f64 = pairs().map(|(_, w)| w).sum();
+        if total <= 0.0 {
+            return 0.0;
+        }
+        pairs().map(|(m, w)| m * w).sum::<f64>() / total
     }
 
     /// Posterior mean vector (for vector-valued models): the weighted
@@ -291,6 +297,23 @@ mod tests {
         ]);
         assert!((p.mean_float() - 3.0).abs() < 1e-12);
         assert!((p.components()[0].0 - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn mean_float_matches_weighted_mean_bit_for_bit() {
+        let p = Posterior::new(vec![
+            (0.3, gauss(-1.7, 1.0)),
+            (0.1, ValueDist::Dirac(Value::Unit)),
+            (0.45, ValueDist::Dirac(Value::Float(2.9))),
+            (0.15, ValueDist::Dirac(Value::Bool(true))),
+        ]);
+        let pairs: Vec<(f64, f64)> = p
+            .components()
+            .iter()
+            .filter_map(|(w, d)| d.mean_float().map(|m| (m, *w)))
+            .collect();
+        let expected = probzelus_distributions::stats::weighted_mean(&pairs);
+        assert_eq!(p.mean_float().to_bits(), expected.to_bits());
     }
 
     #[test]

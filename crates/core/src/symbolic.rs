@@ -14,14 +14,18 @@
 //! clones, substitutes, and rebuilds them several times per particle. The
 //! overwhelmingly common cases on the paper's models are the constant and
 //! the single-term `a·x + b`, so those are stored inline ([`Terms::Zero`],
-//! [`Terms::One`]) with no heap allocation at all; only expressions over
-//! two or more distinct variables spill into a [`BTreeMap`]
-//! ([`Terms::Many`]). The representation is kept canonical — `Many` holds
+//! [`Terms::One`]) with no heap allocation at all. An expression over two
+//! or more distinct variables holds an immutable, shared slice of terms
+//! ([`Terms::Many`], an `Arc<[(RvId, f64)]>`): copying it bumps a
+//! reference count, and each arithmetic result of up to eight terms is
+//! built with exactly one allocation (a merge into a stack buffer, then
+//! one copy into the `Arc`). `Arc` rather than `Rc` because native models step particles on
+//! worker threads. The representation is kept canonical — `Many` holds
 //! at least two terms, zero coefficients are dropped, term order is always
-//! ascending by variable id — so structural equality and the bit-exact
-//! evaluation order of the old map-only representation are preserved.
+//! ascending by variable id — so structural equality holds and every
+//! operation folds coefficients and constants in ascending variable order.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Identifier of a random variable in a per-particle delayed-sampling
 /// graph. Indices are slab slots; they are only meaningful together with
@@ -44,18 +48,84 @@ impl std::fmt::Display for RvId {
 
 /// The variable terms of an affine expression, inline for arity ≤ 1.
 ///
-/// Invariant (canonicality): `Many` always holds ≥ 2 entries, and no
-/// stored coefficient is `0.0` (dropped on cancellation, exactly like the
-/// old map-only representation dropped them).
+/// Invariant (canonicality): `Many` always holds ≥ 2 entries, strictly
+/// ascending by variable id, and no stored coefficient is `0.0` (dropped
+/// on cancellation or underflow).
 #[derive(Debug, Clone, PartialEq, Default)]
 enum Terms {
     /// No variables (a constant expression).
     #[default]
     Zero,
     /// Exactly one term `a·x`.
-    One(RvId, f64),
-    /// Two or more terms, keyed ascending by variable id.
-    Many(BTreeMap<RvId, f64>),
+    One((RvId, f64)),
+    /// Two or more terms, ascending by variable id, shared between copies.
+    Many(Arc<[(RvId, f64)]>),
+}
+
+impl Terms {
+    /// The terms as a slice, ascending by variable id.
+    fn as_slice(&self) -> &[(RvId, f64)] {
+        match self {
+            Terms::Zero => &[],
+            Terms::One(t) => std::slice::from_ref(t),
+            Terms::Many(ts) => ts,
+        }
+    }
+
+    /// The canonical terms of an ascending, zero-free term list: inline
+    /// below two terms, one allocation otherwise.
+    fn from_slice(ts: &[(RvId, f64)]) -> Terms {
+        match ts {
+            [] => Terms::Zero,
+            &[t] => Terms::One(t),
+            _ => Terms::Many(Arc::from(ts)),
+        }
+    }
+}
+
+/// Scratch space for building a term list: up to [`TermBuf::INLINE`]
+/// terms on the stack, spilling to the heap only beyond that. Pushing a
+/// `0.0` coefficient is a no-op, so every builder drops zeros the same way.
+struct TermBuf {
+    inline: [(RvId, f64); TermBuf::INLINE],
+    len: usize,
+    spill: Vec<(RvId, f64)>,
+}
+
+impl TermBuf {
+    const INLINE: usize = 8;
+
+    fn new() -> TermBuf {
+        TermBuf {
+            inline: [(RvId(0), 0.0); TermBuf::INLINE],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, x: RvId, a: f64) {
+        if a == 0.0 {
+            return;
+        }
+        if self.len < TermBuf::INLINE {
+            self.inline[self.len] = (x, a);
+        } else {
+            if self.len == TermBuf::INLINE {
+                self.spill.extend_from_slice(&self.inline);
+            }
+            self.spill.push((x, a));
+        }
+        self.len += 1;
+    }
+
+    /// The canonical terms pushed so far.
+    fn finish(&self) -> Terms {
+        if self.len <= TermBuf::INLINE {
+            Terms::from_slice(&self.inline[..self.len])
+        } else {
+            Terms::from_slice(&self.spill)
+        }
+    }
 }
 
 /// A float-valued affine expression `konst + Σ coeff·rv` over graph random
@@ -82,37 +152,8 @@ impl AffExpr {
     /// The bare variable `x`.
     pub fn var(x: RvId) -> Self {
         AffExpr {
-            terms: Terms::One(x, 1.0),
+            terms: Terms::One((x, 1.0)),
             konst: 0.0,
-        }
-    }
-
-    /// Restores the canonical representation after term edits: drops zero
-    /// coefficients and demotes a map with fewer than two surviving terms
-    /// back to the inline forms.
-    fn canonicalize(map: BTreeMap<RvId, f64>, konst: f64) -> AffExpr {
-        let terms = match map.len() {
-            0 => Terms::Zero,
-            1 => {
-                let (&x, &a) = map.iter().next().expect("len checked");
-                Terms::One(x, a)
-            }
-            _ => Terms::Many(map),
-        };
-        AffExpr { terms, konst }
-    }
-
-    /// The terms as a fresh map (spill path for arithmetic that needs
-    /// keyed access).
-    fn to_map(&self) -> BTreeMap<RvId, f64> {
-        match &self.terms {
-            Terms::Zero => BTreeMap::new(),
-            Terms::One(x, a) => {
-                let mut m = BTreeMap::new();
-                m.insert(*x, *a);
-                m
-            }
-            Terms::Many(m) => m.clone(),
         }
     }
 
@@ -124,24 +165,12 @@ impl AffExpr {
     /// Iterates over `(variable, coefficient)` pairs (coefficients are
     /// nonzero), ascending by variable id.
     pub fn terms(&self) -> impl Iterator<Item = (RvId, f64)> + '_ {
-        let inline = match self.terms {
-            Terms::One(x, a) => Some((x, a)),
-            _ => None,
-        };
-        let map = match &self.terms {
-            Terms::Many(m) => Some(m.iter().map(|(&x, &a)| (x, a))),
-            _ => None,
-        };
-        inline.into_iter().chain(map.into_iter().flatten())
+        self.terms.as_slice().iter().copied()
     }
 
     /// Number of distinct variables.
     pub fn num_vars(&self) -> usize {
-        match &self.terms {
-            Terms::Zero => 0,
-            Terms::One(..) => 1,
-            Terms::Many(m) => m.len(),
-        }
+        self.terms.as_slice().len()
     }
 
     /// Whether the expression mentions no random variable.
@@ -158,7 +187,7 @@ impl AffExpr {
     /// returns `(x, a, b)`.
     pub fn as_single(&self) -> Option<(RvId, f64, f64)> {
         match self.terms {
-            Terms::One(x, a) => Some((x, a, self.konst)),
+            Terms::One((x, a)) => Some((x, a, self.konst)),
             _ => None,
         }
     }
@@ -172,55 +201,37 @@ impl AffExpr {
     }
 
     /// Adds two affine expressions.
+    ///
+    /// A linear merge of the two ascending term lists: a variable of both
+    /// gets `a + a'` (in that order), a variable of one side keeps its
+    /// coefficient, and a zero sum is dropped.
     pub fn add(&self, other: &AffExpr) -> AffExpr {
         let konst = self.konst + other.konst;
-        // Inline fast paths: no map, no allocation. The merged-coefficient
-        // arithmetic (`a + a'` for a shared variable) is the same single
-        // addition the map path performs.
-        match (&self.terms, &other.terms) {
-            (Terms::Zero, _) => {
-                return AffExpr {
-                    terms: other.terms.clone(),
-                    konst,
+        let terms = match (&self.terms, &other.terms) {
+            (Terms::Zero, t) | (t, Terms::Zero) => t.clone(),
+            _ => {
+                let (mut xs, mut ys) = (self.terms.as_slice(), other.terms.as_slice());
+                let mut out = TermBuf::new();
+                while let (Some(&(x, a)), Some(&(y, b))) = (xs.first(), ys.first()) {
+                    if x < y {
+                        out.push(x, a);
+                        xs = &xs[1..];
+                    } else if y < x {
+                        out.push(y, b);
+                        ys = &ys[1..];
+                    } else {
+                        out.push(x, a + b);
+                        xs = &xs[1..];
+                        ys = &ys[1..];
+                    }
                 }
-            }
-            (_, Terms::Zero) => {
-                return AffExpr {
-                    terms: self.terms.clone(),
-                    konst,
+                for &(x, a) in xs.iter().chain(ys) {
+                    out.push(x, a);
                 }
+                out.finish()
             }
-            (&Terms::One(x, a), &Terms::One(y, b)) => {
-                if x == y {
-                    let c = a + b;
-                    return AffExpr {
-                        terms: if c == 0.0 {
-                            Terms::Zero
-                        } else {
-                            Terms::One(x, c)
-                        },
-                        konst,
-                    };
-                }
-                let mut m = BTreeMap::new();
-                m.insert(x, a);
-                m.insert(y, b);
-                return AffExpr {
-                    terms: Terms::Many(m),
-                    konst,
-                };
-            }
-            _ => {}
-        }
-        let mut out = self.to_map();
-        for (x, a) in other.terms() {
-            let entry = out.entry(x).or_insert(0.0);
-            *entry += a;
-            if *entry == 0.0 {
-                out.remove(&x);
-            }
-        }
-        Self::canonicalize(out, konst)
+        };
+        AffExpr { terms, konst }
     }
 
     /// Subtracts `other` from `self`.
@@ -228,19 +239,26 @@ impl AffExpr {
         self.add(&other.scale(-1.0))
     }
 
-    /// Multiplies by a scalar.
+    /// Multiplies by a scalar. A coefficient whose product underflows to
+    /// `0.0` is dropped like any other zero.
     pub fn scale(&self, k: f64) -> AffExpr {
         if k == 0.0 {
             return AffExpr::constant(0.0);
         }
-        AffExpr {
-            terms: match &self.terms {
-                Terms::Zero => Terms::Zero,
-                Terms::One(x, a) => Terms::One(*x, a * k),
-                Terms::Many(m) => Terms::Many(m.iter().map(|(&x, &a)| (x, a * k)).collect()),
-            },
-            konst: self.konst * k,
-        }
+        let konst = self.konst * k;
+        let terms = match self.terms {
+            Terms::Zero => Terms::Zero,
+            Terms::One((x, a)) if a * k != 0.0 => Terms::One((x, a * k)),
+            Terms::One(_) => Terms::Zero,
+            Terms::Many(ref ts) => {
+                let mut out = TermBuf::new();
+                for &(x, a) in ts.iter() {
+                    out.push(x, a * k);
+                }
+                out.finish()
+            }
+        };
+        AffExpr { terms, konst }
     }
 
     /// Adds a scalar offset.
@@ -255,28 +273,43 @@ impl AffExpr {
     /// not resolve remain symbolic.
     ///
     /// Terms are visited ascending by variable id and resolved values are
-    /// folded into the constant in that order, matching the old map-only
-    /// representation bit for bit.
+    /// folded into the constant in that order. When no variable resolves
+    /// the result shares `self`'s terms.
     pub fn substitute(&self, mut lookup: impl FnMut(RvId) -> Option<f64>) -> AffExpr {
-        match &self.terms {
+        match self.terms {
             Terms::Zero => self.clone(),
-            &Terms::One(x, a) => match lookup(x) {
+            Terms::One((x, a)) => match lookup(x) {
                 Some(v) => AffExpr::constant(self.konst + a * v),
                 None => self.clone(),
             },
-            Terms::Many(_) => {
-                let mut konst = self.konst;
-                let mut out = BTreeMap::new();
-                for (x, a) in self.terms() {
-                    match lookup(x) {
-                        Some(v) => konst += a * v,
-                        None => {
-                            out.insert(x, a);
-                        }
-                    }
-                }
-                Self::canonicalize(out, konst)
+            Terms::Many(ref ts) => self.substitute_many(ts, lookup),
+        }
+    }
+
+    /// [`AffExpr::substitute`] on two or more terms. Out of line, so that
+    /// the inline cases stay small enough to inline at the delayed-sampling
+    /// graph's call sites (hmm-native's SDS step slowed 2–3% with the
+    /// stack buffer inlined there).
+    #[inline(never)]
+    fn substitute_many(
+        &self,
+        ts: &[(RvId, f64)],
+        mut lookup: impl FnMut(RvId) -> Option<f64>,
+    ) -> AffExpr {
+        let mut konst = self.konst;
+        let mut out = TermBuf::new();
+        for &(x, a) in ts {
+            match lookup(x) {
+                Some(v) => konst += a * v,
+                None => out.push(x, a),
             }
+        }
+        if out.len == ts.len() {
+            return self.clone();
+        }
+        AffExpr {
+            terms: out.finish(),
+            konst,
         }
     }
 
@@ -399,6 +432,58 @@ mod tests {
         let s = m.substitute(|v| (v == x()).then_some(2.0));
         assert_eq!(s.as_single(), Some((y(), 1.0, 2.0)));
         assert_eq!(s, AffExpr::var(y()).offset(2.0));
+    }
+
+    #[test]
+    fn scale_drops_underflowed_coefficients() {
+        // 1e-200² underflows to 0.0: the term must go, not stay as a zero.
+        let e = AffExpr::var(x()).scale(1e-200).scale(1e-200);
+        assert!(e.is_constant());
+        assert_eq!(e, AffExpr::constant(0.0));
+        // In a Many, the underflowed term goes and the rest demotes.
+        let m = AffExpr::var(x())
+            .scale(1e-200)
+            .add(&AffExpr::var(y()))
+            .scale(1e-200);
+        assert_eq!(m.as_single(), Some((y(), 1e-200, 0.0)));
+        let z = RvId(2);
+        let three = m
+            .add(&AffExpr::var(x()).scale(1e-200))
+            .add(&AffExpr::var(z).scale(1e-200))
+            .scale(1e-200);
+        assert!(three.is_constant());
+    }
+
+    #[test]
+    fn clones_share_multi_term_storage() {
+        let e = AffExpr::var(x()).add(&AffExpr::var(y()));
+        let c = e.clone();
+        match (&e.terms, &c.terms) {
+            (Terms::Many(a), Terms::Many(b)) => assert!(Arc::ptr_eq(a, b)),
+            other => panic!("expected two Many, got {other:?}"),
+        }
+        // A substitution that resolves nothing shares the terms too.
+        let s = e.substitute(|_| None);
+        match (&e.terms, &s.terms) {
+            (Terms::Many(a), Terms::Many(b)) => assert!(Arc::ptr_eq(a, b)),
+            other => panic!("expected two Many, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn long_sums_spill_past_the_stack_buffer() {
+        // Interleaved ids so the merge alternates sides past 8 terms.
+        let evens = (0..10).fold(AffExpr::constant(0.0), |e, i| {
+            e.add(&AffExpr::var(RvId(2 * i)).scale(i as f64 + 1.0))
+        });
+        let odds = (0..10).fold(AffExpr::constant(0.0), |e, i| {
+            e.add(&AffExpr::var(RvId(2 * i + 1)))
+        });
+        let all = evens.add(&odds);
+        assert_eq!(all.num_vars(), 20);
+        assert_eq!(all.vars(), (0..20).map(RvId).collect::<Vec<_>>());
+        assert_eq!(all.sub(&odds), evens);
+        assert!(all.sub(&evens).sub(&odds).is_constant());
     }
 
     #[test]

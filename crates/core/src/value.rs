@@ -604,6 +604,15 @@ mod tests {
     }
 
     #[test]
+    fn value_is_32_bytes() {
+        // Every register, state slot and operand of the tape is a
+        // `Value`; a multi-term affine value is a shared slice, not an
+        // inline map.
+        assert_eq!(std::mem::size_of::<AffExpr>(), 32);
+        assert_eq!(std::mem::size_of::<Value>(), 32);
+    }
+
+    #[test]
     fn simplify_collapses_constants() {
         let v = Value::Aff(AffExpr::constant(3.0)).simplify();
         assert_eq!(v, Value::Float(3.0));

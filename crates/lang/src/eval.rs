@@ -513,7 +513,7 @@ impl Interp {
 /// the first `n` (every operator has arity at most 3): the tape applies
 /// an operator per op per particle, where a `Vec` would cost one
 /// allocation each time. A data operand is borrowed where it lies (a
-/// clone of a multi-term affine value would allocate); only a tuple is
+/// clone of a distribution or an array would allocate); only a tuple is
 /// converted. Callers that must own the operands (a distribution owns
 /// its parameters) take them with [`Cow::into_owned`].
 pub(crate) fn core_args<'a>(

@@ -1,4 +1,4 @@
-//! Allocation counts of the steady-state particle filter on the tape.
+//! Allocation counts of the steady-state engines on the tape.
 //!
 //! A std-only counting `#[global_allocator]` (per thread, so the test
 //! harness's parallel threads do not disturb each other) counts every
@@ -16,11 +16,21 @@
 //! step on the tape allocates nothing, and what a tick allocates (the
 //! hoisted prelude, the tick input and its prologue, the engine's own
 //! bookkeeping) does not scale with the particle count.
+//!
+//! Under streaming delayed sampling `gps_acc_tracker` keeps its velocity
+//! and position as affine terms over several acceleration variables, and
+//! the delayed-sampling graph allocates as it grows and shrinks, so a
+//! tick's count is not constant; each window's total is pinned exactly
+//! instead. Copying a multi-term affine value shares its terms, which is
+//! pinned to allocate nothing.
 
+use probzelus_core::ds::{Graph, Retention};
 use probzelus_core::infer::Method;
-use probzelus_core::Value;
+use probzelus_core::{ops, DistExpr, Value};
 use probzelus_lang::pipeline::compile_source_opt;
 use probzelus_lang::{ExecBackend, MufEngine, Options};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -95,10 +105,10 @@ fn float_inputs(n: usize) -> Vec<f64> {
         .collect()
 }
 
-fn engine(file: &str, node: &str, particles: usize) -> MufEngine {
+fn engine(file: &str, node: &str, method: Method, particles: usize) -> MufEngine {
     let compiled = compile_source_opt(&example(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
     let options = Options {
-        method: Method::ParticleFilter,
+        method,
         seed: 42,
         backend: ExecBackend::Tape,
     };
@@ -135,7 +145,7 @@ const PER_CLONE: u64 = 1;
 /// spend the same on stepping the cloud.
 fn step_costs(file: &str, node: &str, particles: usize, inputs: &[Value]) -> Vec<u64> {
     assert_eq!(inputs.len(), WARMUP + 2 * WINDOW);
-    let mut eng = engine(file, node, particles);
+    let mut eng = engine(file, node, Method::ParticleFilter, particles);
     measure(&mut eng, &inputs[..WARMUP]);
     assert_eq!(eng.tape_status(), Some(Ok(())), "{node}: no tape");
     let residual = |window: Vec<(u64, u64)>| -> Vec<u64> {
@@ -224,4 +234,54 @@ fn particle_steps_allocate_nothing() {
             "{node}: the step cost depends on the particle count"
         );
     }
+}
+
+/// Every window's allocation total of the SDS tracker, pinned: the
+/// engine's share of the deployed loop's allocations.
+#[test]
+fn robot_sds_window_allocations_are_pinned() {
+    let inputs = robot_inputs();
+    let mut eng = engine(
+        "robot.zl",
+        "gps_acc_tracker",
+        Method::StreamingDs,
+        PARTICLES,
+    );
+    measure(&mut eng, &inputs[..WARMUP]);
+    assert_eq!(eng.tape_status(), Some(Ok(())), "gps_acc_tracker: no tape");
+    let mut window =
+        |ticks: &[Value]| -> u64 { measure(&mut eng, ticks).iter().map(|&(a, _)| a).sum() };
+    let first = window(&inputs[WARMUP..WARMUP + WINDOW]);
+    let second = window(&inputs[WARMUP + WINDOW..]);
+    assert_eq!(
+        [first, second],
+        [47905, 47170],
+        "gps_acc_tracker SDS: window allocations"
+    );
+}
+
+/// Copying a multi-term affine value, as the tape does when it moves or
+/// selects a register, bumps a reference count and allocates nothing.
+#[test]
+fn cloning_a_multi_term_affine_value_allocates_nothing() {
+    let mut graph = Graph::new(Retention::RetainAll);
+    let mut rng = SmallRng::seed_from_u64(0);
+    let mut sum = Value::Float(1.0);
+    for _ in 0..3 {
+        let x = graph
+            .assume(&DistExpr::gaussian(0.0, 1.0), &mut rng)
+            .expect("assume");
+        sum = ops::add(&sum, &x).expect("add");
+    }
+    let Value::Aff(e) = &sum else {
+        panic!("expected a symbolic sum, got {sum}");
+    };
+    assert_eq!(e.num_vars(), 3);
+    let mut copies = Vec::with_capacity(4);
+    let a0 = allocs();
+    for _ in 0..4 {
+        copies.push(sum.clone());
+    }
+    assert_eq!(allocs() - a0, 0, "cloning {sum} allocated");
+    assert!(copies.iter().all(|c| *c == sum));
 }

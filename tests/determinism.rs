@@ -4,7 +4,10 @@
 //! execution modes, across thread counts, and across same-seed replays.
 
 use probzelus::core::infer::{Infer, Method, Parallelism};
+use probzelus::core::{ops, DistExpr, ProbCtx, RuntimeError, Value};
 use probzelus::models::{generate_coin, generate_kalman, Coin, Kalman};
+use probzelus::robot::{GpsAccTracker, RobotPhysics, TrackerInput, A_NOISE, A_VAR, H, P_NOISE};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Posterior means as raw bit patterns — equality here is bit-for-bit,
 /// not approximate.
@@ -239,4 +242,111 @@ fn variance_and_ess_are_deterministic_too() {
         out
     };
     assert_eq!(run(Parallelism::Sequential), run(Parallelism::Threads(8)));
+}
+
+/// Tracker inputs from the simulated robot: a fix every fifth step and a
+/// slowly alternating command.
+fn tracker_inputs() -> Vec<TrackerInput> {
+    let mut physics = RobotPhysics::new(17, 5);
+    (0..STEPS)
+        .map(|t| {
+            let cmd = if (t / 8) % 2 == 0 { 0.5 } else { -0.5 };
+            let s = physics.step(cmd);
+            TrackerInput {
+                a_obs: s.a_obs,
+                gps: s.gps,
+                cmd,
+            }
+        })
+        .collect()
+}
+
+/// Sequential, `Threads(2)` and `Threads(8)` runs of `model` under SDS
+/// and DS give bit-identical posterior means.
+fn assert_tracker_identical_across_thread_counts<M>(model: M)
+where
+    M: probzelus::core::model::Model<Input = TrackerInput> + Clone + Send,
+{
+    let inputs = tracker_inputs();
+    for method in [Method::StreamingDs, Method::ClassicDs] {
+        let engine =
+            |par| Infer::with_seed(method, PARTICLES, model.clone(), SEED).with_parallelism(par);
+        let a = mean_bits(&mut engine(Parallelism::Sequential), &inputs);
+        let b = mean_bits(&mut engine(Parallelism::Threads(2)), &inputs);
+        let c = mean_bits(&mut engine(Parallelism::Threads(8)), &inputs);
+        assert_eq!(a, b, "{method}: Sequential vs Threads(2)");
+        assert_eq!(a, c, "{method}: Sequential vs Threads(8)");
+    }
+}
+
+#[test]
+fn robot_tracker_posteriors_identical_across_thread_counts() {
+    assert_tracker_identical_across_thread_counts(GpsAccTracker::default());
+}
+
+/// Most terms seen in a [`LazyTracker`] position.
+static LAZY_MAX_TERMS: AtomicUsize = AtomicUsize::new(0);
+
+/// `gps_acc_tracker` without the per-step `force` of the native model,
+/// the shape `robot.zl` has: velocity and position stay affine over the
+/// accelerations sampled since the last GPS fix, so particle states hold
+/// multi-term affine values whose term slices resampling shares between
+/// particles, and so between worker threads.
+#[derive(Debug, Clone)]
+struct LazyTracker {
+    v: Value,
+    p: Value,
+}
+
+impl Default for LazyTracker {
+    fn default() -> Self {
+        LazyTracker {
+            v: Value::Float(0.0),
+            p: Value::Float(0.0),
+        }
+    }
+}
+
+impl probzelus::core::model::Model for LazyTracker {
+    type Input = TrackerInput;
+
+    fn step(&mut self, ctx: &mut dyn ProbCtx, input: &TrackerInput) -> Result<Value, RuntimeError> {
+        let a = ctx.sample(&DistExpr::gaussian(input.cmd, A_VAR))?;
+        ctx.observe(
+            &DistExpr::gaussian(a.clone(), A_NOISE),
+            &Value::Float(input.a_obs),
+        )?;
+        self.v = ops::add(&self.v, &ops::mul(&a, &Value::Float(H))?)?;
+        self.p = ops::add(&self.p, &ops::mul(&self.v, &Value::Float(H))?)?;
+        if let Value::Aff(e) = &self.p {
+            LAZY_MAX_TERMS.fetch_max(e.num_vars(), Ordering::Relaxed);
+        }
+        if let Some(p_obs) = input.gps {
+            ctx.observe(
+                &DistExpr::gaussian(self.p.clone(), P_NOISE),
+                &Value::Float(p_obs),
+            )?;
+        }
+        self.v = ctx.simplify(&self.v);
+        self.p = ctx.simplify(&self.p);
+        Ok(self.p.clone())
+    }
+
+    fn reset(&mut self) {
+        *self = LazyTracker::default();
+    }
+
+    fn for_each_state_value(&mut self, f: &mut dyn FnMut(&mut Value)) {
+        f(&mut self.v);
+        f(&mut self.p);
+    }
+}
+
+#[test]
+fn shared_multi_term_states_identical_across_thread_counts() {
+    assert_tracker_identical_across_thread_counts(LazyTracker::default());
+    assert!(
+        LAZY_MAX_TERMS.load(Ordering::Relaxed) >= 3,
+        "the lazy tracker never held a multi-term position"
+    );
 }

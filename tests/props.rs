@@ -804,3 +804,213 @@ mod deadline_controller {
         }
     }
 }
+
+mod affine_props {
+    //! `AffExpr` arithmetic against a map-based reference model: the
+    //! ascending `BTreeMap` representation the shared term slice
+    //! replaced, with its exact folding order.
+    use super::*;
+    use probzelus::core::ds::{Graph, Retention};
+    use probzelus::core::{AffExpr, RvId};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+    use std::collections::BTreeMap;
+
+    const VARS: usize = 6;
+
+    /// `VARS` distinct variable ids, issued by a graph.
+    fn var_ids() -> Vec<RvId> {
+        let mut g = Graph::new(Retention::RetainAll);
+        let mut rng = SmallRng::seed_from_u64(0);
+        (0..VARS)
+            .map(|_| {
+                let v = g
+                    .assume(&DistExpr::gaussian(0.0, 1.0), &mut rng)
+                    .expect("assume");
+                match v {
+                    Value::Aff(e) => e.as_var().expect("a bare variable"),
+                    other => panic!("expected a symbolic float, got {other:?}"),
+                }
+            })
+            .collect()
+    }
+
+    /// `konst + Σ a·x` as a map, with the fold order of the map-based
+    /// implementation: a variable only in the right operand of `add`
+    /// enters as `0.0 + b`, a zero sum or an underflowed product is
+    /// removed, and substitution folds resolved terms in ascending order.
+    #[derive(Debug, Clone)]
+    struct Reference {
+        terms: BTreeMap<RvId, f64>,
+        konst: f64,
+    }
+
+    impl Reference {
+        fn constant(c: f64) -> Reference {
+            Reference {
+                terms: BTreeMap::new(),
+                konst: c,
+            }
+        }
+
+        fn var(x: RvId) -> Reference {
+            Reference {
+                terms: BTreeMap::from([(x, 1.0)]),
+                konst: 0.0,
+            }
+        }
+
+        fn add(&self, other: &Reference) -> Reference {
+            let mut terms = self.terms.clone();
+            for (&x, &b) in &other.terms {
+                let entry = terms.entry(x).or_insert(0.0);
+                *entry += b;
+                if *entry == 0.0 {
+                    terms.remove(&x);
+                }
+            }
+            Reference {
+                terms,
+                konst: self.konst + other.konst,
+            }
+        }
+
+        fn scale(&self, k: f64) -> Reference {
+            if k == 0.0 {
+                return Reference::constant(0.0);
+            }
+            Reference {
+                terms: self
+                    .terms
+                    .iter()
+                    .map(|(&x, &a)| (x, a * k))
+                    .filter(|&(_, a)| a != 0.0)
+                    .collect(),
+                konst: self.konst * k,
+            }
+        }
+
+        fn substitute(&self, values: &BTreeMap<RvId, f64>) -> Reference {
+            let mut out = Reference::constant(self.konst);
+            for (&x, &a) in &self.terms {
+                match values.get(&x) {
+                    Some(v) => out.konst += a * v,
+                    None => {
+                        out.terms.insert(x, a);
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Add(usize, usize),
+        Sub(usize, usize),
+        Scale(usize, f64),
+        Offset(usize, f64),
+        Substitute(usize, Vec<(usize, f64)>),
+    }
+
+    /// Coefficients that cancel, underflow (1e-200 twice) and scale to
+    /// zero, beside arbitrary ones.
+    fn scalar() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(1.0),
+            Just(-1.0),
+            Just(2.0),
+            Just(-0.5),
+            Just(0.0),
+            Just(1e-200),
+            -3.0f64..3.0,
+        ]
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (any::<usize>(), any::<usize>()).prop_map(|(i, j)| Op::Add(i, j)),
+            (any::<usize>(), any::<usize>()).prop_map(|(i, j)| Op::Sub(i, j)),
+            (any::<usize>(), scalar()).prop_map(|(i, k)| Op::Scale(i, k)),
+            (any::<usize>(), scalar()).prop_map(|(i, c)| Op::Offset(i, c)),
+            (
+                any::<usize>(),
+                proptest::collection::vec((0..VARS, scalar()), 0..VARS)
+            )
+                .prop_map(|(i, vs)| Op::Substitute(i, vs)),
+        ]
+    }
+
+    /// The pool entry an operand index names: every other index the
+    /// latest result, so chains of operations (a product that underflows
+    /// only on the second scaling) come up often.
+    fn pick(i: usize, n: usize) -> usize {
+        if i.is_multiple_of(2) {
+            n - 1
+        } else {
+            (i / 2) % n
+        }
+    }
+
+    fn assert_matches(e: &AffExpr, r: &Reference) {
+        let got: Vec<(RvId, u64)> = e.terms().map(|(x, a)| (x, a.to_bits())).collect();
+        let want: Vec<(RvId, u64)> = r.terms.iter().map(|(&x, a)| (x, a.to_bits())).collect();
+        prop_assert_eq!(&got, &want, "terms of {}", e);
+        prop_assert_eq!(e.konst().to_bits(), r.konst.to_bits(), "constant of {}", e);
+        prop_assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "unsorted: {}", e);
+        prop_assert!(e.terms().all(|(_, a)| a != 0.0), "zero coefficient: {}", e);
+        prop_assert_eq!(e.num_vars(), want.len());
+        // The variant follows the arity: inline below two terms.
+        prop_assert_eq!(e.is_constant(), want.is_empty());
+        prop_assert_eq!(e.as_single().is_some(), want.len() == 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every expression built by a random program of `add`, `sub`,
+        /// `scale`, `offset` and `substitute` has the reference model's
+        /// terms and constant, bit for bit, in canonical form.
+        #[test]
+        fn arithmetic_matches_the_map_reference(
+            konsts in proptest::collection::vec(scalar(), VARS),
+            ops in proptest::collection::vec(op(), 1..48),
+        ) {
+            let ids = var_ids();
+            let mut pool: Vec<(AffExpr, Reference)> = ids
+                .iter()
+                .zip(&konsts)
+                .map(|(&x, &c)| (AffExpr::var(x).offset(c), Reference::var(x).add(&Reference::constant(c))))
+                .collect();
+            for op in ops {
+                let n = pool.len();
+                let next = match op {
+                    Op::Add(i, j) => {
+                        let ((a, ra), (b, rb)) = (&pool[pick(i, n)], &pool[pick(j, n)]);
+                        (a.add(b), ra.add(rb))
+                    }
+                    Op::Sub(i, j) => {
+                        let ((a, ra), (b, rb)) = (&pool[pick(i, n)], &pool[pick(j, n)]);
+                        (a.sub(b), ra.add(&rb.scale(-1.0)))
+                    }
+                    Op::Scale(i, k) => {
+                        let (a, ra) = &pool[pick(i, n)];
+                        (a.scale(k), ra.scale(k))
+                    }
+                    Op::Offset(i, c) => {
+                        let (a, ra) = &pool[pick(i, n)];
+                        (a.offset(c), Reference { konst: ra.konst + c, ..ra.clone() })
+                    }
+                    Op::Substitute(i, vs) => {
+                        let values: BTreeMap<RvId, f64> =
+                            vs.into_iter().map(|(v, x)| (ids[v], x)).collect();
+                        let (a, ra) = &pool[pick(i, n)];
+                        (a.substitute(|x| values.get(&x).copied()), ra.substitute(&values))
+                    }
+                };
+                assert_matches(&next.0, &next.1);
+                pool.push(next);
+            }
+        }
+    }
+}
