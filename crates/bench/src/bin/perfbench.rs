@@ -455,7 +455,6 @@ mod deadline {
         let mut cfg = DeadlineConfig::new(budget_ms);
         cfg.floor = floor;
         cfg.window = 4;
-        cfg.cooldown = 2;
         cfg.shrink_factor = 0.5;
         let controlled = timed_run(
             format!("{}-controlled", cli.label),

@@ -52,8 +52,6 @@ pub struct DeadlineConfig {
     /// Recovery threshold: the ladder walks back up only while the window
     /// p99 stays below `headroom_fraction * budget_ms` (0 < f < 1).
     pub headroom_fraction: f64,
-    /// Ticks to wait after a decision before considering another.
-    pub cooldown: u32,
 }
 
 impl DeadlineConfig {
@@ -66,7 +64,6 @@ impl DeadlineConfig {
             shrink_factor: 0.7,
             grow_factor: 1.3,
             headroom_fraction: 0.5,
-            cooldown: 4,
         }
     }
 
@@ -272,11 +269,10 @@ pub struct AdaptiveController {
     initial: usize,
     current: usize,
     // Raw latencies (ms) of the current tumbling window. A window is
-    // evaluated once it holds `max(window, cooldown + 1)` samples, so the
-    // `window + cooldown` capacity reserved at construction is never
-    // outgrown and `observe` never allocates.
+    // evaluated and cleared once it holds `window` samples, so the
+    // capacity reserved at construction is never outgrown and `observe`
+    // never allocates.
     window: Vec<f64>,
-    cooldown_left: u32,
     relaxed: bool,
     degraded: bool,
     misses: u64,
@@ -310,8 +306,7 @@ impl AdaptiveController {
             cfg,
             initial,
             current: initial,
-            window: Vec::with_capacity(cfg.window + cfg.cooldown as usize),
-            cooldown_left: 0,
+            window: Vec::with_capacity(cfg.window),
             relaxed: false,
             degraded: false,
             misses: 0,
@@ -361,19 +356,22 @@ impl AdaptiveController {
 
     /// Change the budget mid-stream (the `pzserve` knob). Clears the
     /// latency window so stale samples measured against the old budget
-    /// cannot trigger an immediate decision.
-    pub fn set_budget(&mut self, budget_ms: f64) {
-        assert!(budget_ms.is_finite(), "deadline budget must be finite");
+    /// cannot trigger an immediate decision. A NaN or infinite budget is
+    /// refused: the controller is left untouched and `false` returned.
+    pub fn set_budget(&mut self, budget_ms: f64) -> bool {
+        if !budget_ms.is_finite() {
+            return false;
+        }
         self.cfg.budget_ms = budget_ms;
         self.window.clear();
         self.last_p99 = None;
+        true
     }
 
     /// Forget everything except the configuration (engine `reset`).
     pub fn reset(&mut self) {
         self.current = self.initial;
         self.window.clear();
-        self.cooldown_left = 0;
         self.relaxed = false;
         self.degraded = false;
         self.misses = 0;
@@ -387,21 +385,18 @@ impl AdaptiveController {
     /// resample policy) and may export it as an `obs` event. The returned
     /// record has already been appended to the trace.
     ///
-    /// Samples land in a tumbling window: once at least `cfg.window`
-    /// samples are present (cooldown ticks keep accumulating), their exact
-    /// nearest-rank p99 is evaluated and the window cleared —
-    /// whether or not a rung fires — so each evaluation sees only fresh
-    /// latencies and a past overload can never pin the controller.
+    /// Samples land in a tumbling window: once `cfg.window` samples are
+    /// present, their exact nearest-rank p99 is evaluated and the window
+    /// cleared — whether or not a rung fires — so each evaluation sees
+    /// only fresh latencies and a past overload can never pin the
+    /// controller. Consecutive decisions are therefore at least
+    /// `cfg.window` ticks apart.
     pub fn observe(&mut self, tick: u64, latency_ms: f64) -> Option<DecisionRecord> {
         self.last_missed = latency_ms > self.cfg.budget_ms;
         if self.last_missed {
             self.misses += 1;
         }
         self.window.push(latency_ms);
-        if self.cooldown_left > 0 {
-            self.cooldown_left -= 1;
-            return None;
-        }
         if self.window.len() < self.cfg.window {
             return None;
         }
@@ -417,7 +412,6 @@ impl AdaptiveController {
         };
         let (action, from, to) = action?;
         self.current = to;
-        self.cooldown_left = self.cfg.cooldown;
         let rec = DecisionRecord {
             tick,
             action,
@@ -484,7 +478,6 @@ mod tests {
         DeadlineConfig {
             floor: 4,
             window: 2,
-            cooldown: 0,
             ..DeadlineConfig::new(1.0)
         }
     }
@@ -544,28 +537,12 @@ mod tests {
     }
 
     #[test]
-    fn cooldown_spaces_decisions_apart() {
-        let cfg = DeadlineConfig {
-            cooldown: 3,
-            ..ladder_cfg()
-        };
-        let mut c = AdaptiveController::new(cfg, 100);
-        drive(&mut c, 0..12, 5.0);
-        // Window fills at tick 1 (decision); samples observed during the
-        // 3-tick cooldown still enter the window, so each later rung fires
-        // on the first post-cooldown tick: 1, 5, 9.
-        let ticks: Vec<u64> = c.trace().entries().iter().map(|r| r.tick).collect();
-        assert_eq!(ticks, vec![1, 5, 9]);
-    }
-
-    #[test]
     fn shrink_always_makes_progress_near_the_floor() {
         // ceil(5 * 0.9) == 5 would stall without the current-1 clamp.
         let cfg = DeadlineConfig {
             shrink_factor: 0.9,
             floor: 1,
             window: 1,
-            cooldown: 0,
             ..DeadlineConfig::new(1.0)
         };
         let mut c = AdaptiveController::new(cfg, 5);
@@ -578,7 +555,7 @@ mod tests {
         let mut c = AdaptiveController::new(ladder_cfg(), 10);
         drive(&mut c, 0..4, 5.0); // two shrink decisions: 10 -> 7 -> 5
         assert_eq!(c.current_particles(), 5);
-        c.set_budget(100.0);
+        assert!(c.set_budget(100.0));
         // The old over-budget samples must not count toward a new window:
         // growth needs a full window of fresh post-change samples.
         assert!(c.observe(4, 0.01).is_none());
@@ -593,7 +570,6 @@ mod tests {
         // budget: only the exact sample shows the window is over budget.
         let cfg = DeadlineConfig {
             window: 4,
-            cooldown: 0,
             ..DeadlineConfig::new(1.0)
         };
         let mut c = AdaptiveController::new(cfg, 10);
@@ -609,13 +585,12 @@ mod tests {
     fn window_never_outgrows_its_reserved_capacity() {
         let cfg = DeadlineConfig {
             window: 3,
-            cooldown: 5,
             ..ladder_cfg()
         };
         let mut c = AdaptiveController::new(cfg, 100);
         let mut twin = c.clone();
         let (cap, twin_cap) = (c.window.capacity(), twin.window.capacity());
-        assert_eq!(cap, 8);
+        assert_eq!(cap, 3);
         for t in 0..200 {
             let ms = if t % 23 < 9 { 5.0 } else { 0.01 };
             c.observe(t, ms);

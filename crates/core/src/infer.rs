@@ -759,16 +759,15 @@ impl<M: Model> Infer<M> {
     /// Changes the deadline budget mid-stream (the serving-layer knob).
     /// Returns whether a measuring controller was present to update; the
     /// controller's latency window is cleared so stale samples measured
-    /// against the old budget cannot trigger an immediate decision.
+    /// against the old budget cannot trigger an immediate decision. A NaN
+    /// or infinite budget returns `false` and leaves the controller as it
+    /// was.
     pub fn set_deadline_budget(&mut self, budget_ms: f64) -> bool {
         match &mut self.deadline {
             Some(DeadlineState {
                 mode: DeadlineMode::Measure(ctrl),
                 ..
-            }) => {
-                ctrl.set_budget(budget_ms);
-                true
-            }
+            }) => ctrl.set_budget(budget_ms),
             _ => false,
         }
     }
@@ -906,28 +905,6 @@ impl<M: Model> Infer<M> {
     ///
     /// See [`Infer::step`].
     pub fn step_outcome(&mut self, input: &M::Input) -> Result<StepOutcome, RuntimeError> {
-        self.step_outcome_with(input, None)
-    }
-
-    /// Like [`Infer::step_outcome`], but runs `prelude` once on the
-    /// coordinator before any particle steps. Compiled reactive programs
-    /// use this to evaluate particle-invariant equations a single time
-    /// per tick and broadcast the result to every particle (the hoisted
-    /// prelude of the optimizing µF pipeline); the hook typically rebinds
-    /// the model's shared transition closure. The hook runs inside the
-    /// step's timing window, so deadline measurement and span tracing
-    /// account for it. A hook error fails the step before any particle
-    /// advances.
-    ///
-    /// # Errors
-    ///
-    /// The hook's error verbatim, or any error [`Infer::step_outcome`]
-    /// can produce.
-    pub fn step_outcome_with(
-        &mut self,
-        input: &M::Input,
-        prelude: Option<&mut dyn FnMut() -> Result<(), RuntimeError>>,
-    ) -> Result<StepOutcome, RuntimeError> {
         let generation = self.steps;
         let n = self.num_particles;
         // One clock read serves both consumers of step latency — the
@@ -946,12 +923,6 @@ impl<M: Model> Infer<M> {
         let tracing_on = self.obs.enabled() || self.recorder.is_some();
         let need_clock = deadline_measuring || tracing_on;
         let t0 = need_clock.then(std::time::Instant::now);
-        // The particle-invariant prelude runs once on the coordinator,
-        // inside the timing window but before any particle state is
-        // touched, so a failing prelude leaves the step un-taken.
-        if let Some(hook) = prelude {
-            hook()?;
-        }
         // Only SkipObservation needs the rollback snapshot; the other
         // policies do not pay for the clone.
         let snapshot =
@@ -2163,7 +2134,6 @@ mod tests {
         let mut cfg = crate::adaptive::DeadlineConfig::new(-1.0);
         cfg.floor = floor;
         cfg.window = 4;
-        cfg.cooldown = 2;
         cfg
     }
 
@@ -2222,6 +2192,43 @@ mod tests {
         let status = e.deadline_status().expect("deadline status");
         assert!(!status.degraded);
         assert!(!status.at_floor);
+    }
+
+    /// A NaN or infinite budget is refused without touching the
+    /// controller: a twin engine that never saw the calls makes the same
+    /// decisions at the same ticks, so the latency window was not cleared.
+    #[test]
+    fn non_finite_budget_is_refused_and_changes_nothing() {
+        let obs: Vec<f64> = (0..40).map(|i| (i as f64 * 0.2).sin()).collect();
+        let engine = || {
+            Infer::with_seed(Method::StreamingDs, 50, Kalman::default(), 11)
+                .with_deadline(impossible_deadline(8))
+        };
+        let (mut e, mut twin) = (engine(), engine());
+        for y in &obs[..6] {
+            e.step(y).unwrap();
+            twin.step(y).unwrap();
+        }
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(!e.set_deadline_budget(bad), "budget {bad} accepted");
+        }
+        assert_eq!(e.deadline_status().unwrap().budget_ms, -1.0);
+        for y in &obs[6..] {
+            e.step(y).unwrap();
+            twin.step(y).unwrap();
+        }
+        // Measured latencies differ between the twins; the decisions not.
+        let decisions = |e: &Infer<Kalman>| -> Vec<_> {
+            let trace = e.decision_trace().expect("measuring controller");
+            trace
+                .entries()
+                .iter()
+                .map(|r| (r.tick, r.action, r.from, r.to))
+                .collect()
+        };
+        assert!(!decisions(&e).is_empty());
+        assert_eq!(decisions(&e), decisions(&twin));
+        assert_eq!(e.num_particles(), twin.num_particles());
     }
 
     #[test]

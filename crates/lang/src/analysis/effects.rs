@@ -1,8 +1,7 @@
-//! Effect and particle-invariance analysis (the second static-analysis
-//! layer, DESIGN.md §2.12).
+//! Effect analysis (the second static-analysis layer, DESIGN.md §2.12).
 //!
-//! The **effect analysis** classifies every node, top-level equation, and
-//! subexpression of the scheduled kernel on a three-point lattice
+//! The **effect analysis** classifies every node and subexpression of
+//! the scheduled kernel on a three-point lattice
 //!
 //! ```text
 //! Pure  <  Det  <  Prob
@@ -17,18 +16,11 @@
 //!   a driver-level draw, or applies a node that does.
 //!
 //! Like [`super::bounded`], node summaries are computed in declaration
-//! order so applications join the callee's summary.
-//!
-//! The **particle-invariance analysis** builds on it: a top-level
-//! equation of a node is *invariant* when its value is the same in every
-//! particle — its effect is at most `Det`, it allocates no engine, and
-//! every stream it reads (instantaneously or through `last`) is a node
-//! input or another invariant equation. Invariant equations are what the
-//! optimizer's prelude hoist ([`crate::transform::opt`]) evaluates once
-//! per tick and broadcasts to all N particles.
+//! order so applications join the callee's summary. The optimizer
+//! ([`crate::transform::opt`]) queries it to decide what is safe to fold
+//! or delete.
 
 use crate::ast::{Eq, Expr, OpName, Program};
-use crate::error::Pos;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Three-point effect lattice; the derived order is the lattice order,
@@ -53,33 +45,13 @@ impl std::fmt::Display for Effect {
     }
 }
 
-/// Effect and invariance facts for one top-level equation of a node.
-#[derive(Debug, Clone)]
-pub struct EqEffect {
-    /// Defined stream.
-    pub name: String,
-    /// Join over the right-hand side.
-    pub effect: Effect,
-    /// Nearest span of the right-hand side, for diagnostics.
-    pub pos: Option<Pos>,
-    /// Identical across all particles (see module docs).
-    pub invariant: bool,
-}
-
-/// Whole-program result of the effect & invariance analysis.
+/// Whole-program result of the effect analysis.
 #[derive(Debug, Clone, Default)]
 pub struct EffectReport {
     /// Per-node effect summary (the join over the node body).
     pub node_effects: HashMap<String, Effect>,
-    /// Per-node facts about the top-level equations of the body's
-    /// outermost `where`, in scheduled order. Nodes whose body is not a
-    /// `where` map to an empty list.
-    pub eq_effects: HashMap<String, Vec<EqEffect>>,
-    /// Per-node set of particle-invariant top-level streams (the
-    /// `invariant` equations of [`EffectReport::eq_effects`], as a set).
-    pub invariant: HashMap<String, BTreeSet<String>>,
     /// Nodes that (transitively) allocate an inference engine. Engine
-    /// state is per-particle identity, so these are never hoisted.
+    /// allocation draws a seed, so these are never deleted.
     pub uses_engine: HashSet<String>,
 }
 
@@ -112,7 +84,7 @@ impl Summaries<'_> {
     }
 
     fn engine(&self, node: &str) -> bool {
-        // Unknown callees count as engine users: never hoist blind.
+        // Unknown callees count as engine users: never delete blind.
         !self.effects.contains_key(node) || self.uses_engine.contains(node)
     }
 }
@@ -123,8 +95,7 @@ impl Summaries<'_> {
 pub fn effect_of(e: &Expr, s: Summaries<'_>) -> Effect {
     match e {
         Expr::Const(_) => Effect::Pure,
-        // Stream and state reads are deterministic but particle-local
-        // until invariance proves otherwise.
+        // Stream and state reads are deterministic.
         Expr::Var(_) | Expr::Last(_) => Effect::Det,
         Expr::At(inner, _) => effect_of(inner, s),
         Expr::Pair(a, b) => effect_of(a, s).max(effect_of(b, s)),
@@ -183,22 +154,16 @@ pub(crate) fn uses_engine(e: &Expr, s: Summaries<'_>) -> bool {
     found
 }
 
-/// Reads of an expression split by instantaneity: `(instant, last)`.
-/// Conservative about shadowing — reads of names bound in nested
-/// `where` blocks are reported too, which can only make invariance
-/// *smaller*, never wrong.
-pub(crate) fn split_reads(e: &Expr) -> (BTreeSet<String>, BTreeSet<String>) {
-    let (mut now, mut lasts) = (BTreeSet::new(), BTreeSet::new());
-    super::walk(e, &mut |x| match x {
-        Expr::Var(name) => {
-            now.insert(name.clone());
-        }
-        Expr::Last(name) => {
+/// The `last` reads of an expression. Conservative about shadowing —
+/// reads of names bound in nested `where` blocks are reported too.
+pub(crate) fn last_reads(e: &Expr) -> BTreeSet<String> {
+    let mut lasts = BTreeSet::new();
+    super::walk(e, &mut |x| {
+        if let Expr::Last(name) = x {
             lasts.insert(name.clone());
         }
-        _ => {}
     });
-    (now, lasts)
+    lasts
 }
 
 /// Analyzes a whole (scheduled, desugared) kernel program.
@@ -211,74 +176,6 @@ pub fn analyze_program(p: &Program) -> EffectReport {
         };
         let node_effect = effect_of(&node.body, s);
         let engine = uses_engine(&node.body, s);
-
-        // Facts about the top-level equations of the outermost where.
-        let params: BTreeSet<String> = node.param.vars().iter().map(|v| v.to_string()).collect();
-        let mut eqs_out: Vec<EqEffect> = Vec::new();
-        if let Expr::Where { eqs, .. } = node.body.peel() {
-            for eq in eqs {
-                if let Eq::Def { name, expr } = eq {
-                    eqs_out.push(EqEffect {
-                        name: name.clone(),
-                        effect: effect_of(expr, s),
-                        pos: expr.span(),
-                        invariant: false, // fixpoint below
-                    });
-                }
-            }
-
-            // Particle invariance: start from every engine-free Det-or-
-            // below equation and shrink until reads close over
-            // params ∪ invariants. `last` reads require the *read*
-            // stream to be invariant too (its previous value must be
-            // shared), so both read kinds constrain alike.
-            let mut candidates: BTreeSet<String> = eqs_out
-                .iter()
-                .filter(|eq| eq.effect <= Effect::Det)
-                .map(|eq| eq.name.clone())
-                .collect();
-            let reads: HashMap<String, BTreeSet<String>> = eqs
-                .iter()
-                .filter_map(|eq| match eq {
-                    Eq::Def { name, expr } => {
-                        let (now, lasts) = split_reads(expr);
-                        Some((name.clone(), &now | &lasts))
-                    }
-                    _ => None,
-                })
-                .collect();
-            let engine_free: BTreeSet<String> = eqs
-                .iter()
-                .filter_map(|eq| match eq {
-                    Eq::Def { name, expr } if !uses_engine(expr, s) => Some(name.clone()),
-                    _ => None,
-                })
-                .collect();
-            candidates.retain(|name| engine_free.contains(name));
-            loop {
-                let keep: BTreeSet<String> = candidates
-                    .iter()
-                    .filter(|name| {
-                        reads[*name]
-                            .iter()
-                            .all(|r| params.contains(r) || candidates.contains(r))
-                    })
-                    .cloned()
-                    .collect();
-                if keep.len() == candidates.len() {
-                    break;
-                }
-                candidates = keep;
-            }
-            for eq in &mut eqs_out {
-                eq.invariant = candidates.contains(&eq.name);
-            }
-            report.invariant.insert(node.name.clone(), candidates);
-        } else {
-            report.invariant.insert(node.name.clone(), BTreeSet::new());
-        }
-
-        report.eq_effects.insert(node.name.clone(), eqs_out);
         report.node_effects.insert(node.name.clone(), node_effect);
         if engine {
             report.uses_engine.insert(node.name.clone());
@@ -294,10 +191,27 @@ mod tests {
     use crate::schedule::schedule_program;
     use crate::transform::desugar_program;
 
+    fn kernel(src: &str) -> Program {
+        schedule_program(&desugar_program(&parse_program(src).unwrap())).unwrap()
+    }
+
     fn analyzed(src: &str) -> EffectReport {
-        let p = parse_program(src).unwrap();
-        let kernel = schedule_program(&desugar_program(&p)).unwrap();
-        analyze_program(&kernel)
+        analyze_program(&kernel(src))
+    }
+
+    /// The effect of each top-level equation of `node`, in scheduled order.
+    fn eq_effects(src: &str, node: &str) -> Vec<(String, Effect)> {
+        let p = kernel(src);
+        let r = analyze_program(&p);
+        let Expr::Where { eqs, .. } = p.node(node).unwrap().body.peel() else {
+            panic!("`{node}` is not a where");
+        };
+        eqs.iter()
+            .filter_map(|eq| match eq {
+                Eq::Def { name, expr } => Some((name.clone(), effect_of(expr, r.summaries()))),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -308,78 +222,56 @@ mod tests {
     }
 
     #[test]
-    fn counter_is_det_and_fully_invariant() {
-        let r = analyzed("let node counter u = n where rec n = 0 -> pre n + 1");
-        assert_eq!(r.node_effect("counter"), Effect::Det);
-        // Every top-level equation (the counter and the desugared arrow
-        // flag) depends only on constants and other invariant state.
-        let eqs = &r.eq_effects["counter"];
+    fn counter_is_det() {
+        let src = "let node counter u = n where rec n = 0 -> pre n + 1";
+        assert_eq!(analyzed(src).node_effect("counter"), Effect::Det);
+        // The counter and the desugared arrow flag are both at most Det.
+        let eqs = eq_effects(src, "counter");
         assert!(!eqs.is_empty());
-        assert!(eqs.iter().all(|eq| eq.invariant), "{eqs:?}");
+        assert!(eqs.iter().all(|(_, e)| *e <= Effect::Det), "{eqs:?}");
     }
 
     #[test]
-    fn hmm_flags_are_invariant_but_samples_are_not() {
-        let r = analyzed(
-            "let node hmm y = x where
+    fn hmm_samples_are_prob_and_flags_pure() {
+        let src = "let node hmm y = x where
                rec x = sample (gaussian ((0. -> pre x), (100. -> 1.)))
-               and () = observe (gaussian (x, 1.), y)",
-        );
-        assert_eq!(r.node_effect("hmm"), Effect::Prob);
-        let eqs = &r.eq_effects["hmm"];
-        let by_name = |n: &str| eqs.iter().find(|e| e.name == n).unwrap();
-        assert_eq!(by_name("x").effect, Effect::Prob);
-        assert!(!by_name("x").invariant);
-        // Both desugared arrow flags read nothing but their own state.
+               and () = observe (gaussian (x, 1.), y)";
+        assert_eq!(analyzed(src).node_effect("hmm"), Effect::Prob);
+        let eqs = eq_effects(src, "hmm");
+        let by_name = |n: &str| eqs.iter().find(|(name, _)| name == n).unwrap().1;
+        assert_eq!(by_name("x"), Effect::Prob);
         let flags: Vec<_> = eqs
             .iter()
-            .filter(|e| e.name.starts_with("_first"))
+            .filter(|(name, _)| name.starts_with("_first"))
             .collect();
         assert_eq!(flags.len(), 2, "{eqs:?}");
-        for f in flags {
+        for (_, e) in flags {
             // `_firstN = false` is a constant right-hand side.
-            assert_eq!(f.effect, Effect::Pure);
-            assert!(f.invariant, "{f:?}");
+            assert_eq!(*e, Effect::Pure);
         }
         // The observe equation (parser-named `_unitN`) is effectful.
         assert!(eqs
             .iter()
-            .any(|e| e.name.starts_with("_unit") && e.effect == Effect::Prob));
+            .any(|(name, e)| name.starts_with("_unit") && *e == Effect::Prob));
     }
 
     #[test]
     fn callee_summaries_propagate_prob() {
-        let r = analyzed(
-            "let node m y = sample (gaussian (y, 1.))
-             let node caller y = x where rec x = m(y)",
-        );
+        let src = "let node m y = sample (gaussian (y, 1.))
+             let node caller y = x where rec x = m(y)";
+        let r = analyzed(src);
         assert_eq!(r.node_effect("m"), Effect::Prob);
         assert_eq!(r.node_effect("caller"), Effect::Prob);
-        assert!(!r.eq_effects["caller"][0].invariant);
+        assert_eq!(eq_effects(src, "caller")[0].1, Effect::Prob);
     }
 
     #[test]
-    fn engine_users_are_never_invariant() {
+    fn engine_users_are_det_and_flagged() {
         let r = analyzed(
             "let node m y = sample (gaussian (y, 1.))
              let node top y = e where rec e = mean_float(infer 4 m y)",
         );
         assert!(r.uses_engine.contains("top"));
         assert_eq!(r.node_effect("top"), Effect::Det);
-        assert!(!r.eq_effects["top"][0].invariant, "engines are identity");
-        assert!(r.invariant["top"].is_empty());
-    }
-
-    #[test]
-    fn dependence_on_a_noninvariant_stream_spreads() {
-        let r = analyzed(
-            "let node f y = b where
-               rec a = sample (gaussian (0., 1.))
-               and b = a +. 1. -. 1.
-               and c = y *. 2.",
-        );
-        let inv = &r.invariant["f"];
-        assert!(!inv.contains("a") && !inv.contains("b"), "{inv:?}");
-        assert!(inv.contains("c"), "{inv:?}");
     }
 }

@@ -36,9 +36,9 @@
 //! their per-step posterior mean/variance is printed.
 //!
 //! `opt` runs the optimizing µF pass pipeline (constant folding, dead
-//! stream elimination, common-subexpression factoring, particle-invariant
-//! hoisting), reports what each pass did as `PZ05xx`/`PZ06xx` lint
-//! diagnostics, and prints the scheduled kernel before and after. The
+//! stream elimination, common-subexpression factoring), reports what each
+//! pass did as `PZ06xx` lint diagnostics, and prints the scheduled kernel
+//! before and after. The
 //! passes are posterior-preserving: `run --opt` produces bit-identical
 //! output.
 
@@ -289,7 +289,6 @@ for diagnostics.
 | `output` | string | rendered output type |
 | `verdict` | string | boundedness verdict: `Bounded(k)` or `Unbounded(witness)` |
 | `effect` | string | effect-lattice analysis result: `"pure"`, `"det"`, or `"prob"` |
-| `invariant` | number | count of particle-invariant equations (hoist candidates) |
 
 ## diagnostic objects (`pzc check --json`, `pzc opt --json`)
 
@@ -314,7 +313,6 @@ Catalog codes ({n} today; `pzc explain CODE` gives the long form):
 | `folded` | number | equations folded to compile-time constants |
 | `removed` | number | dead streams eliminated |
 | `cse` | number | common subexpressions factored into fresh streams |
-| `hoisted` | array | names of nodes whose particle-invariant equations moved into a shared per-tick prelude (sorted) |
 
 ## Exit status
 
@@ -342,15 +340,10 @@ fn check(file: &str, src: &str, lint: bool, json: bool) -> ExitCode {
                     .get(name)
                     .map_or_else(|| "unknown".to_string(), |v| v.to_string());
                 let effect = compiled.effects.node_effect(name);
-                let invariant = compiled
-                    .effects
-                    .invariant
-                    .get(name.as_str())
-                    .map_or(0, std::collections::BTreeSet::len);
                 println!(
                     "{{\"kind\":\"node\",\"name\":\"{name}\",\"node_kind\":\"{}\",\
                      \"input\":\"{}\",\"output\":\"{}\",\"verdict\":\"{verdict}\",\
-                     \"effect\":\"{effect}\",\"invariant\":{invariant}}}",
+                     \"effect\":\"{effect}\"}}",
                     compiled.kinds[name], sig.input, sig.output
                 );
             }
@@ -373,13 +366,8 @@ fn check(file: &str, src: &str, lint: bool, json: bool) -> ExitCode {
                     .get(name)
                     .map_or_else(|| "unknown".to_string(), |v| v.to_string());
                 let effect = compiled.effects.node_effect(name);
-                let invariant = compiled
-                    .effects
-                    .invariant
-                    .get(name.as_str())
-                    .map_or(0, std::collections::BTreeSet::len);
                 println!(
-                    "  {:<4} node {name} : {} -> {}  [{verdict}] [{effect}, {invariant} invariant]",
+                    "  {:<4} node {name} : {} -> {}  [{verdict}] [{effect}]",
                     compiled.kinds[name].to_string(),
                     sig.input,
                     sig.output
@@ -419,31 +407,13 @@ fn opt_cmd(file: &str, src: &str, json: bool) -> ExitCode {
         }
     };
     let report = &optimized.report;
-    let mut hoists: Vec<String> = report
-        .plans
-        .values()
-        .map(|p| format!("{} ({} eqs)", p.node, p.hoisted.len()))
-        .collect();
-    hoists.sort();
     if json {
         for d in &report.diagnostics {
             println!("{}", d.to_json());
         }
         println!(
-            "{{\"kind\":\"opt-summary\",\"folded\":{},\"removed\":{},\"cse\":{},\
-             \"hoisted\":[{}]}}",
-            report.folded,
-            report.removed,
-            report.cse,
-            {
-                let mut nodes: Vec<String> = report
-                    .plans
-                    .values()
-                    .map(|p| format!("\"{}\"", p.node))
-                    .collect();
-                nodes.sort();
-                nodes.join(",")
-            }
+            "{{\"kind\":\"opt-summary\",\"folded\":{},\"removed\":{},\"cse\":{}}}",
+            report.folded, report.removed, report.cse,
         );
     } else {
         println!("--- scheduled kernel (before) ---");
@@ -454,16 +424,8 @@ fn opt_cmd(file: &str, src: &str, json: bool) -> ExitCode {
             eprintln!("{}", d.render(file, src));
         }
         println!(
-            "{file}: {} folded, {} dead stream(s) removed, {} subexpression(s) factored, \
-             hoisted: {}",
-            report.folded,
-            report.removed,
-            report.cse,
-            if hoists.is_empty() {
-                "none".to_string()
-            } else {
-                hoists.join(", ")
-            }
+            "{file}: {} folded, {} dead stream(s) removed, {} subexpression(s) factored",
+            report.folded, report.removed, report.cse
         );
     }
     ExitCode::SUCCESS

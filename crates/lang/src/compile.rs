@@ -38,27 +38,8 @@ use std::collections::{HashMap, HashSet};
 /// Rejects programs containing derived forms (compile after
 /// [`crate::transform::desugar_program`]) or duplicate definitions.
 pub fn compile_program(p: &Program) -> Result<MufProgram, LangError> {
-    compile_program_with(p, &HashMap::new())
-}
-
-/// Like [`compile_program`], but compiles each `infer` site whose target
-/// node has a [`HoistPlan`] into the split prelude/main form: the
-/// particle-invariant prelude (including the site argument) runs once per
-/// tick on the coordinator, and every particle steps the residual
-/// `{node}#main` with the broadcast prelude output. The program must
-/// already contain the plan's generated `{node}#prelude` / `{node}#main`
-/// nodes (the optimizer inserts them).
-///
-/// # Errors
-///
-/// As for [`compile_program`].
-pub fn compile_program_with(
-    p: &Program,
-    plans: &HashMap<String, HoistPlan>,
-) -> Result<MufProgram, LangError> {
     let mut c = Compiler {
         fresh: 0,
-        plans,
         stateless: HashSet::new(),
     };
     let mut defs = Vec::new();
@@ -79,28 +60,20 @@ pub fn compile_program_with(
             expr: init,
         });
     }
-    // One wrap global per planned node, for driver-facing engines
-    // (`infer_node`): maps this tick's prelude output to the per-particle
-    // transition closure, `fun hv -> fun (s, x) -> main_step (s, (x, hv))`.
-    for node in &p.nodes {
-        if let Some(plan) = plans.get(&node.name) {
-            let (hv, s, x) = (c.fresh("v"), c.fresh("s"), c.fresh("x"));
-            defs.push(MufDef {
-                name: wrap_name(&node.name),
-                expr: fun(
-                    MufPat::var(&hv),
-                    fun(
-                        MufPat::pair(MufPat::var(&s), MufPat::var(&x)),
-                        app(
-                            var(step_name(&plan.main_node)),
-                            tuple(vec![var(&s), tuple(vec![var(&x), var(&hv)])]),
-                        ),
-                    ),
-                ),
-            });
-        }
-    }
     Ok(MufProgram { defs })
+}
+
+/// [`compile_program`]. `_plans` is always empty (see [`HoistPlan`]); the
+/// signature stays because the benchmark names it.
+///
+/// # Errors
+///
+/// As for [`compile_program`].
+pub fn compile_program_with(
+    p: &Program,
+    _plans: &HashMap<String, HoistPlan>,
+) -> Result<MufProgram, LangError> {
+    compile_program(p)
 }
 
 /// The global name of a node's transition function.
@@ -113,21 +86,14 @@ pub fn init_name(node: &str) -> String {
     format!("{node}_init")
 }
 
-/// The global name of a planned node's driver-side wrap function (takes
-/// the original node's name, not `{node}#main`).
-pub fn wrap_name(node: &str) -> String {
-    format!("{node}#wrap")
-}
-
 /// The variable carrying `last x` values in compiled code. The `#` cannot
 /// appear in source identifiers, so there is no capture risk.
 fn last_var(x: &str) -> String {
     format!("{x}#last")
 }
 
-struct Compiler<'p> {
+struct Compiler {
     fresh: u32,
-    plans: &'p HashMap<String, HoistPlan>,
     /// Nodes compiled so far whose body is stateless: their state is
     /// `()`, so an application passes `()` and allocates nothing.
     stateless: HashSet<String>,
@@ -228,14 +194,9 @@ impl Seq {
         if self.ins.is_empty() {
             Code::Pure(lets_in(self.lets, value))
         } else {
-            Code::Step(self.finish_step(value))
+            let body = tuple(vec![value, state_expr(self.outs)]);
+            Code::Step(fun(state_pat(&self.ins), lets_in(self.lets, body)))
         }
-    }
-
-    /// The transition `fun ins -> lets in (value, outs)`.
-    fn finish_step(self, value: MufExpr) -> MufExpr {
-        let body = tuple(vec![value, state_expr(self.outs)]);
-        fun(state_pat(&self.ins), lets_in(self.lets, body))
     }
 }
 
@@ -274,7 +235,7 @@ fn unit() -> MufExpr {
     MufExpr::Const(Const::Unit)
 }
 
-impl Compiler<'_> {
+impl Compiler {
     fn fresh(&mut self, hint: &str) -> String {
         self.fresh += 1;
         format!("{hint}%{}", self.fresh)
@@ -413,24 +374,13 @@ impl Compiler<'_> {
                 arg,
             } => {
                 let sigma = self.fresh("sigma");
-                let plans = self.plans;
-                let (body, prelude) = match plans.get(node) {
-                    Some(plan) => {
-                        let wrap = self.wrap_embedded(plan);
-                        (wrap, Some(Box::new(self.prelude_transition(plan, arg)?)))
-                    }
-                    None => (
-                        self.transition(&Expr::App(node.clone(), arg.clone()))?,
-                        None,
-                    ),
-                };
+                let body = self.transition(&Expr::App(node.clone(), arg.clone()))?;
                 return Ok(Code::Step(fun(
                     MufPat::var(&sigma),
                     MufExpr::Infer {
                         particles: *particles,
                         body: Box::new(body),
                         state: Box::new(var(&sigma)),
-                        prelude,
                     },
                 )));
             }
@@ -514,42 +464,6 @@ impl Compiler<'_> {
         }
     }
 
-    /// The per-tick prelude transition of an optimized `infer` site:
-    /// `fun (sa, sp) -> let (va, na) = C(arg)(sa) in
-    ///                  let (vp, np) = prelude_step (sp, va) in
-    ///                  ((va, vp), (na, np))` —
-    /// advances the site argument and the hoisted equations once on the
-    /// coordinator, yielding the broadcast value `(va, vp)`. A stateless
-    /// argument has no `sa`.
-    fn prelude_transition(&mut self, plan: &HoistPlan, arg: &Expr) -> Result<MufExpr, LangError> {
-        let mut seq = Seq::default();
-        let code = self.c(arg)?;
-        let va = self.sequence(&mut seq, code, true);
-        let (vp, pre) = (self.fresh("v"), var(step_name(&plan.prelude_node)));
-        let arg = va.clone();
-        self.step_into(&mut seq, MufPat::var(&vp), |s| {
-            app(pre, tuple(vec![s, arg]))
-        });
-        Ok(seq.finish_step(tuple(vec![va, var(vp)])))
-    }
-
-    /// The wrap function of an embedded optimized site: maps this tick's
-    /// broadcast prelude output to the per-particle transition closure,
-    /// `fun hv -> fun s -> main_step (s, hv)`.
-    fn wrap_embedded(&mut self, plan: &HoistPlan) -> MufExpr {
-        let (hv, s) = (self.fresh("v"), self.fresh("s"));
-        fun(
-            MufPat::var(&hv),
-            fun(
-                MufPat::var(&s),
-                app(
-                    var(step_name(&plan.main_node)),
-                    tuple(vec![var(&s), var(&hv)]),
-                ),
-            ),
-        )
-    }
-
     /// `body where rec eqs`: its state holds the memories of the
     /// initialized variables, then the states of the equations and of the
     /// body that have one.
@@ -609,28 +523,11 @@ impl Compiler<'_> {
                 node,
                 arg,
             } => {
-                let plans = self.plans;
-                let engine = if let Some(plan) = plans.get(node) {
-                    // Prelude state first so nested engine allocations in
-                    // `A(arg)` draw seeds in the same order as the
-                    // unoptimized `(A(arg), f_init ())` form.
-                    let pre_init = app(var(init_name(&plan.prelude_node)), unit());
-                    let pre_state = state_alloc(vec![self.a(arg)?, Some(pre_init)]);
-                    let pre = self.prelude_transition(plan, arg)?;
-                    MufExpr::EngineInit {
-                        particles: *particles,
-                        init: Box::new(app(var(init_name(&plan.main_node)), unit())),
-                        body: Box::new(self.wrap_embedded(plan)),
-                        prelude: Some(Box::new(tuple(vec![pre_state.unwrap_or_else(unit), pre]))),
-                    }
-                } else {
-                    let inner_app = Expr::App(node.clone(), arg.clone());
-                    MufExpr::EngineInit {
-                        particles: *particles,
-                        init: Box::new(self.a(&inner_app)?.unwrap_or_else(unit)),
-                        body: Box::new(self.transition(&inner_app)?),
-                        prelude: None,
-                    }
+                let inner_app = Expr::App(node.clone(), arg.clone());
+                let engine = MufExpr::EngineInit {
+                    particles: *particles,
+                    init: Box::new(self.a(&inner_app)?.unwrap_or_else(unit)),
+                    body: Box::new(self.transition(&inner_app)?),
                 };
                 return Ok(Some(engine));
             }
@@ -755,16 +652,12 @@ mod tests {
     }
 
     /// The optimized particle states the benchmarks clone hold only live
-    /// state: hmm's residual node keeps the `nil` memory of `pre x`, and
-    /// the robot tracker its nine memories and `->` flags.
+    /// state: hmm keeps the `nil` memory of `pre x` and its two `->`
+    /// flags, and the robot tracker its nine memories and `->` flags.
     #[test]
     fn optimized_particle_states_hold_only_live_leaves() {
         for (src, node, n) in [
-            (
-                include_str!("../../../examples/zelus/hmm.zl"),
-                "hmm#main",
-                1,
-            ),
+            (include_str!("../../../examples/zelus/hmm.zl"), "hmm", 3),
             (
                 include_str!("../../../examples/zelus/robot.zl"),
                 "gps_acc_tracker",

@@ -50,8 +50,6 @@ impl Code {
     pub const UNBOUNDED_CHAIN: Code = Code(501);
     /// Inference method does not match the boundedness verdict.
     pub const METHOD_MISMATCH: Code = Code(502);
-    /// Particle-invariant equations hoisted to a shared prelude.
-    pub const OPT_HOISTED_PRELUDE: Code = Code(503);
     /// Lint: stream defined but never read.
     pub const LINT_UNUSED_STREAM: Code = Code(601);
     /// Lint: observing a constant distribution.
@@ -353,7 +351,6 @@ pub const ALL_CODES: &[Code] = &[
     Code::SCHED_CYCLE,
     Code::UNBOUNDED_CHAIN,
     Code::METHOD_MISMATCH,
-    Code::OPT_HOISTED_PRELUDE,
     Code::LINT_UNUSED_STREAM,
     Code::LINT_OBSERVE_CONST,
     Code::LINT_RESAMPLE_FREE,
@@ -456,15 +453,6 @@ pub fn explain(code: Code) -> Option<&'static str> {
              delayed sampling was selected for a node it proved unbounded (the runtime graph \
              will still grow). Reported at run time, and on the `obs` event stream as \
              `check.advisory` when telemetry is enabled."
-        }
-        Code::OPT_HOISTED_PRELUDE => {
-            "PZ0503: particle-invariant equations hoisted to a shared prelude.\n\nThe effect \
-             analysis proved these equations deterministic (no `sample`/`observe`/`factor` \
-             reachable) and particle-invariant (their value depends only on the node input, \
-             the clock, and other invariant state), so the optimizer moved them into a \
-             prelude node evaluated once per tick and broadcast to every particle, instead \
-             of being re-evaluated N times. Reported by `pzc opt`; purely informational — \
-             posteriors are bit-identical with and without the transform."
         }
         Code::LINT_UNUSED_STREAM => {
             "PZ0601: stream defined but never read.\n\nThe equation's variable is read by no \

@@ -285,12 +285,7 @@ impl Interp {
                 }
             }
             MufExpr::Freshen(inner) => Ok(self.eval(env, inner, prob)?.deep_clone()),
-            MufExpr::Infer {
-                body,
-                state,
-                prelude,
-                ..
-            } => {
+            MufExpr::Infer { body, state, .. } => {
                 let closure = self.eval(env, body, prob)?;
                 let engine_val = self.eval(env, state, prob)?;
                 let MufValue::Engine(engine) = engine_val else {
@@ -301,17 +296,7 @@ impl Interp {
                 };
                 let posterior = {
                     let mut eng = engine.0.borrow_mut();
-                    match prelude {
-                        // Optimized site: `body` evaluated to the wrap
-                        // function; re-close both prelude closures over
-                        // the current environment, the step hook installs
-                        // this tick's broadcast closure itself.
-                        Some(p) => {
-                            let transition = self.eval(env, p, prob)?;
-                            eng.set_prelude_closures(transition, closure)?;
-                        }
-                        None => eng.set_closure(closure),
-                    }
+                    eng.set_closure(closure);
                     eng.step(&Value::Unit)?
                 };
                 Ok(MufValue::Tuple(vec![
@@ -323,45 +308,18 @@ impl Interp {
                 particles,
                 init,
                 body,
-                prelude,
             } => {
-                // Evaluation order mirrors the unoptimized form: the
-                // prelude expression holds `A(arg)` (evaluated first there
-                // too), so any nested engine allocations draw seeds in the
-                // same order with or without the optimizer.
-                let pre = prelude
-                    .as_ref()
-                    .map(|p| self.eval(env, p, prob))
-                    .transpose()?;
                 let init_state = self.eval(env, init, prob)?;
                 let closure = self.eval(env, body, prob)?;
-                let mut engine = MufEngine::new(
+                let engine = MufEngine::new(
                     self.clone(),
                     self.method,
                     *particles,
                     init_state,
-                    closure.clone(),
+                    closure,
                     false,
                     self.next_seed(),
                 )?;
-                if let Some(pre) = pre {
-                    let MufValue::Tuple(mut vs) = pre else {
-                        return Err(LangError::new(
-                            Stage::Eval,
-                            "engine prelude must be (state, transition)",
-                        ));
-                    };
-                    if vs.len() != 2 {
-                        return Err(LangError::new(
-                            Stage::Eval,
-                            "engine prelude must be (state, transition)",
-                        ));
-                    }
-                    let transition = vs.pop().expect("length checked");
-                    let pre_state = vs.pop().expect("length checked");
-                    engine =
-                        engine.with_prelude(MufPrelude::new(transition, closure, pre_state, false));
-                }
                 Ok(MufValue::Engine(EngineRef(Rc::new(RefCell::new(engine)))))
             }
         }
@@ -847,88 +805,12 @@ impl Model for MufModel {
     }
 }
 
-/// The coordinator-side state of a hoisted particle-invariant prelude
-/// (the optimizing µF pipeline's per-tick shared computation).
-///
-/// Once per engine step, *before* any particle runs, `transition` is
-/// applied to the prelude state (and the tick input, on driver-facing
-/// engines), producing `(out, state')`; `wrap` applied to `out` yields
-/// the per-particle transition closure for this tick, which is written
-/// into the engine's shared closure slot. Particles then all read the
-/// same broadcast value instead of recomputing the invariant equations
-/// N times.
-#[derive(Clone)]
-pub struct MufPrelude {
-    transition: MufValue,
-    wrap: MufValue,
-    state: MufValue,
-    init_state: MufValue,
-    takes_input: bool,
-}
-
-impl MufPrelude {
-    /// Builds a prelude from its transition and wrap closures and the
-    /// initial prelude state. `takes_input` mirrors the engine's own
-    /// flag: driver-facing engines feed the tick input to the prelude.
-    pub fn new(
-        transition: MufValue,
-        wrap: MufValue,
-        init_state: MufValue,
-        takes_input: bool,
-    ) -> MufPrelude {
-        MufPrelude {
-            transition,
-            wrap,
-            state: init_state.deep_clone(),
-            init_state,
-            takes_input,
-        }
-    }
-
-    /// One coordinator-side prelude tick: advance the prelude state and
-    /// install this tick's broadcast closure into the engine's slot.
-    fn advance(
-        &mut self,
-        interp: &Rc<Interp>,
-        input: &Value,
-        slot: &RefCell<MufValue>,
-    ) -> Result<(), RuntimeError> {
-        let state = std::mem::replace(&mut self.state, MufValue::Nil);
-        let arg = if self.takes_input {
-            MufValue::Tuple(vec![state, MufValue::V(input.clone())])
-        } else {
-            state
-        };
-        let result = interp.apply(&self.transition, arg, &mut ProbSlot::Det)?;
-        match result {
-            MufValue::Tuple(mut vs) if vs.len() == 2 => {
-                let next = vs.pop().expect("length checked");
-                let out = vs.pop().expect("length checked");
-                self.state = next;
-                let closure = interp.apply(&self.wrap, out, &mut ProbSlot::Det)?;
-                *slot.borrow_mut() = closure;
-                Ok(())
-            }
-            other => Err(RuntimeError::Host(format!(
-                "prelude transition must return (value, state), got {}",
-                other.kind()
-            ))),
-        }
-    }
-
-    fn reset(&mut self) {
-        self.state = self.init_state.deep_clone();
-    }
-}
-
 /// An inference engine over µF models (the runtime value of a compiled
 /// `infer`'s state).
 #[derive(Clone)]
 pub struct MufEngine {
     inner: Infer<MufModel>,
     closure: Rc<RefCell<MufValue>>,
-    interp: Rc<Interp>,
-    prelude: Option<MufPrelude>,
     /// Shared with every particle model under [`ExecBackend::Tape`]; the
     /// engine bumps its epoch whenever the closure slot is rewritten so
     /// the tape refreshes its captured-environment registers, and its
@@ -969,7 +851,7 @@ impl MufEngine {
             .then(|| Rc::new(crate::tape::TapeCell::default()));
         let obs = interp.obs.clone();
         let model = MufModel {
-            interp: interp.clone(),
+            interp,
             closure: slot.clone(),
             state: ModelState::Whole(init_state.deep_clone()),
             init_state: Rc::new(init_state),
@@ -987,43 +869,8 @@ impl MufEngine {
         Ok(MufEngine {
             inner,
             closure: slot,
-            interp,
-            prelude: None,
             tape,
         })
-    }
-
-    /// Attaches a hoisted particle-invariant prelude (see [`MufPrelude`]).
-    /// The engine's shared closure slot is then refreshed by the prelude
-    /// at the start of every step rather than by [`MufEngine::set_closure`].
-    #[must_use]
-    pub fn with_prelude(mut self, prelude: MufPrelude) -> Self {
-        self.prelude = Some(prelude);
-        self
-    }
-
-    /// Re-closes the prelude's transition and wrap functions over the
-    /// current environment (the embedded-`infer` analogue of
-    /// [`MufEngine::set_closure`] for optimized sites).
-    ///
-    /// # Errors
-    ///
-    /// When no prelude is attached — the compiled site and the engine
-    /// disagree, which indicates mixed optimized/unoptimized code.
-    pub fn set_prelude_closures(
-        &mut self,
-        transition: MufValue,
-        wrap: MufValue,
-    ) -> Result<(), LangError> {
-        let Some(pre) = self.prelude.as_mut() else {
-            return Err(LangError::new(
-                Stage::Eval,
-                "optimized infer site stepped an engine without a prelude",
-            ));
-        };
-        pre.transition = transition;
-        pre.wrap = wrap;
-        Ok(())
     }
 
     /// Replaces the transition closure (the compiled `infer` re-closes the
@@ -1042,36 +889,12 @@ impl MufEngine {
     ///
     /// Propagates model evaluation errors.
     pub fn step(&mut self, input: &Value) -> Result<Posterior, LangError> {
-        let MufEngine {
-            inner,
-            closure,
-            interp,
-            prelude,
-            tape,
-        } = self;
         // A new tick input: the tape reloads it (and reruns its
         // prologue) at the first particle step of this tick.
-        if let Some(cell) = tape {
+        if let Some(cell) = &self.tape {
             cell.next_tick();
         }
-        match prelude {
-            None => inner.step(input).map_err(|e| e.into()),
-            Some(pre) => {
-                let mut hook = || {
-                    pre.advance(interp, input, closure)?;
-                    // The slot now holds this tick's broadcast closure;
-                    // have the tape re-read its environment registers.
-                    if let Some(cell) = tape {
-                        cell.bump();
-                    }
-                    Ok(())
-                };
-                inner
-                    .step_outcome_with(input, Some(&mut hook))
-                    .map(|o| o.posterior)
-                    .map_err(|e| e.into())
-            }
-        }
+        self.inner.step(input).map_err(|e| e.into())
     }
 
     /// Tape-backend status: `None` under [`ExecBackend::Interp`]; under
@@ -1112,13 +935,9 @@ impl MufEngine {
         self.inner.method()
     }
 
-    /// Restarts inference from the initial model state (including the
-    /// prelude state, when one is attached).
+    /// Restarts inference from the initial model state.
     pub fn reset(&mut self) {
         self.inner.reset();
-        if let Some(pre) = self.prelude.as_mut() {
-            pre.reset();
-        }
     }
 
     /// Cumulative resampling statistics since the last reset.
@@ -1143,8 +962,9 @@ impl MufEngine {
         self
     }
 
-    /// Updates the deadline budget mid-stream. Returns `false` when no
-    /// controller is attached or the engine is replaying a trace.
+    /// Updates the deadline budget mid-stream. Returns `false`, changing
+    /// nothing, when no controller is attached, the engine is replaying a
+    /// trace, or the budget is NaN or infinite.
     pub fn set_deadline_budget(&mut self, budget_ms: f64) -> bool {
         self.inner.set_deadline_budget(budget_ms)
     }

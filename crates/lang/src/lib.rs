@@ -33,7 +33,7 @@ pub use analysis::effects::{Effect, EffectReport};
 pub use ast::{Const, Eq, Expr, NodeDecl, OpName, Pattern, Program};
 pub use diag::{Code, Diagnostic, Severity};
 pub use error::{LangError, Pos, Stage};
-pub use eval::{ExecBackend, Instance, MufEngine, MufPrelude, Options};
+pub use eval::{ExecBackend, Instance, MufEngine, Options};
 pub use kinds::Kind;
 pub use muf::{MufProgram, MufValue};
 pub use pipeline::{

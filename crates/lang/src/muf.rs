@@ -58,11 +58,6 @@ pub enum MufExpr {
         body: Box<MufExpr>,
         /// Engine-state expression.
         state: Box<MufExpr>,
-        /// For optimized sites: the particle-invariant prelude transition,
-        /// evaluated once per tick under the driver environment and fed to
-        /// every particle. `body` is then the wrap function mapping the
-        /// prelude output to the per-particle transition closure.
-        prelude: Option<Box<MufExpr>>,
     },
     /// Deep-copies the value of the inner expression. Used by the
     /// compilation of `reset`: the pristine initial state `s0` must stay
@@ -79,11 +74,6 @@ pub enum MufExpr {
         /// Transition-function expression (evaluated once at allocation so
         /// the engine can also be driven directly).
         body: Box<MufExpr>,
-        /// For optimized sites: evaluates to
-        /// `(prelude_init_state, prelude_transition)` — the engine-side
-        /// state of the hoisted per-tick prelude. `body` is the wrap
-        /// function in that case.
-        prelude: Option<Box<MufExpr>>,
     },
 }
 

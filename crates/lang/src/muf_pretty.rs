@@ -90,20 +90,11 @@ pub fn print_expr(e: &MufExpr) -> String {
             particles,
             body,
             state,
-            prelude,
-        } => match prelude {
-            None => format!(
-                "infer<{particles}>({},\n{})",
-                print_expr(state),
-                indent(&print_expr(body), 1)
-            ),
-            Some(p) => format!(
-                "infer<{particles}>({},\n{},\nprelude:\n{})",
-                print_expr(state),
-                indent(&print_expr(body), 1),
-                indent(&print_expr(p), 1)
-            ),
-        },
+        } => format!(
+            "infer<{particles}>({},\n{})",
+            print_expr(state),
+            indent(&print_expr(body), 1)
+        ),
         MufExpr::Freshen(inner) => format!("freshen({})", print_expr(inner)),
         MufExpr::EngineInit {
             particles, init, ..

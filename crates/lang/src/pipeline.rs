@@ -11,10 +11,10 @@ use crate::analysis::effects::{self, EffectReport};
 use crate::analysis::lints;
 use crate::ast::Program;
 use crate::automata::expand_program;
-use crate::compile::{compile_program, compile_program_with, init_name, step_name, wrap_name};
+use crate::compile::{compile_program, init_name, step_name};
 use crate::diag::{Code, Diagnostic};
 use crate::error::{LangError, Stage};
-use crate::eval::{Instance, Interp, MufEngine, MufPrelude, Options, ProbSlot};
+use crate::eval::{Instance, Interp, MufEngine, Options, ProbSlot};
 use crate::initcheck;
 use crate::kinds::{self, Kind};
 use crate::muf::{MufProgram, MufValue};
@@ -39,11 +39,10 @@ pub struct Compiled {
     pub sigs: HashMap<String, NodeSig>,
     /// Each node's delayed-sampling boundedness verdict.
     pub bounded: HashMap<String, Verdict>,
-    /// The effect & particle-invariance analysis over the kernel.
+    /// The effect analysis over the kernel.
     pub effects: EffectReport,
-    /// Hoist plans applied by the optimizer (empty when compiled without
-    /// [`compile_source_opt`]). [`Compiled::infer_node`] consults these to
-    /// attach the per-tick prelude to driver-facing engines.
+    /// Always empty (see [`HoistPlan`]); kept because the benchmark
+    /// builds a `Compiled` by hand.
     pub plans: HashMap<String, HoistPlan>,
 }
 
@@ -104,23 +103,21 @@ fn build(src: &str) -> Result<(Compiled, BoundedReport, Program), LangError> {
 /// its unoptimized baseline, plus the optimizer's diagnostics.
 #[derive(Debug, Clone)]
 pub struct Optimized {
-    /// The optimized program (hoist plans applied, µF compiled against
-    /// them). Run nodes through this one.
+    /// The optimized program. Run nodes through this one.
     pub compiled: Compiled,
     /// The unoptimized baseline (for before/after display and
     /// differential checks).
     pub baseline: Compiled,
-    /// What each pass did — counters and hoist plans.
+    /// What each pass did.
     pub report: OptReport,
 }
 
 /// Runs the whole pipeline and then the optimizing µF pass pipeline
 /// (constant propagation/folding, dead-stream elimination, common
-/// subexpression factoring, and particle-invariant hoisting per `cfg`).
+/// subexpression factoring).
 ///
-/// The boundedness verdicts are computed on the *unoptimized* kernel —
-/// the hoist transform splits nodes, which must not change what the
-/// analysis reports to users.
+/// The boundedness verdicts are those of the *unoptimized* kernel: what
+/// the analysis reports to users is about the program they wrote.
 ///
 /// # Errors
 ///
@@ -128,7 +125,7 @@ pub struct Optimized {
 pub fn optimize_source(src: &str, cfg: &OptConfig) -> Result<Optimized, LangError> {
     let baseline = compile_source(src)?;
     let (kernel, report) = optimize_program(&baseline.kernel, cfg)?;
-    let muf = compile_program_with(&kernel, &report.plans)?;
+    let muf = compile_program(&kernel)?;
     let effects = effects::analyze_program(&kernel);
     let compiled = Compiled {
         kernel,
@@ -137,7 +134,7 @@ pub fn optimize_source(src: &str, cfg: &OptConfig) -> Result<Optimized, LangErro
         sigs: baseline.sigs.clone(),
         bounded: baseline.bounded.clone(),
         effects,
-        plans: report.plans.clone(),
+        plans: HashMap::new(),
     };
     Ok(Optimized {
         compiled,
@@ -371,29 +368,6 @@ impl Compiled {
                 .global(name)
                 .ok_or_else(|| LangError::new(Stage::Eval, format!("missing compiled `{name}`")))
         };
-        // A planned node runs in split form: particles step the residual
-        // `{node}#main`, and the hoisted `{node}#prelude` advances once
-        // per tick on the coordinator, fed the driver input directly.
-        if let Some(plan) = self.plans.get(node) {
-            let main_step = global(&step_name(&plan.main_node))?;
-            let main_init = global(&init_name(&plan.main_node))?;
-            let pre_step = global(&step_name(&plan.prelude_node))?;
-            let pre_init = global(&init_name(&plan.prelude_node))?;
-            let wrap = global(&wrap_name(node))?;
-            let pre_state = interp.apply(&pre_init, MufValue::unit(), &mut ProbSlot::Det)?;
-            let init_state = interp.apply(&main_init, MufValue::unit(), &mut ProbSlot::Det)?;
-            let prelude = MufPrelude::new(pre_step, wrap, pre_state, true);
-            return Ok(MufEngine::new(
-                interp,
-                options.method,
-                particles,
-                init_state,
-                main_step,
-                true,
-                options.seed,
-            )?
-            .with_prelude(prelude));
-        }
         let step = global(&step_name(node))?;
         let init_thunk = global(&init_name(node))?;
         let init_state = interp.apply(&init_thunk, MufValue::unit(), &mut ProbSlot::Det)?;
@@ -410,10 +384,7 @@ impl Compiled {
 
     /// Lowers a node's per-particle transition to the flat instruction
     /// tape, without running anything — the static view behind
-    /// `pzc emit --tape`. For a hoist-planned node this is the residual
-    /// `{node}#main` transition as the wrap function closes over it (the
-    /// prelude broadcast slot shows up as an env slot, refreshed each
-    /// tick at runtime).
+    /// `pzc emit --tape`.
     ///
     /// The inner `Err` is the lowering-refusal reason (the engine would
     /// keep interpreting); nodes whose step embeds `infer` — drivers —
@@ -439,19 +410,9 @@ impl Compiled {
                 .global(name)
                 .ok_or_else(|| LangError::new(Stage::Eval, format!("missing compiled `{name}`")))
         };
-        let (transition, init_state) = if let Some(plan) = self.plans.get(node) {
-            let main_init = global(&init_name(&plan.main_node))?;
-            let wrap = global(&wrap_name(node))?;
-            let init_state = interp.apply(&main_init, MufValue::unit(), &mut ProbSlot::Det)?;
-            // The broadcast value is a runtime input (an env slot of the
-            // closed transition); `nil` stands in for it here.
-            let transition = interp.apply(&wrap, MufValue::Nil, &mut ProbSlot::Det)?;
-            (transition, init_state)
-        } else {
-            let init_thunk = global(&init_name(node))?;
-            let init_state = interp.apply(&init_thunk, MufValue::unit(), &mut ProbSlot::Det)?;
-            (global(&step_name(node))?, init_state)
-        };
+        let init_thunk = global(&init_name(node))?;
+        let init_state = interp.apply(&init_thunk, MufValue::unit(), &mut ProbSlot::Det)?;
+        let transition = global(&step_name(node))?;
         let MufValue::Closure(closure) = &transition else {
             return Ok(Err(format!(
                 "transition is not a closure: {}",
@@ -519,6 +480,23 @@ mod tests {
             .unwrap();
         let post = eng.step(&Value::Float(5.0)).unwrap();
         assert!((post.mean_float() - 5.0 * 100.0 / 101.0).abs() < 1e-9);
+    }
+
+    /// A NaN or infinite deadline budget is refused, not a panic.
+    #[test]
+    fn non_finite_deadline_budget_is_refused() {
+        let c = compile_source(HMM).unwrap();
+        let mut eng = c
+            .infer_node("hmm", 4, Options::default())
+            .unwrap()
+            .with_deadline(probzelus_core::adaptive::DeadlineConfig::new(5.0));
+        eng.step(&Value::Float(1.0)).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(!eng.set_deadline_budget(bad), "budget {bad} accepted");
+        }
+        assert_eq!(eng.deadline_status().unwrap().budget_ms, 5.0);
+        assert!(eng.set_deadline_budget(2.0));
+        eng.step(&Value::Float(1.0)).unwrap();
     }
 
     #[test]

@@ -422,9 +422,10 @@ impl TapeShared {
 
 /// Per-engine lowering cell, shared between a [`crate::eval::MufEngine`]
 /// and its particle models. Lowering happens lazily at the first particle
-/// step (after the prelude hook has installed the real per-particle
-/// closure) and is attempted exactly once; failure pins the engine to the
-/// interpreter.
+/// step, from the closure in the engine's slot at that point (an embedded
+/// `infer` site re-closes it over the driver environment at every step),
+/// and is attempted exactly once; failure pins the engine to the
+/// interpreter. An engine that is never stepped never lowers.
 #[derive(Debug, Default)]
 pub struct TapeCell {
     attempt: RefCell<Option<Result<Rc<TapeShared>, String>>>,

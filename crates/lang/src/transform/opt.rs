@@ -1,8 +1,8 @@
 //! The optimizing µF pass pipeline (DESIGN.md §2.12).
 //!
 //! Runs on the scheduled kernel, after every checking pass has accepted
-//! the program, and is driven by the effect & particle-invariance
-//! analysis ([`crate::analysis::effects`]):
+//! the program, and is driven by the effect analysis
+//! ([`crate::analysis::effects`]):
 //!
 //! 1. **Constant propagation & folding** — strict deterministic operators
 //!    over literals are evaluated at compile time with the runtime's own
@@ -16,21 +16,14 @@
 //! 3. **Common-subexpression elimination** — pure stateless operator
 //!    trees computed more than once in an equation set are factored into
 //!    a fresh equation.
-//! 4. **Prelude hoisting** (the headline) — for every node targeted by an
-//!    `infer`, the particle-invariant top-level equations are split into
-//!    a generated `f#prelude` node evaluated **once per tick** by the
-//!    engine and broadcast to all N particles, with the residual
-//!    probabilistic equations left in a generated `f#main` node that
-//!    receives the prelude's outputs alongside the original input.
 //!
 //! Every pass reports what it did through spanned [`Diagnostic`]s
-//! (PZ0503, PZ0604–PZ0606), surfaced by `pzc opt`. Correctness is pinned
-//! by the differential oracle in `tests/opt_equiv.rs`: optimized and
-//! unoptimized programs must produce bit-identical posteriors under every
-//! method and particle layout.
+//! (PZ0604–PZ0606), surfaced by `pzc opt`. Correctness is pinned by the
+//! differential oracle in `tests/opt_equiv.rs`: optimized and unoptimized
+//! programs must produce bit-identical posteriors under every method.
 
 use crate::analysis::effects::{self, Effect, Summaries};
-use crate::ast::{Const, Eq, Expr, NodeDecl, OpName, Pattern, Program};
+use crate::ast::{Const, Eq, Expr, NodeDecl, OpName, Program};
 use crate::diag::{Code, Diagnostic};
 use crate::error::LangError;
 use crate::schedule::schedule_program;
@@ -39,60 +32,27 @@ use probzelus_core::value::Value;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Optimizer configuration. It has no settings: every pass (constant
-/// folding, dead-stream elimination, CSE, prelude hoisting) always runs.
-/// The type stays so the signatures of [`optimize_program`] and
-/// `optimize_source` do not change for their callers, who build it with
-/// `OptConfig::default()`.
+/// folding, dead-stream elimination, CSE) always runs. The type stays so
+/// the signatures of [`optimize_program`] and `optimize_source` do not
+/// change for their callers, who build it with `OptConfig::default()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct OptConfig {}
 
-/// One output the generated prelude passes to the residual node, in
-/// plan order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PreludeOut {
-    /// The current-tick value of an invariant stream.
-    Now(String),
-    /// The previous-tick value (satisfies residual `last` reads).
-    Prev(String),
-}
+/// No settings and no content. The optimizer no longer splits nodes, so
+/// [`OptReport::plans`] is always empty; the type stays only because the
+/// benchmark (`crates/bench/src/bin/rpbench/`) names
+/// `compile_program_with(&kernel, &report.plans)` and `Compiled { .., plans }`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[non_exhaustive]
+pub struct HoistPlan {}
 
-impl PreludeOut {
-    /// The variable name carrying this output in the generated nodes.
-    pub fn var(&self) -> String {
-        match self {
-            PreludeOut::Now(h) => h.clone(),
-            PreludeOut::Prev(h) => format!("{h}#prev"),
-        }
-    }
-}
-
-/// The hoist plan for one `infer`-target node: which equations moved to
-/// the shared prelude and how their values flow to the residual node.
-/// Consumed by the plan-aware compiler ([`crate::compile`]).
-#[derive(Debug, Clone)]
-pub struct HoistPlan {
-    /// The original node (left unchanged in the program).
-    pub node: String,
-    /// Generated prelude node (`node#prelude`), same parameter as the
-    /// original, body returns [`HoistPlan::outputs`] as a nested pair.
-    pub prelude_node: String,
-    /// Generated residual node (`node#main`), parameter
-    /// `(orig_param, outputs_pattern)`.
-    pub main_node: String,
-    /// Names of the hoisted equations.
-    pub hoisted: Vec<String>,
-    /// What the prelude returns, in order.
-    pub outputs: Vec<PreludeOut>,
-}
-
-/// What the optimizer did: diagnostics for `pzc opt`, hoist plans for
-/// the compiler, and pass counters.
+/// What the optimizer did: diagnostics for `pzc opt` and pass counters.
 #[derive(Debug, Clone, Default)]
 pub struct OptReport {
-    /// Spanned PZ0503/PZ0604/PZ0605/PZ0606 diagnostics.
+    /// Spanned PZ0604/PZ0605/PZ0606 diagnostics.
     pub diagnostics: Vec<Diagnostic>,
-    /// Hoist plans keyed by original node name.
+    /// Always empty (see [`HoistPlan`]).
     pub plans: HashMap<String, HoistPlan>,
     /// Equations folded to a constant.
     pub folded: usize,
@@ -103,17 +63,14 @@ pub struct OptReport {
 }
 
 impl OptReport {
-    /// Total number of rewrites across all passes (hoisted equations
-    /// count once each).
+    /// Total number of rewrites across all passes.
     pub fn total(&self) -> usize {
-        let hoisted: usize = self.plans.values().map(|p| p.hoisted.len()).sum();
-        self.folded + self.removed + self.cse + hoisted
+        self.folded + self.removed + self.cse
     }
 }
 
 /// Optimizes a scheduled kernel program. Returns the rewritten program
-/// (re-scheduled, with generated `#prelude`/`#main` nodes appended after
-/// their original) and the report. The input must already be in kernel
+/// (re-scheduled) and the report. The input must already be in kernel
 /// form; nodes are never removed or renamed, so `infer` sites and node
 /// applications stay valid.
 pub fn optimize_program(p: &Program, _cfg: &OptConfig) -> Result<(Program, OptReport), LangError> {
@@ -129,9 +86,7 @@ pub fn optimize_program(p: &Program, _cfg: &OptConfig) -> Result<(Program, OptRe
             body: rewrite(&n.body, base.summaries(), &mut report, &mut fresh),
         })
         .collect();
-    let mut prog = schedule_program(&Program { nodes })?;
-    plan_hoists(&mut prog, &mut report);
-    Ok((schedule_program(&prog)?, report))
+    Ok((schedule_program(&Program { nodes })?, report))
 }
 
 // ---------------------------------------------------------------------
@@ -448,10 +403,10 @@ fn propagate_constants(body: &mut Expr, eqs: &mut [Eq], s: Summaries<'_>) {
         let mut last_read: BTreeSet<String> = BTreeSet::new();
         for eq in eqs.iter() {
             if let Eq::Def { expr, .. } = eq {
-                last_read.extend(effects::split_reads(expr).1);
+                last_read.extend(effects::last_reads(expr));
             }
         }
-        last_read.extend(effects::split_reads(body).1);
+        last_read.extend(effects::last_reads(body));
         let consts: BTreeMap<String, Const> = eqs
             .iter()
             .filter_map(|eq| match eq {
@@ -855,276 +810,6 @@ fn factor_common_subexpressions(
     eqs.extend(new_eqs);
 }
 
-// ---------------------------------------------------------------------
-// Prelude hoisting
-// ---------------------------------------------------------------------
-
-/// For every node targeted by an `infer` site, splits its particle-
-/// invariant top-level equations into generated `f#prelude` / `f#main`
-/// nodes and records the [`HoistPlan`]. The original node stays in the
-/// program untouched (it may also be applied directly).
-fn plan_hoists(prog: &mut Program, report: &mut OptReport) {
-    let facts = effects::analyze_program(prog);
-    let summaries = facts.summaries();
-    let mut targets: Vec<String> = Vec::new();
-    let mut unsafe_args: HashSet<String> = HashSet::new();
-    for node in &prog.nodes {
-        crate::analysis::walk(&node.body, &mut |e| {
-            if let Expr::Infer { node: f, arg, .. } = e {
-                if !targets.contains(f) {
-                    targets.push(f.clone());
-                }
-                // The site argument moves from per-particle evaluation
-                // into the shared per-tick prelude, so it must itself be
-                // particle-invariant: deterministic effect, no engines.
-                if effects::effect_of(arg, summaries) > Effect::Det
-                    || effects::uses_engine(arg, summaries)
-                {
-                    unsafe_args.insert(f.clone());
-                }
-            }
-        });
-    }
-    targets.retain(|f| !unsafe_args.contains(f));
-    // Probabilistic nodes are also driver-facing `infer_node` targets,
-    // where the tick input reaches the prelude directly (no argument
-    // expression to guard), so they are always safe to plan.
-    for node in &prog.nodes {
-        if facts.node_effect(&node.name) == Effect::Prob && !targets.contains(&node.name) {
-            targets.push(node.name.clone());
-        }
-    }
-    let mut generated: Vec<(usize, NodeDecl, NodeDecl)> = Vec::new();
-    for f in targets {
-        let Some(idx) = prog.nodes.iter().position(|n| n.name == f) else {
-            continue;
-        };
-        let decl = &prog.nodes[idx];
-        let Expr::Where { body, eqs } = decl.body.peel() else {
-            continue;
-        };
-        let Some(inv) = facts.invariant.get(&f) else {
-            continue;
-        };
-        if inv.is_empty() {
-            continue;
-        }
-        // Bail out if a nested block rebinds a hoisted name — the
-        // `last` substitution below would capture it.
-        let mut nested_defs: HashSet<String> = HashSet::new();
-        crate::analysis::walk(&decl.body, &mut |e| {
-            if let Expr::Where { eqs: inner, .. } = e {
-                if !std::ptr::eq(e, decl.body.peel()) {
-                    for eq in inner {
-                        if let Eq::Def { name, .. } | Eq::Init { name, .. } = eq {
-                            nested_defs.insert(name.clone());
-                        }
-                    }
-                }
-            }
-        });
-        if inv.iter().any(|h| nested_defs.contains(h)) {
-            continue;
-        }
-        // What does the residual read from the hoisted set?
-        let mut now_out: BTreeSet<String> = BTreeSet::new();
-        let mut prev_out: BTreeSet<String> = BTreeSet::new();
-        let mut note = |e: &Expr| {
-            let (now, lasts) = effects::split_reads(e);
-            now_out.extend(now.intersection(inv).cloned());
-            prev_out.extend(lasts.intersection(inv).cloned());
-        };
-        for eq in eqs {
-            if let Eq::Def { name, expr } = eq {
-                if !inv.contains(name) {
-                    note(expr);
-                }
-            }
-        }
-        note(body);
-        let outputs: Vec<PreludeOut> = inv
-            .iter()
-            .flat_map(|h| {
-                let mut outs = Vec::new();
-                if now_out.contains(h) {
-                    outs.push(PreludeOut::Now(h.clone()));
-                }
-                if prev_out.contains(h) {
-                    outs.push(PreludeOut::Prev(h.clone()));
-                }
-                outs
-            })
-            .collect();
-        if outputs.is_empty() {
-            continue; // nothing flows to the residual: hoisting is moot
-        }
-
-        // Prelude node: the hoisted equations (defs and their inits, in
-        // scheduled order) plus a `#prev` reader per `last` output.
-        let mut pre_eqs: Vec<Eq> = eqs
-            .iter()
-            .filter(|eq| match eq {
-                Eq::Def { name, .. } | Eq::Init { name, .. } => inv.contains(name),
-                Eq::Automaton { .. } => false,
-            })
-            .cloned()
-            .collect();
-        for h in &prev_out {
-            pre_eqs.push(Eq::Def {
-                name: format!("{h}#prev"),
-                expr: Expr::Last(h.clone()),
-            });
-        }
-        let out_exprs: Vec<Expr> = outputs.iter().map(|o| Expr::Var(o.var())).collect();
-        let pre_body = nest_pairs(out_exprs);
-        let prelude = NodeDecl {
-            name: format!("{f}#prelude"),
-            param: decl.param.clone(),
-            body: Expr::Where {
-                body: Box::new(pre_body),
-                eqs: pre_eqs,
-            },
-        };
-
-        // Residual node: everything else, with `last h` reads redirected
-        // to the prelude's `h#prev` output.
-        let prevs: HashSet<&String> = prev_out.iter().collect();
-        let main_eqs: Vec<Eq> = eqs
-            .iter()
-            .filter(|eq| match eq {
-                Eq::Def { name, .. } | Eq::Init { name, .. } => !inv.contains(name),
-                Eq::Automaton { .. } => true,
-            })
-            .map(|eq| match eq {
-                Eq::Def { name, expr } => Eq::Def {
-                    name: name.clone(),
-                    expr: subst_last(expr, &prevs),
-                },
-                other => other.clone(),
-            })
-            .collect();
-        let main_body = subst_last(body, &prevs);
-        let out_pat = nest_pair_pattern(outputs.iter().map(|o| Pattern::Var(o.var())).collect());
-        let main = NodeDecl {
-            name: format!("{f}#main"),
-            param: Pattern::Pair(Box::new(decl.param.clone()), Box::new(out_pat)),
-            body: if main_eqs.is_empty() {
-                main_body
-            } else {
-                Expr::Where {
-                    body: Box::new(main_body),
-                    eqs: main_eqs,
-                }
-            },
-        };
-
-        let hoisted: Vec<String> = inv.iter().cloned().collect();
-        report.diagnostics.push(
-            Diagnostic::lint(
-                Code::OPT_HOISTED_PRELUDE,
-                format!(
-                    "node `{f}`: {} particle-invariant equation(s) hoisted into a shared \
-                     per-tick prelude: {}",
-                    hoisted.len(),
-                    hoisted.join(", ")
-                ),
-            )
-            .with_pos(decl.body.span()),
-        );
-        report.plans.insert(
-            f.clone(),
-            HoistPlan {
-                node: f.clone(),
-                prelude_node: prelude.name.clone(),
-                main_node: main.name.clone(),
-                hoisted,
-                outputs,
-            },
-        );
-        generated.push((idx, prelude, main));
-    }
-    // Insert generated nodes right after their original, later indices
-    // first so earlier positions stay valid.
-    generated.sort_by_key(|(idx, _, _)| std::cmp::Reverse(*idx));
-    for (idx, prelude, main) in generated {
-        prog.nodes.insert(idx + 1, main);
-        prog.nodes.insert(idx + 1, prelude);
-    }
-}
-
-/// `last h` → `h#prev` for hoisted streams (applied to residual
-/// equations; capture was excluded by the nested-rebind bailout).
-fn subst_last(e: &Expr, prevs: &HashSet<&String>) -> Expr {
-    match e {
-        Expr::Last(h) if prevs.contains(h) => Expr::Var(format!("{h}#prev")),
-        Expr::At(inner, p) => Expr::at(subst_last(inner, prevs), *p),
-        Expr::Const(_) | Expr::Var(_) | Expr::Last(_) => e.clone(),
-        Expr::Pair(a, b) => Expr::pair(subst_last(a, prevs), subst_last(b, prevs)),
-        Expr::Op(op, args) => Expr::Op(*op, args.iter().map(|a| subst_last(a, prevs)).collect()),
-        Expr::App(f, arg) => Expr::App(f.clone(), Box::new(subst_last(arg, prevs))),
-        Expr::Where { body, eqs } => Expr::Where {
-            body: Box::new(subst_last(body, prevs)),
-            eqs: eqs
-                .iter()
-                .map(|eq| match eq {
-                    Eq::Def { name, expr } => Eq::Def {
-                        name: name.clone(),
-                        expr: subst_last(expr, prevs),
-                    },
-                    other => other.clone(),
-                })
-                .collect(),
-        },
-        Expr::Present { cond, then, els } => Expr::Present {
-            cond: Box::new(subst_last(cond, prevs)),
-            then: Box::new(subst_last(then, prevs)),
-            els: Box::new(subst_last(els, prevs)),
-        },
-        Expr::Reset { body, every } => Expr::Reset {
-            body: Box::new(subst_last(body, prevs)),
-            every: Box::new(subst_last(every, prevs)),
-        },
-        Expr::If { cond, then, els } => Expr::If {
-            cond: Box::new(subst_last(cond, prevs)),
-            then: Box::new(subst_last(then, prevs)),
-            els: Box::new(subst_last(els, prevs)),
-        },
-        Expr::Sample(d) => Expr::Sample(Box::new(subst_last(d, prevs))),
-        Expr::Observe(d, v) => Expr::Observe(
-            Box::new(subst_last(d, prevs)),
-            Box::new(subst_last(v, prevs)),
-        ),
-        Expr::Factor(w) => Expr::Factor(Box::new(subst_last(w, prevs))),
-        Expr::ValueOp(x) => Expr::ValueOp(Box::new(subst_last(x, prevs))),
-        Expr::Infer {
-            particles,
-            node,
-            arg,
-        } => Expr::Infer {
-            particles: *particles,
-            node: node.clone(),
-            arg: Box::new(subst_last(arg, prevs)),
-        },
-        Expr::Arrow(..) | Expr::Pre(..) | Expr::Fby(..) => e.clone(),
-    }
-}
-
-fn nest_pairs(mut items: Vec<Expr>) -> Expr {
-    let last = items.pop().expect("at least one output");
-    items
-        .into_iter()
-        .rev()
-        .fold(last, |acc, e| Expr::pair(e, acc))
-}
-
-fn nest_pair_pattern(mut items: Vec<Pattern>) -> Pattern {
-    let last = items.pop().expect("at least one output");
-    items
-        .into_iter()
-        .rev()
-        .fold(last, |acc, p| Pattern::Pair(Box::new(p), Box::new(acc)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1215,77 +900,5 @@ mod tests {
         assert_eq!(r.cse, 1);
         assert_eq!(eq_expr(&p, "f", "a").peel(), &Expr::Var("_cse1".into()));
         assert_eq!(eq_expr(&p, "f", "b").peel(), &Expr::Var("_cse1".into()));
-    }
-
-    #[test]
-    fn hmm_first_flags_hoist_into_a_prelude() {
-        let (p, r) = optimized(
-            "let node hmm y = x where
-               rec x = sample (gaussian ((0. -> pre x), (100. -> 1.)))
-               and () = observe (gaussian (x, 1.), y)
-             let node main y = infer 10 hmm y",
-        );
-        let plan = r.plans.get("hmm").expect("hmm should have a hoist plan");
-        assert_eq!(plan.prelude_node, "hmm#prelude");
-        assert_eq!(plan.main_node, "hmm#main");
-        assert_eq!(plan.hoisted, vec!["_first1", "_first2"]);
-        assert_eq!(
-            plan.outputs,
-            vec![
-                PreludeOut::Prev("_first1".into()),
-                PreludeOut::Prev("_first2".into())
-            ]
-        );
-        // Both generated nodes exist; the original is untouched.
-        assert!(p.node("hmm").is_some());
-        let pre = p.node("hmm#prelude").unwrap();
-        let Expr::Where { eqs, .. } = pre.body.peel() else {
-            panic!()
-        };
-        assert!(eqs.iter().any(|e| e.name() == "_first1#prev"));
-        let main = p.node("hmm#main").unwrap();
-        // Residual `last _first1` reads became prelude-output reads.
-        let mut lasts = Vec::new();
-        crate::analysis::walk(&main.body, &mut |e| {
-            if let Expr::Last(n) = e {
-                lasts.push(n.clone());
-            }
-        });
-        assert!(lasts.iter().all(|n| !n.starts_with("_first")), "{lasts:?}");
-        assert!(r
-            .diagnostics
-            .iter()
-            .any(|d| d.code == Code::OPT_HOISTED_PRELUDE));
-    }
-
-    #[test]
-    fn nodes_without_invariant_equations_get_no_plan() {
-        let (_, r) = optimized(
-            "let node m y = sample (gaussian (y, 1.))
-             let node main y = infer 10 m y",
-        );
-        assert!(r.plans.is_empty());
-    }
-
-    #[test]
-    fn counter_input_hoists_fully() {
-        // A deterministic preprocessing stream feeding the sample is
-        // exactly what the prelude exists for.
-        let (p, r) = optimized(
-            "let node f y = x where
-               rec t = (0. -> pre t +. 1.)
-               and x = sample (gaussian (t, 1.))
-               and () = observe (gaussian (x, 1.), y)
-             let node main y = infer 10 f y",
-        );
-        let plan = r.plans.get("f").expect("plan");
-        assert!(plan.hoisted.contains(&"t".to_string()), "{plan:?}");
-        assert!(plan.outputs.contains(&PreludeOut::Now("t".into())));
-        // The residual no longer defines `t`.
-        let main = p.node("f#main").unwrap();
-        let Expr::Where { eqs, .. } = main.body.peel() else {
-            panic!()
-        };
-        assert!(!eqs.iter().any(|e| e.name() == "t"), "{eqs:?}");
     }
 }

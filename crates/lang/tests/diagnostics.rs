@@ -115,15 +115,6 @@ fn resample_free_lints_at_the_infer_site() {
 }
 
 #[test]
-fn opt_hoist_reports_the_prelude_equations() {
-    let diags = opt_bad("opt_hoist.zl");
-    let d = find(&diags, Code::OPT_HOISTED_PRELUDE);
-    assert_eq!(d.severity, Severity::Lint);
-    assert!(d.message.contains("`drifty`"), "{}", d.message);
-    assert!(d.message.contains("drift"), "{}", d.message);
-}
-
-#[test]
 fn opt_dead_stream_points_at_the_deleted_equation() {
     let diags = opt_bad("opt_dead.zl");
     let d = find(&diags, Code::OPT_DEAD_STREAM);
@@ -155,15 +146,10 @@ fn opt_const_fold_names_the_folded_value() {
 #[test]
 fn opt_codes_never_come_from_plain_check() {
     // `check --lint` must stay oblivious to the optimizer: its corpus
-    // gate requires the good examples to be diagnostic-free even though
-    // every one of them gets a hoist plan under `pzc opt`.
-    let opt_codes = [
-        Code::OPT_HOISTED_PRELUDE,
-        Code::OPT_DEAD_STREAM,
-        Code::OPT_CSE,
-        Code::OPT_CONST_FOLD,
-    ];
-    for file in ["opt_hoist.zl", "opt_cse.zl", "opt_fold.zl"] {
+    // gate requires the good examples to be diagnostic-free even when
+    // `pzc opt` rewrites them.
+    let opt_codes = [Code::OPT_DEAD_STREAM, Code::OPT_CSE, Code::OPT_CONST_FOLD];
+    for file in ["opt_dead.zl", "opt_cse.zl", "opt_fold.zl"] {
         let (_, diags) = check_bad(file, true);
         assert!(
             diags.iter().all(|d| !opt_codes.contains(&d.code)),

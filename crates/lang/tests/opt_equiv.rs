@@ -76,8 +76,8 @@ fn assert_infer_node_identical(file: &str, node: &str, particles: usize, inputs:
             );
             first_run.push(p_opt);
         }
-        // Reset must also restore the hoisted prelude's state: a
-        // second run replays the first bit-for-bit.
+        // Reset restores the initial state: a second run replays the
+        // first bit-for-bit.
         eng_opt.reset();
         for (t, input) in inputs.iter().enumerate() {
             let p = eng_opt.step(input).unwrap();
@@ -118,27 +118,6 @@ fn assert_instance_identical(file: &str, node: &str, inputs: &[Value]) {
 }
 
 #[test]
-fn hmm_gets_a_hoist_plan() {
-    let (_, opt) = both("hmm.zl");
-    let plan = opt
-        .plans
-        .get("hmm")
-        .expect("hmm should hoist its arrow flags");
-    assert!(
-        !plan.hoisted.is_empty(),
-        "plan should name hoisted equations"
-    );
-    assert!(opt.kernel.node(&plan.prelude_node).is_some());
-    assert!(opt.kernel.node(&plan.main_node).is_some());
-}
-
-#[test]
-fn coin_gets_a_hoist_plan() {
-    let (_, opt) = both("coin.zl");
-    assert!(opt.plans.contains_key("coin"), "coin should hoist its flag");
-}
-
-#[test]
 fn hmm_posteriors_are_bit_identical() {
     let inputs: Vec<Value> = float_inputs(40).into_iter().map(Value::Float).collect();
     assert_infer_node_identical("hmm.zl", "hmm", 50, &inputs);
@@ -156,7 +135,7 @@ fn coin_posteriors_are_bit_identical() {
 #[test]
 fn hmm_embedded_main_is_identical() {
     // `main` runs `infer 1000 hmm y` as an embedded engine: this is the
-    // EngineInit/Infer prelude path rather than the driver path.
+    // EngineInit/Infer path rather than the driver path.
     let inputs: Vec<Value> = float_inputs(15).into_iter().map(Value::Float).collect();
     assert_instance_identical("hmm.zl", "main", &inputs);
 }
@@ -196,8 +175,7 @@ fn robot_inputs(n: usize) -> Vec<Value> {
 
 #[test]
 fn robot_outputs_are_identical() {
-    // The inferred node has no invariant equations, so this checks that
-    // the *other* passes (fold/DSE/CSE) stay transparent on a big program.
+    // Fold/DSE/CSE stay transparent on a big program.
     let inputs = robot_inputs(12);
     assert_instance_identical("robot.zl", "robot", &inputs);
     assert_instance_identical("robot.zl", "task_bot", &inputs);

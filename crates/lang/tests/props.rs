@@ -11,8 +11,8 @@ use probzelus_lang::{ExecBackend, Options};
 use proptest::prelude::*;
 
 /// Builds a randomly shaped but well-kinded kernel program covering the
-/// constructs the lowering pass handles: arrow flags (`Select` ops after
-/// hoisting), `pre`-carried state (register-file state slots), nested
+/// constructs the lowering pass handles: arrow flags (`Select` ops),
+/// `pre`-carried state (register-file state slots), nested
 /// tuples, arithmetic chains, a conditional observation mean, and a
 /// sampled/observed latent.
 #[allow(clippy::too_many_arguments)]

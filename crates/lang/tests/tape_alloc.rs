@@ -14,8 +14,8 @@
 //!
 //! The step cost is also the same at 10 and at 100 particles: a particle
 //! step on the tape allocates nothing, and what a tick allocates (the
-//! hoisted prelude, the tick input and its prologue, the engine's own
-//! bookkeeping) does not scale with the particle count.
+//! tick input and its prologue, the engine's own bookkeeping) does not
+//! scale with the particle count.
 //!
 //! Under streaming delayed sampling `gps_acc_tracker` keeps its velocity
 //! and position as affine terms over several acceleration variables, and
@@ -207,9 +207,9 @@ fn robot_inputs() -> Vec<Value> {
 
 #[test]
 fn hmm_pf_tick_allocations_are_pinned() {
-    // All of it is the hoisted prelude, which still runs on the
-    // interpreter once per tick.
-    assert_steady("hmm.zl", "hmm", &hmm_inputs(), |_| 40);
+    // The engine's own four, as in the robot tracker below: the float
+    // input is not boxed and the tape has no prologue.
+    assert_steady("hmm.zl", "hmm", &hmm_inputs(), |_| 4);
 }
 
 #[test]

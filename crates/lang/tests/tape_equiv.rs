@@ -352,8 +352,7 @@ fn assert_outcomes_identical(
 }
 
 /// A runtime error raised in a particle step, on either backend and
-/// through either pipeline (the optimizing one runs `hmm`'s invariant
-/// equations in the hoisted prelude), prints its stage once: the error
+/// through either pipeline, prints its stage once: the error
 /// crosses the engine as a `RuntimeError` and back into a `LangError`.
 #[test]
 fn runtime_errors_carry_one_stage_prefix() {
@@ -427,20 +426,19 @@ fn escaping_distribution_stays_boxed() {
             .for_each(|o| assert!(o.is_ok(), "{node}: {o:?}"));
         }
     }
-    // The optimizing pipeline hoists `returned`'s distribution into the
-    // prelude; the plain one keeps both in the particle.
-    let [plain, _] = both_pipelines(ESCAPE);
-    let ops = lowered(&plain, "escape").ops;
-    assert!(
-        ops.iter().any(|op| matches!(op, Op::Sample { .. }))
-            && ops.iter().any(|op| matches!(op, Op::Observe { .. })),
-        "escape: the shared distribution was fused: {ops:?}"
-    );
-    let ops = lowered(&plain, "returned").ops;
-    assert!(
-        ops.iter().any(|op| matches!(op, Op::Sample { .. })),
-        "returned: the returned distribution was fused: {ops:?}"
-    );
+    for compiled in both_pipelines(ESCAPE) {
+        let ops = lowered(&compiled, "escape").ops;
+        assert!(
+            ops.iter().any(|op| matches!(op, Op::Sample { .. }))
+                && ops.iter().any(|op| matches!(op, Op::Observe { .. })),
+            "escape: the shared distribution was fused: {ops:?}"
+        );
+        let ops = lowered(&compiled, "returned").ops;
+        assert!(
+            ops.iter().any(|op| matches!(op, Op::Sample { .. })),
+            "returned: the returned distribution was fused: {ops:?}"
+        );
+    }
 }
 
 /// Hand-written µF transitions `name = fun pat -> body`, all over the

@@ -124,11 +124,12 @@ fn hmm_tape_is_fully_flattened() {
         (1, 1),
         "hmm samples and observes once per tick"
     );
-    // The two projections of the prelude's broadcast flags run once per
-    // tick, not per particle.
-    assert_eq!(prog.prologue, 2, "hmm prologue");
-    // The only state is the memory of `pre x`.
-    assert_eq!(prog.state_in.len(), 1, "hmm state slots");
+    // The input is a float: there is nothing to project once per tick.
+    assert_eq!(prog.prologue, 0, "hmm prologue");
+    // The state is the memory of `pre x` and the two `->` flags.
+    assert_eq!(prog.state_in.len(), 3, "hmm state slots");
+    // The transition captures nothing from its environment.
+    assert!(prog.env_slots.is_empty(), "hmm env slots");
     // The driver node embeds `infer` and must stay on the interpreter.
     let main = compiled
         .lower_node("main", options())
@@ -161,14 +162,10 @@ fn robot_tracker_tape_is_fully_flattened() {
 }
 
 /// The initial state a node's particles start from, computed the way the
-/// engine does (a hoisted node starts from its residual `#main` node).
+/// engine does.
 fn init_state(compiled: &Compiled, node: &str) -> MufValue {
     let interp = Interp::new(&compiled.muf, options()).expect("interp builds");
-    let owner = compiled
-        .plans
-        .get(node)
-        .map_or(node, |plan| plan.main_node.as_str());
-    let init = interp.global(&init_name(owner)).expect("init compiled");
+    let init = interp.global(&init_name(node)).expect("init compiled");
     interp
         .apply(&init, MufValue::unit(), &mut ProbSlot::Det)
         .expect("init runs")

@@ -13,10 +13,10 @@
 //! accelerometer readings every step and a GPS fix every `gps_every`
 //! steps.
 //!
-//! Per §5.3, the model realizes the current acceleration at the end of
-//! each instant (the paper's `value`-forcing idiom) and compacts its
-//! symbolic state, so memory stays bounded while the accelerometer and GPS
-//! updates within the instant remain exact.
+//! Per §5.3, the model realizes the acceleration from two instants ago
+//! (the paper's `value`-forcing idiom, `value (0. -> pre (0. -> pre a))`
+//! in `examples/zelus/robot.zl`), so the delayed-sampling graph stays
+//! bounded while the accelerometer and GPS updates remain exact.
 
 use crate::models::MseTracker;
 use probzelus_core::error::RuntimeError;
@@ -115,10 +115,15 @@ pub struct TrackerInput {
     pub cmd: f64,
 }
 
-/// The `gps_acc_tracker` node of Fig. 5 as an embedded model.
+/// The `gps_acc_tracker` node of Fig. 5 as an embedded model: the same
+/// model as `examples/zelus/robot.zl`'s, step for step.
 #[derive(Debug, Clone)]
 pub struct GpsAccTracker {
     first: bool,
+    /// The acceleration of the previous instant (`pre a`).
+    a1: Value,
+    /// The acceleration of two instants ago (`pre (pre a)`).
+    a2: Value,
     v: Value,
     p: Value,
 }
@@ -127,6 +132,8 @@ impl Default for GpsAccTracker {
     fn default() -> Self {
         GpsAccTracker {
             first: true,
+            a1: Value::Float(0.0),
+            a2: Value::Float(0.0),
             v: Value::Float(0.0),
             p: Value::Float(0.0),
         }
@@ -156,6 +163,9 @@ impl Model for GpsAccTracker {
             let p = ops::add(&self.p, &ops::mul(&v, &Value::Float(H))?)?;
             (v, p)
         };
+        // () = value (0. -> pre (0. -> pre a)): the bounded-memory
+        // discipline (§5.3) realizes the acceleration of two instants ago.
+        ctx.force(&self.a2)?;
         // present gps(p_obs) -> observe (gaussian (p, p_noise), p_obs)
         if let Some(p_obs) = input.gps {
             ctx.observe(
@@ -163,11 +173,10 @@ impl Model for GpsAccTracker {
                 &Value::Float(p_obs),
             )?;
         }
-        // Bounded-memory discipline (§5.3): the acceleration is realized at
-        // the end of the instant and the integrator state compacted.
-        ctx.force(&a)?;
-        self.v = ctx.simplify(&v);
-        self.p = ctx.simplify(&p);
+        // The engine compacts the state after the step.
+        self.a2 = std::mem::replace(&mut self.a1, a);
+        self.v = v;
+        self.p = p.clone();
         self.first = false;
         Ok(p)
     }
@@ -176,7 +185,11 @@ impl Model for GpsAccTracker {
         *self = GpsAccTracker::default();
     }
 
+    // The DSL's state order: the accelerations first, then the
+    // integrators, so BDS forces them in the same order.
     fn for_each_state_value(&mut self, f: &mut dyn FnMut(&mut Value)) {
+        f(&mut self.a1);
+        f(&mut self.a2);
         f(&mut self.v);
         f(&mut self.p);
     }

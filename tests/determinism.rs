@@ -186,7 +186,6 @@ fn decision_trace_replay_is_bitwise_identical_across_workers() {
     let mut cfg = DeadlineConfig::new(-1.0);
     cfg.floor = 6;
     cfg.window = 4;
-    cfg.cooldown = 2;
     let mut live = Infer::with_seed(Method::StreamingDs, PARTICLES, Kalman::default(), SEED)
         .with_deadline(cfg);
     let mut live_bits = Vec::new();

@@ -256,7 +256,6 @@ fn deadline_controller_exports_decision_events_and_miss_counters() {
     let mut cfg = DeadlineConfig::new(-1.0); // every tick misses
     cfg.floor = 4;
     cfg.window = 4;
-    cfg.cooldown = 2;
     let mut engine = Infer::with_seed(Method::StreamingDs, 24, Kalman::default(), 13)
         .with_obs(Obs::to(sink.clone()))
         .with_deadline(cfg);

@@ -2,7 +2,7 @@
 //! full pipeline.
 
 use probzelus::core::{Method, Value};
-use probzelus::lang::{compile_source, Kind, Options};
+use probzelus::lang::{compile_source, compile_source_opt, ExecBackend, Kind, MufEngine, Options};
 use probzelus::models::{generate_coin, generate_outlier, KalmanOracle};
 
 fn opts(seed: u64) -> Options {
@@ -10,6 +10,35 @@ fn opts(seed: u64) -> Options {
         method: Method::StreamingDs,
         seed,
         ..Default::default()
+    }
+}
+
+/// One-particle SDS engines for `node`, one per compilation pipeline
+/// (plain and optimizing) and execution backend, each labelled.
+fn every_path(src: &str, node: &str, seed: u64) -> Vec<(String, ExecBackend, MufEngine)> {
+    let pipelines = [
+        ("plain", compile_source(src)),
+        ("opt", compile_source_opt(src)),
+    ];
+    let mut engines = Vec::new();
+    for (name, c) in pipelines {
+        let c = c.unwrap();
+        for backend in [ExecBackend::Interp, ExecBackend::Tape] {
+            let options = Options {
+                backend,
+                ..opts(seed)
+            };
+            let eng = c.infer_node(node, 1, options).unwrap();
+            engines.push((format!("{name}/{backend:?}"), backend, eng));
+        }
+    }
+    engines
+}
+
+/// On the tape backend the engine really ran on the tape.
+fn assert_on_tape(path: &str, backend: ExecBackend, eng: &MufEngine) {
+    if backend == ExecBackend::Tape {
+        assert_eq!(eng.tape_status(), Some(Ok(())), "{path}");
     }
 }
 
@@ -36,18 +65,19 @@ fn appendix_b1_kalman() {
           rec xt = sample (gaussian ((0. -> pre xt), (100. -> 1.)))
           and () = observe (gaussian (xt, 1.), yobs)
     "#;
-    let c = compile_source(src).unwrap();
-    let mut eng = c.infer_node("delay_kalman", 1, opts(1)).unwrap();
-    let mut oracle = KalmanOracle::new();
-    for t in 0..100 {
-        let y = (t as f64 * 0.17).sin() * 3.0;
-        let post = eng.step(&Value::Float(y)).unwrap();
-        let (m, v) = oracle.step(y);
-        assert!((post.mean_float() - m).abs() < 1e-9, "step {t}");
-        assert!((post.variance_float() - v).abs() < 1e-9, "step {t}");
+    for (path, backend, mut eng) in every_path(src, "delay_kalman", 1) {
+        let mut oracle = KalmanOracle::new();
+        for t in 0..100 {
+            let y = (t as f64 * 0.17).sin() * 3.0;
+            let post = eng.step(&Value::Float(y)).unwrap();
+            let (m, v) = oracle.step(y);
+            assert!((post.mean_float() - m).abs() < 1e-9, "{path} step {t}");
+            assert!((post.variance_float() - v).abs() < 1e-9, "{path} step {t}");
+        }
+        // Constant memory (Fig. 4).
+        assert!(eng.memory().live_nodes <= 3, "{path}");
+        assert_on_tape(&path, backend, &eng);
     }
-    // Constant memory (Fig. 4).
-    assert!(eng.memory().live_nodes <= 3);
 }
 
 #[test]
@@ -64,23 +94,24 @@ fn appendix_b2_coin() {
     // our kernel's `init` takes constants (Fig. 6), so the sampled
     // initialization is expressed with `->` and `last`, which the paper
     // shows equivalent (§3.1).
-    let c = compile_source(src).unwrap();
-    let mut eng = c.infer_node("coin", 1, opts(2)).unwrap();
     let data = generate_coin(5, 80);
-    let (mut a, mut b) = (1.0, 1.0);
-    for y in &data.obs {
-        let post = eng.step(&Value::Bool(*y)).unwrap();
-        if *y {
-            a += 1.0;
-        } else {
-            b += 1.0;
+    for (path, backend, mut eng) in every_path(src, "coin", 2) {
+        let (mut a, mut b) = (1.0, 1.0);
+        for y in &data.obs {
+            let post = eng.step(&Value::Bool(*y)).unwrap();
+            if *y {
+                a += 1.0;
+            } else {
+                b += 1.0;
+            }
+            assert!(
+                (post.mean_float() - a / (a + b)).abs() < 1e-9,
+                "{path}: {} vs {}",
+                post.mean_float(),
+                a / (a + b)
+            );
         }
-        assert!(
-            (post.mean_float() - a / (a + b)).abs() < 1e-9,
-            "{} vs {}",
-            post.mean_float(),
-            a / (a + b)
-        );
+        assert_on_tape(&path, backend, &eng);
     }
 }
 

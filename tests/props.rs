@@ -236,8 +236,8 @@ mod opt_props {
     use proptest::prelude::*;
 
     /// Builds a randomly shaped but well-kinded kernel program exercising
-    /// every optimizer pass: a foldable constant chain, hoistable
-    /// particle-invariant streams (`pre`-carried, constant-fed), an
+    /// every optimizer pass: a foldable constant chain, deterministic
+    /// streams (`pre`-carried, constant-fed), an
     /// optional dead stream, an optional repeated pure subexpression
     /// (CSE target), and a sampled/observed latent.
     #[allow(clippy::too_many_arguments)]
@@ -297,10 +297,6 @@ mod opt_props {
             let src = program(g, d, a, q, r, with_dead, with_cse, with_gain);
             let base = compile_source(&src).unwrap();
             let opt = compile_source_opt(&src).unwrap();
-            prop_assert!(
-                opt.plans.contains_key("m"),
-                "the arrow flags alone should always yield a hoist plan"
-            );
             for method in [Method::ParticleFilter, Method::StreamingDs] {
                 let options = Options { method, seed: 11, ..Default::default() };
                 let mut eng_base = base.infer_node("m", 20, options).unwrap();
@@ -751,7 +747,6 @@ mod deadline_controller {
             let mut cfg = DeadlineConfig::new(budget_ms);
             cfg.floor = floor;
             cfg.window = 3;
-            cfg.cooldown = 1;
             let mut ctrl = AdaptiveController::new(cfg, initial);
             let effective_floor = floor.clamp(1, initial);
             prop_assert_eq!(ctrl.floor(), effective_floor);
@@ -793,7 +788,6 @@ mod deadline_controller {
             let mut cfg = DeadlineConfig::new(budget_ms);
             cfg.floor = 1;
             cfg.window = 2;
-            cfg.cooldown = 0;
             let mut ctrl = AdaptiveController::new(cfg, initial);
             for (tick, &ms) in latencies.iter().enumerate() {
                 ctrl.observe(tick as u64, ms);

@@ -6,8 +6,9 @@
 use probzelus::core::infer::{Infer, Method};
 use probzelus::core::stream::{Integrator, StreamNode};
 use probzelus::core::Value;
-use probzelus::lang::{compile_source, MufValue, Options};
+use probzelus::lang::{compile_source, compile_source_opt, ExecBackend, MufValue, Options};
 use probzelus::models::{generate_kalman, Kalman};
+use probzelus::robot::{GpsAccTracker, RobotPhysics, TrackerInput};
 
 const KALMAN_DSL: &str = r#"
     let node kalman y = x where
@@ -229,4 +230,81 @@ fn reset_over_infer_restarts_inference_cleanly_each_time() {
     assert!((step(5.0, true) - first_prior_update).abs() < 1e-9);
     // And a third.
     assert!((step(5.0, true) - first_prior_update).abs() < 1e-9);
+}
+
+/// The native `GpsAccTracker` is the same model as `robot.zl`'s
+/// `gps_acc_tracker` compiled through the optimizing pipeline: with the
+/// same seed and particle count, every tick's posterior mean and variance
+/// agree bit for bit, on both execution backends and under PF, BDS, SDS
+/// and classic DS. This holds although the DSL's strict `->` select also
+/// evaluates `sample` at tick 0, where the `0.` branch is taken.
+#[test]
+fn native_robot_tracker_matches_robot_zl() {
+    let compiled = compile_source_opt(include_str!("../examples/zelus/robot.zl")).unwrap();
+    let mut physics = RobotPhysics::new(5, 5);
+    let inputs: Vec<TrackerInput> = (0..120)
+        .map(|t| {
+            let cmd = (t as f64 * 0.1).sin();
+            let s = physics.step(cmd);
+            TrackerInput {
+                a_obs: s.a_obs,
+                gps: s.gps,
+                cmd,
+            }
+        })
+        .collect();
+    // `(a_obs, (has_gps, (p_obs, cmd)))`, the node's input.
+    let dsl_input = |x: &TrackerInput| {
+        Value::pair(
+            Value::Float(x.a_obs),
+            Value::pair(
+                Value::Bool(x.gps.is_some()),
+                Value::pair(Value::Float(x.gps.unwrap_or(0.0)), Value::Float(x.cmd)),
+            ),
+        )
+    };
+    for method in [
+        Method::ParticleFilter,
+        Method::BoundedDs,
+        Method::StreamingDs,
+        Method::ClassicDs,
+    ] {
+        for particles in [1, 20] {
+            for backend in [ExecBackend::Interp, ExecBackend::Tape] {
+                let seed = 31;
+                let what = format!("{method:?}, {particles} particles, {backend:?}");
+                let mut native =
+                    Infer::with_seed(method, particles, GpsAccTracker::default(), seed);
+                let options = Options {
+                    method,
+                    seed,
+                    backend,
+                };
+                let mut dsl = compiled
+                    .infer_node("gps_acc_tracker", particles, options)
+                    .unwrap();
+                for (t, x) in inputs.iter().enumerate() {
+                    let a = native.step(x).unwrap();
+                    let b = dsl.step(&dsl_input(x)).unwrap();
+                    assert_eq!(
+                        a.mean_float().to_bits(),
+                        b.mean_float().to_bits(),
+                        "{what}, tick {t}: mean {} vs {}",
+                        a.mean_float(),
+                        b.mean_float()
+                    );
+                    assert_eq!(
+                        a.variance_float().to_bits(),
+                        b.variance_float().to_bits(),
+                        "{what}, tick {t}: variance {} vs {}",
+                        a.variance_float(),
+                        b.variance_float()
+                    );
+                }
+                if backend == ExecBackend::Tape {
+                    assert_eq!(dsl.tape_status(), Some(Ok(())), "{what}");
+                }
+            }
+        }
+    }
 }

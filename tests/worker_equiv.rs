@@ -256,7 +256,6 @@ fn posteriors_match_checked_in_digests() {
     let mut cfg = DeadlineConfig::new(-1.0);
     cfg.floor = 7;
     cfg.window = 4;
-    cfg.cooldown = 2;
     let seed = NATIVE_SEEDS[0];
     let engine = Infer::with_seed(Method::ParticleFilter, PARTICLES, Kalman::default(), seed)
         .with_deadline(cfg);
