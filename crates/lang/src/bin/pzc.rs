@@ -20,14 +20,18 @@
 //!   --particles N        for probabilistic nodes       (default 1000)
 //!   --seed S             RNG seed                      (default 0)
 //!   --opt                run through the optimizing pass pipeline
-//!   --backend B          interp | tape                 (default interp)
 //! ```
 //!
-//! `emit --tape` lowers every node's per-particle transition to the flat
-//! instruction tape of the `tape` execution backend and pretty-prints it.
-//! Nodes that refuse to lower (drivers whose step embeds `infer`, or any
-//! construct the tape cannot express) print the refusal reason instead —
-//! those engines keep interpreting at runtime.
+//! `run` executes every engine on the flat instruction tape, the default
+//! backend. `emit --tape` lowers every node's per-particle transition to
+//! that tape and pretty-prints it. Nodes that refuse to lower (drivers
+//! whose step embeds `infer`, or any construct the tape cannot express)
+//! print the refusal reason instead — an engine over such a node
+//! interprets it at runtime.
+//!
+//! Every line goes to stdout through [`out`]. A reader that closes the
+//! pipe early (`pzc run … | head -n1`) ends `pzc` quietly with exit 0;
+//! any other write error is a `pzc: …` failure with exit 1.
 //!
 //! `check` exits nonzero only on error-severity diagnostics; warnings and
 //! lints are reported but do not fail the build. Deterministic nodes are
@@ -54,27 +58,52 @@ use probzelus_lang::pipeline::{
 use probzelus_lang::pretty::print_program;
 use probzelus_lang::transform::opt::OptConfig;
 use probzelus_lang::{Code, Kind, Severity};
+use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
+
+/// Why `pzc` stops before finishing its command.
+enum Stop {
+    /// Stdout's reader went away: there is nothing left to do.
+    ClosedPipe,
+    /// A failure, reported as `pzc: …` with exit 1.
+    Fail(String),
+}
+
+impl From<String> for Stop {
+    fn from(msg: String) -> Stop {
+        Stop::Fail(msg)
+    }
+}
 
 fn main() -> ExitCode {
     match run() {
         Ok(code) => code,
-        Err(msg) => {
+        Err(Stop::ClosedPipe) => ExitCode::SUCCESS,
+        Err(Stop::Fail(msg)) => {
             eprintln!("pzc: {msg}");
             ExitCode::from(1)
         }
     }
 }
 
+/// Writes to stdout: everything `pzc` prints there goes through here.
+fn out(args: std::fmt::Arguments) -> Result<(), Stop> {
+    std::io::stdout()
+        .write_fmt(args)
+        .map_err(|e| match e.kind() {
+            ErrorKind::BrokenPipe => Stop::ClosedPipe,
+            _ => Stop::Fail(format!("writing stdout: {e}")),
+        })
+}
+
 fn usage() -> String {
     "usage: pzc <check|explain|emit|opt|run|schema> FILE|CODE [NODE] [--lint] [--json] \
      [--explain PZ0xxx] [--inputs v1,v2,..] [--steps N] \
-     [--method sds|bds|pf|ds|is] [--particles N] [--seed S] [--opt] [--tape] \
-     [--backend interp|tape]"
+     [--method sds|bds|pf|ds|is] [--particles N] [--seed S] [--opt] [--tape]"
         .to_string()
 }
 
-fn run() -> Result<ExitCode, String> {
+fn run() -> Result<ExitCode, Stop> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut pos = Vec::new();
     let mut inputs: Option<String> = None;
@@ -86,7 +115,6 @@ fn run() -> Result<ExitCode, String> {
     let mut json = false;
     let mut optimize = false;
     let mut tape = false;
-    let mut backend = ExecBackend::Interp;
     let mut explain: Option<String> = None;
 
     let mut it = args.into_iter();
@@ -97,13 +125,6 @@ fn run() -> Result<ExitCode, String> {
             "--json" => json = true,
             "--opt" => optimize = true,
             "--tape" => tape = true,
-            "--backend" => {
-                backend = match flag_value("--backend")?.as_str() {
-                    "interp" => ExecBackend::Interp,
-                    "tape" => ExecBackend::Tape,
-                    other => return Err(format!("unknown backend `{other}`")),
-                }
-            }
             "--explain" => explain = Some(flag_value("--explain")?),
             "--inputs" => inputs = Some(flag_value("--inputs")?),
             "--steps" => {
@@ -130,11 +151,11 @@ fn run() -> Result<ExitCode, String> {
                     "pf" => Method::ParticleFilter,
                     "ds" => Method::ClassicDs,
                     "is" => Method::Importance,
-                    other => return Err(format!("unknown method `{other}`")),
+                    other => return Err(format!("unknown method `{other}`").into()),
                 }
             }
             other if other.starts_with("--") => {
-                return Err(format!("unknown flag `{other}`\n{}", usage()))
+                return Err(format!("unknown flag `{other}`\n{}", usage()).into())
             }
             other => pos.push(other.to_string()),
         }
@@ -145,13 +166,13 @@ fn run() -> Result<ExitCode, String> {
     }
 
     if pos.first().map(String::as_str) == Some("schema") {
-        print!("{}", schema_md());
+        out(format_args!("{}", schema_md()))?;
         return Ok(ExitCode::SUCCESS);
     }
 
     let (cmd, arg) = match (pos.first(), pos.get(1)) {
         (Some(c), Some(f)) => (c.clone(), f.clone()),
-        _ => return Err(usage()),
+        _ => return Err(usage().into()),
     };
 
     if cmd == "explain" {
@@ -170,8 +191,8 @@ fn run() -> Result<ExitCode, String> {
     };
 
     match cmd.as_str() {
-        "check" => Ok(check(&file, &src, lint, json)),
-        "opt" => Ok(opt_cmd(&file, &src, json)),
+        "check" => check(&file, &src, lint, json),
+        "opt" => opt_cmd(&file, &src, json),
         "emit" => {
             let compiled = compile(&src)?;
             if tape {
@@ -183,17 +204,17 @@ fn run() -> Result<ExitCode, String> {
                 let mut names: Vec<&String> = compiled.kinds.keys().collect();
                 names.sort();
                 for name in names {
-                    println!("=== {name} ===");
+                    out(format_args!("=== {name} ===\n"))?;
                     match compiled
                         .lower_node(name, options)
                         .map_err(|e| e.to_string())?
                     {
-                        Ok(prog) => print!("{}", prog.render()),
-                        Err(reason) => println!("not lowered: {reason}"),
+                        Ok(prog) => out(format_args!("{}", prog.render()))?,
+                        Err(reason) => out(format_args!("not lowered: {reason}\n"))?,
                     }
                 }
             } else {
-                print!("{}", print_muf_program(&compiled.muf));
+                out(format_args!("{}", print_muf_program(&compiled.muf)))?;
             }
             Ok(ExitCode::SUCCESS)
         }
@@ -214,17 +235,17 @@ fn run() -> Result<ExitCode, String> {
             let options = Options {
                 method,
                 seed,
-                backend,
+                backend: ExecBackend::Tape,
             };
             match compiled.kinds.get(node.as_str()) {
-                None => Err(format!("unknown node `{node}`")),
+                None => Err(format!("unknown node `{node}`").into()),
                 Some(Kind::D) => {
                     let mut inst = compiled
                         .instantiate(&node, options)
                         .map_err(|e| e.to_string())?;
                     for t in 0..n {
-                        let out = inst.step(stream(t)).map_err(|e| e.to_string())?;
-                        println!("{t}: {}", render(&out));
+                        let v = inst.step(stream(t)).map_err(|e| e.to_string())?;
+                        out(format_args!("{t}: {}\n", render(&v)))?;
                     }
                     Ok(ExitCode::SUCCESS)
                 }
@@ -232,20 +253,22 @@ fn run() -> Result<ExitCode, String> {
                     let mut eng = compiled
                         .infer_node(&node, particles, options)
                         .map_err(|e| e.to_string())?;
-                    println!("running {node} under {} with {particles} particles", method);
+                    out(format_args!(
+                        "running {node} under {method} with {particles} particles\n"
+                    ))?;
                     for t in 0..n {
                         let post = eng.step(&stream(t)).map_err(|e| e.to_string())?;
-                        println!(
-                            "{t}: mean {:.6}  var {:.6}",
+                        out(format_args!(
+                            "{t}: mean {:.6}  var {:.6}\n",
                             post.mean_float(),
                             post.variance_float()
-                        );
+                        ))?;
                     }
                     Ok(ExitCode::SUCCESS)
                 }
             }
         }
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
+        other => Err(format!("unknown command `{other}`\n{}", usage()).into()),
     }
 }
 
@@ -327,7 +350,7 @@ not defects.
 
 /// `pzc check`: pipeline + boundedness analysis (+ lints), diagnostics to
 /// stderr, node summary to stdout. Exits nonzero only on hard errors.
-fn check(file: &str, src: &str, lint: bool, json: bool) -> ExitCode {
+fn check(file: &str, src: &str, lint: bool, json: bool) -> Result<ExitCode, Stop> {
     let checked = check_source(src, lint);
     if json {
         if let Some(compiled) = &checked.compiled {
@@ -340,23 +363,26 @@ fn check(file: &str, src: &str, lint: bool, json: bool) -> ExitCode {
                     .get(name)
                     .map_or_else(|| "unknown".to_string(), |v| v.to_string());
                 let effect = compiled.effects.node_effect(name);
-                println!(
+                out(format_args!(
                     "{{\"kind\":\"node\",\"name\":\"{name}\",\"node_kind\":\"{}\",\
                      \"input\":\"{}\",\"output\":\"{}\",\"verdict\":\"{verdict}\",\
-                     \"effect\":\"{effect}\"}}",
+                     \"effect\":\"{effect}\"}}\n",
                     compiled.kinds[name], sig.input, sig.output
-                );
+                ))?;
             }
         }
         for d in &checked.diagnostics {
-            println!("{}", d.to_json());
+            out(format_args!("{}\n", d.to_json()))?;
         }
     } else {
         for d in &checked.diagnostics {
             eprintln!("{}", d.render(file, src));
         }
         if let Some(compiled) = &checked.compiled {
-            println!("{file}: ok ({} nodes)", compiled.kinds.len());
+            out(format_args!(
+                "{file}: ok ({} nodes)\n",
+                compiled.kinds.len()
+            ))?;
             let mut names: Vec<&String> = compiled.kinds.keys().collect();
             names.sort();
             for name in names {
@@ -366,12 +392,12 @@ fn check(file: &str, src: &str, lint: bool, json: bool) -> ExitCode {
                     .get(name)
                     .map_or_else(|| "unknown".to_string(), |v| v.to_string());
                 let effect = compiled.effects.node_effect(name);
-                println!(
-                    "  {:<4} node {name} : {} -> {}  [{verdict}] [{effect}]",
+                out(format_args!(
+                    "  {:<4} node {name} : {} -> {}  [{verdict}] [{effect}]\n",
                     compiled.kinds[name].to_string(),
                     sig.input,
                     sig.output
-                );
+                ))?;
             }
         }
         let (errors, warnings, lints) =
@@ -387,51 +413,52 @@ fn check(file: &str, src: &str, lint: bool, json: bool) -> ExitCode {
             eprintln!("{file}: {errors} error(s), {warnings} warning(s), {lints} lint(s)");
         }
     }
-    if checked.has_errors() {
+    Ok(if checked.has_errors() {
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 /// `pzc opt`: run the optimizing pass pipeline and show its work — the
 /// scheduled kernel before and after, every pass's diagnostic, and a
 /// summary line. Never fails the build (the passes are advisory surface;
 /// a program that optimizes to nothing is still a valid program).
-fn opt_cmd(file: &str, src: &str, json: bool) -> ExitCode {
+fn opt_cmd(file: &str, src: &str, json: bool) -> Result<ExitCode, Stop> {
     let optimized = match optimize_source(src, &OptConfig::default()) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("{file}: {e}");
-            return ExitCode::from(1);
+            return Ok(ExitCode::from(1));
         }
     };
     let report = &optimized.report;
     if json {
         for d in &report.diagnostics {
-            println!("{}", d.to_json());
+            out(format_args!("{}\n", d.to_json()))?;
         }
-        println!(
-            "{{\"kind\":\"opt-summary\",\"folded\":{},\"removed\":{},\"cse\":{}}}",
+        out(format_args!(
+            "{{\"kind\":\"opt-summary\",\"folded\":{},\"removed\":{},\"cse\":{}}}\n",
             report.folded, report.removed, report.cse,
-        );
+        ))?;
     } else {
-        println!("--- scheduled kernel (before) ---");
-        print!("{}", print_program(&optimized.baseline.kernel));
-        println!("--- optimized kernel (after) ---");
-        print!("{}", print_program(&optimized.compiled.kernel));
+        out(format_args!(
+            "--- scheduled kernel (before) ---\n{}--- optimized kernel (after) ---\n{}",
+            print_program(&optimized.baseline.kernel),
+            print_program(&optimized.compiled.kernel)
+        ))?;
         for d in &report.diagnostics {
             eprintln!("{}", d.render(file, src));
         }
-        println!(
-            "{file}: {} folded, {} dead stream(s) removed, {} subexpression(s) factored",
+        out(format_args!(
+            "{file}: {} folded, {} dead stream(s) removed, {} subexpression(s) factored\n",
             report.folded, report.removed, report.cse
-        );
+        ))?;
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn explain_code(spec: &str) -> Result<ExitCode, String> {
+fn explain_code(spec: &str) -> Result<ExitCode, Stop> {
     let code = Code::parse(spec).ok_or_else(|| {
         format!(
             "unknown diagnostic code `{spec}` (known: {})",
@@ -443,7 +470,7 @@ fn explain_code(spec: &str) -> Result<ExitCode, String> {
         )
     })?;
     let text = diag::explain(code).ok_or_else(|| format!("no explanation for `{code}`"))?;
-    println!("{text}");
+    out(format_args!("{text}\n"))?;
     Ok(ExitCode::SUCCESS)
 }
 

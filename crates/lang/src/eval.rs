@@ -33,14 +33,16 @@ use std::rc::Rc;
 /// Execution backend for per-particle transition functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
-    /// Tree-walking µF interpreter — the semantic oracle.
-    #[default]
+    /// Tree-walking µF interpreter — the semantic oracle the tape is
+    /// checked against.
     Interp,
-    /// Flat instruction tape (see [`crate::tape`]): each engine lowers its
-    /// transition closure to register-indexed opcodes at the first step.
-    /// Lowering is total-or-nothing per engine: any unsupported construct
-    /// makes that engine keep interpreting (bit-identical by design), and
+    /// Flat instruction tape (see [`crate::tape`]), the default: each
+    /// engine lowers its transition closure to register-indexed opcodes
+    /// at its first particle step, once. Lowering is total-or-nothing per
+    /// engine: any unsupported construct makes that engine interpret for
+    /// its lifetime (bit-identical by design), and
     /// [`MufEngine::tape_status`] reports which happened.
+    #[default]
     Tape,
 }
 
@@ -60,7 +62,7 @@ impl Default for Options {
         Options {
             method: Method::StreamingDs,
             seed: rand::random(),
-            backend: ExecBackend::Interp,
+            backend: ExecBackend::Tape,
         }
     }
 }
@@ -727,7 +729,7 @@ impl Model for MufModel {
                 &self.init_state,
                 self.takes_input,
             ) {
-                match crate::tape::step_model(
+                return Ok(crate::tape::step_model(
                     &self.interp,
                     cell,
                     &shared,
@@ -735,20 +737,7 @@ impl Model for MufModel {
                     &mut self.state,
                     ctx,
                     input,
-                )? {
-                    crate::tape::TapeStep::Done(v) => return Ok(v),
-                    // The cell was poisoned mid-run; rejoin the flat state
-                    // and continue on the interpreter path below.
-                    crate::tape::TapeStep::FallBack => {
-                        if let ModelState::Flat(slots) = &mut self.state {
-                            let slots = std::mem::take(slots);
-                            self.state = ModelState::Whole(crate::tape::join_state(
-                                &mut slots.into_iter(),
-                                &shared.prog.shape,
-                            ));
-                        }
-                    }
-                }
+                )?);
             }
         }
         let closure = self.closure.borrow().clone();
@@ -812,9 +801,8 @@ pub struct MufEngine {
     inner: Infer<MufModel>,
     closure: Rc<RefCell<MufValue>>,
     /// Shared with every particle model under [`ExecBackend::Tape`]; the
-    /// engine bumps its epoch whenever the closure slot is rewritten so
-    /// the tape refreshes its captured-environment registers, and its
-    /// tick at every step so the tape reloads the input.
+    /// engine bumps its tick at every step so the tape reloads the
+    /// closure's environment and the input.
     tape: Option<Rc<crate::tape::TapeCell>>,
 }
 
@@ -875,12 +863,10 @@ impl MufEngine {
 
     /// Replaces the transition closure (the compiled `infer` re-closes the
     /// transition over the current environment at every step, which is how
-    /// deterministic inputs flow into the model).
-    pub fn set_closure(&mut self, closure: MufValue) {
+    /// deterministic inputs flow into the model). Its one caller always
+    /// passes a closure over the same body, as the tape requires.
+    pub(crate) fn set_closure(&mut self, closure: MufValue) {
         *self.closure.borrow_mut() = closure;
-        if let Some(cell) = &self.tape {
-            cell.bump();
-        }
     }
 
     /// One inference step.
@@ -889,8 +875,8 @@ impl MufEngine {
     ///
     /// Propagates model evaluation errors.
     pub fn step(&mut self, input: &Value) -> Result<Posterior, LangError> {
-        // A new tick input: the tape reloads it (and reruns its
-        // prologue) at the first particle step of this tick.
+        // A new tick: the tape reloads the closure's environment and the
+        // input (and reruns its prologue) at the first particle step.
         if let Some(cell) = &self.tape {
             cell.next_tick();
         }
@@ -900,7 +886,7 @@ impl MufEngine {
     /// Tape-backend status: `None` under [`ExecBackend::Interp`]; under
     /// [`ExecBackend::Tape`], `Ok(())` once the transition is lowered and
     /// running on the tape, `Err(reason)` while lowering is pending (no
-    /// step taken yet) or after it fell back to the interpreter.
+    /// step taken yet) or after it refused (the engine interprets).
     pub fn tape_status(&self) -> Option<Result<(), String>> {
         self.tape.as_ref().map(|c| c.status())
     }

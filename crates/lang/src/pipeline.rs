@@ -25,6 +25,7 @@ use crate::transform::opt::{optimize_program, HoistPlan, OptConfig, OptReport};
 use crate::types::{self, NodeSig};
 use probzelus_core::infer::Method;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// A fully checked and compiled program.
 #[derive(Debug, Clone)]
@@ -347,12 +348,7 @@ impl Compiled {
         particles: usize,
         options: Options,
     ) -> Result<MufEngine, LangError> {
-        if !self.kinds.contains_key(node) {
-            return Err(LangError::new(
-                Stage::Eval,
-                format!("unknown node `{node}`"),
-            ));
-        }
+        let (interp, step, init_state) = self.transition(node, options)?;
         if particles == 0 {
             return Err(LangError::new(
                 Stage::Eval,
@@ -362,15 +358,6 @@ impl Compiled {
         if let Some(msg) = self.method_advisory(node, options.method) {
             eprintln!("warning[{}]: {msg}", Code::METHOD_MISMATCH);
         }
-        let interp = Interp::new(&self.muf, options)?;
-        let global = |name: &str| {
-            interp
-                .global(name)
-                .ok_or_else(|| LangError::new(Stage::Eval, format!("missing compiled `{name}`")))
-        };
-        let step = global(&step_name(node))?;
-        let init_thunk = global(&init_name(node))?;
-        let init_state = interp.apply(&init_thunk, MufValue::unit(), &mut ProbSlot::Det)?;
         MufEngine::new(
             interp,
             options.method,
@@ -386,9 +373,9 @@ impl Compiled {
     /// tape, without running anything — the static view behind
     /// `pzc emit --tape`.
     ///
-    /// The inner `Err` is the lowering-refusal reason (the engine would
-    /// keep interpreting); nodes whose step embeds `infer` — drivers —
-    /// refuse by design.
+    /// The inner `Err` is the lowering-refusal reason (an engine over the
+    /// node would interpret it); nodes whose step embeds `infer` — drivers
+    /// — refuse by design.
     ///
     /// # Errors
     ///
@@ -398,21 +385,7 @@ impl Compiled {
         node: &str,
         options: Options,
     ) -> Result<Result<crate::tape::TapeProgram, String>, LangError> {
-        if !self.kinds.contains_key(node) {
-            return Err(LangError::new(
-                Stage::Eval,
-                format!("unknown node `{node}`"),
-            ));
-        }
-        let interp = Interp::new(&self.muf, options)?;
-        let global = |name: &str| {
-            interp
-                .global(name)
-                .ok_or_else(|| LangError::new(Stage::Eval, format!("missing compiled `{name}`")))
-        };
-        let init_thunk = global(&init_name(node))?;
-        let init_state = interp.apply(&init_thunk, MufValue::unit(), &mut ProbSlot::Det)?;
-        let transition = global(&step_name(node))?;
+        let (interp, transition, init_state) = self.transition(node, options)?;
         let MufValue::Closure(closure) = &transition else {
             return Ok(Err(format!(
                 "transition is not a closure: {}",
@@ -425,6 +398,31 @@ impl Compiled {
             &init_state,
             true,
         ))
+    }
+
+    /// What running or lowering `node` starts from: an interpreter over
+    /// the program, the node's compiled transition and its initial state.
+    fn transition(
+        &self,
+        node: &str,
+        options: Options,
+    ) -> Result<(Rc<Interp>, MufValue, MufValue), LangError> {
+        if !self.kinds.contains_key(node) {
+            return Err(LangError::new(
+                Stage::Eval,
+                format!("unknown node `{node}`"),
+            ));
+        }
+        let interp = Interp::new(&self.muf, options)?;
+        let global = |name: &str| {
+            interp
+                .global(name)
+                .ok_or_else(|| LangError::new(Stage::Eval, format!("missing compiled `{name}`")))
+        };
+        let step = global(&step_name(node))?;
+        let init_thunk = global(&init_name(node))?;
+        let init_state = interp.apply(&init_thunk, MufValue::unit(), &mut ProbSlot::Det)?;
+        Ok((interp, step, init_state))
     }
 }
 

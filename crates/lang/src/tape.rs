@@ -13,19 +13,22 @@
 //! A steady-state particle step allocates nothing: operator operands
 //! live on the stack, a distribution that only feeds a `sample` or
 //! `observe` is built on the stack by a fused op instead of boxed into a
-//! register, and the tick input is loaded and destructured by the
-//! tape's prologue once per tick, not once per particle. What a tick
-//! still allocates is per tick (the input, the prologue's values, the
-//! engine's own bookkeeping) or per resampling clone (the flat state).
-//! The state holds only live state: the compiler gives stateless
-//! expressions none (see [`crate::compile`]), so every slot is a memory,
-//! a flag or a node's state that the step loads and stores back.
+//! register, and the tick's load (the captured environment, the input
+//! and the prologue that destructures it) runs once per tick, not once
+//! per particle. What a tick still allocates is per tick (the input, the
+//! prologue's values, the engine's own bookkeeping) or per resampling
+//! clone (the flat state). The state holds only live state: the compiler
+//! gives stateless expressions none (see [`crate::compile`]), so every
+//! slot is a memory, a flag or a node's state that the step loads and
+//! stores back.
 //!
-//! The interpreter remains the semantic oracle: lowering is
-//! total-or-nothing per engine, every opcode mirrors the corresponding
-//! `eval` branch bit-for-bit (including error messages and RNG
-//! consumption order), and any construct the lowering does not support
-//! leaves the engine interpreting, indistinguishable except for speed.
+//! The tape is the default backend, and the interpreter is its semantic
+//! oracle: every opcode mirrors the corresponding `eval` branch
+//! bit-for-bit (including error messages and RNG consumption order), and
+//! the executor never applies a closure through the interpreter. The tape hands
+//! work to the interpreter one way only: lowering is tried once, at an
+//! engine's first particle step, and a refusal leaves that engine
+//! interpreting for its lifetime, indistinguishable except for speed.
 
 use crate::ast::OpName;
 use crate::error::{LangError, Stage};
@@ -191,27 +194,6 @@ pub enum Op {
         /// Target op index.
         target: u32,
     },
-    /// Out-of-line call to a statically-known closure the lowering chose
-    /// not to inline (recursion-depth or op budget): dispatches back into
-    /// the interpreter for the callee only.
-    CallSummary {
-        /// Destination register.
-        dst: Reg,
-        /// The closure value (stable: resolved from globals at lowering).
-        f: MufValue,
-        /// Argument register.
-        arg: Reg,
-    },
-    /// Dynamic application of a register-held closure (escapes to the
-    /// interpreter, like [`Op::CallSummary`] but with a runtime callee).
-    Eval {
-        /// Destination register.
-        dst: Reg,
-        /// Closure register.
-        f: Reg,
-        /// Argument register.
-        arg: Reg,
-    },
     /// End of tape.
     Halt,
 }
@@ -231,9 +213,7 @@ impl Op {
             | Op::Sample { dst, .. }
             | Op::SampleDist { dst, .. }
             | Op::Value { dst, .. }
-            | Op::Freshen { dst, .. }
-            | Op::CallSummary { dst, .. }
-            | Op::Eval { dst, .. } => Some(*dst),
+            | Op::Freshen { dst, .. } => Some(*dst),
             Op::Observe { .. }
             | Op::ObserveDist { .. }
             | Op::Factor { .. }
@@ -262,8 +242,6 @@ impl Op {
             Op::ObserveDist { args, obs, .. } => args.iter().chain([obs]).copied().collect(),
             Op::Factor { w } => vec![*w],
             Op::JmpIfNot { cond, .. } => vec![*cond],
-            Op::CallSummary { arg, .. } => vec![*arg],
-            Op::Eval { f, arg, .. } => vec![*f, *arg],
         }
     }
 }
@@ -335,8 +313,7 @@ pub struct TapeProgram {
     /// Length of the prologue: the leading `Proj` ops of `ops` that
     /// destructure the tick input and the captured environment. They
     /// read nothing per-particle, so a step runs them only at the first
-    /// particle of a tick (or after the environment was refreshed), and
-    /// every particle then runs `ops[prologue..]`.
+    /// particle of a tick, and every particle then runs `ops[prologue..]`.
     pub prologue: usize,
     /// Total number of registers.
     pub num_regs: u32,
@@ -350,8 +327,8 @@ pub struct TapeProgram {
     pub state_out: Vec<StateOut>,
     /// Where the output value lives.
     pub out: OutSpec,
-    /// Captured-environment registers, refreshed from the engine's
-    /// closure slot whenever it is rewritten: `(name, reg)`.
+    /// Captured-environment registers, reloaded from the engine's
+    /// closure slot at the first particle of every tick: `(name, reg)`.
     pub env_slots: Vec<(String, Reg)>,
     /// The initial state, pre-split into flat slots.
     pub init_slots: Vec<MufValue>,
@@ -359,7 +336,7 @@ pub struct TapeProgram {
     pub shape: StateShape,
     /// `Rc::as_ptr` of the lowered closure body — per-tick re-closing
     /// evaluates the same `fun` node, so pointer equality certifies the
-    /// tape still matches the installed closure.
+    /// tape still matches the installed closure (checked once per tick).
     pub body_ptr: usize,
     /// Debug names per register (empty string when unnamed).
     pub reg_names: Vec<String>,
@@ -424,32 +401,23 @@ impl TapeShared {
 /// and its particle models. Lowering happens lazily at the first particle
 /// step, from the closure in the engine's slot at that point (an embedded
 /// `infer` site re-closes it over the driver environment at every step),
-/// and is attempted exactly once; failure pins the engine to the
-/// interpreter. An engine that is never stepped never lowers.
+/// and is attempted exactly once: its result holds for the engine's
+/// lifetime. A refusal leaves the engine interpreting; a lowered engine
+/// never goes back. An engine that is never stepped never lowers.
 #[derive(Debug, Default)]
 pub struct TapeCell {
     attempt: RefCell<Option<Result<Rc<TapeShared>, String>>>,
-    /// Bumped by the engine whenever the closure slot is rewritten.
-    epoch: Cell<u64>,
-    /// Last epoch whose environment was copied into the register file.
-    synced: Cell<u64>,
     /// Bumped by the engine at the start of every tick.
     tick: Cell<u64>,
-    /// `(tick, epoch)` at the last successful input load and prologue
-    /// run: while it matches, the input and prologue registers hold this
+    /// The tick of the last successful load (see [`load`]): while it
+    /// matches, the environment, input and prologue registers hold this
     /// tick's values.
-    loaded: Cell<Option<(u64, u64)>>,
+    loaded: Cell<Option<u64>>,
 }
 
 impl TapeCell {
-    /// Signals that the engine's closure slot changed (environment
-    /// registers must be refreshed before the next execution).
-    pub fn bump(&self) {
-        self.epoch.set(self.epoch.get().wrapping_add(1));
-    }
-
-    /// Signals a new tick input (the input and prologue registers must
-    /// be reloaded before the next execution).
+    /// Signals a new tick (the next execution reloads the environment,
+    /// the input and the prologue).
     pub(crate) fn next_tick(&self) {
         self.tick.set(self.tick.get().wrapping_add(1));
     }
@@ -463,19 +431,13 @@ impl TapeCell {
     }
 
     /// Human-readable status: `Ok(())` when lowered, `Err(reason)` when
-    /// pending or fallen back.
+    /// pending or refused.
     pub fn status(&self) -> Result<(), String> {
         match &*self.attempt.borrow() {
             None => Err("tape not lowered yet (no step taken)".into()),
             Some(Ok(_)) => Ok(()),
             Some(Err(e)) => Err(e.clone()),
         }
-    }
-
-    /// Pins the engine to the interpreter with the given reason (used on
-    /// mid-run closure shape changes).
-    fn poison(&self, reason: String) {
-        *self.attempt.borrow_mut() = Some(Err(reason));
     }
 
     /// Returns the tape, lowering the current closure on first use.
@@ -506,9 +468,8 @@ impl TapeCell {
 }
 
 /// Splits a whole state value into flat slots following `shape`. Only
-/// genuine `Tuple` nodes are accepted at interior positions so the flat
-/// form joins back to the identical value (bit-for-bit) if the engine
-/// ever has to fall back mid-run.
+/// genuine `Tuple` nodes are accepted at interior positions, so the slots
+/// hold exactly the leaves of the value the interpreter would hold.
 pub(crate) fn split_state(v: &MufValue, shape: &StateShape) -> Result<Vec<MufValue>, String> {
     fn go(v: &MufValue, shape: &StateShape, out: &mut Vec<MufValue>) -> Result<(), String> {
         match shape {
@@ -536,31 +497,12 @@ pub(crate) fn split_state(v: &MufValue, shape: &StateShape) -> Result<Vec<MufVal
     Ok(out)
 }
 
-/// Rebuilds the whole state value from flat slots (mid-run interpreter
-/// fallback). Inverse of [`split_state`] by construction.
-pub(crate) fn join_state(slots: &mut std::vec::IntoIter<MufValue>, shape: &StateShape) -> MufValue {
-    match shape {
-        StateShape::Leaf => slots.next().unwrap_or(MufValue::Nil),
-        StateShape::Node(children) => {
-            MufValue::Tuple(children.iter().map(|s| join_state(slots, s)).collect())
-        }
-    }
-}
-
-/// Outcome of a tape step: either the tick output, or an instruction to
-/// fall back to the interpreter for this and all future ticks (the
-/// installed closure no longer matches the lowered body).
-pub(crate) enum TapeStep {
-    Done(Value),
-    FallBack,
-}
-
 /// One particle step on the tape. Mirrors `MufModel::step`'s interpreter
 /// path: state slots move into their registers, the tape executes, the
 /// output is folded to a core value, and the successor state moves back
-/// out. The input load and the prologue run
-/// at the first particle of a tick only; an error there is this
-/// particle's error, and the next particle retries the load.
+/// out. The load (see [`load`]) runs at the first particle of a tick
+/// only; an error there is this particle's error, and the next particle
+/// retries the load.
 pub(crate) fn step_model(
     interp: &Rc<Interp>,
     cell: &TapeCell,
@@ -569,41 +511,14 @@ pub(crate) fn step_model(
     state: &mut ModelState,
     ctx: &mut dyn ProbCtx,
     input: &Value,
-) -> Result<TapeStep, LangError> {
+) -> Result<Value, LangError> {
     let prog = &shared.prog;
-    // Refresh captured-environment registers when the closure slot was
-    // rewritten since the last sync (every tick for re-closing `infer`
-    // sites; once for driver engines with a static closure).
-    if cell.synced.get() != cell.epoch.get() {
-        let slot = closure_slot.borrow();
-        let MufValue::Closure(c) = &*slot else {
-            cell.poison(format!("transition became a non-closure: {}", slot.kind()));
-            return Ok(TapeStep::FallBack);
-        };
-        if Rc::as_ptr(&c.body) as usize != prog.body_ptr {
-            cell.poison("transition closure changed shape mid-run".into());
-            return Ok(TapeStep::FallBack);
-        }
-        let mut regs = shared.regs.borrow_mut();
-        for (name, reg) in &prog.env_slots {
-            let Some(v) = c.env.lookup(name) else {
-                cell.poison(format!("captured variable `{name}` disappeared"));
-                return Ok(TapeStep::FallBack);
-            };
-            regs[*reg as usize] = v.clone();
-        }
-        drop(regs);
-        cell.synced.set(cell.epoch.get());
-    }
     // First tape step: split the whole state into flat slots.
     if let ModelState::Whole(whole) = &*state {
-        match split_state(whole, &prog.shape) {
-            Ok(slots) => *state = ModelState::Flat(slots),
-            Err(e) => {
-                cell.poison(format!("state does not fit the tape shape: {e}"));
-                return Ok(TapeStep::FallBack);
-            }
-        }
+        let slots = split_state(whole, &prog.shape).map_err(|e| {
+            LangError::new(Stage::Eval, format!("state does not fit the tape: {e}"))
+        })?;
+        *state = ModelState::Flat(slots);
     }
     let ModelState::Flat(slots) = state else {
         return Err(LangError::new(Stage::Eval, "tape state must be flat"));
@@ -614,39 +529,68 @@ pub(crate) fn step_model(
     }
     // A failed step leaves the particle no state (every slot was moved
     // out above), as the interpreter's does.
-    let out = run(interp, cell, prog, &mut regs, ctx, input)?;
+    if cell.loaded.get() != Some(cell.tick.get()) {
+        load(interp, prog, closure_slot, &mut regs, ctx, input)?;
+        cell.loaded.set(Some(cell.tick.get()));
+    }
+    exec(
+        interp,
+        &prog.ops,
+        prog.prologue,
+        prog.ops.len(),
+        &mut regs,
+        ctx,
+    )?;
+    // Fold the output before moving state out: an output register may
+    // alias a state register.
+    let out = fold_out(&prog.out, &regs)?;
     for (slot, out) in slots.iter_mut().zip(&prog.state_out) {
         *slot = match *out {
             StateOut::Move(r) => std::mem::replace(&mut regs[r as usize], MufValue::Nil),
             StateOut::Clone(r) => regs[r as usize].clone(),
         };
     }
-    Ok(TapeStep::Done(out))
+    Ok(out)
 }
 
-/// Runs the tape over a register file holding the particle's state:
-/// the input load and the prologue when this tick has not loaded them
-/// yet, then the body, and folds the output.
-fn run(
+/// The once-per-tick load, run at the first particle of a tick: checks
+/// that the engine still holds the closure the tape was lowered from,
+/// copies its captured environment into the env registers (an embedded
+/// `infer` site re-closes the transition every tick), loads the tick
+/// input and runs the prologue. Kept out of line: it runs once per tick,
+/// and inlined it slows every particle step.
+#[inline(never)]
+fn load(
     interp: &Rc<Interp>,
-    cell: &TapeCell,
     prog: &TapeProgram,
+    closure_slot: &RefCell<MufValue>,
     regs: &mut [MufValue],
     ctx: &mut dyn ProbCtx,
     input: &Value,
-) -> Result<Value, LangError> {
-    let now = (cell.tick.get(), cell.epoch.get());
-    if cell.loaded.get() != Some(now) {
-        if let Some(r) = prog.input {
-            regs[r as usize] = MufValue::V(input.clone());
+) -> Result<(), LangError> {
+    let slot = closure_slot.borrow();
+    let c = match &*slot {
+        MufValue::Closure(c) if Rc::as_ptr(&c.body) as usize == prog.body_ptr => c,
+        _ => {
+            return Err(LangError::new(
+                Stage::Eval,
+                "the transition is no longer the closure the tape was lowered from",
+            ))
         }
-        exec(interp, &prog.ops, 0, prog.prologue, regs, ctx)?;
-        cell.loaded.set(Some(now));
+    };
+    for (name, reg) in &prog.env_slots {
+        let v = c.env.lookup(name).ok_or_else(|| {
+            LangError::new(
+                Stage::Eval,
+                format!("captured variable `{name}` is missing"),
+            )
+        })?;
+        regs[*reg as usize] = v.clone();
     }
-    exec(interp, &prog.ops, prog.prologue, prog.ops.len(), regs, ctx)?;
-    // Fold the output before moving state out: an output register may
-    // alias a state register.
-    fold_out(&prog.out, regs)
+    if let Some(r) = prog.input {
+        regs[r as usize] = MufValue::V(input.clone());
+    }
+    exec(interp, &prog.ops, 0, prog.prologue, regs, ctx)
 }
 
 /// Folds an [`OutSpec`] to a core value, mirroring [`MufValue::as_core`]
@@ -780,17 +724,6 @@ fn exec(
                         continue;
                     }
                 }
-            }
-            Op::CallSummary { dst, f, arg } => {
-                let a = regs[*arg as usize].clone();
-                let v = interp.apply(f, a, &mut ProbSlot::Prob(&mut *ctx))?;
-                regs[*dst as usize] = v;
-            }
-            Op::Eval { dst, f, arg } => {
-                let fv = regs[*f as usize].clone();
-                let a = regs[*arg as usize].clone();
-                let v = interp.apply(&fv, a, &mut ProbSlot::Prob(&mut *ctx))?;
-                regs[*dst as usize] = v;
             }
         }
         pc += 1;
@@ -995,17 +928,6 @@ fn render_op(op: &Op, names: &[String]) -> String {
         Op::Jmp { target } => format!("jmp         @{target:04}"),
         Op::JmpIfNot { cond, target } => {
             format!("jmp_if_not  {} @{target:04}", named(*cond))
-        }
-        Op::CallSummary { dst, arg, .. } => {
-            format!("call_summary {} <- closure({})", named(*dst), named(*arg))
-        }
-        Op::Eval { dst, f, arg } => {
-            format!(
-                "eval        {} <- {}({})",
-                named(*dst),
-                named(*f),
-                named(*arg)
-            )
         }
         Op::Halt => "halt".into(),
     }

@@ -9,16 +9,19 @@
 //! a compiled node is one straight-line instruction stream with jumps
 //! only for `if`. Names are resolved entirely at lowering time: lexical
 //! binders become places, captured-environment names become registered
-//! env slots (refreshed when the engine rewrites its closure slot), and
+//! env slots (reloaded from the engine's closure once per tick), and
 //! globals are resolved once — the steady state does zero name lookups
 //! and zero `Env` operations.
 //!
-//! Lowering is conservative: any construct whose tape semantics could
-//! diverge from the interpreter (escaping closures, nested inference,
-//! arity surprises) aborts with a reason, and the engine simply keeps
-//! interpreting. The evaluation order of emitted ops mirrors the
-//! interpreter's recursion exactly, so effects (sampling, observation,
-//! RNG consumption) happen in the same sequence bit-for-bit.
+//! Lowering is conservative and total-or-nothing: any construct the tape
+//! cannot run by itself (a closure applied from a register, a call to a
+//! closure that captured an environment, calls nested deeper than 64,
+//! escaping closures, nested inference, arity surprises) refuses the
+//! whole transition with a reason, and the engine interprets it instead.
+//! No op hands a single call back to the interpreter. The evaluation
+//! order of emitted ops mirrors the interpreter's recursion exactly, so
+//! effects (sampling, observation, RNG consumption) happen in the same
+//! sequence bit-for-bit.
 //!
 //! Two passes then finish the tape: a peephole pass fuses each
 //! distribution constructor into the `sample`/`observe` that is the sole
@@ -33,11 +36,11 @@ use crate::tape::{split_state, Op, OutSpec, Reg, StateOut, StateShape, TapeProgr
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-/// Inlining recursion limit: deeper call chains go through
-/// [`Op::CallSummary`] instead (compiled programs are non-recursive, so
-/// this is a safety net for hand-written µF).
+/// Inlining recursion limit: deeper call chains refuse to lower
+/// (compiled programs are non-recursive, so this is a safety net for
+/// hand-written µF).
 const MAX_INLINE_DEPTH: u32 = 64;
-/// Hard cap on tape length; beyond it the whole engine falls back.
+/// Hard cap on tape length; beyond it lowering refuses.
 const MAX_OPS: usize = 50_000;
 
 type LowerResult<T> = Result<T, String>;
@@ -413,39 +416,32 @@ impl Lower<'_> {
         let pf = self.lower(f)?;
         let pa = self.lower(a)?;
         match pf {
-            Place::Global(v) => self.inline_or_call(v, pa),
-            Place::Reg(r) => {
-                let arg = self.materialize(&pa, "arg")?;
-                let dst = self.fresh("eval");
-                self.emit(Op::Eval { dst, f: r, arg });
-                Ok(Place::Reg(dst))
-            }
+            Place::Global(v) => self.inline(v, pa),
+            Place::Reg(_) => Err("a closure is applied from a register".into()),
             Place::Tuple(_) => Err("cannot apply a tuple".into()),
         }
     }
 
-    fn inline_or_call(&mut self, v: MufValue, pa: Place) -> LowerResult<Place> {
+    /// Inlines a call to a global closure. Only a closure with an empty
+    /// environment inlines: its body names nothing but its parameters
+    /// and globals.
+    fn inline(&mut self, v: MufValue, pa: Place) -> LowerResult<Place> {
         let MufValue::Closure(c) = &v else {
             return Err(format!("cannot apply a {}", v.kind()));
         };
-        if c.env.is_empty() && self.depth < MAX_INLINE_DEPTH {
-            let (pat, body) = (c.pat.clone(), Rc::clone(&c.body));
-            self.depth += 1;
-            let save = self.scope.len();
-            self.scope.push(ScopeEntry::Boundary);
-            let out = self.bind_pat(&pat, pa).and_then(|()| self.lower(&body));
-            self.scope.truncate(save);
-            self.depth -= 1;
-            out
-        } else {
-            // Not inlinable (captured environment, or too deep): call
-            // back into the interpreter for this callee only. The closure
-            // value is stable — it came from the immutable globals.
-            let arg = self.materialize(&pa, "arg")?;
-            let dst = self.fresh("call");
-            self.emit(Op::CallSummary { dst, f: v, arg });
-            Ok(Place::Reg(dst))
+        if !c.env.is_empty() {
+            return Err("a called closure captures an environment".into());
         }
+        if self.depth >= MAX_INLINE_DEPTH {
+            return Err(format!("calls nest deeper than {MAX_INLINE_DEPTH}"));
+        }
+        self.depth += 1;
+        let save = self.scope.len();
+        self.scope.push(ScopeEntry::Boundary);
+        let out = self.bind_pat(&c.pat, pa).and_then(|()| self.lower(&c.body));
+        self.scope.truncate(save);
+        self.depth -= 1;
+        out
     }
 
     fn freshen_place(&mut self, p: &Place) -> LowerResult<Place> {
@@ -716,7 +712,7 @@ fn pat_name(p: &MufPat) -> String {
 /// # Errors
 ///
 /// A human-readable reason when the closure cannot be lowered; the caller
-/// is expected to fall back to the interpreter.
+/// interprets it instead.
 pub fn lower_closure(
     interp: &Rc<Interp>,
     closure: &Rc<Closure>,

@@ -463,6 +463,15 @@ impl Muf {
         }
     }
 
+    /// Appends the global `name = expr`, evaluated after the transitions.
+    fn def(mut self, name: &str, expr: MufExpr) -> Muf {
+        self.program.defs.push(MufDef {
+            name: name.into(),
+            expr,
+        });
+        self
+    }
+
     /// The interpreter holding the transitions, and transition `name`.
     fn closure(&self, name: &str, options: Options) -> (Rc<Interp>, MufValue) {
         let interp = Interp::new(&self.program, options).expect("interp builds");
@@ -501,6 +510,142 @@ fn float(x: f64) -> MufExpr {
 
 fn gaussian(mean: MufExpr) -> MufExpr {
     MufExpr::Op(OpName::Gaussian, vec![mean, float(1.0)])
+}
+
+fn app(f: MufExpr, x: MufExpr) -> MufExpr {
+    MufExpr::App(Box::new(f), Box::new(x))
+}
+
+/// Steps an interpreter engine and a tape engine over transition `name`
+/// through `inputs` under PF and SDS: both give bit-identical outcomes,
+/// every tick succeeds, and the tape engine reports that lowering
+/// refused with `reason` (it interprets instead).
+fn assert_refused_and_identical(muf: &Muf, name: &str, reason: &str, inputs: &[Value]) {
+    for method in [Method::ParticleFilter, Method::StreamingDs] {
+        let run = |backend| {
+            let mut engine = muf.engine(name, method, backend);
+            let outcomes: Vec<Outcome> = inputs
+                .iter()
+                .map(|x| engine.step(x).map_err(|e| e.to_string()))
+                .collect();
+            (outcomes, engine.tape_status())
+        };
+        let (expected, _) = run(ExecBackend::Interp);
+        let (got, status) = run(ExecBackend::Tape);
+        assert!(expected.iter().all(Result::is_ok), "{name}: {expected:?}");
+        assert_eq!(got, expected, "{name} {method:?}: backends differ");
+        assert_eq!(status, Some(Err(reason.to_string())), "{name} {method:?}");
+    }
+}
+
+/// A transition closed over a closure refuses to lower: `step = mk inc`,
+/// with `mk = fun f -> fun (s, x) -> (sample (gaussian (f x)), s)`, holds
+/// `f` in its captured environment, so it applies a closure from a
+/// register.
+#[test]
+fn closure_applied_from_a_register_refuses_to_lower() {
+    let body = MufExpr::Tuple(vec![
+        MufExpr::Sample(Box::new(gaussian(app(var("f"), var("x"))))),
+        var("s"),
+    ]);
+    let muf = Muf::new(
+        MufValue::unit(),
+        vec![
+            (
+                "inc",
+                MufPat::var("y"),
+                MufExpr::Op(OpName::Add, vec![var("y"), float(1.0)]),
+            ),
+            (
+                "mk",
+                MufPat::var("f"),
+                MufExpr::Fun(
+                    MufPat::pair(MufPat::var("s"), MufPat::var("x")),
+                    Rc::new(body),
+                ),
+            ),
+        ],
+    )
+    .def("step", app(var("mk"), var("inc")));
+    let inputs: Vec<Value> = float_inputs(6).into_iter().map(Value::Float).collect();
+    assert_refused_and_identical(
+        &muf,
+        "step",
+        "a closure is applied from a register",
+        &inputs,
+    );
+}
+
+/// A transition closed over a value lowers, with the value in an env
+/// slot: `step = mk 2.`, with `mk = fun c -> fun (s, x) -> (sample
+/// (gaussian (c + x)), s)`. The engine is built over that closure and
+/// never re-closed, so only the per-tick load fills the env slot.
+#[test]
+fn captured_value_loads_into_its_env_slot() {
+    let body = MufExpr::Tuple(vec![
+        MufExpr::Sample(Box::new(gaussian(MufExpr::Op(
+            OpName::Add,
+            vec![var("c"), var("x")],
+        )))),
+        var("s"),
+    ]);
+    let muf = Muf::new(
+        MufValue::unit(),
+        vec![(
+            "mk",
+            MufPat::var("c"),
+            MufExpr::Fun(
+                MufPat::pair(MufPat::var("s"), MufPat::var("x")),
+                Rc::new(body),
+            ),
+        )],
+    )
+    .def("step", app(var("mk"), float(2.0)));
+    assert_eq!(muf.tape("step").env_slots.len(), 1, "c is an env slot");
+    let inputs: Vec<Value> = float_inputs(6).into_iter().map(Value::Float).collect();
+    assert_outcomes_identical(
+        "step",
+        |method, backend| muf.engine("step", method, backend),
+        &inputs,
+    )
+    .iter()
+    .flatten()
+    .for_each(|o| assert!(o.is_ok(), "step: {o:?}"));
+}
+
+/// A call to a global closure that captured an environment refuses to
+/// lower: `step = fun (s, x) -> (sample (gaussian (g x)), s)` calls
+/// `g = (fun a -> fun b -> a + b) 1.`, whose body reads `a` from its
+/// environment.
+#[test]
+fn call_to_a_closure_with_an_environment_refuses_to_lower() {
+    let adder = MufExpr::Fun(
+        MufPat::var("a"),
+        Rc::new(MufExpr::Fun(
+            MufPat::var("b"),
+            Rc::new(MufExpr::Op(OpName::Add, vec![var("a"), var("b")])),
+        )),
+    );
+    let body = MufExpr::Tuple(vec![
+        MufExpr::Sample(Box::new(gaussian(app(var("g"), var("x"))))),
+        var("s"),
+    ]);
+    let muf = Muf::new(
+        MufValue::unit(),
+        vec![(
+            "step",
+            MufPat::pair(MufPat::var("s"), MufPat::var("x")),
+            body,
+        )],
+    )
+    .def("g", app(adder, float(1.0)));
+    let inputs: Vec<Value> = float_inputs(6).into_iter().map(Value::Float).collect();
+    assert_refused_and_identical(
+        &muf,
+        "step",
+        "a called closure captures an environment",
+        &inputs,
+    );
 }
 
 /// A `nil` argument reaching a fused op fails the tick with the
@@ -650,11 +795,16 @@ fn misshaped_input_errors_like_the_interpreter_and_recovers() {
     }
 }
 
-/// Two transitions over the state `(a, k)`, initially `(0., 5.)`, both
-/// carrying `k` through unchanged: `keep` samples around the input's
-/// `m`, observes its `obs` and never reads `k`; `read` outputs `k`.
-fn keep_and_read() -> Muf {
-    let state = || MufPat::pair(MufPat::var("a"), MufPat::var("k"));
+/// One transition over the state `(a, k)`, initially `(0., 5.)`, with
+/// input `(read, (m, obs))`. Both arms carry `k` through unchanged: when
+/// `read` is false it samples around `m`, observes `obs` and never reads
+/// `k`; when `read` is true it outputs `k`.
+fn keep_or_read() -> Muf {
+    let state = MufPat::pair(MufPat::var("a"), MufPat::var("k"));
+    let input = MufPat::pair(
+        MufPat::var("read"),
+        MufPat::pair(MufPat::var("m"), MufPat::var("obs")),
+    );
     let keep = MufExpr::Let(
         MufPat::var("x"),
         Box::new(MufExpr::Sample(Box::new(gaussian(var("m"))))),
@@ -676,40 +826,39 @@ fn keep_and_read() -> Muf {
             MufValue::V(Value::Float(0.0)),
             MufValue::V(Value::Float(5.0)),
         ]),
-        vec![
-            (
-                "keep",
-                MufPat::pair(state(), MufPat::pair(MufPat::var("m"), MufPat::var("obs"))),
-                keep,
-            ),
-            ("read", MufPat::pair(state(), MufPat::Wildcard), read),
-        ],
+        vec![(
+            "step",
+            MufPat::pair(state, input),
+            MufExpr::If(Box::new(var("read")), Box::new(read), Box::new(keep)),
+        )],
     )
 }
 
 /// A failed step leaves the particle no state, as on the interpreter,
-/// including a leaf the step only carries through (`keep`'s `k`). The
-/// failure is only visible once the engine falls back to the
-/// interpreter, so the step after it switches to `read`, which outputs
-/// that leaf.
+/// including a leaf the step only carries through (`k`). The tick after
+/// the failure reads that leaf, so a kept value would show.
 #[test]
 fn failed_step_clears_kept_state_slots() {
-    let muf = keep_and_read();
-    let good = Value::pair(Value::Float(0.3), Value::Float(0.1));
+    let muf = keep_or_read();
+    let tick = |read| {
+        Value::pair(
+            Value::Bool(read),
+            Value::pair(Value::Float(0.3), Value::Float(0.1)),
+        )
+    };
+    let inputs = [tick(false), Value::Float(1.0), tick(true)];
     for method in [Method::ParticleFilter, Method::StreamingDs] {
         let run = |backend| -> Vec<Outcome> {
-            let mut engine = muf.engine("keep", method, backend);
-            let mut outcomes: Vec<Outcome> = [good.clone(), Value::Float(1.0)]
+            let mut engine = muf.engine("step", method, backend);
+            let outcomes = inputs
                 .iter()
                 .map(|x| engine.step(x).map_err(|e| e.to_string()))
                 .collect();
             assert_eq!(
-                engine.tape_status().map(|s| s.is_ok()),
-                (backend == ExecBackend::Tape).then_some(true),
-                "{method:?} {backend:?}: tape status before the switch"
+                engine.tape_status(),
+                (backend == ExecBackend::Tape).then_some(Ok(())),
+                "{method:?} {backend:?}: tape status"
             );
-            engine.set_closure(muf.closure("read", Options::default()).1);
-            outcomes.push(engine.step(&good).map_err(|e| e.to_string()));
             outcomes
         };
         let expected = run(ExecBackend::Interp);

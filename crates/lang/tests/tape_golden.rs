@@ -87,9 +87,8 @@ fn builds_dist(op: &Op) -> bool {
 }
 
 /// Counts a tape's fused `(sample, observe)` ops after checking that it
-/// is fully flattened (no residual closure application `Eval`, no
-/// interpreter re-entry `CallSummary`) and boxes no distribution (no
-/// boxed `Sample`/`Observe`, no constructor op).
+/// boxes no distribution (no boxed `Sample`/`Observe`, no constructor
+/// op).
 fn fused_counts(node: &str, ops: &[Op]) -> (usize, usize) {
     let (mut samples, mut observes) = (0, 0);
     for op in ops {
@@ -99,8 +98,6 @@ fn fused_counts(node: &str, ops: &[Op]) -> (usize, usize) {
             Op::Sample { .. } | Op::Observe { .. } => {
                 panic!("{node}: boxed sample/observe in the tape: {op:?}")
             }
-            Op::Eval { .. } => panic!("{node}: residual closure application in the tape"),
-            Op::CallSummary { .. } => panic!("{node}: interpreter re-entry in the tape"),
             op if builds_dist(op) => panic!("{node}: the tape boxes a distribution: {op:?}"),
             _ => {}
         }

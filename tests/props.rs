@@ -232,7 +232,7 @@ proptest! {
 mod opt_props {
     use probzelus::core::infer::Method;
     use probzelus::core::Value;
-    use probzelus::lang::{compile_source, compile_source_opt, Options};
+    use probzelus::lang::{compile_source, compile_source_opt, ExecBackend, Options};
     use proptest::prelude::*;
 
     /// Builds a randomly shaped but well-kinded kernel program exercising
@@ -298,7 +298,7 @@ mod opt_props {
             let base = compile_source(&src).unwrap();
             let opt = compile_source_opt(&src).unwrap();
             for method in [Method::ParticleFilter, Method::StreamingDs] {
-                let options = Options { method, seed: 11, ..Default::default() };
+                let options = Options { method, seed: 11, backend: ExecBackend::Interp };
                 let mut eng_base = base.infer_node("m", 20, options).unwrap();
                 let mut eng_opt = opt.infer_node("m", 20, options).unwrap();
                 for y in &ys {
