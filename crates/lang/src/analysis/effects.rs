@@ -16,12 +16,11 @@
 //!   a driver-level draw, or applies a node that does.
 //!
 //! Like [`super::bounded`], node summaries are computed in declaration
-//! order so applications join the callee's summary. The optimizer
-//! ([`crate::transform::opt`]) queries it to decide what is safe to fold
-//! or delete.
+//! order so applications join the callee's summary. `pzc check` reports
+//! each node's summary in its effect column.
 
 use crate::ast::{Eq, Expr, OpName, Program};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Three-point effect lattice; the derived order is the lattice order,
 /// so `a.max(b)` is the join.
@@ -50,9 +49,6 @@ impl std::fmt::Display for Effect {
 pub struct EffectReport {
     /// Per-node effect summary (the join over the node body).
     pub node_effects: HashMap<String, Effect>,
-    /// Nodes that (transitively) allocate an inference engine. Engine
-    /// allocation draws a seed, so these are never deleted.
-    pub uses_engine: HashSet<String>,
 }
 
 impl EffectReport {
@@ -66,7 +62,6 @@ impl EffectReport {
     pub fn summaries(&self) -> Summaries<'_> {
         Summaries {
             effects: &self.node_effects,
-            uses_engine: &self.uses_engine,
         }
     }
 }
@@ -75,23 +70,16 @@ impl EffectReport {
 #[derive(Debug, Clone, Copy)]
 pub struct Summaries<'a> {
     effects: &'a HashMap<String, Effect>,
-    uses_engine: &'a HashSet<String>,
 }
 
 impl Summaries<'_> {
     fn effect(&self, node: &str) -> Effect {
         self.effects.get(node).copied().unwrap_or(Effect::Prob)
     }
-
-    fn engine(&self, node: &str) -> bool {
-        // Unknown callees count as engine users: never delete blind.
-        !self.effects.contains_key(node) || self.uses_engine.contains(node)
-    }
 }
 
 /// Join of the effect lattice over one expression, given callee
-/// summaries. This is the per-subexpression query the optimizer passes
-/// use to decide what is safe to move or delete.
+/// summaries.
 pub fn effect_of(e: &Expr, s: Summaries<'_>) -> Effect {
     match e {
         Expr::Const(_) => Effect::Pure,
@@ -142,44 +130,12 @@ pub fn effect_of(e: &Expr, s: Summaries<'_>) -> Effect {
     }
 }
 
-/// Does the expression (transitively, through applications) allocate an
-/// inference engine?
-pub(crate) fn uses_engine(e: &Expr, s: Summaries<'_>) -> bool {
-    let mut found = false;
-    super::walk(e, &mut |x| match x {
-        Expr::Infer { .. } => found = true,
-        Expr::App(f, _) if s.engine(f) => found = true,
-        _ => {}
-    });
-    found
-}
-
-/// The `last` reads of an expression. Conservative about shadowing —
-/// reads of names bound in nested `where` blocks are reported too.
-pub(crate) fn last_reads(e: &Expr) -> BTreeSet<String> {
-    let mut lasts = BTreeSet::new();
-    super::walk(e, &mut |x| {
-        if let Expr::Last(name) = x {
-            lasts.insert(name.clone());
-        }
-    });
-    lasts
-}
-
 /// Analyzes a whole (scheduled, desugared) kernel program.
 pub fn analyze_program(p: &Program) -> EffectReport {
     let mut report = EffectReport::default();
     for node in &p.nodes {
-        let s = Summaries {
-            effects: &report.node_effects,
-            uses_engine: &report.uses_engine,
-        };
-        let node_effect = effect_of(&node.body, s);
-        let engine = uses_engine(&node.body, s);
+        let node_effect = effect_of(&node.body, report.summaries());
         report.node_effects.insert(node.name.clone(), node_effect);
-        if engine {
-            report.uses_engine.insert(node.name.clone());
-        }
     }
     report
 }
@@ -271,7 +227,6 @@ mod tests {
             "let node m y = sample (gaussian (y, 1.))
              let node top y = e where rec e = mean_float(infer 4 m y)",
         );
-        assert!(r.uses_engine.contains("top"));
         assert_eq!(r.node_effect("top"), Effect::Det);
     }
 }

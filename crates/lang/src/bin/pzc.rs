@@ -3,8 +3,7 @@
 //! ```text
 //! pzc check FILE [--lint] [--json]        # full pipeline + static analyses
 //! pzc explain PZ0xxx                      # long-form help for a diagnostic
-//! pzc emit  FILE [--opt] [--tape]         # print the compiled µF code / tape
-//! pzc opt   FILE [--json]                 # optimize; show before/after kernel
+//! pzc emit  FILE [--tape]                 # print the compiled µF code / tape
 //! pzc run   FILE NODE [options]           # run a node over an input stream
 //! pzc schema                              # the --json output contract (Markdown)
 //!
@@ -14,12 +13,12 @@
 //!   --explain PZ0xxx     alias for the explain subcommand
 //!
 //! run options:
-//!   --inputs v1,v2,...   per-step inputs (floats, ints, bools, or () )
+//!   --inputs v1,v2,...   per-step inputs (floats, ints, bools, or () ),
+//!                        read as the node's input type
 //!   --steps N            number of steps (default: #inputs, or 10)
 //!   --method M           sds | bds | pf | ds | is      (default sds)
 //!   --particles N        for probabilistic nodes       (default 1000)
 //!   --seed S             RNG seed                      (default 0)
-//!   --opt                run through the optimizing pass pipeline
 //! ```
 //!
 //! `run` executes every engine on the flat instruction tape, the default
@@ -37,14 +36,9 @@
 //! lints are reported but do not fail the build. Deterministic nodes are
 //! stepped directly by `run` (their embedded `infer` sites use the
 //! selected method); probabilistic nodes are wrapped in an engine and
-//! their per-step posterior mean/variance is printed.
-//!
-//! `opt` runs the optimizing µF pass pipeline (constant folding, dead
-//! stream elimination, common-subexpression factoring), reports what each
-//! pass did as `PZ06xx` lint diagnostics, and prints the scheduled kernel
-//! before and after. The
-//! passes are posterior-preserving: `run --opt` produces bit-identical
-//! output.
+//! their per-step posterior mean/variance is printed. `--inputs` gives
+//! scalars only, so a node whose input type is a tuple cannot be run from
+//! the command line; `run` says so before the first step.
 
 use probzelus_core::infer::Method;
 use probzelus_core::Value;
@@ -52,12 +46,8 @@ use probzelus_lang::diag;
 use probzelus_lang::eval::{ExecBackend, Options};
 use probzelus_lang::muf::MufValue;
 use probzelus_lang::muf_pretty::print_muf_program;
-use probzelus_lang::pipeline::{
-    check_source, compile_source, compile_source_opt, optimize_source, Compiled,
-};
-use probzelus_lang::pretty::print_program;
-use probzelus_lang::transform::opt::OptConfig;
-use probzelus_lang::{Code, Kind, Severity};
+use probzelus_lang::pipeline::{check_source, compile_source};
+use probzelus_lang::{Code, Kind, Severity, Ty};
 use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
 
@@ -97,9 +87,9 @@ fn out(args: std::fmt::Arguments) -> Result<(), Stop> {
 }
 
 fn usage() -> String {
-    "usage: pzc <check|explain|emit|opt|run|schema> FILE|CODE [NODE] [--lint] [--json] \
+    "usage: pzc <check|explain|emit|run|schema> FILE|CODE [NODE] [--lint] [--json] \
      [--explain PZ0xxx] [--inputs v1,v2,..] [--steps N] \
-     [--method sds|bds|pf|ds|is] [--particles N] [--seed S] [--opt] [--tape]"
+     [--method sds|bds|pf|ds|is] [--particles N] [--seed S] [--tape]"
         .to_string()
 }
 
@@ -113,7 +103,6 @@ fn run() -> Result<ExitCode, Stop> {
     let mut seed = 0u64;
     let mut lint = false;
     let mut json = false;
-    let mut optimize = false;
     let mut tape = false;
     let mut explain: Option<String> = None;
 
@@ -123,7 +112,6 @@ fn run() -> Result<ExitCode, Stop> {
         match a.as_str() {
             "--lint" => lint = true,
             "--json" => json = true,
-            "--opt" => optimize = true,
             "--tape" => tape = true,
             "--explain" => explain = Some(flag_value("--explain")?),
             "--inputs" => inputs = Some(flag_value("--inputs")?),
@@ -182,17 +170,10 @@ fn run() -> Result<ExitCode, Stop> {
     let file = arg;
     let src = std::fs::read_to_string(&file).map_err(|e| format!("{file}: {e}"))?;
 
-    let compile = |src: &str| -> Result<Compiled, String> {
-        if optimize {
-            compile_source_opt(src).map_err(|e| format!("{file}: {e}"))
-        } else {
-            compile_source(src).map_err(|e| format!("{file}: {e}"))
-        }
-    };
+    let compile = |src: &str| compile_source(src).map_err(|e| format!("{file}: {e}"));
 
     match cmd.as_str() {
         "check" => check(&file, &src, lint, json),
-        "opt" => opt_cmd(&file, &src, json),
         "emit" => {
             let compiled = compile(&src)?;
             if tape {
@@ -224,22 +205,25 @@ fn run() -> Result<ExitCode, Stop> {
                 .get(2)
                 .cloned()
                 .ok_or_else(|| format!("run needs a node name\n{}", usage()))?;
-            let parsed_inputs = parse_inputs(inputs.as_deref())?;
-            let n = steps.unwrap_or_else(|| parsed_inputs.as_ref().map_or(10, Vec::len));
-            let stream = |t: usize| -> Value {
-                match &parsed_inputs {
-                    Some(v) if !v.is_empty() => v[t % v.len()].clone(),
-                    _ => Value::Unit,
-                }
-            };
+            let kind = *compiled
+                .kinds
+                .get(node.as_str())
+                .ok_or_else(|| format!("unknown node `{node}`"))?;
+            let given = parse_inputs(inputs.as_deref())?;
+            let n = steps.unwrap_or_else(|| given.as_ref().map_or(10, Vec::len));
+            let inputs = typed_inputs(
+                &node,
+                &compiled.sigs[&node].input,
+                given.unwrap_or_else(|| vec![Value::Unit]),
+            )?;
+            let stream = |t: usize| inputs[t % inputs.len()].clone();
             let options = Options {
                 method,
                 seed,
                 backend: ExecBackend::Tape,
             };
-            match compiled.kinds.get(node.as_str()) {
-                None => Err(format!("unknown node `{node}`").into()),
-                Some(Kind::D) => {
+            match kind {
+                Kind::D => {
                     let mut inst = compiled
                         .instantiate(&node, options)
                         .map_err(|e| e.to_string())?;
@@ -249,7 +233,7 @@ fn run() -> Result<ExitCode, Stop> {
                     }
                     Ok(ExitCode::SUCCESS)
                 }
-                Some(Kind::P) => {
+                Kind::P => {
                     let mut eng = compiled
                         .infer_node(&node, particles, options)
                         .map_err(|e| e.to_string())?;
@@ -295,11 +279,9 @@ fn schema_md() -> String {
 `pzc check FILE [--lint] --json` prints one JSON object per line to
 stdout: first one **node** object per compiled node (sorted by name) —
 omitted entirely when the pipeline fails before compilation — then one
-**diagnostic** object per diagnostic. `pzc opt FILE --json` prints the
-optimizer's diagnostic objects followed by exactly one **opt-summary**
-object. No other line shapes exist; a consumer can dispatch on the
-`kind` field for node/opt-summary lines and on the presence of `code`
-for diagnostics.
+**diagnostic** object per diagnostic. No other line shapes exist; a
+consumer can dispatch on the `kind` field for node lines and on the
+presence of `code` for diagnostics.
 
 ## `node` objects (`pzc check --json`)
 
@@ -313,7 +295,7 @@ for diagnostics.
 | `verdict` | string | boundedness verdict: `Bounded(k)` or `Unbounded(witness)` |
 | `effect` | string | effect-lattice analysis result: `"pure"`, `"det"`, or `"prob"` |
 
-## diagnostic objects (`pzc check --json`, `pzc opt --json`)
+## diagnostic objects (`pzc check --json`)
 
 | field | type | meaning |
 |---|---|---|
@@ -328,21 +310,10 @@ for diagnostics.
 Catalog codes ({n} today; `pzc explain CODE` gives the long form):
 {codes}.
 
-## `opt-summary` objects (`pzc opt --json`)
-
-| field | type | meaning |
-|---|---|---|
-| `kind` | string | always `"opt-summary"` |
-| `folded` | number | equations folded to compile-time constants |
-| `removed` | number | dead streams eliminated |
-| `cse` | number | common subexpressions factored into fresh streams |
-
 ## Exit status
 
 `pzc check` exits nonzero only when at least one diagnostic has
-severity `error`; warnings and lints report but pass. `pzc opt` never
-fails on lints — its diagnostics describe transformations performed,
-not defects.
+severity `error`; warnings and lints report but pass.
 "#,
         n = diag::ALL_CODES.len(),
     )
@@ -420,44 +391,6 @@ fn check(file: &str, src: &str, lint: bool, json: bool) -> Result<ExitCode, Stop
     })
 }
 
-/// `pzc opt`: run the optimizing pass pipeline and show its work — the
-/// scheduled kernel before and after, every pass's diagnostic, and a
-/// summary line. Never fails the build (the passes are advisory surface;
-/// a program that optimizes to nothing is still a valid program).
-fn opt_cmd(file: &str, src: &str, json: bool) -> Result<ExitCode, Stop> {
-    let optimized = match optimize_source(src, &OptConfig::default()) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{file}: {e}");
-            return Ok(ExitCode::from(1));
-        }
-    };
-    let report = &optimized.report;
-    if json {
-        for d in &report.diagnostics {
-            out(format_args!("{}\n", d.to_json()))?;
-        }
-        out(format_args!(
-            "{{\"kind\":\"opt-summary\",\"folded\":{},\"removed\":{},\"cse\":{}}}\n",
-            report.folded, report.removed, report.cse,
-        ))?;
-    } else {
-        out(format_args!(
-            "--- scheduled kernel (before) ---\n{}--- optimized kernel (after) ---\n{}",
-            print_program(&optimized.baseline.kernel),
-            print_program(&optimized.compiled.kernel)
-        ))?;
-        for d in &report.diagnostics {
-            eprintln!("{}", d.render(file, src));
-        }
-        out(format_args!(
-            "{file}: {} folded, {} dead stream(s) removed, {} subexpression(s) factored\n",
-            report.folded, report.removed, report.cse
-        ))?;
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 fn explain_code(spec: &str) -> Result<ExitCode, Stop> {
     let code = Code::parse(spec).ok_or_else(|| {
         format!(
@@ -486,11 +419,7 @@ fn parse_inputs(spec: Option<&str>) -> Result<Option<Vec<Value>>, String> {
         } else if item == "false" {
             Value::Bool(false)
         } else if let Ok(n) = item.parse::<i64>() {
-            if item.contains('.') {
-                Value::Float(n as f64)
-            } else {
-                Value::Int(n)
-            }
+            Value::Int(n)
         } else if let Ok(x) = item.parse::<f64>() {
             Value::Float(x)
         } else {
@@ -499,6 +428,33 @@ fn parse_inputs(spec: Option<&str>) -> Result<Option<Vec<Value>>, String> {
         out.push(v);
     }
     Ok(Some(out))
+}
+
+/// Reads the `--inputs` values (the unit value when none are given) as
+/// `node`'s input type `ty`: an integer literal where a float is expected
+/// is a float, as the type checker reads source literals, and a type
+/// variable takes any scalar. `--inputs` gives scalars only, so a tuple
+/// input type is refused whatever the values.
+fn typed_inputs(node: &str, ty: &Ty, values: Vec<Value>) -> Result<Vec<Value>, String> {
+    if matches!(ty, Ty::Pair(..)) {
+        return Err(format!(
+            "node `{node}` takes a tuple of type {ty}, and --inputs gives scalars only"
+        ));
+    }
+    values
+        .into_iter()
+        .map(|v| match (ty, v) {
+            (Ty::Float, Value::Int(n)) => Ok(Value::Float(n as f64)),
+            (Ty::Var(_), v)
+            | (Ty::Float, v @ Value::Float(_))
+            | (Ty::Int, v @ Value::Int(_))
+            | (Ty::Bool, v @ Value::Bool(_))
+            | (Ty::Unit, v @ Value::Unit) => Ok(v),
+            (_, v) => Err(format!(
+                "node `{node}` takes input of type {ty}, not `{v}` (see --inputs)"
+            )),
+        })
+        .collect()
 }
 
 fn render(v: &MufValue) -> String {

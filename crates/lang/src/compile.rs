@@ -651,11 +651,11 @@ mod tests {
         ));
     }
 
-    /// The optimized particle states the benchmarks clone hold only live
-    /// state: hmm keeps the `nil` memory of `pre x` and its two `->`
-    /// flags, and the robot tracker its nine memories and `->` flags.
+    /// The particle states the benchmarks clone hold only live state: hmm
+    /// keeps the `nil` memory of `pre x` and its two `->` flags, and the
+    /// robot tracker its nine memories and `->` flags.
     #[test]
-    fn optimized_particle_states_hold_only_live_leaves() {
+    fn particle_states_hold_only_live_leaves() {
         for (src, node, n) in [
             (include_str!("../../../examples/zelus/hmm.zl"), "hmm", 3),
             (
@@ -664,7 +664,7 @@ mod tests {
                 9,
             ),
         ] {
-            let compiled = crate::pipeline::compile_source_opt(src).unwrap();
+            let compiled = crate::pipeline::compile_source(src).unwrap();
             let leaves = init_leaves(&compiled.muf, node);
             assert_eq!(leaves.len(), n, "{node}: state leaves");
             assert!(!leaves.iter().any(is_unit), "{node}: a `()` leaf");

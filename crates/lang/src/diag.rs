@@ -56,12 +56,6 @@ impl Code {
     pub const LINT_OBSERVE_CONST: Code = Code(602);
     /// Lint: probabilistic node with no `observe`/`factor`.
     pub const LINT_RESAMPLE_FREE: Code = Code(603);
-    /// Optimizer: dead stream removed.
-    pub const OPT_DEAD_STREAM: Code = Code(604);
-    /// Optimizer: common subexpression factored out.
-    pub const OPT_CSE: Code = Code(605);
-    /// Optimizer: equation folded to a constant.
-    pub const OPT_CONST_FOLD: Code = Code(606);
     /// Internal compilation error.
     pub const COMPILE: Code = Code(701);
     /// Runtime (µF evaluation) error.
@@ -354,9 +348,6 @@ pub const ALL_CODES: &[Code] = &[
     Code::LINT_UNUSED_STREAM,
     Code::LINT_OBSERVE_CONST,
     Code::LINT_RESAMPLE_FREE,
-    Code::OPT_DEAD_STREAM,
-    Code::OPT_CSE,
-    Code::OPT_CONST_FOLD,
     Code::COMPILE,
     Code::EVAL,
 ];
@@ -472,29 +463,6 @@ pub fn explain(code: Code) -> Option<&'static str> {
              updates particle weights, so inference degenerates to forward sampling and \
              `infer` pays for particles that are never reweighted.\n\nSuppress per node with \
              `(*@ allow resample-free-infer *)`."
-        }
-        Code::OPT_DEAD_STREAM => {
-            "PZ0604: dead stream removed.\n\nThe optimizer's dead-stream elimination (the \
-             transform counterpart of lint PZ0601) removed an equation whose variable is \
-             read by no live equation and not returned by the node body. Only effect-free \
-             equations are removed: anything that can `sample`, `observe`, `factor`, or \
-             allocate an inference engine is kept even when unread, so posteriors and the \
-             engine seed order are unchanged. Reported by `pzc opt`."
-        }
-        Code::OPT_CSE => {
-            "PZ0605: common subexpression factored out.\n\nThe optimizer found a pure, \
-             stateless expression computed more than once in the same equation set and \
-             introduced a fresh equation for it, replacing every occurrence with the new \
-             stream. Only strict deterministic operator trees over variables, `last` reads \
-             and constants are factored, so evaluation order and results are unchanged. \
-             Reported by `pzc opt`."
-        }
-        Code::OPT_CONST_FOLD => {
-            "PZ0606: equation folded to a constant.\n\nConstant propagation and folding \
-             reduced this equation's right-hand side to a literal using the runtime's own \
-             value operators (so folded floats are bit-identical to what evaluation would \
-             produce). Operations that would fail at run time (e.g. division by zero) are \
-             left unfolded to preserve the error. Reported by `pzc opt`."
         }
         Code::COMPILE => {
             "PZ0701: internal compilation error.\n\nThe kernel-to-µF compiler rejected the \

@@ -208,11 +208,17 @@ impl Interp {
                     .collect::<Result<_, _>>()?,
             )),
             MufExpr::Op(op, args) => {
-                let vals: Vec<MufValue> = args
-                    .iter()
-                    .map(|a| self.eval(env, a, prob))
-                    .collect::<Result<_, _>>()?;
-                self.eval_op(*op, vals, prob)
+                // On the stack, as in `core_args`: a `Vec` would cost one
+                // allocation per operator of a tree-walked step.
+                let n = args.len();
+                if n > 3 {
+                    return Err(too_many_operands(n));
+                }
+                let mut vals = [MufValue::Nil, MufValue::Nil, MufValue::Nil];
+                for (slot, a) in vals.iter_mut().zip(args) {
+                    *slot = self.eval(env, a, prob)?;
+                }
+                self.eval_op(*op, &mut vals[..n], prob)
             }
             MufExpr::If(c, t, f) => {
                 let vc = self.eval(env, c, prob)?;
@@ -369,13 +375,13 @@ impl Interp {
         }
     }
 
-    /// [`Interp::apply_op`] over owned arguments. Projections own their
-    /// tuple here, so the projected element moves out instead of cloning;
-    /// every other operator goes through the shared body.
+    /// [`Interp::apply_op`] over operands the caller gives up. Projections
+    /// own their tuple here, so the projected element moves out instead of
+    /// cloning; every other operator goes through the shared body.
     fn eval_op(
         self: &Rc<Self>,
         op: OpName,
-        mut args: Vec<MufValue>,
+        args: &mut [MufValue],
         prob: &mut ProbSlot<'_>,
     ) -> Result<MufValue, LangError> {
         if matches!(op, OpName::Fst | OpName::Snd) {
@@ -392,7 +398,7 @@ impl Interp {
                 };
             }
         }
-        self.apply_op(op, &args, prob)
+        self.apply_op(op, args, prob)
     }
 
     /// Applies a µF operator: the one body behind the interpreter's
@@ -481,10 +487,7 @@ pub(crate) fn core_args<'a>(
 ) -> Result<([Cow<'a, Value>; 3], usize), LangError> {
     let n = args.len();
     if n > 3 {
-        return Err(LangError::new(
-            Stage::Eval,
-            format!("operator with {n} arguments"),
-        ));
+        return Err(too_many_operands(n));
     }
     let mut vals: [Cow<'a, Value>; 3] = Default::default();
     for (slot, a) in vals.iter_mut().zip(args) {
@@ -494,6 +497,11 @@ pub(crate) fn core_args<'a>(
         };
     }
     Ok((vals, n))
+}
+
+/// The error of an operator applied to more than three operands.
+fn too_many_operands(n: usize) -> LangError {
+    LangError::new(Stage::Eval, format!("operator with {n} arguments"))
 }
 
 /// The error of `sample`/`observe` on a `nil` distribution.

@@ -36,8 +36,6 @@ pub use error::{LangError, Pos, Stage};
 pub use eval::{ExecBackend, Instance, MufEngine, Options};
 pub use kinds::Kind;
 pub use muf::{MufProgram, MufValue};
-pub use pipeline::{
-    check_source, compile_source, compile_source_opt, optimize_source, Checked, Compiled, Optimized,
-};
+pub use pipeline::{check_source, compile_source, compile_source_opt, Checked, Compiled};
 pub use transform::opt::{HoistPlan, OptConfig, OptReport};
 pub use types::{NodeSig, Ty};

@@ -18,7 +18,7 @@ use crate::lexer::{lex, Spanned, Tok};
 /// prefix operator, a tuple component, a `->`/`fby` link, or a keyword
 /// form; a `where` block and a function application each count one more,
 /// because the later passes spend about twice the stack on them. A
-/// program nested exactly this deep checks, optimizes and lowers within a
+/// program nested exactly this deep checks, compiles and lowers within a
 /// 2 MiB thread stack even in an unoptimized build (the bound is set by
 /// the debug-build frame sizes); deeper input fails with
 /// [`Code::NESTING`] instead of overflowing the stack.

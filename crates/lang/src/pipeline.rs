@@ -21,7 +21,7 @@ use crate::muf::{MufProgram, MufValue};
 use crate::parser::parse_program;
 use crate::schedule::schedule_program;
 use crate::transform::desugar_program;
-use crate::transform::opt::{optimize_program, HoistPlan, OptConfig, OptReport};
+use crate::transform::opt::HoistPlan;
 use crate::types::{self, NodeSig};
 use probzelus_core::infer::Method;
 use std::collections::HashMap;
@@ -100,58 +100,15 @@ fn build(src: &str) -> Result<(Compiled, BoundedReport, Program), LangError> {
     ))
 }
 
-/// The result of [`optimize_source`]: the optimized compilation next to
-/// its unoptimized baseline, plus the optimizer's diagnostics.
-#[derive(Debug, Clone)]
-pub struct Optimized {
-    /// The optimized program. Run nodes through this one.
-    pub compiled: Compiled,
-    /// The unoptimized baseline (for before/after display and
-    /// differential checks).
-    pub baseline: Compiled,
-    /// What each pass did.
-    pub report: OptReport,
-}
-
-/// Runs the whole pipeline and then the optimizing µF pass pipeline
-/// (constant propagation/folding, dead-stream elimination, common
-/// subexpression factoring).
-///
-/// The boundedness verdicts are those of the *unoptimized* kernel: what
-/// the analysis reports to users is about the program they wrote.
-///
-/// # Errors
-///
-/// As for [`compile_source`].
-pub fn optimize_source(src: &str, cfg: &OptConfig) -> Result<Optimized, LangError> {
-    let baseline = compile_source(src)?;
-    let (kernel, report) = optimize_program(&baseline.kernel, cfg)?;
-    let muf = compile_program(&kernel)?;
-    let effects = effects::analyze_program(&kernel);
-    let compiled = Compiled {
-        kernel,
-        muf,
-        kinds: baseline.kinds.clone(),
-        sigs: baseline.sigs.clone(),
-        bounded: baseline.bounded.clone(),
-        effects,
-        plans: HashMap::new(),
-    };
-    Ok(Optimized {
-        compiled,
-        baseline,
-        report,
-    })
-}
-
-/// [`optimize_source`] with every pass enabled, returning just the
-/// optimized compilation.
+/// [`compile_source`], under the name of the deleted optimizing
+/// pipeline. Kept only because the benchmark
+/// (`crates/bench/src/bin/rpbench/`) calls it.
 ///
 /// # Errors
 ///
 /// As for [`compile_source`].
 pub fn compile_source_opt(src: &str) -> Result<Compiled, LangError> {
-    optimize_source(src, &OptConfig::default()).map(|o| o.compiled)
+    compile_source(src)
 }
 
 /// The result of [`check_source`]: diagnostics plus, when every pipeline

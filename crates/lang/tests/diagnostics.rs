@@ -2,8 +2,8 @@
 //! every file must produce exactly its advertised `PZ0xxx` code, at the
 //! advertised position, with a stable JSON rendering.
 
-use probzelus_lang::pipeline::{check_source, optimize_source};
-use probzelus_lang::{Code, Diagnostic, OptConfig, Severity};
+use probzelus_lang::pipeline::check_source;
+use probzelus_lang::{Code, Diagnostic, Severity};
 
 fn check_bad(file: &str, lint: bool) -> (String, Vec<Diagnostic>) {
     let path = format!(
@@ -12,29 +12,6 @@ fn check_bad(file: &str, lint: bool) -> (String, Vec<Diagnostic>) {
     );
     let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
     (src.clone(), check_source(&src, lint).diagnostics)
-}
-
-/// The optimizer's diagnostics come from `optimize_source`, not
-/// `check_source`: PZ05xx/PZ06xx opt codes describe transformations
-/// actually performed, so they only exist on the `pzc opt` path.
-fn opt_bad(file: &str) -> Vec<Diagnostic> {
-    let path = format!(
-        "{}/../../examples/zelus/bad/{file}",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    optimize_source(&src, &OptConfig::default())
-        .unwrap_or_else(|e| panic!("{path}: {e}"))
-        .report
-        .diagnostics
-}
-
-#[track_caller]
-fn find(diags: &[Diagnostic], code: Code) -> &Diagnostic {
-    diags
-        .iter()
-        .find(|d| d.code == code)
-        .unwrap_or_else(|| panic!("no {code} in {diags:?}"))
 }
 
 #[track_caller]
@@ -112,50 +89,6 @@ fn resample_free_lints_at_the_infer_site() {
     assert_eq!(d.code, Code::LINT_RESAMPLE_FREE);
     assert!(d.message.contains("`prior`"));
     assert_eq!(d.pos.unwrap().line, 5);
-}
-
-#[test]
-fn opt_dead_stream_points_at_the_deleted_equation() {
-    let diags = opt_bad("opt_dead.zl");
-    let d = find(&diags, Code::OPT_DEAD_STREAM);
-    assert_eq!(d.severity, Severity::Lint);
-    assert!(d.message.contains("`shadow`"), "{}", d.message);
-    assert_eq!(d.pos.unwrap().line, 5);
-}
-
-#[test]
-fn opt_cse_reports_the_factored_count() {
-    let diags = opt_bad("opt_cse.zl");
-    let d = find(&diags, Code::OPT_CSE);
-    assert_eq!(d.severity, Severity::Lint);
-    assert!(d.message.contains("computed 2 times"), "{}", d.message);
-}
-
-#[test]
-fn opt_const_fold_names_the_folded_value() {
-    let diags = opt_bad("opt_fold.zl");
-    let d = find(&diags, Code::OPT_CONST_FOLD);
-    assert_eq!(d.severity, Severity::Lint);
-    assert!(d.message.contains("`2.0`"), "{}", d.message);
-    // Folding `scale` to a constant leaves the stream dead, so the
-    // cascade also fires PZ0604 on the same equation.
-    let dead = find(&diags, Code::OPT_DEAD_STREAM);
-    assert_eq!(dead.pos.unwrap().line, d.pos.unwrap().line);
-}
-
-#[test]
-fn opt_codes_never_come_from_plain_check() {
-    // `check --lint` must stay oblivious to the optimizer: its corpus
-    // gate requires the good examples to be diagnostic-free even when
-    // `pzc opt` rewrites them.
-    let opt_codes = [Code::OPT_DEAD_STREAM, Code::OPT_CSE, Code::OPT_CONST_FOLD];
-    for file in ["opt_dead.zl", "opt_cse.zl", "opt_fold.zl"] {
-        let (_, diags) = check_bad(file, true);
-        assert!(
-            diags.iter().all(|d| !opt_codes.contains(&d.code)),
-            "{file}: check_source emitted an opt code: {diags:?}"
-        );
-    }
 }
 
 #[test]

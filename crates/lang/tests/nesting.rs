@@ -4,7 +4,7 @@
 //! never a stack overflow.
 
 use probzelus_lang::parser::MAX_NESTING;
-use probzelus_lang::pipeline::{check_source, compile_source_opt};
+use probzelus_lang::pipeline::{check_source, compile_source};
 use probzelus_lang::{Code, Options};
 
 /// The stack of a default test thread.
@@ -67,12 +67,12 @@ fn programs_at_the_budget() -> Vec<(String, &'static str)> {
 }
 
 #[test]
-fn programs_nested_to_the_budget_check_optimize_and_lower() {
+fn programs_nested_to_the_budget_check_compile_and_lower() {
     for (src, node) in programs_at_the_budget() {
         on_test_stack(move || {
             let checked = check_source(&src, true);
             assert!(!checked.has_errors(), "{src}: {:?}", checked.diagnostics);
-            let compiled = compile_source_opt(&src).unwrap_or_else(|e| panic!("{src}: {e}"));
+            let compiled = compile_source(&src).unwrap_or_else(|e| panic!("{src}: {e}"));
             compiled
                 .lower_node(node, Options::default())
                 .unwrap_or_else(|e| panic!("{src}: {e}"))

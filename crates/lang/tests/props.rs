@@ -1,19 +1,18 @@
 //! Property-based tests for the instruction-tape backend: on randomly
 //! shaped well-kinded kernel programs, lowering to the flat tape must be
-//! bitwise posterior-preserving against the tree-walking interpreter —
-//! the same contract `tests/props.rs` (workspace root) pins for the
-//! optimizer passes, extended to the execution backend.
+//! bitwise posterior-preserving against the tree-walking interpreter.
 
 use probzelus_core::infer::Method;
 use probzelus_core::Value;
-use probzelus_lang::pipeline::{compile_source, compile_source_opt};
+use probzelus_lang::pipeline::compile_source;
 use probzelus_lang::{ExecBackend, Options};
 use proptest::prelude::*;
 
 /// Builds a randomly shaped but well-kinded kernel program covering the
 /// constructs the lowering pass handles: arrow flags (`Select` ops),
 /// `pre`-carried state (register-file state slots), nested
-/// tuples, arithmetic chains, a conditional observation mean, and a
+/// tuples, arithmetic chains, a constant chain (`scale`), an optional
+/// dead stream, an optional repeated pure subexpression, and a
 /// sampled/observed latent.
 #[allow(clippy::too_many_arguments)]
 fn program(
@@ -56,9 +55,9 @@ proptest! {
 
     /// The tape backend is bitwise posterior-preserving on randomly
     /// generated well-kinded kernels, for both a sampling method (PF)
-    /// and an exact one (SDS), through both the plain and the optimizing
-    /// pipeline — and lowering must actually succeed, so the property
-    /// can never be satisfied by a silent interpreter fallback.
+    /// and an exact one (SDS) — and lowering must actually succeed, so
+    /// the property can never be satisfied by a silent interpreter
+    /// fallback.
     #[test]
     fn tape_preserves_posteriors_bitwise(
         g in 0.5f64..1.5,
@@ -72,37 +71,36 @@ proptest! {
         ys in proptest::collection::vec(-3.0f64..3.0, 1..6),
     ) {
         let src = program(g, d, a, q, r, with_dead, with_cse, with_gain);
-        for compiled in [compile_source(&src).unwrap(), compile_source_opt(&src).unwrap()] {
-            for method in [Method::ParticleFilter, Method::StreamingDs] {
-                let mk = |backend| {
-                    compiled
-                        .infer_node("m", 20, Options { method, seed: 11, backend })
-                        .unwrap()
-                };
-                let mut eng_interp = mk(ExecBackend::Interp);
-                let mut eng_tape = mk(ExecBackend::Tape);
-                for y in &ys {
-                    let p_interp = eng_interp.step(&Value::Float(*y)).unwrap();
-                    let p_tape = eng_tape.step(&Value::Float(*y)).unwrap();
-                    prop_assert_eq!(
-                        p_interp.mean_float().to_bits(),
-                        p_tape.mean_float().to_bits(),
-                        "{:?}: mean drifted on\n{}",
-                        method,
-                        src
-                    );
-                    prop_assert_eq!(
-                        &p_interp, &p_tape,
-                        "{:?}: posterior drifted on\n{}", method, src
-                    );
-                }
+        let compiled = compile_source(&src).unwrap();
+        for method in [Method::ParticleFilter, Method::StreamingDs] {
+            let mk = |backend| {
+                compiled
+                    .infer_node("m", 20, Options { method, seed: 11, backend })
+                    .unwrap()
+            };
+            let mut eng_interp = mk(ExecBackend::Interp);
+            let mut eng_tape = mk(ExecBackend::Tape);
+            for y in &ys {
+                let p_interp = eng_interp.step(&Value::Float(*y)).unwrap();
+                let p_tape = eng_tape.step(&Value::Float(*y)).unwrap();
                 prop_assert_eq!(
-                    eng_tape.tape_status(),
-                    Some(Ok(())),
-                    "tape did not lower:\n{}",
+                    p_interp.mean_float().to_bits(),
+                    p_tape.mean_float().to_bits(),
+                    "{:?}: mean drifted on\n{}",
+                    method,
                     src
                 );
+                prop_assert_eq!(
+                    &p_interp, &p_tape,
+                    "{:?}: posterior drifted on\n{}", method, src
+                );
             }
+            prop_assert_eq!(
+                eng_tape.tape_status(),
+                Some(Ok(())),
+                "tape did not lower:\n{}",
+                src
+            );
         }
     }
 }

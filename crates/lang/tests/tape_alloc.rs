@@ -4,7 +4,7 @@
 //! harness's parallel threads do not disturb each other) counts every
 //! allocation event during each engine tick of `hmm.zl`'s `hmm` and
 //! `robot.zl`'s `gps_acc_tracker`: PF, 100 particles, fixed seed and
-//! inputs, optimizing pipeline, tape backend.
+//! inputs, tape backend.
 //!
 //! A PF tick allocates a fixed amount for stepping the cloud (its step
 //! cost), plus a fixed amount per particle the resampler clones (the
@@ -23,11 +23,15 @@
 //! tick's count is not constant; each window's total is pinned exactly
 //! instead. Copying a multi-term affine value shares its terms, which is
 //! pinned to allocate nothing.
+//!
+//! A deterministic instance is stepped by the tree-walking interpreter,
+//! which evaluates an operator's operands on the stack: a tick of an
+//! operator-heavy node is pinned too.
 
 use probzelus_core::ds::{Graph, Retention};
 use probzelus_core::infer::Method;
 use probzelus_core::{ops, DistExpr, Value};
-use probzelus_lang::pipeline::compile_source_opt;
+use probzelus_lang::pipeline::compile_source;
 use probzelus_lang::{ExecBackend, MufEngine, Options};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -106,7 +110,7 @@ fn float_inputs(n: usize) -> Vec<f64> {
 }
 
 fn engine(file: &str, node: &str, method: Method, particles: usize) -> MufEngine {
-    let compiled = compile_source_opt(&example(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+    let compiled = compile_source(&example(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
     let options = Options {
         method,
         seed: 42,
@@ -284,4 +288,52 @@ fn cloning_a_multi_term_affine_value_allocates_nothing() {
     }
     assert_eq!(allocs() - a0, 0, "cloning {sum} allocated");
     assert!(copies.iter().all(|c| *c == sum));
+}
+
+/// Two nodes with the same state, one memory: `arith` applies twelve
+/// operators per tick, `copy` none.
+const DET_NODES: &str = "
+    let node arith x = y where
+      rec m = 0. -> pre y
+      and y = ((x * 2. + 1.) * (x - 3.) + x / 4.) * 0.5 - (m * 0.25 + 5.) * (1. - x)
+    let node copy x = y where
+      rec m = 0. -> pre y
+      and y = m
+";
+
+/// The allocations of every window tick of a deterministic instance of
+/// `node` in [`DET_NODES`], stepped by the tree-walking interpreter.
+fn interpreted_tick_allocs(node: &str) -> Vec<u64> {
+    let compiled = compile_source(DET_NODES).expect("nodes compile");
+    let options = Options {
+        method: Method::StreamingDs,
+        seed: 0,
+        backend: ExecBackend::Interp,
+    };
+    let mut inst = compiled.instantiate(node, options).expect("instantiates");
+    let inputs = float_inputs(WARMUP + WINDOW);
+    for &x in &inputs[..WARMUP] {
+        inst.step(Value::Float(x)).expect("step");
+    }
+    inputs[WARMUP..]
+        .iter()
+        .map(|&x| {
+            let a0 = allocs();
+            let out = inst.step(Value::Float(x)).expect("step");
+            let a = allocs() - a0;
+            drop(out);
+            a
+        })
+        .collect()
+}
+
+/// The interpreter evaluates an operator's operands into a stack buffer,
+/// so operators allocate nothing: every tick of `arith` costs what a tick
+/// of `copy` does, a pinned 26.
+#[test]
+fn interpreted_operators_allocate_nothing() {
+    for node in ["arith", "copy"] {
+        let ticks = interpreted_tick_allocs(node);
+        assert!(ticks.iter().all(|&a| a == 26), "{node}: {ticks:?}");
+    }
 }

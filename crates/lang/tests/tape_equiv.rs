@@ -1,9 +1,8 @@
 //! Differential oracle for the flat instruction tape: every committed
 //! example program must produce **bit-identical** posteriors (and
 //! deterministic outputs) under `ExecBackend::Tape` vs. the tree-walking
-//! interpreter, across every inference method and both the plain and
-//! the optimizing pipeline. The interpreter is
-//! the semantic oracle; the tape's claim is that lowering changes only
+//! interpreter, across every inference method. The interpreter is the
+//! semantic oracle; the tape's claim is that lowering changes only
 //! the cost model, never a bit of the posterior.
 //!
 //! Worker-pool counts are deliberately not a test axis: `MufModel` holds
@@ -14,7 +13,7 @@ use probzelus_core::infer::Method;
 use probzelus_core::{Posterior, Value};
 use probzelus_lang::eval::Interp;
 use probzelus_lang::muf::{MufDef, MufExpr, MufPat, MufProgram};
-use probzelus_lang::pipeline::{compile_source, compile_source_opt, Compiled};
+use probzelus_lang::pipeline::{compile_source, Compiled};
 use probzelus_lang::tape::{Op, StateOut, TapeProgram};
 use probzelus_lang::transform::lower::lower_closure;
 use probzelus_lang::{Const, ExecBackend, MufEngine, MufValue, OpName, Options};
@@ -150,22 +149,15 @@ fn assert_instance_identical(file: &str, compiled: &Compiled, node: &str, inputs
     }
 }
 
-/// Runs a file's probabilistic node through both pipelines (plain and
-/// optimizing), both backends, all methods.
+/// Runs a file's probabilistic node on both backends, all methods.
 fn check_infer(file: &str, node: &str, particles: usize, inputs: &[Value]) {
-    let src = example(file);
-    let base = compile_source(&src).unwrap_or_else(|e| panic!("{file}: {e}"));
-    let opt = compile_source_opt(&src).unwrap_or_else(|e| panic!("{file}: {e}"));
-    assert_backends_identical(file, &base, node, particles, inputs);
-    assert_backends_identical(file, &opt, node, particles, inputs);
+    let compiled = compile_source(&example(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+    assert_backends_identical(file, &compiled, node, particles, inputs);
 }
 
 fn check_instance(file: &str, node: &str, inputs: &[Value]) {
-    let src = example(file);
-    let base = compile_source(&src).unwrap_or_else(|e| panic!("{file}: {e}"));
-    let opt = compile_source_opt(&src).unwrap_or_else(|e| panic!("{file}: {e}"));
-    assert_instance_identical(file, &base, node, inputs);
-    assert_instance_identical(file, &opt, node, inputs);
+    let compiled = compile_source(&example(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+    assert_instance_identical(file, &compiled, node, inputs);
 }
 
 #[test]
@@ -250,13 +242,9 @@ const KEEP: &str = r#"
 #[test]
 fn constant_and_captured_state_leaves_survive_every_particle() {
     let inputs: Vec<Value> = float_inputs(6).into_iter().map(Value::Float).collect();
-    let base = compile_source(KEEP).expect("keep compiles");
-    let opt = compile_source_opt(KEEP).expect("keep compiles");
-    assert_instance_identical("keep", &base, "main", &inputs);
-    assert_instance_identical("keep", &opt, "main", &inputs);
-    for compiled in [&base, &opt] {
-        assert_backends_identical("keep", compiled, "keep", 3, &inputs);
-    }
+    let compiled = compile_source(KEEP).expect("keep compiles");
+    assert_instance_identical("keep", &compiled, "main", &inputs);
+    assert_backends_identical("keep", &compiled, "keep", 3, &inputs);
 }
 
 /// The steady-state allocation claim, witnessed the same way the engine
@@ -267,7 +255,7 @@ fn constant_and_captured_state_leaves_survive_every_particle() {
 #[test]
 fn tape_scratch_plateaus_after_warmup() {
     let src = example("hmm.zl");
-    let compiled = compile_source_opt(&src).expect("hmm compiles");
+    let compiled = compile_source(&src).expect("hmm compiles");
     for method in [Method::ParticleFilter, Method::StreamingDs] {
         let mut engine = engine(&compiled, "hmm", 64, method, ExecBackend::Tape);
         let inputs = float_inputs(300);
@@ -357,29 +345,20 @@ fn assert_outcomes_identical(
 #[test]
 fn runtime_errors_carry_one_stage_prefix() {
     const WANT: &str = "evaluation error: type mismatch: expected float, got int";
-    for compiled in both_pipelines(&example("hmm.zl")) {
-        for backend in [ExecBackend::Interp, ExecBackend::Tape] {
-            let mut hmm = engine(&compiled, "hmm", 4, Method::StreamingDs, backend);
-            let err = hmm.step(&Value::Int(1)).unwrap_err();
-            assert_eq!(err.to_string(), WANT, "hmm ({backend:?})");
-            let options = Options {
-                method: Method::StreamingDs,
-                seed: 7,
-                backend,
-            };
-            let mut main = compiled.instantiate("main", options).expect("instantiate");
-            let err = main.step(Value::Int(1)).unwrap_err();
-            assert_eq!(err.to_string(), WANT, "main ({backend:?})");
-        }
+    let compiled = compile_source(&example("hmm.zl")).expect("hmm compiles");
+    for backend in [ExecBackend::Interp, ExecBackend::Tape] {
+        let mut hmm = engine(&compiled, "hmm", 4, Method::StreamingDs, backend);
+        let err = hmm.step(&Value::Int(1)).unwrap_err();
+        assert_eq!(err.to_string(), WANT, "hmm ({backend:?})");
+        let options = Options {
+            method: Method::StreamingDs,
+            seed: 7,
+            backend,
+        };
+        let mut main = compiled.instantiate("main", options).expect("instantiate");
+        let err = main.step(Value::Int(1)).unwrap_err();
+        assert_eq!(err.to_string(), WANT, "main ({backend:?})");
     }
-}
-
-/// Both pipelines' compilations of `src`.
-fn both_pipelines(src: &str) -> [Compiled; 2] {
-    [
-        compile_source(src).expect("compiles"),
-        compile_source_opt(src).expect("compiles (opt)"),
-    ]
 }
 
 fn lowered(compiled: &Compiled, node: &str) -> TapeProgram {
@@ -414,31 +393,28 @@ const ESCAPE: &str = r#"
 #[test]
 fn escaping_distribution_stays_boxed() {
     let inputs: Vec<Value> = float_inputs(8).into_iter().map(Value::Float).collect();
-    for compiled in both_pipelines(ESCAPE) {
-        for node in ["escape", "returned"] {
-            assert_outcomes_identical(
-                node,
-                |method, backend| engine(&compiled, node, 7, method, backend),
-                &inputs,
-            )
-            .iter()
-            .flatten()
-            .for_each(|o| assert!(o.is_ok(), "{node}: {o:?}"));
-        }
+    let compiled = compile_source(ESCAPE).expect("compiles");
+    for node in ["escape", "returned"] {
+        assert_outcomes_identical(
+            node,
+            |method, backend| engine(&compiled, node, 7, method, backend),
+            &inputs,
+        )
+        .iter()
+        .flatten()
+        .for_each(|o| assert!(o.is_ok(), "{node}: {o:?}"));
     }
-    for compiled in both_pipelines(ESCAPE) {
-        let ops = lowered(&compiled, "escape").ops;
-        assert!(
-            ops.iter().any(|op| matches!(op, Op::Sample { .. }))
-                && ops.iter().any(|op| matches!(op, Op::Observe { .. })),
-            "escape: the shared distribution was fused: {ops:?}"
-        );
-        let ops = lowered(&compiled, "returned").ops;
-        assert!(
-            ops.iter().any(|op| matches!(op, Op::Sample { .. })),
-            "returned: the returned distribution was fused: {ops:?}"
-        );
-    }
+    let ops = lowered(&compiled, "escape").ops;
+    assert!(
+        ops.iter().any(|op| matches!(op, Op::Sample { .. }))
+            && ops.iter().any(|op| matches!(op, Op::Observe { .. })),
+        "escape: the shared distribution was fused: {ops:?}"
+    );
+    let ops = lowered(&compiled, "returned").ops;
+    assert!(
+        ops.iter().any(|op| matches!(op, Op::Sample { .. })),
+        "returned: the returned distribution was fused: {ops:?}"
+    );
 }
 
 /// Hand-written µF transitions `name = fun pat -> body`, all over the
@@ -738,20 +714,17 @@ fn pair_inputs(n: usize) -> Vec<Value> {
 #[test]
 fn input_components_in_output_and_state_survive_every_particle() {
     let inputs = pair_inputs(6);
-    for compiled in both_pipelines(PASS) {
-        assert_outcomes_identical(
-            "pass",
-            |method, backend| engine(&compiled, "pass", 4, method, backend),
-            &inputs,
-        )
-        .iter()
-        .flatten()
-        .for_each(|o| assert!(o.is_ok(), "pass: {o:?}"));
-    }
-    // In the plain pipeline the `pre b` leaf is the prologue register of
-    // `b` itself.
-    let [plain, _] = both_pipelines(PASS);
-    let prog = lowered(&plain, "pass");
+    let compiled = compile_source(PASS).expect("compiles");
+    assert_outcomes_identical(
+        "pass",
+        |method, backend| engine(&compiled, "pass", 4, method, backend),
+        &inputs,
+    )
+    .iter()
+    .flatten()
+    .for_each(|o| assert!(o.is_ok(), "pass: {o:?}"));
+    // The `pre b` leaf is the prologue register of `b` itself.
+    let prog = lowered(&compiled, "pass");
     let prologue: Vec<_> = prog.ops[..prog.prologue]
         .iter()
         .filter_map(|op| match op {
@@ -782,15 +755,14 @@ const NOISY: &str = r#"
 fn misshaped_input_errors_like_the_interpreter_and_recovers() {
     let mut inputs = pair_inputs(6);
     inputs[2] = Value::Float(1.0);
-    for compiled in both_pipelines(NOISY) {
-        for run in assert_outcomes_identical(
-            "noisy",
-            |method, backend| engine(&compiled, "noisy", 4, method, backend),
-            &inputs,
-        ) {
-            for (t, o) in run.iter().enumerate() {
-                assert_eq!(o.is_err(), t == 2, "noisy tick {t}: {o:?}");
-            }
+    let compiled = compile_source(NOISY).expect("compiles");
+    for run in assert_outcomes_identical(
+        "noisy",
+        |method, backend| engine(&compiled, "noisy", 4, method, backend),
+        &inputs,
+    ) {
+        for (t, o) in run.iter().enumerate() {
+            assert_eq!(o.is_err(), t == 2, "noisy tick {t}: {o:?}");
         }
     }
 }

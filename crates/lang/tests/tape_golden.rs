@@ -3,14 +3,14 @@
 //! `tests/golden/` and must reproduce byte-for-byte. Lowering is fully
 //! deterministic (names are interned in scope order, registers allocated
 //! sequentially), so any diff here is a real change to the emitted code —
-//! re-bless with `pzc emit --tape --opt examples/zelus/<file>` after
+//! re-bless with `pzc emit --tape examples/zelus/<file>` after
 //! reviewing it.
 
 use probzelus_core::infer::Method;
 use probzelus_core::Value;
 use probzelus_lang::compile::init_name;
 use probzelus_lang::eval::{ExecBackend, Interp, Options, ProbSlot};
-use probzelus_lang::pipeline::{compile_source_opt, Compiled};
+use probzelus_lang::pipeline::{compile_source, Compiled};
 use probzelus_lang::tape::Op;
 use probzelus_lang::{MufValue, OpName};
 
@@ -52,7 +52,7 @@ fn render_all(compiled: &Compiled) -> String {
 
 #[test]
 fn hmm_tape_matches_golden() {
-    let compiled = compile_source_opt(&example("hmm.zl")).expect("hmm compiles");
+    let compiled = compile_source(&example("hmm.zl")).expect("hmm compiles");
     assert_eq!(
         render_all(&compiled),
         golden("hmm_tape.txt"),
@@ -62,7 +62,7 @@ fn hmm_tape_matches_golden() {
 
 #[test]
 fn robot_tape_matches_golden() {
-    let compiled = compile_source_opt(&example("robot.zl")).expect("robot compiles");
+    let compiled = compile_source(&example("robot.zl")).expect("robot compiles");
     assert_eq!(
         render_all(&compiled),
         golden("robot_tape.txt"),
@@ -111,7 +111,7 @@ fn fused_counts(node: &str, ops: &[Op]) -> (usize, usize) {
 /// distribution constructors, and it is fully flattened.
 #[test]
 fn hmm_tape_is_fully_flattened() {
-    let compiled = compile_source_opt(&example("hmm.zl")).expect("hmm compiles");
+    let compiled = compile_source(&example("hmm.zl")).expect("hmm compiles");
     let prog = compiled
         .lower_node("hmm", options())
         .expect("lower_node runs")
@@ -144,7 +144,7 @@ fn hmm_tape_is_fully_flattened() {
 /// one sample, the accelerometer observation and the GPS observation.
 #[test]
 fn robot_tracker_tape_is_fully_flattened() {
-    let compiled = compile_source_opt(&example("robot.zl")).expect("robot compiles");
+    let compiled = compile_source(&example("robot.zl")).expect("robot compiles");
     let prog = compiled
         .lower_node("gps_acc_tracker", options())
         .expect("lower_node runs")
@@ -189,7 +189,7 @@ fn benched_tapes_keep_state_flat() {
             &["integr", "tracker", "acc_tracker", "gps_acc_tracker"][..],
         ),
     ] {
-        let compiled = compile_source_opt(&example(file)).expect("example compiles");
+        let compiled = compile_source(&example(file)).expect("example compiles");
         for node in nodes {
             let prog = compiled
                 .lower_node(node, options())

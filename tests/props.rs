@@ -229,95 +229,6 @@ proptest! {
     }
 }
 
-mod opt_props {
-    use probzelus::core::infer::Method;
-    use probzelus::core::Value;
-    use probzelus::lang::{compile_source, compile_source_opt, ExecBackend, Options};
-    use proptest::prelude::*;
-
-    /// Builds a randomly shaped but well-kinded kernel program exercising
-    /// every optimizer pass: a foldable constant chain, deterministic
-    /// streams (`pre`-carried, constant-fed), an
-    /// optional dead stream, an optional repeated pure subexpression
-    /// (CSE target), and a sampled/observed latent.
-    #[allow(clippy::too_many_arguments)]
-    fn program(
-        g: f64,
-        d: f64,
-        a: f64,
-        q: f64,
-        r: f64,
-        with_dead: bool,
-        with_cse: bool,
-        with_gain: bool,
-    ) -> String {
-        let gain_eq = if with_gain {
-            format!("and gain = 1.0 -> pre gain * {g:?}\n")
-        } else {
-            String::new()
-        };
-        let gain_use = if with_gain { "+ gain * 0.1 " } else { "" };
-        let dead_eq = if with_dead {
-            "and dead = y * 3.0\n"
-        } else {
-            ""
-        };
-        let mean = if with_cse {
-            "x * scale + x * scale"
-        } else {
-            "x * scale"
-        };
-        format!(
-            "let node m y = x where
-               rec scale = 1.0 + 2.0 * 0.5
-               and drift = 0.0 -> pre drift + {d:?}
-               {gain_eq}{dead_eq}and x = sample (gaussian ((0.0 -> pre x) * {a:?} {gain_use}+ drift, {q:?}))
-               and () = observe (gaussian ({mean}, {r:?}), y)"
-        )
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// The optimizing pass pipeline is bitwise posterior-preserving
-        /// on randomly generated well-kinded kernels, for both a
-        /// sampling method and an exact one.
-        #[test]
-        fn optimization_preserves_posteriors_bitwise(
-            g in 0.5f64..1.5,
-            d in -0.5f64..0.5,
-            a in 0.2f64..1.2,
-            q in 0.1f64..5.0,
-            r in 0.1f64..5.0,
-            with_dead in any::<bool>(),
-            with_cse in any::<bool>(),
-            with_gain in any::<bool>(),
-            ys in proptest::collection::vec(-3.0f64..3.0, 1..6),
-        ) {
-            let src = program(g, d, a, q, r, with_dead, with_cse, with_gain);
-            let base = compile_source(&src).unwrap();
-            let opt = compile_source_opt(&src).unwrap();
-            for method in [Method::ParticleFilter, Method::StreamingDs] {
-                let options = Options { method, seed: 11, backend: ExecBackend::Interp };
-                let mut eng_base = base.infer_node("m", 20, options).unwrap();
-                let mut eng_opt = opt.infer_node("m", 20, options).unwrap();
-                for y in &ys {
-                    let p_base = eng_base.step(&Value::Float(*y)).unwrap();
-                    let p_opt = eng_opt.step(&Value::Float(*y)).unwrap();
-                    prop_assert_eq!(
-                        p_base.mean_float().to_bits(),
-                        p_opt.mean_float().to_bits(),
-                        "{:?}: mean drifted on\n{}",
-                        method,
-                        src
-                    );
-                    prop_assert_eq!(&p_base, &p_opt, "{:?}: posterior drifted on\n{}", method, src);
-                }
-            }
-        }
-    }
-}
-
 mod linalg_props {
     use probzelus_distributions::{Matrix, MvAffineGaussian, MvGaussian, Vector};
     use proptest::prelude::*;

@@ -6,7 +6,7 @@
 use probzelus::core::infer::{Infer, Method};
 use probzelus::core::stream::{Integrator, StreamNode};
 use probzelus::core::Value;
-use probzelus::lang::{compile_source, compile_source_opt, ExecBackend, MufValue, Options};
+use probzelus::lang::{compile_source, ExecBackend, MufValue, Options};
 use probzelus::models::{generate_kalman, Kalman};
 use probzelus::robot::{GpsAccTracker, RobotPhysics, TrackerInput};
 
@@ -233,14 +233,13 @@ fn reset_over_infer_restarts_inference_cleanly_each_time() {
 }
 
 /// The native `GpsAccTracker` is the same model as `robot.zl`'s
-/// `gps_acc_tracker` compiled through the optimizing pipeline: with the
-/// same seed and particle count, every tick's posterior mean and variance
-/// agree bit for bit, on both execution backends and under PF, BDS, SDS
-/// and classic DS. This holds although the DSL's strict `->` select also
+/// `gps_acc_tracker`: with the same seed and particle count, every tick's
+/// posterior mean and variance agree bit for bit, on both execution
+/// backends and under PF, BDS, SDS and classic DS. This holds although the DSL's strict `->` select also
 /// evaluates `sample` at tick 0, where the `0.` branch is taken.
 #[test]
 fn native_robot_tracker_matches_robot_zl() {
-    let compiled = compile_source_opt(include_str!("../examples/zelus/robot.zl")).unwrap();
+    let compiled = compile_source(include_str!("../examples/zelus/robot.zl")).unwrap();
     let mut physics = RobotPhysics::new(5, 5);
     let inputs: Vec<TrackerInput> = (0..120)
         .map(|t| {

@@ -17,9 +17,7 @@ use common::fnv1a;
 use probzelus::core::adaptive::DeadlineConfig;
 use probzelus::core::infer::{Infer, Parallelism, ResampleStats};
 use probzelus::core::{Method, Value};
-use probzelus::lang::{
-    compile_source, compile_source_opt, Compiled, ExecBackend, LangError, MufEngine, Options,
-};
+use probzelus::lang::{compile_source, ExecBackend, MufEngine, Options};
 use probzelus::models::{generate_coin, generate_kalman, Coin, Kalman};
 
 const SEEDS: [u64; 2] = [0xA11CE, 0xB0B5EED];
@@ -71,27 +69,17 @@ fn prob_examples() -> Vec<(&'static str, &'static str, Vec<Value>)> {
     ]
 }
 
-/// One way to run a DSL example: the pipeline that compiles it and the
-/// backend that executes its particles.
-type Stack = (fn(&str) -> Result<Compiled, LangError>, ExecBackend);
-
-/// The plain pipeline on the interpreter: the stack the digests were
-/// recorded on.
-const INTERP: Stack = (compile_source, ExecBackend::Interp);
-/// The optimizing pipeline on the tape: the stack the benchmarks run.
-const OPT_TAPE: Stack = (compile_source_opt, ExecBackend::Tape);
-
 /// The full posterior trace as raw bit patterns plus the final resampling
 /// counters — the complete observable surface a digest pins.
 fn dsl_trace(
-    (compile, backend): Stack,
+    backend: ExecBackend,
     file: &str,
     node: &str,
     method: Method,
     seed: u64,
     inputs: &[Value],
 ) -> (Vec<(u64, u64)>, ResampleStats) {
-    let compiled = compile(&read_example(file)).expect("example compiles");
+    let compiled = compile_source(&read_example(file)).expect("example compiles");
     let mut engine: MufEngine = compiled
         .infer_node(
             node,
@@ -152,10 +140,10 @@ fn value_bits(v: &Value, out: &mut Vec<u64>) {
 /// The digest lines of robot.zl's driver instances — `robot` (an `infer`
 /// in the loop) and `task_bot` (an automaton around it: `present`,
 /// `reset`, nested inference) — under SDS and PF for every golden seed,
-/// run on `stack`. A driver hands out no engine, so a line pins the bits
+/// run on `backend`. A driver hands out no engine, so a line pins the bits
 /// of every output tick.
-fn driver_lines((compile, backend): Stack) -> Vec<String> {
-    let compiled = compile(&read_example("robot.zl")).expect("robot.zl compiles");
+fn driver_lines(backend: ExecBackend) -> Vec<String> {
+    let compiled = compile_source(&read_example("robot.zl")).expect("robot.zl compiles");
     let inputs = driver_inputs();
     let mut lines = Vec::new();
     for node in ["robot", "task_bot"] {
@@ -208,13 +196,13 @@ fn digest_line(coords: &str, (trace, s): (Vec<(u64, u64)>, ResampleStats)) -> St
 }
 
 /// The digest lines of every method × probabilistic example × golden
-/// seed, run on `stack`.
-fn dsl_lines(stack: Stack) -> Vec<String> {
+/// seed, run on `backend`.
+fn dsl_lines(backend: ExecBackend) -> Vec<String> {
     let mut lines = Vec::new();
     for (file, node, inputs) in prob_examples() {
         for method in Method::ALL {
             for seed in SEEDS {
-                let trace = dsl_trace(stack, file, node, method, seed, &inputs);
+                let trace = dsl_trace(backend, file, node, method, seed, &inputs);
                 lines.push(digest_line(
                     &format!("{file} {node} {method} {seed:#x}"),
                     trace,
@@ -228,12 +216,13 @@ fn dsl_lines(stack: Stack) -> Vec<String> {
 /// Every method × probabilistic example × golden seed, then every method
 /// × native golden seed on the Kalman model, plus one deadline-resized
 /// particle-filter run, reproduces its checked-in digest: the posterior
-/// stream has not moved by a bit. The DSL rows are checked a second time
-/// on the optimizing pipeline and the tape, which pins the tape's bits to
-/// the checked-in file, not only to the interpreter.
+/// stream has not moved by a bit. The digests were recorded on the
+/// interpreter; the DSL rows are checked a second time on the tape, which
+/// pins the tape's bits to the checked-in file, not only to the
+/// interpreter.
 #[test]
 fn posteriors_match_checked_in_digests() {
-    let mut lines = dsl_lines(INTERP);
+    let mut lines = dsl_lines(ExecBackend::Interp);
     let kalman = generate_kalman(13, STEPS);
     for method in Method::ALL {
         for seed in NATIVE_SEEDS {
@@ -266,7 +255,7 @@ fn posteriors_match_checked_in_digests() {
         ),
         engine_trace(engine, &kalman.obs),
     ));
-    lines.extend(driver_lines(INTERP));
+    lines.extend(driver_lines(ExecBackend::Interp));
     let actual = lines.join("\n") + "\n";
     let expected: Vec<&str> = DIGESTS
         .lines()
@@ -277,16 +266,16 @@ fn posteriors_match_checked_in_digests() {
         expected == got,
         "posterior digests moved; recomputed lines:\n{actual}"
     );
-    let tape = dsl_lines(OPT_TAPE);
+    let tape = dsl_lines(ExecBackend::Tape);
     assert!(
         expected[..tape.len()] == tape,
-        "optimized tape posteriors differ from the digests; recomputed lines:\n{}",
+        "tape posteriors differ from the digests; recomputed lines:\n{}",
         tape.join("\n")
     );
-    let drivers = driver_lines(OPT_TAPE);
+    let drivers = driver_lines(ExecBackend::Tape);
     assert!(
         expected[expected.len() - drivers.len()..] == drivers,
-        "optimized driver outputs differ from the digests; recomputed lines:\n{}",
+        "tape driver outputs differ from the digests; recomputed lines:\n{}",
         drivers.join("\n")
     );
 }
