@@ -28,7 +28,7 @@
 use crate::error::RuntimeError;
 use crate::marginal::{Family, Marginal};
 use crate::posterior::ValueDist;
-use crate::symbolic::{AffExpr, RvId};
+use crate::symbolic::{AffExpr, AffView, RvId};
 use crate::value::{DistExpr, Value};
 use probzelus_distributions::conjugacy::AffineGaussian;
 use rand::Rng;
@@ -394,19 +394,21 @@ impl Graph {
         })
     }
 
-    /// Substitutes realized variables in an affine expression.
-    fn subst_realized(&self, e: &AffExpr) -> AffExpr {
-        e.substitute(|x| match self.try_node(x).map(|n| &n.state) {
+    /// The value of a realized float variable, for substitution.
+    fn realized_float(&self, x: RvId) -> Option<f64> {
+        match self.try_node(x).map(|n| &n.state) {
             Some(NodeState::Realized(v)) => v.as_float().ok(),
             _ => None,
-        })
+        }
     }
 
-    fn normalize_float_param(&self, v: &Value) -> Result<AffExpr, RuntimeError> {
+    /// A float parameter with its realized variables substituted, read
+    /// on the stack: the caller only inspects it.
+    fn normalize_float_param(&self, v: &Value) -> Result<AffView, RuntimeError> {
         match v {
-            Value::Float(x) => Ok(AffExpr::constant(*x)),
-            Value::Aff(e) => Ok(self.subst_realized(e)),
-            Value::Int(n) => Ok(AffExpr::constant(*n as f64)),
+            Value::Float(x) => Ok(AffView::constant(*x)),
+            Value::Aff(e) => Ok(e.substitute_view(|x| self.realized_float(x))),
+            Value::Int(n) => Ok(AffView::constant(*n as f64)),
             other => Err(RuntimeError::TypeMismatch {
                 expected: "float parameter",
                 got: other.kind().to_string(),
@@ -414,25 +416,21 @@ impl Graph {
         }
     }
 
-    /// Forces every variable of an affine expression, returning its
-    /// concrete value.
+    /// Forces every variable of the affine expression `konst + Σ a·x`,
+    /// returning its concrete value: the variables are realized in
+    /// ascending order and each is folded into the constant as it is.
     fn force_aff<R: Rng + ?Sized>(
         &mut self,
-        e: &AffExpr,
+        konst: f64,
+        terms: impl Iterator<Item = (RvId, f64)>,
         rng: &mut R,
     ) -> Result<f64, RuntimeError> {
-        let mut e = e.clone();
-        loop {
-            let Some((x, _)) = e.terms().next() else {
-                break;
-            };
+        let mut konst = konst;
+        for (x, a) in terms {
             let v = self.realize(x, rng)?;
-            let xv = v.as_float()?;
-            e = e.substitute(|y| (y == x).then_some(xv));
+            konst += a * v.as_float()?;
         }
-        e.as_constant().ok_or_else(|| {
-            RuntimeError::GraphCorrupt("affine expression retained unsubstituted variables".into())
-        })
+        Ok(konst)
     }
 
     /// `sample(d)` under delayed sampling: introduces a random variable
@@ -468,7 +466,7 @@ impl Graph {
                 }
                 // Not conjugate: realize the dependencies and fall back to
                 // a concrete root.
-                let m = self.force_aff(&mean, rng)?;
+                let m = self.force_aff(mean.konst(), mean.terms(), rng)?;
                 let marg = Marginal::Gaussian(probzelus_distributions::Gaussian::new(m, var)?);
                 Ok(self.root_float(marg))
             }
@@ -487,7 +485,7 @@ impl Graph {
                         return Ok(Value::Rv(id));
                     }
                 }
-                let c = self.force_aff(&p, rng)?;
+                let c = self.force_aff(p.konst(), p.terms(), rng)?;
                 let marg = Marginal::Bernoulli(probzelus_distributions::Bernoulli::new(c)?);
                 Ok(self.root_other(marg))
             }
@@ -507,7 +505,7 @@ impl Graph {
                         return Ok(Value::Rv(id));
                     }
                 }
-                let c = self.force_aff(&p, rng)?;
+                let c = self.force_aff(p.konst(), p.terms(), rng)?;
                 let marg = Marginal::Binomial(probzelus_distributions::Binomial::new(n, c)?);
                 Ok(self.root_other(marg))
             }
@@ -526,7 +524,7 @@ impl Graph {
                         return Ok(Value::Rv(id));
                     }
                 }
-                let c = self.force_aff(&rate, rng)?;
+                let c = self.force_aff(rate.konst(), rate.terms(), rng)?;
                 let marg = Marginal::Poisson(probzelus_distributions::Poisson::new(c)?);
                 Ok(self.root_other(marg))
             }
@@ -545,7 +543,7 @@ impl Graph {
                         return Ok(Value::Aff(AffExpr::var(id)));
                     }
                 }
-                let c = self.force_aff(&rate, rng)?;
+                let c = self.force_aff(rate.konst(), rate.terms(), rng)?;
                 let marg = Marginal::Exponential(probzelus_distributions::Exponential::new(c)?);
                 Ok(self.root_float(marg))
             }
@@ -723,7 +721,7 @@ impl Graph {
                 }
                 Ok(Value::dist(d))
             }
-            Value::Aff(e) => Ok(Value::Float(self.force_aff(e, rng)?)),
+            Value::Aff(e) => Ok(Value::Float(self.force_aff(e.konst(), e.terms(), rng)?)),
             Value::Rv(x) => self.realize(*x, rng),
         }
     }
@@ -945,7 +943,7 @@ impl Graph {
             )),
             Value::Rv(x) => Ok(ValueDist::Marginal(self.query(*x)?)),
             Value::Aff(e) => {
-                let e = self.subst_realized(e);
+                let e = e.substitute_view(|x| self.realized_float(x));
                 if let Some(c) = e.as_constant() {
                     return Ok(ValueDist::Dirac(Value::Float(c)));
                 }
@@ -1002,8 +1000,9 @@ impl Graph {
                 .into_iter()
                 .for_each(|p| self.simplify_in_place(p)),
             Value::Aff(e) => {
-                if e.is_constant() || e.terms().any(|(x, _)| realized(x).is_some()) {
-                    *v = Value::Aff(self.subst_realized(e)).simplify();
+                e.substitute_in_place(|x| self.realized_float(x));
+                if let Some(c) = e.as_constant() {
+                    *v = Value::Float(c);
                 }
             }
             Value::Rv(x) => {

@@ -93,6 +93,6 @@ pub use prob::{DsCtx, ProbCtx, SampleCtx};
 pub use supervisor::{
     FaultKind, Health, ParticleFault, RecoveryAction, RecoveryPolicy, StepOutcome,
 };
-pub use symbolic::{AffExpr, RvId};
+pub use symbolic::{AffExpr, AffView, RvId};
 pub use trace::{FlightRecorder, SpanRecord};
 pub use value::{DistExpr, Value};

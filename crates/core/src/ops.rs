@@ -77,6 +77,89 @@ pub fn mul(a: &Value, b: &Value) -> Result<Value, RuntimeError> {
     }
 }
 
+/// Two numeric operands as owned affine expressions, or both operands
+/// back unchanged.
+fn owned_affs(a: Value, b: Value) -> Result<(AffExpr, AffExpr), (Value, Value)> {
+    Ok(match (a, b) {
+        (Value::Aff(x), Value::Aff(y)) => (x, y),
+        (Value::Aff(x), Value::Float(c)) => (x, AffExpr::constant(c)),
+        (Value::Float(c), Value::Aff(y)) => (AffExpr::constant(c), y),
+        (Value::Float(c), Value::Float(d)) => (AffExpr::constant(c), AffExpr::constant(d)),
+        pair => return Err(pair),
+    })
+}
+
+/// [`add`] on owned operands: two numeric ones add as affine expressions
+/// that may write the sum into an operand's term slice; any other pair
+/// goes through [`add`].
+pub fn add_owned(a: Value, b: Value) -> Result<Value, RuntimeError> {
+    match owned_affs(a, b) {
+        Ok((x, y)) => Ok(Value::from(x.add_owned(y))),
+        Err((a, b)) => add(&a, &b),
+    }
+}
+
+/// [`sub`] on owned operands, like [`add_owned`].
+pub fn sub_owned(a: Value, b: Value) -> Result<Value, RuntimeError> {
+    match owned_affs(a, b) {
+        Ok((x, y)) => Ok(Value::from(x.sub_owned(y))),
+        Err((a, b)) => sub(&a, &b),
+    }
+}
+
+/// A numeric product as the expression and the scalar it scales by, as
+/// [`mul`] picks them: the left operand is the scalar when it is constant.
+/// Symbolic × symbolic needs realization.
+fn scaling(x: AffExpr, y: AffExpr) -> Result<(AffExpr, f64), RuntimeError> {
+    match (x.as_constant(), y.as_constant()) {
+        (Some(c), _) => Ok((y, c)),
+        (_, Some(c)) => Ok((x, c)),
+        (None, None) => Err(needs_value(&Value::Aff(x))),
+    }
+}
+
+/// [`mul`] on owned operands, like [`add_owned`].
+pub fn mul_owned(a: Value, b: Value) -> Result<Value, RuntimeError> {
+    match owned_affs(a, b) {
+        Ok((x, y)) => {
+            let (e, k) = scaling(x, y)?;
+            Ok(Value::from(e.scale_owned(k)))
+        }
+        Err((a, b)) => mul(&a, &b),
+    }
+}
+
+/// `x + a·b`, or `a·b + x` when `product_first`: the value of
+/// `add(x, mul(a, b))` (operands in that order, which decides the operand
+/// an error names), with the same errors. When all three are numeric and
+/// the product stays affine the two are fused ([`AffExpr::add_scaled`]),
+/// so the product is never built and the sum may be written into `x`'s
+/// term slice.
+pub fn add_mul_owned(
+    x: Value,
+    a: Value,
+    b: Value,
+    product_first: bool,
+) -> Result<Value, RuntimeError> {
+    let sum = |x: &Value, t: &Value| {
+        if product_first {
+            add(t, x)
+        } else {
+            add(x, t)
+        }
+    };
+    let (y, k) = match owned_affs(a, b) {
+        Ok((p, q)) => scaling(p, q)?,
+        Err((a, b)) => return sum(&x, &mul(&a, &b)?),
+    };
+    let x = match x {
+        Value::Aff(x) => x,
+        Value::Float(c) => AffExpr::constant(c),
+        x => return sum(&x, &Value::from(y.scale_owned(k))),
+    };
+    Ok(Value::from(x.add_scaled(y, k)))
+}
+
 /// Division. Symbolic ÷ constant stays affine; anything ÷ symbolic requires
 /// realization.
 ///

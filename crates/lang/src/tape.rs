@@ -22,6 +22,15 @@
 //! slot is a memory, a flag or a node's state that the step loads and
 //! stores back.
 //!
+//! Registers are copied when read, except on their last read: lowering
+//! marks the operands no later op reads ([`TapeProgram::takes`]), and
+//! `Move`, `Select`, arithmetic and the fused `x + a * b`
+//! ([`Op::AddMul`]) take those, leaving `nil`. Taken float and affine
+//! operands go to the owned arithmetic of `probzelus_core::ops`, which
+//! writes a multi-term result into a term slice it now holds alone, so
+//! under delayed sampling `pre x + xp * 0.1` allocates nothing once its
+//! slice has room.
+//!
 //! The tape is the default backend, and the interpreter is its semantic
 //! oracle: every opcode mirrors the corresponding `eval` branch
 //! bit-for-bit (including error messages and RNG consumption order), and
@@ -34,6 +43,7 @@ use crate::ast::OpName;
 use crate::error::{LangError, Stage};
 use crate::eval::{core_args, dist_expr, uninitialized_dist, Interp, ModelState, ProbSlot};
 use crate::muf::MufValue;
+use probzelus_core::ops;
 use probzelus_core::prob::ProbCtx;
 use probzelus_core::value::{DistExpr, Value};
 use std::borrow::Cow;
@@ -43,9 +53,12 @@ use std::rc::Rc;
 /// A register index into the tape's dense register file.
 pub type Reg = u32;
 
-/// One tape instruction. Registers are read non-destructively (values are
-/// cloned out where semantics require ownership), so the same register
-/// file is reused by every particle and every tick.
+/// One tape instruction. An op copies the registers it reads, except
+/// where [`TapeProgram::takes`] marks its last read of one: `Move`,
+/// `Select` (the chosen branch), arithmetic `BinOp`s and `AddMul` then
+/// take the value, leaving `nil`, so affine arithmetic can write into a
+/// term slice nothing else holds. The same register file is reused by
+/// every particle and every tick.
 #[derive(Debug, Clone)]
 pub enum Op {
     /// `dst <- v` (constant pool; executed once when the tape is built).
@@ -81,6 +94,21 @@ pub enum Op {
         a: Reg,
         /// Right operand.
         b: Reg,
+    },
+    /// `dst <- x + a * b`, or `dst <- a * b + x` when `product_first`:
+    /// a `mul` fused with the `add` that is the only reader of its
+    /// product, so a product that scales an affine term is never built.
+    AddMul {
+        /// Destination register.
+        dst: Reg,
+        /// The addend.
+        x: Reg,
+        /// Left factor.
+        a: Reg,
+        /// Right factor.
+        b: Reg,
+        /// Whether the product is the left operand of the sum.
+        product_first: bool,
     },
     /// Ternary operator (`prob`).
     TernOp {
@@ -206,6 +234,7 @@ impl Op {
             | Op::Move { dst, .. }
             | Op::UnOp { dst, .. }
             | Op::BinOp { dst, .. }
+            | Op::AddMul { dst, .. }
             | Op::TernOp { dst, .. }
             | Op::MkTuple { dst, .. }
             | Op::Proj { dst, .. }
@@ -233,6 +262,7 @@ impl Op {
             | Op::Freshen { src, .. } => vec![*src],
             Op::UnOp { a, .. } => vec![*a],
             Op::BinOp { a, b, .. } => vec![*a, *b],
+            Op::AddMul { x, a, b, .. } => vec![*x, *a, *b],
             Op::TernOp { a, b, c, .. } => vec![*a, *b, *c],
             Op::MkTuple { items, .. } => items.clone(),
             Op::Select { cond, t, f, .. } => vec![*cond, *t, *f],
@@ -310,6 +340,12 @@ pub struct TapeProgram {
     pub consts: Vec<Op>,
     /// The instruction stream, ending in [`Op::Halt`].
     pub ops: Vec<Op>,
+    /// Per op, the operands it reads for the last time: bit `i` stands
+    /// for the `i`-th register of the op's reads (`Move`: `src`; `Select`:
+    /// `cond`, `t`, `f`; `BinOp`: `a`, `b`; `AddMul`: `x`, `a`, `b`).
+    /// Only `Move`, `Select`, arithmetic `BinOp`s and `AddMul` take a
+    /// marked operand, leaving `nil`; every other op copies.
+    pub takes: Vec<u8>,
     /// Length of the prologue: the leading `Proj` ops of `ops` that
     /// destructure the tick input and the captured environment. They
     /// read nothing per-particle, so a step runs them only at the first
@@ -533,14 +569,7 @@ pub(crate) fn step_model(
         load(interp, prog, closure_slot, &mut regs, ctx, input)?;
         cell.loaded.set(Some(cell.tick.get()));
     }
-    exec(
-        interp,
-        &prog.ops,
-        prog.prologue,
-        prog.ops.len(),
-        &mut regs,
-        ctx,
-    )?;
+    exec(interp, prog, prog.prologue, prog.ops.len(), &mut regs, ctx)?;
     // Fold the output before moving state out: an output register may
     // alias a state register.
     let out = fold_out(&prog.out, &regs)?;
@@ -590,7 +619,7 @@ fn load(
     if let Some(r) = prog.input {
         regs[r as usize] = MufValue::V(input.clone());
     }
-    exec(interp, &prog.ops, 0, prog.prologue, regs, ctx)
+    exec(interp, prog, 0, prog.prologue, regs, ctx)
 }
 
 /// Folds an [`OutSpec`] to a core value, mirroring [`MufValue::as_core`]
@@ -618,20 +647,42 @@ fn fold_out(spec: &OutSpec, regs: &[MufValue]) -> Result<Value, LangError> {
 /// posteriors agree bit-for-bit with the interpreter.
 fn exec(
     interp: &Rc<Interp>,
-    ops: &[Op],
+    prog: &TapeProgram,
     mut pc: usize,
     end: usize,
     regs: &mut [MufValue],
     ctx: &mut dyn ProbCtx,
 ) -> Result<(), LangError> {
+    let ops = &prog.ops;
     while pc < end {
+        let mask = prog.takes[pc];
+        let take = |i: u32| mask >> i & 1 != 0;
         match &ops[pc] {
             Op::Halt => break,
             Op::Const { dst, v } => regs[*dst as usize] = v.clone(),
-            Op::Move { dst, src } => regs[*dst as usize] = regs[*src as usize].clone(),
+            Op::Move { dst, src } => regs[*dst as usize] = operand(regs, *src, take(0)),
             Op::UnOp { op, dst, a } => {
                 let v =
                     interp.apply_op(*op, &[&regs[*a as usize]], &mut ProbSlot::Prob(&mut *ctx))?;
+                regs[*dst as usize] = v;
+            }
+            Op::BinOp {
+                op: op @ (OpName::Add | OpName::Sub | OpName::Mul),
+                dst,
+                a,
+                b,
+            } => {
+                let (a, b) = (operand(regs, *a, take(0)), operand(regs, *b, take(1)));
+                let v = match (a, b) {
+                    (MufValue::V(a), MufValue::V(b)) if runs_inline(*op, &a, &b) => {
+                        MufValue::V(match op {
+                            OpName::Add => ops::add_owned(a, b),
+                            OpName::Sub => ops::sub_owned(a, b),
+                            _ => ops::mul_owned(a, b),
+                        }?)
+                    }
+                    (a, b) => interp.apply_op(*op, &[a, b], &mut ProbSlot::Prob(&mut *ctx))?,
+                };
                 regs[*dst as usize] = v;
             }
             Op::BinOp { op, dst, a, b } => {
@@ -640,6 +691,33 @@ fn exec(
                     &[&regs[*a as usize], &regs[*b as usize]],
                     &mut ProbSlot::Prob(&mut *ctx),
                 )?;
+                regs[*dst as usize] = v;
+            }
+            Op::AddMul {
+                dst,
+                x,
+                a,
+                b,
+                product_first,
+            } => {
+                let (x, a, b) = (
+                    operand(regs, *x, take(0)),
+                    operand(regs, *a, take(1)),
+                    operand(regs, *b, take(2)),
+                );
+                let v = match (x, a, b) {
+                    (MufValue::V(x), MufValue::V(a), MufValue::V(b))
+                        if numeric(&x) && runs_inline(OpName::Mul, &a, &b) =>
+                    {
+                        MufValue::V(ops::add_mul_owned(x, a, b, *product_first)?)
+                    }
+                    (x, a, b) => {
+                        let mut slot = ProbSlot::Prob(&mut *ctx);
+                        let t = interp.apply_op(OpName::Mul, &[a, b], &mut slot)?;
+                        let sum = if *product_first { [t, x] } else { [x, t] };
+                        interp.apply_op(OpName::Add, &sum, &mut slot)?
+                    }
+                };
                 regs[*dst as usize] = v;
             }
             Op::TernOp { op, dst, a, b, c } => {
@@ -667,8 +745,8 @@ fn exec(
                 let c = regs[*cond as usize].clone();
                 let v = match interp.condition_value(c, &mut ProbSlot::Prob(&mut *ctx))? {
                     None => MufValue::Nil,
-                    Some(true) => regs[*t as usize].clone(),
-                    Some(false) => regs[*f as usize].clone(),
+                    Some(true) => operand(regs, *t, take(1)),
+                    Some(false) => operand(regs, *f, take(2)),
                 };
                 regs[*dst as usize] = v;
             }
@@ -729,6 +807,33 @@ fn exec(
         pc += 1;
     }
     Ok(())
+}
+
+/// Register `r` as an op's operand: taken, leaving `nil`, where the op
+/// reads it for the last time, else copied.
+fn operand(regs: &mut [MufValue], r: Reg, take: bool) -> MufValue {
+    let slot = &mut regs[r as usize];
+    if take {
+        std::mem::replace(slot, MufValue::Nil)
+    } else {
+        slot.clone()
+    }
+}
+
+/// A float or an affine term.
+fn numeric(v: &Value) -> bool {
+    matches!(v, Value::Float(_) | Value::Aff(_))
+}
+
+/// Whether arithmetic `op` on `a` and `b` runs inline on owned operands
+/// (`ops::add_owned` and its siblings): both are numeric, and a product
+/// is not symbolic × symbolic, which realizes through `Interp::apply_op`.
+/// Every other pair (`nil` poison, integers, type errors) goes through
+/// `apply_op` as the interpreter's operator does.
+fn runs_inline(op: OpName, a: &Value, b: &Value) -> bool {
+    numeric(a)
+        && numeric(b)
+        && !(op == OpName::Mul && matches!((a, b), (Value::Aff(_), Value::Aff(_))))
 }
 
 /// Runtime tuple projection with the interpreter's pattern-binding
@@ -873,6 +978,21 @@ fn render_op(op: &Op, names: &[String]) -> String {
             named(*a),
             named(*b)
         ),
+        Op::AddMul {
+            dst,
+            x,
+            a,
+            b,
+            product_first,
+        } => {
+            let (x, product) = (named(*x), format!("{} * {}", named(*a), named(*b)));
+            let (l, r) = if *product_first {
+                (product, x)
+            } else {
+                (x, product)
+            };
+            format!("addmul      {} <- {l} + {r}", named(*dst))
+        }
         Op::TernOp { op, dst, a, b, c } => format!(
             "ternop.{:<4} {} <- {}, {}, {}",
             mnemonic(*op),

@@ -23,11 +23,14 @@
 //! effects (sampling, observation, RNG consumption) happen in the same
 //! sequence bit-for-bit.
 //!
-//! Two passes then finish the tape: a peephole pass fuses each
+//! Three passes then finish the tape: a peephole pass fuses each
 //! distribution constructor into the `sample`/`observe` that is the sole
-//! reader of its value ([`fuse_dists`]), and [`prologue_len`] marks the
+//! reader of its value, and each product into the `add` that is the sole
+//! reader of its value ([`fuse_pairs`]); [`prologue_len`] marks the
 //! leading projections of the tick input and the captured environment,
-//! which the step runs once per tick instead of once per particle.
+//! which the step runs once per tick instead of once per particle; and
+//! [`last_uses`] marks the operands an op reads for the last time, which
+//! the tape takes instead of copying.
 
 use crate::ast::OpName;
 use crate::eval::{const_value, dist_expr, Interp};
@@ -603,15 +606,77 @@ fn state_out_modes(body: &[Op], state_in: &[Reg], regs: &[Reg]) -> Vec<StateOut>
     modes
 }
 
-/// Fuses each distribution constructor (`UnOp`/`BinOp` of a distribution
-/// family) with the `Sample`/`Observe` right after it into one
-/// [`Op::SampleDist`]/[`Op::ObserveDist`], when that consumer is the only
-/// reader of the constructed value (no other op, no state-out slot and no
-/// output reads it) and no jump lands on the consumer. The pair is
-/// adjacent, so fusing moves no effect and no error across another op; a
-/// distribution that escapes to a value keeps its boxed form. Jump
-/// targets are remapped to the shortened tape.
-fn fuse_dists(ops: Vec<Op>, out: &OutSpec, state_out: &[Reg]) -> Vec<Op> {
+/// Marks, per op, the operands it reads for the last time (bit `i` for
+/// the `i`-th register of [`Op::reads`]; see [`TapeProgram::takes`]).
+/// `body` is the tape after its prologue, `prologue` its length, and
+/// `end_reads` the registers the output and the successor state read
+/// after the last op.
+///
+/// The rule is [`state_out_modes`']: only a register the body writes, or
+/// a state-in register, is rewritten before it is next read, so only such
+/// a register can be taken; constants, captured-environment slots, the
+/// input and prologue registers are read by every particle and never
+/// are. An operand is taken when no later op in tape order reads it, the
+/// end does not read it, and the op does not read it twice. Jumps only go
+/// forward, so "later in tape order" covers every path out of the op (and
+/// some that do not pass it, which only keeps a value longer). Only the
+/// ops that take operands get a mask: `Move`, `Select`, arithmetic
+/// `BinOp`s and `AddMul`.
+fn last_uses(
+    body: &[Op],
+    prologue: usize,
+    state_in: &[Reg],
+    end_reads: impl IntoIterator<Item = Reg>,
+) -> Vec<u8> {
+    let loaded: HashSet<Reg> = body
+        .iter()
+        .filter_map(Op::dst)
+        .chain(state_in.iter().copied())
+        .collect();
+    let mut read_later: HashSet<Reg> = end_reads.into_iter().collect();
+    let mut takes = vec![0u8; prologue + body.len()];
+    for (op, mask) in body.iter().zip(&mut takes[prologue..]).rev() {
+        let reads = op.reads();
+        let takes_operands = matches!(
+            op,
+            Op::Move { .. }
+                | Op::Select { .. }
+                | Op::AddMul { .. }
+                | Op::BinOp {
+                    op: OpName::Add | OpName::Sub | OpName::Mul,
+                    ..
+                }
+        );
+        if takes_operands {
+            for (i, r) in reads.iter().enumerate() {
+                let once = reads.iter().filter(|&s| s == r).count() == 1;
+                if once && loaded.contains(r) && !read_later.contains(r) {
+                    *mask |= 1 << i;
+                }
+            }
+        }
+        read_later.extend(reads);
+    }
+    takes
+}
+
+/// Fuses adjacent pairs of ops into one, by two rules:
+///
+/// - a distribution constructor (`UnOp`/`BinOp` of a distribution
+///   family) and the `Sample`/`Observe` right after it become one
+///   [`Op::SampleDist`]/[`Op::ObserveDist`], so the distribution is built
+///   on the stack;
+/// - `t = a * b` and the `add` right after it that reads `t` once become
+///   one [`Op::AddMul`], so a product that scales an affine term is never
+///   built.
+///
+/// Either pair fuses only when the second op is the only reader of the
+/// first's value (no other op, no state-out slot and no output reads it)
+/// and no jump lands on the second op. The pair is adjacent, so fusing
+/// moves no effect and no error across another op; a distribution that
+/// escapes to a value keeps its boxed form. Jump targets are remapped to
+/// the shortened tape.
+fn fuse_pairs(ops: Vec<Op>, out: &OutSpec, state_out: &[Reg]) -> Vec<Op> {
     let reads = read_counts(&ops, out, state_out);
     let targets: HashSet<u32> = ops
         .iter()
@@ -620,17 +685,47 @@ fn fuse_dists(ops: Vec<Op>, out: &OutSpec, state_out: &[Reg]) -> Vec<Op> {
             _ => None,
         })
         .collect();
-    let fuse = |ctor: &Op, consumer: &Op| -> Option<Op> {
-        let (op, d, args) = match *ctor {
-            Op::UnOp { op, dst, a } => (op, dst, vec![a]),
-            Op::BinOp { op, dst, a, b } => (op, dst, vec![a, b]),
-            _ => return None,
-        };
-        let builds_dist = dist_expr(op, Default::default()).is_some();
-        if !builds_dist || reads.get(&d) != Some(&1) {
+    let fuse = |first: &Op, second: &Op| -> Option<Op> {
+        let d = first.dst()?;
+        if reads.get(&d) != Some(&1) {
             return None;
         }
-        match *consumer {
+        if let (
+            Op::BinOp {
+                op: OpName::Mul,
+                a,
+                b,
+                ..
+            },
+            Op::BinOp {
+                op: OpName::Add,
+                dst,
+                a: l,
+                b: r,
+            },
+        ) = (first, second)
+        {
+            let (x, product_first) = match (*l == d, *r == d) {
+                (false, true) => (*l, false),
+                (true, false) => (*r, true),
+                _ => return None,
+            };
+            return Some(Op::AddMul {
+                dst: *dst,
+                x,
+                a: *a,
+                b: *b,
+                product_first,
+            });
+        }
+        let (op, args) = match *first {
+            Op::UnOp { op, a, .. } => (op, vec![a]),
+            Op::BinOp { op, a, b, .. } => (op, vec![a, b]),
+            _ => return None,
+        };
+        // Only a distribution constructor builds one.
+        dist_expr(op, Default::default())?;
+        match *second {
             Op::Sample { dst, dist } if dist == d => Some(Op::SampleDist { op, dst, args }),
             Op::Observe { dist, obs } if dist == d => Some(Op::ObserveDist { op, args, obs }),
             _ => None,
@@ -786,12 +881,19 @@ pub fn lower_closure(
         let out_regs = lw.bind_state_out(&next, &shape)?;
         lw.emit(Op::Halt);
         let init_slots = split_state(init_state, &shape)?;
-        let ops = fuse_dists(lw.ops, &out, &out_regs);
+        let ops = fuse_pairs(lw.ops, &out, &out_regs);
         let prologue = prologue_len(&ops, input, &lw.env_slots);
         let state_out = state_out_modes(&ops[prologue..], &state_in, &out_regs);
+        let takes = last_uses(
+            &ops[prologue..],
+            prologue,
+            &state_in,
+            out.regs().into_iter().chain(out_regs),
+        );
         return Ok(TapeProgram {
             consts: lw.consts,
             ops,
+            takes,
             prologue,
             num_regs: lw.next_reg,
             input,

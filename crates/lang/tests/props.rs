@@ -1,11 +1,13 @@
 //! Property-based tests for the instruction-tape backend: on randomly
 //! shaped well-kinded kernel programs, lowering to the flat tape must be
 //! bitwise posterior-preserving against the tree-walking interpreter.
+//! On the same programs, the effect analysis must agree with the kind
+//! system about which nodes are probabilistic.
 
 use probzelus_core::infer::Method;
 use probzelus_core::Value;
 use probzelus_lang::pipeline::compile_source;
-use probzelus_lang::{ExecBackend, Options};
+use probzelus_lang::{Effect, ExecBackend, Kind, Options};
 use proptest::prelude::*;
 
 /// Builds a randomly shaped but well-kinded kernel program covering the
@@ -99,6 +101,47 @@ proptest! {
                 eng_tape.tape_status(),
                 Some(Ok(())),
                 "tape did not lower:\n{}",
+                src
+            );
+        }
+    }
+
+    /// The effect analysis calls a node `Prob` exactly when the kind
+    /// system (§3.2, Fig. 7) calls it P, on the generated kernel `m` and
+    /// beside it: a deterministic node, a node that only calls `m`, one
+    /// that only forces a value, and an `infer` over `m` (which is D).
+    #[test]
+    fn effect_is_prob_exactly_when_kind_is_p(
+        g in 0.5f64..1.5,
+        d in -0.5f64..0.5,
+        a in 0.2f64..1.2,
+        with_dead in any::<bool>(),
+        with_cse in any::<bool>(),
+        with_gain in any::<bool>(),
+        extra in proptest::collection::vec(any::<bool>(), 4),
+    ) {
+        let mut src = program(g, d, a, 1.0, 1.0, with_dead, with_cse, with_gain);
+        let nodes = [
+            "let node det y = z where rec z = 0.0 -> pre z + y * 2.0",
+            "let node calls y = z where rec z = m (y)",
+            "let node forces y = z where rec z = y and () = value (0.0 -> pre z)",
+            "let node main y = infer 10 m y",
+        ];
+        for (node, with) in nodes.iter().zip(&extra) {
+            if *with {
+                src = format!("{src}\n{node}");
+            }
+        }
+        let compiled = compile_source(&src).unwrap();
+        prop_assert_eq!(compiled.kinds.len(), 1 + extra.iter().filter(|&&w| w).count());
+        for (node, kind) in &compiled.kinds {
+            prop_assert_eq!(
+                compiled.effects.node_effect(node) == Effect::Prob,
+                *kind == Kind::P,
+                "{}: kind {} but effect {} on\n{}",
+                node,
+                kind,
+                compiled.effects.node_effect(node),
                 src
             );
         }

@@ -21,8 +21,9 @@
 //! and position as affine terms over several acceleration variables, and
 //! the delayed-sampling graph allocates as it grows and shrinks, so a
 //! tick's count is not constant; each window's total is pinned exactly
-//! instead. Copying a multi-term affine value shares its terms, which is
-//! pinned to allocate nothing.
+//! instead, and so is the deployed `robot` instance's, the interpreted
+//! driver around that engine in a closed loop. Copying a multi-term
+//! affine value shares its terms, which is pinned to allocate nothing.
 //!
 //! A deterministic instance is stepped by the tree-walking interpreter,
 //! which evaluates an operator's operands on the stack: a tick of an
@@ -259,8 +260,65 @@ fn robot_sds_window_allocations_are_pinned() {
     let second = window(&inputs[WARMUP + WINDOW..]);
     assert_eq!(
         [first, second],
-        [47905, 47170],
+        [13905, 13170],
         "gps_acc_tracker SDS: window allocations"
+    );
+}
+
+/// The allocations of two windows of `robot.zl`'s `robot` instance under
+/// SDS on the tape, the deployed Fig. 5 loop: the interpreted driver
+/// around the 100-particle tracker, closed through a deterministic
+/// double integrator. Each tick feeds back the previous command, the
+/// measured acceleration and, every fourth tick, a GPS position; the
+/// noise is the LCG stream, so the inputs are fixed.
+fn robot_loop_windows() -> [u64; 2] {
+    let compiled = compile_source(&example("robot.zl")).expect("robot.zl compiles");
+    let options = Options {
+        method: Method::StreamingDs,
+        seed: 42,
+        backend: ExecBackend::Tape,
+    };
+    let mut inst = compiled
+        .instantiate("robot", options)
+        .expect("instantiates");
+    let noise = float_inputs(WARMUP + 2 * WINDOW);
+    let (mut pos, mut vel, mut cmd) = (0.0, 0.0, 0.0);
+    let mut ticks = noise.iter().enumerate().map(|(t, &e)| {
+        vel += cmd * 0.1;
+        pos += vel * 0.1;
+        let input = Value::pair(
+            Value::Float(cmd + 0.05 * e),
+            Value::pair(
+                Value::Bool(t.is_multiple_of(4)),
+                Value::pair(Value::Float(pos + 0.01 * e), Value::Float(cmd)),
+            ),
+        );
+        let a0 = allocs();
+        let out = inst.step(input).expect("step");
+        let a = allocs() - a0;
+        let out = out.as_core().expect("a core output");
+        cmd = out
+            .as_pair()
+            .expect("(cmd, conf)")
+            .0
+            .as_float()
+            .expect("cmd");
+        a
+    });
+    ticks.by_ref().take(WARMUP).for_each(drop);
+    let mut window = || ticks.by_ref().take(WINDOW).sum::<u64>();
+    [window(), window()]
+}
+
+/// Every window's allocation total of the deployed `robot` loop, pinned:
+/// the fused `pre x + xp * 0.1` writes the integrators' sums into the
+/// term slices of their state, and compaction substitutes in place.
+#[test]
+fn robot_loop_window_allocations_are_pinned() {
+    assert_eq!(
+        robot_loop_windows(),
+        [12395, 12295],
+        "robot SDS loop: window allocations"
     );
 }
 

@@ -311,9 +311,24 @@ fn assert_outcomes_identical(
     mk: impl Fn(Method, ExecBackend) -> MufEngine,
     inputs: &[Value],
 ) -> Vec<Vec<Outcome>> {
-    [Method::ParticleFilter, Method::StreamingDs]
-        .into_iter()
-        .map(|method| {
+    assert_outcomes_identical_under(
+        &[Method::ParticleFilter, Method::StreamingDs],
+        what,
+        mk,
+        inputs,
+    )
+}
+
+/// [`assert_outcomes_identical`] under each of `methods`.
+fn assert_outcomes_identical_under(
+    methods: &[Method],
+    what: &str,
+    mk: impl Fn(Method, ExecBackend) -> MufEngine,
+    inputs: &[Value],
+) -> Vec<Vec<Outcome>> {
+    methods
+        .iter()
+        .map(|&method| {
             let mut interp = mk(method, ExecBackend::Interp);
             let mut tape = mk(method, ExecBackend::Tape);
             let run = |engine: &mut MufEngine| -> Vec<Outcome> {
@@ -843,5 +858,188 @@ fn failed_step_clears_kept_state_slots() {
             expected[2]
         );
         assert_eq!(run(ExecBackend::Tape), expected, "{method:?}");
+    }
+}
+
+/// Products fused into the sum that reads them ([`Op::AddMul`]), in every
+/// operand order, over the operands the tape runs inline (floats and
+/// affine terms) and those it hands to the interpreter's operator: a
+/// `nil` `pre` at the first tick, integers, and symbolic × symbolic,
+/// which realizes both factors (so the RNG order must match). `join`
+/// takes a `Select`'s chosen branch and moves it into an `if` join
+/// register.
+const ADD_MUL: &str = r#"
+    let node xyk y = x where
+      rec a = sample (gaussian (0., 1.))
+      and x = 0. -> pre x + a * 0.5
+      and () = observe (gaussian (x, 1.), y)
+
+    let node ykx y = x where
+      rec a = sample (gaussian (0., 1.))
+      and x = 0. -> a * 0.5 + pre x
+      and () = observe (gaussian (x, 1.), y)
+
+    let node kyx y = x where
+      rec a = sample (gaussian (0., 1.))
+      and x = 0. -> 0.5 * a + pre x
+      and () = observe (gaussian (x, 1.), y)
+
+    let node xxk y = x where
+      rec a = sample (gaussian (0., 1.))
+      and m = 0. -> pre x
+      and x = m + m * 0.5 + a
+      and () = observe (gaussian (x, 1.), y)
+
+    let node ints y = x where
+      rec c = 0 -> pre c + 3 * 2
+      and x = sample (gaussian (float_of_int (c) * 0.01, 1.))
+      and () = observe (gaussian (x, 1.), y)
+
+    let node symsym y = x where
+      rec a = sample (gaussian (0., 1.))
+      and b = sample (gaussian (1., 1.))
+      and x = 0. -> pre x + a * b
+      and () = observe (gaussian (x, 1.), y)
+
+    let node join y = x where
+      rec a = sample (gaussian (0., 1.))
+      and x = present (y > 0.) -> (0. -> pre x + a * 0.5) else a
+      and () = observe (gaussian (x, 1.), y)
+"#;
+
+/// The first `AddMul` of a tape: its addend and left factor registers,
+/// its `product_first` and its take mask.
+fn add_mul(prog: &TapeProgram) -> (u32, u32, bool, u8) {
+    prog.ops
+        .iter()
+        .zip(&prog.takes)
+        .find_map(|(op, &mask)| match *op {
+            Op::AddMul {
+                x,
+                a,
+                product_first,
+                ..
+            } => Some((x, a, product_first, mask)),
+            _ => None,
+        })
+        .expect("a fused product")
+}
+
+/// Every fused product runs bit-identically to the interpreter under
+/// all five methods, on every tick and after a reset.
+#[test]
+fn fused_products_match_the_interpreter() {
+    let inputs: Vec<Value> = float_inputs(12).into_iter().map(Value::Float).collect();
+    let compiled = compile_source(ADD_MUL).expect("compiles");
+    for (node, product_first) in [
+        ("xyk", false),
+        ("ykx", true),
+        ("kyx", true),
+        ("xxk", false),
+        ("ints", false),
+        ("symsym", false),
+        ("join", false),
+    ] {
+        let prog = lowered(&compiled, node);
+        let (x, a, first, mask) = add_mul(&prog);
+        assert_eq!(first, product_first, "{node}: operand order");
+        if node == "xxk" {
+            // `m + m * 0.5`: the register read twice is never taken.
+            assert_eq!(x, a, "xxk: one register twice");
+            assert_eq!(mask & 0b011, 0, "xxk: a twice-read register was taken");
+        } else {
+            // The addend is `pre x`, a state register read once.
+            assert_ne!(mask & 1, 0, "{node}: `pre x` is not taken");
+        }
+        assert_outcomes_identical_under(
+            &Method::ALL,
+            node,
+            |method, backend| engine(&compiled, node, 7, method, backend),
+            &inputs,
+        )
+        .iter()
+        .flatten()
+        .for_each(|o| assert!(o.is_ok(), "{node}: {o:?}"));
+    }
+    // In `join`, the `Select` takes the fused sum, and the join's `Move`
+    // takes the `Select`.
+    let prog = lowered(&compiled, "join");
+    let at = |want: fn(&Op) -> bool| {
+        let i = prog.ops.iter().position(want).expect("op present");
+        prog.takes[i]
+    };
+    assert_ne!(at(|op| matches!(op, Op::Select { .. })) & 0b100, 0);
+    assert_ne!(at(|op| matches!(op, Op::Move { .. })) & 1, 0);
+}
+
+/// A fused product whose sum or product is a type error fails the tick
+/// with the interpreter's message, under all five methods. Compiled
+/// programs cannot get there (the type checker rejects them), so the
+/// transitions are µF over a unit state: `true + y * 2.` fails in the
+/// sum and `y + true * 2.` in the product; in `true + 2 * 3` and
+/// `2 * 3 + true` both operands of the sum are wrong, and the error names
+/// the left one, so the sum keeps its operand order.
+#[test]
+fn fused_product_type_errors_match_the_interpreter() {
+    let pat = || MufPat::pair(MufPat::Wildcard, MufPat::var("y"));
+    let bool_ = || MufExpr::Const(Const::Bool(true));
+    let int = |n| MufExpr::Const(Const::Int(n));
+    let op = |op, a, b| MufExpr::Op(op, vec![a, b]);
+    let body = |sum| {
+        MufExpr::Tuple(vec![
+            MufExpr::Sample(Box::new(gaussian(sum))),
+            MufExpr::Const(Const::Unit),
+        ])
+    };
+    let cases = [
+        (
+            "sum",
+            op(OpName::Add, bool_(), op(OpName::Mul, var("y"), float(2.0))),
+            "bool",
+        ),
+        (
+            "product",
+            op(OpName::Add, var("y"), op(OpName::Mul, bool_(), float(2.0))),
+            "bool",
+        ),
+        (
+            "sum_first",
+            op(OpName::Add, bool_(), op(OpName::Mul, int(2), int(3))),
+            "bool",
+        ),
+        (
+            "product_first",
+            op(OpName::Add, op(OpName::Mul, int(2), int(3)), bool_()),
+            "int",
+        ),
+    ];
+    let muf = Muf::new(
+        MufValue::unit(),
+        cases
+            .iter()
+            .map(|(name, sum, _)| (*name, pat(), body(sum.clone())))
+            .collect(),
+    );
+    let inputs: Vec<Value> = float_inputs(3).into_iter().map(Value::Float).collect();
+    for (what, _, got) in cases {
+        assert!(
+            muf.tape(what)
+                .ops
+                .iter()
+                .any(|op| matches!(op, Op::AddMul { .. })),
+            "{what}: no fused product"
+        );
+        for run in assert_outcomes_identical_under(
+            &Method::ALL,
+            what,
+            |method, backend| muf.engine(what, method, backend),
+            &inputs,
+        ) {
+            for o in run {
+                let e = o.expect_err("a type error");
+                let want = format!("type mismatch: expected number, got {got}");
+                assert!(e.contains(&want), "{what}: {e}");
+            }
+        }
     }
 }

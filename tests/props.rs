@@ -723,11 +723,11 @@ mod affine_props {
 
     const VARS: usize = 6;
 
-    /// `VARS` distinct variable ids, issued by a graph.
-    fn var_ids() -> Vec<RvId> {
+    /// `n` distinct variable ids, issued by a graph.
+    fn var_ids(n: usize) -> Vec<RvId> {
         let mut g = Graph::new(Retention::RetainAll);
         let mut rng = SmallRng::seed_from_u64(0);
-        (0..VARS)
+        (0..n)
             .map(|_| {
                 let v = g
                     .assume(&DistExpr::gaussian(0.0, 1.0), &mut rng)
@@ -881,7 +881,7 @@ mod affine_props {
             konsts in proptest::collection::vec(scalar(), VARS),
             ops in proptest::collection::vec(op(), 1..48),
         ) {
-            let ids = var_ids();
+            let ids = var_ids(VARS);
             let mut pool: Vec<(AffExpr, Reference)> = ids
                 .iter()
                 .zip(&konsts)
@@ -916,6 +916,141 @@ mod affine_props {
                 assert_matches(&next.0, &next.1);
                 pool.push(next);
             }
+        }
+    }
+
+    /// Variables of the owned-vs-borrowed checks: more than the stack
+    /// buffer's 8, so results spill.
+    const WIDE: usize = 12;
+
+    /// An expression to build: `konst + Σ c·x` as a list of
+    /// `(variable, coefficient)`, folded in list order.
+    type Spec = (Vec<(usize, f64)>, f64);
+
+    /// Constants beside [`scalar`]'s: signed zero, infinities and NaN.
+    fn konst() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            scalar(),
+            Just(-0.0),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::NAN),
+        ]
+    }
+
+    /// Coefficients beside [`scalar`]'s: both signs of an underflowing
+    /// factor and one whose square overflows.
+    fn coeff() -> impl Strategy<Value = f64> {
+        prop_oneof![scalar(), Just(-1e-200), Just(1e300), Just(-0.0)]
+    }
+
+    fn spec() -> impl Strategy<Value = Spec> {
+        (
+            proptest::collection::vec((0..WIDE, coeff()), 0..2 * WIDE),
+            konst(),
+        )
+    }
+
+    /// A fresh expression (its term slice held by nobody else).
+    fn build(ids: &[RvId], (terms, c): &Spec) -> AffExpr {
+        terms.iter().fold(AffExpr::constant(*c), |e, &(i, a)| {
+            e.add(&AffExpr::var(ids[i]).scale(a))
+        })
+    }
+
+    /// Every bit of an expression: each term's variable and coefficient
+    /// bits, then the constant's bits.
+    fn bits(e: &AffExpr) -> (Vec<(RvId, u64)>, u64) {
+        (
+            e.terms().map(|(x, a)| (x, a.to_bits())).collect(),
+            e.konst().to_bits(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The owned operations, whose results are written into operand
+        /// slices nothing else holds, give the borrowed operations'
+        /// results bit for bit; a clone of an operand taken before
+        /// still reads its old value; and the fused `x + k·y` is
+        /// `scale` then `add` in either operand order, with the map
+        /// reference agreeing.
+        #[test]
+        fn owned_and_fused_ops_match_borrowed_bit_for_bit(
+            xs in spec(),
+            ys in spec(),
+            k in prop_oneof![coeff(), Just(0.0), Just(-0.0), Just(f64::NAN)],
+            alias in any::<bool>(),
+        ) {
+            let ids = var_ids(WIDE);
+            let fresh_x = || build(&ids, &xs);
+            // With `alias`, `y` is `x` itself: `x + x·k`.
+            let fresh_y = || if alias { fresh_x() } else { build(&ids, &ys) };
+            let (x, y) = (fresh_x(), fresh_y());
+            let held = fresh_x();
+            let kept = held.clone();
+
+            prop_assert_eq!(bits(&fresh_x().add_owned(fresh_y())), bits(&x.add(&y)));
+            prop_assert_eq!(bits(&fresh_x().sub_owned(fresh_y())), bits(&x.sub(&y)));
+            prop_assert_eq!(bits(&fresh_x().scale_owned(k)), bits(&x.scale(k)));
+            prop_assert_eq!(bits(&held.add_owned(fresh_y())), bits(&x.add(&y)));
+            prop_assert_eq!(bits(&kept), bits(&x), "a clone was written through");
+
+            let scaled = y.scale(k);
+            prop_assert_eq!(
+                bits(&fresh_x().add_scaled(fresh_y(), k)),
+                bits(&x.add(&scaled))
+            );
+            prop_assert_eq!(
+                bits(&fresh_x().add_scaled(fresh_y(), k)),
+                bits(&scaled.add(&x))
+            );
+            let x2 = fresh_x();
+            prop_assert_eq!(
+                bits(&x2.clone().add_scaled(x2, k)),
+                bits(&x.add(&x.scale(k)))
+            );
+            // Against the map reference too (its `add` folds a term of
+            // the right operand alone as `0 + b`, the same bits here).
+            let reference = |e: &AffExpr| Reference {
+                terms: e.terms().collect(),
+                konst: e.konst(),
+            };
+            let want = reference(&x).add(&reference(&y).scale(k));
+            let got = fresh_x().add_scaled(fresh_y(), k);
+            prop_assert_eq!(
+                bits(&got),
+                (
+                    want.terms.iter().map(|(&v, a)| (v, a.to_bits())).collect(),
+                    want.konst.to_bits()
+                )
+            );
+        }
+
+        /// In-place substitution and the stack view give `substitute`'s
+        /// terms and constant bit for bit, and the view builds nothing.
+        #[test]
+        fn in_place_and_view_substitution_match_substitute(
+            xs in spec(),
+            values in proptest::collection::vec((0..WIDE, konst()), 0..WIDE),
+        ) {
+            let ids = var_ids(WIDE);
+            let values: BTreeMap<RvId, f64> =
+                values.into_iter().map(|(v, c)| (ids[v], c)).collect();
+            let lookup = |x: RvId| values.get(&x).copied();
+            let e = build(&ids, &xs);
+            let want = e.substitute(lookup);
+            let mut in_place = build(&ids, &xs);
+            in_place.substitute_in_place(lookup);
+            prop_assert_eq!(bits(&in_place), bits(&want));
+            let view = e.substitute_view(lookup);
+            let view_bits: Vec<(RvId, u64)> =
+                view.terms().map(|(x, a)| (x, a.to_bits())).collect();
+            prop_assert_eq!((view_bits, view.konst().to_bits()), bits(&want));
+            let single = |s: Option<(RvId, f64, f64)>| s.map(|(x, a, b)| (x, a.to_bits(), b.to_bits()));
+            prop_assert_eq!(single(view.as_single()), single(want.as_single()));
+            prop_assert_eq!(view.as_constant().map(f64::to_bits), want.as_constant().map(f64::to_bits));
         }
     }
 }
