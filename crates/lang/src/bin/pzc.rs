@@ -21,12 +21,13 @@
 //!   --seed S             RNG seed                      (default 0)
 //! ```
 //!
-//! `run` executes every engine on the flat instruction tape, the default
-//! backend. `emit --tape` lowers every node's per-particle transition to
-//! that tape and pretty-prints it. Nodes that refuse to lower (drivers
-//! whose step embeds `infer`, or any construct the tape cannot express)
-//! print the refusal reason instead — an engine over such a node
-//! interprets it at runtime.
+//! `run` executes every engine and instance on the flat instruction tape,
+//! the default backend. `emit --tape` lowers every node to that tape and
+//! pretty-prints it: a node that hosts `infer` as a driver, whose `infer`
+//! op steps the embedded engine, every other node as a per-particle
+//! transition. Nodes that refuse to lower (any construct the tape cannot
+//! express) print the refusal reason instead — an engine or instance over
+//! such a node interprets it at runtime.
 //!
 //! Every line goes to stdout through [`out`]. A reader that closes the
 //! pipe early (`pzc run … | head -n1`) ends `pzc` quietly with exit 0;

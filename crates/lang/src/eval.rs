@@ -38,10 +38,12 @@ pub enum ExecBackend {
     Interp,
     /// Flat instruction tape (see [`crate::tape`]), the default: each
     /// engine lowers its transition closure to register-indexed opcodes
-    /// at its first particle step, once. Lowering is total-or-nothing per
-    /// engine: any unsupported construct makes that engine interpret for
+    /// at its first particle step, once, and each [`Instance`] its
+    /// node's step at its first step. Lowering is total-or-nothing: any
+    /// unsupported construct makes that engine or instance interpret for
     /// its lifetime (bit-identical by design), and
-    /// [`MufEngine::tape_status`] reports which happened.
+    /// [`MufEngine::tape_status`] and [`Instance::tape_status`] report
+    /// which happened.
     #[default]
     Tape,
 }
@@ -685,6 +687,22 @@ pub(crate) enum ModelState {
 }
 
 impl ModelState {
+    /// A fresh copy of the initial state `init`: flat slots once `tape`
+    /// is lowered, else the whole value.
+    fn initial(tape: Option<&crate::tape::TapeCell>, init: &MufValue) -> ModelState {
+        match tape.and_then(crate::tape::TapeCell::ready) {
+            Some(shared) => ModelState::Flat(
+                shared
+                    .prog
+                    .init_slots
+                    .iter()
+                    .map(MufValue::deep_clone)
+                    .collect(),
+            ),
+            None => ModelState::Whole(init.deep_clone()),
+        }
+    }
+
     fn deep_clone(&self) -> ModelState {
         match self {
             ModelState::Whole(v) => ModelState::Whole(v.deep_clone()),
@@ -731,12 +749,15 @@ impl Model for MufModel {
 
     fn step(&mut self, ctx: &mut dyn ProbCtx, input: &Value) -> Result<Value, RuntimeError> {
         if let Some(cell) = &self.tape {
-            if let Some(shared) = cell.ensure(
-                &self.interp,
-                &self.closure,
-                &self.init_state,
-                self.takes_input,
-            ) {
+            if let Some(shared) = cell.ensure(|| {
+                let closure = self.closure.borrow();
+                crate::transform::lower::lower_closure(
+                    &self.interp,
+                    crate::tape::closure_of(&closure)?,
+                    &self.init_state,
+                    self.takes_input,
+                )
+            }) {
                 return Ok(crate::tape::step_model(
                     &self.interp,
                     cell,
@@ -777,17 +798,7 @@ impl Model for MufModel {
     }
 
     fn reset(&mut self) {
-        self.state = match self.tape.as_ref().and_then(|c| c.ready()) {
-            Some(shared) => ModelState::Flat(
-                shared
-                    .prog
-                    .init_slots
-                    .iter()
-                    .map(MufValue::deep_clone)
-                    .collect(),
-            ),
-            None => ModelState::Whole(self.init_state.deep_clone()),
-        };
+        self.state = ModelState::initial(self.tape.as_deref(), &self.init_state);
     }
 
     fn for_each_state_value(&mut self, f: &mut dyn FnMut(&mut Value)) {
@@ -875,6 +886,39 @@ impl MufEngine {
     /// passes a closure over the same body, as the tape requires.
     pub(crate) fn set_closure(&mut self, closure: MufValue) {
         *self.closure.borrow_mut() = closure;
+    }
+
+    /// Re-closes the transition over `bindings`, innermost first: the
+    /// driver tape's [`MufEngine::set_closure`]. The closure is `fun pat
+    /// -> body` over exactly the driver bindings the body reads, which
+    /// resolves every name as the interpreter's closure over the whole
+    /// driver environment does. A closure only the slot holds, over the
+    /// same body and names, is rebound in place, so a steady-state tick
+    /// allocates nothing here.
+    pub(crate) fn reclose<'a>(
+        &mut self,
+        pat: &MufPat,
+        body: &Rc<MufExpr>,
+        bindings: impl DoubleEndedIterator<Item = (&'a str, &'a MufValue)> + Clone,
+    ) {
+        let mut slot = self.closure.borrow_mut();
+        if let MufValue::Closure(c) = &mut *slot {
+            if Rc::ptr_eq(&c.body, body) {
+                if let Some(c) = Rc::get_mut(c) {
+                    if c.env.rebind(bindings.clone()) {
+                        return;
+                    }
+                }
+            }
+        }
+        let env = bindings.rev().fold(Env::empty(), |env, (name, v)| {
+            env.bind_owned(name, v.clone())
+        });
+        *slot = MufValue::Closure(Rc::new(Closure {
+            pat: pat.clone(),
+            body: Rc::clone(body),
+            env,
+        }));
     }
 
     /// One inference step.
@@ -989,6 +1033,12 @@ impl MufEngine {
 
 /// An instantiated deterministic node: the driver-facing stream function.
 ///
+/// Under [`ExecBackend::Tape`] the node's step is lowered to a driver
+/// tape at the first [`Instance::step`], once, as an engine lowers its
+/// transition: its `infer` sites step their engines from the tape, and a
+/// refusal leaves the instance interpreting for its lifetime
+/// ([`Instance::tape_status`] reports which happened).
+///
 /// When the interpreter carries a live telemetry handle (built via
 /// [`Interp::new_with_obs`]), each [`Instance::step`] emits an `eval.tick`
 /// root span covering the whole driver tick — engine-side `tick` trees from
@@ -997,8 +1047,13 @@ impl MufEngine {
 pub struct Instance {
     interp: Rc<Interp>,
     step: MufValue,
-    state: MufValue,
+    state: ModelState,
+    /// The state the node starts from. Until the first reset it shares
+    /// its engines with the running state, which steps them in place, so
+    /// [`Instance::reset`] restarts them before copying.
     init_state: MufValue,
+    /// The driver tape (`None` under [`ExecBackend::Interp`]).
+    tape: Option<crate::tape::TapeCell>,
     /// Monotonic driver-tick counter (not rewound by [`Instance::reset`],
     /// so every emitted span ID is unique within a run).
     tick: u64,
@@ -1018,11 +1073,13 @@ impl Instance {
             .global(&crate::compile::init_name(name))
             .ok_or_else(|| LangError::new(Stage::Eval, format!("unknown node `{name}`")))?;
         let state = interp.apply(&init_thunk, MufValue::unit(), &mut ProbSlot::Det)?;
+        let tape = (interp.backend == ExecBackend::Tape).then(crate::tape::TapeCell::default);
         Ok(Instance {
             interp,
             step,
             init_state: state.clone(),
-            state,
+            state: ModelState::Whole(state),
+            tape,
             tick: 0,
         })
     }
@@ -1034,22 +1091,20 @@ impl Instance {
     /// Evaluation errors (including errors from embedded `infer` engines).
     pub fn step(&mut self, input: Value) -> Result<MufValue, LangError> {
         let t0 = self.interp.obs.enabled().then(std::time::Instant::now);
-        let state = std::mem::replace(&mut self.state, MufValue::Nil);
-        let arg = MufValue::Tuple(vec![state, MufValue::V(input)]);
-        let result = self
-            .interp
-            .apply(&self.step.clone(), arg, &mut ProbSlot::Det)?;
-        let out = match result {
-            MufValue::Tuple(mut vs) if vs.len() == 2 => {
-                let next = vs.pop().expect("length checked");
-                let out = vs.pop().expect("length checked");
-                self.state = next;
-                Ok(out)
+        let tape = self.tape.as_ref().and_then(|cell| {
+            cell.ensure(|| {
+                crate::transform::lower::lower_driver(
+                    &self.interp,
+                    crate::tape::closure_of(&self.step)?,
+                    &self.init_state,
+                )
+            })
+        });
+        let out = match tape {
+            Some(shared) => {
+                crate::tape::step_driver(&self.interp, &shared, &self.step, &mut self.state, input)
             }
-            other => Err(LangError::new(
-                Stage::Eval,
-                format!("node step must return (value, state), got {}", other.kind()),
-            )),
+            None => self.step_interp(input),
         };
         if let Some(t0) = t0 {
             use probzelus_core::trace::{self, SpanRecord};
@@ -1075,9 +1130,55 @@ impl Instance {
         out
     }
 
-    /// Restores the initial state.
+    /// A tick on the tree-walking interpreter.
+    fn step_interp(&mut self, input: Value) -> Result<MufValue, LangError> {
+        let ModelState::Whole(state) = &mut self.state else {
+            return Err(LangError::new(
+                Stage::Eval,
+                "tape state observed on the interpreter path",
+            ));
+        };
+        let state = std::mem::replace(state, MufValue::Nil);
+        let arg = MufValue::Tuple(vec![state, MufValue::V(input)]);
+        let result = self
+            .interp
+            .apply(&self.step.clone(), arg, &mut ProbSlot::Det)?;
+        match result {
+            MufValue::Tuple(mut vs) if vs.len() == 2 => {
+                let next = vs.pop().expect("length checked");
+                let out = vs.pop().expect("length checked");
+                self.state = ModelState::Whole(next);
+                Ok(out)
+            }
+            other => Err(LangError::new(
+                Stage::Eval,
+                format!("node step must return (value, state), got {}", other.kind()),
+            )),
+        }
+    }
+
+    /// Restores the initial state, embedded engines included: the
+    /// initial state's engines restart from their initial particles (see
+    /// [`MufEngine::reset`]) before the copy, so the instance replays a
+    /// fresh instance's outputs.
     pub fn reset(&mut self) {
-        self.state = self.init_state.deep_clone();
+        fn restart_engines(v: &MufValue) {
+            match v {
+                MufValue::Tuple(xs) => xs.iter().for_each(restart_engines),
+                MufValue::Engine(e) => e.0.borrow_mut().reset(),
+                _ => {}
+            }
+        }
+        restart_engines(&self.init_state);
+        self.state = ModelState::initial(self.tape.as_ref(), &self.init_state);
+    }
+
+    /// Driver-tape status: `None` under [`ExecBackend::Interp`]; under
+    /// [`ExecBackend::Tape`], `Ok(())` once the step is lowered and
+    /// running on the tape, `Err(reason)` while lowering is pending (no
+    /// step taken yet) or after it refused (the instance interprets).
+    pub fn tape_status(&self) -> Option<Result<(), String>> {
+        self.tape.as_ref().map(crate::tape::TapeCell::status)
     }
 }
 

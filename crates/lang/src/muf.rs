@@ -269,6 +269,29 @@ impl Env {
         self.0.is_none()
     }
 
+    /// Rebinds, in place, an environment of exactly `bindings`' names in
+    /// their order (innermost first) to `bindings`' values. Returns
+    /// `false` when the names differ or a binding is shared with another
+    /// environment; the bindings written so far are then this
+    /// environment's alone, and the caller builds a new one.
+    pub(crate) fn rebind<'a>(
+        &mut self,
+        bindings: impl IntoIterator<Item = (&'a str, &'a MufValue)>,
+    ) -> bool {
+        let mut cur = self;
+        for (name, value) in bindings {
+            let Some(node) = cur.0.as_mut().and_then(Rc::get_mut) else {
+                return false;
+            };
+            if node.name != name {
+                return false;
+            }
+            node.value.clone_from(value);
+            cur = &mut node.next;
+        }
+        cur.is_empty()
+    }
+
     /// Looks a name up.
     pub fn lookup(&self, name: &str) -> Option<&MufValue> {
         let mut cur = self;

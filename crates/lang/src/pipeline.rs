@@ -326,13 +326,13 @@ impl Compiled {
         )
     }
 
-    /// Lowers a node's per-particle transition to the flat instruction
-    /// tape, without running anything — the static view behind
-    /// `pzc emit --tape`.
+    /// Lowers a node's step to the flat instruction tape, without running
+    /// anything — the static view behind `pzc emit --tape`: the driver
+    /// tape of a node that hosts `infer`, whose `infer` sites step their
+    /// engines, and every other node's per-particle transition.
     ///
-    /// The inner `Err` is the lowering-refusal reason (an engine over the
-    /// node would interpret it); nodes whose step embeds `infer` — drivers
-    /// — refuse by design.
+    /// The inner `Err` is the lowering-refusal reason (an engine or
+    /// instance over the node would interpret it).
     ///
     /// # Errors
     ///
@@ -342,19 +342,30 @@ impl Compiled {
         node: &str,
         options: Options,
     ) -> Result<Result<crate::tape::TapeProgram, String>, LangError> {
+        use crate::transform::lower::{lower_closure, lower_driver};
         let (interp, transition, init_state) = self.transition(node, options)?;
-        let MufValue::Closure(closure) = &transition else {
-            return Ok(Err(format!(
-                "transition is not a closure: {}",
-                transition.kind()
-            )));
+        let driver = self.hosts_infer(node);
+        Ok(
+            crate::tape::closure_of(&transition).and_then(|closure| match driver {
+                true => lower_driver(&interp, closure, &init_state),
+                false => lower_closure(&interp, closure, &init_state, true),
+            }),
+        )
+    }
+
+    /// Whether `node`'s body contains an `infer`, itself or in a node it
+    /// applies: its step is a driver's, which particle code cannot run.
+    fn hosts_infer(&self, node: &str) -> bool {
+        let Some(decl) = self.kernel.node(node) else {
+            return false;
         };
-        Ok(crate::transform::lower::lower_closure(
-            &interp,
-            closure,
-            &init_state,
-            true,
-        ))
+        let mut hosts = false;
+        crate::analysis::walk(&decl.body, &mut |e| match e {
+            crate::ast::Expr::Infer { .. } => hosts = true,
+            crate::ast::Expr::App(f, _) => hosts = hosts || self.hosts_infer(f),
+            _ => {}
+        });
+        hosts
     }
 
     /// What running or lowering `node` starts from: an interpreter over

@@ -31,18 +31,28 @@
 //! under delayed sampling `pre x + xp * 0.1` allocates nothing once its
 //! slice has room.
 //!
+//! A deterministic node's step runs on a tape too, the driver tape of an
+//! [`crate::eval::Instance`] (`step_driver`): it runs once per tick in
+//! a deterministic context, where `sample`, `observe`, `factor` and
+//! `value` fail as on the interpreter, and its [`Op::Infer`] steps an
+//! embedded engine. It owns its tick input, so projecting the input moves
+//! the components out instead of copying them.
+//!
 //! The tape is the default backend, and the interpreter is its semantic
 //! oracle: every opcode mirrors the corresponding `eval` branch
 //! bit-for-bit (including error messages and RNG consumption order), and
 //! the executor never applies a closure through the interpreter. The tape hands
 //! work to the interpreter one way only: lowering is tried once, at an
-//! engine's first particle step, and a refusal leaves that engine
-//! interpreting for its lifetime, indistinguishable except for speed.
+//! engine's first particle step or an instance's first step, and a
+//! refusal leaves that engine or instance interpreting for its lifetime,
+//! indistinguishable except for speed.
 
 use crate::ast::OpName;
 use crate::error::{LangError, Stage};
-use crate::eval::{core_args, dist_expr, uninitialized_dist, Interp, ModelState, ProbSlot};
-use crate::muf::MufValue;
+use crate::eval::{
+    core_args, dist_expr, outside_infer, uninitialized_dist, Interp, ModelState, ProbSlot,
+};
+use crate::muf::{Closure, MufExpr, MufPat, MufValue};
 use probzelus_core::ops;
 use probzelus_core::prob::ProbCtx;
 use probzelus_core::value::{DistExpr, Value};
@@ -55,9 +65,10 @@ pub type Reg = u32;
 
 /// One tape instruction. An op copies the registers it reads, except
 /// where [`TapeProgram::takes`] marks its last read of one: `Move`,
-/// `Select` (the chosen branch), arithmetic `BinOp`s and `AddMul` then
-/// take the value, leaving `nil`, so affine arithmetic can write into a
-/// term slice nothing else holds. The same register file is reused by
+/// `Proj`, `Select` (the chosen branch), arithmetic `BinOp`s and `AddMul`
+/// then take the value, leaving `nil`, so affine arithmetic can write
+/// into a term slice nothing else holds and a projection moves its
+/// component out. The same register file is reused by
 /// every particle and every tick.
 #[derive(Debug, Clone)]
 pub enum Op {
@@ -222,8 +233,35 @@ pub enum Op {
         /// Target op index.
         target: u32,
     },
+    /// `dst <- infer(engine)`: steps the engine in register `engine`
+    /// once, after re-closing its transition over the registers the
+    /// site captures (the tree walker's `set_closure`). Only a driver's
+    /// tape has it: particle code refuses nested inference. The payload
+    /// is boxed, so the op is no larger than the others.
+    Infer {
+        /// Destination register (the posterior).
+        dst: Reg,
+        /// The engine register; the engine handle stays in it.
+        engine: Reg,
+        /// The transition and the registers it captures.
+        site: Box<InferSite>,
+    },
     /// End of tape.
     Halt,
+}
+
+/// An `infer` site of a driver tape: the transition `fun pat -> body` and
+/// the bindings its body reads from the driver, each from a register.
+#[derive(Debug, Clone)]
+pub struct InferSite {
+    /// The transition's parameter pattern.
+    pub pat: MufPat,
+    /// The transition's body, shared with the µF it was lowered from (the
+    /// engine's tape checks it by pointer).
+    pub body: Rc<MufExpr>,
+    /// The free names of the transition bound in the driver, innermost
+    /// first, and the registers holding their values.
+    pub captures: Vec<(String, Reg)>,
 }
 
 impl Op {
@@ -242,7 +280,8 @@ impl Op {
             | Op::Sample { dst, .. }
             | Op::SampleDist { dst, .. }
             | Op::Value { dst, .. }
-            | Op::Freshen { dst, .. } => Some(*dst),
+            | Op::Freshen { dst, .. }
+            | Op::Infer { dst, .. } => Some(*dst),
             Op::Observe { .. }
             | Op::ObserveDist { .. }
             | Op::Factor { .. }
@@ -272,6 +311,12 @@ impl Op {
             Op::ObserveDist { args, obs, .. } => args.iter().chain([obs]).copied().collect(),
             Op::Factor { w } => vec![*w],
             Op::JmpIfNot { cond, .. } => vec![*cond],
+            Op::Infer { engine, site, .. } => site
+                .captures
+                .iter()
+                .map(|(_, r)| *r)
+                .chain([*engine])
+                .collect(),
         }
     }
 }
@@ -341,15 +386,17 @@ pub struct TapeProgram {
     /// The instruction stream, ending in [`Op::Halt`].
     pub ops: Vec<Op>,
     /// Per op, the operands it reads for the last time: bit `i` stands
-    /// for the `i`-th register of the op's reads (`Move`: `src`; `Select`:
-    /// `cond`, `t`, `f`; `BinOp`: `a`, `b`; `AddMul`: `x`, `a`, `b`).
-    /// Only `Move`, `Select`, arithmetic `BinOp`s and `AddMul` take a
-    /// marked operand, leaving `nil`; every other op copies.
+    /// for the `i`-th register of the op's reads (`Move`, `Proj`: `src`;
+    /// `Select`: `cond`, `t`, `f`; `BinOp`: `a`, `b`; `AddMul`: `x`, `a`,
+    /// `b`). Only `Move`, `Proj`, `Select`, arithmetic `BinOp`s and
+    /// `AddMul` take a marked operand, leaving `nil`; every other op
+    /// copies.
     pub takes: Vec<u8>,
     /// Length of the prologue: the leading `Proj` ops of `ops` that
     /// destructure the tick input and the captured environment. They
     /// read nothing per-particle, so a step runs them only at the first
     /// particle of a tick, and every particle then runs `ops[prologue..]`.
+    /// A driver tape, which runs once per tick, has none.
     pub prologue: usize,
     /// Total number of registers.
     pub num_regs: u32,
@@ -434,12 +481,13 @@ impl TapeShared {
 }
 
 /// Per-engine lowering cell, shared between a [`crate::eval::MufEngine`]
-/// and its particle models. Lowering happens lazily at the first particle
-/// step, from the closure in the engine's slot at that point (an embedded
-/// `infer` site re-closes it over the driver environment at every step),
-/// and is attempted exactly once: its result holds for the engine's
-/// lifetime. A refusal leaves the engine interpreting; a lowered engine
-/// never goes back. An engine that is never stepped never lowers.
+/// and its particle models (an [`crate::eval::Instance`] holds one for its
+/// driver tape). Lowering happens lazily at the first particle step, from
+/// the closure in the engine's slot at that point (an embedded `infer`
+/// site re-closes it over the driver environment at every step), and is
+/// attempted exactly once: its result holds for the engine's lifetime. A
+/// refusal leaves the engine interpreting; a lowered engine never goes
+/// back. An engine that is never stepped never lowers.
 #[derive(Debug, Default)]
 pub struct TapeCell {
     attempt: RefCell<Option<Result<Rc<TapeShared>, String>>>,
@@ -476,30 +524,28 @@ impl TapeCell {
         }
     }
 
-    /// Returns the tape, lowering the current closure on first use.
-    /// `None` means this engine executes on the interpreter.
+    /// Returns the tape, running `lower` on first use. `None` means the
+    /// engine or instance executes on the interpreter.
     pub(crate) fn ensure(
         &self,
-        interp: &Rc<Interp>,
-        closure_slot: &RefCell<MufValue>,
-        init_state: &MufValue,
-        takes_input: bool,
+        lower: impl FnOnce() -> Result<TapeProgram, String>,
     ) -> Option<Rc<TapeShared>> {
         let mut attempt = self.attempt.borrow_mut();
         if attempt.is_none() {
-            let slot = closure_slot.borrow();
-            *attempt = Some(match &*slot {
-                MufValue::Closure(c) => {
-                    crate::transform::lower::lower_closure(interp, c, init_state, takes_input)
-                        .map(|prog| Rc::new(TapeShared::new(prog)))
-                }
-                other => Err(format!("transition is not a closure: {}", other.kind())),
-            });
+            *attempt = Some(lower().map(|p| Rc::new(TapeShared::new(p))));
         }
         match attempt.as_ref() {
             Some(Ok(shared)) => Some(shared.clone()),
             _ => None,
         }
+    }
+}
+
+/// The closure a transition value must be to lower.
+pub(crate) fn closure_of(v: &MufValue) -> Result<&Rc<Closure>, String> {
+    match v {
+        MufValue::Closure(c) => Ok(c),
+        other => Err(format!("transition is not a closure: {}", other.kind())),
     }
 }
 
@@ -533,6 +579,46 @@ pub(crate) fn split_state(v: &MufValue, shape: &StateShape) -> Result<Vec<MufVal
     Ok(out)
 }
 
+/// A state's flat slots, split from the whole value at its first tape
+/// step. This and the two helpers below are inlined always: they are
+/// `step_model`'s per-particle body, shared with `step_driver`.
+#[inline(always)]
+fn flat_slots<'s>(
+    state: &'s mut ModelState,
+    prog: &TapeProgram,
+) -> Result<&'s mut Vec<MufValue>, LangError> {
+    if let ModelState::Whole(whole) = &*state {
+        let slots = split_state(whole, &prog.shape).map_err(|e| {
+            LangError::new(Stage::Eval, format!("state does not fit the tape: {e}"))
+        })?;
+        *state = ModelState::Flat(slots);
+    }
+    match state {
+        ModelState::Flat(slots) => Ok(slots),
+        ModelState::Whole(_) => Err(LangError::new(Stage::Eval, "tape state must be flat")),
+    }
+}
+
+/// Moves the state slots into their registers. A failed step then leaves
+/// the state no value, as the interpreter's does.
+#[inline(always)]
+fn load_state(prog: &TapeProgram, slots: &mut [MufValue], regs: &mut [MufValue]) {
+    for (slot, &r) in slots.iter_mut().zip(&prog.state_in) {
+        regs[r as usize] = std::mem::replace(slot, MufValue::Nil);
+    }
+}
+
+/// Moves or copies the successor state out of the registers.
+#[inline(always)]
+fn store_state(prog: &TapeProgram, slots: &mut [MufValue], regs: &mut [MufValue]) {
+    for (slot, out) in slots.iter_mut().zip(&prog.state_out) {
+        *slot = match *out {
+            StateOut::Move(r) => std::mem::replace(&mut regs[r as usize], MufValue::Nil),
+            StateOut::Clone(r) => regs[r as usize].clone(),
+        };
+    }
+}
+
 /// One particle step on the tape. Mirrors `MufModel::step`'s interpreter
 /// path: state slots move into their registers, the tape executes, the
 /// output is folded to a core value, and the successor state moves back
@@ -549,56 +635,98 @@ pub(crate) fn step_model(
     input: &Value,
 ) -> Result<Value, LangError> {
     let prog = &shared.prog;
-    // First tape step: split the whole state into flat slots.
-    if let ModelState::Whole(whole) = &*state {
-        let slots = split_state(whole, &prog.shape).map_err(|e| {
-            LangError::new(Stage::Eval, format!("state does not fit the tape: {e}"))
-        })?;
-        *state = ModelState::Flat(slots);
-    }
-    let ModelState::Flat(slots) = state else {
-        return Err(LangError::new(Stage::Eval, "tape state must be flat"));
-    };
+    let slots = flat_slots(state, prog)?;
     let mut regs = shared.regs.borrow_mut();
-    for (slot, &r) in slots.iter_mut().zip(&prog.state_in) {
-        regs[r as usize] = std::mem::replace(slot, MufValue::Nil);
-    }
-    // A failed step leaves the particle no state (every slot was moved
-    // out above), as the interpreter's does.
+    load_state(prog, slots, &mut regs);
+    let mut prob = ProbSlot::Prob(ctx);
     if cell.loaded.get() != Some(cell.tick.get()) {
-        load(interp, prog, closure_slot, &mut regs, ctx, input)?;
+        load(
+            interp,
+            prog,
+            &closure_slot.borrow(),
+            &mut regs,
+            &mut prob,
+            input,
+        )?;
         cell.loaded.set(Some(cell.tick.get()));
     }
-    exec(interp, prog, prog.prologue, prog.ops.len(), &mut regs, ctx)?;
+    exec(
+        interp,
+        prog,
+        prog.prologue,
+        prog.ops.len(),
+        &mut regs,
+        &mut prob,
+    )?;
     // Fold the output before moving state out: an output register may
     // alias a state register.
     let out = fold_out(&prog.out, &regs)?;
-    for (slot, out) in slots.iter_mut().zip(&prog.state_out) {
-        *slot = match *out {
-            StateOut::Move(r) => std::mem::replace(&mut regs[r as usize], MufValue::Nil),
-            StateOut::Clone(r) => regs[r as usize].clone(),
-        };
-    }
+    store_state(prog, slots, &mut regs);
     Ok(out)
 }
 
-/// The once-per-tick load, run at the first particle of a tick: checks
-/// that the engine still holds the closure the tape was lowered from,
-/// copies its captured environment into the env registers (an embedded
-/// `infer` site re-closes the transition every tick), loads the tick
-/// input and runs the prologue. Kept out of line: it runs once per tick,
-/// and inlined it slows every particle step.
+/// One tick of a deterministic node on its driver tape: the state slots
+/// move into their registers, the step closure's captured environment and
+/// the input (owned, so the tape's projections move out of it) load, the
+/// whole tape runs in a deterministic context, and the output is built as
+/// the interpreter's value, tuples and all.
+pub(crate) fn step_driver(
+    interp: &Rc<Interp>,
+    shared: &TapeShared,
+    step: &MufValue,
+    state: &mut ModelState,
+    input: Value,
+) -> Result<MufValue, LangError> {
+    let prog = &shared.prog;
+    let slots = flat_slots(state, prog)?;
+    let mut regs = shared.regs.borrow_mut();
+    load_state(prog, slots, &mut regs);
+    load_env(prog, step, &mut regs)?;
+    if let Some(r) = prog.input {
+        regs[r as usize] = MufValue::V(input);
+    }
+    exec(
+        interp,
+        prog,
+        0,
+        prog.ops.len(),
+        &mut regs,
+        &mut ProbSlot::Det,
+    )?;
+    let out = out_value(&prog.out, &regs);
+    store_state(prog, slots, &mut regs);
+    Ok(out)
+}
+
+/// The once-per-tick load, run at the first particle of a tick: loads
+/// the captured environment (see [`load_env`]) and the tick input, and
+/// runs the prologue. Kept out of line: it runs once per tick, and
+/// inlined it slows every particle step.
 #[inline(never)]
 fn load(
     interp: &Rc<Interp>,
     prog: &TapeProgram,
-    closure_slot: &RefCell<MufValue>,
+    closure: &MufValue,
     regs: &mut [MufValue],
-    ctx: &mut dyn ProbCtx,
+    prob: &mut ProbSlot<'_>,
     input: &Value,
 ) -> Result<(), LangError> {
-    let slot = closure_slot.borrow();
-    let c = match &*slot {
+    load_env(prog, closure, regs)?;
+    if let Some(r) = prog.input {
+        regs[r as usize] = MufValue::V(input.clone());
+    }
+    exec(interp, prog, 0, prog.prologue, regs, prob)
+}
+
+/// Checks that `closure` is still the closure the tape was lowered from
+/// and copies its captured environment into the env registers (an
+/// embedded `infer` site re-closes the transition every tick).
+fn load_env(
+    prog: &TapeProgram,
+    closure: &MufValue,
+    regs: &mut [MufValue],
+) -> Result<(), LangError> {
+    let c = match closure {
         MufValue::Closure(c) if Rc::as_ptr(&c.body) as usize == prog.body_ptr => c,
         _ => {
             return Err(LangError::new(
@@ -616,10 +744,7 @@ fn load(
         })?;
         regs[*reg as usize] = v.clone();
     }
-    if let Some(r) = prog.input {
-        regs[r as usize] = MufValue::V(input.clone());
-    }
-    exec(interp, prog, 0, prog.prologue, regs, ctx)
+    Ok(())
 }
 
 /// Folds an [`OutSpec`] to a core value, mirroring [`MufValue::as_core`]
@@ -641,7 +766,29 @@ fn fold_out(spec: &OutSpec, regs: &[MufValue]) -> Result<Value, LangError> {
     }
 }
 
-/// Runs the instruction stream from op `pc` until `end` or a `Halt`.
+/// A driver's output as the interpreter builds it: a tuple place is a
+/// µF tuple, a register its value.
+fn out_value(spec: &OutSpec, regs: &[MufValue]) -> MufValue {
+    match spec {
+        OutSpec::Reg(r) => regs[*r as usize].clone(),
+        OutSpec::Tuple(items) => {
+            MufValue::Tuple(items.iter().map(|s| out_value(s, regs)).collect())
+        }
+    }
+}
+
+/// The inference context of the effect ops `sample`, `observe`, `factor`
+/// and `value`; in a driver's deterministic context, the interpreter's
+/// error for `what` outside `infer`.
+fn prob_ctx<'s>(prob: &'s mut ProbSlot<'_>, what: &str) -> Result<&'s mut dyn ProbCtx, LangError> {
+    match prob {
+        ProbSlot::Prob(ctx) => Ok(&mut **ctx),
+        ProbSlot::Det => Err(outside_infer(what)),
+    }
+}
+
+/// Runs the instruction stream from op `pc` until `end` or a `Halt`, in
+/// a particle's inference context or a driver's deterministic one.
 /// Every opcode matches the corresponding `Interp::eval` branch exactly —
 /// same evaluation order, same error messages, same RNG draws — so
 /// posteriors agree bit-for-bit with the interpreter.
@@ -651,7 +798,7 @@ fn exec(
     mut pc: usize,
     end: usize,
     regs: &mut [MufValue],
-    ctx: &mut dyn ProbCtx,
+    prob: &mut ProbSlot<'_>,
 ) -> Result<(), LangError> {
     let ops = &prog.ops;
     while pc < end {
@@ -662,8 +809,7 @@ fn exec(
             Op::Const { dst, v } => regs[*dst as usize] = v.clone(),
             Op::Move { dst, src } => regs[*dst as usize] = operand(regs, *src, take(0)),
             Op::UnOp { op, dst, a } => {
-                let v =
-                    interp.apply_op(*op, &[&regs[*a as usize]], &mut ProbSlot::Prob(&mut *ctx))?;
+                let v = interp.apply_op(*op, &[&regs[*a as usize]], prob)?;
                 regs[*dst as usize] = v;
             }
             Op::BinOp {
@@ -681,16 +827,12 @@ fn exec(
                             _ => ops::mul_owned(a, b),
                         }?)
                     }
-                    (a, b) => interp.apply_op(*op, &[a, b], &mut ProbSlot::Prob(&mut *ctx))?,
+                    (a, b) => interp.apply_op(*op, &[a, b], prob)?,
                 };
                 regs[*dst as usize] = v;
             }
             Op::BinOp { op, dst, a, b } => {
-                let v = interp.apply_op(
-                    *op,
-                    &[&regs[*a as usize], &regs[*b as usize]],
-                    &mut ProbSlot::Prob(&mut *ctx),
-                )?;
+                let v = interp.apply_op(*op, &[&regs[*a as usize], &regs[*b as usize]], prob)?;
                 regs[*dst as usize] = v;
             }
             Op::AddMul {
@@ -712,10 +854,9 @@ fn exec(
                         MufValue::V(ops::add_mul_owned(x, a, b, *product_first)?)
                     }
                     (x, a, b) => {
-                        let mut slot = ProbSlot::Prob(&mut *ctx);
-                        let t = interp.apply_op(OpName::Mul, &[a, b], &mut slot)?;
+                        let t = interp.apply_op(OpName::Mul, &[a, b], prob)?;
                         let sum = if *product_first { [t, x] } else { [x, t] };
-                        interp.apply_op(OpName::Add, &sum, &mut slot)?
+                        interp.apply_op(OpName::Add, &sum, prob)?
                     }
                 };
                 regs[*dst as usize] = v;
@@ -724,7 +865,7 @@ fn exec(
                 let v = interp.apply_op(
                     *op,
                     &[&regs[*a as usize], &regs[*b as usize], &regs[*c as usize]],
-                    &mut ProbSlot::Prob(&mut *ctx),
+                    prob,
                 )?;
                 regs[*dst as usize] = v;
             }
@@ -738,12 +879,16 @@ fn exec(
                 idx,
                 arity,
             } => {
-                let v = project(&regs[*src as usize], *idx, *arity)?;
+                let v = if take(0) {
+                    project_owned(operand(regs, *src, true), *idx, *arity)?
+                } else {
+                    project(&regs[*src as usize], *idx, *arity)?
+                };
                 regs[*dst as usize] = v;
             }
             Op::Select { dst, cond, t, f } => {
                 let c = regs[*cond as usize].clone();
-                let v = match interp.condition_value(c, &mut ProbSlot::Prob(&mut *ctx))? {
+                let v = match interp.condition_value(c, prob)? {
                     None => MufValue::Nil,
                     Some(true) => operand(regs, *t, take(1)),
                     Some(false) => operand(regs, *f, take(2)),
@@ -752,44 +897,46 @@ fn exec(
             }
             Op::Sample { dst, dist } => {
                 let d = dist_of(&regs[*dist as usize])?;
-                let v = ctx.sample(d)?;
+                let v = prob_ctx(prob, "sample")?.sample(d)?;
                 regs[*dst as usize] = MufValue::V(v);
             }
             Op::Observe { dist, obs } => {
                 let d = dist_of(&regs[*dist as usize])?;
                 let o = regs[*obs as usize].as_core()?;
-                ctx.observe(d, &o)?;
+                prob_ctx(prob, "observe")?.observe(d, &o)?;
             }
             Op::SampleDist { op, dst, args } => {
                 let d = fused_dist(*op, args, regs)?;
-                let v = ctx.sample(&d)?;
+                let v = prob_ctx(prob, "sample")?.sample(&d)?;
                 regs[*dst as usize] = MufValue::V(v);
             }
             Op::ObserveDist { op, args, obs } => {
                 let d = fused_dist(*op, args, regs)?;
                 let o = regs[*obs as usize].as_core()?;
-                ctx.observe(&d, &o)?;
+                prob_ctx(prob, "observe")?.observe(&d, &o)?;
             }
             Op::Factor { w } => {
                 let v = regs[*w as usize].as_core()?;
+                let ctx = prob_ctx(prob, "factor")?;
                 let v = ctx.force(&v)?;
                 ctx.factor(v.as_float()?);
             }
             Op::Value { dst, src } => {
                 let v = regs[*src as usize].as_core()?;
-                let v = ctx.force(&v)?;
+                let v = prob_ctx(prob, "value")?.force(&v)?;
                 regs[*dst as usize] = MufValue::V(v);
             }
             Op::Freshen { dst, src } => {
                 regs[*dst as usize] = regs[*src as usize].deep_clone();
             }
+            Op::Infer { dst, engine, site } => infer_step(regs, *dst, *engine, site)?,
             Op::Jmp { target } => {
                 pc = *target as usize;
                 continue;
             }
             Op::JmpIfNot { cond, target } => {
                 let c = regs[*cond as usize].clone();
-                match interp.condition_value(c, &mut ProbSlot::Prob(&mut *ctx))? {
+                match interp.condition_value(c, prob)? {
                     None => {
                         return Err(LangError::new(
                             Stage::Eval,
@@ -834,6 +981,59 @@ fn runs_inline(op: OpName, a: &Value, b: &Value) -> bool {
     numeric(a)
         && numeric(b)
         && !(op == OpName::Mul && matches!((a, b), (Value::Aff(_), Value::Aff(_))))
+}
+
+/// Steps the engine in register `engine` for an `infer` site, as the
+/// interpreter's `infer` does: the transition re-closed over the site's
+/// captured registers, then one step on a unit input, whose posterior
+/// goes to `dst`. Out of line, so this driver-only op adds little to the
+/// `exec` that particles run too.
+#[inline(never)]
+fn infer_step(
+    regs: &mut [MufValue],
+    dst: Reg,
+    engine: Reg,
+    site: &InferSite,
+) -> Result<(), LangError> {
+    // The last tick's posterior goes before the engine builds this
+    // tick's, as on the interpreter, so the two are never held at once.
+    regs[dst as usize] = MufValue::Nil;
+    let MufValue::Engine(e) = &regs[engine as usize] else {
+        return Err(LangError::new(
+            Stage::Eval,
+            format!(
+                "infer state must be an engine, found {}",
+                regs[engine as usize].kind()
+            ),
+        ));
+    };
+    let posterior = {
+        let mut eng = e.0.borrow_mut();
+        let bindings = site
+            .captures
+            .iter()
+            .map(|(name, r)| (name.as_str(), &regs[*r as usize]));
+        eng.reclose(&site.pat, &site.body, bindings);
+        eng.step(&Value::Unit)?
+    };
+    regs[dst as usize] = MufValue::Posterior(Rc::new(posterior));
+    Ok(())
+}
+
+/// [`project`] of a value the op owns: the element moves out of a tuple
+/// or a core pair instead of being copied, so projecting a driver's input
+/// allocates nothing. Out of line like [`infer_step`]: a particle tape
+/// takes a projection's source only past its prologue, and no committed
+/// example's particle tape projects there.
+#[inline(never)]
+fn project_owned(v: MufValue, idx: u32, arity: u32) -> Result<MufValue, LangError> {
+    match v {
+        MufValue::Tuple(mut xs) if xs.len() == arity as usize => Ok(xs.swap_remove(idx as usize)),
+        MufValue::V(Value::Pair(a, b)) if arity == 2 => {
+            Ok(MufValue::V(if idx == 0 { *a } else { *b }))
+        }
+        other => project(&other, idx, arity),
+    }
 }
 
 /// Runtime tuple projection with the interpreter's pattern-binding
@@ -1045,6 +1245,19 @@ fn render_op(op: &Op, names: &[String]) -> String {
         Op::Factor { w } => format!("factor      {}", named(*w)),
         Op::Value { dst, src } => format!("value       {} <- {}", named(*dst), named(*src)),
         Op::Freshen { dst, src } => format!("freshen     {} <- {}", named(*dst), named(*src)),
+        Op::Infer { dst, engine, site } => {
+            let env: Vec<String> = site
+                .captures
+                .iter()
+                .map(|(name, r)| format!("{name}=r{r}"))
+                .collect();
+            format!(
+                "infer       {} <- {} with {}",
+                named(*dst),
+                named(*engine),
+                env.join(", ")
+            )
+        }
         Op::Jmp { target } => format!("jmp         @{target:04}"),
         Op::JmpIfNot { cond, target } => {
             format!("jmp_if_not  {} @{target:04}", named(*cond))

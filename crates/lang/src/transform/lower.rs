@@ -16,12 +16,17 @@
 //! Lowering is conservative and total-or-nothing: any construct the tape
 //! cannot run by itself (a closure applied from a register, a call to a
 //! closure that captured an environment, calls nested deeper than 64,
-//! escaping closures, nested inference, arity surprises) refuses the
-//! whole transition with a reason, and the engine interprets it instead.
-//! No op hands a single call back to the interpreter. The evaluation
-//! order of emitted ops mirrors the interpreter's recursion exactly, so
-//! effects (sampling, observation, RNG consumption) happen in the same
-//! sequence bit-for-bit.
+//! escaping closures, nested inference in particle code, arity
+//! surprises) refuses the whole transition with a reason, and the engine
+//! interprets it instead. No op hands a single call back to the
+//! interpreter. The evaluation order of emitted ops mirrors the
+//! interpreter's recursion exactly, so effects (sampling, observation,
+//! RNG consumption) happen in the same sequence bit-for-bit.
+//!
+//! A deterministic node's step lowers the same way to a driver tape
+//! ([`lower_driver`]), where an `infer` becomes [`Op::Infer`]: it steps
+//! the engine held in a state register, after re-closing the transition
+//! over the registers of the driver bindings it reads.
 //!
 //! Three passes then finish the tape: a peephole pass fuses each
 //! distribution constructor into the `sample`/`observe` that is the sole
@@ -35,7 +40,7 @@
 use crate::ast::OpName;
 use crate::eval::{const_value, dist_expr, Interp};
 use crate::muf::{Closure, Env, MufExpr, MufPat, MufValue};
-use crate::tape::{split_state, Op, OutSpec, Reg, StateOut, StateShape, TapeProgram};
+use crate::tape::{split_state, InferSite, Op, OutSpec, Reg, StateOut, StateShape, TapeProgram};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
@@ -69,6 +74,9 @@ enum ScopeEntry {
 
 struct Lower<'a> {
     interp: &'a Rc<Interp>,
+    /// Lowering a deterministic node's step (a driver), where `infer`
+    /// steps an engine, rather than a particle's transition.
+    driver: bool,
     /// The lowered closure's captured environment (names only; values are
     /// re-read into env-slot registers at runtime).
     captured: &'a Env,
@@ -117,31 +125,8 @@ impl Lower<'_> {
     /// Name resolution, mirroring the interpreter's order: lexical scope,
     /// then the closure's captured environment, then globals.
     fn resolve(&mut self, name: &str) -> LowerResult<Place> {
-        let mut hit_boundary = false;
-        let mut found: Option<Place> = None;
-        for e in self.scope.iter().rev() {
-            match e {
-                ScopeEntry::Bind(n, p) if n == name => {
-                    found = Some(p.clone());
-                    break;
-                }
-                ScopeEntry::Boundary => {
-                    hit_boundary = true;
-                    break;
-                }
-                ScopeEntry::Bind(..) => {}
-            }
-        }
-        if let Some(p) = found {
+        if let Some(p) = self.resolve_local(name) {
             return Ok(p);
-        }
-        if !hit_boundary && self.captured.lookup(name).is_some() {
-            if let Some((_, r)) = self.env_slots.iter().find(|(n, _)| n == name) {
-                return Ok(Place::Reg(*r));
-            }
-            let r = self.fresh(name);
-            self.env_slots.push((name.to_string(), r));
-            return Ok(Place::Reg(r));
         }
         match self.interp.global(name) {
             Some(v @ MufValue::Closure(_)) => Ok(Place::Global(v)),
@@ -155,6 +140,26 @@ impl Lower<'_> {
             }
             None => Err(format!("unbound variable `{name}`")),
         }
+    }
+
+    /// The place of a name the interpreter's environment binds at this
+    /// point: the lexical scope, then (outside an inlined global's body)
+    /// the closure's captured environment. `None` for a global.
+    fn resolve_local(&mut self, name: &str) -> Option<Place> {
+        for e in self.scope.iter().rev() {
+            match e {
+                ScopeEntry::Bind(n, p) if n == name => return Some(p.clone()),
+                ScopeEntry::Boundary => return None,
+                ScopeEntry::Bind(..) => {}
+            }
+        }
+        self.captured.lookup(name)?;
+        if let Some((_, r)) = self.env_slots.iter().find(|(n, _)| n == name) {
+            return Some(Place::Reg(*r));
+        }
+        let r = self.fresh(name);
+        self.env_slots.push((name.to_string(), r));
+        Some(Place::Reg(r))
     }
 
     /// Forces a place into a single register (emitting `MkTuple` for
@@ -355,10 +360,48 @@ impl Lower<'_> {
                 let p = self.lower(inner)?;
                 self.freshen_place(&p)
             }
+            MufExpr::Infer { body, state, .. } if self.driver => self.lower_infer(body, state),
+            MufExpr::EngineInit { .. } if self.driver => {
+                Err("a driver step allocates an engine".into())
+            }
             MufExpr::Infer { .. } | MufExpr::EngineInit { .. } => {
                 Err("nested inference in particle code".into())
             }
         }
+    }
+
+    /// An `infer` site of a driver: the interpreter closes the transition
+    /// `fun pat -> body` over its environment, then steps the engine
+    /// `state` evaluates to, yielding `(posterior, engine)`. The op
+    /// captures the registers of the transition's free names that the
+    /// environment binds (the rest are globals, which the transition
+    /// resolves itself), and the engine handle stays in its register.
+    fn lower_infer(&mut self, body: &MufExpr, state: &MufExpr) -> LowerResult<Place> {
+        let MufExpr::Fun(pat, fun_body) = body else {
+            return Err("an `infer` transition is not a `fun`".into());
+        };
+        let mut names = Vec::new();
+        free_names(body, &mut Vec::new(), &mut names);
+        let mut captures = Vec::new();
+        for name in names {
+            if let Some(p) = self.resolve_local(&name) {
+                let r = self.materialize(&p, &name)?;
+                captures.push((name, r));
+            }
+        }
+        let ps = self.lower(state)?;
+        let engine = self.materialize(&ps, "sigma")?;
+        let dst = self.fresh("posterior");
+        self.emit(Op::Infer {
+            dst,
+            engine,
+            site: Box::new(InferSite {
+                pat: pat.clone(),
+                body: Rc::clone(fun_body),
+                captures,
+            }),
+        });
+        Ok(Place::Tuple(vec![Place::Reg(dst), Place::Reg(engine)]))
     }
 
     fn lower_op(&mut self, op: OpName, args: &[MufExpr]) -> LowerResult<Place> {
@@ -576,20 +619,22 @@ fn read_counts(ops: &[Op], out: &OutSpec, state_out: &[Reg]) -> HashMap<Reg, usi
 }
 
 /// Decides per successor-state slot whether stepping moves or clones it.
-/// `body` is the tape after its prologue and `regs` the successor-state
-/// source of each slot. A register the body writes, or a state-in
-/// register, is rewritten before it is next read, so its last slot takes
-/// the value; constants, captured-environment slots, the input and
-/// prologue registers (loaded once per tick, read by every particle) and
-/// earlier duplicates are cloned. A register reaches the successor state
+/// `body` is the tape after its prologue, `loaded` the registers loaded
+/// before it runs at every step (the state-in registers, and a driver's
+/// input and environment) and `regs` the successor-state source of each
+/// slot. A register the body writes, or a loaded one, is rewritten before
+/// it is next read, so its last slot takes the value; constants, and a
+/// particle tape's captured-environment slots, input and prologue
+/// registers (loaded once per tick, read by every particle), and earlier
+/// duplicates are cloned. A register reaches the successor state
 /// from inside an `if` only as a join register, written on both paths,
 /// or as one defined before the `if`, so "written" means written every
 /// step.
-fn state_out_modes(body: &[Op], state_in: &[Reg], regs: &[Reg]) -> Vec<StateOut> {
+fn state_out_modes(body: &[Op], loaded: &[Reg], regs: &[Reg]) -> Vec<StateOut> {
     let mut loaded: HashSet<Reg> = body
         .iter()
         .filter_map(Op::dst)
-        .chain(state_in.iter().copied())
+        .chain(loaded.iter().copied())
         .collect();
     let mut modes: Vec<StateOut> = regs
         .iter()
@@ -608,30 +653,30 @@ fn state_out_modes(body: &[Op], state_in: &[Reg], regs: &[Reg]) -> Vec<StateOut>
 
 /// Marks, per op, the operands it reads for the last time (bit `i` for
 /// the `i`-th register of [`Op::reads`]; see [`TapeProgram::takes`]).
-/// `body` is the tape after its prologue, `prologue` its length, and
-/// `end_reads` the registers the output and the successor state read
-/// after the last op.
+/// `body` is the tape after its prologue, `prologue` its length, `loaded`
+/// as for [`state_out_modes`], and `end_reads` the registers the output
+/// and the successor state read after the last op.
 ///
 /// The rule is [`state_out_modes`']: only a register the body writes, or
-/// a state-in register, is rewritten before it is next read, so only such
-/// a register can be taken; constants, captured-environment slots, the
-/// input and prologue registers are read by every particle and never
-/// are. An operand is taken when no later op in tape order reads it, the
+/// a loaded one, is rewritten before it is next read, so only such a
+/// register can be taken; constants, and a particle tape's
+/// captured-environment slots, input and prologue registers, are read by
+/// every particle and never are. An operand is taken when no later op in tape order reads it, the
 /// end does not read it, and the op does not read it twice. Jumps only go
 /// forward, so "later in tape order" covers every path out of the op (and
 /// some that do not pass it, which only keeps a value longer). Only the
-/// ops that take operands get a mask: `Move`, `Select`, arithmetic
-/// `BinOp`s and `AddMul`.
+/// ops that take operands get a mask: `Move`, `Proj`, `Select`,
+/// arithmetic `BinOp`s and `AddMul`.
 fn last_uses(
     body: &[Op],
     prologue: usize,
-    state_in: &[Reg],
+    loaded: &[Reg],
     end_reads: impl IntoIterator<Item = Reg>,
 ) -> Vec<u8> {
     let loaded: HashSet<Reg> = body
         .iter()
         .filter_map(Op::dst)
-        .chain(state_in.iter().copied())
+        .chain(loaded.iter().copied())
         .collect();
     let mut read_later: HashSet<Reg> = end_reads.into_iter().collect();
     let mut takes = vec![0u8; prologue + body.len()];
@@ -640,6 +685,7 @@ fn last_uses(
         let takes_operands = matches!(
             op,
             Op::Move { .. }
+                | Op::Proj { .. }
                 | Op::Select { .. }
                 | Op::AddMul { .. }
                 | Op::BinOp {
@@ -791,6 +837,50 @@ fn prologue_len(ops: &[Op], input: Option<Reg>, env_slots: &[(String, Reg)]) -> 
     len
 }
 
+/// Appends to `out` the names `e` reads free (outside `bound`), each once,
+/// in order of first occurrence.
+fn free_names(e: &MufExpr, bound: &mut Vec<String>, out: &mut Vec<String>) {
+    fn bind(p: &MufPat, bound: &mut Vec<String>) {
+        match p {
+            MufPat::Var(x) => bound.push(x.clone()),
+            MufPat::Tuple(ps) => ps.iter().for_each(|p| bind(p, bound)),
+            MufPat::Wildcard | MufPat::Unit => {}
+        }
+    }
+    let mut go = |e: &MufExpr| free_names(e, bound, out);
+    match e {
+        MufExpr::Const(_) => {}
+        MufExpr::Var(x) => {
+            if !bound.contains(x) && !out.contains(x) {
+                out.push(x.clone());
+            }
+        }
+        MufExpr::Tuple(xs) | MufExpr::Op(_, xs) => xs.iter().for_each(go),
+        MufExpr::If(c, t, f) | MufExpr::Select(c, t, f) => {
+            [c, t, f].into_iter().for_each(|x| go(x))
+        }
+        MufExpr::App(a, b) | MufExpr::Observe(a, b) => [a, b].into_iter().for_each(|x| go(x)),
+        MufExpr::Sample(x) | MufExpr::Factor(x) | MufExpr::ValueOp(x) | MufExpr::Freshen(x) => {
+            go(x)
+        }
+        MufExpr::Infer { body, state, .. } => [body, state].into_iter().for_each(|x| go(x)),
+        MufExpr::EngineInit { init, body, .. } => [init, body].into_iter().for_each(|x| go(x)),
+        MufExpr::Let(pat, bound_e, body) => {
+            free_names(bound_e, bound, out);
+            let save = bound.len();
+            bind(pat, bound);
+            free_names(body, bound, out);
+            bound.truncate(save);
+        }
+        MufExpr::Fun(pat, body) => {
+            let save = bound.len();
+            bind(pat, bound);
+            free_names(body, bound, out);
+            bound.truncate(save);
+        }
+    }
+}
+
 fn pat_name(p: &MufPat) -> String {
     match p {
         MufPat::Var(x) => x.clone(),
@@ -814,6 +904,34 @@ pub fn lower_closure(
     init_state: &MufValue,
     takes_input: bool,
 ) -> Result<TapeProgram, String> {
+    lower_transition(interp, closure, init_state, takes_input, false)
+}
+
+/// Lowers a deterministic node's step closure, `(state, input) ->
+/// (output, state)`, to a driver tape: its `infer` sites become
+/// [`Op::Infer`], and the whole tape runs once per tick, so it has no
+/// prologue, and the input and captured environment, loaded every tick,
+/// are taken on their last read like any register the tape writes.
+///
+/// # Errors
+///
+/// A human-readable reason when the step cannot be lowered; the instance
+/// interprets it instead.
+pub fn lower_driver(
+    interp: &Rc<Interp>,
+    closure: &Rc<Closure>,
+    init_state: &MufValue,
+) -> Result<TapeProgram, String> {
+    lower_transition(interp, closure, init_state, true, true)
+}
+
+fn lower_transition(
+    interp: &Rc<Interp>,
+    closure: &Rc<Closure>,
+    init_state: &MufValue,
+    takes_input: bool,
+    driver: bool,
+) -> Result<TapeProgram, String> {
     let state_pat: Option<&MufPat> = if takes_input {
         match &closure.pat {
             MufPat::Tuple(ps) if ps.len() == 2 => Some(&ps[0]),
@@ -829,6 +947,7 @@ pub fn lower_closure(
     loop {
         let mut lw = Lower {
             interp,
+            driver,
             captured: &closure.env,
             ops: Vec::new(),
             ops_aside: 0,
@@ -853,6 +972,11 @@ pub fn lower_closure(
             Place::Tuple(mut items) if items.len() == 2 => {
                 let next = items.pop().expect("length checked");
                 (lw.out_spec(&items[0])?, next)
+            }
+            // The interpreter's instance accepts only a µF pair here,
+            // where a projection would accept a core pair too.
+            Place::Reg(_) if driver => {
+                return Err("a driver step does not return a (value, state) tuple".into())
             }
             Place::Reg(r) => {
                 let o = lw.fresh("out");
@@ -882,12 +1006,21 @@ pub fn lower_closure(
         lw.emit(Op::Halt);
         let init_slots = split_state(init_state, &shape)?;
         let ops = fuse_pairs(lw.ops, &out, &out_regs);
-        let prologue = prologue_len(&ops, input, &lw.env_slots);
-        let state_out = state_out_modes(&ops[prologue..], &state_in, &out_regs);
+        // Registers loaded before the body runs, besides the state: a
+        // driver loads its input and environment every tick, where a
+        // particle tape's are shared by every particle of a tick.
+        let (prologue, mut loaded) = if driver {
+            let per_tick = lw.env_slots.iter().map(|(_, r)| *r).chain(input);
+            (0, per_tick.collect())
+        } else {
+            (prologue_len(&ops, input, &lw.env_slots), Vec::new())
+        };
+        loaded.extend(&state_in);
+        let state_out = state_out_modes(&ops[prologue..], &loaded, &out_regs);
         let takes = last_uses(
             &ops[prologue..],
             prologue,
-            &state_in,
+            &loaded,
             out.regs().into_iter().chain(out_regs),
         );
         return Ok(TapeProgram {

@@ -21,13 +21,14 @@
 //! and position as affine terms over several acceleration variables, and
 //! the delayed-sampling graph allocates as it grows and shrinks, so a
 //! tick's count is not constant; each window's total is pinned exactly
-//! instead, and so is the deployed `robot` instance's, the interpreted
-//! driver around that engine in a closed loop. Copying a multi-term
-//! affine value shares its terms, which is pinned to allocate nothing.
+//! instead, and so is the deployed `robot` instance's, the driver tape
+//! around that engine in a closed loop. Copying a multi-term affine value
+//! shares its terms, which is pinned to allocate nothing.
 //!
-//! A deterministic instance is stepped by the tree-walking interpreter,
-//! which evaluates an operator's operands on the stack: a tick of an
-//! operator-heavy node is pinned too.
+//! A deterministic instance runs on its driver tape, where a tick of a
+//! node over floats allocates nothing, and on the tree-walking
+//! interpreter, which evaluates an operator's operands on the stack: a
+//! tick of an operator-heavy node is pinned on both.
 
 use probzelus_core::ds::{Graph, Retention};
 use probzelus_core::infer::Method;
@@ -266,8 +267,8 @@ fn robot_sds_window_allocations_are_pinned() {
 }
 
 /// The allocations of two windows of `robot.zl`'s `robot` instance under
-/// SDS on the tape, the deployed Fig. 5 loop: the interpreted driver
-/// around the 100-particle tracker, closed through a deterministic
+/// SDS on the tape, the deployed Fig. 5 loop: the driver tape around the
+/// 100-particle tracker, closed through a deterministic
 /// double integrator. Each tick feeds back the previous command, the
 /// measured acceleration and, every fourth tick, a GPS position; the
 /// noise is the LCG stream, so the inputs are fixed.
@@ -286,13 +287,7 @@ fn robot_loop_windows() -> [u64; 2] {
     let mut ticks = noise.iter().enumerate().map(|(t, &e)| {
         vel += cmd * 0.1;
         pos += vel * 0.1;
-        let input = Value::pair(
-            Value::Float(cmd + 0.05 * e),
-            Value::pair(
-                Value::Bool(t.is_multiple_of(4)),
-                Value::pair(Value::Float(pos + 0.01 * e), Value::Float(cmd)),
-            ),
-        );
+        let input = robot_value(cmd + 0.05 * e, t.is_multiple_of(4), pos + 0.01 * e, cmd);
         let a0 = allocs();
         let out = inst.step(input).expect("step");
         let a = allocs() - a0;
@@ -307,17 +302,33 @@ fn robot_loop_windows() -> [u64; 2] {
     });
     ticks.by_ref().take(WARMUP).for_each(drop);
     let mut window = || ticks.by_ref().take(WINDOW).sum::<u64>();
-    [window(), window()]
+    let windows = [window(), window()];
+    drop(ticks);
+    assert_eq!(inst.tape_status(), Some(Ok(())), "robot: no driver tape");
+    windows
+}
+
+/// `robot`'s input `(a_obs, (has_gps, (p_obs, prev_cmd)))`.
+fn robot_value(a_obs: f64, has_gps: bool, p_obs: f64, prev_cmd: f64) -> Value {
+    Value::pair(
+        Value::Float(a_obs),
+        Value::pair(
+            Value::Bool(has_gps),
+            Value::pair(Value::Float(p_obs), Value::Float(prev_cmd)),
+        ),
+    )
 }
 
 /// Every window's allocation total of the deployed `robot` loop, pinned:
 /// the fused `pre x + xp * 0.1` writes the integrators' sums into the
-/// term slices of their state, and compaction substitutes in place.
+/// term slices of their state, compaction substitutes in place, and the
+/// driver tape projects its input without copying it and re-closes the
+/// engine's transition in place.
 #[test]
 fn robot_loop_window_allocations_are_pinned() {
     assert_eq!(
         robot_loop_windows(),
-        [12395, 12295],
+        [7395, 7295],
         "robot SDS loop: window allocations"
     );
 }
@@ -360,19 +371,21 @@ const DET_NODES: &str = "
 ";
 
 /// The allocations of every window tick of a deterministic instance of
-/// `node` in [`DET_NODES`], stepped by the tree-walking interpreter.
-fn interpreted_tick_allocs(node: &str) -> Vec<u64> {
+/// `node` in [`DET_NODES`] on `backend`.
+fn det_tick_allocs(node: &str, backend: ExecBackend) -> Vec<u64> {
     let compiled = compile_source(DET_NODES).expect("nodes compile");
     let options = Options {
         method: Method::StreamingDs,
         seed: 0,
-        backend: ExecBackend::Interp,
+        backend,
     };
     let mut inst = compiled.instantiate(node, options).expect("instantiates");
     let inputs = float_inputs(WARMUP + WINDOW);
     for &x in &inputs[..WARMUP] {
         inst.step(Value::Float(x)).expect("step");
     }
+    let want = (backend == ExecBackend::Tape).then_some(Ok(()));
+    assert_eq!(inst.tape_status(), want, "{node}: tape status");
     inputs[WARMUP..]
         .iter()
         .map(|&x| {
@@ -391,7 +404,17 @@ fn interpreted_tick_allocs(node: &str) -> Vec<u64> {
 #[test]
 fn interpreted_operators_allocate_nothing() {
     for node in ["arith", "copy"] {
-        let ticks = interpreted_tick_allocs(node);
+        let ticks = det_tick_allocs(node, ExecBackend::Interp);
         assert!(ticks.iter().all(|&a| a == 26), "{node}: {ticks:?}");
+    }
+}
+
+/// On its driver tape a tick of either node allocates nothing: the state
+/// and the input move through registers, and float arithmetic is inline.
+#[test]
+fn driver_tape_ticks_allocate_nothing() {
+    for node in ["arith", "copy"] {
+        let ticks = det_tick_allocs(node, ExecBackend::Tape);
+        assert!(ticks.iter().all(|&a| a == 0), "{node}: {ticks:?}");
     }
 }

@@ -16,7 +16,7 @@ use probzelus_lang::muf::{MufDef, MufExpr, MufPat, MufProgram};
 use probzelus_lang::pipeline::{compile_source, Compiled};
 use probzelus_lang::tape::{Op, StateOut, TapeProgram};
 use probzelus_lang::transform::lower::lower_closure;
-use probzelus_lang::{Const, ExecBackend, MufEngine, MufValue, OpName, Options};
+use probzelus_lang::{Const, ExecBackend, Instance, MufEngine, MufValue, OpName, Options};
 use std::rc::Rc;
 
 const METHODS: [Method; 4] = [
@@ -1040,6 +1040,379 @@ fn fused_product_type_errors_match_the_interpreter() {
                 let want = format!("type mismatch: expected number, got {got}");
                 assert!(e.contains(&want), "{what}: {e}");
             }
+        }
+    }
+}
+
+/// An instance's output as the differential checks compare it: the
+/// value's `Debug` text, with the mean and variance bits of every
+/// posterior in it.
+fn digest(v: &MufValue) -> String {
+    match v {
+        MufValue::Posterior(p) => format!(
+            "posterior(mean {:#x}, var {:#x}) {p:?}",
+            p.mean_float().to_bits(),
+            p.variance_float().to_bits()
+        ),
+        MufValue::Tuple(xs) => {
+            let parts: Vec<String> = xs.iter().map(digest).collect();
+            format!("({})", parts.join(", "))
+        }
+        other => format!("{other:?}"),
+    }
+}
+
+/// One tick as `Instance::step` reports it: the output's [`digest`], or
+/// the error's text.
+type DriverOutcome = Result<String, String>;
+
+/// Steps a tree-walking and a driver-tape instance, both made by `mk`,
+/// under every inference method: `ticks` ticks, a reset of both, then
+/// `ticks` more. `input(t, last)` gives the input of tick `t` (counted
+/// from the reset) from the interpreter instance's last output, so a
+/// closed loop feeds both instances the same inputs. At every tick both
+/// give the same outcome; the tape instance must have lowered. Returns
+/// the outcomes per method.
+fn assert_drivers_identical(
+    what: &str,
+    mk: impl Fn(Method, ExecBackend) -> Instance,
+    ticks: usize,
+    mut input: impl FnMut(usize, Option<&MufValue>) -> Value,
+) -> Vec<Vec<DriverOutcome>> {
+    Method::ALL
+        .iter()
+        .map(|&method| {
+            let mut interp = mk(method, ExecBackend::Interp);
+            let mut tape = mk(method, ExecBackend::Tape);
+            assert_eq!(interp.tape_status(), None, "{what}: interpreter tape");
+            let mut outcomes = Vec::new();
+            for run in 0..2 {
+                let mut last = None;
+                for t in 0..ticks {
+                    let x = input(t, last.as_ref());
+                    let expected = interp.step(x.clone());
+                    let got = tape.step(x).map(|v| digest(&v)).map_err(|e| e.to_string());
+                    let expected_digest = expected.as_ref().map(digest).map_err(|e| e.to_string());
+                    assert_eq!(
+                        expected_digest, got,
+                        "{what} {method:?} run {run} tick {t}: backends differ"
+                    );
+                    outcomes.push(got);
+                    last = expected.ok();
+                }
+                interp.reset();
+                tape.reset();
+            }
+            assert_eq!(
+                tape.tape_status(),
+                Some(Ok(())),
+                "{what} {method:?}: no driver tape"
+            );
+            outcomes
+        })
+        .collect()
+}
+
+/// Instantiates `node` of `compiled` under `method` on `backend`.
+fn instance(compiled: &Compiled, node: &str, method: Method, backend: ExecBackend) -> Instance {
+    let options = Options {
+        method,
+        seed: 7,
+        backend,
+    };
+    compiled
+        .instantiate(node, options)
+        .unwrap_or_else(|e| panic!("{node} ({backend:?}): {e}"))
+}
+
+/// A simulated robot for `robot.zl`'s drivers: a double integrator
+/// driven by the last command, with an accelerometer every tick and a
+/// GPS fix every fourth, noised by the LCG stream. Restarts at tick 0.
+fn robot_loop() -> impl FnMut(usize, Option<&MufValue>) -> Value {
+    let noise = float_inputs(64);
+    let (mut pos, mut vel) = (0.0, 0.0);
+    move |t, last| {
+        let cmd = match last {
+            Some(MufValue::Tuple(out)) => out[0].as_core().expect("cmd").as_float().expect("cmd"),
+            _ => 0.0,
+        };
+        if t == 0 {
+            (pos, vel) = (0.0, 0.0);
+        }
+        vel += cmd * 0.1;
+        pos += vel * 0.1;
+        let e = noise[t % noise.len()];
+        Value::pair(
+            Value::Float(cmd + 0.05 * e),
+            Value::pair(
+                Value::Bool(t % 4 == 0),
+                Value::pair(Value::Float(pos + 0.01 * e), Value::Float(cmd)),
+            ),
+        )
+    }
+}
+
+/// Every deterministic node of every committed example runs on its
+/// driver tape exactly as on the tree walker, under every method and
+/// across a reset. `task_bot` runs until its automaton has switched to
+/// `Task` under every method: `at_target` turns true.
+#[test]
+fn driver_tapes_match_the_interpreter() {
+    let floats = |t: usize, _: Option<&MufValue>| Value::Float(float_inputs(t + 1)[t]);
+    let bools = |t: usize, _: Option<&MufValue>| Value::Bool(float_inputs(t + 1)[t] > 0.0);
+    let pairs = |t: usize, _: Option<&MufValue>| pair_inputs(t + 1)[t].clone();
+    for (file, node, ticks) in [
+        ("counter.zl", "counter", 12),
+        ("coin.zl", "main", 12),
+        ("hmm.zl", "main", 12),
+        ("robot.zl", "integr", 12),
+        ("robot.zl", "tracker", 12),
+        ("robot.zl", "robot", 12),
+        ("robot.zl", "task_bot", 60),
+    ] {
+        let compiled = compile_source(&example(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+        assert_eq!(compiled.kinds[node], probzelus_lang::Kind::D, "{node}");
+        let mk = |method, backend| instance(&compiled, node, method, backend);
+        let what = format!("{file}/{node}");
+        let outcomes = match node {
+            "robot" | "task_bot" => assert_drivers_identical(&what, mk, ticks, robot_loop()),
+            "main" if file == "coin.zl" => assert_drivers_identical(&what, mk, ticks, bools),
+            "integr" => assert_drivers_identical(&what, mk, ticks, pairs),
+            _ => assert_drivers_identical(&what, mk, ticks, floats),
+        };
+        for (method, run) in Method::ALL.iter().zip(&outcomes) {
+            assert!(run.iter().all(Result::is_ok), "{what} {method:?}: {run:?}");
+            if node == "task_bot" {
+                assert!(
+                    run.iter()
+                        .any(|o| o.as_deref().is_ok_and(|o| o.ends_with("V(Bool(true)))"))),
+                    "{what} {method:?}: never reached Task"
+                );
+            }
+        }
+    }
+}
+
+/// A driver that restarts an embedded engine: `reset` over an `infer`
+/// deep-copies the pristine engine (`freshen`) whenever `c` holds, on the
+/// tape as on the tree walker.
+const RESTART: &str = r#"
+    let node hmm y = x where
+      rec x = sample (gaussian ((0. -> pre x), (100. -> 1.)))
+      and () = observe (gaussian (x, 1.), y)
+
+    let node restart (y, c) = reset (infer 5 hmm y) every c
+"#;
+
+#[test]
+fn restarted_engines_match_the_interpreter() {
+    let compiled = compile_source(RESTART).expect("restart compiles");
+    let prog = lowered(&compiled, "restart");
+    assert!(
+        prog.ops.iter().any(|op| matches!(op, Op::Freshen { .. })),
+        "restart: no freshen: {:?}",
+        prog.ops
+    );
+    let input = |t: usize, _: Option<&MufValue>| {
+        Value::pair(
+            Value::Float(float_inputs(t + 1)[t]),
+            Value::Bool(t % 3 == 2),
+        )
+    };
+    for run in assert_drivers_identical(
+        "restart",
+        |method, backend| instance(&compiled, "restart", method, backend),
+        9,
+        input,
+    ) {
+        assert!(run.iter().all(Result::is_ok), "restart: {run:?}");
+    }
+}
+
+/// After `Instance::reset`, a driver gives exactly a fresh instance's
+/// outputs: its embedded engines restart from their initial state, not
+/// from where the running ones are.
+#[test]
+fn reset_restores_embedded_engines() {
+    for (file, node) in [("hmm.zl", "main"), ("robot.zl", "robot")] {
+        let compiled = compile_source(&example(file)).expect("example compiles");
+        let inputs: Vec<Value> = match node {
+            "robot" => robot_inputs(8),
+            _ => [5.0, 6.0, 7.0, 8.0, 1.0, 1.5, 2.0, 2.5]
+                .into_iter()
+                .map(Value::Float)
+                .collect(),
+        };
+        for backend in [ExecBackend::Interp, ExecBackend::Tape] {
+            let run = |inst: &mut Instance, xs: &[Value]| -> Vec<String> {
+                xs.iter()
+                    .map(|x| digest(&inst.step(x.clone()).expect("step")))
+                    .collect()
+            };
+            let fresh = run(
+                &mut instance(&compiled, node, Method::StreamingDs, backend),
+                &inputs,
+            );
+            let mut inst = instance(&compiled, node, Method::StreamingDs, backend);
+            run(&mut inst, &inputs[..4]);
+            inst.reset();
+            assert_eq!(
+                run(&mut inst, &inputs),
+                fresh,
+                "{file}/{node} ({backend:?}): reset is not a fresh start"
+            );
+        }
+    }
+}
+
+/// Hand-written µF drivers `name_step = fun (s, x) -> (body, s)` over a
+/// float state, one per ill-typed body: each lowers to a driver tape,
+/// and every tick fails with the tree walker's error.
+#[test]
+fn ill_typed_drivers_error_like_the_interpreter() {
+    let pat = || MufPat::pair(MufPat::var("s"), MufPat::var("x"));
+    let dist = || gaussian(var("x"));
+    let cases: Vec<(&str, MufExpr, &str)> = vec![
+        (
+            "sample",
+            MufExpr::Sample(Box::new(dist())),
+            "`sample` used outside",
+        ),
+        (
+            "observe",
+            MufExpr::Observe(Box::new(dist()), Box::new(var("x"))),
+            "`observe` used outside",
+        ),
+        (
+            "factor",
+            MufExpr::Factor(Box::new(var("x"))),
+            "`factor` used outside",
+        ),
+        (
+            "value",
+            MufExpr::ValueOp(Box::new(var("x"))),
+            "`value` used outside",
+        ),
+        (
+            "infer",
+            MufExpr::Let(
+                MufPat::pair(MufPat::var("d"), MufPat::Wildcard),
+                Box::new(MufExpr::Infer {
+                    particles: 1,
+                    body: Box::new(MufExpr::Fun(
+                        MufPat::var("q"),
+                        Rc::new(MufExpr::Tuple(vec![var("x"), var("q")])),
+                    )),
+                    state: Box::new(var("s")),
+                }),
+                Box::new(var("d")),
+            ),
+            "infer state must be an engine, found",
+        ),
+        (
+            "types",
+            MufExpr::Op(
+                OpName::Add,
+                vec![var("x"), MufExpr::Const(Const::Bool(true))],
+            ),
+            "type mismatch",
+        ),
+        (
+            "destructure",
+            MufExpr::Let(
+                MufPat::pair(MufPat::var("a"), MufPat::var("b")),
+                Box::new(var("x")),
+                Box::new(var("a")),
+            ),
+            "cannot destructure",
+        ),
+    ];
+    let defs: Vec<MufDef> = cases
+        .iter()
+        .flat_map(|(name, body, _)| {
+            let step = MufExpr::Fun(pat(), Rc::new(MufExpr::Tuple(vec![body.clone(), var("s")])));
+            let init = MufExpr::Fun(MufPat::Unit, Rc::new(float(0.0)));
+            [
+                MufDef {
+                    name: format!("{name}_step"),
+                    expr: step,
+                },
+                MufDef {
+                    name: format!("{name}_init"),
+                    expr: init,
+                },
+            ]
+        })
+        .collect();
+    let program = MufProgram { defs };
+    for (name, _, want) in &cases {
+        let mk = |method, backend| {
+            let options = Options {
+                method,
+                seed: 7,
+                backend,
+            };
+            let interp = Interp::new(&program, options).expect("interp builds");
+            Instance::new(interp, name).expect("instantiates")
+        };
+        for run in
+            assert_drivers_identical(name, mk, 3, |t, _| Value::Float(float_inputs(t + 1)[t]))
+        {
+            for o in run {
+                let e = o.expect_err(name);
+                assert!(e.contains(want), "{name}: {e}");
+            }
+        }
+    }
+}
+
+/// A value of type `ty`: every scalar a fixed one, and `()` for a type
+/// the node leaves open.
+fn value_of(ty: &probzelus_lang::Ty) -> Value {
+    use probzelus_lang::Ty;
+    match ty {
+        Ty::Float => Value::Float(0.5),
+        Ty::Int => Value::Int(1),
+        Ty::Bool => Value::Bool(true),
+        Ty::Unit | Ty::Var(_) => Value::Unit,
+        Ty::Pair(a, b) => Value::pair(value_of(a), value_of(b)),
+        Ty::Dist(_) => panic!("no input of type {ty}"),
+    }
+}
+
+/// Every node of every committed example runs on the tape after one
+/// tick: a probabilistic node's engine reports its tape through
+/// `MufEngine::tape_status`, a deterministic node's instance its driver
+/// tape through `Instance::tape_status`. Nothing falls back to the tree
+/// walker.
+#[test]
+fn every_example_node_runs_on_the_tape() {
+    let dir = format!("{}/../../examples/zelus", env!("CARGO_MANIFEST_DIR"));
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("examples directory")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|e| e == "zl"))
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 4, "{files:?}");
+    for path in files {
+        let src = std::fs::read_to_string(&path).expect("example reads");
+        let compiled = compile_source(&src).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+        for (node, kind) in &compiled.kinds {
+            let input = value_of(&compiled.sigs[node].input);
+            let status = match kind {
+                probzelus_lang::Kind::P => {
+                    let mut e = engine(&compiled, node, 4, Method::StreamingDs, ExecBackend::Tape);
+                    e.step(&input).unwrap_or_else(|e| panic!("{node}: {e}"));
+                    e.tape_status()
+                }
+                probzelus_lang::Kind::D => {
+                    let mut i = instance(&compiled, node, Method::StreamingDs, ExecBackend::Tape);
+                    i.step(input).unwrap_or_else(|e| panic!("{node}: {e}"));
+                    i.tape_status()
+                }
+            };
+            assert_eq!(status, Some(Ok(())), "{path:?}: {node} is not on the tape");
         }
     }
 }

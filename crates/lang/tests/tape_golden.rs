@@ -127,15 +127,19 @@ fn hmm_tape_is_fully_flattened() {
     assert_eq!(prog.state_in.len(), 3, "hmm state slots");
     // The transition captures nothing from its environment.
     assert!(prog.env_slots.is_empty(), "hmm env slots");
-    // The driver node embeds `infer` and must stay on the interpreter.
+    // The driver node hosts the `infer`: its tape is one op that steps
+    // the engine in its one state slot, capturing the input.
     let main = compiled
         .lower_node("main", options())
-        .expect("lower_node runs");
-    let reason = main.expect_err("main must not lower");
+        .expect("lower_node runs")
+        .expect("main lowers as a driver");
     assert!(
-        reason.contains("nested inference"),
-        "unexpected refusal reason: {reason}"
+        matches!(&main.ops[..], [Op::Infer { site, .. }, Op::Halt]
+            if site.captures.len() == 1 && Some(site.captures[0].1) == main.input),
+        "main: {:?}",
+        main.ops
     );
+    assert_eq!(main.state_in.len(), 1, "main state slots");
 }
 
 /// The robot tracker — the largest committed probabilistic node — also
@@ -212,4 +216,16 @@ fn benched_tapes_keep_state_flat() {
             );
         }
     }
+}
+
+/// The driver-only `infer` op keeps its payload behind one pointer, so
+/// an op is no larger than the constant-pool op and the particle loop
+/// reads no more bytes per op than before drivers lowered.
+#[test]
+fn ops_stay_forty_bytes() {
+    assert!(
+        std::mem::size_of::<Op>() <= 40,
+        "{}",
+        std::mem::size_of::<Op>()
+    );
 }
