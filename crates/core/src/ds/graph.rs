@@ -148,7 +148,7 @@ impl GraphStats {
 }
 
 /// A per-particle delayed-sampling graph.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Graph {
     slots: Vec<Option<Node>>,
     free: Vec<usize>,
@@ -158,10 +158,36 @@ pub struct Graph {
     reused: u64,
     // Reusable traversal buffers for the per-tick hot paths (graft chain /
     // collect mark stack, and the rarer prune chain). Always empty between
-    // calls, so the derived `Clone`/`PartialEq` see only trivially equal
-    // empty vectors and the structural-equality contract is unaffected.
+    // calls, so `Clone` leaves them empty and the derived `PartialEq` sees
+    // only trivially equal empty vectors.
     scratch_chain: Vec<RvId>,
     scratch_prune: Vec<RvId>,
+}
+
+// `clone_from` reuses the slot and free-list storage: the resampler
+// copies survivors into the graphs of the particles it drops.
+impl Clone for Graph {
+    fn clone(&self) -> Self {
+        Graph {
+            slots: self.slots.clone(),
+            free: self.free.clone(),
+            retention: self.retention,
+            live: self.live,
+            created: self.created,
+            reused: self.reused,
+            scratch_chain: Vec::new(),
+            scratch_prune: Vec::new(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.slots.clone_from(&source.slots);
+        self.free.clone_from(&source.free);
+        self.retention = source.retention;
+        self.live = source.live;
+        self.created = source.created;
+        self.reused = source.reused;
+    }
 }
 
 impl Graph {
@@ -1424,5 +1450,66 @@ mod tests {
         merged.merge(&s);
         assert_eq!(merged.slots_reused, 198);
         assert_eq!(merged.capacity, 2 * s.capacity);
+    }
+
+    /// Runs `ops` on a fresh graph: `(0, _, x)` assumes a root
+    /// `N(x, 1)`, `(1, i, _)` a child of a live variable, `(2, i, x)`
+    /// observes `x` under a live variable, and `(3, i, _)` collects with
+    /// every other live variable as a root, so the sweep frees slots.
+    fn replay(ops: &[(u8, usize, f64)], seed: u64) -> Graph {
+        let mut g = Graph::new(Retention::PointerMinimal);
+        let mut r = SmallRng::seed_from_u64(seed);
+        let mut live: Vec<Value> = Vec::new();
+        for &(kind, i, x) in ops {
+            let pick = (!live.is_empty()).then(|| live[i % live.len()].clone());
+            match (kind, pick) {
+                (0, _) | (1 | 2, None) => {
+                    live.push(g.assume(&DistExpr::gaussian(x, 1.0), &mut r).unwrap());
+                }
+                (1, Some(v)) => live.push(g.assume(&DistExpr::gaussian(v, 1.0), &mut r).unwrap()),
+                (2, Some(v)) => {
+                    g.observe(&DistExpr::gaussian(v, 1.0), &Value::Float(x), &mut r)
+                        .unwrap();
+                }
+                _ => {
+                    let mut k = i;
+                    live.retain(|_| {
+                        k += 1;
+                        k % 2 == 0
+                    });
+                    g.collect(live.iter().filter_map(Graph::sym_var)).unwrap();
+                }
+            }
+        }
+        g
+    }
+
+    proptest::proptest! {
+        /// `clone_from` into a graph of any other history yields exactly
+        /// `clone`: the same slots, free list and counters, and the two
+        /// copies evolve identically afterwards.
+        #[test]
+        fn clone_from_equals_clone(
+            a_ops in proptest::collection::vec((0u8..4, 0usize..16, -2.0f64..2.0), 0..40),
+            b_ops in proptest::collection::vec((0u8..4, 0usize..16, -2.0f64..2.0), 0..40),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let a = replay(&a_ops, seed);
+            let mut b = replay(&b_ops, seed ^ 1);
+            b.clone_from(&a);
+            let mut c = a.clone();
+            // The derived equality compares every field: the slots, the
+            // free list in order, and the counters.
+            proptest::prop_assert_eq!(&b, &c);
+            proptest::prop_assert_eq!(&b, &a);
+            let mut rb = SmallRng::seed_from_u64(seed);
+            let mut rc = SmallRng::seed_from_u64(seed);
+            for x in [0.5, -1.0, 2.0] {
+                let vb = b.assume(&DistExpr::gaussian(x, 1.0), &mut rb).unwrap();
+                let vc = c.assume(&DistExpr::gaussian(x, 1.0), &mut rc).unwrap();
+                proptest::prop_assert_eq!(vb, vc);
+            }
+            proptest::prop_assert_eq!(b, c);
+        }
     }
 }

@@ -142,14 +142,16 @@ pub enum ResamplePolicy {
 pub struct ResampleStats {
     /// Resampling passes executed.
     pub passes: u64,
-    /// Deep particle clones performed (model state plus delayed-sampling
-    /// graph).
+    /// Particle copies made (model state plus delayed-sampling graph),
+    /// each `clone_from`'d into the storage of a dead particle, or of a
+    /// fresh one when the cloud grows.
     pub clones: u64,
     /// Surviving ancestors moved into one of their slots instead of
     /// cloned — one per ancestor with at least one offspring, so
     /// `clones + clones_avoided` is the number of slots filled.
     pub clones_avoided: u64,
-    /// Dead particles dropped in place (no offspring).
+    /// Dead particles (no offspring); their storage takes the copies, and
+    /// what is left over when the cloud shrinks is dropped.
     pub dropped: u64,
 }
 
@@ -206,54 +208,93 @@ pub struct MemoryStats {
     pub total_created: u64,
 }
 
-#[derive(Clone)]
 struct Particle<M> {
     model: M,
     graph: Option<Graph>,
     log_w: f64,
 }
 
-/// The resampling pass. `offspring[i]` holds particle `i`'s offspring
-/// count from a nondecreasing ancestor sweep `ancestors`, so laying out
-/// the copies in ascending `i` leaves slot `j` holding ancestor
-/// `ancestors[j]`. Each surviving ancestor is moved into its last slot
-/// and only its other `offspring[i] - 1` copies are deep clones; dead
-/// particles are dropped in place, so their heap is reusable by the
-/// clones. `target` is the offspring sum — the new cloud size. `spare`
-/// is the retired-particle buffer ping-ponged with `particles`; it is
-/// empty again (capacity kept) when the pass returns.
+// Written by hand because `derive(Clone)` never overrides `clone_from`:
+// the resampler copies survivors into dropped particles' storage.
+impl<M: Clone> Clone for Particle<M> {
+    fn clone(&self) -> Self {
+        Particle {
+            model: self.model.clone(),
+            graph: self.graph.clone(),
+            log_w: self.log_w,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.model.clone_from(&source.model);
+        self.graph.clone_from(&source.graph);
+        self.log_w = source.log_w;
+    }
+}
+
+/// `v[dst].clone_from(&v[src])` for two distinct slots of one slice.
+fn clone_within<T: Clone>(v: &mut [T], dst: usize, src: usize) {
+    if dst < src {
+        let (head, tail) = v.split_at_mut(src);
+        head[dst].clone_from(&tail[0]);
+    } else {
+        let (head, tail) = v.split_at_mut(dst);
+        tail[0].clone_from(&head[src]);
+    }
+}
+
+/// The resampling pass, in place. `offspring[i]` holds particle `i`'s
+/// offspring count from a nondecreasing ancestor sweep `ancestors`, so
+/// laying out the copies in ascending `i` leaves slot `j` holding
+/// ancestor `ancestors[j]`. `target` is the offspring sum, the new cloud
+/// size; `offspring` is compacted along with the particles.
+///
+/// The survivors are first compacted to the front in their order, with
+/// the dead particles' storage behind them. The copies are then laid
+/// out from the back: each survivor is moved once into its last slot,
+/// and its other `offspring[i] - 1` copies are `clone_from`'d into the
+/// dead storage in front of that slot, so they reuse its heap. This is
+/// sound because survivor `i`'s first slot is at least `i` (every
+/// survivor before it has at least one slot), so the slots written for
+/// survivor `i` hold no survivor yet to be laid out. Only a growing cloud
+/// allocates fresh particles; a shrinking one drops its leftover dead.
 fn resample_clone_minimal<M: Clone>(
     particles: &mut Vec<Particle<M>>,
-    spare: &mut Vec<Particle<M>>,
-    offspring: &[u32],
+    offspring: &mut [u32],
     target: usize,
     stats: &mut ResampleStats,
 ) {
     debug_assert_eq!(offspring.iter().map(|&k| k as usize).sum::<usize>(), target);
-    let mut old = std::mem::replace(particles, std::mem::take(spare));
-    particles.clear();
-    particles.reserve(target);
-    for (i, mut p) in old.drain(..).enumerate() {
-        let k = offspring[i];
-        if k == 0 {
-            // Dead ancestor: dropped in place, its heap immediately
-            // reusable by the clones below.
-            stats.dropped += 1;
-            continue;
+    let n = particles.len();
+    let mut survivors = 0;
+    for i in 0..n {
+        if offspring[i] > 0 {
+            particles.swap(survivors, i);
+            offspring[survivors] = offspring[i];
+            survivors += 1;
         }
-        p.log_w = 0.0;
-        for _ in 1..k {
-            particles.push(p.clone());
-            stats.clones += 1;
-        }
-        // The surviving ancestor itself is moved into its last slot, not
-        // cloned.
-        particles.push(p);
-        stats.clones_avoided += 1;
     }
-    // `old` is drained empty; keep its capacity for the next tick's
-    // ping-pong.
-    *spare = old;
+    stats.dropped += (n - survivors) as u64;
+    // Storage for a growing cloud; its contents are overwritten below.
+    while particles.len() < target {
+        let p = particles[0].clone();
+        particles.push(p);
+    }
+    let mut end = target;
+    for i in (0..survivors).rev() {
+        let k = offspring[i] as usize;
+        let last = end - 1;
+        particles.swap(i, last);
+        particles[last].log_w = 0.0;
+        for slot in end - k..last {
+            clone_within(particles, slot, last);
+        }
+        stats.clones += k as u64 - 1;
+        stats.clones_avoided += 1;
+        end -= k;
+    }
+    debug_assert_eq!(end, 0);
+    particles.truncate(target);
 }
 
 /// Deadline state attached to an engine: either a live measuring
@@ -323,9 +364,6 @@ pub struct Infer<M: Model> {
     /// The particle cloud: each particle's model state, delayed-sampling
     /// graph and log-weight stepped as one unit.
     particles: Vec<Particle<M>>,
-    /// Retired particle buffer, ping-ponged with `particles` by the
-    /// clone-minimal resampler. Always empty between steps.
-    spare: Vec<Particle<M>>,
     template: M,
     seed: u64,
     steps: u64,
@@ -382,7 +420,6 @@ impl<M: Model> Clone for Infer<M> {
             initial_particles: self.initial_particles,
             deadline: self.deadline.clone(),
             particles: self.particles.clone(),
-            spare: Vec::with_capacity(self.spare.capacity()),
             template: self.template.clone(),
             seed: self.seed,
             steps: self.steps,
@@ -460,7 +497,6 @@ impl<M: Model> Infer<M> {
             initial_particles: num_particles,
             deadline: None,
             particles,
-            spare: Vec::new(),
             template: model,
             seed,
             steps: 0,
@@ -533,11 +569,11 @@ impl<M: Model> Infer<M> {
     }
 
     /// Heap bytes currently reserved by the persistent per-tick scratch:
-    /// the weight/ancestor/offspring buffers plus the retired particle
-    /// buffer. On bounded models this plateaus after the first few ticks
-    /// — the allocation-free-steady-state witness.
+    /// the weight/ancestor/offspring buffers. On bounded models this
+    /// plateaus after the first few ticks — the allocation-free-steady-state
+    /// witness.
     pub fn scratch_bytes(&self) -> usize {
-        self.scratch.bytes() + self.spare.capacity() * std::mem::size_of::<Particle<M>>()
+        self.scratch.bytes()
     }
 
     /// The active execution mode.
@@ -791,7 +827,6 @@ impl<M: Model> Infer<M> {
         particles.clear();
         particles.extend((0..self.num_particles).map(|_| self.blank_particle()));
         self.particles = particles;
-        self.spare = Vec::new();
         self.steps = 0;
         self.last_ess = self.num_particles as f64;
         self.resample_stats = ResampleStats::default();
@@ -1033,7 +1068,7 @@ impl<M: Model> Infer<M> {
                 let recovery = match self.recovery {
                     RecoveryPolicy::SkipObservation => {
                         if let Some(snap) = snapshot.as_ref() {
-                            self.particles[i] = snap[i].clone();
+                            self.particles[i].clone_from(&snap[i]);
                         }
                         outs[i] = None;
                         RecoveryAction::Skipped
@@ -1045,7 +1080,7 @@ impl<M: Model> Infer<M> {
                             RecoveryAction::Quarantined
                         } else {
                             let donor = survivors[recovery_rng.gen_range(0..survivors.len())];
-                            self.particles[i] = self.particles[donor].clone();
+                            clone_within(&mut self.particles, i, donor);
                             outs[i] = outs[donor].clone();
                             RecoveryAction::Rejuvenated { donor }
                         }
@@ -1225,8 +1260,8 @@ impl<M: Model> Infer<M> {
         };
 
         // The single latency measurement for this tick, shared by the
-        // telemetry histogram, the deadline controller, the tick span,
-        // and (as its end checkpoint) the resample span.
+        // telemetry histogram, the deadline controller and (as its end
+        // checkpoint) the resample span.
         let elapsed_ms = t0.map(|t| t.elapsed().as_secs_f64() * 1e3);
         let resample_ms = if should_resample {
             score_end_ms.zip(elapsed_ms).map(|(start, end)| end - start)
@@ -1344,20 +1379,19 @@ impl<M: Model> Infer<M> {
         let (decisions_applied, floor_degraded) =
             self.deadline_control(generation, elapsed_ms, &mut health);
         if tracing_on {
+            // The tick span ends here, after the per-tick export and
+            // deadline control, so it covers all of the engine's work
+            // but emitting the spans; `step.latency_ms` and the
+            // controller read `elapsed_ms`, taken before the export.
+            let tick_ms = t0.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3);
             // The adaptive span exists only on ticks where a decision
             // actually applied, so span trees match between measured
             // and replayed runs of the same trace.
             let adaptive_ms = if decisions_applied {
-                adaptive_start_ms
-                    .zip(t0)
-                    .map(|(start, t)| t.elapsed().as_secs_f64() * 1e3 - start)
+                adaptive_start_ms.map(|start| tick_ms - start)
             } else {
                 None
             };
-            // The tick span reuses the latency measurement the
-            // `step.latency_ms` metric already paid for — the span
-            // and the metric report the same number by construction.
-            let tick_ms = elapsed_ms.unwrap_or(0.0);
             self.emit_tick_spans(
                 generation,
                 tick_ms,
@@ -1607,7 +1641,6 @@ impl<M: Model> Infer<M> {
         debug_assert!(ancestors.windows(2).all(|w| w[0] <= w[1]));
         resample_clone_minimal(
             &mut self.particles,
-            &mut self.spare,
             offspring,
             target,
             &mut self.resample_stats,
@@ -2280,12 +2313,87 @@ mod tests {
         assert!(e.num_particles() < 30);
     }
 
+    /// Draws `x` and fails when it is negative, leaving its state poisoned.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    struct FailsBelowZero {
+        x: f64,
+        poisoned: bool,
+    }
+
+    impl Model for FailsBelowZero {
+        type Input = ();
+
+        fn step(&mut self, ctx: &mut dyn ProbCtx, _: &()) -> Result<Value, RuntimeError> {
+            self.x = ctx.sample(&DistExpr::gaussian(0.0, 1.0))?.as_float()?;
+            if self.x < 0.0 {
+                self.poisoned = true;
+                return Err(RuntimeError::Host("below zero".into()));
+            }
+            Ok(Value::Float(self.x))
+        }
+
+        fn reset(&mut self) {
+            *self = FailsBelowZero::default();
+        }
+
+        fn for_each_state_value(&mut self, _: &mut dyn FnMut(&mut Value)) {}
+    }
+
+    #[test]
+    fn rejuvenation_copies_the_donor_into_the_faulted_particle() {
+        let mut e = Infer::with_seed(Method::ParticleFilter, 16, FailsBelowZero::default(), 3)
+            .with_recovery_policy(RecoveryPolicy::Rejuvenate)
+            .with_resample_policy(ResamplePolicy::Never);
+        let faults = e.step_outcome(&()).unwrap().health.faults;
+        assert!(!faults.is_empty());
+        for f in &faults {
+            let RecoveryAction::Rejuvenated { donor } = f.recovery else {
+                panic!("expected a rejuvenation, got {:?}", f.recovery);
+            };
+            let (p, d) = (&e.particles[f.particle], &e.particles[donor]);
+            assert!(!d.model.poisoned, "the donor was overwritten");
+            assert_eq!((&p.model, p.log_w), (&d.model, d.log_w));
+        }
+    }
+
+    /// A particle model that counts how it is copied: `clone` makes a
+    /// fresh particle, `clone_from` writes into an existing one.
+    #[derive(Debug)]
+    struct Counted(usize);
+
+    thread_local! {
+        /// `[clone, clone_from]` calls on this thread.
+        static COPIES: std::cell::Cell<[u64; 2]> = const { std::cell::Cell::new([0, 0]) };
+    }
+
+    fn count_copy(kind: usize) {
+        COPIES.with(|c| {
+            let mut v = c.get();
+            v[kind] += 1;
+            c.set(v);
+        });
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            count_copy(0);
+            Counted(self.0)
+        }
+
+        fn clone_from(&mut self, source: &Self) {
+            count_copy(1);
+            self.0 = source.0;
+        }
+    }
+
     proptest::proptest! {
         /// Slot-layout oracle for the resampling pass, independent of the
         /// engine: on particles tagged with their index, slot `j` holds
         /// `tag[ancestors[j]]` for random weights and for targets below,
         /// at and above the cloud size. Every slot is either a moved
-        /// survivor or a clone, and every ancestor is moved or dropped.
+        /// survivor or a copy, and every ancestor is moved or dropped.
+        /// Every copy is written into existing storage: the pass makes a
+        /// fresh particle only for each slot the cloud grows by.
         #[test]
         fn resample_pass_puts_ancestor_j_in_slot_j(
             weights in proptest::collection::vec(0.0f64..1.0, 1..48),
@@ -2302,20 +2410,22 @@ mod tests {
                 for &a in &ancestors {
                     offspring[a] += 1;
                 }
-                let mut particles: Vec<Particle<usize>> = tags
+                let mut particles: Vec<Particle<Counted>> = tags
                     .iter()
-                    .map(|&tag| Particle { model: tag, graph: None, log_w: -1.0 })
+                    .map(|&tag| Particle { model: Counted(tag), graph: None, log_w: -1.0 })
                     .collect();
-                let mut spare = Vec::new();
                 let mut rs = ResampleStats::default();
-                resample_clone_minimal(&mut particles, &mut spare, &offspring, target, &mut rs);
-                let slots: Vec<usize> = particles.iter().map(|p| p.model).collect();
+                COPIES.with(|c| c.set([0, 0]));
+                resample_clone_minimal(&mut particles, &mut offspring, target, &mut rs);
+                let [fresh, reused] = COPIES.with(std::cell::Cell::get);
+                let slots: Vec<usize> = particles.iter().map(|p| p.model.0).collect();
                 let expected: Vec<usize> = ancestors.iter().map(|&a| tags[a]).collect();
                 proptest::prop_assert_eq!(slots, expected);
                 proptest::prop_assert!(particles.iter().all(|p| p.log_w == 0.0));
-                proptest::prop_assert!(spare.is_empty());
                 proptest::prop_assert_eq!(rs.clones + rs.clones_avoided, target as u64);
                 proptest::prop_assert_eq!(rs.clones_avoided + rs.dropped, n as u64);
+                proptest::prop_assert_eq!(fresh, target.saturating_sub(n) as u64);
+                proptest::prop_assert_eq!(reused, rs.clones);
             }
         }
     }

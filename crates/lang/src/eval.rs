@@ -709,6 +709,18 @@ impl ModelState {
             ModelState::Flat(vs) => ModelState::Flat(vs.iter().map(MufValue::deep_clone).collect()),
         }
     }
+
+    /// [`ModelState::deep_clone`] into `self`, reusing its slot vector
+    /// when both are flat.
+    fn deep_clone_from(&mut self, source: &ModelState) {
+        match (self, source) {
+            (ModelState::Flat(to), ModelState::Flat(from)) => {
+                to.clear();
+                to.extend(from.iter().map(MufValue::deep_clone));
+            }
+            (to, from) => *to = from.deep_clone(),
+        }
+    }
 }
 
 /// A probabilistic µF model driven by an inference engine: a transition
@@ -741,6 +753,15 @@ impl Clone for MufModel {
             takes_input: self.takes_input,
             tape: self.tape.clone(),
         }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.interp.clone_from(&source.interp);
+        self.closure.clone_from(&source.closure);
+        self.state.deep_clone_from(&source.state);
+        self.init_state.clone_from(&source.init_state);
+        self.takes_input = source.takes_input;
+        self.tape.clone_from(&source.tape);
     }
 }
 

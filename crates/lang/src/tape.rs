@@ -15,9 +15,11 @@
 //! `observe` is built on the stack by a fused op instead of boxed into a
 //! register, and the tick's load (the captured environment, the input
 //! and the prologue that destructures it) runs once per tick, not once
-//! per particle. What a tick still allocates is per tick (the input, the
-//! prologue's values, the engine's own bookkeeping) or per resampling
-//! clone (the flat state). The state holds only live state: the compiler
+//! per particle. What a tick still allocates is per tick (the input,
+//! the engine's own bookkeeping): the prologue moves the input's
+//! components out instead of copying them, and a resampling copy writes
+//! a survivor's flat state into the slot vector of a particle the
+//! resampler drops. The state holds only live state: the compiler
 //! gives stateless expressions none (see [`crate::compile`]), so every
 //! slot is a memory, a flag or a node's state that the step loads and
 //! stores back.
@@ -1021,10 +1023,10 @@ fn infer_step(
 }
 
 /// [`project`] of a value the op owns: the element moves out of a tuple
-/// or a core pair instead of being copied, so projecting a driver's input
-/// allocates nothing. Out of line like [`infer_step`]: a particle tape
-/// takes a projection's source only past its prologue, and no committed
-/// example's particle tape projects there.
+/// or a core pair instead of being copied, so projecting a driver's input,
+/// or a particle tape's input in its prologue, allocates nothing. Out of
+/// line like [`infer_step`]: it runs once per tick, not once per particle,
+/// since no committed example's particle tape projects past its prologue.
 #[inline(never)]
 fn project_owned(v: MufValue, idx: u32, arity: u32) -> Result<MufValue, LangError> {
     match v {

@@ -653,34 +653,39 @@ fn state_out_modes(body: &[Op], loaded: &[Reg], regs: &[Reg]) -> Vec<StateOut> {
 
 /// Marks, per op, the operands it reads for the last time (bit `i` for
 /// the `i`-th register of [`Op::reads`]; see [`TapeProgram::takes`]).
-/// `body` is the tape after its prologue, `prologue` its length, `loaded`
-/// as for [`state_out_modes`], and `end_reads` the registers the output
-/// and the successor state read after the last op.
+/// `ops` is the whole tape, its first `prologue` ops the prologue,
+/// `loaded` as for [`state_out_modes`], and `end_reads` the registers the
+/// output and the successor state read after the last op.
 ///
-/// The rule is [`state_out_modes`']: only a register the body writes, or
-/// a loaded one, is rewritten before it is next read, so only such a
-/// register can be taken; constants, and a particle tape's
+/// Past the prologue the rule is [`state_out_modes`']: only a register
+/// the body writes, or a loaded one, is rewritten before it is next read,
+/// so only such a register can be taken; constants, and a particle tape's
 /// captured-environment slots, input and prologue registers, are read by
-/// every particle and never are. An operand is taken when no later op in tape order reads it, the
-/// end does not read it, and the op does not read it twice. Jumps only go
-/// forward, so "later in tape order" covers every path out of the op (and
-/// some that do not pass it, which only keeps a value longer). Only the
-/// ops that take operands get a mask: `Move`, `Proj`, `Select`,
+/// every particle and never are. The prologue reads only the input, the
+/// environment and its own registers, which the once-per-tick load
+/// rewrites before they are next read (a failed load is retried whole),
+/// so there any register can be taken. An operand is taken when no later
+/// op in tape order reads it, the end does not read it, and the op does
+/// not read it twice; the walk runs back through the body into the
+/// prologue, so a register the body reads is never taken there. Jumps
+/// only go forward, so "later in tape order" covers every path out of the
+/// op (and some that do not pass it, which only keeps a value longer).
+/// Only the ops that take operands get a mask: `Move`, `Proj`, `Select`,
 /// arithmetic `BinOp`s and `AddMul`.
 fn last_uses(
-    body: &[Op],
+    ops: &[Op],
     prologue: usize,
     loaded: &[Reg],
     end_reads: impl IntoIterator<Item = Reg>,
 ) -> Vec<u8> {
-    let loaded: HashSet<Reg> = body
+    let loaded: HashSet<Reg> = ops[prologue..]
         .iter()
         .filter_map(Op::dst)
         .chain(loaded.iter().copied())
         .collect();
     let mut read_later: HashSet<Reg> = end_reads.into_iter().collect();
-    let mut takes = vec![0u8; prologue + body.len()];
-    for (op, mask) in body.iter().zip(&mut takes[prologue..]).rev() {
+    let mut takes = vec![0u8; ops.len()];
+    for (pc, (op, mask)) in ops.iter().zip(&mut takes).enumerate().rev() {
         let reads = op.reads();
         let takes_operands = matches!(
             op,
@@ -696,7 +701,8 @@ fn last_uses(
         if takes_operands {
             for (i, r) in reads.iter().enumerate() {
                 let once = reads.iter().filter(|&s| s == r).count() == 1;
-                if once && loaded.contains(r) && !read_later.contains(r) {
+                let rewritten = pc < prologue || loaded.contains(r);
+                if once && rewritten && !read_later.contains(r) {
                     *mask |= 1 << i;
                 }
             }
@@ -1018,7 +1024,7 @@ fn lower_transition(
         loaded.extend(&state_in);
         let state_out = state_out_modes(&ops[prologue..], &loaded, &out_regs);
         let takes = last_uses(
-            &ops[prologue..],
+            &ops,
             prologue,
             &loaded,
             out.regs().into_iter().chain(out_regs),

@@ -7,10 +7,12 @@
 //! inputs, tape backend.
 //!
 //! A PF tick allocates a fixed amount for stepping the cloud (its step
-//! cost), plus a fixed amount per particle the resampler clones (the
-//! clone count is random, so the total per tick is not constant). Every
-//! tick of two later windows must split exactly that way with the same
-//! two pinned constants: the step cost does not drift and nothing grows.
+//! cost), plus a fixed amount per particle the resampler copies (the
+//! copy count is random). The resampler writes every copy into the
+//! storage of a particle it drops, so that amount is pinned at zero and
+//! every tick of two later windows must cost exactly the pinned step
+//! cost: the step cost does not drift, nothing grows, and a copy does not
+//! allocate.
 //!
 //! The step cost is also the same at 10 and at 100 particles: a particle
 //! step on the tape allocates nothing, and what a tick allocates (the
@@ -19,11 +21,12 @@
 //!
 //! Under streaming delayed sampling `gps_acc_tracker` keeps its velocity
 //! and position as affine terms over several acceleration variables, and
-//! the delayed-sampling graph allocates as it grows and shrinks, so a
-//! tick's count is not constant; each window's total is pinned exactly
-//! instead, and so is the deployed `robot` instance's, the driver tape
-//! around that engine in a closed loop. Copying a multi-term affine value
-//! shares its terms, which is pinned to allocate nothing.
+//! a resampling copy writes a survivor's delayed-sampling graph into the
+//! slot and free-list vectors of a dropped particle's graph, which may
+//! have to grow; each window's total is pinned exactly, and so is the
+//! deployed `robot` instance's, the driver tape around that engine in a
+//! closed loop. Copying a multi-term affine value shares its terms, which
+//! is pinned to allocate nothing.
 //!
 //! A deterministic instance runs on its driver tape, where a tick of a
 //! node over floats allocates nothing, and on the tree-walking
@@ -139,11 +142,11 @@ fn measure(engine: &mut MufEngine, inputs: &[Value]) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Allocation events per cloned particle: the clone's flat state-slot
-/// vector. Every leaf of both models' states is a scalar, so cloning a
-/// leaf allocates nothing, and a clone is the only per-particle
-/// allocation of a tick.
-const PER_CLONE: u64 = 1;
+/// Allocation events per particle the resampler copies: none. The copy
+/// is `clone_from`'d into a dropped particle, whose flat state-slot
+/// vector already has room, and every leaf of both models' states is a
+/// scalar, so copying a leaf allocates nothing.
+const PER_CLONE: u64 = 0;
 
 /// Runs an engine of `particles` particles through warm-up plus two
 /// windows and returns the step cost (allocations minus [`PER_CLONE`]
@@ -155,6 +158,10 @@ fn step_costs(file: &str, node: &str, particles: usize, inputs: &[Value]) -> Vec
     measure(&mut eng, &inputs[..WARMUP]);
     assert_eq!(eng.tape_status(), Some(Ok(())), "{node}: no tape");
     let residual = |window: Vec<(u64, u64)>| -> Vec<u64> {
+        assert!(
+            window.iter().any(|&(_, clones)| clones > 0),
+            "{node}: the window copies no particle"
+        );
         window
             .into_iter()
             .map(|(a, clones)| a - PER_CLONE * clones)
@@ -220,10 +227,11 @@ fn hmm_pf_tick_allocations_are_pinned() {
 
 #[test]
 fn robot_pf_tick_allocations_are_pinned() {
-    // The tick input's six boxes and the six of the two tails the
-    // prologue projects out, once per tick, plus the engine's own four.
-    // A GPS tick's extra observation is fused, so it costs nothing more.
-    assert_steady("robot.zl", "gps_acc_tracker", &robot_inputs(), |_| 16);
+    // The tick input's six boxes, once per tick, plus the engine's own
+    // four: the prologue moves the input's two tails out instead of
+    // copying them. A GPS tick's extra observation is fused, so it costs
+    // nothing more.
+    assert_steady("robot.zl", "gps_acc_tracker", &robot_inputs(), |_| 10);
 }
 
 /// Zero allocations per particle-step: the step cost of every window
@@ -261,7 +269,7 @@ fn robot_sds_window_allocations_are_pinned() {
     let second = window(&inputs[WARMUP + WINDOW..]);
     assert_eq!(
         [first, second],
-        [13905, 13170],
+        [5000, 5000],
         "gps_acc_tracker SDS: window allocations"
     );
 }
@@ -328,7 +336,7 @@ fn robot_value(a_obs: f64, has_gps: bool, p_obs: f64, prev_cmd: f64) -> Value {
 fn robot_loop_window_allocations_are_pinned() {
     assert_eq!(
         robot_loop_windows(),
-        [7395, 7295],
+        [5600, 5600],
         "robot SDS loop: window allocations"
     );
 }

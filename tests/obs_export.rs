@@ -4,13 +4,17 @@
 
 use probzelus::core::infer::{Infer, Method, Parallelism};
 use probzelus::core::model::Model;
-use probzelus::core::obs::{events, names, MemorySink, MetricKind, Obs, Record, WriterSink};
+use probzelus::core::obs::{
+    events, names, FieldValue, MemorySink, MetricKind, Obs, Record, Sample, Sink, WriterSink,
+};
 use probzelus::core::prob::ProbCtx;
 use probzelus::core::supervisor::RecoveryPolicy;
+use probzelus::core::trace::{spans, SpanRecord};
 use probzelus::core::value::Value;
 use probzelus::core::RuntimeError;
 use probzelus::models::Kalman;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Wraps a model and makes every particle fail at one scheduled tick.
 #[derive(Debug, Clone)]
@@ -363,4 +367,56 @@ fn detached_engine_exports_nothing() {
     assert!(sink.is_empty());
     drop(engine);
     assert_eq!(Arc::strong_count(&sink), 1);
+}
+
+/// Holds every gauge for 1 ms and keeps the `step.latency_ms` samples and
+/// the `tick` span durations it receives.
+#[derive(Default)]
+struct SlowGauges {
+    latency_ms: Mutex<Vec<f64>>,
+    tick_ms: Mutex<Vec<f64>>,
+}
+
+impl Sink for SlowGauges {
+    fn record(&self, sample: &Sample) {
+        match sample.kind {
+            MetricKind::Gauge => std::thread::sleep(Duration::from_millis(1)),
+            MetricKind::Histogram if sample.name == names::STEP_LATENCY_MS => {
+                self.latency_ms
+                    .lock()
+                    .expect("unpoisoned")
+                    .push(sample.value);
+            }
+            _ => {}
+        }
+    }
+
+    fn event(&self, _: Option<&str>, _: u64, _: &str, _: &[(&str, FieldValue)]) {}
+
+    fn span(&self, _: Option<&str>, span: &SpanRecord) {
+        if span.name == spans::TICK {
+            self.tick_ms.lock().expect("unpoisoned").push(span.dur_ms);
+        }
+    }
+}
+
+#[test]
+fn tick_span_covers_the_per_tick_export() {
+    // A PF tick exports five gauges after its latency is read (particles,
+    // ESS, log-evidence, scratch bytes, consecutive collapses). The
+    // `tick` span ends after them, so with each gauge held for 1 ms it
+    // is at least 5 ms longer than `step.latency_ms`, which keeps the
+    // earlier reading.
+    let sink = Arc::new(SlowGauges::default());
+    let mut engine = Infer::with_seed(Method::ParticleFilter, 8, Kalman::default(), 5)
+        .with_obs(Obs::to(sink.clone()));
+    for t in 0..4 {
+        engine.step(&(t as f64 * 0.1)).unwrap();
+    }
+    let latency = sink.latency_ms.lock().expect("unpoisoned").clone();
+    let tick = sink.tick_ms.lock().expect("unpoisoned").clone();
+    assert_eq!((latency.len(), tick.len()), (4, 4));
+    for (l, t) in latency.iter().zip(&tick) {
+        assert!(t - l >= 4.9, "tick span {t} ms vs step latency {l} ms");
+    }
 }
