@@ -1180,6 +1180,40 @@ mod tests {
         assert!((m.variance_float().unwrap() - 100.0 / 101.0).abs() < 1e-10);
     }
 
+    /// A Gaussian observe whose mean has two unrealized terms is not
+    /// conjugate: `assume` realizes both variables (`force_aff`) and the
+    /// observation is scored against a fresh root at the realized mean.
+    /// The Fig. 5 tracker's GPS fix is such an observe: its position is
+    /// affine in two acceleration variables.
+    #[test]
+    fn observe_with_two_unrealized_mean_terms_realizes_both() {
+        let mut g = Graph::new(Retention::PointerMinimal);
+        let mut r = rng();
+        let a = g.assume(&DistExpr::gaussian(0.0, 1.0), &mut r).unwrap();
+        let b = g.assume(&DistExpr::gaussian(0.0, 1.0), &mut r).unwrap();
+        let p = crate::ops::add(
+            &crate::ops::mul(&a, &Value::Float(0.1)).unwrap(),
+            &crate::ops::mul(&b, &Value::Float(0.01)).unwrap(),
+        )
+        .unwrap();
+        assert!(
+            matches!(&p, Value::Aff(e) if e.terms().count() == 2),
+            "{p:?}"
+        );
+        let lp = g
+            .observe(&DistExpr::gaussian(p, 0.01), &Value::Float(0.5), &mut r)
+            .unwrap();
+        let (a, b) = (var_of(&a), var_of(&b));
+        for x in [a, b] {
+            assert_eq!(g.state_kind(x).unwrap(), StateKind::Realized, "{x}");
+        }
+        let value = |x| g.realized_float(x).expect("realized float");
+        let mean = 0.1 * value(a) + 0.01 * value(b);
+        let expected = probzelus_distributions::Gaussian::new(mean, 0.01).unwrap();
+        use probzelus_distributions::Distribution;
+        assert_eq!(lp.to_bits(), expected.log_pdf(&0.5).to_bits());
+    }
+
     #[test]
     fn beta_bernoulli_chain_stays_exact() {
         // Coin model: p ~ Beta(1,1); observe three heads, one tail.

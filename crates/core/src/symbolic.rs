@@ -6,7 +6,12 @@
 //! closed class of float-valued symbolic terms is **affine expressions**
 //! `b + Σ aᵢ·Xᵢ`: affine images of Gaussians stay Gaussian, which is what
 //! lets the robot tracker of Fig. 5 integrate a random acceleration twice
-//! and still condition exactly on GPS fixes.
+//! and keep velocity and position symbolic. Conditioning on a term is exact
+//! only where it has one unrealized variable, though. The tracker's GPS
+//! observe has a mean `p` with two unrealized acceleration terms, so
+//! `Graph::assume` realizes both (`force_aff`) and scores the fix against a
+//! fresh root; the fix conditions the realized accelerations through the
+//! particle weight, not in closed form.
 //!
 //! # Representation
 //!

@@ -25,7 +25,9 @@
 //! the default backend. `emit --tape` lowers every node to that tape and
 //! pretty-prints it: a node that hosts `infer` as a driver, whose `infer`
 //! op steps the embedded engine, every other node as a per-particle
-//! transition. Nodes that refuse to lower (any construct the tape cannot
+//! transition, followed by its `steady:` program when it has one (the
+//! program a particle runs after its first step, with its `->` flags
+//! constant). Nodes that refuse to lower (any construct the tape cannot
 //! express) print the refusal reason instead — an engine or instance over
 //! such a node interprets it at runtime.
 //!

@@ -974,6 +974,16 @@ impl MufEngine {
             .map(|s| s.scratch_bytes())
     }
 
+    /// Which of the tape's programs particle steps ran on in the last
+    /// tick, as `(first_instant, steady)`, once the tape is lowered: a
+    /// particle's first step runs the first-instant program, every later
+    /// one the steady program, when the tape has one
+    /// ([`crate::tape::Steady`]).
+    pub fn tape_programs_run(&self) -> Option<(bool, bool)> {
+        let cell = self.tape.as_ref()?;
+        Some(cell.ready()?.programs_run(cell.tick()))
+    }
+
     /// Aggregate graph memory statistics (Fig. 4 / Fig. 19).
     pub fn memory(&self) -> MemoryStats {
         self.inner.memory()
@@ -1361,6 +1371,100 @@ mod tests {
                 other => panic!("expected posterior, got {:?}", other.kind()),
             }
         }
+    }
+
+    /// A particle model reset to its initial slots, as the engine's
+    /// `blank_particle` makes one for a reset or a `ReseedPrior` restart,
+    /// steps in the same tick as a sibling on the steady program, in
+    /// either order: each runs its own program on its own register file,
+    /// with its own once-per-tick load, and both give the tree walker's
+    /// outputs and log weights bit for bit.
+    #[test]
+    fn first_instant_and_steady_particles_share_a_tick() {
+        use probzelus_core::prob::SampleCtx;
+        const SRC: &str = r#"
+            let node walk (y, d) = x where
+              rec x = sample (gaussian ((0. -> pre x + d), (100. -> 1.)))
+              and () = observe (gaussian (x, 1.), y)
+        "#;
+        // Per tick: the particle reset before it, and the step order.
+        const TICKS: [(Option<usize>, [usize; 2]); 4] = [
+            (None, [0, 1]),
+            (Some(1), [0, 1]),
+            (Some(0), [0, 1]),
+            (None, [1, 0]),
+        ];
+        let run = |backend| {
+            let options = Options {
+                method: Method::ParticleFilter,
+                seed: 0,
+                backend,
+            };
+            let (interp, _) = build(SRC, options);
+            let global = |name: &str| interp.global(name).unwrap();
+            let init = interp
+                .apply(
+                    &global(&crate::compile::init_name("walk")),
+                    MufValue::unit(),
+                    &mut ProbSlot::Det,
+                )
+                .unwrap();
+            let tape = (backend == ExecBackend::Tape).then(Rc::<crate::tape::TapeCell>::default);
+            let model = MufModel {
+                interp: interp.clone(),
+                closure: Rc::new(RefCell::new(global(&crate::compile::step_name("walk")))),
+                state: ModelState::Whole(init.deep_clone()),
+                init_state: Rc::new(init),
+                takes_input: true,
+                tape: tape.clone(),
+            };
+            let mut particles = [model.clone(), model];
+            let mut bits = Vec::new();
+            let mut slots = Vec::new();
+            for (t, (reset, order)) in TICKS.into_iter().enumerate() {
+                if let Some(cell) = &tape {
+                    cell.next_tick();
+                }
+                if let Some(i) = reset {
+                    particles[i].reset();
+                }
+                let input = Value::pair(Value::Float(0.3 * t as f64), Value::Float(0.5));
+                for i in order {
+                    let mut rng = SmallRng::seed_from_u64((2 * t + i) as u64);
+                    let mut ctx = SampleCtx::new(&mut rng);
+                    let out = particles[i].step(&mut ctx, &input).unwrap();
+                    bits.push((
+                        out.as_float().unwrap().to_bits(),
+                        ctx.log_weight().to_bits(),
+                    ));
+                }
+                if let Some(cell) = &tape {
+                    let ran = cell.ready().unwrap().programs_run(cell.tick());
+                    let counts = particles.each_ref().map(|p| match &p.state {
+                        ModelState::Flat(s) => s.len(),
+                        ModelState::Whole(_) => panic!("tick {t}: whole state on the tape"),
+                    });
+                    slots.push((ran, counts));
+                }
+            }
+            (bits, slots)
+        };
+        let (expected, _) = run(ExecBackend::Interp);
+        let (got, slots) = run(ExecBackend::Tape);
+        assert_eq!(got, expected, "tape vs tree walker");
+        // The memory of `pre x` stays; the two `->` flags leave after a
+        // particle's first step.
+        let (first, steady, both) = ((true, false), (false, true), (true, true));
+        assert_eq!(
+            slots,
+            [
+                (first, [1, 1]),
+                (both, [1, 1]),
+                (both, [1, 1]),
+                (steady, [1, 1])
+            ],
+            "programs run and slots kept per tick"
+        );
     }
 
     #[test]

@@ -24,6 +24,12 @@
 //! slot is a memory, a flag or a node's state that the step loads and
 //! stores back.
 //!
+//! A particle's first step runs the whole program. After it, every `->`
+//! flag that nothing re-arms is `false` for good, so each later step runs
+//! the tape's steady program ([`Steady`]) on a register file of its own,
+//! where the flags are constants: the particle drops their slots, and the
+//! selects on them are moves.
+//!
 //! Registers are copied when read, except on their last read: lowering
 //! marks the operands no later op reads ([`TapeProgram::takes`]), and
 //! `Move`, `Select`, arithmetic and the fused `x + a * b`
@@ -70,7 +76,7 @@ pub type Reg = u32;
 /// `Proj`, `Select` (the chosen branch), arithmetic `BinOp`s and `AddMul`
 /// then take the value, leaving `nil`, so affine arithmetic can write
 /// into a term slice nothing else holds and a projection moves its
-/// component out. The same register file is reused by
+/// component out. A program's register file is reused by
 /// every particle and every tick.
 #[derive(Debug, Clone)]
 pub enum Op {
@@ -425,6 +431,71 @@ pub struct TapeProgram {
     pub body_ptr: usize,
     /// Debug names per register (empty string when unnamed).
     pub reg_names: Vec<String>,
+    /// The steady program a particle runs after its first step (see
+    /// [`Steady`]): `None` for a driver tape, and for a particle tape none
+    /// of whose slots is constant after the first step.
+    pub steady: Option<Steady>,
+}
+
+/// A particle tape's steady program. A state slot whose successor is a
+/// constant-pool register that no op writes, which is every `->` flag
+/// that nothing re-arms (`false` after the first instant), holds that
+/// constant from a particle's second step on. The steady program pins the
+/// slot's register to the constant in a register file of its own, so no
+/// step loads or stores it, and each `Select` on a constant condition is
+/// a `Move` of the branch it picks. It shares the first-instant program's register
+/// numbering, constant pool, environment slots, input, prologue length
+/// and output; only its code and state conventions are its own.
+#[derive(Debug, Clone)]
+pub struct Steady {
+    /// The dropped slots' state-in registers, each with the constant it
+    /// is pinned to when the steady register file is built.
+    pub pins: Vec<(Reg, MufValue)>,
+    /// Per slot of the first-instant state, whether the particle keeps it
+    /// after its first step.
+    pub keep: Vec<bool>,
+    /// The instruction stream: the first-instant program's, with each
+    /// `Select` on a constant condition turned into a `Move`.
+    pub ops: Vec<Op>,
+    /// Per op, the operands it reads for the last time, derived for
+    /// `ops` as [`TapeProgram::takes`] is.
+    pub takes: Vec<u8>,
+    /// The kept slots' state-in registers.
+    pub state_in: Vec<Reg>,
+    /// The kept slots' successor-state sources.
+    pub state_out: Vec<StateOut>,
+}
+
+/// The code one step runs: a tape's first-instant program or its steady
+/// one.
+#[derive(Clone, Copy)]
+struct Code<'p> {
+    ops: &'p [Op],
+    takes: &'p [u8],
+    state_in: &'p [Reg],
+    state_out: &'p [StateOut],
+}
+
+impl TapeProgram {
+    fn code(&self) -> Code<'_> {
+        Code {
+            ops: &self.ops,
+            takes: &self.takes,
+            state_in: &self.state_in,
+            state_out: &self.state_out,
+        }
+    }
+}
+
+impl Steady {
+    fn code(&self) -> Code<'_> {
+        Code {
+            ops: &self.ops,
+            takes: &self.takes,
+            state_in: &self.state_in,
+            state_out: &self.state_out,
+        }
+    }
 }
 
 /// How one successor-state slot leaves the register file after a step.
@@ -440,34 +511,36 @@ pub enum StateOut {
     Clone(Reg),
 }
 
-/// The shared runtime state of one engine's tape: the program plus the
-/// register file every particle reuses (particles run sequentially, so a
-/// single file suffices; values are moved in and out per step).
+/// A register file, and the tick whose once-per-tick load (see [`load`])
+/// it last completed: while that matches the engine's tick, its
+/// environment, input and prologue registers hold this tick's values.
 #[derive(Debug)]
-pub struct TapeShared {
-    /// The lowered program.
-    pub prog: TapeProgram,
+struct RegFile {
     regs: RefCell<Vec<MufValue>>,
+    loaded: Cell<Option<u64>>,
 }
 
-impl TapeShared {
-    fn new(prog: TapeProgram) -> TapeShared {
-        let mut regs = vec![MufValue::Nil; prog.num_regs as usize];
-        for op in &prog.consts {
+impl RegFile {
+    /// A file of `num_regs` registers with the constant pool `consts` run
+    /// into it, and each pinned register set to its constant.
+    fn new(num_regs: u32, consts: &[Op], pins: &[(Reg, MufValue)]) -> RegFile {
+        let mut regs = vec![MufValue::Nil; num_regs as usize];
+        for op in consts {
             if let Op::Const { dst, v } = op {
                 regs[*dst as usize] = v.clone();
             }
         }
-        TapeShared {
-            prog,
+        for (r, v) in pins {
+            regs[*r as usize] = v.clone();
+        }
+        RegFile {
             regs: RefCell::new(regs),
+            loaded: Cell::new(None),
         }
     }
 
-    /// Bytes of scratch currently held by the register file (the vector
-    /// itself plus embedded tuple spines). Constant across steady-state
-    /// ticks for Bounded(k) programs — the scratch-plateau witness.
-    pub fn scratch_bytes(&self) -> usize {
+    /// Bytes held by the register vector and its embedded tuple spines.
+    fn scratch_bytes(&self) -> usize {
         fn held(v: &MufValue) -> usize {
             match v {
                 MufValue::Tuple(xs) => {
@@ -479,6 +552,50 @@ impl TapeShared {
         }
         let regs = self.regs.borrow();
         regs.capacity() * std::mem::size_of::<MufValue>() + regs.iter().map(held).sum::<usize>()
+    }
+}
+
+/// The shared runtime state of one engine's tape: the program plus the
+/// register files every particle reuses (particles run sequentially, so
+/// one file per program suffices; values are moved in and out per step).
+/// The steady program has a file of its own because it pins the dropped
+/// slots' registers to their constants, where the first-instant program
+/// loads those registers from the particle and may take them.
+#[derive(Debug)]
+pub struct TapeShared {
+    /// The lowered program.
+    pub prog: TapeProgram,
+    first: RegFile,
+    steady: Option<RegFile>,
+}
+
+impl TapeShared {
+    fn new(prog: TapeProgram) -> TapeShared {
+        let first = RegFile::new(prog.num_regs, &prog.consts, &[]);
+        let steady = prog
+            .steady
+            .as_ref()
+            .map(|s| RegFile::new(prog.num_regs, &prog.consts, &s.pins));
+        TapeShared {
+            prog,
+            first,
+            steady,
+        }
+    }
+
+    /// Bytes of scratch currently held by the register files (the vectors
+    /// themselves plus embedded tuple spines). Constant across steady-state
+    /// ticks for Bounded(k) programs — the scratch-plateau witness.
+    pub fn scratch_bytes(&self) -> usize {
+        self.first.scratch_bytes() + self.steady.as_ref().map_or(0, RegFile::scratch_bytes)
+    }
+
+    /// Which programs particle steps ran on in tick `tick`, as
+    /// `(first_instant, steady)`: a program ran when its register file
+    /// completed that tick's load.
+    pub(crate) fn programs_run(&self, tick: u64) -> (bool, bool) {
+        let ran = |f: &RegFile| f.loaded.get() == Some(tick);
+        (ran(&self.first), self.steady.as_ref().is_some_and(ran))
     }
 }
 
@@ -495,17 +612,18 @@ pub struct TapeCell {
     attempt: RefCell<Option<Result<Rc<TapeShared>, String>>>,
     /// Bumped by the engine at the start of every tick.
     tick: Cell<u64>,
-    /// The tick of the last successful load (see [`load`]): while it
-    /// matches, the environment, input and prologue registers hold this
-    /// tick's values.
-    loaded: Cell<Option<u64>>,
 }
 
 impl TapeCell {
-    /// Signals a new tick (the next execution reloads the environment,
-    /// the input and the prologue).
+    /// Signals a new tick (the next execution on each register file
+    /// reloads the environment, the input and the prologue).
     pub(crate) fn next_tick(&self) {
         self.tick.set(self.tick.get().wrapping_add(1));
+    }
+
+    /// The current tick.
+    pub(crate) fn tick(&self) -> u64 {
+        self.tick.get()
     }
 
     /// The installed tape, if lowering has succeeded.
@@ -604,16 +722,16 @@ fn flat_slots<'s>(
 /// Moves the state slots into their registers. A failed step then leaves
 /// the state no value, as the interpreter's does.
 #[inline(always)]
-fn load_state(prog: &TapeProgram, slots: &mut [MufValue], regs: &mut [MufValue]) {
-    for (slot, &r) in slots.iter_mut().zip(&prog.state_in) {
+fn load_state(code: Code<'_>, slots: &mut [MufValue], regs: &mut [MufValue]) {
+    for (slot, &r) in slots.iter_mut().zip(code.state_in) {
         regs[r as usize] = std::mem::replace(slot, MufValue::Nil);
     }
 }
 
 /// Moves or copies the successor state out of the registers.
 #[inline(always)]
-fn store_state(prog: &TapeProgram, slots: &mut [MufValue], regs: &mut [MufValue]) {
-    for (slot, out) in slots.iter_mut().zip(&prog.state_out) {
+fn store_state(code: Code<'_>, slots: &mut [MufValue], regs: &mut [MufValue]) {
+    for (slot, out) in slots.iter_mut().zip(code.state_out) {
         *slot = match *out {
             StateOut::Move(r) => std::mem::replace(&mut regs[r as usize], MufValue::Nil),
             StateOut::Clone(r) => regs[r as usize].clone(),
@@ -624,9 +742,17 @@ fn store_state(prog: &TapeProgram, slots: &mut [MufValue], regs: &mut [MufValue]
 /// One particle step on the tape. Mirrors `MufModel::step`'s interpreter
 /// path: state slots move into their registers, the tape executes, the
 /// output is folded to a core value, and the successor state moves back
-/// out. The load (see [`load`]) runs at the first particle of a tick
-/// only; an error there is this particle's error, and the next particle
-/// retries the load.
+/// out. The load (see [`load`]) runs at the first particle of a tick on
+/// each register file only; an error there is this particle's error, and
+/// the next particle retries the load.
+///
+/// The state's slot count picks the program. A particle whose state has
+/// the steady program's slots runs that program on its register file;
+/// any other runs the first-instant program, and after a successful step
+/// drops the slots that are constant from then on (`Vec::retain`, which
+/// allocates nothing). A failed steady step leaves the particle the
+/// first-instant program's slots, every one `nil`, so the next step sees
+/// the stateless particle the interpreter's failed step leaves.
 pub(crate) fn step_model(
     interp: &Rc<Interp>,
     cell: &TapeCell,
@@ -638,33 +764,58 @@ pub(crate) fn step_model(
 ) -> Result<Value, LangError> {
     let prog = &shared.prog;
     let slots = flat_slots(state, prog)?;
-    let mut regs = shared.regs.borrow_mut();
-    load_state(prog, slots, &mut regs);
-    let mut prob = ProbSlot::Prob(ctx);
-    if cell.loaded.get() != Some(cell.tick.get()) {
-        load(
+    let steady = prog
+        .steady
+        .as_ref()
+        .zip(shared.steady.as_ref())
+        .filter(|(s, _)| slots.len() == s.state_in.len());
+    let (code, file) = match steady {
+        Some((s, file)) => (s.code(), file),
+        None => (prog.code(), &shared.first),
+    };
+    let mut run = || {
+        let mut regs = file.regs.borrow_mut();
+        load_state(code, slots, &mut regs);
+        let mut prob = ProbSlot::Prob(&mut *ctx);
+        if file.loaded.get() != Some(cell.tick()) {
+            load(
+                interp,
+                prog,
+                code,
+                &closure_slot.borrow(),
+                &mut regs,
+                &mut prob,
+                input,
+            )?;
+            file.loaded.set(Some(cell.tick()));
+        }
+        exec(
             interp,
-            prog,
-            &closure_slot.borrow(),
+            code,
+            prog.prologue,
+            code.ops.len(),
             &mut regs,
             &mut prob,
-            input,
         )?;
-        cell.loaded.set(Some(cell.tick.get()));
+        // Fold the output before moving state out: an output register may
+        // alias a state register.
+        let out = fold_out(&prog.out, &regs)?;
+        store_state(code, slots, &mut regs);
+        Ok(out)
+    };
+    let out = run();
+    match (steady, &prog.steady) {
+        (Some(_), _) if out.is_err() => {
+            slots.clear();
+            slots.resize(prog.state_in.len(), MufValue::Nil);
+        }
+        (None, Some(s)) if out.is_ok() => {
+            let mut keep = s.keep.iter();
+            slots.retain(|_| keep.next().copied().unwrap_or(true));
+        }
+        _ => {}
     }
-    exec(
-        interp,
-        prog,
-        prog.prologue,
-        prog.ops.len(),
-        &mut regs,
-        &mut prob,
-    )?;
-    // Fold the output before moving state out: an output register may
-    // alias a state register.
-    let out = fold_out(&prog.out, &regs)?;
-    store_state(prog, slots, &mut regs);
-    Ok(out)
+    out
 }
 
 /// One tick of a deterministic node on its driver tape: the state slots
@@ -680,34 +831,36 @@ pub(crate) fn step_driver(
     input: Value,
 ) -> Result<MufValue, LangError> {
     let prog = &shared.prog;
+    let code = prog.code();
     let slots = flat_slots(state, prog)?;
-    let mut regs = shared.regs.borrow_mut();
-    load_state(prog, slots, &mut regs);
+    let mut regs = shared.first.regs.borrow_mut();
+    load_state(code, slots, &mut regs);
     load_env(prog, step, &mut regs)?;
     if let Some(r) = prog.input {
         regs[r as usize] = MufValue::V(input);
     }
     exec(
         interp,
-        prog,
+        code,
         0,
-        prog.ops.len(),
+        code.ops.len(),
         &mut regs,
         &mut ProbSlot::Det,
     )?;
     let out = out_value(&prog.out, &regs);
-    store_state(prog, slots, &mut regs);
+    store_state(code, slots, &mut regs);
     Ok(out)
 }
 
-/// The once-per-tick load, run at the first particle of a tick: loads
-/// the captured environment (see [`load_env`]) and the tick input, and
-/// runs the prologue. Kept out of line: it runs once per tick, and
-/// inlined it slows every particle step.
+/// The once-per-tick load, run at the first particle of a tick on a
+/// register file: loads the captured environment (see [`load_env`]) and
+/// the tick input, and runs the prologue of `code`. Kept out of line: it
+/// runs once per tick, and inlined it slows every particle step.
 #[inline(never)]
 fn load(
     interp: &Rc<Interp>,
     prog: &TapeProgram,
+    code: Code<'_>,
     closure: &MufValue,
     regs: &mut [MufValue],
     prob: &mut ProbSlot<'_>,
@@ -717,7 +870,7 @@ fn load(
     if let Some(r) = prog.input {
         regs[r as usize] = MufValue::V(input.clone());
     }
-    exec(interp, prog, 0, prog.prologue, regs, prob)
+    exec(interp, code, 0, prog.prologue, regs, prob)
 }
 
 /// Checks that `closure` is still the closure the tape was lowered from
@@ -796,15 +949,15 @@ fn prob_ctx<'s>(prob: &'s mut ProbSlot<'_>, what: &str) -> Result<&'s mut dyn Pr
 /// posteriors agree bit-for-bit with the interpreter.
 fn exec(
     interp: &Rc<Interp>,
-    prog: &TapeProgram,
+    code: Code<'_>,
     mut pc: usize,
     end: usize,
     regs: &mut [MufValue],
     prob: &mut ProbSlot<'_>,
 ) -> Result<(), LangError> {
-    let ops = &prog.ops;
+    let ops = code.ops;
     while pc < end {
-        let mask = prog.takes[pc];
+        let mask = code.takes[pc];
         let take = |i: u32| mask >> i & 1 != 0;
         match &ops[pc] {
             Op::Halt => break,
@@ -1097,7 +1250,9 @@ impl TapeProgram {
     /// Pretty-prints the tape (the `pzc emit --tape` rendering and the
     /// golden-test surface). The format is stable: header, environment
     /// and state register conventions, constant pool, then one line per
-    /// op as `NNNN mnemonic  dst <- operands`.
+    /// op as `NNNN mnemonic  dst <- operands`. A particle tape with a
+    /// steady program ends in a `steady:` block: its header, state
+    /// conventions, the pinned slot registers as constants, and its ops.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -1115,27 +1270,52 @@ impl TapeProgram {
         for (name, reg) in &self.env_slots {
             let _ = writeln!(s, "env: {name} -> r{reg}");
         }
-        let ins: Vec<String> = self.state_in.iter().map(|r| format!("r{r}")).collect();
-        let outs: Vec<String> = self
-            .state_out
-            .iter()
-            .map(|o| match o {
-                StateOut::Move(r) => format!("r{r}"),
-                StateOut::Clone(r) => format!("clone(r{r})"),
-            })
-            .collect();
-        let _ = writeln!(s, "state_in: {}", ins.join(" "));
-        let _ = writeln!(s, "state_out: {}", outs.join(" "));
+        render_state(&mut s, self.code());
         let _ = writeln!(s, "out: {}", render_out(&self.out));
         for op in &self.consts {
             if let Op::Const { dst, v } = op {
                 let _ = writeln!(s, "const r{dst} <- {}", render_value(v));
             }
         }
-        for (i, op) in self.ops.iter().enumerate() {
-            let _ = writeln!(s, "{i:04} {}", render_op(op, &self.reg_names));
+        render_ops(&mut s, &self.ops, &self.reg_names);
+        if let Some(steady) = &self.steady {
+            let _ = writeln!(
+                s,
+                "steady: ops: {}  state: {} slot(s)",
+                steady.ops.len(),
+                steady.state_in.len()
+            );
+            render_state(&mut s, steady.code());
+            for (r, v) in &steady.pins {
+                let _ = writeln!(s, "const r{r} <- {}", render_value(v));
+            }
+            render_ops(&mut s, &steady.ops, &self.reg_names);
         }
         s
+    }
+}
+
+/// The `state_in` and `state_out` lines of a rendering.
+fn render_state(s: &mut String, code: Code<'_>) {
+    use std::fmt::Write as _;
+    let ins: Vec<String> = code.state_in.iter().map(|r| format!("r{r}")).collect();
+    let outs: Vec<String> = code
+        .state_out
+        .iter()
+        .map(|o| match o {
+            StateOut::Move(r) => format!("r{r}"),
+            StateOut::Clone(r) => format!("clone(r{r})"),
+        })
+        .collect();
+    let _ = writeln!(s, "state_in: {}", ins.join(" "));
+    let _ = writeln!(s, "state_out: {}", outs.join(" "));
+}
+
+/// The op lines of a rendering.
+fn render_ops(s: &mut String, ops: &[Op], names: &[String]) {
+    use std::fmt::Write as _;
+    for (i, op) in ops.iter().enumerate() {
+        let _ = writeln!(s, "{i:04} {}", render_op(op, names));
     }
 }
 

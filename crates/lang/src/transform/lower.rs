@@ -35,12 +35,18 @@
 //! leading projections of the tick input and the captured environment,
 //! which the step runs once per tick instead of once per particle; and
 //! [`last_uses`] marks the operands an op reads for the last time, which
-//! the tape takes instead of copying.
+//! the tape takes instead of copying. A particle tape then gets its steady
+//! program (`steady_program`), which every step after a particle's first
+//! runs: the slots that are constant from then on, such as the `->`
+//! flags, become constants, and the selects on them moves.
 
 use crate::ast::OpName;
 use crate::eval::{const_value, dist_expr, Interp};
 use crate::muf::{Closure, Env, MufExpr, MufPat, MufValue};
-use crate::tape::{split_state, InferSite, Op, OutSpec, Reg, StateOut, StateShape, TapeProgram};
+use crate::tape::{
+    split_state, InferSite, Op, OutSpec, Reg, StateOut, StateShape, Steady, TapeProgram,
+};
+use probzelus_core::value::Value;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
@@ -815,6 +821,88 @@ fn fuse_pairs(ops: Vec<Op>, out: &OutSpec, state_out: &[Reg]) -> Vec<Op> {
     fused
 }
 
+/// The steady program of a particle tape (see [`Steady`]). A slot whose
+/// successor is a constant-pool register that no op writes, and whose own
+/// register no op writes, holds that constant after the first step, so
+/// the steady program pins its register to the constant and drops the
+/// slot; each `Select` whose condition is then a constant boolean becomes
+/// a `Move` of the branch it picks, which is the `Select`'s own result.
+/// Last uses and state-out modes are derived afresh for the rewritten
+/// code, where a pinned register is a constant like any other. `None`
+/// when no slot is constant.
+fn steady_program(
+    consts: &[Op],
+    ops: &[Op],
+    prologue: usize,
+    state_in: &[Reg],
+    state_out: &[StateOut],
+    out: &OutSpec,
+) -> Option<Steady> {
+    let written: HashSet<Reg> = ops.iter().filter_map(Op::dst).collect();
+    let pool: HashMap<Reg, &MufValue> = consts
+        .iter()
+        .filter_map(|op| match op {
+            Op::Const { dst, v } => Some((*dst, v)),
+            _ => None,
+        })
+        .collect();
+    let (mut pins, mut keep) = (Vec::new(), Vec::new());
+    let (mut kept_in, mut kept_out) = (Vec::new(), Vec::new());
+    for (&r, o) in state_in.iter().zip(state_out) {
+        let constant = match *o {
+            StateOut::Clone(c) if !written.contains(&c) && !written.contains(&r) => pool.get(&c),
+            _ => None,
+        };
+        keep.push(constant.is_none());
+        match constant {
+            Some(&v) => pins.push((r, v.clone())),
+            None => {
+                kept_in.push(r);
+                let (StateOut::Move(src) | StateOut::Clone(src)) = *o;
+                kept_out.push(src);
+            }
+        }
+    }
+    if pins.is_empty() {
+        return None;
+    }
+    let constant_bool = |r: &Reg| {
+        let pinned = pins.iter().find_map(|(p, v)| (p == r).then_some(v));
+        match pinned.or_else(|| pool.get(r).copied()) {
+            Some(MufValue::V(Value::Bool(b))) if !written.contains(r) => Some(*b),
+            _ => None,
+        }
+    };
+    let ops: Vec<Op> = ops
+        .iter()
+        .map(|op| match *op {
+            Op::Select { dst, cond, t, f } => match constant_bool(&cond) {
+                Some(b) => Op::Move {
+                    dst,
+                    src: if b { t } else { f },
+                },
+                None => op.clone(),
+            },
+            _ => op.clone(),
+        })
+        .collect();
+    let state_out = state_out_modes(&ops[prologue..], &kept_in, &kept_out);
+    let takes = last_uses(
+        &ops,
+        prologue,
+        &kept_in,
+        out.regs().into_iter().chain(kept_out),
+    );
+    Some(Steady {
+        pins,
+        keep,
+        ops,
+        takes,
+        state_in: kept_in,
+        state_out,
+    })
+}
+
 /// The prologue: the longest run of leading `Proj` ops whose sources are
 /// the tick input, captured-environment registers or earlier prologue
 /// registers. None of it depends on the particle, so the step runs it
@@ -1029,6 +1117,10 @@ fn lower_transition(
             &loaded,
             out.regs().into_iter().chain(out_regs),
         );
+        let steady = match driver {
+            true => None,
+            false => steady_program(&lw.consts, &ops, prologue, &state_in, &state_out, &out),
+        };
         return Ok(TapeProgram {
             consts: lw.consts,
             ops,
@@ -1044,6 +1136,7 @@ fn lower_transition(
             shape,
             body_ptr: Rc::as_ptr(&closure.body) as usize,
             reg_names: lw.reg_names,
+            steady,
         });
     }
 }

@@ -1416,3 +1416,196 @@ fn every_example_node_runs_on_the_tape() {
         }
     }
 }
+
+/// Steps an interpreter engine and a tape engine, both made by `mk`,
+/// through `inputs` under all five methods, resetting both before tick
+/// `reset_at`, so the ticks after the reset step particles on the tape's
+/// first-instant program again and then on its steady one. At every tick
+/// both must give the same outcome: the same error text, or identical
+/// posteriors with bit-identical means and variances.
+fn assert_reset_mid_stream_identical(
+    what: &str,
+    mk: impl Fn(Method, ExecBackend) -> MufEngine,
+    inputs: &[Value],
+    reset_at: usize,
+) {
+    for method in Method::ALL {
+        let run = |backend| -> Vec<Outcome> {
+            let mut engine = mk(method, backend);
+            let outcomes = inputs
+                .iter()
+                .enumerate()
+                .map(|(t, x)| {
+                    if t == reset_at {
+                        engine.reset();
+                    }
+                    engine.step(x).map_err(|e| e.to_string())
+                })
+                .collect();
+            if backend == ExecBackend::Tape {
+                assert_eq!(engine.tape_status(), Some(Ok(())), "{what} {method:?}");
+            }
+            outcomes
+        };
+        let expected = run(ExecBackend::Interp);
+        let got = run(ExecBackend::Tape);
+        for (t, (e, g)) in expected.iter().zip(&got).enumerate() {
+            assert_eq!(e, g, "{what} {method:?} tick {t}: backends differ");
+            if let (Ok(e), Ok(g)) = (e, g) {
+                let moments =
+                    |p: &Posterior| (p.mean_float().to_bits(), p.variance_float().to_bits());
+                assert_eq!(
+                    moments(e),
+                    moments(g),
+                    "{what} {method:?} tick {t}: moments"
+                );
+            }
+        }
+    }
+}
+
+/// A mid-stream `MufEngine::reset` puts every particle back on its
+/// initial slots: the next tick runs the first-instant program, the ones
+/// after it the steady program, bit for bit as the tree walker runs them.
+#[test]
+fn reset_mid_stream_matches_the_interpreter() {
+    let floats: Vec<Value> = float_inputs(14).into_iter().map(Value::Float).collect();
+    for (file, node, inputs) in [
+        ("hmm.zl", "hmm", floats),
+        ("robot.zl", "gps_acc_tracker", robot_inputs(14)),
+    ] {
+        let compiled = compile_source(&example(file)).expect("example compiles");
+        assert!(
+            lowered(&compiled, node).steady.is_some(),
+            "{node}: no steady program"
+        );
+        assert_reset_mid_stream_identical(
+            node,
+            |method, backend| engine(&compiled, node, 20, method, backend),
+            &inputs,
+            6,
+        );
+    }
+}
+
+/// Flags that the program can re-arm. Under `reset … every c`, the
+/// `->` of `rst` is re-armed from a copy of its initial state that the
+/// particle keeps (its running flag alone is `false` after every step);
+/// an automaton re-arms each state's flags on entry, so none of `auto`'s
+/// slots has a constant successor. `flagonly`'s whole state is one flag.
+const REARMED: &str = r#"
+    let node rst (y, c) = x where
+      rec a = sample (gaussian (0., 1.))
+      and x = reset (0. -> pre x + a) every c
+      and () = observe (gaussian (x, 1.), y)
+
+    let node auto y = x where
+      rec automaton
+          | Low -> do x = sample (gaussian ((0. -> pre x), 1.)) until y > 1. then High
+          | High -> do x = sample (gaussian ((5. -> pre x), 1.)) until y < 0. - 1. then Low
+      and () = observe (gaussian (x, 1.), y)
+
+    let node flagonly y = x where
+      rec c = 0. -> 1.
+      and x = sample (gaussian (c, 1.))
+      and () = observe (gaussian (x, 1.), y)
+"#;
+
+/// A `->` under `reset … every c` keeps the slot it is re-armed from,
+/// and the select on it, in the steady program; the node runs as on the
+/// tree walker under all five methods, across resets of both kinds.
+#[test]
+fn flags_under_reset_keep_their_slots() {
+    let compiled = compile_source(REARMED).expect("rearmed compiles");
+    let prog = lowered(&compiled, "rst");
+    let steady = prog
+        .steady
+        .as_ref()
+        .expect("rst: the running flag is constant");
+    let kept_flags = prog
+        .init_slots
+        .iter()
+        .zip(&steady.keep)
+        .filter(|&(v, &keep)| keep && matches!(v, MufValue::V(Value::Bool(true))))
+        .count();
+    assert_eq!(
+        kept_flags,
+        1,
+        "rst: the re-armed flag's slot: {}",
+        prog.render()
+    );
+    assert!(
+        steady.ops.iter().any(|op| matches!(op, Op::Select { .. })),
+        "rst: the re-armed select is gone: {}",
+        prog.render()
+    );
+    let inputs: Vec<Value> = float_inputs(14)
+        .into_iter()
+        .enumerate()
+        .map(|(t, y)| Value::pair(Value::Float(y), Value::Bool(t % 4 == 2)))
+        .collect();
+    assert_reset_mid_stream_identical(
+        "rst",
+        |method, backend| engine(&compiled, "rst", 10, method, backend),
+        &inputs,
+        7,
+    );
+}
+
+/// An automaton re-arms its states' flags, so no slot of its state is
+/// constant and the tape has no steady program; it runs as on the tree
+/// walker under all five methods, switching states both ways.
+#[test]
+fn automaton_flags_keep_their_slots() {
+    let compiled = compile_source(REARMED).expect("rearmed compiles");
+    assert!(lowered(&compiled, "auto").steady.is_none(), "auto");
+    let inputs: Vec<Value> = float_inputs(20).into_iter().map(Value::Float).collect();
+    assert!(
+        inputs.iter().any(|y| y.as_float().unwrap() > 1.0)
+            && inputs.iter().any(|y| y.as_float().unwrap() < -1.0),
+        "the inputs switch states both ways"
+    );
+    assert_reset_mid_stream_identical(
+        "auto",
+        |method, backend| engine(&compiled, "auto", 10, method, backend),
+        &inputs,
+        11,
+    );
+}
+
+/// A failed step leaves the particle no state on the tree walker, so its
+/// flags read `nil` at the next tick. On the tape a failed steady step
+/// gives the particle back the first-instant program's slots, all `nil`,
+/// so the next tick fails as the tree walker's does instead of reading
+/// the pinned `false`.
+#[test]
+fn failed_steady_step_leaves_no_flags() {
+    let compiled = compile_source(REARMED).expect("rearmed compiles");
+    let steady = lowered(&compiled, "flagonly").steady.expect("flagonly");
+    assert!(
+        steady.state_in.is_empty(),
+        "flagonly: {:?}",
+        steady.state_in
+    );
+    let inputs = [
+        Value::Float(0.5),
+        Value::Float(0.2),
+        Value::Bool(true),
+        Value::Float(0.3),
+    ];
+    for run in assert_outcomes_identical_under(
+        &Method::ALL,
+        "flagonly",
+        |method, backend| engine(&compiled, "flagonly", 4, method, backend),
+        &inputs,
+    ) {
+        assert!(run[1].is_ok() && run[2].is_err(), "{run:?}");
+        assert!(
+            run[3]
+                .as_ref()
+                .is_err_and(|e| e.contains("uninitialized distribution")),
+            "the failed step left a flag: {:?}",
+            run[3]
+        );
+    }
+}

@@ -11,7 +11,7 @@ use probzelus_core::Value;
 use probzelus_lang::compile::init_name;
 use probzelus_lang::eval::{ExecBackend, Interp, Options, ProbSlot};
 use probzelus_lang::pipeline::{compile_source, Compiled};
-use probzelus_lang::tape::Op;
+use probzelus_lang::tape::{Op, Reg};
 use probzelus_lang::{MufValue, OpName};
 
 fn example(file: &str) -> String {
@@ -125,6 +125,22 @@ fn hmm_tape_is_fully_flattened() {
     assert_eq!(prog.prologue, 0, "hmm prologue");
     // The state is the memory of `pre x` and the two `->` flags.
     assert_eq!(prog.state_in.len(), 3, "hmm state slots");
+    // After a particle's first step the flags are `false` for good: the
+    // steady program keeps only the memory, and its tape is the model's
+    // sample and observe with the two flag selects turned into moves.
+    let steady = prog.steady.as_ref().expect("hmm has a steady program");
+    assert_eq!(steady.state_in.len(), 1, "hmm steady state slots");
+    assert_eq!(steady.keep, [true, false, false], "hmm kept slots");
+    assert_eq!(
+        fused_counts("hmm steady", &steady.ops),
+        (1, 1),
+        "the steady hmm samples and observes once per tick"
+    );
+    assert!(
+        !steady.ops.iter().any(|op| matches!(op, Op::Select { .. })),
+        "hmm steady: a select is left: {:?}",
+        steady.ops
+    );
     // The transition captures nothing from its environment.
     assert!(prog.env_slots.is_empty(), "hmm env slots");
     // The driver node hosts the `infer`: its tape is one op that steps
@@ -160,6 +176,72 @@ fn robot_tracker_tape_is_fully_flattened() {
     // The state is the nine memories and `->` flags of the tracker and
     // its integrators.
     assert_eq!(prog.state_in.len(), 9, "gps_acc_tracker state slots");
+    // Five of them are flags, constant after the first step: the steady
+    // program keeps the four memories and selects on no flag.
+    let steady = prog
+        .steady
+        .as_ref()
+        .expect("gps_acc_tracker has a steady program");
+    assert_eq!(steady.state_in.len(), 4, "gps_acc_tracker steady slots");
+    let pinned: Vec<Reg> = steady.pins.iter().map(|(r, _)| *r).collect();
+    assert_eq!(pinned.len(), 5, "gps_acc_tracker pinned flags");
+    assert!(
+        !steady
+            .ops
+            .iter()
+            .any(|op| matches!(op, Op::Select { cond, .. } if pinned.contains(cond))),
+        "gps_acc_tracker steady: a flag select is left: {:?}",
+        steady.ops
+    );
+    assert_eq!(fused_counts("gps_acc_tracker steady", &steady.ops), (1, 2));
+    assert_eq!(steady.ops.len(), prog.ops.len(), "one op for one op");
+}
+
+/// An engine's particles step on the first-instant program at their
+/// first tick, and on the steady program at every later one, after a
+/// reset too.
+#[test]
+fn engines_switch_to_the_steady_program_after_the_first_tick() {
+    for (file, node, input) in [
+        ("hmm.zl", "hmm", Value::Float(0.5)),
+        (
+            "robot.zl",
+            "gps_acc_tracker",
+            Value::pair(
+                Value::Float(0.1),
+                Value::pair(
+                    Value::Bool(true),
+                    Value::pair(Value::Float(0.2), Value::Float(0.0)),
+                ),
+            ),
+        ),
+    ] {
+        let compiled = compile_source(&example(file)).expect("example compiles");
+        for method in Method::ALL {
+            let options = Options {
+                method,
+                ..options()
+            };
+            let mut engine = compiled
+                .infer_node(node, 20, options)
+                .unwrap_or_else(|e| panic!("{node}: {e}"));
+            assert_eq!(engine.tape_programs_run(), None, "{node}: not lowered yet");
+            for round in 0..2 {
+                let mut ran = Vec::new();
+                for _ in 0..3 {
+                    engine.step(&input).expect("step");
+                    ran.push(engine.tape_programs_run());
+                }
+                let (first, steady) = (Some((true, false)), Some((false, true)));
+                assert_eq!(
+                    ran,
+                    [first, steady, steady],
+                    "{node} {method:?} round {round}: programs per tick"
+                );
+                engine.reset();
+            }
+        }
+    }
 }
 
 /// The initial state a node's particles start from, computed the way the
