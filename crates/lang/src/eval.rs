@@ -482,9 +482,8 @@ impl Interp {
 /// an operator per op per particle, where a `Vec` would cost one
 /// allocation each time. A data operand is borrowed where it lies (a
 /// clone of a distribution or an array would allocate); only a tuple is
-/// converted. Callers that must own the operands (a distribution owns
-/// its parameters) take them with [`Cow::into_owned`].
-pub(crate) fn core_args<'a>(
+/// converted.
+fn core_args<'a>(
     args: impl ExactSizeIterator<Item = &'a MufValue>,
 ) -> Result<([Cow<'a, Value>; 3], usize), LangError> {
     let n = args.len();
@@ -782,7 +781,7 @@ impl Model for MufModel {
                 return Ok(crate::tape::step_model(
                     &self.interp,
                     cell,
-                    &shared,
+                    shared,
                     &self.closure,
                     &mut self.state,
                     ctx,
@@ -1133,7 +1132,7 @@ impl Instance {
         });
         let out = match tape {
             Some(shared) => {
-                crate::tape::step_driver(&self.interp, &shared, &self.step, &mut self.state, input)
+                crate::tape::step_driver(&self.interp, shared, &self.step, &mut self.state, input)
             }
             None => self.step_interp(input),
         };

@@ -27,8 +27,9 @@
 //! A particle's first step runs the whole program. After it, every `->`
 //! flag that nothing re-arms is `false` for good, so each later step runs
 //! the tape's steady program ([`Steady`]) on a register file of its own,
-//! where the flags are constants: the particle drops their slots, and the
-//! selects on them are moves.
+//! where the flags are constants: the particle drops their slots, the
+//! selects on them are moves, and copy propagation then points the moves'
+//! readers at their sources, so the moves go.
 //!
 //! Registers are copied when read, except on their last read: lowering
 //! marks the operands no later op reads ([`TapeProgram::takes`]), and
@@ -57,15 +58,12 @@
 
 use crate::ast::OpName;
 use crate::error::{LangError, Stage};
-use crate::eval::{
-    core_args, dist_expr, outside_infer, uninitialized_dist, Interp, ModelState, ProbSlot,
-};
+use crate::eval::{dist_expr, outside_infer, uninitialized_dist, Interp, ModelState, ProbSlot};
 use crate::muf::{Closure, MufExpr, MufPat, MufValue};
 use probzelus_core::ops;
 use probzelus_core::prob::ProbCtx;
 use probzelus_core::value::{DistExpr, Value};
-use std::borrow::Cow;
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 
 /// A register index into the tape's dense register file.
@@ -274,7 +272,7 @@ pub struct InferSite {
 
 impl Op {
     /// The register this op writes, if any.
-    pub(crate) fn dst(&self) -> Option<Reg> {
+    pub fn dst(&self) -> Option<Reg> {
         match self {
             Op::Const { dst, .. }
             | Op::Move { dst, .. }
@@ -299,32 +297,48 @@ impl Op {
         }
     }
 
-    /// The registers this op reads.
-    pub(crate) fn reads(&self) -> Vec<Reg> {
+    /// The registers this op reads, in the order of [`Op::rename_reads`]
+    /// (bit `i` of a [`TapeProgram::takes`] mask stands for the `i`-th).
+    pub fn reads(&self) -> Vec<Reg> {
+        let mut reads = Vec::new();
+        self.clone().rename_reads(|r| {
+            reads.push(r);
+            r
+        });
+        reads
+    }
+
+    /// Rewrites every register this op reads through `map`, operands in
+    /// order: `Move`, `Proj`: `src`; `Select`: `cond`, `t`, `f`; `BinOp`:
+    /// `a`, `b`; `AddMul`: `x`, `a`, `b`; a fused op its arguments, then
+    /// the observation; `Infer` its captures, then the engine.
+    pub(crate) fn rename_reads(&mut self, mut map: impl FnMut(Reg) -> Reg) {
+        let mut one = |r: &mut Reg| *r = map(*r);
         match self {
-            Op::Const { .. } | Op::Jmp { .. } | Op::Halt => vec![],
+            Op::Const { .. } | Op::Jmp { .. } | Op::Halt => {}
             Op::Move { src, .. }
             | Op::Proj { src, .. }
             | Op::Value { src, .. }
-            | Op::Freshen { src, .. } => vec![*src],
-            Op::UnOp { a, .. } => vec![*a],
-            Op::BinOp { a, b, .. } => vec![*a, *b],
-            Op::AddMul { x, a, b, .. } => vec![*x, *a, *b],
-            Op::TernOp { a, b, c, .. } => vec![*a, *b, *c],
-            Op::MkTuple { items, .. } => items.clone(),
-            Op::Select { cond, t, f, .. } => vec![*cond, *t, *f],
-            Op::Sample { dist, .. } => vec![*dist],
-            Op::Observe { dist, obs } => vec![*dist, *obs],
-            Op::SampleDist { args, .. } => args.clone(),
-            Op::ObserveDist { args, obs, .. } => args.iter().chain([obs]).copied().collect(),
-            Op::Factor { w } => vec![*w],
-            Op::JmpIfNot { cond, .. } => vec![*cond],
+            | Op::Freshen { src, .. } => one(src),
+            Op::UnOp { a, .. } => one(a),
+            Op::BinOp { a, b, .. } => [a, b].into_iter().for_each(&mut one),
+            Op::AddMul { x, a, b, .. } => [x, a, b].into_iter().for_each(&mut one),
+            Op::TernOp { a, b, c, .. } => [a, b, c].into_iter().for_each(&mut one),
+            Op::MkTuple { items, .. } | Op::SampleDist { args: items, .. } => {
+                items.iter_mut().for_each(&mut one)
+            }
+            Op::Select { cond, t, f, .. } => [cond, t, f].into_iter().for_each(&mut one),
+            Op::Sample { dist, .. } => one(dist),
+            Op::Observe { dist, obs } => [dist, obs].into_iter().for_each(&mut one),
+            Op::ObserveDist { args, obs, .. } => args.iter_mut().chain([obs]).for_each(&mut one),
+            Op::Factor { w } => one(w),
+            Op::JmpIfNot { cond, .. } => one(cond),
             Op::Infer { engine, site, .. } => site
                 .captures
-                .iter()
-                .map(|(_, r)| *r)
-                .chain([*engine])
-                .collect(),
+                .iter_mut()
+                .map(|(_, r)| r)
+                .chain([engine])
+                .for_each(&mut one),
         }
     }
 }
@@ -342,7 +356,7 @@ pub enum OutSpec {
 
 impl OutSpec {
     /// Every register the output reads.
-    pub(crate) fn regs(&self) -> Vec<Reg> {
+    pub fn regs(&self) -> Vec<Reg> {
         match self {
             OutSpec::Reg(r) => vec![*r],
             OutSpec::Tuple(items) => items.iter().flat_map(OutSpec::regs).collect(),
@@ -443,7 +457,8 @@ pub struct TapeProgram {
 /// constant from a particle's second step on. The steady program pins the
 /// slot's register to the constant in a register file of its own, so no
 /// step loads or stores it, and each `Select` on a constant condition is
-/// a `Move` of the branch it picks. It shares the first-instant program's register
+/// a `Move` of the branch it picks, whose readers then read that branch
+/// directly (copy propagation). It shares the first-instant program's register
 /// numbering, constant pool, environment slots, input, prologue length
 /// and output; only its code and state conventions are its own.
 #[derive(Debug, Clone)]
@@ -455,14 +470,17 @@ pub struct Steady {
     /// after its first step.
     pub keep: Vec<bool>,
     /// The instruction stream: the first-instant program's, with each
-    /// `Select` on a constant condition turned into a `Move`.
+    /// `Select` on a constant condition turned into a `Move`, then copies
+    /// propagated: the moves whose readers can read their source instead
+    /// are gone, and so are the unread moves and the jumps over nothing.
     pub ops: Vec<Op>,
     /// Per op, the operands it reads for the last time, derived for
     /// `ops` as [`TapeProgram::takes`] is.
     pub takes: Vec<u8>,
     /// The kept slots' state-in registers.
     pub state_in: Vec<Reg>,
-    /// The kept slots' successor-state sources.
+    /// The kept slots' successor-state sources, after copy propagation
+    /// (a slot may take another slot's state-in register unchanged).
     pub state_out: Vec<StateOut>,
 }
 
@@ -609,7 +627,7 @@ impl TapeShared {
 /// back. An engine that is never stepped never lowers.
 #[derive(Debug, Default)]
 pub struct TapeCell {
-    attempt: RefCell<Option<Result<Rc<TapeShared>, String>>>,
+    attempt: OnceCell<Result<TapeShared, String>>,
     /// Bumped by the engine at the start of every tick.
     tick: Cell<u64>,
 }
@@ -627,17 +645,14 @@ impl TapeCell {
     }
 
     /// The installed tape, if lowering has succeeded.
-    pub fn ready(&self) -> Option<Rc<TapeShared>> {
-        match &*self.attempt.borrow() {
-            Some(Ok(shared)) => Some(shared.clone()),
-            _ => None,
-        }
+    pub fn ready(&self) -> Option<&TapeShared> {
+        self.attempt.get()?.as_ref().ok()
     }
 
     /// Human-readable status: `Ok(())` when lowered, `Err(reason)` when
     /// pending or refused.
     pub fn status(&self) -> Result<(), String> {
-        match &*self.attempt.borrow() {
+        match self.attempt.get() {
             None => Err("tape not lowered yet (no step taken)".into()),
             Some(Ok(_)) => Ok(()),
             Some(Err(e)) => Err(e.clone()),
@@ -649,15 +664,11 @@ impl TapeCell {
     pub(crate) fn ensure(
         &self,
         lower: impl FnOnce() -> Result<TapeProgram, String>,
-    ) -> Option<Rc<TapeShared>> {
-        let mut attempt = self.attempt.borrow_mut();
-        if attempt.is_none() {
-            *attempt = Some(lower().map(|p| Rc::new(TapeShared::new(p))));
-        }
-        match attempt.as_ref() {
-            Some(Ok(shared)) => Some(shared.clone()),
-            _ => None,
-        }
+    ) -> Option<&TapeShared> {
+        self.attempt
+            .get_or_init(|| lower().map(TapeShared::new))
+            .as_ref()
+            .ok()
     }
 }
 
@@ -756,7 +767,7 @@ fn store_state(code: Code<'_>, slots: &mut [MufValue], regs: &mut [MufValue]) {
 pub(crate) fn step_model(
     interp: &Rc<Interp>,
     cell: &TapeCell,
-    shared: &Rc<TapeShared>,
+    shared: &TapeShared,
     closure_slot: &RefCell<MufValue>,
     state: &mut ModelState,
     ctx: &mut dyn ProbCtx,
@@ -1235,14 +1246,25 @@ fn dist_of(v: &MufValue) -> Result<&DistExpr, LangError> {
 
 /// Builds a fused op's distribution on the stack with the semantics of
 /// the constructor op followed by `Interp::eval_dist`: a `nil` argument
-/// poisons the constructor to `nil`, which `sample`/`observe` reject.
+/// poisons the constructor to `nil`, which `sample`/`observe` reject, and
+/// only then is any argument converted. Each parameter is built straight
+/// from its register: a data value is cloned (the distribution owns its
+/// parameters), anything else converts as the interpreter's operands do
+/// ([`MufValue::as_core`]: a tuple becomes nested pairs, a closure fails).
+/// Lowering fuses only unary and binary constructors, so `args` has at
+/// most two registers.
 fn fused_dist(op: OpName, args: &[Reg], regs: &[MufValue]) -> Result<DistExpr, LangError> {
-    let args = args.iter().map(|&r| &regs[r as usize]);
-    if args.clone().any(MufValue::is_nil) {
+    if args.iter().any(|&r| regs[r as usize].is_nil()) {
         return Err(uninitialized_dist());
     }
-    let (vals, _) = core_args(args)?;
-    dist_expr(op, vals.map(Cow::into_owned))
+    let mut vals: [Value; 3] = Default::default();
+    for (val, &r) in vals.iter_mut().zip(args) {
+        *val = match &regs[r as usize] {
+            MufValue::V(v) => v.clone(),
+            other => other.as_core()?,
+        };
+    }
+    dist_expr(op, vals)
         .ok_or_else(|| LangError::new(Stage::Eval, format!("{op:?} builds no distribution")))
 }
 

@@ -38,7 +38,9 @@
 //! the tape takes instead of copying. A particle tape then gets its steady
 //! program (`steady_program`), which every step after a particle's first
 //! runs: the slots that are constant from then on, such as the `->`
-//! flags, become constants, and the selects on them moves.
+//! flags, become constants, the selects on them moves, and copy
+//! propagation ([`propagate_copies`]) hands each move's readers its
+//! source, so the moves go.
 
 use crate::ast::OpName;
 use crate::eval::{const_value, dist_expr, Interp};
@@ -813,12 +815,127 @@ fn fuse_pairs(ops: Vec<Op>, out: &OutSpec, state_out: &[Reg]) -> Vec<Op> {
         }
     }
     new_at.push(fused.len() as u32);
-    for op in &mut fused {
+    retarget(&mut fused, &new_at);
+    fused
+}
+
+/// Points every jump of a rewritten tape at the new index of its target:
+/// `new_at[i]` is where old op `i` now is, or for a dropped op the next
+/// op that is kept.
+fn retarget(ops: &mut [Op], new_at: &[u32]) {
+    for op in ops {
         if let Op::Jmp { target } | Op::JmpIfNot { target, .. } = op {
             *target = new_at[*target as usize];
         }
     }
-    fused
+}
+
+/// Copy propagation over a steady program, where the selects on pinned
+/// flags have become moves. A `Move` hands its readers its source instead
+/// of its destination when
+///
+/// - no other op writes the destination, and the destination is not an
+///   output register (the output is shared with the first-instant
+///   program, so a move into it stays);
+/// - no op after the move writes the source, so the source holds the
+///   moved value wherever the destination would: a constant, a pinned or
+///   state-in register, a prologue register, or a register written once
+///   before the move;
+/// - the move runs on every path to each reader: every reader comes after
+///   it, and no jump from before it lands between it and the reader (the
+///   end, for a successor-state slot). A join register, written in both
+///   arms of an `if`, is never a candidate.
+///
+/// Chains resolve in tape order, so a copy of a copy reads the first
+/// source. Then every `Move` whose destination nothing reads is dropped,
+/// until none is left, and so is every `Jmp` that only skips dropped ops;
+/// jump targets are remapped as [`fuse_pairs`] does. Returns the new ops
+/// and each successor-state slot's new source.
+fn propagate_copies(mut ops: Vec<Op>, out: &OutSpec, state_out: &[Reg]) -> (Vec<Op>, Vec<Reg>) {
+    let end = ops.len();
+    let mut writes: HashMap<Reg, Vec<usize>> = HashMap::new();
+    let mut reads: HashMap<Reg, Vec<usize>> = HashMap::new();
+    let mut jumps = Vec::new();
+    for (pc, op) in ops.iter().enumerate() {
+        if let Some(d) = op.dst() {
+            writes.entry(d).or_default().push(pc);
+        }
+        for r in op.reads() {
+            reads.entry(r).or_default().push(pc);
+        }
+        if let Op::Jmp { target } | Op::JmpIfNot { target, .. } = *op {
+            jumps.push((pc, target as usize));
+        }
+    }
+    for &r in state_out {
+        reads.entry(r).or_default().push(end);
+    }
+    let outputs = out.regs();
+    // Whether the op at `m` runs on every path to `k`.
+    let dominates =
+        |m: usize, k: usize| m < k && !jumps.iter().any(|&(j, t)| j < m && m < t && t <= k);
+    let mut subst: HashMap<Reg, Reg> = HashMap::new();
+    for (m, op) in ops.iter().enumerate() {
+        let Op::Move { dst, src } = *op else {
+            continue;
+        };
+        let candidate = writes[&dst] == [m]
+            && !outputs.contains(&dst)
+            && writes.get(&src).is_none_or(|w| w.iter().all(|&pc| pc < m))
+            && reads
+                .get(&dst)
+                .is_none_or(|rs| rs.iter().all(|&k| dominates(m, k)));
+        if candidate {
+            let src = subst.get(&src).copied().unwrap_or(src);
+            subst.insert(dst, src);
+        }
+    }
+    let rename = |r: Reg| subst.get(&r).copied().unwrap_or(r);
+    for op in &mut ops {
+        op.rename_reads(rename);
+    }
+    let state_out: Vec<Reg> = state_out.iter().map(|&r| rename(r)).collect();
+    // Dead moves, to a fixpoint: a dropped move may have been the last
+    // reader of another move's destination.
+    let mut dropped = vec![false; end];
+    loop {
+        let mut read: HashSet<Reg> = outputs.iter().chain(&state_out).copied().collect();
+        for (op, _) in ops.iter().zip(&dropped).filter(|(_, &d)| !d) {
+            read.extend(op.reads());
+        }
+        let mut changed = false;
+        for (op, d) in ops.iter().zip(&mut dropped) {
+            if let Op::Move { dst, .. } = op {
+                if !*d && !read.contains(dst) {
+                    *d = true;
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    // A jump over nothing but dropped ops goes to the next op. Deciding
+    // from the back settles the jumps a jump skips before the jump.
+    for pc in (0..end).rev() {
+        if let Op::Jmp { target } = ops[pc] {
+            dropped[pc] = dropped
+                .get(pc + 1..target as usize)
+                .is_some_and(|skipped| skipped.iter().all(|&d| d));
+        }
+    }
+    let mut new_at = Vec::with_capacity(end + 1);
+    let mut kept = Vec::with_capacity(end);
+    for (op, d) in ops.into_iter().zip(dropped) {
+        new_at.push(kept.len() as u32);
+        if !d {
+            kept.push(op);
+        }
+    }
+    new_at.push(kept.len() as u32);
+    retarget(&mut kept, &new_at);
+    (kept, state_out)
 }
 
 /// The steady program of a particle tape (see [`Steady`]). A slot whose
@@ -827,9 +944,10 @@ fn fuse_pairs(ops: Vec<Op>, out: &OutSpec, state_out: &[Reg]) -> Vec<Op> {
 /// the steady program pins its register to the constant and drops the
 /// slot; each `Select` whose condition is then a constant boolean becomes
 /// a `Move` of the branch it picks, which is the `Select`'s own result.
-/// Last uses and state-out modes are derived afresh for the rewritten
-/// code, where a pinned register is a constant like any other. `None`
-/// when no slot is constant.
+/// Copy propagation ([`propagate_copies`]) then removes the moves whose
+/// readers can read their source. Last uses and state-out modes are
+/// derived afresh for the rewritten code, where a pinned register is a
+/// constant like any other. `None` when no slot is constant.
 fn steady_program(
     consts: &[Op],
     ops: &[Op],
@@ -886,6 +1004,7 @@ fn steady_program(
             _ => op.clone(),
         })
         .collect();
+    let (ops, kept_out) = propagate_copies(ops, out, &kept_out);
     let state_out = state_out_modes(&ops[prologue..], &kept_in, &kept_out);
     let takes = last_uses(
         &ops,

@@ -709,6 +709,101 @@ fn nil_distribution_argument_errors_like_the_interpreter() {
     }
 }
 
+/// A fused constructor whose arguments are not all plain data fails the
+/// tick with the tree walker's error text under PF and SDS, whether it
+/// feeds a `sample` or an `observe`. The transitions are µF over a unit
+/// state with input `y`, each fusing `gaussian(mean, var)` or
+/// `bernoulli(p)`:
+///
+/// - a `nil` argument poisons the constructor (as in
+///   `nil_distribution_argument_errors_like_the_interpreter`), and that
+///   check runs before any argument converts: with a closure mean and a
+///   `nil` variance the error is the `nil` one, not the closure's;
+/// - a tuple argument converts to a core pair, and so fails in the
+///   distribution, or in its conversion when it holds a `nil`;
+/// - a closure argument fails to convert;
+/// - an invalid parameter (a negative variance, a probability above 1)
+///   builds a distribution that `sample`/`observe` reject.
+#[test]
+fn fused_distribution_errors_match_the_interpreter() {
+    let nil = || MufExpr::Const(Const::Nil);
+    let pair = |a, b| MufExpr::Tuple(vec![a, b]);
+    let gaussian2 = |mean, var| MufExpr::Op(OpName::Gaussian, vec![mean, var]);
+    let cases: Vec<(&str, MufExpr, &str)> = vec![
+        (
+            "closure_and_nil",
+            gaussian2(var("id"), nil()),
+            "uninitialized distribution; guard delays with `->`",
+        ),
+        ("tuple", gaussian2(pair(var("y"), var("y")), float(1.0)), ""),
+        (
+            "tuple_with_nil",
+            gaussian2(pair(var("y"), nil()), float(1.0)),
+            "uninitialized value (`nil`) observed",
+        ),
+        (
+            "closure",
+            gaussian2(var("id"), float(1.0)),
+            "expected a data value, found a closure",
+        ),
+        ("negative_variance", gaussian2(var("y"), float(-1.0)), ""),
+        (
+            "probability_above_one",
+            MufExpr::Op(OpName::Bernoulli, vec![float(1.5)]),
+            "",
+        ),
+    ];
+    let pat = || MufPat::pair(MufPat::Wildcard, MufPat::var("y"));
+    let unit = || MufExpr::Const(Const::Unit);
+    let mut defs = Vec::new();
+    for (name, dist, _) in &cases {
+        defs.push((
+            format!("sample_{name}"),
+            MufExpr::Tuple(vec![MufExpr::Sample(Box::new(dist.clone())), unit()]),
+        ));
+        defs.push((
+            format!("observe_{name}"),
+            MufExpr::Let(
+                MufPat::Unit,
+                Box::new(MufExpr::Observe(
+                    Box::new(dist.clone()),
+                    Box::new(float(1.0)),
+                )),
+                Box::new(MufExpr::Tuple(vec![var("y"), unit()])),
+            ),
+        ));
+    }
+    let muf = Muf::new(
+        MufValue::unit(),
+        defs.iter()
+            .map(|(name, body)| (name.as_str(), pat(), body.clone()))
+            .collect(),
+    )
+    .def("id", MufExpr::Fun(MufPat::var("x"), Rc::new(var("x"))));
+    let inputs: Vec<Value> = float_inputs(4).into_iter().map(Value::Float).collect();
+    for (name, _, error) in &cases {
+        for what in [format!("sample_{name}"), format!("observe_{name}")] {
+            let ops = muf.tape(&what).ops;
+            assert!(
+                ops.iter()
+                    .any(|op| matches!(op, Op::SampleDist { .. } | Op::ObserveDist { .. })),
+                "{what}: no fused op: {ops:?}"
+            );
+            let outcomes = assert_outcomes_identical(
+                &what,
+                |method, backend| muf.engine(&what, method, backend),
+                &inputs,
+            );
+            for o in outcomes.iter().flatten() {
+                assert!(
+                    o.as_ref().is_err_and(|e| e.contains(error)),
+                    "{what}: expected an error with {error:?}, got {o:?}"
+                );
+            }
+        }
+    }
+}
+
 /// A node whose output and one state leaf (`pre b`) are components of
 /// its input: on the tape both are prologue registers, loaded once per
 /// tick and read by every particle, so stepping must clone them out,
@@ -1608,4 +1703,60 @@ fn failed_steady_step_leaves_no_flags() {
             run[3]
         );
     }
+}
+
+/// Copy propagation in a steady program next to what it must leave alone:
+/// the `present` join `z` feeds the output and its own `pre z` slot, and
+/// is written in both arms, so its moves stay; the `->` inside the `else`
+/// arm is re-armed only when that arm runs, so it keeps its slot; and
+/// `pre (0. -> pre x)` passes the `pre x` slot to the next one unchanged
+/// once its flag is constant (`gps_acc_tracker`'s slot 0 to slot 3).
+const JOINS: &str = r#"
+    let node joins (y, c) = z where
+      rec x = sample (gaussian (0. -> pre x, 1.))
+      and z = present c -> x else (0. -> pre z)
+      and w = 0. -> pre (0. -> pre x)
+      and () = observe (gaussian (z + w, 1.), y)
+"#;
+
+/// The steady program of `joins` reads through its copies, keeps its join
+/// moves, passes a state-in register straight to the successor state, and
+/// runs as on the tree walker under all five methods, across a reset.
+#[test]
+fn copy_propagation_keeps_joins_and_passes_slots_through() {
+    let compiled = compile_source(JOINS).expect("joins compiles");
+    let prog = lowered(&compiled, "joins");
+    let steady = prog.steady.as_ref().expect("joins has a steady program");
+    let probzelus_lang::tape::OutSpec::Reg(z) = prog.out else {
+        panic!("joins: output {:?}", prog.out);
+    };
+    let writes = |r| steady.ops.iter().filter(|op| op.dst() == Some(r)).count();
+    assert_eq!(writes(z), 2, "joins: the join's moves: {}", prog.render());
+    let outs: Vec<u32> = steady
+        .state_out
+        .iter()
+        .map(|o| match *o {
+            StateOut::Move(r) | StateOut::Clone(r) => r,
+        })
+        .collect();
+    assert!(outs.contains(&z), "joins: `pre z` reads the join: {outs:?}");
+    assert!(
+        outs.iter().any(|r| steady.state_in.contains(r)),
+        "joins: no slot passes through: {}",
+        prog.render()
+    );
+    // `c` holds for the first ticks after the start and after the reset,
+    // so steady steps carry the `else` arm's flag through the `then` arm
+    // before the `else` arm first reads it.
+    let inputs: Vec<Value> = float_inputs(16)
+        .into_iter()
+        .enumerate()
+        .map(|(t, y)| Value::pair(Value::Float(y), Value::Bool(!matches!(t % 7, 3 | 5))))
+        .collect();
+    assert_reset_mid_stream_identical(
+        "joins",
+        |method, backend| engine(&compiled, "joins", 10, method, backend),
+        &inputs,
+        7,
+    );
 }

@@ -11,7 +11,7 @@ use probzelus_core::Value;
 use probzelus_lang::compile::init_name;
 use probzelus_lang::eval::{ExecBackend, Interp, Options, ProbSlot};
 use probzelus_lang::pipeline::{compile_source, Compiled};
-use probzelus_lang::tape::{Op, Reg};
+use probzelus_lang::tape::{Op, Reg, StateOut};
 use probzelus_lang::{MufValue, OpName};
 
 fn example(file: &str) -> String {
@@ -50,24 +50,35 @@ fn render_all(compiled: &Compiled) -> String {
     out
 }
 
-#[test]
-fn hmm_tape_matches_golden() {
-    let compiled = compile_source(&example("hmm.zl")).expect("hmm compiles");
+/// Asserts that `pzc emit --tape examples/zelus/<file>` reproduces
+/// `tests/golden/<golden>`.
+fn assert_matches_golden(file: &str, golden_file: &str) {
+    let compiled = compile_source(&example(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
     assert_eq!(
         render_all(&compiled),
-        golden("hmm_tape.txt"),
-        "hmm tape drifted from tests/golden/hmm_tape.txt"
+        golden(golden_file),
+        "{file}: tape drifted from tests/golden/{golden_file}"
     );
 }
 
 #[test]
+fn hmm_tape_matches_golden() {
+    assert_matches_golden("hmm.zl", "hmm_tape.txt");
+}
+
+#[test]
 fn robot_tape_matches_golden() {
-    let compiled = compile_source(&example("robot.zl")).expect("robot compiles");
-    assert_eq!(
-        render_all(&compiled),
-        golden("robot_tape.txt"),
-        "robot tape drifted from tests/golden/robot_tape.txt"
-    );
+    assert_matches_golden("robot.zl", "robot_tape.txt");
+}
+
+#[test]
+fn coin_tape_matches_golden() {
+    assert_matches_golden("coin.zl", "coin_tape.txt");
+}
+
+#[test]
+fn counter_tape_matches_golden() {
+    assert_matches_golden("counter.zl", "counter_tape.txt");
 }
 
 /// A distribution-constructor operator (`gaussian(..)` and friends): its
@@ -127,19 +138,33 @@ fn hmm_tape_is_fully_flattened() {
     assert_eq!(prog.state_in.len(), 3, "hmm state slots");
     // After a particle's first step the flags are `false` for good: the
     // steady program keeps only the memory, and its tape is the model's
-    // sample and observe with the two flag selects turned into moves.
+    // sample and observe alone. The flag selects became moves, and copy
+    // propagation hands the fused sample their sources: `pre x` and the
+    // constant variance.
     let steady = prog.steady.as_ref().expect("hmm has a steady program");
-    assert_eq!(steady.state_in.len(), 1, "hmm steady state slots");
+    assert_eq!(steady.state_in, [0], "hmm steady state slots");
     assert_eq!(steady.keep, [true, false, false], "hmm kept slots");
-    assert_eq!(
-        fused_counts("hmm steady", &steady.ops),
-        (1, 1),
-        "the steady hmm samples and observes once per tick"
+    assert_ops(
+        "hmm steady",
+        &steady.ops,
+        &[
+            Op::SampleDist {
+                op: OpName::Gaussian,
+                dst: 10,
+                args: vec![0, 7],
+            },
+            Op::ObserveDist {
+                op: OpName::Gaussian,
+                args: vec![10, 11],
+                obs: 3,
+            },
+            Op::Halt,
+        ],
     );
-    assert!(
-        !steady.ops.iter().any(|op| matches!(op, Op::Select { .. })),
-        "hmm steady: a select is left: {:?}",
-        steady.ops
+    assert_eq!(
+        steady.state_out,
+        [StateOut::Move(10)],
+        "hmm steady state_out"
     );
     // The transition captures nothing from its environment.
     assert!(prog.env_slots.is_empty(), "hmm env slots");
@@ -177,24 +202,74 @@ fn robot_tracker_tape_is_fully_flattened() {
     // its integrators.
     assert_eq!(prog.state_in.len(), 9, "gps_acc_tracker state slots");
     // Five of them are flags, constant after the first step: the steady
-    // program keeps the four memories and selects on no flag.
+    // program keeps the four memories, and its selects on the flags are
+    // gone. Copy propagation leaves one move, into the output register,
+    // which the first-instant program shares. The fused ops and the
+    // integrators read the sample and the sums directly, `value` reads
+    // `pre (pre a)` from its slot, slot 0 (`pre a`) passes to slot 3
+    // unchanged, and the `present`'s unread join moves and the jump over
+    // them are gone.
     let steady = prog
         .steady
         .as_ref()
         .expect("gps_acc_tracker has a steady program");
-    assert_eq!(steady.state_in.len(), 4, "gps_acc_tracker steady slots");
-    let pinned: Vec<Reg> = steady.pins.iter().map(|(r, _)| *r).collect();
-    assert_eq!(pinned.len(), 5, "gps_acc_tracker pinned flags");
-    assert!(
-        !steady
-            .ops
-            .iter()
-            .any(|op| matches!(op, Op::Select { cond, .. } if pinned.contains(cond))),
-        "gps_acc_tracker steady: a flag select is left: {:?}",
-        steady.ops
+    let proj = |dst, src, idx| Op::Proj {
+        dst,
+        src,
+        idx,
+        arity: 2,
+    };
+    let add_mul = |dst, x, a, b| Op::AddMul {
+        dst,
+        x,
+        a,
+        b,
+        product_first: false,
+    };
+    assert_ops(
+        "gps_acc_tracker steady",
+        &steady.ops,
+        &[
+            proj(10, 9, 0),
+            proj(11, 9, 1),
+            proj(12, 11, 0),
+            proj(13, 11, 1),
+            proj(14, 13, 0),
+            proj(15, 13, 1),
+            Op::SampleDist {
+                op: OpName::Gaussian,
+                dst: 19,
+                args: vec![15, 17],
+            },
+            Op::ObserveDist {
+                op: OpName::Gaussian,
+                args: vec![19, 21],
+                obs: 10,
+            },
+            add_mul(27, 5, 19, 25),
+            add_mul(33, 7, 27, 31),
+            Op::Move { dst: 34, src: 33 },
+            Op::Value { dst: 38, src: 3 },
+            Op::JmpIfNot {
+                cond: 12,
+                target: 14,
+            },
+            Op::ObserveDist {
+                op: OpName::Gaussian,
+                args: vec![34, 44],
+                obs: 14,
+            },
+            Op::Halt,
+        ],
     );
-    assert_eq!(fused_counts("gps_acc_tracker steady", &steady.ops), (1, 2));
-    assert_eq!(steady.ops.len(), prog.ops.len(), "one op for one op");
+    let pinned: Vec<Reg> = steady.pins.iter().map(|(r, _)| *r).collect();
+    assert_eq!(pinned, [1, 2, 4, 6, 8], "gps_acc_tracker pinned flags");
+    assert_eq!(steady.state_in, [0, 3, 5, 7], "gps_acc_tracker steady in");
+    assert_eq!(
+        steady.state_out,
+        [19, 0, 27, 34].map(StateOut::Move),
+        "gps_acc_tracker steady out"
+    );
 }
 
 /// An engine's particles step on the first-instant program at their
@@ -309,5 +384,87 @@ fn ops_stay_forty_bytes() {
         std::mem::size_of::<Op>() <= 40,
         "{}",
         std::mem::size_of::<Op>()
+    );
+}
+
+/// Asserts that a tape's ops are exactly `expected` (compared through
+/// their `Debug` text, as `Op` has no `PartialEq`).
+fn assert_ops(what: &str, ops: &[Op], expected: &[Op]) {
+    assert_eq!(format!("{ops:#?}"), format!("{expected:#?}"), "{what}");
+}
+
+/// The committed examples' `.zl` files.
+fn example_files() -> Vec<String> {
+    let dir = format!("{}/../../examples/zelus", env!("CARGO_MANIFEST_DIR"));
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .expect("examples directory")
+        .map(|entry| entry.expect("directory entry").file_name())
+        .filter_map(|name| name.into_string().ok())
+        .filter(|name| name.ends_with(".zl"))
+        .collect();
+    files.sort();
+    files
+}
+
+/// Copy propagation leaves no copy it could have removed in any steady
+/// program of the committed examples: no `Move` reads a constant or a
+/// pinned register (its readers could read that register), no `Jmp`
+/// targets the next op, and no `Move` writes a register that no op, no
+/// output and no successor-state slot reads.
+#[test]
+fn steady_programs_hold_no_removable_copies() {
+    let mut checked = Vec::new();
+    for file in example_files() {
+        let compiled = compile_source(&example(&file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let mut nodes: Vec<&String> = compiled.kinds.keys().collect();
+        nodes.sort();
+        for node in nodes {
+            let prog = compiled
+                .lower_node(node, options())
+                .expect("lower_node runs")
+                .unwrap_or_else(|e| panic!("{file}/{node} does not lower: {e}"));
+            let Some(steady) = &prog.steady else {
+                continue;
+            };
+            let constant: Vec<Reg> = prog
+                .consts
+                .iter()
+                .filter_map(Op::dst)
+                .chain(steady.pins.iter().map(|(r, _)| *r))
+                .collect();
+            let mut read: Vec<Reg> = steady.ops.iter().flat_map(Op::reads).collect();
+            read.extend(prog.out.regs());
+            read.extend(steady.state_out.iter().map(|o| match *o {
+                StateOut::Move(r) | StateOut::Clone(r) => r,
+            }));
+            for (pc, op) in steady.ops.iter().enumerate() {
+                let at = format!("{file}/{node} steady op {pc}: {op:?}");
+                match *op {
+                    Op::Move { dst, src } => {
+                        assert!(!constant.contains(&src), "{at}: moves a constant");
+                        assert!(read.contains(&dst), "{at}: nothing reads the move");
+                    }
+                    Op::Jmp { target } => {
+                        assert_ne!(target as usize, pc + 1, "{at}: jumps to the next op")
+                    }
+                    _ => {}
+                }
+            }
+            checked.push(node.clone());
+        }
+    }
+    checked.sort();
+    assert_eq!(
+        checked,
+        [
+            "acc_tracker",
+            "coin",
+            "counter",
+            "gps_acc_tracker",
+            "hmm",
+            "integr",
+            "tracker"
+        ],
+        "the nodes with a steady program"
     );
 }
