@@ -22,14 +22,16 @@
 //! ```
 //!
 //! `run` executes every engine and instance on the flat instruction tape,
-//! the default backend. `emit --tape` lowers every node to that tape and
-//! pretty-prints it: a node that hosts `infer` as a driver, whose `infer`
-//! op steps the embedded engine, every other node as a per-particle
-//! transition, followed by its `steady:` program when it has one (the
-//! program a particle runs after its first step, with its `->` flags
-//! constant). Nodes that refuse to lower (any construct the tape cannot
-//! express) print the refusal reason instead — an engine or instance over
-//! such a node interprets it at runtime.
+//! the default backend. `emit --tape` lowers every node to the tape it
+//! runs on and pretty-prints it: a probabilistic node as a per-particle
+//! transition (an `infer` in it steps an engine per particle), a
+//! deterministic node whose state holds engines as a driver, whose
+//! `infer` op steps them, and every other deterministic node as a
+//! per-particle transition. A particle tape is followed by its `steady:`
+//! program when it has one (the program a particle runs after its first
+//! step, with its `->` flags constant). A node that does not lower (only
+//! hand-built µF should get there) prints the reason instead, and an
+//! engine or instance over it fails to build with that reason.
 //!
 //! Every line goes to stdout through [`out`]. A reader that closes the
 //! pipe early (`pzc run … | head -n1`) ends `pzc` quietly with exit 0;

@@ -3,9 +3,11 @@
 //!
 //! Every expression compiles to a µF transition function `fun s -> (v, s')`
 //! and an allocation expression for its initial state. A node `f` yields
-//! two globals: `f_step = fun (s, x) -> C(body)(s)` and `f_init = fun () ->
+//! two globals: `f#step = fun (s, x) -> C(body)(s)` and `f#init = fun () ->
 //! A(body)` (a thunk, so each instantiation gets fresh state — in
-//! particular a fresh inference engine for each `infer` site).
+//! particular a fresh inference engine for each `infer` site). The `#`
+//! cannot appear in source identifiers, so no source variable shadows
+//! them.
 //!
 //! Two deliberate deviations from the paper's Figs. 20–21:
 //!
@@ -41,6 +43,7 @@ pub fn compile_program(p: &Program) -> Result<MufProgram, LangError> {
     let mut c = Compiler {
         fresh: 0,
         stateless: HashSet::new(),
+        transitions: Vec::new(),
     };
     let mut defs = Vec::new();
     for node in &p.nodes {
@@ -78,12 +81,12 @@ pub fn compile_program_with(
 
 /// The global name of a node's transition function.
 pub fn step_name(node: &str) -> String {
-    format!("{node}_step")
+    format!("{node}#step")
 }
 
 /// The global name of a node's allocation thunk.
 pub fn init_name(node: &str) -> String {
-    format!("{node}_init")
+    format!("{node}#init")
 }
 
 /// The variable carrying `last x` values in compiled code. The `#` cannot
@@ -97,6 +100,10 @@ struct Compiler {
     /// Nodes compiled so far whose body is stateless: their state is
     /// `()`, so an application passes `()` and allocates nothing.
     stateless: HashSet<String>,
+    /// Per `infer` expression compiled so far, the transition C(·) built
+    /// for it and how many fresh names that drew (see
+    /// [`Compiler::infer_transition`]).
+    transitions: Vec<(Expr, MufExpr, u32)>,
 }
 
 fn var(name: impl Into<String>) -> MufExpr {
@@ -258,6 +265,27 @@ impl Compiler {
         Ok((step, init))
     }
 
+    /// The transition of an `infer`, built once per distinct expression
+    /// and shared by C(·), for the site that steps the engine, and A(·),
+    /// for the engine's first closure: the engine's tape checks the closure
+    /// the site installs by its body's address. A reuse draws as many
+    /// fresh names as a build, so later names do not depend on it.
+    fn infer_transition(&mut self, infer: &Expr) -> Result<MufExpr, LangError> {
+        let Expr::Infer { node, arg, .. } = infer else {
+            return Err(LangError::new(Stage::Compile, "not an `infer`"));
+        };
+        if let Some((_, body, drawn)) = self.transitions.iter().find(|(e, ..)| e == infer) {
+            let body = body.clone();
+            self.fresh += drawn;
+            return Ok(body);
+        }
+        let before = self.fresh;
+        let body = self.transition(&Expr::App(node.clone(), arg.clone()))?;
+        self.transitions
+            .push((infer.clone(), body.clone(), self.fresh - before));
+        Ok(body)
+    }
+
     /// C(·) as a transition function, for an `infer` body: a stateless
     /// model steps a `()` state.
     fn transition(&mut self, e: &Expr) -> Result<MufExpr, LangError> {
@@ -368,13 +396,9 @@ impl Compiler {
                 let [x] = self.parts_array(&mut seq, [x])?;
                 MufExpr::ValueOp(Box::new(x))
             }
-            Expr::Infer {
-                particles,
-                node,
-                arg,
-            } => {
+            Expr::Infer { particles, .. } => {
                 let sigma = self.fresh("sigma");
-                let body = self.transition(&Expr::App(node.clone(), arg.clone()))?;
+                let body = self.infer_transition(e)?;
                 return Ok(Code::Step(fun(
                     MufPat::var(&sigma),
                     MufExpr::Infer {
@@ -527,7 +551,7 @@ impl Compiler {
                 let engine = MufExpr::EngineInit {
                     particles: *particles,
                     init: Box::new(self.a(&inner_app)?.unwrap_or_else(unit)),
-                    body: Box::new(self.transition(&inner_app)?),
+                    body: Box::new(self.infer_transition(e)?),
                 };
                 return Ok(Some(engine));
             }
@@ -573,7 +597,7 @@ mod tests {
     fn produces_step_and_init_per_node() {
         let m = compile("let node f x = x + 1.").unwrap();
         let names: Vec<&str> = m.defs.iter().map(|d| d.name.as_str()).collect();
-        assert_eq!(names, vec!["f_step", "f_init"]);
+        assert_eq!(names, vec!["f#step", "f#init"]);
         assert!(matches!(m.defs[0].expr, MufExpr::Fun(_, _)));
         assert!(matches!(m.defs[1].expr, MufExpr::Fun(_, _)));
     }
@@ -699,8 +723,8 @@ mod tests {
                 _ => false,
             }
         }
-        let main_step = &m.defs.iter().find(|d| d.name == "main_step").unwrap().expr;
-        let main_init = &m.defs.iter().find(|d| d.name == "main_init").unwrap().expr;
+        let main_step = &m.defs.iter().find(|d| d.name == "main#step").unwrap().expr;
+        let main_init = &m.defs.iter().find(|d| d.name == "main#init").unwrap().expr;
         assert!(contains_infer(main_step));
         assert!(contains_engine_init(main_init));
     }

@@ -30,20 +30,21 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-/// Execution backend for per-particle transition functions.
+/// Execution backend for transition functions, fixed for every engine
+/// and instance an interpreter builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
     /// Tree-walking µF interpreter — the semantic oracle the tape is
-    /// checked against.
+    /// checked against. State is held whole, as one value.
     Interp,
     /// Flat instruction tape (see [`crate::tape`]), the default: each
     /// engine lowers its transition closure to register-indexed opcodes
-    /// at its first particle step, once, and each [`Instance`] its
-    /// node's step at its first step. Lowering is total-or-nothing: any
-    /// unsupported construct makes that engine or instance interpret for
-    /// its lifetime (bit-identical by design), and
-    /// [`MufEngine::tape_status`] and [`Instance::tape_status`] report
-    /// which happened.
+    /// when it is built ([`MufEngine::new`]), and each [`Instance`] its
+    /// node's step ([`Instance::new`]). State is held as the tape's flat
+    /// slots. Nothing falls back to the interpreter: a transition that
+    /// does not lower fails the construction with a [`Stage::Compile`]
+    /// error naming the construct, which only hand-built µF reaches
+    /// (DESIGN §2.13).
     #[default]
     Tape,
 }
@@ -139,21 +140,6 @@ impl Interp {
         Ok(interp)
     }
 
-    /// The telemetry handle engines inherit.
-    pub fn obs(&self) -> &probzelus_core::obs::Obs {
-        &self.obs
-    }
-
-    /// The configured inference method.
-    pub fn method(&self) -> Method {
-        self.method
-    }
-
-    /// The configured execution backend.
-    pub fn backend(&self) -> ExecBackend {
-        self.backend
-    }
-
     /// Looks up a global definition.
     pub fn global(&self, name: &str) -> Option<MufValue> {
         self.globals.borrow().get(name).cloned()
@@ -161,6 +147,26 @@ impl Interp {
 
     fn next_seed(&self) -> u64 {
         self.rng.borrow_mut().gen()
+    }
+
+    /// One step of a transition on the tree walker: applies `step` to
+    /// `arg` and splits the `(output, state)` pair it returns.
+    fn step_transition(
+        self: &Rc<Self>,
+        step: &MufValue,
+        arg: MufValue,
+        prob: &mut ProbSlot<'_>,
+    ) -> Result<(MufValue, MufValue), LangError> {
+        match self.apply(step, arg, prob)? {
+            MufValue::Tuple(mut vs) if vs.len() == 2 => {
+                let next = vs.pop().expect("length checked");
+                Ok((vs.pop().expect("length checked"), next))
+            }
+            other => Err(LangError::new(
+                Stage::Eval,
+                format!("a step must return (value, state), got {}", other.kind()),
+            )),
+        }
     }
 
     /// Applies a closure value to an argument.
@@ -676,91 +682,105 @@ pub(crate) fn core_op(
     }
 }
 
-/// The externalized particle state: held whole while the interpreter runs
-/// the transition, split into the tape's flat state slots (depth-first
-/// leaves of the tape's state shape) once an engine's tape is ready.
-#[derive(Debug)]
-pub(crate) enum ModelState {
-    Whole(MufValue),
-    Flat(Vec<MufValue>),
-}
-
-impl ModelState {
-    /// A fresh copy of the initial state `init`: flat slots once `tape`
-    /// is lowered, else the whole value.
-    fn initial(tape: Option<&crate::tape::TapeCell>, init: &MufValue) -> ModelState {
-        match tape.and_then(crate::tape::TapeCell::ready) {
-            Some(shared) => ModelState::Flat(
-                shared
-                    .prog
-                    .init_slots
-                    .iter()
-                    .map(MufValue::deep_clone)
-                    .collect(),
-            ),
-            None => ModelState::Whole(init.deep_clone()),
-        }
-    }
-
-    fn deep_clone(&self) -> ModelState {
-        match self {
-            ModelState::Whole(v) => ModelState::Whole(v.deep_clone()),
-            ModelState::Flat(vs) => ModelState::Flat(vs.iter().map(MufValue::deep_clone).collect()),
-        }
-    }
-
-    /// [`ModelState::deep_clone`] into `self`, reusing its slot vector
-    /// when both are flat.
-    fn deep_clone_from(&mut self, source: &ModelState) {
-        match (self, source) {
-            (ModelState::Flat(to), ModelState::Flat(from)) => {
-                to.clear();
-                to.extend(from.iter().map(MufValue::deep_clone));
-            }
-            (to, from) => *to = from.deep_clone(),
-        }
-    }
-}
-
-/// A probabilistic µF model driven by an inference engine: a transition
-/// closure plus its externalized state.
-pub struct MufModel {
+/// What every particle of one engine shares, behind one `Rc`.
+struct Shared {
     interp: Rc<Interp>,
-    closure: Rc<RefCell<MufValue>>,
-    state: ModelState,
-    /// Shared by every particle clone; nothing mutates it.
-    init_state: Rc<MufValue>,
+    /// The transition closure, re-closed by the engine's `infer` site
+    /// before every step.
+    closure: RefCell<MufValue>,
+    /// The initial state, as the particles hold theirs: the tape's flat
+    /// slots, or under [`ExecBackend::Interp`] one slot holding the whole
+    /// value.
+    init: Vec<MufValue>,
     takes_input: bool,
-    /// Lazily-lowered instruction tape shared by every particle of the
-    /// engine (`None` under [`ExecBackend::Interp`]).
-    tape: Option<Rc<crate::tape::TapeCell>>,
+    /// The lowered transition (`None` under [`ExecBackend::Interp`]).
+    tape: Option<crate::tape::TapeShared>,
+}
+
+impl Shared {
+    /// What the particles of an engine over `closure`, starting from
+    /// `init_state`, share: under [`ExecBackend::Tape`] the transition
+    /// lowers here, once.
+    fn new(
+        interp: Rc<Interp>,
+        closure: MufValue,
+        init_state: MufValue,
+        takes_input: bool,
+    ) -> Result<Shared, LangError> {
+        let (tape, init) = match interp.backend {
+            ExecBackend::Tape => on_tape(crate::tape::closure_of(&closure).and_then(|c| {
+                crate::transform::lower::lower_closure(&interp, c, &init_state, takes_input)
+            }))?,
+            ExecBackend::Interp => (None, vec![init_state]),
+        };
+        Ok(Shared {
+            interp,
+            closure: RefCell::new(closure),
+            init,
+            takes_input,
+            tape,
+        })
+    }
+}
+
+/// A deep copy of state slots into `to`, reusing its vector.
+fn deep_clone_into(to: &mut Vec<MufValue>, from: &[MufValue]) {
+    to.clear();
+    to.extend(from.iter().map(MufValue::deep_clone));
+}
+
+/// A probabilistic µF model driven by an inference engine: the engine's
+/// shared transition plus this particle's externalized state.
+pub struct MufModel {
+    shared: Rc<Shared>,
+    /// The tape's flat slots, or under [`ExecBackend::Interp`] one slot
+    /// holding the whole state.
+    state: Vec<MufValue>,
 }
 
 impl std::fmt::Debug for MufModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "MufModel(takes_input: {})", self.takes_input)
+        write!(f, "MufModel(takes_input: {})", self.shared.takes_input)
     }
 }
 
 impl Clone for MufModel {
     fn clone(&self) -> Self {
         MufModel {
-            interp: self.interp.clone(),
-            closure: self.closure.clone(),
-            state: self.state.deep_clone(),
-            init_state: self.init_state.clone(),
-            takes_input: self.takes_input,
-            tape: self.tape.clone(),
+            shared: self.shared.clone(),
+            state: self.state.iter().map(MufValue::deep_clone).collect(),
         }
     }
 
     fn clone_from(&mut self, source: &Self) {
-        self.interp.clone_from(&source.interp);
-        self.closure.clone_from(&source.closure);
-        self.state.deep_clone_from(&source.state);
-        self.init_state.clone_from(&source.init_state);
-        self.takes_input = source.takes_input;
-        self.tape.clone_from(&source.tape);
+        self.shared.clone_from(&source.shared);
+        deep_clone_into(&mut self.state, &source.state);
+    }
+}
+
+impl MufModel {
+    /// A particle at the initial state.
+    fn new(shared: Rc<Shared>) -> MufModel {
+        let state = shared.init.iter().map(MufValue::deep_clone).collect();
+        MufModel { shared, state }
+    }
+
+    /// A step on the tree walker: the whole state, paired with the input
+    /// when the transition takes one, goes to the closure, which returns
+    /// `(output, state)`.
+    fn step_interp(&mut self, ctx: &mut dyn ProbCtx, input: &Value) -> Result<Value, RuntimeError> {
+        let shared = &*self.shared;
+        let closure = shared.closure.borrow().clone();
+        let state = std::mem::replace(&mut self.state[0], MufValue::Nil);
+        let arg = if shared.takes_input {
+            MufValue::Tuple(vec![state, MufValue::V(input.clone())])
+        } else {
+            state
+        };
+        let prob = &mut ProbSlot::Prob(ctx);
+        let (out, next) = shared.interp.step_transition(&closure, arg, prob)?;
+        self.state[0] = next;
+        Ok(out.as_core()?)
     }
 }
 
@@ -768,69 +788,44 @@ impl Model for MufModel {
     type Input = Value;
 
     fn step(&mut self, ctx: &mut dyn ProbCtx, input: &Value) -> Result<Value, RuntimeError> {
-        if let Some(cell) = &self.tape {
-            if let Some(shared) = cell.ensure(|| {
-                let closure = self.closure.borrow();
-                crate::transform::lower::lower_closure(
-                    &self.interp,
-                    crate::tape::closure_of(&closure)?,
-                    &self.init_state,
-                    self.takes_input,
-                )
-            }) {
-                return Ok(crate::tape::step_model(
-                    &self.interp,
-                    cell,
-                    shared,
-                    &self.closure,
-                    &mut self.state,
-                    ctx,
-                    input,
-                )?);
-            }
-        }
-        let closure = self.closure.borrow().clone();
-        let ModelState::Whole(whole) = &mut self.state else {
-            return Err(RuntimeError::Host(
-                "tape state observed on the interpreter path".into(),
-            ));
-        };
-        let state = std::mem::replace(whole, MufValue::Nil);
-        let arg = if self.takes_input {
-            MufValue::Tuple(vec![state, MufValue::V(input.clone())])
-        } else {
-            state
-        };
-        let mut prob = ProbSlot::Prob(ctx);
-        let result = self.interp.apply(&closure, arg, &mut prob)?;
-        match result {
-            MufValue::Tuple(mut vs) if vs.len() == 2 => {
-                let next = vs.pop().expect("length checked");
-                let out = vs.pop().expect("length checked");
-                self.state = ModelState::Whole(next);
-                Ok(out.as_core()?)
-            }
-            other => Err(RuntimeError::Host(format!(
-                "transition function must return (value, state), got {}",
-                other.kind()
-            ))),
+        let shared = &*self.shared;
+        match &shared.tape {
+            Some(tape) => Ok(crate::tape::step_model(
+                &shared.interp,
+                tape,
+                &shared.closure,
+                &mut self.state,
+                ctx,
+                input,
+            )?),
+            None => self.step_interp(ctx, input),
         }
     }
 
     fn reset(&mut self) {
-        self.state = ModelState::initial(self.tape.as_deref(), &self.init_state);
+        deep_clone_into(&mut self.state, &self.shared.init);
     }
 
     fn for_each_state_value(&mut self, f: &mut dyn FnMut(&mut Value)) {
-        match &mut self.state {
-            ModelState::Whole(s) => s.for_each_value_mut(f),
-            ModelState::Flat(slots) => {
-                for s in slots {
-                    s.for_each_value_mut(f);
-                }
-            }
+        for s in &mut self.state {
+            s.for_each_value_mut(f);
         }
     }
+}
+
+/// A tape, and the initial state as its flat slots.
+type OnTape = (Option<crate::tape::TapeShared>, Vec<MufValue>);
+
+/// A lowered transition's tape and initial slots; a transition that does
+/// not lower is a [`Stage::Compile`] error, a pipeline bug when reached
+/// from a compiled program (DESIGN §2.13).
+fn on_tape(lowered: Result<crate::tape::TapeProgram, String>) -> Result<OnTape, LangError> {
+    let prog = lowered.map_err(|reason| {
+        let message = format!("the transition does not lower to the tape: {reason}");
+        LangError::new(Stage::Compile, message)
+    })?;
+    let init = prog.init_slots.clone();
+    Ok((Some(crate::tape::TapeShared::new(prog)), init))
 }
 
 /// An inference engine over µF models (the runtime value of a compiled
@@ -838,11 +833,10 @@ impl Model for MufModel {
 #[derive(Clone)]
 pub struct MufEngine {
     inner: Infer<MufModel>,
-    closure: Rc<RefCell<MufValue>>,
-    /// Shared with every particle model under [`ExecBackend::Tape`]; the
-    /// engine bumps its tick at every step so the tape reloads the
+    /// Shared with every particle model; under [`ExecBackend::Tape`] the
+    /// engine bumps its tape's tick at every step so the tape reloads the
     /// closure's environment and the input.
-    tape: Option<Rc<crate::tape::TapeCell>>,
+    shared: Rc<Shared>,
 }
 
 impl std::fmt::Debug for MufEngine {
@@ -858,11 +852,13 @@ impl std::fmt::Debug for MufEngine {
 
 impl MufEngine {
     /// Allocates an engine whose particles start from (deep clones of)
-    /// `init_state`, with `closure` as the transition function.
+    /// `init_state`, with `closure` as the transition function. Under
+    /// [`ExecBackend::Tape`] the transition lowers here, once.
     ///
     /// # Errors
     ///
-    /// The particle cloud cannot be allocated (the count overflows the
+    /// The transition does not lower to the tape ([`Stage::Compile`]), or
+    /// the particle cloud cannot be allocated (the count overflows the
     /// address space or the allocator refuses it).
     pub fn new(
         interp: Rc<Interp>,
@@ -873,18 +869,9 @@ impl MufEngine {
         takes_input: bool,
         seed: u64,
     ) -> Result<MufEngine, LangError> {
-        let slot = Rc::new(RefCell::new(closure));
-        let tape = (interp.backend == ExecBackend::Tape)
-            .then(|| Rc::new(crate::tape::TapeCell::default()));
         let obs = interp.obs.clone();
-        let model = MufModel {
-            interp,
-            closure: slot.clone(),
-            state: ModelState::Whole(init_state.deep_clone()),
-            init_state: Rc::new(init_state),
-            takes_input,
-            tape: tape.clone(),
-        };
+        let shared = Rc::new(Shared::new(interp, closure, init_state, takes_input)?);
+        let model = MufModel::new(shared.clone());
         let inner = Infer::try_with_seed(method, particles, model, seed)
             .map_err(|e| {
                 LangError::new(
@@ -893,11 +880,7 @@ impl MufEngine {
                 )
             })?
             .with_obs(obs);
-        Ok(MufEngine {
-            inner,
-            closure: slot,
-            tape,
-        })
+        Ok(MufEngine { inner, shared })
     }
 
     /// Replaces the transition closure (the compiled `infer` re-closes the
@@ -905,7 +888,7 @@ impl MufEngine {
     /// deterministic inputs flow into the model). Its one caller always
     /// passes a closure over the same body, as the tape requires.
     pub(crate) fn set_closure(&mut self, closure: MufValue) {
-        *self.closure.borrow_mut() = closure;
+        *self.shared.closure.borrow_mut() = closure;
     }
 
     /// Re-closes the transition over `bindings`, innermost first: the
@@ -921,7 +904,7 @@ impl MufEngine {
         body: &Rc<MufExpr>,
         bindings: impl DoubleEndedIterator<Item = (&'a str, &'a MufValue)> + Clone,
     ) {
-        let mut slot = self.closure.borrow_mut();
+        let mut slot = self.shared.closure.borrow_mut();
         if let MufValue::Closure(c) = &mut *slot {
             if Rc::ptr_eq(&c.body, body) {
                 if let Some(c) = Rc::get_mut(c) {
@@ -949,38 +932,39 @@ impl MufEngine {
     pub fn step(&mut self, input: &Value) -> Result<Posterior, LangError> {
         // A new tick: the tape reloads the closure's environment and the
         // input (and reruns its prologue) at the first particle step.
-        if let Some(cell) = &self.tape {
-            cell.next_tick();
+        if let Some(tape) = &self.shared.tape {
+            tape.next_tick();
         }
         self.inner.step(input).map_err(|e| e.into())
     }
 
     /// Tape-backend status: `None` under [`ExecBackend::Interp`]; under
-    /// [`ExecBackend::Tape`], `Ok(())` once the transition is lowered and
-    /// running on the tape, `Err(reason)` while lowering is pending (no
-    /// step taken yet) or after it refused (the engine interprets).
+    /// [`ExecBackend::Tape`] always `Ok(())`, since an engine whose
+    /// transition does not lower is never built.
     pub fn tape_status(&self) -> Option<Result<(), String>> {
-        self.tape.as_ref().map(|c| c.status())
+        self.shared.tape.as_ref().map(|_| Ok(()))
     }
 
-    /// Bytes of tape scratch (the register file) currently held, when the
-    /// tape is active — the allocation-plateau witness for Bounded(k)
+    /// Bytes of tape scratch (the register files) currently held, under
+    /// the tape backend — the allocation-plateau witness for Bounded(k)
     /// programs.
     pub fn tape_scratch_bytes(&self) -> Option<usize> {
-        self.tape
+        self.shared
+            .tape
             .as_ref()
-            .and_then(|c| c.ready())
-            .map(|s| s.scratch_bytes())
+            .map(crate::tape::TapeShared::scratch_bytes)
     }
 
     /// Which of the tape's programs particle steps ran on in the last
-    /// tick, as `(first_instant, steady)`, once the tape is lowered: a
+    /// tick, as `(first_instant, steady)`, under the tape backend: a
     /// particle's first step runs the first-instant program, every later
     /// one the steady program, when the tape has one
     /// ([`crate::tape::Steady`]).
     pub fn tape_programs_run(&self) -> Option<(bool, bool)> {
-        let cell = self.tape.as_ref()?;
-        Some(cell.ready()?.programs_run(cell.tick()))
+        self.shared
+            .tape
+            .as_ref()
+            .map(crate::tape::TapeShared::programs_run)
     }
 
     /// Aggregate graph memory statistics (Fig. 4 / Fig. 19).
@@ -996,11 +980,6 @@ impl MufEngine {
     /// Number of particles.
     pub fn num_particles(&self) -> usize {
         self.inner.num_particles()
-    }
-
-    /// Inference method.
-    pub fn method(&self) -> Method {
-        self.inner.method()
     }
 
     /// Restarts inference from the initial model state.
@@ -1064,10 +1043,8 @@ impl MufEngine {
 /// An instantiated deterministic node: the driver-facing stream function.
 ///
 /// Under [`ExecBackend::Tape`] the node's step is lowered to a driver
-/// tape at the first [`Instance::step`], once, as an engine lowers its
-/// transition: its `infer` sites step their engines from the tape, and a
-/// refusal leaves the instance interpreting for its lifetime
-/// ([`Instance::tape_status`] reports which happened).
+/// tape when the instance is built, as an engine lowers its transition:
+/// its `infer` sites step their engines from the tape.
 ///
 /// When the interpreter carries a live telemetry handle (built via
 /// [`Interp::new_with_obs`]), each [`Instance::step`] emits an `eval.tick`
@@ -1077,13 +1054,16 @@ impl MufEngine {
 pub struct Instance {
     interp: Rc<Interp>,
     step: MufValue,
-    state: ModelState,
-    /// The state the node starts from. Until the first reset it shares
-    /// its engines with the running state, which steps them in place, so
-    /// [`Instance::reset`] restarts them before copying.
-    init_state: MufValue,
+    /// The tape's flat slots, or under [`ExecBackend::Interp`] one slot
+    /// holding the whole state.
+    state: Vec<MufValue>,
+    /// The state the node starts from, held as `state` is. Until the
+    /// first reset it shares its engines with the running state, which
+    /// steps them in place, so [`Instance::reset`] restarts them before
+    /// copying.
+    init: Vec<MufValue>,
     /// The driver tape (`None` under [`ExecBackend::Interp`]).
-    tape: Option<crate::tape::TapeCell>,
+    tape: Option<crate::tape::TapeShared>,
     /// Monotonic driver-tick counter (not rewound by [`Instance::reset`],
     /// so every emitted span ID is unique within a run).
     tick: u64,
@@ -1094,7 +1074,8 @@ impl Instance {
     ///
     /// # Errors
     ///
-    /// Unknown node, or initialization failure.
+    /// Unknown node, initialization failure, or a step that does not
+    /// lower to the tape ([`Stage::Compile`]).
     pub fn new(interp: Rc<Interp>, name: &str) -> Result<Instance, LangError> {
         let step = interp
             .global(&crate::compile::step_name(name))
@@ -1103,12 +1084,18 @@ impl Instance {
             .global(&crate::compile::init_name(name))
             .ok_or_else(|| LangError::new(Stage::Eval, format!("unknown node `{name}`")))?;
         let state = interp.apply(&init_thunk, MufValue::unit(), &mut ProbSlot::Det)?;
-        let tape = (interp.backend == ExecBackend::Tape).then(crate::tape::TapeCell::default);
+        let (tape, init) = match interp.backend {
+            ExecBackend::Tape => on_tape(
+                crate::tape::closure_of(&step)
+                    .and_then(|c| crate::transform::lower::lower_driver(&interp, c, &state)),
+            )?,
+            ExecBackend::Interp => (None, vec![state]),
+        };
         Ok(Instance {
             interp,
             step,
-            init_state: state.clone(),
-            state: ModelState::Whole(state),
+            state: init.clone(),
+            init,
             tape,
             tick: 0,
         })
@@ -1121,18 +1108,9 @@ impl Instance {
     /// Evaluation errors (including errors from embedded `infer` engines).
     pub fn step(&mut self, input: Value) -> Result<MufValue, LangError> {
         let t0 = self.interp.obs.enabled().then(std::time::Instant::now);
-        let tape = self.tape.as_ref().and_then(|cell| {
-            cell.ensure(|| {
-                crate::transform::lower::lower_driver(
-                    &self.interp,
-                    crate::tape::closure_of(&self.step)?,
-                    &self.init_state,
-                )
-            })
-        });
-        let out = match tape {
-            Some(shared) => {
-                crate::tape::step_driver(&self.interp, shared, &self.step, &mut self.state, input)
+        let out = match &self.tape {
+            Some(tape) => {
+                crate::tape::step_driver(&self.interp, tape, &self.step, &mut self.state, input)
             }
             None => self.step_interp(input),
         };
@@ -1162,29 +1140,13 @@ impl Instance {
 
     /// A tick on the tree-walking interpreter.
     fn step_interp(&mut self, input: Value) -> Result<MufValue, LangError> {
-        let ModelState::Whole(state) = &mut self.state else {
-            return Err(LangError::new(
-                Stage::Eval,
-                "tape state observed on the interpreter path",
-            ));
-        };
-        let state = std::mem::replace(state, MufValue::Nil);
+        let state = std::mem::replace(&mut self.state[0], MufValue::Nil);
         let arg = MufValue::Tuple(vec![state, MufValue::V(input)]);
-        let result = self
+        let (out, next) = self
             .interp
-            .apply(&self.step.clone(), arg, &mut ProbSlot::Det)?;
-        match result {
-            MufValue::Tuple(mut vs) if vs.len() == 2 => {
-                let next = vs.pop().expect("length checked");
-                let out = vs.pop().expect("length checked");
-                self.state = ModelState::Whole(next);
-                Ok(out)
-            }
-            other => Err(LangError::new(
-                Stage::Eval,
-                format!("node step must return (value, state), got {}", other.kind()),
-            )),
-        }
+            .step_transition(&self.step, arg, &mut ProbSlot::Det)?;
+        self.state[0] = next;
+        Ok(out)
     }
 
     /// Restores the initial state, embedded engines included: the
@@ -1199,16 +1161,15 @@ impl Instance {
                 _ => {}
             }
         }
-        restart_engines(&self.init_state);
-        self.state = ModelState::initial(self.tape.as_ref(), &self.init_state);
+        self.init.iter().for_each(restart_engines);
+        deep_clone_into(&mut self.state, &self.init);
     }
 
     /// Driver-tape status: `None` under [`ExecBackend::Interp`]; under
-    /// [`ExecBackend::Tape`], `Ok(())` once the step is lowered and
-    /// running on the tape, `Err(reason)` while lowering is pending (no
-    /// step taken yet) or after it refused (the instance interprets).
+    /// [`ExecBackend::Tape`] always `Ok(())`, since an instance whose step
+    /// does not lower is never built.
     pub fn tape_status(&self) -> Option<Result<(), String>> {
-        self.tape.as_ref().map(crate::tape::TapeCell::status)
+        self.tape.as_ref().map(|_| Ok(()))
     }
 }
 
@@ -1296,18 +1257,11 @@ mod tests {
 
     #[test]
     fn present_is_lazy_in_state() {
-        // The `then` branch counts activations only.
         let src = r#"
-            let node f c = present c -> (1. -> pre y + 1.) else 0. where
-              rec y = 0.0
-        "#;
-        // y is unused inside present; use a self-contained counter instead.
-        let src2 = r#"
             let node f c = present c -> k else 0. where
               rec k = reset (1. -> pre k + 1.) every false
         "#;
-        let _ = src;
-        let mut inst = det_instance(src2, "f");
+        let mut inst = det_instance(src, "f");
         let step = |i: &mut Instance, c: bool| float_out(&i.step(Value::Bool(c)).unwrap());
         assert_eq!(step(&mut inst, true), 1.0);
         assert_eq!(step(&mut inst, false), 0.0);
@@ -1316,10 +1270,6 @@ mod tests {
 
     #[test]
     fn reset_reinitializes_state() {
-        let _src = r#"
-            let node f c = reset (0. -> pre n + 1.) every c where rec n = 0.0
-        "#;
-        // n unused; simpler: count inside reset.
         let src = r#"
             let node f c = n where rec n = reset (0. -> pre n + 1.) every c
         "#;
@@ -1408,21 +1358,15 @@ mod tests {
                     &mut ProbSlot::Det,
                 )
                 .unwrap();
-            let tape = (backend == ExecBackend::Tape).then(Rc::<crate::tape::TapeCell>::default);
-            let model = MufModel {
-                interp: interp.clone(),
-                closure: Rc::new(RefCell::new(global(&crate::compile::step_name("walk")))),
-                state: ModelState::Whole(init.deep_clone()),
-                init_state: Rc::new(init),
-                takes_input: true,
-                tape: tape.clone(),
-            };
+            let closure = global(&crate::compile::step_name("walk"));
+            let shared = Rc::new(Shared::new(interp.clone(), closure, init, true).unwrap());
+            let model = MufModel::new(shared.clone());
             let mut particles = [model.clone(), model];
             let mut bits = Vec::new();
             let mut slots = Vec::new();
             for (t, (reset, order)) in TICKS.into_iter().enumerate() {
-                if let Some(cell) = &tape {
-                    cell.next_tick();
+                if let Some(tape) = &shared.tape {
+                    tape.next_tick();
                 }
                 if let Some(i) = reset {
                     particles[i].reset();
@@ -1437,13 +1381,9 @@ mod tests {
                         ctx.log_weight().to_bits(),
                     ));
                 }
-                if let Some(cell) = &tape {
-                    let ran = cell.ready().unwrap().programs_run(cell.tick());
-                    let counts = particles.each_ref().map(|p| match &p.state {
-                        ModelState::Flat(s) => s.len(),
-                        ModelState::Whole(_) => panic!("tick {t}: whole state on the tape"),
-                    });
-                    slots.push((ran, counts));
+                if let Some(tape) = &shared.tape {
+                    let counts = particles.each_ref().map(|p| p.state.len());
+                    slots.push((tape.programs_run(), counts));
                 }
             }
             (bits, slots)
@@ -1464,6 +1404,38 @@ mod tests {
             ],
             "programs run and slots kept per tick"
         );
+    }
+
+    /// Each particle of a node that hosts an `infer` holds an engine of
+    /// its own, on the tape as on the tree walker: resampling deep-clones
+    /// the survivors' engines into the particles it replaces, so no two
+    /// particles share one after a particle-filter tick.
+    #[test]
+    fn resampled_particles_own_their_engines() {
+        let src = include_str!("../../../examples/zelus/nested.zl");
+        let compiled = crate::pipeline::compile_source(src).unwrap();
+        for backend in [ExecBackend::Interp, ExecBackend::Tape] {
+            let method = Method::ParticleFilter;
+            let options = Options {
+                method,
+                seed: 3,
+                backend,
+            };
+            let mut engine = compiled.infer_node("outer", 8, options).unwrap();
+            for y in [0.4, 1.9, -0.7, 1.2] {
+                engine.step(&Value::Float(y)).unwrap();
+            }
+            assert!(engine.resample_stats().clones > 0, "{backend:?}: no copy");
+            let engines: std::collections::HashSet<_> = engine
+                .inner
+                .models()
+                .map(|m| match &m.state[..] {
+                    [MufValue::Engine(e)] => Rc::as_ptr(&e.0),
+                    other => panic!("{backend:?}: state {other:?}"),
+                })
+                .collect();
+            assert_eq!(engines.len(), 8, "{backend:?}: particles share an engine");
+        }
     }
 
     #[test]

@@ -105,7 +105,7 @@ impl MufPat {
 /// A top-level µF definition (`let f = e`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MufDef {
-    /// Global name (`f_step` / `f_init`).
+    /// Global name (`f#step` / `f#init`).
     pub name: String,
     /// Defining expression.
     pub expr: MufExpr,

@@ -134,8 +134,8 @@ mod tests {
         let p = parse_program("let node f x = n where rec n = 0. -> pre n + x").unwrap();
         let muf = compile_program(&schedule_program(&desugar_program(&p)).unwrap()).unwrap();
         let printed = print_muf_program(&muf);
-        assert!(printed.contains("let f_step ="), "{printed}");
-        assert!(printed.contains("let f_init ="), "{printed}");
+        assert!(printed.contains("let f#step ="), "{printed}");
+        assert!(printed.contains("let f#init ="), "{printed}");
         assert!(printed.contains("fun"), "{printed}");
         // The compiled where reads the last-value of the counter.
         assert!(printed.contains("#last"), "{printed}");

@@ -327,12 +327,15 @@ impl Compiled {
     }
 
     /// Lowers a node's step to the flat instruction tape, without running
-    /// anything — the static view behind `pzc emit --tape`: the driver
-    /// tape of a node that hosts `infer`, whose `infer` sites step their
-    /// engines, and every other node's per-particle transition.
+    /// anything — the static view behind `pzc emit --tape`, showing the
+    /// tape each node runs on: a probabilistic node's per-particle
+    /// transition (it runs only under `infer`), a deterministic node's
+    /// driver tape when its state holds an engine (its `infer` sites step
+    /// them), and every other deterministic node's transition as a
+    /// particle runs it.
     ///
     /// The inner `Err` is the lowering-refusal reason (an engine or
-    /// instance over the node would interpret it).
+    /// instance over the node would fail to build with it).
     ///
     /// # Errors
     ///
@@ -343,29 +346,20 @@ impl Compiled {
         options: Options,
     ) -> Result<Result<crate::tape::TapeProgram, String>, LangError> {
         use crate::transform::lower::{lower_closure, lower_driver};
+        fn holds_engine(v: &MufValue) -> bool {
+            match v {
+                MufValue::Tuple(xs) => xs.iter().any(holds_engine),
+                v => matches!(v, MufValue::Engine(_)),
+            }
+        }
         let (interp, transition, init_state) = self.transition(node, options)?;
-        let driver = self.hosts_infer(node);
+        let driver = self.kinds[node] == Kind::D && holds_engine(&init_state);
         Ok(
             crate::tape::closure_of(&transition).and_then(|closure| match driver {
                 true => lower_driver(&interp, closure, &init_state),
                 false => lower_closure(&interp, closure, &init_state, true),
             }),
         )
-    }
-
-    /// Whether `node`'s body contains an `infer`, itself or in a node it
-    /// applies: its step is a driver's, which particle code cannot run.
-    fn hosts_infer(&self, node: &str) -> bool {
-        let Some(decl) = self.kernel.node(node) else {
-            return false;
-        };
-        let mut hosts = false;
-        crate::analysis::walk(&decl.body, &mut |e| match e {
-            crate::ast::Expr::Infer { .. } => hosts = true,
-            crate::ast::Expr::App(f, _) => hosts = hosts || self.hosts_infer(f),
-            _ => {}
-        });
-        hosts
     }
 
     /// What running or lowering `node` starts from: an interpreter over

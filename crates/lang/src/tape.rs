@@ -50,20 +50,19 @@
 //! The tape is the default backend, and the interpreter is its semantic
 //! oracle: every opcode mirrors the corresponding `eval` branch
 //! bit-for-bit (including error messages and RNG consumption order), and
-//! the executor never applies a closure through the interpreter. The tape hands
-//! work to the interpreter one way only: lowering is tried once, at an
-//! engine's first particle step or an instance's first step, and a
-//! refusal leaves that engine or instance interpreting for its lifetime,
-//! indistinguishable except for speed.
+//! the executor never applies a closure through the interpreter. Under
+//! the tape backend nothing is ever handed to the interpreter: an engine
+//! or instance lowers its transition when it is built, and one that
+//! cannot lower is not built (see [`crate::eval::ExecBackend`]).
 
 use crate::ast::OpName;
 use crate::error::{LangError, Stage};
-use crate::eval::{dist_expr, outside_infer, uninitialized_dist, Interp, ModelState, ProbSlot};
+use crate::eval::{dist_expr, outside_infer, uninitialized_dist, Interp, ProbSlot};
 use crate::muf::{Closure, MufExpr, MufPat, MufValue};
 use probzelus_core::ops;
 use probzelus_core::prob::ProbCtx;
 use probzelus_core::value::{DistExpr, Value};
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// A register index into the tape's dense register file.
@@ -241,9 +240,10 @@ pub enum Op {
     },
     /// `dst <- infer(engine)`: steps the engine in register `engine`
     /// once, after re-closing its transition over the registers the
-    /// site captures (the tree walker's `set_closure`). Only a driver's
-    /// tape has it: particle code refuses nested inference. The payload
-    /// is boxed, so the op is no larger than the others.
+    /// site captures (the tree walker's `set_closure`). On a driver's
+    /// tape the engine is the node's; on a particle's (nested inference)
+    /// each particle's own, moved in from its state slot and back out.
+    /// The payload is boxed, so the op is no larger than the others.
     Infer {
         /// Destination register (the posterior).
         dst: Reg,
@@ -256,8 +256,8 @@ pub enum Op {
     Halt,
 }
 
-/// An `infer` site of a driver tape: the transition `fun pat -> body` and
-/// the bindings its body reads from the driver, each from a register.
+/// An `infer` site: the transition `fun pat -> body` and the bindings its
+/// body reads from the hosting step, each from a register.
 #[derive(Debug, Clone)]
 pub struct InferSite {
     /// The transition's parameter pattern.
@@ -265,8 +265,8 @@ pub struct InferSite {
     /// The transition's body, shared with the µF it was lowered from (the
     /// engine's tape checks it by pointer).
     pub body: Rc<MufExpr>,
-    /// The free names of the transition bound in the driver, innermost
-    /// first, and the registers holding their values.
+    /// The free names of the transition bound in the hosting step,
+    /// innermost first, and the registers holding their values.
     pub captures: Vec<(String, Reg)>,
 }
 
@@ -387,14 +387,6 @@ impl StateShape {
             _ => StateShape::Leaf,
         }
     }
-
-    /// Number of leaf slots.
-    pub fn leaves(&self) -> usize {
-        match self {
-            StateShape::Leaf => 1,
-            StateShape::Node(xs) => xs.iter().map(StateShape::leaves).sum(),
-        }
-    }
 }
 
 /// A lowered transition function: the instruction tape plus its register
@@ -458,9 +450,9 @@ pub struct TapeProgram {
 /// slot's register to the constant in a register file of its own, so no
 /// step loads or stores it, and each `Select` on a constant condition is
 /// a `Move` of the branch it picks, whose readers then read that branch
-/// directly (copy propagation). It shares the first-instant program's register
-/// numbering, constant pool, environment slots, input, prologue length
-/// and output; only its code and state conventions are its own.
+/// directly (copy propagation). It shares the first-instant program's
+/// register numbering, constant pool, environment slots, input and
+/// output; its code, prologue and state conventions are its own.
 #[derive(Debug, Clone)]
 pub struct Steady {
     /// The dropped slots' state-in registers, each with the constant it
@@ -477,6 +469,10 @@ pub struct Steady {
     /// Per op, the operands it reads for the last time, derived for
     /// `ops` as [`TapeProgram::takes`] is.
     pub takes: Vec<u8>,
+    /// Length of the prologue, as [`TapeProgram::prologue`]: the
+    /// first-instant prologue without the projections nothing here reads
+    /// (one per projected register stays, to check the input's shape).
+    pub prologue: usize,
     /// The kept slots' state-in registers.
     pub state_in: Vec<Reg>,
     /// The kept slots' successor-state sources, after copy propagation
@@ -490,6 +486,7 @@ pub struct Steady {
 struct Code<'p> {
     ops: &'p [Op],
     takes: &'p [u8],
+    prologue: usize,
     state_in: &'p [Reg],
     state_out: &'p [StateOut],
 }
@@ -499,6 +496,7 @@ impl TapeProgram {
         Code {
             ops: &self.ops,
             takes: &self.takes,
+            prologue: self.prologue,
             state_in: &self.state_in,
             state_out: &self.state_out,
         }
@@ -510,6 +508,7 @@ impl Steady {
         Code {
             ops: &self.ops,
             takes: &self.takes,
+            prologue: self.prologue,
             state_in: &self.state_in,
             state_out: &self.state_out,
         }
@@ -573,22 +572,26 @@ impl RegFile {
     }
 }
 
-/// The shared runtime state of one engine's tape: the program plus the
-/// register files every particle reuses (particles run sequentially, so
-/// one file per program suffices; values are moved in and out per step).
-/// The steady program has a file of its own because it pins the dropped
-/// slots' registers to their constants, where the first-instant program
-/// loads those registers from the particle and may take them.
+/// The runtime state of one lowered tape: the program plus the register
+/// files every particle of an engine reuses (particles run sequentially,
+/// so one file per program suffices; values are moved in and out per
+/// step). The steady program has a file of its own because it pins the
+/// dropped slots' registers to their constants, where the first-instant
+/// program loads those registers from the particle and may take them.
+/// An engine holds one for its particles, an instance one for its
+/// driver tape.
 #[derive(Debug)]
 pub struct TapeShared {
     /// The lowered program.
     pub prog: TapeProgram,
     first: RegFile,
     steady: Option<RegFile>,
+    /// Bumped by the engine at the start of every tick.
+    tick: Cell<u64>,
 }
 
 impl TapeShared {
-    fn new(prog: TapeProgram) -> TapeShared {
+    pub(crate) fn new(prog: TapeProgram) -> TapeShared {
         let first = RegFile::new(prog.num_regs, &prog.consts, &[]);
         let steady = prog
             .steady
@@ -598,7 +601,14 @@ impl TapeShared {
             prog,
             first,
             steady,
+            tick: Cell::new(0),
         }
+    }
+
+    /// Signals a new tick (the next execution on each register file
+    /// reloads the environment, the input and the prologue).
+    pub(crate) fn next_tick(&self) {
+        self.tick.set(self.tick.get().wrapping_add(1));
     }
 
     /// Bytes of scratch currently held by the register files (the vectors
@@ -608,67 +618,12 @@ impl TapeShared {
         self.first.scratch_bytes() + self.steady.as_ref().map_or(0, RegFile::scratch_bytes)
     }
 
-    /// Which programs particle steps ran on in tick `tick`, as
+    /// Which programs particle steps ran on in the current tick, as
     /// `(first_instant, steady)`: a program ran when its register file
     /// completed that tick's load.
-    pub(crate) fn programs_run(&self, tick: u64) -> (bool, bool) {
-        let ran = |f: &RegFile| f.loaded.get() == Some(tick);
+    pub(crate) fn programs_run(&self) -> (bool, bool) {
+        let ran = |f: &RegFile| f.loaded.get() == Some(self.tick.get());
         (ran(&self.first), self.steady.as_ref().is_some_and(ran))
-    }
-}
-
-/// Per-engine lowering cell, shared between a [`crate::eval::MufEngine`]
-/// and its particle models (an [`crate::eval::Instance`] holds one for its
-/// driver tape). Lowering happens lazily at the first particle step, from
-/// the closure in the engine's slot at that point (an embedded `infer`
-/// site re-closes it over the driver environment at every step), and is
-/// attempted exactly once: its result holds for the engine's lifetime. A
-/// refusal leaves the engine interpreting; a lowered engine never goes
-/// back. An engine that is never stepped never lowers.
-#[derive(Debug, Default)]
-pub struct TapeCell {
-    attempt: OnceCell<Result<TapeShared, String>>,
-    /// Bumped by the engine at the start of every tick.
-    tick: Cell<u64>,
-}
-
-impl TapeCell {
-    /// Signals a new tick (the next execution on each register file
-    /// reloads the environment, the input and the prologue).
-    pub(crate) fn next_tick(&self) {
-        self.tick.set(self.tick.get().wrapping_add(1));
-    }
-
-    /// The current tick.
-    pub(crate) fn tick(&self) -> u64 {
-        self.tick.get()
-    }
-
-    /// The installed tape, if lowering has succeeded.
-    pub fn ready(&self) -> Option<&TapeShared> {
-        self.attempt.get()?.as_ref().ok()
-    }
-
-    /// Human-readable status: `Ok(())` when lowered, `Err(reason)` when
-    /// pending or refused.
-    pub fn status(&self) -> Result<(), String> {
-        match self.attempt.get() {
-            None => Err("tape not lowered yet (no step taken)".into()),
-            Some(Ok(_)) => Ok(()),
-            Some(Err(e)) => Err(e.clone()),
-        }
-    }
-
-    /// Returns the tape, running `lower` on first use. `None` means the
-    /// engine or instance executes on the interpreter.
-    pub(crate) fn ensure(
-        &self,
-        lower: impl FnOnce() -> Result<TapeProgram, String>,
-    ) -> Option<&TapeShared> {
-        self.attempt
-            .get_or_init(|| lower().map(TapeShared::new))
-            .as_ref()
-            .ok()
     }
 }
 
@@ -705,33 +660,15 @@ pub(crate) fn split_state(v: &MufValue, shape: &StateShape) -> Result<Vec<MufVal
             },
         }
     }
-    let mut out = Vec::with_capacity(shape.leaves());
+    let mut out = Vec::new();
     go(v, shape, &mut out)?;
     Ok(out)
 }
 
-/// A state's flat slots, split from the whole value at its first tape
-/// step. This and the two helpers below are inlined always: they are
-/// `step_model`'s per-particle body, shared with `step_driver`.
-#[inline(always)]
-fn flat_slots<'s>(
-    state: &'s mut ModelState,
-    prog: &TapeProgram,
-) -> Result<&'s mut Vec<MufValue>, LangError> {
-    if let ModelState::Whole(whole) = &*state {
-        let slots = split_state(whole, &prog.shape).map_err(|e| {
-            LangError::new(Stage::Eval, format!("state does not fit the tape: {e}"))
-        })?;
-        *state = ModelState::Flat(slots);
-    }
-    match state {
-        ModelState::Flat(slots) => Ok(slots),
-        ModelState::Whole(_) => Err(LangError::new(Stage::Eval, "tape state must be flat")),
-    }
-}
-
 /// Moves the state slots into their registers. A failed step then leaves
-/// the state no value, as the interpreter's does.
+/// the state no value, as the interpreter's does. This and
+/// [`store_state`] are inlined always: they are `step_model`'s
+/// per-particle body, shared with `step_driver`.
 #[inline(always)]
 fn load_state(code: Code<'_>, slots: &mut [MufValue], regs: &mut [MufValue]) {
     for (slot, &r) in slots.iter_mut().zip(code.state_in) {
@@ -750,8 +687,8 @@ fn store_state(code: Code<'_>, slots: &mut [MufValue], regs: &mut [MufValue]) {
     }
 }
 
-/// One particle step on the tape. Mirrors `MufModel::step`'s interpreter
-/// path: state slots move into their registers, the tape executes, the
+/// One particle step on the tape. Mirrors `MufModel::step` on the tree
+/// walker: state slots move into their registers, the tape executes, the
 /// output is folded to a core value, and the successor state moves back
 /// out. The load (see [`load`]) runs at the first particle of a tick on
 /// each register file only; an error there is this particle's error, and
@@ -766,29 +703,28 @@ fn store_state(code: Code<'_>, slots: &mut [MufValue], regs: &mut [MufValue]) {
 /// the stateless particle the interpreter's failed step leaves.
 pub(crate) fn step_model(
     interp: &Rc<Interp>,
-    cell: &TapeCell,
-    shared: &TapeShared,
+    tape: &TapeShared,
     closure_slot: &RefCell<MufValue>,
-    state: &mut ModelState,
+    slots: &mut Vec<MufValue>,
     ctx: &mut dyn ProbCtx,
     input: &Value,
 ) -> Result<Value, LangError> {
-    let prog = &shared.prog;
-    let slots = flat_slots(state, prog)?;
+    let prog = &tape.prog;
     let steady = prog
         .steady
         .as_ref()
-        .zip(shared.steady.as_ref())
+        .zip(tape.steady.as_ref())
         .filter(|(s, _)| slots.len() == s.state_in.len());
     let (code, file) = match steady {
         Some((s, file)) => (s.code(), file),
-        None => (prog.code(), &shared.first),
+        None => (prog.code(), &tape.first),
     };
     let mut run = || {
         let mut regs = file.regs.borrow_mut();
         load_state(code, slots, &mut regs);
         let mut prob = ProbSlot::Prob(&mut *ctx);
-        if file.loaded.get() != Some(cell.tick()) {
+        let tick = tape.tick.get();
+        if file.loaded.get() != Some(tick) {
             load(
                 interp,
                 prog,
@@ -798,12 +734,12 @@ pub(crate) fn step_model(
                 &mut prob,
                 input,
             )?;
-            file.loaded.set(Some(cell.tick()));
+            file.loaded.set(Some(tick));
         }
         exec(
             interp,
             code,
-            prog.prologue,
+            code.prologue,
             code.ops.len(),
             &mut regs,
             &mut prob,
@@ -836,15 +772,14 @@ pub(crate) fn step_model(
 /// the interpreter's value, tuples and all.
 pub(crate) fn step_driver(
     interp: &Rc<Interp>,
-    shared: &TapeShared,
+    tape: &TapeShared,
     step: &MufValue,
-    state: &mut ModelState,
+    slots: &mut [MufValue],
     input: Value,
 ) -> Result<MufValue, LangError> {
-    let prog = &shared.prog;
+    let prog = &tape.prog;
     let code = prog.code();
-    let slots = flat_slots(state, prog)?;
-    let mut regs = shared.first.regs.borrow_mut();
+    let mut regs = tape.first.regs.borrow_mut();
     load_state(code, slots, &mut regs);
     load_env(prog, step, &mut regs)?;
     if let Some(r) = prog.input {
@@ -881,12 +816,14 @@ fn load(
     if let Some(r) = prog.input {
         regs[r as usize] = MufValue::V(input.clone());
     }
-    exec(interp, code, 0, prog.prologue, regs, prob)
+    exec(interp, code, 0, code.prologue, regs, prob)
 }
 
 /// Checks that `closure` is still the closure the tape was lowered from
 /// and copies its captured environment into the env registers (an
-/// embedded `infer` site re-closes the transition every tick).
+/// embedded `infer` site re-closes the transition every tick, over the
+/// names the engine's tape reads from its environment: see
+/// [`crate::transform::lower`]).
 fn load_env(
     prog: &TapeProgram,
     closure: &MufValue,
@@ -902,12 +839,10 @@ fn load_env(
         }
     };
     for (name, reg) in &prog.env_slots {
-        let v = c.env.lookup(name).ok_or_else(|| {
-            LangError::new(
-                Stage::Eval,
-                format!("captured variable `{name}` is missing"),
-            )
-        })?;
+        let v = c
+            .env
+            .lookup(name)
+            .ok_or_else(|| LangError::new(Stage::Eval, format!("unbound variable `{name}`")))?;
         regs[*reg as usize] = v.clone();
     }
     Ok(())
@@ -1152,8 +1087,8 @@ fn runs_inline(op: OpName, a: &Value, b: &Value) -> bool {
 /// Steps the engine in register `engine` for an `infer` site, as the
 /// interpreter's `infer` does: the transition re-closed over the site's
 /// captured registers, then one step on a unit input, whose posterior
-/// goes to `dst`. Out of line, so this driver-only op adds little to the
-/// `exec` that particles run too.
+/// goes to `dst`. Out of line, so this rare op adds little to the
+/// `exec` that every particle runs.
 #[inline(never)]
 fn infer_step(
     regs: &mut [MufValue],
@@ -1273,8 +1208,9 @@ impl TapeProgram {
     /// golden-test surface). The format is stable: header, environment
     /// and state register conventions, constant pool, then one line per
     /// op as `NNNN mnemonic  dst <- operands`. A particle tape with a
-    /// steady program ends in a `steady:` block: its header, state
-    /// conventions, the pinned slot registers as constants, and its ops.
+    /// steady program ends in a `steady:` block: its header, its prologue
+    /// length where it is shorter, state conventions, the pinned slot
+    /// registers as constants, and its ops.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -1307,6 +1243,9 @@ impl TapeProgram {
                 steady.ops.len(),
                 steady.state_in.len()
             );
+            if steady.prologue != self.prologue {
+                let _ = writeln!(s, "prologue: {} op(s)", steady.prologue);
+            }
             render_state(&mut s, steady.code());
             for (r, v) in &steady.pins {
                 let _ = writeln!(s, "const r{r} <- {}", render_value(v));

@@ -13,20 +13,23 @@
 //! globals are resolved once — the steady state does zero name lookups
 //! and zero `Env` operations.
 //!
-//! Lowering is conservative and total-or-nothing: any construct the tape
-//! cannot run by itself (a closure applied from a register, a call to a
-//! closure that captured an environment, calls nested deeper than 64,
-//! escaping closures, nested inference in particle code, arity
-//! surprises) refuses the whole transition with a reason, and the engine
-//! interprets it instead. No op hands a single call back to the
-//! interpreter. The evaluation order of emitted ops mirrors the
-//! interpreter's recursion exactly, so effects (sampling, observation,
-//! RNG consumption) happen in the same sequence bit-for-bit.
+//! Lowering is total-or-nothing: a construct the tape cannot run by
+//! itself (a closure applied from a register, a call to a closure that
+//! captured an environment or to itself, an escaping closure, shape and
+//! arity surprises, the op budget) refuses the whole transition with a
+//! reason, and the engine or instance being built fails with it (DESIGN
+//! §2.13 lists which of these source programs reach). No op hands a
+//! single call back to the interpreter. The evaluation order of emitted
+//! ops mirrors the interpreter's recursion exactly, so effects (sampling,
+//! observation, RNG consumption) happen in the same sequence bit-for-bit.
 //!
-//! A deterministic node's step lowers the same way to a driver tape
-//! ([`lower_driver`]), where an `infer` becomes [`Op::Infer`]: it steps
-//! the engine held in a state register, after re-closing the transition
-//! over the registers of the driver bindings it reads.
+//! An `infer` becomes [`Op::Infer`], in a driver tape ([`lower_driver`])
+//! or a particle's ([`lower_closure`], nested inference): it steps the
+//! engine held in a state register, after re-closing the transition over
+//! the registers of the hosting step's bindings it reads. An engine's own
+//! transition lowers when the engine is allocated, before that site binds
+//! anything, so a free name that neither its environment nor a global
+//! binds is an environment slot: the site binds it before every step.
 //!
 //! Three passes then finish the tape: a peephole pass fuses each
 //! distribution constructor into the `sample`/`observe` that is the sole
@@ -52,10 +55,6 @@ use probzelus_core::value::Value;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-/// Inlining recursion limit: deeper call chains refuse to lower
-/// (compiled programs are non-recursive, so this is a safety net for
-/// hand-written µF).
-const MAX_INLINE_DEPTH: u32 = 64;
 /// Hard cap on tape length; beyond it lowering refuses.
 const MAX_OPS: usize = 50_000;
 
@@ -82,9 +81,6 @@ enum ScopeEntry {
 
 struct Lower<'a> {
     interp: &'a Rc<Interp>,
-    /// Lowering a deterministic node's step (a driver), where `infer`
-    /// steps an engine, rather than a particle's transition.
-    driver: bool,
     /// The lowered closure's captured environment (names only; values are
     /// re-read into env-slot registers at runtime).
     captured: &'a Env,
@@ -99,7 +95,9 @@ struct Lower<'a> {
     global_regs: Vec<(String, Reg)>,
     reg_names: Vec<String>,
     next_reg: Reg,
-    depth: u32,
+    /// The bodies of the global closures being inlined, outermost first:
+    /// a call to one of them is recursive, which inlining cannot unroll.
+    inlining: Vec<*const MufExpr>,
     unit: Option<Reg>,
 }
 
@@ -152,7 +150,9 @@ impl Lower<'_> {
 
     /// The place of a name the interpreter's environment binds at this
     /// point: the lexical scope, then (outside an inlined global's body)
-    /// the closure's captured environment. `None` for a global.
+    /// the closure's captured environment, whose slots also hold every
+    /// name no global defines (the module docs say why). `None` for a
+    /// global.
     fn resolve_local(&mut self, name: &str) -> Option<Place> {
         for e in self.scope.iter().rev() {
             match e {
@@ -161,7 +161,9 @@ impl Lower<'_> {
                 ScopeEntry::Bind(..) => {}
             }
         }
-        self.captured.lookup(name)?;
+        if self.captured.lookup(name).is_none() && self.interp.global(name).is_some() {
+            return None;
+        }
         if let Some((_, r)) = self.env_slots.iter().find(|(n, _)| n == name) {
             return Some(Place::Reg(*r));
         }
@@ -368,22 +370,17 @@ impl Lower<'_> {
                 let p = self.lower(inner)?;
                 self.freshen_place(&p)
             }
-            MufExpr::Infer { body, state, .. } if self.driver => self.lower_infer(body, state),
-            MufExpr::EngineInit { .. } if self.driver => {
-                Err("a driver step allocates an engine".into())
-            }
-            MufExpr::Infer { .. } | MufExpr::EngineInit { .. } => {
-                Err("nested inference in particle code".into())
-            }
+            MufExpr::Infer { body, state, .. } => self.lower_infer(body, state),
+            MufExpr::EngineInit { .. } => Err("a step allocates an engine".into()),
         }
     }
 
-    /// An `infer` site of a driver: the interpreter closes the transition
-    /// `fun pat -> body` over its environment, then steps the engine
-    /// `state` evaluates to, yielding `(posterior, engine)`. The op
-    /// captures the registers of the transition's free names that the
-    /// environment binds (the rest are globals, which the transition
-    /// resolves itself), and the engine handle stays in its register.
+    /// An `infer` site: the interpreter closes the transition `fun pat ->
+    /// body` over its environment, then steps the engine `state`
+    /// evaluates to, yielding `(posterior, engine)`. The op captures the
+    /// registers of the transition's free names that the environment
+    /// binds (the rest are globals, which the transition resolves
+    /// itself), and the engine handle stays in its register.
     fn lower_infer(&mut self, body: &MufExpr, state: &MufExpr) -> LowerResult<Place> {
         let MufExpr::Fun(pat, fun_body) = body else {
             return Err("an `infer` transition is not a `fun`".into());
@@ -478,7 +475,8 @@ impl Lower<'_> {
 
     /// Inlines a call to a global closure. Only a closure with an empty
     /// environment inlines: its body names nothing but its parameters
-    /// and globals.
+    /// and globals. A compiled node calls only earlier nodes, so calls
+    /// nest as deep as the program's chain of nodes, and never recurse.
     fn inline(&mut self, v: MufValue, pa: Place) -> LowerResult<Place> {
         let MufValue::Closure(c) = &v else {
             return Err(format!("cannot apply a {}", v.kind()));
@@ -486,15 +484,16 @@ impl Lower<'_> {
         if !c.env.is_empty() {
             return Err("a called closure captures an environment".into());
         }
-        if self.depth >= MAX_INLINE_DEPTH {
-            return Err(format!("calls nest deeper than {MAX_INLINE_DEPTH}"));
+        let body = Rc::as_ptr(&c.body);
+        if self.inlining.contains(&body) {
+            return Err("a closure calls itself".into());
         }
-        self.depth += 1;
+        self.inlining.push(body);
         let save = self.scope.len();
         self.scope.push(ScopeEntry::Boundary);
         let out = self.bind_pat(&c.pat, pa).and_then(|()| self.lower(&c.body));
         self.scope.truncate(save);
-        self.depth -= 1;
+        self.inlining.pop();
         out
     }
 
@@ -945,7 +944,8 @@ fn propagate_copies(mut ops: Vec<Op>, out: &OutSpec, state_out: &[Reg]) -> (Vec<
 /// slot; each `Select` whose condition is then a constant boolean becomes
 /// a `Move` of the branch it picks, which is the `Select`'s own result.
 /// Copy propagation ([`propagate_copies`]) then removes the moves whose
-/// readers can read their source. Last uses and state-out modes are
+/// readers can read their source, and [`steady_prologue`] the
+/// projections nothing reads any more. Last uses and state-out modes are
 /// derived afresh for the rewritten code, where a pinned register is a
 /// constant like any other. `None` when no slot is constant.
 fn steady_program(
@@ -1005,6 +1005,8 @@ fn steady_program(
         })
         .collect();
     let (ops, kept_out) = propagate_copies(ops, out, &kept_out);
+    let end_reads = out.regs().into_iter().chain(kept_out.iter().copied());
+    let (ops, prologue) = steady_prologue(ops, prologue, end_reads);
     let state_out = state_out_modes(&ops[prologue..], &kept_in, &kept_out);
     let takes = last_uses(
         &ops,
@@ -1017,9 +1019,67 @@ fn steady_program(
         keep,
         ops,
         takes,
+        prologue,
         state_in: kept_in,
         state_out,
     })
+}
+
+/// The prologue of a steady program: its first-instant prologue, `ops[..
+/// prologue]`, less the projections whose register no op and nothing
+/// read at the end (`end_reads`) reads. Projections of one register with
+/// one arity fail together or not at all, so one of them must still run
+/// where the first of them did, as the interpreter's pattern checks the
+/// shape every tick: the first one kept moves there, or when none is
+/// read, the first one stays. Returns the ops with the prologue
+/// rewritten, jumps retargeted, and its new length.
+fn steady_prologue(
+    ops: Vec<Op>,
+    prologue: usize,
+    end_reads: impl IntoIterator<Item = Reg>,
+) -> (Vec<Op>, usize) {
+    let group = |op: &Op| match *op {
+        Op::Proj { src, arity, .. } => Some((src, arity)),
+        _ => None,
+    };
+    let mut read: HashSet<Reg> = ops[prologue..]
+        .iter()
+        .flat_map(Op::reads)
+        .chain(end_reads)
+        .collect();
+    // From the back, so a projection is decided before the one that
+    // defines its source.
+    let mut keep = vec![false; prologue];
+    let mut checked = HashSet::new();
+    for pc in (0..prologue).rev() {
+        let (Some(g), Some(dst)) = (group(&ops[pc]), ops[pc].dst()) else {
+            continue;
+        };
+        let first = !ops[..pc].iter().any(|op| group(op) == Some(g));
+        if read.contains(&dst) || (first && !checked.contains(&g)) {
+            keep[pc] = true;
+            checked.insert(g);
+            read.insert(g.0);
+        }
+    }
+    let mut order = Vec::with_capacity(prologue);
+    let mut placed = HashSet::new();
+    for pc in 0..prologue {
+        match group(&ops[pc]) {
+            Some(g) if placed.insert(g) => {
+                order.extend((pc..prologue).find(|&k| keep[k] && group(&ops[k]) == Some(g)))
+            }
+            _ if keep[pc] && !order.contains(&pc) => order.push(pc),
+            _ => {}
+        }
+    }
+    let removed = (prologue - order.len()) as u32;
+    let mut new_at: Vec<u32> = (0..=ops.len() as u32).collect();
+    new_at[prologue..].iter_mut().for_each(|at| *at -= removed);
+    let mut rewritten: Vec<Op> = order.iter().map(|&pc| ops[pc].clone()).collect();
+    rewritten.extend(ops.into_iter().skip(prologue));
+    retarget(&mut rewritten, &new_at);
+    (rewritten, prologue - removed as usize)
 }
 
 /// The prologue: the longest run of leading `Proj` ops whose sources are
@@ -1101,7 +1161,7 @@ fn pat_name(p: &MufPat) -> String {
     }
 }
 
-/// Lowers a transition closure to a [`TapeProgram`].
+/// Lowers a particle's transition closure to a [`TapeProgram`].
 ///
 /// `takes_input` mirrors the model's flag: driver-facing transitions take
 /// `(state, input)`, embedded ones take `state` alone. `init_state` is
@@ -1109,8 +1169,8 @@ fn pat_name(p: &MufPat) -> String {
 ///
 /// # Errors
 ///
-/// A human-readable reason when the closure cannot be lowered; the caller
-/// interprets it instead.
+/// A human-readable reason when the closure cannot be lowered; the engine
+/// is then not built.
 pub fn lower_closure(
     interp: &Rc<Interp>,
     closure: &Rc<Closure>,
@@ -1121,15 +1181,15 @@ pub fn lower_closure(
 }
 
 /// Lowers a deterministic node's step closure, `(state, input) ->
-/// (output, state)`, to a driver tape: its `infer` sites become
-/// [`Op::Infer`], and the whole tape runs once per tick, so it has no
-/// prologue, and the input and captured environment, loaded every tick,
-/// are taken on their last read like any register the tape writes.
+/// (output, state)`, to a driver tape: the whole tape runs once per tick,
+/// in a deterministic context, so it has no prologue, and the input and
+/// captured environment, loaded every tick, are taken on their last read
+/// like any register the tape writes.
 ///
 /// # Errors
 ///
 /// A human-readable reason when the step cannot be lowered; the instance
-/// interprets it instead.
+/// is then not built.
 pub fn lower_driver(
     interp: &Rc<Interp>,
     closure: &Rc<Closure>,
@@ -1160,7 +1220,6 @@ fn lower_transition(
     loop {
         let mut lw = Lower {
             interp,
-            driver,
             captured: &closure.env,
             ops: Vec::new(),
             ops_aside: 0,
@@ -1170,7 +1229,7 @@ fn lower_transition(
             global_regs: Vec::new(),
             reg_names: Vec::new(),
             next_reg: 0,
-            depth: 0,
+            inlining: Vec::new(),
             unit: None,
         };
         let (state_place, state_in) = lw.place_of_shape(&shape, state_pat, "s");

@@ -11,12 +11,16 @@
 
 use probzelus_core::infer::Method;
 use probzelus_core::{Posterior, Value};
+use probzelus_lang::compile::{init_name, step_name};
+use probzelus_lang::diag::stage_code;
 use probzelus_lang::eval::Interp;
 use probzelus_lang::muf::{MufDef, MufExpr, MufPat, MufProgram};
 use probzelus_lang::pipeline::{compile_source, Compiled};
 use probzelus_lang::tape::{Op, StateOut, TapeProgram};
 use probzelus_lang::transform::lower::lower_closure;
-use probzelus_lang::{Const, ExecBackend, Instance, MufEngine, MufValue, OpName, Options};
+use probzelus_lang::{
+    Code, Const, ExecBackend, Instance, LangError, MufEngine, MufValue, OpName, Options,
+};
 use std::rc::Rc;
 
 const METHODS: [Method; 4] = [
@@ -470,15 +474,27 @@ impl Muf {
         (interp, step)
     }
 
-    /// An engine of 4 particles over transition `name`.
-    fn engine(&self, name: &str, method: Method, backend: ExecBackend) -> MufEngine {
+    /// An engine of 4 particles over transition `name`, or why it cannot
+    /// be built.
+    fn try_engine(
+        &self,
+        name: &str,
+        method: Method,
+        backend: ExecBackend,
+    ) -> Result<MufEngine, LangError> {
         let options = Options {
             method,
             seed: 42,
             backend,
         };
         let (interp, step) = self.closure(name, options);
-        MufEngine::new(interp, method, 4, self.init.clone(), step, true, 42).unwrap()
+        MufEngine::new(interp, method, 4, self.init.clone(), step, true, 42)
+    }
+
+    /// An engine of 4 particles over transition `name`.
+    fn engine(&self, name: &str, method: Method, backend: ExecBackend) -> MufEngine {
+        self.try_engine(name, method, backend)
+            .unwrap_or_else(|e| panic!("{name} ({backend:?}): {e}"))
     }
 
     /// Transition `name` lowered to the tape.
@@ -507,29 +523,58 @@ fn app(f: MufExpr, x: MufExpr) -> MufExpr {
     MufExpr::App(Box::new(f), Box::new(x))
 }
 
-/// Steps an interpreter engine and a tape engine over transition `name`
-/// through `inputs` under PF and SDS: both give bit-identical outcomes,
-/// every tick succeeds, and the tape engine reports that lowering
-/// refused with `reason` (it interprets instead).
-fn assert_refused_and_identical(muf: &Muf, name: &str, reason: &str, inputs: &[Value]) {
-    for method in [Method::ParticleFilter, Method::StreamingDs] {
-        let run = |backend| {
-            let mut engine = muf.engine(name, method, backend);
-            let outcomes: Vec<Outcome> = inputs
-                .iter()
-                .map(|x| engine.step(x).map_err(|e| e.to_string()))
-                .collect();
-            (outcomes, engine.tape_status())
-        };
-        let (expected, _) = run(ExecBackend::Interp);
-        let (got, status) = run(ExecBackend::Tape);
-        assert!(expected.iter().all(Result::is_ok), "{name}: {expected:?}");
-        assert_eq!(got, expected, "{name} {method:?}: backends differ");
-        assert_eq!(status, Some(Err(reason.to_string())), "{name} {method:?}");
+/// The mean and variance bits of every posterior in `outcomes`, folded
+/// FNV-1a style: a pin of a run's bits.
+fn outcome_bits(outcomes: &[Outcome]) -> u64 {
+    outcomes.iter().fold(0xcbf2_9ce4_8422_2325, |h, o| {
+        let p = o.as_ref().expect("every tick runs");
+        [p.mean_float(), p.variance_float()]
+            .into_iter()
+            .fold(h, |h, x| (h ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// A transition the tape refuses: under PF and SDS, building a tape
+/// engine over transition `name` fails with `PZ0701` naming `reason`,
+/// and an interpreter engine, the oracle, runs every tick of `inputs`
+/// with the posterior bits `want[m]` under method `m` (pinned from the
+/// tree walker before the tape stopped handing refused transitions to
+/// it).
+fn assert_refused_on_the_tape(
+    muf: &Muf,
+    name: &str,
+    reason: &str,
+    inputs: &[Value],
+    want: [u64; 2],
+) {
+    for (method, want) in [Method::ParticleFilter, Method::StreamingDs]
+        .into_iter()
+        .zip(want)
+    {
+        let err = muf
+            .try_engine(name, method, ExecBackend::Tape)
+            .expect_err(name);
+        assert_eq!(stage_code(err.stage), Code::COMPILE, "{name}: {err}");
+        assert_eq!(Code::COMPILE.to_string(), "PZ0701");
+        assert_eq!(
+            err.message,
+            format!("the transition does not lower to the tape: {reason}"),
+            "{name} {method:?}"
+        );
+        let mut engine = muf.engine(name, method, ExecBackend::Interp);
+        let outcomes: Vec<Outcome> = inputs
+            .iter()
+            .map(|x| engine.step(x).map_err(|e| e.to_string()))
+            .collect();
+        assert_eq!(
+            outcome_bits(&outcomes),
+            want,
+            "{name} {method:?}: {outcomes:?}"
+        );
     }
 }
 
-/// A transition closed over a closure refuses to lower: `step = mk inc`,
+/// A transition closed over a closure does not lower: `step = mk inc`,
 /// with `mk = fun f -> fun (s, x) -> (sample (gaussian (f x)), s)`, holds
 /// `f` in its captured environment, so it applies a closure from a
 /// register.
@@ -559,11 +604,12 @@ fn closure_applied_from_a_register_refuses_to_lower() {
     )
     .def("step", app(var("mk"), var("inc")));
     let inputs: Vec<Value> = float_inputs(6).into_iter().map(Value::Float).collect();
-    assert_refused_and_identical(
+    assert_refused_on_the_tape(
         &muf,
         "step",
         "a closure is applied from a register",
         &inputs,
+        [0x5374_6213_1dc9_70a8, 0x8c17_3159_8472_254b],
     );
 }
 
@@ -604,7 +650,7 @@ fn captured_value_loads_into_its_env_slot() {
     .for_each(|o| assert!(o.is_ok(), "step: {o:?}"));
 }
 
-/// A call to a global closure that captured an environment refuses to
+/// A call to a global closure that captured an environment does not
 /// lower: `step = fun (s, x) -> (sample (gaussian (g x)), s)` calls
 /// `g = (fun a -> fun b -> a + b) 1.`, whose body reads `a` from its
 /// environment.
@@ -631,11 +677,12 @@ fn call_to_a_closure_with_an_environment_refuses_to_lower() {
     )
     .def("g", app(adder, float(1.0)));
     let inputs: Vec<Value> = float_inputs(6).into_iter().map(Value::Float).collect();
-    assert_refused_and_identical(
+    assert_refused_on_the_tape(
         &muf,
         "step",
         "a called closure captures an environment",
         &inputs,
+        [0x5374_6213_1dc9_70a8, 0x8c17_3159_8472_254b],
     );
 }
 
@@ -874,6 +921,37 @@ fn misshaped_input_errors_like_the_interpreter_and_recovers() {
         for (t, o) in run.iter().enumerate() {
             assert_eq!(o.is_err(), t == 2, "noisy tick {t}: {o:?}");
         }
+    }
+}
+
+/// `first` reads its input's components only at the first instant, so
+/// its steady program reads neither. Its steady prologue still projects
+/// one of them, as the tree walker's pattern still destructures the
+/// input every tick: a misshaped input after the first tick fails on
+/// both backends alike (and leaves the particles no state, so every
+/// later tick fails on both too).
+#[test]
+fn steady_prologue_keeps_the_input_shape_check() {
+    const FIRST: &str = r#"
+        let node first (a, b) = x where
+          rec x = sample (gaussian ((a -> pre x), 1.))
+          and () = observe (gaussian (x, 1.), (b -> 0.))
+    "#;
+    let compiled = compile_source(FIRST).expect("compiles");
+    let steady = lowered(&compiled, "first").steady.expect("first");
+    assert_eq!(steady.prologue, 1, "first: the steady prologue");
+    let mut inputs = pair_inputs(6);
+    inputs[3] = Value::Float(1.0);
+    for run in assert_outcomes_identical(
+        "first",
+        |method, backend| engine(&compiled, "first", 4, method, backend),
+        &inputs,
+    ) {
+        for (t, o) in run.iter().enumerate() {
+            assert_eq!(o.is_err(), t >= 3, "first tick {t}: {o:?}");
+        }
+        let err = run[3].as_ref().expect_err("tick 3");
+        assert!(err.contains("cannot destructure"), "{err}");
     }
 }
 
@@ -1360,7 +1438,43 @@ fn reset_restores_embedded_engines() {
     }
 }
 
-/// Hand-written µF drivers `name_step = fun (s, x) -> (body, s)` over a
+/// A source variable named as compiled globals used to be named
+/// (`f_step`, `f_init`) does not capture the call `f(u)`: on the tree
+/// walker the call applied the local float, and the tape refused the
+/// transition as a closure applied from a register. Both run it now, and
+/// agree, as a driver and under inference.
+#[test]
+fn source_names_never_shadow_compiled_globals() {
+    const SRC: &str = r#"
+        let node f x = x + 1.
+        let node main u = v where
+          rec f_step = 3. and f_init = 2. and v = f(u) + f_step * f_init
+        let node m y = z where
+          rec f_step = 1. and z = sample (gaussian (f(y) + f_step, 1.))
+          and () = observe (gaussian (z, 1.), y)
+    "#;
+    let compiled = compile_source(SRC).expect("compiles");
+    let floats = |t: usize, _: Option<&MufValue>| Value::Float(float_inputs(t + 1)[t]);
+    for run in assert_drivers_identical(
+        "main",
+        |method, backend| instance(&compiled, "main", method, backend),
+        3,
+        floats,
+    ) {
+        assert!(run.iter().all(Result::is_ok), "main: {run:?}");
+    }
+    let inputs: Vec<Value> = float_inputs(6).into_iter().map(Value::Float).collect();
+    assert_outcomes_identical(
+        "m",
+        |method, backend| engine(&compiled, "m", 4, method, backend),
+        &inputs,
+    )
+    .iter()
+    .flatten()
+    .for_each(|o| assert!(o.is_ok(), "m: {o:?}"));
+}
+
+/// Hand-written µF drivers `name#step = fun (s, x) -> (body, s)` over a
 /// float state, one per ill-typed body: each lowers to a driver tape,
 /// and every tick fails with the tree walker's error.
 #[test]
@@ -1429,11 +1543,11 @@ fn ill_typed_drivers_error_like_the_interpreter() {
             let init = MufExpr::Fun(MufPat::Unit, Rc::new(float(0.0)));
             [
                 MufDef {
-                    name: format!("{name}_step"),
+                    name: step_name(name),
                     expr: step,
                 },
                 MufDef {
-                    name: format!("{name}_init"),
+                    name: init_name(name),
                     expr: init,
                 },
             ]
@@ -1475,11 +1589,11 @@ fn value_of(ty: &probzelus_lang::Ty) -> Value {
     }
 }
 
-/// Every node of every committed example runs on the tape after one
-/// tick: a probabilistic node's engine reports its tape through
-/// `MufEngine::tape_status`, a deterministic node's instance its driver
-/// tape through `Instance::tape_status`. Nothing falls back to the tree
-/// walker.
+/// Every node of every committed example runs on the tape from the
+/// moment its engine or instance is built: a probabilistic node's engine
+/// reports its tape through `MufEngine::tape_status`, a deterministic
+/// node's instance its driver tape through `Instance::tape_status`, and
+/// the first tick runs.
 #[test]
 fn every_example_node_runs_on_the_tape() {
     let dir = format!("{}/../../examples/zelus", env!("CARGO_MANIFEST_DIR"));
@@ -1489,26 +1603,66 @@ fn every_example_node_runs_on_the_tape() {
         .filter(|path| path.extension().is_some_and(|e| e == "zl"))
         .collect();
     files.sort();
-    assert_eq!(files.len(), 4, "{files:?}");
+    assert_eq!(files.len(), 5, "{files:?}");
     for path in files {
         let src = std::fs::read_to_string(&path).expect("example reads");
         let compiled = compile_source(&src).unwrap_or_else(|e| panic!("{path:?}: {e}"));
         for (node, kind) in &compiled.kinds {
             let input = value_of(&compiled.sigs[node].input);
-            let status = match kind {
+            let what = format!("{path:?}: {node}");
+            match kind {
                 probzelus_lang::Kind::P => {
                     let mut e = engine(&compiled, node, 4, Method::StreamingDs, ExecBackend::Tape);
-                    e.step(&input).unwrap_or_else(|e| panic!("{node}: {e}"));
-                    e.tape_status()
+                    assert_eq!(e.tape_status(), Some(Ok(())), "{what} is not on the tape");
+                    e.step(&input).unwrap_or_else(|e| panic!("{what}: {e}"));
                 }
                 probzelus_lang::Kind::D => {
                     let mut i = instance(&compiled, node, Method::StreamingDs, ExecBackend::Tape);
-                    i.step(input).unwrap_or_else(|e| panic!("{node}: {e}"));
-                    i.tape_status()
+                    assert_eq!(i.tape_status(), Some(Ok(())), "{what} is not on the tape");
+                    i.step(input).unwrap_or_else(|e| panic!("{what}: {e}"));
                 }
-            };
-            assert_eq!(status, Some(Ok(())), "{path:?}: {node} is not on the tape");
+            }
         }
+    }
+}
+
+/// Nested inference: `nested.zl`'s probabilistic `outer` hosts an
+/// `infer`, so its particle tape has an `infer` op and each particle
+/// steps an engine of its own, moved in from its state slot and back
+/// out. `outer` under inference and `main`, the driver over it, run on
+/// the tape as on the tree walker under all five methods, each with a
+/// reset mid-stream.
+#[test]
+fn nested_inference_matches_the_interpreter() {
+    let compiled = compile_source(&example("nested.zl")).expect("nested compiles");
+    let prog = lowered(&compiled, "outer");
+    assert!(
+        prog.ops.iter().any(|op| matches!(op, Op::Infer { .. })),
+        "outer: no infer op: {}",
+        prog.render()
+    );
+    assert!(
+        prog.state_out
+            .iter()
+            .all(|o| matches!(o, StateOut::Move(_))),
+        "outer: the engine's slot is copied out: {}",
+        prog.render()
+    );
+    let inputs: Vec<Value> = float_inputs(10).into_iter().map(Value::Float).collect();
+    assert_reset_mid_stream_identical(
+        "outer",
+        |method, backend| engine(&compiled, "outer", 6, method, backend),
+        &inputs,
+        5,
+    );
+    let floats = |t: usize, _: Option<&MufValue>| Value::Float(float_inputs(t + 1)[t]);
+    for run in assert_drivers_identical(
+        "main",
+        |method, backend| instance(&compiled, "main", method, backend),
+        5,
+        floats,
+    ) {
+        assert!(run.iter().all(Result::is_ok), "main: {run:?}");
     }
 }
 
