@@ -1058,6 +1058,7 @@ impl Graph {
     /// already-collected node (a bug in root reporting); marks set before
     /// the error are left in place, so the graph should be treated as
     /// poisoned and the owning particle quarantined.
+    #[inline] // every SDS and DS particle step calls it (EXPERIMENTS "The tape never falls back")
     pub fn collect(&mut self, roots: impl IntoIterator<Item = RvId>) -> Result<(), RuntimeError> {
         // The mark stack shares graft's scratch buffer (collect never runs
         // while a graft is in flight).

@@ -68,8 +68,8 @@ fn engine(
 
 /// Drives `node` on the interpreter and on the tape and asserts
 /// bit-identical posteriors at every tick, for every method,
-/// including after a reset. Also asserts the tape actually lowered —
-/// a silent fallback to the interpreter would make this test vacuous.
+/// including after a reset. Also asserts that only the tape engine
+/// holds a tape: two interpreter engines would make this test vacuous.
 fn assert_backends_identical(
     file: &str,
     compiled: &Compiled,
