@@ -1474,6 +1474,39 @@ fn source_names_never_shadow_compiled_globals() {
     .for_each(|o| assert!(o.is_ok(), "m: {o:?}"));
 }
 
+/// The one refusal a source program reaches (DESIGN §2.13): inlining
+/// copies a callee at every call, so 17 nodes, each calling the one
+/// before twice, put 2^16 copies of the first on `m`'s tape, past the op
+/// budget. The engine then fails to build with `PZ0701`, while the tree
+/// walker runs the program.
+#[test]
+fn call_tree_past_the_op_budget_refuses_to_lower() {
+    let mut src = String::from("let node f0 x = x + 1.\n");
+    for i in 1..17 {
+        src += &format!("let node f{i} x = f{j}(x) + f{j}(x)\n", j = i - 1);
+    }
+    src += "let node m y = z where rec z = sample (gaussian (f16(y), 1.)) \
+            and () = observe (gaussian (z, 1.), y)";
+    let compiled = compile_source(&src).expect("well-kinded");
+    let options = |backend| Options {
+        method: Method::ParticleFilter,
+        seed: 42,
+        backend,
+    };
+    let err = compiled
+        .infer_node("m", 1, options(ExecBackend::Tape))
+        .expect_err("past the op budget");
+    assert_eq!(stage_code(err.stage), Code::COMPILE, "{err}");
+    assert_eq!(
+        err.message,
+        "the transition does not lower to the tape: op budget exceeded (50000)"
+    );
+    let mut oracle = compiled
+        .infer_node("m", 1, options(ExecBackend::Interp))
+        .expect("the tree walker builds it");
+    assert!(oracle.step(&Value::Float(0.5)).is_ok());
+}
+
 /// Hand-written µF drivers `name#step = fun (s, x) -> (body, s)` over a
 /// float state, one per ill-typed body: each lowers to a driver tape,
 /// and every tick fails with the tree walker's error.
