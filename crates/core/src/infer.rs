@@ -568,11 +568,6 @@ impl<M: Model> Infer<M> {
         self.resample_stats
     }
 
-    /// The particles' models, in particle order.
-    pub fn models(&self) -> impl Iterator<Item = &M> {
-        self.particles.iter().map(|p| &p.model)
-    }
-
     /// Heap bytes currently reserved by the persistent per-tick scratch:
     /// the weight/ancestor/offspring buffers. On bounded models this
     /// plateaus after the first few ticks — the allocation-free-steady-state

@@ -469,8 +469,7 @@ pub fn explain(code: Code) -> Option<&'static str> {
              program (e.g. a derived form survived desugaring, or duplicate definitions), or \
              an engine's or instance's transition did not lower to the instruction tape when \
              it was built (the message names the construct). These indicate a pipeline bug if \
-             reached from `pzc`, except a tape past the op budget (50,000 ops once every node \
-             call is inlined), which a program whose calls fan out deeply can reach."
+             reached from `pzc`."
         }
         Code::EVAL => {
             "PZ0702: runtime error.\n\nµF evaluation failed (division by zero, invalid \

@@ -149,26 +149,6 @@ impl Interp {
         self.rng.borrow_mut().gen()
     }
 
-    /// One step of a transition on the tree walker: applies `step` to
-    /// `arg` and splits the `(output, state)` pair it returns.
-    fn step_transition(
-        self: &Rc<Self>,
-        step: &MufValue,
-        arg: MufValue,
-        prob: &mut ProbSlot<'_>,
-    ) -> Result<(MufValue, MufValue), LangError> {
-        match self.apply(step, arg, prob)? {
-            MufValue::Tuple(mut vs) if vs.len() == 2 => {
-                let next = vs.pop().expect("length checked");
-                Ok((vs.pop().expect("length checked"), next))
-            }
-            other => Err(LangError::new(
-                Stage::Eval,
-                format!("a step must return (value, state), got {}", other.kind()),
-            )),
-        }
-    }
-
     /// Applies a closure value to an argument.
     ///
     /// # Errors
@@ -682,19 +662,63 @@ pub(crate) fn core_op(
     }
 }
 
+/// How a transition runs, which the backend alone decides: on its
+/// lowered tape, whose program holds the initial state as flat slots, or
+/// under [`ExecBackend::Interp`] on the tree walker, from the whole
+/// initial state.
+#[derive(Debug)]
+enum Runner {
+    Tape(Box<crate::tape::TapeShared>),
+    Interp(MufValue),
+}
+
+impl Runner {
+    /// Under [`ExecBackend::Tape`], the tape `lower` makes from the
+    /// initial state; a transition that does not lower is a
+    /// [`Stage::Compile`] error, a pipeline bug when reached from a
+    /// compiled program (DESIGN §2.13).
+    fn new(
+        backend: ExecBackend,
+        init_state: MufValue,
+        lower: impl FnOnce(&MufValue) -> Result<crate::tape::TapeProgram, String>,
+    ) -> Result<Runner, LangError> {
+        match backend {
+            ExecBackend::Interp => Ok(Runner::Interp(init_state)),
+            ExecBackend::Tape => match lower(&init_state) {
+                Ok(prog) => Ok(Runner::Tape(Box::new(crate::tape::TapeShared::new(prog)))),
+                Err(reason) => Err(LangError::new(
+                    Stage::Compile,
+                    format!("the transition does not lower to the tape: {reason}"),
+                )),
+            },
+        }
+    }
+
+    /// The initial state, held as a particle or an instance holds its
+    /// state: the tape's flat slots, or one slot holding the whole value.
+    fn init(&self) -> &[MufValue] {
+        match self {
+            Runner::Tape(tape) => &tape.prog.init_slots,
+            Runner::Interp(whole) => std::slice::from_ref(whole),
+        }
+    }
+
+    fn tape(&self) -> Option<&crate::tape::TapeShared> {
+        match self {
+            Runner::Tape(tape) => Some(tape),
+            Runner::Interp(_) => None,
+        }
+    }
+}
+
 /// What every particle of one engine shares, behind one `Rc`.
 struct Shared {
     interp: Rc<Interp>,
     /// The transition closure, re-closed by the engine's `infer` site
     /// before every step.
     closure: RefCell<MufValue>,
-    /// The initial state, as the particles hold theirs: the tape's flat
-    /// slots, or under [`ExecBackend::Interp`] one slot holding the whole
-    /// value.
-    init: Vec<MufValue>,
     takes_input: bool,
-    /// The lowered transition (`None` under [`ExecBackend::Interp`]).
-    tape: Option<crate::tape::TapeShared>,
+    run: Runner,
 }
 
 impl Shared {
@@ -707,18 +731,15 @@ impl Shared {
         init_state: MufValue,
         takes_input: bool,
     ) -> Result<Shared, LangError> {
-        let (tape, init) = match interp.backend {
-            ExecBackend::Tape => on_tape(crate::tape::closure_of(&closure).and_then(|c| {
-                crate::transform::lower::lower_closure(&interp, c, &init_state, takes_input)
-            }))?,
-            ExecBackend::Interp => (None, vec![init_state]),
-        };
+        let run = Runner::new(interp.backend, init_state, |init| {
+            crate::tape::closure_of(&closure)
+                .and_then(|c| crate::transform::lower::lower_closure(&interp, c, init, takes_input))
+        })?;
         Ok(Shared {
             interp,
             closure: RefCell::new(closure),
-            init,
             takes_input,
-            tape,
+            run,
         })
     }
 }
@@ -761,7 +782,7 @@ impl Clone for MufModel {
 impl MufModel {
     /// A particle at the initial state.
     fn new(shared: Rc<Shared>) -> MufModel {
-        let state = shared.init.iter().map(MufValue::deep_clone).collect();
+        let state = shared.run.init().iter().map(MufValue::deep_clone).collect();
         MufModel { shared, state }
     }
 
@@ -777,10 +798,17 @@ impl MufModel {
         } else {
             state
         };
-        let prob = &mut ProbSlot::Prob(ctx);
-        let (out, next) = shared.interp.step_transition(&closure, arg, prob)?;
-        self.state[0] = next;
-        Ok(out.as_core()?)
+        let mut prob = ProbSlot::Prob(ctx);
+        match shared.interp.apply(&closure, arg, &mut prob)? {
+            MufValue::Tuple(mut vs) if vs.len() == 2 => {
+                self.state[0] = vs.pop().expect("length checked");
+                Ok(vs.pop().expect("length checked").as_core()?)
+            }
+            other => Err(RuntimeError::Host(format!(
+                "transition function must return (value, state), got {}",
+                other.kind()
+            ))),
+        }
     }
 }
 
@@ -789,8 +817,8 @@ impl Model for MufModel {
 
     fn step(&mut self, ctx: &mut dyn ProbCtx, input: &Value) -> Result<Value, RuntimeError> {
         let shared = &*self.shared;
-        match &shared.tape {
-            Some(tape) => Ok(crate::tape::step_model(
+        match &shared.run {
+            Runner::Tape(tape) => Ok(crate::tape::step_model(
                 &shared.interp,
                 tape,
                 &shared.closure,
@@ -798,12 +826,12 @@ impl Model for MufModel {
                 ctx,
                 input,
             )?),
-            None => self.step_interp(ctx, input),
+            Runner::Interp(_) => self.step_interp(ctx, input),
         }
     }
 
     fn reset(&mut self) {
-        deep_clone_into(&mut self.state, &self.shared.init);
+        deep_clone_into(&mut self.state, self.shared.run.init());
     }
 
     fn for_each_state_value(&mut self, f: &mut dyn FnMut(&mut Value)) {
@@ -811,21 +839,6 @@ impl Model for MufModel {
             s.for_each_value_mut(f);
         }
     }
-}
-
-/// A tape, and the initial state as its flat slots.
-type OnTape = (Option<crate::tape::TapeShared>, Vec<MufValue>);
-
-/// A lowered transition's tape and initial slots; a transition that does
-/// not lower is a [`Stage::Compile`] error, a pipeline bug when reached
-/// from a compiled program (DESIGN §2.13).
-fn on_tape(lowered: Result<crate::tape::TapeProgram, String>) -> Result<OnTape, LangError> {
-    let prog = lowered.map_err(|reason| {
-        let message = format!("the transition does not lower to the tape: {reason}");
-        LangError::new(Stage::Compile, message)
-    })?;
-    let init = prog.init_slots.clone();
-    Ok((Some(crate::tape::TapeShared::new(prog)), init))
 }
 
 /// An inference engine over µF models (the runtime value of a compiled
@@ -932,7 +945,7 @@ impl MufEngine {
     pub fn step(&mut self, input: &Value) -> Result<Posterior, LangError> {
         // A new tick: the tape reloads the closure's environment and the
         // input (and reruns its prologue) at the first particle step.
-        if let Some(tape) = &self.shared.tape {
+        if let Some(tape) = self.shared.run.tape() {
             tape.next_tick();
         }
         self.inner.step(input).map_err(|e| e.into())
@@ -942,7 +955,7 @@ impl MufEngine {
     /// [`ExecBackend::Tape`] always `Ok(())`, since an engine whose
     /// transition does not lower is never built.
     pub fn tape_status(&self) -> Option<Result<(), String>> {
-        self.shared.tape.as_ref().map(|_| Ok(()))
+        self.shared.run.tape().map(|_| Ok(()))
     }
 
     /// Bytes of tape scratch (the register files) currently held, under
@@ -950,8 +963,8 @@ impl MufEngine {
     /// programs.
     pub fn tape_scratch_bytes(&self) -> Option<usize> {
         self.shared
-            .tape
-            .as_ref()
+            .run
+            .tape()
             .map(crate::tape::TapeShared::scratch_bytes)
     }
 
@@ -962,8 +975,8 @@ impl MufEngine {
     /// ([`crate::tape::Steady`]).
     pub fn tape_programs_run(&self) -> Option<(bool, bool)> {
         self.shared
-            .tape
-            .as_ref()
+            .run
+            .tape()
             .map(crate::tape::TapeShared::programs_run)
     }
 
@@ -1057,13 +1070,11 @@ pub struct Instance {
     /// The tape's flat slots, or under [`ExecBackend::Interp`] one slot
     /// holding the whole state.
     state: Vec<MufValue>,
-    /// The state the node starts from, held as `state` is. Until the
-    /// first reset it shares its engines with the running state, which
-    /// steps them in place, so [`Instance::reset`] restarts them before
-    /// copying.
-    init: Vec<MufValue>,
-    /// The driver tape (`None` under [`ExecBackend::Interp`]).
-    tape: Option<crate::tape::TapeShared>,
+    /// The driver tape, or the tree walker, and the state the node
+    /// starts from. Until the first reset that state shares its engines
+    /// with the running state, which steps them in place, so
+    /// [`Instance::reset`] restarts them before copying.
+    run: Runner,
     /// Monotonic driver-tick counter (not rewound by [`Instance::reset`],
     /// so every emitted span ID is unique within a run).
     tick: u64,
@@ -1084,19 +1095,15 @@ impl Instance {
             .global(&crate::compile::init_name(name))
             .ok_or_else(|| LangError::new(Stage::Eval, format!("unknown node `{name}`")))?;
         let state = interp.apply(&init_thunk, MufValue::unit(), &mut ProbSlot::Det)?;
-        let (tape, init) = match interp.backend {
-            ExecBackend::Tape => on_tape(
-                crate::tape::closure_of(&step)
-                    .and_then(|c| crate::transform::lower::lower_driver(&interp, c, &state)),
-            )?,
-            ExecBackend::Interp => (None, vec![state]),
-        };
+        let run = Runner::new(interp.backend, state, |init| {
+            crate::tape::closure_of(&step)
+                .and_then(|c| crate::transform::lower::lower_driver(&interp, c, init))
+        })?;
         Ok(Instance {
             interp,
             step,
-            state: init.clone(),
-            init,
-            tape,
+            state: run.init().to_vec(),
+            run,
             tick: 0,
         })
     }
@@ -1108,11 +1115,11 @@ impl Instance {
     /// Evaluation errors (including errors from embedded `infer` engines).
     pub fn step(&mut self, input: Value) -> Result<MufValue, LangError> {
         let t0 = self.interp.obs.enabled().then(std::time::Instant::now);
-        let out = match &self.tape {
-            Some(tape) => {
+        let out = match &self.run {
+            Runner::Tape(tape) => {
                 crate::tape::step_driver(&self.interp, tape, &self.step, &mut self.state, input)
             }
-            None => self.step_interp(input),
+            Runner::Interp(_) => self.step_interp(input),
         };
         if let Some(t0) = t0 {
             use probzelus_core::trace::{self, SpanRecord};
@@ -1142,11 +1149,16 @@ impl Instance {
     fn step_interp(&mut self, input: Value) -> Result<MufValue, LangError> {
         let state = std::mem::replace(&mut self.state[0], MufValue::Nil);
         let arg = MufValue::Tuple(vec![state, MufValue::V(input)]);
-        let (out, next) = self
-            .interp
-            .step_transition(&self.step, arg, &mut ProbSlot::Det)?;
-        self.state[0] = next;
-        Ok(out)
+        match self.interp.apply(&self.step, arg, &mut ProbSlot::Det)? {
+            MufValue::Tuple(mut vs) if vs.len() == 2 => {
+                self.state[0] = vs.pop().expect("length checked");
+                Ok(vs.pop().expect("length checked"))
+            }
+            other => Err(LangError::new(
+                Stage::Eval,
+                format!("node step must return (value, state), got {}", other.kind()),
+            )),
+        }
     }
 
     /// Restores the initial state, embedded engines included: the
@@ -1161,15 +1173,15 @@ impl Instance {
                 _ => {}
             }
         }
-        self.init.iter().for_each(restart_engines);
-        deep_clone_into(&mut self.state, &self.init);
+        self.run.init().iter().for_each(restart_engines);
+        deep_clone_into(&mut self.state, self.run.init());
     }
 
     /// Driver-tape status: `None` under [`ExecBackend::Interp`]; under
     /// [`ExecBackend::Tape`] always `Ok(())`, since an instance whose step
     /// does not lower is never built.
     pub fn tape_status(&self) -> Option<Result<(), String>> {
-        self.tape.as_ref().map(|_| Ok(()))
+        self.run.tape().map(|_| Ok(()))
     }
 }
 
@@ -1365,7 +1377,7 @@ mod tests {
             let mut bits = Vec::new();
             let mut slots = Vec::new();
             for (t, (reset, order)) in TICKS.into_iter().enumerate() {
-                if let Some(tape) = &shared.tape {
+                if let Some(tape) = shared.run.tape() {
                     tape.next_tick();
                 }
                 if let Some(i) = reset {
@@ -1381,7 +1393,7 @@ mod tests {
                         ctx.log_weight().to_bits(),
                     ));
                 }
-                if let Some(tape) = &shared.tape {
+                if let Some(tape) = shared.run.tape() {
                     let counts = particles.each_ref().map(|p| p.state.len());
                     slots.push((tape.programs_run(), counts));
                 }
@@ -1407,11 +1419,20 @@ mod tests {
     }
 
     /// Each particle of a node that hosts an `infer` holds an engine of
-    /// its own, on the tape as on the tree walker: resampling deep-clones
-    /// the survivors' engines into the particles it replaces, so no two
-    /// particles share one after a particle-filter tick.
+    /// its own, on the tape as on the tree walker. The resampler copies a
+    /// survivor into a new particle with `clone` and into a dropped one's
+    /// storage with `clone_from`; both deep-clone the survivor's engine,
+    /// so the copies step on as the survivor does, bit for bit.
     #[test]
     fn resampled_particles_own_their_engines() {
+        use probzelus_core::prob::SampleCtx;
+        fn engine(v: &MufValue) -> Option<*const RefCell<MufEngine>> {
+            match v {
+                MufValue::Tuple(xs) => xs.iter().find_map(engine),
+                MufValue::Engine(e) => Some(Rc::as_ptr(&e.0)),
+                _ => None,
+            }
+        }
         let src = include_str!("../../../examples/zelus/nested.zl");
         let compiled = crate::pipeline::compile_source(src).unwrap();
         for backend in [ExecBackend::Interp, ExecBackend::Tape] {
@@ -1421,20 +1442,32 @@ mod tests {
                 seed: 3,
                 backend,
             };
-            let mut engine = compiled.infer_node("outer", 8, options).unwrap();
-            for y in [0.4, 1.9, -0.7, 1.2] {
-                engine.step(&Value::Float(y)).unwrap();
+            let shared = compiled.infer_node("outer", 1, options).unwrap().shared;
+            let step = |m: &mut MufModel, seed| {
+                shared.run.tape().map(crate::tape::TapeShared::next_tick);
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut ctx = SampleCtx::new(&mut rng);
+                let out = m.step(&mut ctx, &Value::Float(0.4)).unwrap();
+                (
+                    out.as_float().unwrap().to_bits(),
+                    ctx.log_weight().to_bits(),
+                )
+            };
+            let (mut survivor, mut dropped) =
+                (MufModel::new(shared.clone()), MufModel::new(shared.clone()));
+            step(&mut survivor, 0);
+            step(&mut dropped, 1);
+            let mut copy = survivor.clone();
+            dropped.clone_from(&survivor);
+            let engines: std::collections::HashSet<_> = [&survivor, &copy, &dropped]
+                .map(|m| m.state.iter().find_map(engine).unwrap())
+                .into();
+            assert_eq!(engines.len(), 3, "{backend:?}: particles share an engine");
+            for seed in 2..5 {
+                let want = step(&mut survivor, seed);
+                assert_eq!(step(&mut copy, seed), want, "{backend:?}: clone");
+                assert_eq!(step(&mut dropped, seed), want, "{backend:?}: clone_from");
             }
-            assert!(engine.resample_stats().clones > 0, "{backend:?}: no copy");
-            let engines: std::collections::HashSet<_> = engine
-                .inner
-                .models()
-                .map(|m| match &m.state[..] {
-                    [MufValue::Engine(e)] => Rc::as_ptr(&e.0),
-                    other => panic!("{backend:?}: state {other:?}"),
-                })
-                .collect();
-            assert_eq!(engines.len(), 8, "{backend:?}: particles share an engine");
         }
     }
 

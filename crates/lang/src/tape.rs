@@ -40,6 +40,10 @@
 //! under delayed sampling `pre x + xp * 0.1` allocates nothing once its
 //! slice has room.
 //!
+//! A callee too long to copy into each caller runs as a sub-program
+//! ([`TapeProgram::subs`]) on a register file of its own: [`Op::Call`]
+//! moves the argument in and the result out.
+//!
 //! A deterministic node's step runs on a tape too, the driver tape of an
 //! [`crate::eval::Instance`] (`step_driver`): it runs once per tick in
 //! a deterministic context, where `sample`, `observe`, `factor` and
@@ -70,10 +74,10 @@ pub type Reg = u32;
 
 /// One tape instruction. An op copies the registers it reads, except
 /// where [`TapeProgram::takes`] marks its last read of one: `Move`,
-/// `Proj`, `Select` (the chosen branch), arithmetic `BinOp`s and `AddMul`
-/// then take the value, leaving `nil`, so affine arithmetic can write
-/// into a term slice nothing else holds and a projection moves its
-/// component out. A program's register file is reused by
+/// `Proj`, `Select` (the chosen branch), arithmetic `BinOp`s, `AddMul`
+/// and `Call` then take the value, leaving `nil`, so affine arithmetic
+/// can write into a term slice nothing else holds and a projection moves
+/// its component out. A program's register file is reused by
 /// every particle and every tick.
 #[derive(Debug, Clone)]
 pub enum Op {
@@ -252,6 +256,17 @@ pub enum Op {
         /// The transition and the registers it captures.
         site: Box<InferSite>,
     },
+    /// `dst <- sub(arg)`: runs sub-program `sub` ([`TapeProgram::subs`])
+    /// on its own register file with the argument in its input register,
+    /// and takes its result out.
+    Call {
+        /// Destination register (the result).
+        dst: Reg,
+        /// Argument register.
+        arg: Reg,
+        /// Index of the sub-program.
+        sub: u32,
+    },
     /// End of tape.
     Halt,
 }
@@ -287,7 +302,8 @@ impl Op {
             | Op::SampleDist { dst, .. }
             | Op::Value { dst, .. }
             | Op::Freshen { dst, .. }
-            | Op::Infer { dst, .. } => Some(*dst),
+            | Op::Infer { dst, .. }
+            | Op::Call { dst, .. } => Some(*dst),
             Op::Observe { .. }
             | Op::ObserveDist { .. }
             | Op::Factor { .. }
@@ -311,12 +327,14 @@ impl Op {
     /// Rewrites every register this op reads through `map`, operands in
     /// order: `Move`, `Proj`: `src`; `Select`: `cond`, `t`, `f`; `BinOp`:
     /// `a`, `b`; `AddMul`: `x`, `a`, `b`; a fused op its arguments, then
-    /// the observation; `Infer` its captures, then the engine.
+    /// the observation; `Infer` its captures, then the engine; `Call` its
+    /// argument.
     pub(crate) fn rename_reads(&mut self, mut map: impl FnMut(Reg) -> Reg) {
         let mut one = |r: &mut Reg| *r = map(*r);
         match self {
             Op::Const { .. } | Op::Jmp { .. } | Op::Halt => {}
             Op::Move { src, .. }
+            | Op::Call { arg: src, .. }
             | Op::Proj { src, .. }
             | Op::Value { src, .. }
             | Op::Freshen { src, .. } => one(src),
@@ -402,9 +420,9 @@ pub struct TapeProgram {
     /// Per op, the operands it reads for the last time: bit `i` stands
     /// for the `i`-th register of the op's reads (`Move`, `Proj`: `src`;
     /// `Select`: `cond`, `t`, `f`; `BinOp`: `a`, `b`; `AddMul`: `x`, `a`,
-    /// `b`). Only `Move`, `Proj`, `Select`, arithmetic `BinOp`s and
-    /// `AddMul` take a marked operand, leaving `nil`; every other op
-    /// copies.
+    /// `b`; `Call`: `arg`). Only `Move`, `Proj`, `Select`, arithmetic
+    /// `BinOp`s, `AddMul` and `Call` take a marked operand, leaving `nil`;
+    /// every other op copies.
     pub takes: Vec<u8>,
     /// Length of the prologue: the leading `Proj` ops of `ops` that
     /// destructure the tick input and the captured environment. They
@@ -441,6 +459,14 @@ pub struct TapeProgram {
     /// [`Steady`]): `None` for a driver tape, and for a particle tape none
     /// of whose slots is constant after the first step.
     pub steady: Option<Steady>,
+    /// The sub-programs the tape's [`Op::Call`]s run, shared by both
+    /// programs and by each other's calls: each a global closure lowered
+    /// once, where its body is too long to copy into each caller (see
+    /// [`crate::transform::lower`]). A sub-program's one state slot is
+    /// its argument on the way in and its result on the way out, and it
+    /// runs on a register file of its own; compiled programs never
+    /// recurse, so no call re-enters a running sub-program.
+    pub subs: Vec<TapeProgram>,
 }
 
 /// A particle tape's steady program. A state slot whose successor is a
@@ -451,8 +477,8 @@ pub struct TapeProgram {
 /// step loads or stores it, and each `Select` on a constant condition is
 /// a `Move` of the branch it picks, whose readers then read that branch
 /// directly (copy propagation). It shares the first-instant program's
-/// register numbering, constant pool, environment slots, input and
-/// output; its code, prologue and state conventions are its own.
+/// register numbering, constant pool, environment slots, input, prologue
+/// length and output; only its code and state conventions are its own.
 #[derive(Debug, Clone)]
 pub struct Steady {
     /// The dropped slots' state-in registers, each with the constant it
@@ -469,10 +495,6 @@ pub struct Steady {
     /// Per op, the operands it reads for the last time, derived for
     /// `ops` as [`TapeProgram::takes`] is.
     pub takes: Vec<u8>,
-    /// Length of the prologue, as [`TapeProgram::prologue`]: the
-    /// first-instant prologue without the projections nothing here reads
-    /// (one per projected register stays, to check the input's shape).
-    pub prologue: usize,
     /// The kept slots' state-in registers.
     pub state_in: Vec<Reg>,
     /// The kept slots' successor-state sources, after copy propagation
@@ -486,7 +508,6 @@ pub struct Steady {
 struct Code<'p> {
     ops: &'p [Op],
     takes: &'p [u8],
-    prologue: usize,
     state_in: &'p [Reg],
     state_out: &'p [StateOut],
 }
@@ -496,7 +517,6 @@ impl TapeProgram {
         Code {
             ops: &self.ops,
             takes: &self.takes,
-            prologue: self.prologue,
             state_in: &self.state_in,
             state_out: &self.state_out,
         }
@@ -508,7 +528,6 @@ impl Steady {
         Code {
             ops: &self.ops,
             takes: &self.takes,
-            prologue: self.prologue,
             state_in: &self.state_in,
             state_out: &self.state_out,
         }
@@ -586,6 +605,8 @@ pub struct TapeShared {
     pub prog: TapeProgram,
     first: RegFile,
     steady: Option<RegFile>,
+    /// One register file per sub-program.
+    frames: Vec<RegFile>,
     /// Bumped by the engine at the start of every tick.
     tick: Cell<u64>,
 }
@@ -597,10 +618,16 @@ impl TapeShared {
             .steady
             .as_ref()
             .map(|s| RegFile::new(prog.num_regs, &prog.consts, &s.pins));
+        let frames = prog
+            .subs
+            .iter()
+            .map(|s| RegFile::new(s.num_regs, &s.consts, &[]))
+            .collect();
         TapeShared {
             prog,
             first,
             steady,
+            frames,
             tick: Cell::new(0),
         }
     }
@@ -615,7 +642,10 @@ impl TapeShared {
     /// themselves plus embedded tuple spines). Constant across steady-state
     /// ticks for Bounded(k) programs — the scratch-plateau witness.
     pub fn scratch_bytes(&self) -> usize {
-        self.first.scratch_bytes() + self.steady.as_ref().map_or(0, RegFile::scratch_bytes)
+        let files = std::iter::once(&self.first)
+            .chain(&self.steady)
+            .chain(&self.frames);
+        files.map(RegFile::scratch_bytes).sum()
     }
 
     /// Which programs particle steps ran on in the current tick, as
@@ -727,7 +757,7 @@ pub(crate) fn step_model(
         if file.loaded.get() != Some(tick) {
             load(
                 interp,
-                prog,
+                tape,
                 code,
                 &closure_slot.borrow(),
                 &mut regs,
@@ -738,8 +768,9 @@ pub(crate) fn step_model(
         }
         exec(
             interp,
+            tape,
             code,
-            code.prologue,
+            prog.prologue,
             code.ops.len(),
             &mut regs,
             &mut prob,
@@ -787,6 +818,7 @@ pub(crate) fn step_driver(
     }
     exec(
         interp,
+        tape,
         code,
         0,
         code.ops.len(),
@@ -805,18 +837,19 @@ pub(crate) fn step_driver(
 #[inline(never)]
 fn load(
     interp: &Rc<Interp>,
-    prog: &TapeProgram,
+    tape: &TapeShared,
     code: Code<'_>,
     closure: &MufValue,
     regs: &mut [MufValue],
     prob: &mut ProbSlot<'_>,
     input: &Value,
 ) -> Result<(), LangError> {
+    let prog = &tape.prog;
     load_env(prog, closure, regs)?;
     if let Some(r) = prog.input {
         regs[r as usize] = MufValue::V(input.clone());
     }
-    exec(interp, code, 0, code.prologue, regs, prob)
+    exec(interp, tape, code, 0, prog.prologue, regs, prob)
 }
 
 /// Checks that `closure` is still the closure the tape was lowered from
@@ -895,6 +928,7 @@ fn prob_ctx<'s>(prob: &'s mut ProbSlot<'_>, what: &str) -> Result<&'s mut dyn Pr
 /// posteriors agree bit-for-bit with the interpreter.
 fn exec(
     interp: &Rc<Interp>,
+    tape: &TapeShared,
     code: Code<'_>,
     mut pc: usize,
     end: usize,
@@ -1031,6 +1065,10 @@ fn exec(
                 regs[*dst as usize] = regs[*src as usize].deep_clone();
             }
             Op::Infer { dst, engine, site } => infer_step(regs, *dst, *engine, site)?,
+            Op::Call { dst, arg, sub } => {
+                let arg = operand(regs, *arg, take(0));
+                regs[*dst as usize] = call(interp, tape, *sub, arg, prob)?;
+            }
             Op::Jmp { target } => {
                 pc = *target as usize;
                 continue;
@@ -1121,6 +1159,26 @@ fn infer_step(
     Ok(())
 }
 
+/// Runs sub-program `sub` of the tape on `arg` ([`Op::Call`]) and
+/// returns its result. Out of line like [`infer_step`].
+#[inline(never)]
+fn call(
+    interp: &Rc<Interp>,
+    tape: &TapeShared,
+    sub: u32,
+    arg: MufValue,
+    prob: &mut ProbSlot<'_>,
+) -> Result<MufValue, LangError> {
+    let code = tape.prog.subs[sub as usize].code();
+    let mut regs = tape.frames[sub as usize].regs.borrow_mut();
+    let mut slot = [arg];
+    load_state(code, &mut slot, &mut regs);
+    exec(interp, tape, code, 0, code.ops.len(), &mut regs, prob)?;
+    store_state(code, &mut slot, &mut regs);
+    let [result] = slot;
+    Ok(result)
+}
+
 /// [`project`] of a value the op owns: the element moves out of a tuple
 /// or a core pair instead of being copied, so projecting a driver's input,
 /// or a particle tape's input in its prologue, allocates nothing. Out of
@@ -1208,9 +1266,10 @@ impl TapeProgram {
     /// golden-test surface). The format is stable: header, environment
     /// and state register conventions, constant pool, then one line per
     /// op as `NNNN mnemonic  dst <- operands`. A particle tape with a
-    /// steady program ends in a `steady:` block: its header, its prologue
-    /// length where it is shorter, state conventions, the pinned slot
-    /// registers as constants, and its ops.
+    /// steady program ends in a `steady:` block: its header, state
+    /// conventions, the pinned slot registers as constants, and its ops.
+    /// Each sub-program follows, rendered the same way after a `sub`
+    /// line.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -1243,14 +1302,15 @@ impl TapeProgram {
                 steady.ops.len(),
                 steady.state_in.len()
             );
-            if steady.prologue != self.prologue {
-                let _ = writeln!(s, "prologue: {} op(s)", steady.prologue);
-            }
             render_state(&mut s, steady.code());
             for (r, v) in &steady.pins {
                 let _ = writeln!(s, "const r{r} <- {}", render_value(v));
             }
             render_ops(&mut s, &steady.ops, &self.reg_names);
+        }
+        for (i, sub) in self.subs.iter().enumerate() {
+            let _ = writeln!(s, "sub {i}:");
+            s.push_str(&sub.render());
         }
         s
     }
@@ -1400,6 +1460,9 @@ fn render_op(op: &Op, names: &[String]) -> String {
                 named(*engine),
                 env.join(", ")
             )
+        }
+        Op::Call { dst, arg, sub } => {
+            format!("call        {} <- sub {sub}({})", named(*dst), named(*arg))
         }
         Op::Jmp { target } => format!("jmp         @{target:04}"),
         Op::JmpIfNot { cond, target } => {

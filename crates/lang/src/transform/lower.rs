@@ -7,7 +7,9 @@
 //! forces a value), or a statically-known global closure. Beta-redexes
 //! and calls to global closures are inlined, so the per-particle tape for
 //! a compiled node is one straight-line instruction stream with jumps
-//! only for `if`. Names are resolved entirely at lowering time: lexical
+//! only for `if`; only a callee longer than [`INLINE_OPS`] lowers once to
+//! a sub-program that each of its calls runs ([`Op::Call`]), so the tape
+//! grows with the program, not with its call tree. Names are resolved entirely at lowering time: lexical
 //! binders become places, captured-environment names become registered
 //! env slots (reloaded from the engine's closure once per tick), and
 //! globals are resolved once — the steady state does zero name lookups
@@ -16,7 +18,7 @@
 //! Lowering is total-or-nothing: a construct the tape cannot run by
 //! itself (a closure applied from a register, a call to a closure that
 //! captured an environment or to itself, an escaping closure, shape and
-//! arity surprises, the op budget) refuses the whole transition with a
+//! arity surprises) refuses the whole transition with a
 //! reason, and the engine or instance being built fails with it (DESIGN
 //! §2.13 lists which of these source programs reach). No op hands a
 //! single call back to the interpreter. The evaluation order of emitted
@@ -55,8 +57,10 @@ use probzelus_core::value::Value;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-/// Hard cap on tape length; beyond it lowering refuses.
-const MAX_OPS: usize = 50_000;
+/// The longest callee body copied into its caller: a longer one lowers
+/// once to a sub-program that each call runs, so the tape grows with the
+/// program text rather than with its call tree.
+const INLINE_OPS: usize = 256;
 
 type LowerResult<T> = Result<T, String>;
 
@@ -85,9 +89,6 @@ struct Lower<'a> {
     /// re-read into env-slot registers at runtime).
     captured: &'a Env,
     ops: Vec<Op>,
-    /// Ops held in enclosing buffers while an `else` arm is lowered aside
-    /// (counted against [`MAX_OPS`]).
-    ops_aside: usize,
     consts: Vec<Op>,
     scope: Vec<ScopeEntry>,
     env_slots: Vec<(String, Reg)>,
@@ -99,9 +100,31 @@ struct Lower<'a> {
     /// a call to one of them is recursive, which inlining cannot unroll.
     inlining: Vec<*const MufExpr>,
     unit: Option<Reg>,
+    /// Per callee body met so far, the sub-program its calls run, or
+    /// `None` where calls copy it; and the sub-programs.
+    calls: HashMap<*const MufExpr, Option<u32>>,
+    subs: Vec<TapeProgram>,
 }
 
-impl Lower<'_> {
+impl<'a> Lower<'a> {
+    fn new(interp: &'a Rc<Interp>, captured: &'a Env) -> Lower<'a> {
+        Lower {
+            interp,
+            captured,
+            ops: Vec::new(),
+            consts: Vec::new(),
+            scope: Vec::new(),
+            env_slots: Vec::new(),
+            global_regs: Vec::new(),
+            reg_names: Vec::new(),
+            next_reg: 0,
+            inlining: Vec::new(),
+            unit: None,
+            calls: HashMap::new(),
+            subs: Vec::new(),
+        }
+    }
+
     fn fresh(&mut self, name: &str) -> Reg {
         let r = self.next_reg;
         self.next_reg += 1;
@@ -272,9 +295,6 @@ impl Lower<'_> {
     }
 
     fn lower(&mut self, e: &MufExpr) -> LowerResult<Place> {
-        if self.ops.len() + self.ops_aside > MAX_OPS {
-            return Err(format!("op budget exceeded ({MAX_OPS})"));
-        }
         match e {
             MufExpr::Const(c) => Ok(Place::Reg(self.const_reg(const_value(c), "const"))),
             MufExpr::Var(x) => self.resolve(x),
@@ -294,10 +314,8 @@ impl Lower<'_> {
                 // arm's moves are emitted, so the else arm is lowered into a
                 // buffer of its own and spliced in after the jump.
                 let outer = std::mem::take(&mut self.ops);
-                self.ops_aside += outer.len();
                 let pf = self.lower(f);
                 let else_ops = std::mem::replace(&mut self.ops, outer);
-                self.ops_aside -= self.ops.len();
                 let pf = pf?;
                 self.scope.truncate(save);
                 let dst = self.join_place(&pt, &pf);
@@ -473,10 +491,13 @@ impl Lower<'_> {
         }
     }
 
-    /// Inlines a call to a global closure. Only a closure with an empty
-    /// environment inlines: its body names nothing but its parameters
-    /// and globals. A compiled node calls only earlier nodes, so calls
-    /// nest as deep as the program's chain of nodes, and never recurse.
+    /// Lowers a call to a global closure: copied into the caller, or
+    /// where its body lowers to more than [`INLINE_OPS`] ops, a
+    /// [`Op::Call`] of the sub-program it lowers to once. Only a closure
+    /// with an empty environment lowers: its body names nothing but its
+    /// parameters and globals. A compiled node calls only earlier nodes,
+    /// so calls nest as deep as the program's chain of nodes, and never
+    /// recurse.
     fn inline(&mut self, v: MufValue, pa: Place) -> LowerResult<Place> {
         let MufValue::Closure(c) = &v else {
             return Err(format!("cannot apply a {}", v.kind()));
@@ -488,6 +509,16 @@ impl Lower<'_> {
         if self.inlining.contains(&body) {
             return Err("a closure calls itself".into());
         }
+        let sub = match self.calls.get(&body) {
+            Some(&sub) => sub,
+            None => self.lower_sub(c)?,
+        };
+        if let Some(sub) = sub {
+            let arg = self.materialize(&pa, "arg")?;
+            let dst = self.fresh("call");
+            self.emit(Op::Call { dst, arg, sub });
+            return Ok(Place::Reg(dst));
+        }
         self.inlining.push(body);
         let save = self.scope.len();
         self.scope.push(ScopeEntry::Boundary);
@@ -495,6 +526,51 @@ impl Lower<'_> {
         self.scope.truncate(save);
         self.inlining.pop();
         out
+    }
+
+    /// Lowers callee `c` on its own register file, which decides how its
+    /// calls lower: when its ops outnumber [`INLINE_OPS`] it becomes a
+    /// sub-program, else calls copy it. The callees it calls are decided
+    /// (and become sub-programs) while it lowers.
+    fn lower_sub(&mut self, c: &Closure) -> LowerResult<Option<u32>> {
+        let empty = Env::empty();
+        let mut lw = Lower::new(self.interp, &empty);
+        lw.inlining = self.inlining.clone();
+        lw.inlining.push(Rc::as_ptr(&c.body));
+        lw.calls = std::mem::take(&mut self.calls);
+        lw.subs = std::mem::take(&mut self.subs);
+        lw.scope.push(ScopeEntry::Boundary);
+        let input = lw.fresh("arg");
+        let place = lw
+            .bind_pat(&c.pat, Place::Reg(input))
+            .and_then(|()| lw.lower(&c.body));
+        self.calls = std::mem::take(&mut lw.calls);
+        self.subs = std::mem::take(&mut lw.subs);
+        let out = lw.materialize(&place?, "ret")?;
+        let sub = (lw.ops.len() > INLINE_OPS).then_some(self.subs.len() as u32);
+        self.calls.insert(Rc::as_ptr(&c.body), sub);
+        if sub.is_some() {
+            let ops = fuse_pairs(lw.ops, &OutSpec::Reg(out), &[out]);
+            self.subs.push(TapeProgram {
+                takes: last_uses(&ops, 0, &[input], [out]),
+                state_out: state_out_modes(&ops, &[input], &[out]),
+                consts: lw.consts,
+                ops,
+                prologue: 0,
+                num_regs: lw.next_reg,
+                input: None,
+                state_in: vec![input],
+                out: OutSpec::Reg(out),
+                env_slots: Vec::new(),
+                init_slots: Vec::new(),
+                shape: StateShape::Leaf,
+                body_ptr: Rc::as_ptr(&c.body) as usize,
+                reg_names: lw.reg_names,
+                steady: None,
+                subs: Vec::new(),
+            });
+        }
+        Ok(sub)
     }
 
     fn freshen_place(&mut self, p: &Place) -> LowerResult<Place> {
@@ -678,7 +754,7 @@ fn state_out_modes(body: &[Op], loaded: &[Reg], regs: &[Reg]) -> Vec<StateOut> {
 /// only go forward, so "later in tape order" covers every path out of the
 /// op (and some that do not pass it, which only keeps a value longer).
 /// Only the ops that take operands get a mask: `Move`, `Proj`, `Select`,
-/// arithmetic `BinOp`s and `AddMul`.
+/// arithmetic `BinOp`s, `AddMul` and `Call`.
 fn last_uses(
     ops: &[Op],
     prologue: usize,
@@ -697,6 +773,7 @@ fn last_uses(
         let takes_operands = matches!(
             op,
             Op::Move { .. }
+                | Op::Call { .. }
                 | Op::Proj { .. }
                 | Op::Select { .. }
                 | Op::AddMul { .. }
@@ -944,8 +1021,7 @@ fn propagate_copies(mut ops: Vec<Op>, out: &OutSpec, state_out: &[Reg]) -> (Vec<
 /// slot; each `Select` whose condition is then a constant boolean becomes
 /// a `Move` of the branch it picks, which is the `Select`'s own result.
 /// Copy propagation ([`propagate_copies`]) then removes the moves whose
-/// readers can read their source, and [`steady_prologue`] the
-/// projections nothing reads any more. Last uses and state-out modes are
+/// readers can read their source. Last uses and state-out modes are
 /// derived afresh for the rewritten code, where a pinned register is a
 /// constant like any other. `None` when no slot is constant.
 fn steady_program(
@@ -1005,8 +1081,6 @@ fn steady_program(
         })
         .collect();
     let (ops, kept_out) = propagate_copies(ops, out, &kept_out);
-    let end_reads = out.regs().into_iter().chain(kept_out.iter().copied());
-    let (ops, prologue) = steady_prologue(ops, prologue, end_reads);
     let state_out = state_out_modes(&ops[prologue..], &kept_in, &kept_out);
     let takes = last_uses(
         &ops,
@@ -1019,67 +1093,9 @@ fn steady_program(
         keep,
         ops,
         takes,
-        prologue,
         state_in: kept_in,
         state_out,
     })
-}
-
-/// The prologue of a steady program: its first-instant prologue, `ops[..
-/// prologue]`, less the projections whose register no op and nothing
-/// read at the end (`end_reads`) reads. Projections of one register with
-/// one arity fail together or not at all, so one of them must still run
-/// where the first of them did, as the interpreter's pattern checks the
-/// shape every tick: the first one kept moves there, or when none is
-/// read, the first one stays. Returns the ops with the prologue
-/// rewritten, jumps retargeted, and its new length.
-fn steady_prologue(
-    ops: Vec<Op>,
-    prologue: usize,
-    end_reads: impl IntoIterator<Item = Reg>,
-) -> (Vec<Op>, usize) {
-    let group = |op: &Op| match *op {
-        Op::Proj { src, arity, .. } => Some((src, arity)),
-        _ => None,
-    };
-    let mut read: HashSet<Reg> = ops[prologue..]
-        .iter()
-        .flat_map(Op::reads)
-        .chain(end_reads)
-        .collect();
-    // From the back, so a projection is decided before the one that
-    // defines its source.
-    let mut keep = vec![false; prologue];
-    let mut checked = HashSet::new();
-    for pc in (0..prologue).rev() {
-        let (Some(g), Some(dst)) = (group(&ops[pc]), ops[pc].dst()) else {
-            continue;
-        };
-        let first = !ops[..pc].iter().any(|op| group(op) == Some(g));
-        if read.contains(&dst) || (first && !checked.contains(&g)) {
-            keep[pc] = true;
-            checked.insert(g);
-            read.insert(g.0);
-        }
-    }
-    let mut order = Vec::with_capacity(prologue);
-    let mut placed = HashSet::new();
-    for pc in 0..prologue {
-        match group(&ops[pc]) {
-            Some(g) if placed.insert(g) => {
-                order.extend((pc..prologue).find(|&k| keep[k] && group(&ops[k]) == Some(g)))
-            }
-            _ if keep[pc] && !order.contains(&pc) => order.push(pc),
-            _ => {}
-        }
-    }
-    let removed = (prologue - order.len()) as u32;
-    let mut new_at: Vec<u32> = (0..=ops.len() as u32).collect();
-    new_at[prologue..].iter_mut().for_each(|at| *at -= removed);
-    let mut rewritten: Vec<Op> = order.iter().map(|&pc| ops[pc].clone()).collect();
-    rewritten.extend(ops.into_iter().skip(prologue));
-    retarget(&mut rewritten, &new_at);
-    (rewritten, prologue - removed as usize)
 }
 
 /// The prologue: the longest run of leading `Proj` ops whose sources are
@@ -1218,20 +1234,7 @@ fn lower_transition(
     // two agree (the shape only shrinks, so this terminates).
     let mut shape = StateShape::of(init_state);
     loop {
-        let mut lw = Lower {
-            interp,
-            captured: &closure.env,
-            ops: Vec::new(),
-            ops_aside: 0,
-            consts: Vec::new(),
-            scope: Vec::new(),
-            env_slots: Vec::new(),
-            global_regs: Vec::new(),
-            reg_names: Vec::new(),
-            next_reg: 0,
-            inlining: Vec::new(),
-            unit: None,
-        };
+        let mut lw = Lower::new(interp, &closure.env);
         let (state_place, state_in) = lw.place_of_shape(&shape, state_pat, "s");
         let input = takes_input.then(|| lw.fresh("input"));
         let arg_place = match input {
@@ -1315,6 +1318,7 @@ fn lower_transition(
             body_ptr: Rc::as_ptr(&closure.body) as usize,
             reg_names: lw.reg_names,
             steady,
+            subs: lw.subs,
         });
     }
 }

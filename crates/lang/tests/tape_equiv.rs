@@ -925,11 +925,11 @@ fn misshaped_input_errors_like_the_interpreter_and_recovers() {
 }
 
 /// `first` reads its input's components only at the first instant, so
-/// its steady program reads neither. Its steady prologue still projects
-/// one of them, as the tree walker's pattern still destructures the
-/// input every tick: a misshaped input after the first tick fails on
-/// both backends alike (and leaves the particles no state, so every
-/// later tick fails on both too).
+/// its steady program reads neither. Its steady program still runs the
+/// prologue that projects them, as the tree walker's pattern still
+/// destructures the input every tick: a misshaped input after the first
+/// tick fails on both backends alike (and leaves the particles no state,
+/// so every later tick fails on both too).
 #[test]
 fn steady_prologue_keeps_the_input_shape_check() {
     const FIRST: &str = r#"
@@ -938,8 +938,7 @@ fn steady_prologue_keeps_the_input_shape_check() {
           and () = observe (gaussian (x, 1.), (b -> 0.))
     "#;
     let compiled = compile_source(FIRST).expect("compiles");
-    let steady = lowered(&compiled, "first").steady.expect("first");
-    assert_eq!(steady.prologue, 1, "first: the steady prologue");
+    assert!(lowered(&compiled, "first").steady.is_some(), "first");
     let mut inputs = pair_inputs(6);
     inputs[3] = Value::Float(1.0);
     for run in assert_outcomes_identical(
@@ -1474,37 +1473,94 @@ fn source_names_never_shadow_compiled_globals() {
     .for_each(|o| assert!(o.is_ok(), "m: {o:?}"));
 }
 
-/// The one refusal a source program reaches (DESIGN §2.13): inlining
-/// copies a callee at every call, so 17 nodes, each calling the one
-/// before twice, put 2^16 copies of the first on `m`'s tape, past the op
-/// budget. The engine then fails to build with `PZ0701`, while the tree
-/// walker runs the program.
-#[test]
-fn call_tree_past_the_op_budget_refuses_to_lower() {
+/// `depth` nodes, each calling the one before twice: copied at every
+/// call, the last would put 2^(depth - 1) copies of the first on a tape.
+fn call_tree(depth: usize) -> String {
     let mut src = String::from("let node f0 x = x + 1.\n");
-    for i in 1..17 {
+    for i in 1..depth {
         src += &format!("let node f{i} x = f{j}(x) + f{j}(x)\n", j = i - 1);
     }
-    src += "let node m y = z where rec z = sample (gaussian (f16(y), 1.)) \
-            and () = observe (gaussian (z, 1.), y)";
-    let compiled = compile_source(&src).expect("well-kinded");
-    let options = |backend| Options {
-        method: Method::ParticleFilter,
-        seed: 42,
-        backend,
-    };
-    let err = compiled
-        .infer_node("m", 1, options(ExecBackend::Tape))
-        .expect_err("past the op budget");
-    assert_eq!(stage_code(err.stage), Code::COMPILE, "{err}");
-    assert_eq!(
-        err.message,
-        "the transition does not lower to the tape: op budget exceeded (50000)"
+    let last = depth - 1;
+    src += &format!(
+        "let node m y = z where rec z = sample (gaussian (f{last}(y), 1.)) \
+         and () = observe (gaussian (z, 1.), y)\n\
+         let node g y = f{last}(y) + y\n"
     );
-    let mut oracle = compiled
-        .infer_node("m", 1, options(ExecBackend::Interp))
-        .expect("the tree walker builds it");
-    assert!(oracle.step(&Value::Float(0.5)).is_ok());
+    src
+}
+
+/// A callee too long to copy into its caller runs as a sub-program
+/// (`Op::Call`), so a call tree lowers to a tape that grows with the
+/// program: 40 doubling nodes, 2^39 copies of the first when inlined,
+/// lower to under 2,000 ops. On a tree the tree walker can still run,
+/// the particle tape matches it under all five methods across a reset,
+/// and so does the driver tape of the deterministic `g`.
+#[test]
+fn call_trees_lower_to_sub_programs() {
+    let deep = compile_source(&call_tree(40)).expect("well-kinded");
+    let prog = lowered(&deep, "m");
+    let ops = prog.ops.len() + prog.subs.iter().map(|s| s.ops.len()).sum::<usize>();
+    assert!(ops < 2_000, "m: {ops} ops in {} sub(s)", prog.subs.len());
+    let compiled = compile_source(&call_tree(12)).expect("well-kinded");
+    let prog = lowered(&compiled, "m");
+    assert!(!prog.subs.is_empty(), "m: no sub-program");
+    assert!(prog.ops.iter().any(|op| matches!(op, Op::Call { .. })));
+    let floats: Vec<Value> = float_inputs(8).into_iter().map(Value::Float).collect();
+    assert_reset_mid_stream_identical(
+        "m",
+        |method, backend| engine(&compiled, "m", 4, method, backend),
+        &floats,
+        4,
+    );
+    let mut interp = instance(&compiled, "g", Method::ParticleFilter, ExecBackend::Interp);
+    let mut tape = instance(&compiled, "g", Method::ParticleFilter, ExecBackend::Tape);
+    assert_eq!(tape.tape_status(), Some(Ok(())));
+    for x in &floats {
+        let (e, g) = (interp.step(x.clone()), tape.step(x.clone()));
+        assert_eq!(digest(&e.expect("g")), digest(&g.expect("g")));
+    }
+}
+
+/// Sub-programs whose result is a constant or their argument: a call
+/// takes the result out of the sub-program's register file, so a
+/// constant result is first copied to a register the sub-program
+/// writes, and each call loads the argument afresh. `konst` and `ident`
+/// run 300 additions each before returning, so both are sub-programs,
+/// and each is called twice per step.
+#[test]
+fn sub_programs_return_constants_and_arguments() {
+    let long = |result: MufExpr| {
+        let sum = (0..300).fold(var("y"), |e, _| {
+            MufExpr::Op(OpName::Add, vec![e, float(1.0)])
+        });
+        MufExpr::Let(MufPat::Wildcard, Box::new(sum), Box::new(result))
+    };
+    let twice = |f: &str| {
+        let call = || app(var(f), var("x"));
+        MufExpr::Op(OpName::Add, vec![call(), call()])
+    };
+    let mean = MufExpr::Op(OpName::Add, vec![twice("konst"), twice("ident")]);
+    let body = MufExpr::Tuple(vec![MufExpr::Sample(Box::new(gaussian(mean))), var("s")]);
+    let muf = Muf::new(
+        MufValue::unit(),
+        vec![
+            ("konst", MufPat::var("y"), long(float(2.0))),
+            ("ident", MufPat::var("y"), long(var("y"))),
+            (
+                "step",
+                MufPat::pair(MufPat::var("s"), MufPat::var("x")),
+                body,
+            ),
+        ],
+    );
+    assert_eq!(muf.tape("step").subs.len(), 2, "konst and ident");
+    let inputs: Vec<Value> = float_inputs(6).into_iter().map(Value::Float).collect();
+    assert_reset_mid_stream_identical(
+        "step",
+        |method, backend| muf.engine("step", method, backend),
+        &inputs,
+        3,
+    );
 }
 
 /// Hand-written µF drivers `name#step = fun (s, x) -> (body, s)` over a

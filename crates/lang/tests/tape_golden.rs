@@ -277,42 +277,6 @@ fn robot_tracker_tape_is_fully_flattened() {
     );
 }
 
-/// `integr`'s first instant reads both components of its input `(xo,
-/// xp)`, its steady program only `xp`: the steady prologue projects `xp`
-/// alone, which still checks the input's shape every tick.
-#[test]
-fn steady_prologue_projects_only_what_the_steady_program_reads() {
-    let compiled = compile_source(&example("robot.zl")).expect("robot compiles");
-    let prog = compiled
-        .lower_node("integr", options())
-        .expect("lower_node runs")
-        .expect("integr lowers");
-    assert_eq!(prog.prologue, 2, "integr prologue");
-    let steady = prog.steady.as_ref().expect("integr has a steady program");
-    assert_eq!(steady.prologue, 1, "integr steady prologue");
-    assert_ops(
-        "integr steady",
-        &steady.ops,
-        &[
-            Op::Proj {
-                dst: 4,
-                src: 2,
-                idx: 1,
-                arity: 2,
-            },
-            Op::AddMul {
-                dst: 7,
-                x: 0,
-                a: 4,
-                b: 5,
-                product_first: false,
-            },
-            Op::Move { dst: 8, src: 7 },
-            Op::Halt,
-        ],
-    );
-}
-
 /// An engine's particles step on the first-instant program at their
 /// first tick, and on the steady program at every later one, after a
 /// reset too.
@@ -455,8 +419,7 @@ fn example_files() -> Vec<String> {
 /// program of the committed examples: no `Move` reads a constant or a
 /// pinned register (its readers could read that register), no `Jmp`
 /// targets the next op, and no `Move` writes a register that no op, no
-/// output and no successor-state slot reads. Nor does a steady prologue
-/// op write such a register.
+/// output and no successor-state slot reads.
 #[test]
 fn steady_programs_hold_no_removable_copies() {
     let mut checked = Vec::new();
@@ -485,10 +448,6 @@ fn steady_programs_hold_no_removable_copies() {
             }));
             for (pc, op) in steady.ops.iter().enumerate() {
                 let at = format!("{file}/{node} steady op {pc}: {op:?}");
-                if pc < steady.prologue {
-                    let dst = op.dst().expect("a prologue op writes a register");
-                    assert!(read.contains(&dst), "{at}: nothing reads the projection");
-                }
                 match *op {
                     Op::Move { dst, src } => {
                         assert!(!constant.contains(&src), "{at}: moves a constant");
